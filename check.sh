@@ -34,7 +34,9 @@ cargo test --offline -q --test race_freedom grouped_force_kernel
 cargo test --offline -q --test schedule_matrix grouped_force_kernel
 
 echo "== build (release) =="
-cargo build --offline --release
+# --workspace: the lanes below run target/release/repro and serve, which a
+# build of the root package alone does not produce.
+cargo build --offline --release --workspace
 
 echo "== full test suite =="
 cargo test --offline -q --workspace
@@ -74,6 +76,15 @@ echo "table1 --jobs 2 and --jobs 1 outputs are byte-identical"
 (cd "$SMOKE_DIR" && "$REPRO" matrix --scale tiny --jobs 2 --json matrix_j2.json >/dev/null)
 (cd "$SMOKE_DIR" && "$REPRO" matrix --scale tiny --jobs 1 --json matrix_j1.json >/dev/null)
 "$REPRO" check-same "$SMOKE_DIR/matrix_j2.json" "$SMOKE_DIR/matrix_j1.json"
+
+echo "== bench lane (bench/ builds offline, its tests pass, a short run checks out) =="
+# bench/ is a package of its own outside the workspace, so nothing above
+# compiles it. `bhbench run` exits 1 when its check line fails: on
+# sim-platforms that is P=1 cycles repeating exactly from round to round and
+# every builder ending with the same bodies on every platform.
+cargo test --offline -q --manifest-path bench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+    run --workload sim-platforms --seconds 2 --out "$SMOKE_DIR/bench"
 
 echo "== serve lane (unix-socket smoke against the serve binary) =="
 # Boot the standalone server, push a couple of jobs through a real socket,

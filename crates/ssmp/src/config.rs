@@ -46,11 +46,13 @@ pub struct CostModel {
     pub name: String,
     pub protocol: Protocol,
     /// Coherence granularity in bytes (cache line for eager protocols, page
-    /// for HLRC).
+    /// for HLRC). A power of two.
     pub grain: u32,
     /// Processor clock in MHz (to report seconds).
     pub cpu_mhz: u64,
-    /// Private cache capacity in grains (lines or resident pages).
+    /// Private cache capacity in lines, for the eager protocols. HLRC does
+    /// not consult it: its page table is unbounded, and the value the HLRC
+    /// presets carry only records the resident set of the modeled machine.
     pub cache_grains: usize,
 
     // --- per-access costs ---
@@ -102,10 +104,15 @@ impl CostModel {
         cycles as f64 / (self.cpu_mhz as f64 * 1e6)
     }
 
-    /// Number of `grain`-sized units an access [addr, addr+bytes) touches.
-    pub fn grains_of(&self, addr: u64, bytes: u32) -> std::ops::RangeInclusive<u64> {
-        let g = self.grain as u64;
-        (addr / g)..=((addr + bytes.max(1) as u64 - 1) / g)
+    /// `log2(grain)`: the grain number of an address is `addr >> grain_shift()`.
+    pub fn grain_shift(&self) -> u32 {
+        assert!(
+            self.grain.is_power_of_two(),
+            "{}: grain {} is not a power of two",
+            self.name,
+            self.grain
+        );
+        self.grain.trailing_zeros()
     }
 }
 
@@ -115,13 +122,18 @@ mod tests {
     use crate::platform;
 
     #[test]
-    fn grain_ranges() {
-        let m = platform::origin2000(4);
-        let g = m.grain as u64;
-        assert_eq!(m.grains_of(0, 4).count(), 1);
-        assert_eq!(m.grains_of(g - 1, 2).count(), 2);
-        assert_eq!(m.grains_of(g, g as u32).count(), 1);
-        assert_eq!(m.grains_of(0, (3 * g) as u32).count(), 3);
+    fn every_preset_has_a_power_of_two_grain() {
+        for m in platform::all_platforms(4) {
+            assert_eq!(1u32 << m.grain_shift(), m.grain, "{}", m.name);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn odd_grain_is_refused() {
+        let mut m = platform::origin2000(4);
+        m.grain = 96;
+        m.grain_shift();
     }
 
     #[test]

@@ -79,8 +79,6 @@ struct LockVt {
 struct LockSlot {
     real: RawLock,
     vt: Mutex<LockVt>,
-    /// Real-time queue depth: processors currently blocked on `real`.
-    waiters: std::sync::atomic::AtomicU32,
 }
 
 enum QMsg {
@@ -96,6 +94,10 @@ struct InvalQueue {
 /// The simulated machine. Implements [`bh_core::env::Env`].
 pub struct Machine {
     cost: CostModel,
+    /// `log2(cost.grain)`: an address's grain number is `addr >> grain_shift`.
+    grain_shift: u32,
+    /// `cost.protocol.is_lazy()`, decided once for the per-access fork.
+    lazy: bool,
     procs: usize,
     shards: Box<[Mutex<Shard>]>,
     locks: Box<[LockSlot]>,
@@ -167,6 +169,8 @@ impl Machine {
             "1..=64 simulated processors supported"
         );
         Machine {
+            grain_shift: cost.grain_shift(),
+            lazy: cost.protocol.is_lazy(),
             cost,
             procs,
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
@@ -179,7 +183,6 @@ impl Machine {
                         acquire_clock: 0,
                         cs_last: 0,
                     }),
-                    waiters: std::sync::atomic::AtomicU32::new(0),
                 })
                 .collect(),
             rendezvous: Barrier::new(procs),
@@ -240,7 +243,7 @@ impl Machine {
         let region = addr >> LOCAL_SHIFT;
         if region == 0 {
             // Global region: pages homed round-robin.
-            ((addr / self.cost.grain.max(4096) as u64) % self.procs as u64) as usize
+            ((addr >> self.grain_shift.max(12)) % self.procs as u64) as usize
         } else {
             ((region - 1) as usize).min(self.procs - 1)
         }
@@ -258,18 +261,61 @@ impl Machine {
         q.flag.store(true, Ordering::Release);
     }
 
+    /// Grain numbers an access `[addr, addr + bytes)` touches, first to last.
+    #[inline]
+    fn grains(&self, addr: VAddr, bytes: u32) -> std::ops::RangeInclusive<u64> {
+        (addr >> self.grain_shift)..=((addr + bytes.max(1) as u64 - 1) >> self.grain_shift)
+    }
+
+    /// `read`/`write`. The common case is decided here, inlined into the
+    /// caller: the access lies in one grain, no invalidation is pending and
+    /// this processor's table says hit. Everything else goes to the
+    /// protocol's out-of-line body, which starts over from the top.
+    #[inline(always)]
+    fn access(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32, write: bool) {
+        let grains = self.grains(addr, bytes);
+        let (grain, one_grain) = (*grains.start(), grains.start() == grains.end());
+        if self.lazy {
+            let hit = one_grain
+                && matches!(ctx.pages.get(grain),
+                    Some(e) if e.checked_epoch == ctx.epoch && (e.writing || !write));
+            if hit {
+                ctx.clock += self.cost.t_hit;
+            } else {
+                self.lazy_access(ctx, addr, bytes, write);
+            }
+        } else {
+            // `Acquire` pairs with the `Release` store in `post`. A clear
+            // flag is what the swap in `drain` would see as well: a message
+            // takes effect at the first access that observes its flag.
+            let hit = one_grain
+                && !self.queues[ctx.proc].flag.load(Ordering::Acquire)
+                && matches!(
+                    (ctx.cache.get(grain), write),
+                    (Some(_), false) | (Some(Held::Exclusive), true)
+                );
+            if hit {
+                ctx.clock += self.cost.t_hit;
+            } else {
+                self.eager_access(ctx, addr, bytes, write);
+            }
+        }
+    }
+
     /// Drain this processor's invalidation queue into its private cache.
     #[inline]
     fn drain(&self, ctx: &mut SimCtx) {
-        if self.queues[ctx.proc].flag.swap(false, Ordering::AcqRel) {
-            let msgs = std::mem::take(&mut *self.queues[ctx.proc].msgs.lock());
-            let grain_bytes = self.cost.grain as u64;
+        let queue = &self.queues[ctx.proc];
+        // Load before swapping: the flag is almost always clear, and a plain
+        // load does not take the cache line exclusive the way a swap does.
+        if queue.flag.load(Ordering::Acquire) && queue.flag.swap(false, Ordering::AcqRel) {
+            let msgs = std::mem::take(&mut *queue.msgs.lock());
             for m in msgs {
                 match m {
                     QMsg::Invalidate(g) => {
                         if ctx.cache.invalidate(g) {
                             if let Some(a) = ctx.attr.as_deref_mut() {
-                                a.charge(g * grain_bytes, |c| c.invalidations += 1);
+                                a.charge(g << self.grain_shift, |c| c.invalidations += 1);
                             }
                         }
                     }
@@ -281,11 +327,10 @@ impl Machine {
 
     // ---------------- eager protocols (bus / directory / fine-grain SC) ----
 
+    #[inline(never)]
     fn eager_access(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32, write: bool) {
         self.drain(ctx);
-        let grains = self.cost.grains_of(addr, bytes);
-        let grain_bytes = self.cost.grain as u64;
-        for grain in grains {
+        for grain in self.grains(addr, bytes) {
             let held = ctx.cache.get(grain);
             match (held, write) {
                 (Some(_), false) | (Some(Held::Exclusive), true) => {
@@ -297,7 +342,8 @@ impl Machine {
             // Slow path.
             let me = ctx.proc;
             let my_bit = 1u64 << me;
-            let home_local = self.home_of(grain * grain_bytes) == me;
+            let grain_base = grain << self.grain_shift;
+            let home_local = self.home_of(grain_base) == me;
             let mut shard = self.shard_of(grain).lock();
             let line = shard.lines.entry(grain).or_insert_with(|| LineState {
                 sharers: 0,
@@ -358,7 +404,7 @@ impl Machine {
             }
             // Attribution uses the first accessed byte within the grain —
             // an access targets one element, which lives in one region.
-            let rep = addr.max(grain * grain_bytes);
+            let rep = addr.max(grain_base);
             if cost >= self.cost.t_remote_miss && !home_local {
                 ctx.remote_misses += 1;
                 if let Some(a) = ctx.attr.as_deref_mut() {
@@ -376,9 +422,10 @@ impl Machine {
 
     // ---------------- HLRC (lazy, page-grained) ----------------------------
 
+    #[inline(never)]
     fn lazy_access(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32, write: bool) {
-        let grain_bytes = self.cost.grain as u64;
-        for page in self.cost.grains_of(addr, bytes) {
+        for page in self.grains(addr, bytes) {
+            let page_base = page << self.grain_shift;
             let entry = ctx.pages.get(page);
             let valid = matches!(entry, Some(e) if e.checked_epoch == ctx.epoch);
             if !valid {
@@ -405,7 +452,7 @@ impl Machine {
                         // serialized at the page's home (handler occupancy).
                         self.fault(ctx, page);
                         if let Some(a) = ctx.attr.as_deref_mut() {
-                            a.charge(addr.max(page * grain_bytes), |c| c.page_faults += 1);
+                            a.charge(addr.max(page_base), |c| c.page_faults += 1);
                         }
                         ctx.pages.set(
                             page,
@@ -419,8 +466,8 @@ impl Machine {
                     None => {
                         // Cold map-in. Locally homed fresh pages are cheap;
                         // anything else is a fault.
-                        let home_local = self.home_of(page * grain_bytes) == ctx.proc;
-                        let rep = addr.max(page * grain_bytes);
+                        let home_local = self.home_of(page_base) == ctx.proc;
+                        let rep = addr.max(page_base);
                         if gv == 0 && home_local {
                             ctx.clock += self.cost.t_local_miss;
                             ctx.local_misses += 1;
@@ -487,7 +534,7 @@ impl Machine {
     /// acquire.
     #[inline]
     fn acquire_epoch(&self, ctx: &mut SimCtx) {
-        if self.cost.protocol.is_lazy() {
+        if self.lazy {
             ctx.epoch += 1;
             let now = self.notices.load(Ordering::Acquire);
             let delta = now - ctx.notices_seen;
@@ -532,8 +579,8 @@ impl Env for Machine {
             clock: 0,
             epoch: 1,
             notices_seen: 0,
-            cache: PrivateCache::new(self.cost.cache_grains),
-            pages: PageTable::new(),
+            cache: PrivateCache::new(self.cost.cache_grains, LOCAL_SHIFT - self.grain_shift),
+            pages: PageTable::new(LOCAL_SHIFT - self.grain_shift),
             local_misses: 0,
             remote_misses: 0,
             page_faults: 0,
@@ -573,24 +620,16 @@ impl Env for Machine {
 
     #[inline]
     fn read(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32) {
-        if self.cost.protocol.is_lazy() {
-            self.lazy_access(ctx, addr, bytes, false)
-        } else {
-            self.eager_access(ctx, addr, bytes, false)
-        }
+        self.access(ctx, addr, bytes, false)
     }
 
     #[inline]
     fn write(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32) {
-        if self.cost.protocol.is_lazy() {
-            self.lazy_access(ctx, addr, bytes, true)
-        } else {
-            self.eager_access(ctx, addr, bytes, true)
-        }
+        self.access(ctx, addr, bytes, true)
     }
 
     fn rmw(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32) {
-        if self.cost.protocol.is_lazy() {
+        if self.lazy {
             self.lazy_access(ctx, addr, bytes, false);
             self.lazy_access(ctx, addr, bytes, true);
             return;
@@ -602,7 +641,7 @@ impl Env for Machine {
         self.eager_access(ctx, addr, bytes, true);
         let occ = self.cost.t_rmw_occupancy;
         if occ > 0 {
-            let grain = addr / self.cost.grain as u64;
+            let grain = addr >> self.grain_shift;
             let backlog = {
                 let mut shard = self.shard_of(grain).lock();
                 let line = shard.lines.entry(grain).or_insert_with(|| LineState {
@@ -628,12 +667,7 @@ impl Env for Machine {
 
     fn lock(&self, ctx: &mut SimCtx, lock: usize) {
         let slot = &self.locks[bh_core::env::lock_slot(lock, LOCK_TABLE)];
-        // Real-time queue depth at arrival: how many processors are actually
-        // contending right now. Used to bound the virtual-time wait so that
-        // clock drift between processors cannot masquerade as contention.
-        let depth = slot.waiters.fetch_add(1, Ordering::AcqRel) as u64;
         slot.real.lock();
-        slot.waiters.fetch_sub(1, Ordering::AcqRel);
         ctx.lock_acquires += 1;
         let mut vt = slot.vt.lock();
         let transfer = if vt.last_owner >= 0 && vt.last_owner as usize != ctx.proc {
@@ -641,17 +675,8 @@ impl Env for Machine {
         } else {
             0
         };
-        // Gap to the previous holder's virtual release.
-        //
-        // Under HLRC a gap that a queue of at most P dilated critical
-        // sections can explain is genuine protocol-induced contention and is
-        // honored in full — this is the serialization at locks that the
-        // paper identifies as the SVM killer. A larger gap is clock drift
-        // and is replaced by the queue that really exists (`depth` waiters).
-        //
-        // Under hardware coherence critical sections are short and lock
-        // hand-off is fast, so queueing only matters when processors really
-        // collide: the wait is bounded by the actual queue depth at arrival.
+        // Gap to the previous holder's virtual release, honored up to a
+        // protocol-dependent bound.
         let unit = vt.cs_last + transfer + self.cost.t_lock;
         let gap = (vt.last_release + transfer).saturating_sub(ctx.clock);
         let bound = if self.cost.protocol.software_sync() {
@@ -665,7 +690,6 @@ impl Env for Machine {
             // "quite inexpensive" (paper §4.1); critical sections are a few
             // hundred cycles, so queueing is second-order next to load
             // imbalance and false sharing. Charge only acquisition costs.
-            let _ = depth;
             0
         };
         // An ownership change always pays at least the transfer latency,
@@ -687,7 +711,7 @@ impl Env for Machine {
     }
 
     fn unlock(&self, ctx: &mut SimCtx, lock: usize) {
-        if self.cost.protocol.is_lazy() {
+        if self.lazy {
             self.lazy_release(ctx);
         }
         let slot = &self.locks[bh_core::env::lock_slot(lock, LOCK_TABLE)];
@@ -702,7 +726,7 @@ impl Env for Machine {
     }
 
     fn barrier(&self, ctx: &mut SimCtx) {
-        if self.cost.protocol.is_lazy() {
+        if self.lazy {
             self.lazy_release(ctx);
         }
         self.barrier_clocks[ctx.proc].store(ctx.clock, Ordering::Release);
@@ -716,7 +740,7 @@ impl Env for Machine {
         ctx.barrier_wait += max - ctx.clock;
         ctx.clock = max + self.cost.t_barrier;
         self.acquire_epoch(ctx);
-        if !self.cost.protocol.is_lazy() {
+        if !self.lazy {
             self.drain(ctx);
         }
     }
@@ -781,6 +805,17 @@ mod tests {
 
     fn hlrc(procs: usize) -> Machine {
         Machine::new(platform::typhoon0_hlrc(procs), procs)
+    }
+
+    #[test]
+    fn grain_ranges() {
+        let m = origin(4);
+        let g = m.cost_model().grain as u64;
+        assert_eq!(m.grains(0, 4).count(), 1);
+        assert_eq!(m.grains(0, 0).count(), 1);
+        assert_eq!(m.grains(g - 1, 2).count(), 2);
+        assert_eq!(m.grains(g, g as u32).count(), 1);
+        assert_eq!(m.grains(0, (3 * g) as u32).count(), 3);
     }
 
     #[test]
