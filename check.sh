@@ -24,19 +24,18 @@ echo "== schedule-exploration verify lane =="
 # and runs on the paper-scale line below.
 cargo test --offline -q --test schedule_matrix --test schedule_mutation
 
-echo "== batched force kernel lane (parity + grouped matrix cells) =="
-# The grouped traversal/evaluation kernel's dedicated gates: bitwise parity
-# at group_size = 1, ≤1e-12 grouped parity across all six algorithms, the
-# group-window property test, and the group-size race/schedule cells (the
-# default matrices above already cover group_size = 16).
+echo "== force kernel lane (sequential-reference parity + group-size matrix cells) =="
+# The kernel against seq_accel/seq_run (exact interaction totals, ≤1e-12
+# velocities, MORTON bitwise), the group-window property test, and the
+# group-size race/schedule cells (the matrices above cover group_size = 16).
 cargo test --offline -q --test flat_force
 cargo test --offline -q --test race_freedom grouped_force_kernel
 cargo test --offline -q --test schedule_matrix grouped_force_kernel
 
 echo "== build (release) =="
-# --workspace: the lanes below run target/release/repro and serve, which a
-# build of the root package alone does not produce.
-cargo build --offline --release --workspace
+# default-members covers the workspace, so this also produces the
+# target/release/repro and serve the lanes below run.
+cargo build --offline --release
 
 echo "== full test suite =="
 cargo test --offline -q --workspace

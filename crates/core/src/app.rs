@@ -14,7 +14,7 @@
 use crate::algorithms::{Algorithm, Builder};
 use crate::body::Body;
 use crate::env::{CtxStats, Env, Phase};
-use crate::force::{ForceParams, ForceScratch};
+use crate::force::{ForceParams, ForceScratch, MAX_GROUP_SIZE};
 use crate::harness::WorkerPool;
 use crate::pipeline::{StageIo, StepPipeline};
 use crate::tree::flat::FlatTree;
@@ -41,14 +41,9 @@ pub struct SimConfig {
     /// exceeds `factor * total_cost / P` is refined one extra round.
     /// `0.0` disables cost-triggered refinement.
     pub space_rebalance: f64,
-    /// Run the force phase over the flat tree snapshot (the fast path).
-    /// `false` keeps the recursive walk over the shared tree — the
-    /// pre-snapshot behavior, for ablations and equivalence tests.
-    pub flat_force: bool,
-    /// Bodies per interaction-list group in the batched force kernel.
-    /// `1` builds per-body lists (bitwise identical to the reference
-    /// walk); `0` is the legacy per-body walk without lists (ablation).
-    /// Ignored when `flat_force` is off.
+    /// Bodies per interaction-list group in the force kernel, in
+    /// `1..=MAX_GROUP_SIZE`. `1` builds per-body lists (bitwise identical
+    /// to the sequential reference walk over the same octree).
     pub group_size: usize,
     /// Morton-reorder each zone's bodies every this many steps (including
     /// step 0); `0` disables the pass.
@@ -68,7 +63,6 @@ impl SimConfig {
             measured_steps: 2,
             space_threshold: None,
             space_rebalance: 0.25,
-            flat_force: true,
             group_size: 16,
             morton_every: 4,
             validate: true,
@@ -133,14 +127,13 @@ pub struct ProcRecord {
     /// Time spent waiting at barriers during measured steps (Table 2).
     pub barrier_wait: u64,
     /// Time this processor spent in the flatten sub-phase of the tree phase
-    /// during measured steps (zero when `flat_force` is off, and always
-    /// zero for MORTON, which never flattens).
+    /// during measured steps (zero for MORTON, which never flattens).
     pub flatten_time: u64,
     /// Time this processor spent in the parallel Morton key sort during
     /// measured steps (nonzero only for MORTON).
     pub sort_time: u64,
     /// Interaction-list group traversals the batched force kernel performed
-    /// during measured steps (zero for the per-body ablations).
+    /// during measured steps.
     pub force_groups: u64,
     /// Interaction-list entries the batched force kernel emitted during
     /// measured steps.
@@ -348,8 +341,7 @@ impl RunStats {
     }
 
     /// Interaction-list group traversals performed by the batched force
-    /// kernel over all processors and measured steps (zero for the
-    /// per-body ablations).
+    /// kernel over all processors and measured steps.
     pub fn force_groups(&self) -> u64 {
         self.procs_records.iter().map(|r| r.force_groups).sum()
     }
@@ -373,7 +365,7 @@ impl RunStats {
     }
 
     /// Mean interaction-list length (entries per group traversal); `0.0`
-    /// when the batched kernel did not run.
+    /// for an empty run.
     pub fn force_list_len(&self) -> f64 {
         let groups = self.force_groups();
         if groups == 0 {
@@ -385,7 +377,7 @@ impl RunStats {
 
     /// List-reuse factor: pair interactions evaluated per emitted list
     /// entry (approaches the group size for spatially compact groups);
-    /// `0.0` when the batched kernel did not run.
+    /// `0.0` for an empty run.
     pub fn force_list_reuse(&self) -> f64 {
         let entries = self.force_list_entries();
         if entries == 0 {
@@ -481,12 +473,8 @@ fn run_inner<E: Env>(env: &E, cfg: &SimConfig, bodies: &[Body]) -> (RunStats, Ve
         builder = builder.with_space_threshold(t);
     }
     builder = builder.with_space_rebalance(cfg.space_rebalance);
-    let flat = cfg
-        .flat_force
-        .then(|| FlatTree::new(env, n, cfg.k, cfg.algorithm.layout()));
-    let force_scratch = flat
-        .as_ref()
-        .map(|f| ForceScratch::new(env, f, n, env.num_procs()));
+    let flat = FlatTree::new(env, n, cfg.k, cfg.algorithm.layout());
+    let force_scratch = ForceScratch::new(env, &flat, n, env.num_procs());
     let pool = WorkerPool::new(env.num_procs());
     execute(
         env,
@@ -494,8 +482,8 @@ fn run_inner<E: Env>(env: &E, cfg: &SimConfig, bodies: &[Body]) -> (RunStats, Ve
         cfg,
         &world,
         &tree,
-        flat.as_ref(),
-        force_scratch.as_ref(),
+        &flat,
+        &force_scratch,
         &builder,
     )
 }
@@ -511,19 +499,20 @@ pub(crate) fn execute<E: Env>(
     cfg: &SimConfig,
     world: &World,
     tree: &SharedTree,
-    flat: Option<&FlatTree>,
-    force_scratch: Option<&ForceScratch>,
+    flat: &FlatTree,
+    force_scratch: &ForceScratch,
     builder: &Builder,
 ) -> (RunStats, Vec<Body>) {
+    assert!(
+        (1..=MAX_GROUP_SIZE).contains(&cfg.group_size),
+        "group_size must be in 1..={MAX_GROUP_SIZE}, got {}",
+        cfg.group_size
+    );
     let total_steps = cfg.warmup_steps + cfg.measured_steps;
     // Positions as of the last tree build, captured for validation (the
     // final update phase moves bodies after the tree was summarized).
     let tree_snapshot: crate::sync::Mutex<Option<Vec<crate::math::Vec3>>> =
         crate::sync::Mutex::new(None);
-    assert!(
-        !cfg.algorithm.builds_flat_directly() || flat.is_some(),
-        "MORTON builds the flat snapshot directly and requires flat_force = true"
-    );
     let pipeline: StepPipeline<E> = StepPipeline::for_algorithm(cfg.algorithm);
     let io = StageIo {
         cfg,
@@ -570,13 +559,8 @@ pub(crate) fn execute<E: Env>(
         if cfg.algorithm.builds_flat_directly() {
             // MORTON never populates the linked tree; validate the flat
             // snapshot against a sequential sort-then-emit reference.
-            crate::tree::validate::validate_flat_morton(
-                flat.expect("MORTON requires the flat snapshot"),
-                &positions,
-                &world.masses(),
-                cfg.k,
-            )
-            .err()
+            crate::tree::validate::validate_flat_morton(flat, &positions, &world.masses(), cfg.k)
+                .err()
         } else {
             validate_with(
                 tree,

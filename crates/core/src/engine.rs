@@ -8,9 +8,8 @@
 //!
 //! - the [`WorkerPool`] is created once and parks between jobs;
 //! - the shared state is `reset()` (not reallocated) whenever the next
-//!   job's shape — body count, leaf threshold, tree layout, flat-force
-//!   setting — matches the previous one; an incompatible job simply
-//!   reallocates.
+//!   job's shape — body count, leaf threshold, tree layout — matches the
+//!   previous one; an incompatible job simply reallocates.
 //!
 //! Because `reset()` restores exactly the state a fresh allocation starts
 //! with, a reused engine produces **bitwise-identical physics** to a fresh
@@ -35,13 +34,12 @@ struct EngineState {
     n: usize,
     k: usize,
     layout: TreeLayout,
-    has_flat: bool,
     world: World,
     tree: SharedTree,
-    flat: Option<FlatTree>,
-    /// Interaction-list scratch for the batched force kernel; allocated
-    /// with (and shaped like) the flat snapshot.
-    force_scratch: Option<ForceScratch>,
+    flat: FlatTree,
+    /// Interaction-list scratch for the batched force kernel; shaped like
+    /// the flat snapshot.
+    force_scratch: ForceScratch,
     /// One builder per algorithm, kept because some algorithms (Update)
     /// own per-processor scratch arrays sized to `n`.
     builders: HashMap<Algorithm, Builder>,
@@ -83,33 +81,25 @@ impl<E: Env> SimEngine<E> {
     pub fn run_with_state(&mut self, cfg: &SimConfig, bodies: &[Body]) -> (RunStats, Vec<Body>) {
         let n = bodies.len();
         let layout = cfg.algorithm.layout();
-        let compatible = self.state.as_ref().is_some_and(|s| {
-            s.n == n && s.k == cfg.k && s.layout == layout && s.has_flat == cfg.flat_force
-        });
+        let compatible = self
+            .state
+            .as_ref()
+            .is_some_and(|s| s.n == n && s.k == cfg.k && s.layout == layout);
         if compatible {
             let st = self.state.as_mut().unwrap();
             st.world.reset(bodies);
             st.tree.reset();
-            if let Some(flat) = &st.flat {
-                flat.reset();
-            }
-            if let Some(scratch) = &st.force_scratch {
-                // Hygiene, like FlatTree::reset: evaluation only ever reads
-                // entries the same step's traversal emitted.
-                scratch.reset();
-            }
+            st.flat.reset();
+            // Hygiene, like FlatTree::reset: evaluation only ever reads
+            // entries the same step's traversal emitted.
+            st.force_scratch.reset();
         } else {
-            let flat = cfg
-                .flat_force
-                .then(|| FlatTree::new(&self.env, n, cfg.k, layout));
-            let force_scratch = flat
-                .as_ref()
-                .map(|f| ForceScratch::new(&self.env, f, n, self.env.num_procs()));
+            let flat = FlatTree::new(&self.env, n, cfg.k, layout);
+            let force_scratch = ForceScratch::new(&self.env, &flat, n, self.env.num_procs());
             self.state = Some(EngineState {
                 n,
                 k: cfg.k,
                 layout,
-                has_flat: cfg.flat_force,
                 world: World::new(&self.env, bodies),
                 tree: SharedTree::new(&self.env, n, cfg.k, layout),
                 flat,
@@ -145,8 +135,8 @@ impl<E: Env> SimEngine<E> {
             cfg,
             &st.world,
             &st.tree,
-            st.flat.as_ref(),
-            st.force_scratch.as_ref(),
+            &st.flat,
+            &st.force_scratch,
             builder,
         )
     }

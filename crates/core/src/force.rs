@@ -8,22 +8,20 @@
 //! computation is >97% of sequential time, which is exactly why the paper's
 //! tree-building bottleneck on commodity platforms is so surprising.
 //!
-//! Two kernels implement the phase over the flat snapshot:
-//!
-//! * [`force_phase`] — the reference one-body-at-a-time explicit-stack
-//!   walk (kept as the `group_size = 0` ablation);
-//! * [`force_phase_grouped`] — the batched traversal/evaluation split:
-//!   one tree walk per group of `group_size` consecutive bodies in the
-//!   Morton-sorted zone order emits a shared interaction list into
-//!   per-processor [`ForceScratch`], then a branch-free
-//!   structure-of-arrays loop applies the list to every member.
+//! One kernel implements the phase, [`force_phase_grouped`] — the batched
+//! traversal/evaluation split over the flat snapshot: one tree walk per
+//! group of `group_size` consecutive bodies in the Morton-sorted zone order
+//! emits a shared interaction list into per-processor [`ForceScratch`],
+//! then a branch-free structure-of-arrays loop applies the list to every
+//! member. Its references are independent of it: [`seq_accel`] (the same
+//! criterion, recursively, over a [`SeqTree`]) and [`direct_accel`]
+//! (O(n²) summation).
 
 use crate::env::{Env, Placement, Region};
 use crate::math::Vec3;
 use crate::shared::SharedVec;
 use crate::tree::flat::FlatTree;
 use crate::tree::seq::{SeqNode, SeqTree};
-use crate::tree::types::{NodeRef, SharedTree};
 use crate::world::World;
 
 /// Physics and accuracy parameters.
@@ -71,100 +69,12 @@ pub fn pair_accel(pos: Vec3, src: Vec3, m: f64, params: &ForceParams) -> Vec3 {
     pair_accel_eps2(pos, src, m, params.gravity, params.eps * params.eps)
 }
 
-/// The Barnes-Hut opening criterion every walker shares: a cell of side
-/// `side` whose center of mass lies at squared distance `d2` is accepted
-/// (approximated by its monopole) iff `side² < θ²·d2`.
+/// The Barnes-Hut opening criterion the kernel and `seq_walk` share: a
+/// cell of side `side` whose center of mass lies at squared distance `d2`
+/// is accepted (approximated by its monopole) iff `side² < θ²·d2`.
 #[inline]
 fn cell_accepted(side: f64, theta2: f64, d2: f64) -> bool {
     side * side < theta2 * d2
-}
-
-/// Opening criterion plus monopole interaction in one place, so
-/// [`force_phase`], [`force_phase_recursive`]'s `body_force` and
-/// `seq_walk` cannot drift: `Some(accel)` if the cell is accepted under
-/// θ², `None` if it must be opened. The arithmetic (squared distance,
-/// criterion, then [`pair_accel_eps2`]) is exactly the historical inline
-/// sequence, so accepted-cell accelerations stay bitwise identical.
-#[inline]
-fn cell_interaction(
-    pos: Vec3,
-    com: Vec3,
-    mass: f64,
-    side: f64,
-    theta2: f64,
-    gravity: f64,
-    eps2: f64,
-) -> Option<Vec3> {
-    let d2 = pos.dist_sq(com);
-    if cell_accepted(side, theta2, d2) {
-        Some(pair_accel_eps2(pos, com, mass, gravity, eps2))
-    } else {
-        None
-    }
-}
-
-/// Force phase for one processor over the flat snapshot: an iterative,
-/// explicit-stack walk with ε² and θ² hoisted out of the loop. Visits
-/// children in octant order (pushed in reverse), i.e. the exact pre-order
-/// DFS of [`force_phase_recursive`], so accelerations are bitwise
-/// identical. Kept as the `group_size = 0` ablation/reference for
-/// [`force_phase_grouped`]. Caller barriers afterwards.
-pub fn force_phase<E: Env>(
-    env: &E,
-    ctx: &mut E::Ctx,
-    flat: &FlatTree,
-    world: &World,
-    params: &ForceParams,
-    proc: usize,
-) {
-    let theta2 = params.theta * params.theta;
-    let eps2 = params.eps * params.eps;
-    let (s, e) = world.zone(proc);
-    let mut stack: Vec<u32> = Vec::with_capacity(64);
-    for i in s..e {
-        let b = world.order.load(env, ctx, i);
-        let pos = world.pos.load(env, ctx, b as usize);
-        let mut acc = Vec3::ZERO;
-        let mut interactions = 0u32;
-        stack.clear();
-        stack.push(0); // the root is always flat index 0
-        while let Some(idx) = stack.pop() {
-            let node = flat.nodes.load(env, ctx, idx as usize);
-            if node.is_leaf() {
-                let first = node.first as usize;
-                for j in first..first + node.count() as usize {
-                    let ob = flat.bodies.load(env, ctx, j);
-                    if ob == b {
-                        continue;
-                    }
-                    let opos = world.pos.load(env, ctx, ob as usize);
-                    let om = world.mass.load(env, ctx, ob as usize);
-                    acc += pair_accel_eps2(pos, opos, om, params.gravity, eps2);
-                    interactions += 1;
-                    env.compute(ctx, INTERACT_CYCLES);
-                }
-                continue;
-            }
-            env.compute(ctx, VISIT_CYCLES);
-            let side = 2.0 * node.half;
-            if let Some(a) =
-                cell_interaction(pos, node.com, node.mass, side, theta2, params.gravity, eps2)
-            {
-                acc += a;
-                interactions += 1;
-                env.compute(ctx, INTERACT_CYCLES);
-                continue;
-            }
-            let first = node.first as usize;
-            for j in (first..first + node.count() as usize).rev() {
-                stack.push(flat.kids.load(env, ctx, j));
-            }
-        }
-        world.acc.store(env, ctx, b as usize, acc);
-        // Exact interaction count: costzones guards against zero at read
-        // time, so no floor is applied here.
-        world.cost.store(env, ctx, b as usize, interactions);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -179,17 +89,10 @@ pub fn force_phase<E: Env>(
 /// member exactly — the margin affects performance only, never results.
 const GROUP_MARGIN: f64 = 1e-9;
 
-/// Accumulator-lane width of the batched evaluation loop. The default 4
-/// matches one AVX2 `f64` vector; the `simd` feature widens it to 8 (two
-/// vectors in flight). The lane count only changes the summation grouping
-/// at `group_size > 1`, so builds with different widths agree to the same
-/// tolerance as any other group size — and `group_size ≤ 1` is bitwise
-/// identical in both.
-#[cfg(not(feature = "simd"))]
+/// Accumulator-lane width of the batched evaluation loop: 4 matches one
+/// AVX2 `f64` vector. The lane count fixes the summation grouping at
+/// `group_size > 1`.
 pub const EVAL_LANES: usize = 4;
-/// Accumulator-lane width of the batched evaluation loop (`simd` build).
-#[cfg(feature = "simd")]
-pub const EVAL_LANES: usize = 8;
 
 /// Aggregate statistics of one processor's batched force phase:
 /// `interactions / list_entries` is the list-reuse factor (approaches the
@@ -293,19 +196,21 @@ fn emit_entry<E: Env>(env: &E, ctx: &mut E::Ctx, row: &ForceRow, k: usize, p: Ve
 }
 
 /// The widest group the kernel supports: one bit per member in the
-/// per-entry `u64` application mask. Larger configured sizes are clamped.
+/// per-entry `u64` application mask. Legal group sizes are
+/// `1..=MAX_GROUP_SIZE`; the run entry point asserts the range and the
+/// user-facing edges (job validation, `repro` flags) reject anything else.
 pub const MAX_GROUP_SIZE: usize = 64;
 
 /// The half-open order-index window of the interaction-list group
 /// containing order index `i`: groups are aligned to absolute multiples
-/// of `group_size` (clamped to [`MAX_GROUP_SIZE`]) and clipped to `n`,
+/// of `group_size` (in `1..=`[`MAX_GROUP_SIZE`]) and clipped to `n`,
 /// independent of any zone boundary. Which bodies share a list is
 /// therefore a function of `(i, group_size, n)` alone — the property
 /// `tests/flat_force.rs` fuzzes.
 pub fn group_window(i: usize, group_size: usize, n: usize) -> (usize, usize) {
-    let gs = group_size.clamp(1, MAX_GROUP_SIZE);
-    let w0 = i - i % gs;
-    (w0, (w0 + gs).min(n))
+    debug_assert!((1..=MAX_GROUP_SIZE).contains(&group_size));
+    let w0 = i - i % group_size;
+    (w0, (w0 + group_size).min(n))
 }
 
 /// The group windows a zone `[s, e)` participates in, as `(w0, w1, a0,
@@ -322,16 +227,16 @@ pub fn zone_group_windows(
     group_size: usize,
     n: usize,
 ) -> Vec<(usize, usize, usize, usize)> {
-    let gs = group_size.clamp(1, MAX_GROUP_SIZE);
+    debug_assert!((1..=MAX_GROUP_SIZE).contains(&group_size));
     let mut out = Vec::new();
     if s >= e {
         return out;
     }
-    let mut w0 = s - s % gs;
+    let mut w0 = s - s % group_size;
     while w0 < e {
-        let w1 = (w0 + gs).min(n);
+        let w1 = (w0 + group_size).min(n);
         out.push((w0, w1, w0.max(s), w1.min(e)));
-        w0 += gs;
+        w0 += group_size;
     }
     out
 }
@@ -363,12 +268,12 @@ pub fn zone_group_windows(
 /// bitmask. Because the band is resolved with each member's exact
 /// criterion and the box bounds are conservative, every body's
 /// interaction *multiset* — and its visit count, which the kernel
-/// charges as [`VISIT_CYCLES`] × popcount — is identical to
-/// [`force_phase`]'s; only the summation order differs. At
-/// `group_size = 1` the box is a point, the group test *is* the
-/// member's own criterion, the self-entry is skipped at emission, and the
-/// sequential evaluation replays the DFS order — bitwise identical to the
-/// per-body walk.
+/// charges as [`VISIT_CYCLES`] × popcount — is identical to a
+/// one-body-at-a-time walk's ([`seq_accel`]); only the summation order
+/// differs. At `group_size = 1` the box is a point, the group test *is*
+/// the member's own criterion, the self-entry is skipped at emission, and
+/// the sequential evaluation replays the DFS order — bitwise identical to
+/// [`seq_accel`] over the same octree.
 ///
 /// **Evaluation** streams the dense list once per member in a
 /// structure-of-arrays loop with no masks or branches at all
@@ -397,12 +302,11 @@ pub fn force_phase_grouped<E: Env>(
     let eps2 = params.eps * params.eps;
     let (s, e) = world.zone(proc);
     let n = world.n;
-    let gs = group_size.clamp(1, MAX_GROUP_SIZE);
     let row = &scratch.rows[proc];
     let cap = scratch.cap;
     let mut stack: Vec<(u32, u64)> = Vec::with_capacity(64);
-    let mut members: Vec<u32> = Vec::with_capacity(gs);
-    let mut mpos: Vec<Vec3> = Vec::with_capacity(gs);
+    let mut members: Vec<u32> = Vec::with_capacity(group_size);
+    let mut mpos: Vec<Vec3> = Vec::with_capacity(group_size);
     // Partially-accepted entries carry a per-entry member bitmask instead
     // of being scattered into per-member buffers: emission stays one store
     // per entry, and the evaluation blends the mask bit into the packed
@@ -414,7 +318,7 @@ pub fn force_phase_grouped<E: Env>(
     let mut inv: Vec<u32> = vec![0; n];
     let mut stats = ForceListStats::default();
 
-    for (w0, w1, a0, a1) in zone_group_windows(s, e, gs, n) {
+    for (w0, w1, a0, a1) in zone_group_windows(s, e, group_size, n) {
         let len = w1 - w0;
         members.clear();
         mpos.clear();
@@ -482,12 +386,12 @@ pub fn force_phase_grouped<E: Env>(
                 continue;
             }
             // The members active here are exactly those whose own walk
-            // visits this cell, so the visit charge matches force_phase.
+            // visits this cell, so the visit charge is per member.
             env.compute(ctx, VISIT_CYCLES * u64::from(mask.count_ones()));
             let side = 2.0 * node.half;
             if single {
                 // A point box: the group test is the member's own
-                // criterion, in the same squared form as `force_phase`.
+                // criterion, in the same squared form as `seq_walk`.
                 if cell_accepted(side, theta2, mpos[0].dist_sq(node.com)) {
                     emit_entry(env, ctx, row, dlen, node.com, node.mass);
                     dlen += 1;
@@ -627,8 +531,8 @@ pub fn force_phase_grouped<E: Env>(
 }
 
 /// Sequential list evaluation — the `group_size = 1` path. Entries are
-/// applied in emission (DFS pre-)order with the same arithmetic as the
-/// per-body walk, so the result is bitwise identical to [`force_phase`].
+/// applied in emission (DFS pre-)order with the same arithmetic as
+/// `seq_walk`, so the result is bitwise identical to [`seq_accel`].
 fn eval_list_seq(
     xs: &[f64],
     ys: &[f64],
@@ -816,112 +720,7 @@ fn eval_masked_lanes<const L: usize>(
 fn fold_lanes(lanes: &[f64]) -> f64 {
     match lanes.len() {
         4 => (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]),
-        8 => {
-            ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-        }
         _ => lanes.iter().sum(),
-    }
-}
-
-/// Force phase for one processor walking the shared tree recursively — the
-/// pre-snapshot traversal, kept as the reference for the flat walk's
-/// bitwise-equivalence test (and for `flat_force = false` ablations).
-/// Caller barriers afterwards.
-pub fn force_phase_recursive<E: Env>(
-    env: &E,
-    ctx: &mut E::Ctx,
-    tree: &SharedTree,
-    world: &World,
-    params: &ForceParams,
-    proc: usize,
-) {
-    let root = tree.root.load(env, ctx, 0);
-    let (s, e) = world.zone(proc);
-    for i in s..e {
-        let b = world.order.load(env, ctx, i);
-        let pos = world.pos.load(env, ctx, b as usize);
-        let mut acc = Vec3::ZERO;
-        let mut interactions = 0u32;
-        body_force(
-            env,
-            ctx,
-            tree,
-            world,
-            params,
-            b,
-            pos,
-            root,
-            &mut acc,
-            &mut interactions,
-        );
-        world.acc.store(env, ctx, b as usize, acc);
-        world.cost.store(env, ctx, b as usize, interactions);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn body_force<E: Env>(
-    env: &E,
-    ctx: &mut E::Ctx,
-    tree: &SharedTree,
-    world: &World,
-    params: &ForceParams,
-    body: u32,
-    pos: Vec3,
-    node: NodeRef,
-    acc: &mut Vec3,
-    interactions: &mut u32,
-) {
-    if node.is_leaf() {
-        let l = tree.load_leaf(env, ctx, node);
-        for &ob in l.body_slice() {
-            if ob == body {
-                continue;
-            }
-            let opos = world.pos.load(env, ctx, ob as usize);
-            let om = world.mass.load(env, ctx, ob as usize);
-            *acc += pair_accel(pos, opos, om, params);
-            *interactions += 1;
-            env.compute(ctx, INTERACT_CYCLES);
-        }
-        return;
-    }
-    let c = tree.load_cell(env, ctx, node);
-    if c.count == 0 || c.mass == 0.0 {
-        return; // husk cell (UPDATE) — contributes nothing
-    }
-    env.compute(ctx, VISIT_CYCLES);
-    let side = 2.0 * c.half;
-    if let Some(a) = cell_interaction(
-        pos,
-        c.com,
-        c.mass,
-        side,
-        params.theta * params.theta,
-        params.gravity,
-        params.eps * params.eps,
-    ) {
-        *acc += a;
-        *interactions += 1;
-        env.compute(ctx, INTERACT_CYCLES);
-        return;
-    }
-    for ch in tree.children(env, ctx, node) {
-        if !ch.is_null() {
-            body_force(
-                env,
-                ctx,
-                tree,
-                world,
-                params,
-                body,
-                pos,
-                ch,
-                acc,
-                interactions,
-            );
-        }
     }
 }
 
@@ -991,17 +790,9 @@ fn seq_walk(
             if *mass == 0.0 {
                 return;
             }
-            let side = cube.side();
-            if let Some(a) = cell_interaction(
-                pos,
-                *com,
-                *mass,
-                side,
-                params.theta * params.theta,
-                params.gravity,
-                params.eps * params.eps,
-            ) {
-                *acc += a;
+            let theta2 = params.theta * params.theta;
+            if cell_accepted(cube.side(), theta2, pos.dist_sq(*com)) {
+                *acc += pair_accel(pos, *com, *mass, params);
                 *interactions += 1;
                 return;
             }
@@ -1156,7 +947,7 @@ mod tests {
     #[test]
     fn zone_group_windows_tile_the_zone() {
         let n = 64;
-        for gs in [1, 3, 16, 100] {
+        for gs in [1, 3, 16, 64] {
             let windows = zone_group_windows(10, 50, gs, n);
             let mut next = 10;
             for (w0, w1, a0, a1) in windows {

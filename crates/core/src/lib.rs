@@ -43,7 +43,6 @@ pub mod harness;
 pub mod math;
 pub mod model;
 pub mod partition;
-pub mod partition_orb;
 pub mod pipeline;
 pub mod rng;
 pub mod sched;

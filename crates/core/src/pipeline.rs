@@ -20,7 +20,7 @@
 use crate::algorithms::{morton, Algorithm, Builder};
 use crate::app::{PhaseSample, ProcRecord, SimConfig};
 use crate::env::{Env, Phase};
-use crate::force::{force_phase, force_phase_grouped, force_phase_recursive, ForceScratch};
+use crate::force::{force_phase_grouped, ForceScratch};
 use crate::math::Vec3;
 use crate::partition::{costzones, morton_reorder};
 use crate::sync::Mutex;
@@ -35,10 +35,9 @@ pub struct StageIo<'a> {
     pub cfg: &'a SimConfig,
     pub world: &'a World,
     pub tree: &'a SharedTree,
-    pub flat: Option<&'a FlatTree>,
-    /// Per-processor interaction-list scratch for the batched force kernel
-    /// (present whenever `flat` is).
-    pub force_scratch: Option<&'a ForceScratch>,
+    pub flat: &'a FlatTree,
+    /// Per-processor interaction-list scratch for the batched force kernel.
+    pub force_scratch: &'a ForceScratch,
     pub builder: &'a Builder,
     pub total_steps: usize,
     /// Positions as of the last tree build, captured for validation (the
@@ -49,7 +48,7 @@ pub struct StageIo<'a> {
 /// Per-stage metrics a stage reports back to the accounting loop. The tree
 /// stages report sub-phase times (the flatten pass of the linked-tree
 /// pipeline, or the key sort of the MORTON pipeline — never both); the
-/// force stage reports the batched kernel's interaction-list statistics.
+/// force stage reports the kernel's interaction-list statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageExtra {
     /// Time spent in the cooperative flat-snapshot pass.
@@ -223,18 +222,15 @@ impl<E: Env> StepStage<E> for TreeStage {
         env.barrier(ctx);
         io.builder.com(env, ctx, io.tree, io.world, proc, step);
         env.barrier(ctx);
-        let mut flatten_t = 0;
-        if let Some(flat) = io.flat {
-            // Snapshot the summarized tree. The fill's writes are separated
-            // from the force phase's reads by the partition stage's closing
-            // barrier.
-            let f0 = env.now(ctx);
-            let plan = flat.plan(env, ctx, io.tree);
-            flat.publish_counts(env, ctx, io.tree, &plan, proc);
-            env.barrier(ctx);
-            flat.fill(env, ctx, io.tree, &plan, proc);
-            flatten_t = env.now(ctx) - f0;
-        }
+        // Snapshot the summarized tree. The fill's writes are separated
+        // from the force phase's reads by the partition stage's closing
+        // barrier.
+        let f0 = env.now(ctx);
+        let plan = io.flat.plan(env, ctx, io.tree);
+        io.flat.publish_counts(env, ctx, io.tree, &plan, proc);
+        env.barrier(ctx);
+        io.flat.fill(env, ctx, io.tree, &plan, proc);
+        let flatten_t = env.now(ctx) - f0;
         if cfg.validate && proc == 0 && step as usize + 1 == io.total_steps {
             *io.tree_snapshot.lock() = Some(io.world.positions());
         }
@@ -264,9 +260,6 @@ impl<E: Env> StepStage<E> for MortonTreeStage {
         step: u32,
     ) -> StageExtra {
         let cfg = io.cfg;
-        let flat = io
-            .flat
-            .expect("MORTON requires the flat force walk (flat_force = true)");
         let scratch = io.builder.morton_scratch();
         // No periodic Morton reorder: the emitted body order *is* the
         // Morton order, refreshed every step by the partition stage.
@@ -283,10 +276,10 @@ impl<E: Env> StepStage<E> for MortonTreeStage {
         let plan = morton::plan(env, ctx, scratch, io.world.n, cfg.k, cube);
         let owned = morton::publish_counts(env, ctx, scratch, &plan, cfg.k, proc);
         env.barrier(ctx);
-        morton::fill(env, ctx, flat, io.world, scratch, &plan, &owned, cfg.k);
+        morton::fill(env, ctx, io.flat, io.world, scratch, &plan, &owned, cfg.k);
         env.barrier(ctx);
         if proc == 0 {
-            morton::fill_spine(env, ctx, flat, scratch, &plan);
+            morton::fill_spine(env, ctx, io.flat, scratch, &plan);
         }
         if cfg.validate && proc == 0 && step as usize + 1 == io.total_steps {
             *io.tree_snapshot.lock() = Some(io.world.positions());
@@ -315,9 +308,8 @@ impl<E: Env> StepStage<E> for MortonPartitionStage {
         proc: usize,
         _step: u32,
     ) -> StageExtra {
-        let flat = io.flat.expect("MORTON requires the flat snapshot");
         let scratch = io.builder.morton_scratch();
-        morton::partition(env, ctx, flat, io.world, scratch, proc);
+        morton::partition(env, ctx, io.flat, io.world, scratch, proc);
         env.barrier(ctx);
         StageExtra::NONE
     }
@@ -346,9 +338,7 @@ impl<E: Env> StepStage<E> for PartitionStage {
 }
 
 /// Force computation over the flat snapshot: the batched
-/// traversal/evaluation kernel by default (`group_size ≥ 1`), the per-body
-/// flat walk in the `group_size = 0` ablation, or the recursive walk in
-/// the `flat_force = false` ablation.
+/// traversal/evaluation kernel.
 struct ForceStage;
 
 impl<E: Env> StepStage<E> for ForceStage {
@@ -364,39 +354,23 @@ impl<E: Env> StepStage<E> for ForceStage {
         proc: usize,
         _step: u32,
     ) -> StageExtra {
-        let extra = match io.flat {
-            Some(flat) if io.cfg.group_size > 0 => {
-                let scratch = io
-                    .force_scratch
-                    .expect("the batched force kernel requires the force-list scratch");
-                let fl = force_phase_grouped(
-                    env,
-                    ctx,
-                    flat,
-                    io.world,
-                    &io.cfg.force,
-                    scratch,
-                    io.cfg.group_size,
-                    proc,
-                );
-                StageExtra {
-                    force_groups: fl.groups,
-                    force_list_entries: fl.list_entries,
-                    force_interactions: fl.interactions,
-                    ..StageExtra::NONE
-                }
-            }
-            Some(flat) => {
-                force_phase(env, ctx, flat, io.world, &io.cfg.force, proc);
-                StageExtra::NONE
-            }
-            None => {
-                force_phase_recursive(env, ctx, io.tree, io.world, &io.cfg.force, proc);
-                StageExtra::NONE
-            }
-        };
+        let fl = force_phase_grouped(
+            env,
+            ctx,
+            io.flat,
+            io.world,
+            &io.cfg.force,
+            io.force_scratch,
+            io.cfg.group_size,
+            proc,
+        );
         env.barrier(ctx);
-        extra
+        StageExtra {
+            force_groups: fl.groups,
+            force_list_entries: fl.list_entries,
+            force_interactions: fl.interactions,
+            ..StageExtra::NONE
+        }
     }
 }
 

@@ -1419,8 +1419,7 @@ pub struct MatrixSpec {
     /// Body-model seed.
     pub body_seed: u64,
     pub op_budget: u64,
-    /// Force-kernel group size (`SimConfig::group_size`): `0` explores the
-    /// per-body flat-walk ablation, `>= 1` the batched list kernel.
+    /// Force-kernel group size (`SimConfig::group_size`).
     pub group_size: usize,
 }
 

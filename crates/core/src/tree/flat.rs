@@ -34,7 +34,8 @@
 //!    phase) separates these writes from the force phase's reads.
 //!
 //! Child order within a node is octant order, exactly the order the
-//! recursive walk visits children in, so the flat walk performs the same
+//! sequential reference (`force::seq_accel` over a `SeqTree`) visits
+//! children in, so a per-body list over the snapshot performs the same
 //! floating-point operations in the same order and produces bitwise
 //! identical accelerations (enforced by `tests/flat_force.rs`).
 

@@ -24,6 +24,7 @@
 //! printed: misses, faults, invalidations and lock waits charged to the
 //! shared data structure they hit.
 
+use bh_core::force::MAX_GROUP_SIZE;
 use bh_core::prelude::*;
 use bh_experiments::{cliargs, ExperimentScale};
 use ssmp::{platform, AttrTable, CostModel, Machine};
@@ -145,14 +146,16 @@ fn main() {
             "--attr" => attr = true,
             "--group-size" => {
                 i += 1;
-                group_size = Some(
-                    cliargs::parse_value(
-                        "--group-size",
-                        args.get(i).map(String::as_str),
-                        "integer >= 0; 0 = per-body walk",
-                    )
-                    .unwrap_or_else(|e| die(&e)),
-                );
+                let expected = format!("integer in 1..={MAX_GROUP_SIZE}");
+                let value = args.get(i).map(String::as_str);
+                let gs = cliargs::parse_min("--group-size", value, 1, &expected)
+                    .unwrap_or_else(|e| die(&e));
+                if gs > MAX_GROUP_SIZE {
+                    die(&format!(
+                        "invalid --group-size '{gs}' (expected {expected})"
+                    ));
+                }
+                group_size = Some(gs);
             }
             flag if flag.starts_with("--") => die(&format!("unrecognized flag '{flag}'")),
             other if positional.len() < 4 => positional.push(other.to_string()),

@@ -52,6 +52,7 @@
 //! explorer to find it. Non-zero exit on any non-certified cell, with a
 //! counterexample report (finding, schedule id, trace tail) for each.
 
+use bh_core::force::MAX_GROUP_SIZE;
 use bh_experiments::cliargs;
 use bh_experiments::experiments;
 use bh_experiments::json::Json;
@@ -206,14 +207,16 @@ fn main() {
             }
             "--group-size" => {
                 i += 1;
-                group_size = Some(
-                    cliargs::parse_value(
-                        "--group-size",
-                        args.get(i).map(String::as_str),
-                        "integer >= 0; 0 = per-body walk",
-                    )
-                    .unwrap_or_else(|e| die(&e)),
-                );
+                let expected = format!("integer in 1..={MAX_GROUP_SIZE}");
+                let value = args.get(i).map(String::as_str);
+                let gs = cliargs::parse_min("--group-size", value, 1, &expected)
+                    .unwrap_or_else(|e| die(&e));
+                if gs > MAX_GROUP_SIZE {
+                    die(&format!(
+                        "invalid --group-size '{gs}' (expected {expected})"
+                    ));
+                }
+                group_size = Some(gs);
             }
             flag if flag.starts_with("--") => die(&format!("unrecognized flag '{flag}'")),
             other if which.is_none() => which = Some(other.to_string()),

@@ -78,7 +78,8 @@ mod tests {
 
     #[test]
     fn bad_values_are_echoed_verbatim() {
-        let err = parse_value::<usize>("--group-size", Some("1e6"), "integer >= 0").unwrap_err();
+        let err =
+            parse_value::<usize>("--group-size", Some("1e6"), "integer in 1..=64").unwrap_err();
         assert!(err.contains("--group-size"), "{err}");
         assert!(err.contains("'1e6'"), "{err}");
         let err = parse_value::<f64>("--max-regress", Some("lots"), "fraction >= 0").unwrap_err();

@@ -7,6 +7,7 @@
 //! same shape can reuse one [`bh_core::engine::SimEngine`]'s worker pool and
 //! allocations (PR 5 certified that reuse bitwise-safe at one processor).
 
+use bh_core::force::MAX_GROUP_SIZE;
 use bh_core::prelude::*;
 use ssmp::platform;
 
@@ -104,11 +105,10 @@ impl JobSpec {
         if !(1..=MAX_K).contains(&self.k) {
             return Err(format!("k {} out of range [1, {MAX_K}]", self.k));
         }
-        if self.group_size > bh_core::force::MAX_GROUP_SIZE {
+        if !(1..=MAX_GROUP_SIZE).contains(&self.group_size) {
             return Err(format!(
-                "group_size {} out of range [0, {}]",
-                self.group_size,
-                bh_core::force::MAX_GROUP_SIZE
+                "group_size {} out of range [1, {MAX_GROUP_SIZE}]",
+                self.group_size
             ));
         }
         Ok(())
@@ -205,9 +205,16 @@ mod tests {
         let mut bad = ok.clone();
         bad.steps = 0;
         assert!(bad.validate().is_err());
-        let mut bad = ok;
-        bad.group_size = 1000;
-        assert!(bad.validate().unwrap_err().contains("group_size"));
+        for gs in [0, 65, 1000] {
+            let mut bad = ok.clone();
+            bad.group_size = gs;
+            assert!(bad.validate().unwrap_err().contains("group_size"), "{gs}");
+        }
+        for gs in [1, 64] {
+            let mut good = ok.clone();
+            good.group_size = gs;
+            assert!(good.validate().is_ok(), "{gs}");
+        }
     }
 
     #[test]

@@ -1,50 +1,41 @@
-//! Equivalence of the force-phase kernels over the flat tree snapshot: the
-//! batched traversal/evaluation kernel, the per-body flat walk, and the
-//! recursive walk over the shared tree.
+//! The force kernel over the flat tree snapshot, anchored to the
+//! independent sequential implementation (`SeqTree` + `seq_accel` +
+//! `seq_run`).
 //!
-//! The flat walk is an explicit-stack pre-order DFS visiting children in
-//! octant order — the exact traversal of the recursive walk — and the
-//! flatten pass prunes the same husk/empty nodes the recursive walk skips,
-//! so on a deterministic build (one processor) the floating-point operation
-//! sequence is identical and results must match **bitwise**. The batched
-//! kernel at `group_size = 1` degenerates to a per-body list applied in the
-//! same DFS order, so it joins the bitwise family; at `group_size > 1`
-//! every body's interaction *multiset* is still identical (the group
-//! bounding-sphere classification is conservative) but the summation order
-//! differs, so those runs agree to ≤1e-12 relative instead. With several
-//! processors the leaf body order of the lock-based builders depends on
-//! scheduling, which reassociates leaf and center-of-mass summations; there
-//! the runs agree to the cross-algorithm suite's documented tolerance.
+//! For a given body set and leaf threshold the octree is unique, so every
+//! builder's snapshot holds the same cells as the sequential tree and the
+//! kernel's group classification is conservative (the mixed band is
+//! resolved per member with the exact criterion): every body's interaction
+//! *multiset* — hence the interaction total — equals the sequential
+//! walk's exactly, for every algorithm, group size and processor count.
+//! The summation order may differ (list grouping at `group_size > 1`, leaf
+//! body order of the lock-based builders at P > 1), so velocities agree to
+//! ≤1e-12 relative. MORTON at `group_size = 1` on one processor replays the
+//! sequential walk's floating-point operation sequence and is the bitwise
+//! anchor; it is also bitwise independent of the processor count.
 
-use bh_repro::bh_core::force::{group_window, zone_group_windows};
+use bh_repro::bh_core::force::{group_window, seq_accel, zone_group_windows};
 use bh_repro::bh_core::prelude::*;
 use bh_repro::bh_core::rng::SmallRng;
+use bh_repro::bh_core::seq_app::seq_run;
 
-/// Run `steps` steps and return the final bodies. `group_size` selects the
-/// force kernel: `0` the per-body flat walk, `>= 1` the batched kernel
-/// (only meaningful when `flat` is true).
+/// Run `steps` measured steps; returns the run's statistics and the final
+/// bodies.
 fn run_grouped(
     alg: Algorithm,
     procs: usize,
-    flat: bool,
     group_size: usize,
     bodies: &[Body],
     steps: usize,
-) -> Vec<Body> {
+) -> (RunStats, Vec<Body>) {
     let env = NativeEnv::new(procs);
     let mut cfg = SimConfig::new(alg);
     cfg.warmup_steps = 0;
     cfg.measured_steps = steps;
-    cfg.flat_force = flat;
     cfg.group_size = group_size;
     let (stats, state) = run_simulation_with_state(&env, &cfg, bodies);
     stats.assert_valid();
-    state
-}
-
-fn run(alg: Algorithm, procs: usize, flat: bool, bodies: &[Body], steps: usize) -> Vec<Body> {
-    // The bitwise reference configuration: per-body lists.
-    run_grouped(alg, procs, flat, 1, bodies, steps)
+    (stats, state)
 }
 
 fn assert_bitwise(label: &str, a: &[Body], b: &[Body]) {
@@ -66,90 +57,40 @@ fn assert_bitwise(label: &str, a: &[Body], b: &[Body]) {
     }
 }
 
-/// Worst relative position difference between two final states.
-fn worst_rel(a: &[Body], b: &[Body]) -> f64 {
-    let mut worst = 0.0f64;
-    for (x, y) in a.iter().zip(b) {
-        worst = worst.max(x.pos.dist(y.pos) / x.pos.norm().max(1.0));
-    }
-    worst
-}
-
 #[test]
-fn flat_walk_is_bitwise_identical_on_one_processor() {
+fn kernel_matches_sequential_reference_for_every_algorithm_group_size_and_procs() {
     let bodies = Model::Plummer.generate(1200, 42);
-    for alg in Algorithm::ALL {
-        if alg.builds_flat_directly() {
-            // MORTON has no recursive walk to compare against (it never
-            // builds the linked tree); its own bitwise gate is below.
-            continue;
-        }
-        let flat = run(alg, 1, true, &bodies, 3);
-        let rec = run(alg, 1, false, &bodies, 3);
-        assert_bitwise(&format!("{alg} flat vs recursive"), &flat, &rec);
-    }
-}
+    let cfg = SimConfig::new(Algorithm::Orig);
+    let tree = SeqTree::build(&bodies, cfg.k);
+    let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
+    let mass: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
+    let expect: u64 = (0..bodies.len() as u32)
+        .map(|b| u64::from(seq_accel(&tree, &pos, &mass, b, &cfg.force).1))
+        .sum();
+    let mut seq = bodies.clone();
+    seq_run(&mut seq, cfg.k, &cfg.force, cfg.dt, 1);
 
-#[test]
-fn grouped_kernel_is_bitwise_identical_at_group_size_one() {
-    // The heart of the batched kernel's correctness story: a group of one
-    // is a point sphere, the group test is the member's own criterion, the
-    // self entry is skipped at emission, and evaluation replays the DFS
-    // emission order — so `group_size = 1` must reproduce the per-body
-    // flat walk bit for bit, for all six algorithms.
-    let bodies = Model::Plummer.generate(1200, 42);
     for alg in Algorithm::ALL {
-        let grouped = run_grouped(alg, 1, true, 1, &bodies, 3);
-        let per_body = run_grouped(alg, 1, true, 0, &bodies, 3);
-        assert_bitwise(&format!("{alg} gs=1 vs per-body"), &grouped, &per_body);
-    }
-}
-
-#[test]
-fn grouped_kernel_matches_per_body_within_tolerance() {
-    // At group_size > 1 the interaction multiset is unchanged (the
-    // bounding-sphere classification is conservative; the mixed band is
-    // resolved per member with the exact criterion) — only the summation
-    // order differs, so the drift over a few steps stays far below the
-    // 1e-12 relative bound for every algorithm and several group sizes.
-    let bodies = Model::Plummer.generate(1000, 42);
-    for alg in Algorithm::ALL {
-        let per_body = run_grouped(alg, 1, true, 0, &bodies, 2);
-        for gs in [2, 16, 33] {
-            let grouped = run_grouped(alg, 1, true, gs, &bodies, 2);
-            let worst = worst_rel(&grouped, &per_body);
-            assert!(
-                worst < 1e-12,
-                "{alg} gs={gs}: grouped vs per-body drifted by {worst:e}"
-            );
+        for gs in [1, 16, 33] {
+            for procs in [1, 4] {
+                let (stats, par) = run_grouped(alg, procs, gs, &bodies, 1);
+                assert_eq!(
+                    stats.force_interactions(),
+                    expect,
+                    "{alg} gs={gs} {procs}p: interaction total differs from seq_accel's"
+                );
+                let worst = par
+                    .iter()
+                    .zip(&seq)
+                    .map(|(a, b)| (a.vel - b.vel).norm() / b.vel.norm())
+                    .fold(0.0f64, f64::max);
+                assert!(
+                    worst <= 1e-12,
+                    "{alg} gs={gs} {procs}p: velocities differ from seq_run by {worst:e}"
+                );
+            }
         }
     }
-}
-
-#[test]
-fn grouped_kernel_interaction_totals_match_per_body() {
-    // Conservative classification means the *count* of interactions is
-    // identical too, not just the physics: the batched kernel reports the
-    // same total at every group size (the per-step costs it stores are
-    // what costzones partitions on).
-    let env = NativeEnv::new(1);
-    let bodies = Model::Plummer.generate(600, 9);
-    let mut totals = Vec::new();
-    for gs in [1usize, 4, 16, 64] {
-        let mut cfg = SimConfig::new(Algorithm::Morton);
-        cfg.warmup_steps = 0;
-        cfg.measured_steps = 2;
-        cfg.group_size = gs;
-        let stats = run_simulation(&env, &cfg, &bodies);
-        stats.assert_valid();
-        assert!(stats.force_groups() > 0, "gs={gs}: no groups recorded");
-        assert!(stats.force_list_entries() > 0, "gs={gs}: empty lists");
-        totals.push(stats.force_interactions());
-    }
-    assert!(
-        totals.windows(2).all(|w| w[0] == w[1]),
-        "interaction totals vary with group size: {totals:?}"
-    );
 }
 
 #[test]
@@ -194,24 +135,6 @@ fn group_boundaries_never_change_list_membership() {
 }
 
 #[test]
-fn flat_walk_matches_recursive_in_parallel() {
-    let bodies = Model::TwoClusterCollision.generate(1500, 7);
-    for alg in Algorithm::ALL {
-        if alg.builds_flat_directly() {
-            continue;
-        }
-        // Default config: the batched kernel vs the recursive walk.
-        let flat = run_grouped(alg, 4, true, 16, &bodies, 2);
-        let rec = run_grouped(alg, 4, false, 16, &bodies, 2);
-        let mut worst = 0.0f64;
-        for (a, b) in flat.iter().zip(&rec) {
-            worst = worst.max(a.pos.dist(b.pos));
-        }
-        assert!(worst < 1e-9, "{alg}: flat vs recursive diverged by {worst}");
-    }
-}
-
-#[test]
 fn morton_matches_sequential_builder_bitwise_on_one_processor() {
     // MORTON builds the flat tree straight from the sorted key array, so its
     // reference is not a recursive walk of its own tree (there is none) but
@@ -221,10 +144,9 @@ fn morton_matches_sequential_builder_bitwise_on_one_processor() {
     // visit children in octant order — the floating-point op sequence is
     // identical, so one-processor trajectories must match bitwise (with
     // per-body lists; larger groups reorder summation by design).
-    use bh_repro::bh_core::seq_app::seq_run;
     let bodies = Model::Plummer.generate(1200, 42);
     let steps = 3;
-    let par = run(Algorithm::Morton, 1, true, &bodies, steps);
+    let (_, par) = run_grouped(Algorithm::Morton, 1, 1, &bodies, steps);
     let mut seq = bodies.clone();
     let cfg = SimConfig::new(Algorithm::Morton);
     seq_run(&mut seq, cfg.k, &cfg.force, cfg.dt, steps);
@@ -241,9 +163,9 @@ fn morton_is_bitwise_processor_count_independent() {
     // aligned to absolute order indices and a split window is traversed
     // identically by both owners, so grouping preserves the property.
     let bodies = Model::TwoClusterCollision.generate(1500, 7);
-    let one = run_grouped(Algorithm::Morton, 1, true, 16, &bodies, 2);
+    let (_, one) = run_grouped(Algorithm::Morton, 1, 16, &bodies, 2);
     for procs in [2, 4] {
-        let many = run_grouped(Algorithm::Morton, procs, true, 16, &bodies, 2);
+        let (_, many) = run_grouped(Algorithm::Morton, procs, 16, &bodies, 2);
         assert_bitwise(&format!("MORTON {procs}p vs 1p"), &one, &many);
     }
 }
@@ -255,7 +177,7 @@ fn flat_walk_is_valid_on_simulated_platform() {
     // as well (physics agreement with the native run).
     use bh_repro::ssmp::{platform, Machine};
     let bodies = Model::Plummer.generate(800, 23);
-    let native = run_grouped(Algorithm::Space, 2, true, 16, &bodies, 2);
+    let (_, native) = run_grouped(Algorithm::Space, 2, 16, &bodies, 2);
     let machine = Machine::new(platform::origin2000(4), 4);
     let mut cfg = SimConfig::new(Algorithm::Space);
     cfg.warmup_steps = 0;

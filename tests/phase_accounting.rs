@@ -138,27 +138,6 @@ fn force_list_metrics_tile_and_are_processor_count_independent() {
 }
 
 #[test]
-fn legacy_kernels_report_no_list_metrics() {
-    let bodies = Model::Plummer.generate(128, 1998);
-    let env = NativeEnv::new(2);
-    for (flat, gs) in [(true, 0), (false, 16)] {
-        let mut cfg = SimConfig::new(Algorithm::Orig);
-        cfg.k = 4;
-        cfg.warmup_steps = 0;
-        cfg.measured_steps = 1;
-        cfg.flat_force = flat;
-        cfg.group_size = gs;
-        let stats = run_simulation(&env, &cfg, &bodies);
-        stats.assert_valid();
-        assert_eq!(stats.force_groups(), 0, "flat={flat} gs={gs}");
-        assert_eq!(stats.force_list_entries(), 0, "flat={flat} gs={gs}");
-        assert_eq!(stats.force_interactions(), 0, "flat={flat} gs={gs}");
-        assert_eq!(stats.force_list_len(), 0.0);
-        assert_eq!(stats.force_list_reuse(), 0.0);
-    }
-}
-
-#[test]
 fn phase_stats_aggregates_counters_and_critical_path() {
     let stats = run(Algorithm::Local, 0, 1);
     let tree = stats.phase_stats(Phase::Tree);

@@ -105,24 +105,14 @@ fn flatten_and_cost_rebalance_race_free() {
 }
 
 #[test]
-fn recursive_force_ablation_race_free() {
-    // The `flat_force = false` ablation path must stay certified too.
-    for alg in [Algorithm::Orig, Algorithm::Space] {
-        let mut cfg = SimConfig::new(alg);
-        cfg.flat_force = false;
-        certify_cfg(cfg, 4, Model::Plummer, 96);
-    }
-}
-
-#[test]
 fn grouped_force_kernel_group_sizes_race_free() {
     // The default matrix already certifies the batched kernel at
-    // group_size = 16; this cell covers the knob's edges: the per-body flat
-    // walk ablation (0), per-body lists (1), and an odd size that leaves a
-    // remainder window straddling zone boundaries. Group windows may span
-    // two processors' zones — both traverse the shared snapshot read-only
-    // and emit only into their own scratch rows, so no cell may race.
-    for gs in [0usize, 1, 7] {
+    // group_size = 16; this cell covers the knob's edges: per-body lists
+    // (1) and an odd size that leaves a remainder window straddling zone
+    // boundaries. Group windows may span two processors' zones — both
+    // traverse the shared snapshot read-only and emit only into their own
+    // scratch rows, so no cell may race.
+    for gs in [1usize, 7] {
         for alg in [Algorithm::Orig, Algorithm::Morton] {
             let mut cfg = SimConfig::new(alg);
             cfg.group_size = gs;

@@ -83,6 +83,15 @@ fn hostile_input_gets_structured_errors_and_the_executor_survives() {
     let doc = Json::parse(&r).unwrap();
     assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_request"));
 
+    // group_size 0 is not a kernel selector: rejected like any other
+    // out-of-range value, never clamped.
+    let r = c
+        .request(r#"{"op":"job","id":"x","tenant":"t","n":64,"group_size":0}"#)
+        .expect("response to group_size 0");
+    let doc = Json::parse(&r).unwrap();
+    assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_request"));
+    assert!(r.contains("group_size 0"), "value not echoed: {r}");
+
     // Oversized payload: explicit error, and the *same connection* still
     // serves a real job afterwards.
     let huge = format!(
