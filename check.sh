@@ -53,6 +53,8 @@ REPRO="$PWD/target/release/repro"
 "$REPRO" check-json "$SMOKE_DIR/results.json"
 "$REPRO" check-json "$SMOKE_DIR/BENCH_tiny.json"
 "$REPRO" check-trace "$SMOKE_DIR/trace.json"
+# The committed treebuild records (simulated metrics only) keep the schema.
+"$REPRO" check-json BENCH_small.json
 
 echo "== report lane (attributed telemetry + scaling analysis) =="
 # Smoke-run the scaling/analysis subsystem and schema-check what it emits;
@@ -68,22 +70,38 @@ echo "== sweep determinism gate (--jobs 2 vs --jobs 1) =="
 # timings carry inherent run-to-run jitter (real thread interleaving feeds
 # the contention model), so the full matrix is compared structurally — same
 # experiments, configurations and series.
-(cd "$SMOKE_DIR" && "$REPRO" table1 --scale tiny --jobs 2 --json table1_j2.json >/dev/null)
-(cd "$SMOKE_DIR" && "$REPRO" table1 --scale tiny --jobs 1 --json table1_j1.json >/dev/null)
+#
+# UPDATE's move_body can spin forever (ROADMAP item 1, seen in 1-3 of 30
+# matrix runs). Until that is fixed, `timeout` turns the livelock into a
+# failed gate instead of a wedged one; a clean matrix run takes ~5 s.
+sweep() {
+    local rc=0
+    (cd "$SMOKE_DIR" && timeout 120 "$REPRO" "$@" >/dev/null) || rc=$?
+    if [ "$rc" -eq 124 ]; then
+        echo "repro $* still running after 120 s: the known UPDATE move_body livelock (ROADMAP item 1); rerun the gate"
+    fi
+    return "$rc"
+}
+sweep table1 --scale tiny --jobs 2 --json table1_j2.json
+sweep table1 --scale tiny --jobs 1 --json table1_j1.json
 cmp "$SMOKE_DIR/table1_j2.json" "$SMOKE_DIR/table1_j1.json"
 echo "table1 --jobs 2 and --jobs 1 outputs are byte-identical"
-(cd "$SMOKE_DIR" && "$REPRO" matrix --scale tiny --jobs 2 --json matrix_j2.json >/dev/null)
-(cd "$SMOKE_DIR" && "$REPRO" matrix --scale tiny --jobs 1 --json matrix_j1.json >/dev/null)
+sweep matrix --scale tiny --jobs 2 --json matrix_j2.json
+sweep matrix --scale tiny --jobs 1 --json matrix_j1.json
 "$REPRO" check-same "$SMOKE_DIR/matrix_j2.json" "$SMOKE_DIR/matrix_j1.json"
 
-echo "== bench lane (bench/ builds offline, its tests pass, a short run checks out) =="
+echo "== bench lane (bench/ builds offline, its tests pass, two short runs check out) =="
 # bench/ is a package of its own outside the workspace, so nothing above
 # compiles it. `bhbench run` exits 1 when its check line fails: on
 # sim-platforms that is P=1 cycles repeating exactly from round to round and
-# every builder ending with the same bodies on every platform.
+# every builder ending with the same bodies on every platform; on
+# serve-mixed it is every hit and miss digest served over a real unix socket
+# equalling a direct run_job of the same spec.
 cargo test --offline -q --manifest-path bench/Cargo.toml
-cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
-    run --workload sim-platforms --seconds 2 --out "$SMOKE_DIR/bench"
+for workload in sim-platforms serve-mixed; do
+    cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+        run --workload "$workload" --seconds 2 --out "$SMOKE_DIR/bench"
+done
 
 echo "== serve lane (unix-socket smoke against the serve binary) =="
 # Boot the standalone server, push a couple of jobs through a real socket,
@@ -115,20 +133,5 @@ EOF
 wait "$SERVE_PID"
 grep -q '"served_total":4' "$SERVE_DIR/serve_stats.json" || {
     echo "serve final stats wrong:"; cat "$SERVE_DIR/serve_stats.json"; exit 1; }
-
-echo "== serve soak (mixed-tenant load, backpressure under burst) =="
-# >= 200 jobs across >= 2 tenants through the self-hosted server: zero
-# failures, every digest bitwise-identical to a direct run, explicit
-# queue_full backpressure under the pipelined burst, then schema-check the
-# emitted serve_* records. Runs in its own directory so the treebuild
-# BENCH document above is not clobbered.
-(cd "$SERVE_DIR" && "$REPRO" bench-serve --scale tiny --tenants 2 --jobs 100 \
-    --workers 2 --queue-cap 8 --engines 4 --burst 40 --expect-backpressure)
-"$REPRO" check-json "$SERVE_DIR/BENCH_tiny.json"
-
-echo "== bench regression gate (fresh treebuild vs committed BENCH_small.json) =="
-"$REPRO" check-json BENCH_small.json
-(cd "$SMOKE_DIR" && "$REPRO" treebuild --scale small >/dev/null)
-"$REPRO" bench-diff BENCH_small.json "$SMOKE_DIR/BENCH_small.json" --max-regress 0.25
 
 echo "All checks passed."

@@ -16,7 +16,7 @@
 //! machine-readable record.
 //!
 //! `matrix` runs every *cached* experiment (everything except `treebuild`,
-//! whose native wall timings are intentionally nondeterministic).
+//! whose table carries native wall-time rows).
 //!
 //! `--jobs N` prewarms the run caches with the sweep scheduler: the
 //! deduplicated (platform, algorithm, n, procs) job list is executed across
@@ -30,18 +30,13 @@
 //!
 //! The `treebuild` experiment (also part of `all`) instruments every
 //! algorithm with `TraceEnv` on both a native machine and a simulated
-//! Origin2000, emits `BENCH_<scale>.json` with per-algorithm tree-build
-//! metrics, and — with `--trace <path>` — writes a Chrome/Perfetto trace
-//! with one track per processor.
+//! Origin2000, emits `BENCH_<scale>.json` with per-algorithm simulated
+//! tree-build metrics (host time is `bhbench`'s job, see `bench/README.md`),
+//! and — with `--trace <path>` — writes a Chrome/Perfetto trace with one
+//! track per processor.
 //!
 //! `check-json` / `check-trace` validate previously emitted documents; the
 //! pre-merge gate uses them as schema sanity checks.
-//!
-//! `bench-diff <baseline> <fresh>` compares two BENCH documents record by
-//! record (matched on algorithm and scale) and exits non-zero when a native
-//! timing regresses by more than `--max-regress` (default 0.25 = 25%); the
-//! pre-merge gate diffs a freshly generated BENCH_small.json against the
-//! committed one.
 //!
 //! `verify` runs the schedule-exploration verification matrix: every tree
 //! algorithm on a tiny workload under the controlled scheduler stacked with
@@ -54,7 +49,7 @@
 
 use bh_core::force::MAX_GROUP_SIZE;
 use bh_experiments::cliargs;
-use bh_experiments::experiments;
+use bh_experiments::experiments::{self, TREEBUILD_FIELDS};
 use bh_experiments::json::Json;
 use bh_experiments::report;
 use bh_experiments::runner::ExperimentScale;
@@ -70,11 +65,6 @@ fn usage_text() -> String {
          \x20      repro check-json <path>\n\
          \x20      repro check-trace <path>\n\
          \x20      repro check-same <a> <b>\n\
-         \x20      repro bench-diff <baseline> <fresh> [--max-regress <fraction>]\n\
-         \x20      repro bench-serve [--scale <scale>] [--connect unix:<path>|tcp:<addr>]\n\
-         \x20            [--tenants <N>] [--jobs <N/tenant>] [--workers <N>] [--queue-cap <N>]\n\
-         \x20            [--engines <N>] [--mode closed|open] [--rate <jobs/s>] [--window <N>]\n\
-         \x20            [--burst <N>] [--expect-backpressure] [--shutdown] [--out <path>]\n\
          experiments: {}",
         ExperimentScale::NAMES.join("|"),
         experiments::EXPERIMENT_NAMES.join(" ")
@@ -122,44 +112,6 @@ fn main() {
         }
         "verify" => {
             verify(&args[1..]);
-            return;
-        }
-        "bench-diff" => {
-            let baseline = args
-                .get(1)
-                .unwrap_or_else(|| die("bench-diff needs <baseline> <fresh>"));
-            let fresh = args
-                .get(2)
-                .unwrap_or_else(|| die("bench-diff needs <baseline> <fresh>"));
-            let mut max_regress = 0.25;
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--max-regress" => {
-                        i += 1;
-                        let v: f64 = cliargs::parse_value(
-                            "--max-regress",
-                            args.get(i).map(String::as_str),
-                            "a fraction >= 0",
-                        )
-                        .unwrap_or_else(|e| die(&e));
-                        if v < 0.0 {
-                            die(&format!(
-                                "invalid --max-regress '{}' (expected a fraction >= 0)",
-                                args[i]
-                            ));
-                        }
-                        max_regress = v;
-                    }
-                    extra => die(&format!("unexpected argument '{extra}'")),
-                }
-                i += 1;
-            }
-            bench_diff(baseline, fresh, max_regress);
-            return;
-        }
-        "bench-serve" => {
-            bench_serve_cmd(&args[1..]);
             return;
         }
         _ => {}
@@ -473,72 +425,14 @@ fn load(path: &str) -> Json {
     Json::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")))
 }
 
-/// Numeric fields every treebuild BENCH record must carry.
-const TREEBUILD_FIELDS: [&str; 19] = [
-    "n",
-    "procs",
-    "tree_cycles",
-    "total_cycles",
-    "tree_lock_acquires",
-    "tree_lock_wait_cycles",
-    "barrier_wait_cycles",
-    "remote_misses",
-    "page_faults",
-    "lock_ids",
-    "tree_imbalance",
-    "flatten_cycles",
-    "sort_cycles",
-    "force_cycles",
-    "list_len",
-    "list_reuse",
-    "native_tree_ns",
-    "native_total_ns",
-    "native_force_ns",
-];
-
-/// Required fields of the `serve_*` records `repro bench-serve` emits:
-/// (experiment name, string fields, numeric fields).
-const SERVE_SCHEMAS: [(&str, &[&str], &[&str]); 4] = [
-    (
-        "serve_latency",
-        &["tenant", "mode"],
-        &[
-            "jobs",
-            "ok",
-            "rejected",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-            "throughput_jps",
-        ],
-    ),
-    (
-        "serve_queue",
-        &[],
-        &[
-            "depth_p50",
-            "depth_p99",
-            "depth_max",
-            "capacity",
-            "rejected_total",
-        ],
-    ),
-    (
-        "serve_cache",
-        &[],
-        &["hits", "misses", "evictions", "hit_rate"],
-    ),
-    ("serve_tenant", &["tenant"], &["served", "rejected"]),
-];
-
 /// Validate an experiment-table, BENCH or REPORT document: well-formed
-/// JSON, a non-empty array of objects; treebuild metric records must carry
-/// the full numeric schema (including the load-imbalance and flatten
-/// metrics); `serve_*` records from `bench-serve` must match
-/// [`SERVE_SCHEMAS`]; `report_*` records are validated against
-/// [`bh_experiments::report::REPORT_SCHEMAS`], and the `report_comm`
-/// breakdown is re-checked for the tiling property from the document alone:
-/// per-region rows must sum exactly to their configuration's "total" row.
+/// JSON, a non-empty array of objects. Table dumps are keyed by `id`; a
+/// record with an `experiment` field must be a `treebuild` record carrying
+/// every [`TREEBUILD_FIELDS`] name as a number, or a `report_*` record
+/// matching [`bh_experiments::report::REPORT_SCHEMAS`] — any other
+/// `experiment` value is an error. The `report_comm` breakdown is re-checked
+/// for the tiling property from the document alone: per-region rows must sum
+/// exactly to their configuration's "total" row.
 fn check_json(path: &str) {
     let doc = load(path);
     let items = doc
@@ -551,13 +445,15 @@ fn check_json(path: &str) {
     let mut comm_sums: HashMap<(String, String), [f64; 2]> = HashMap::new();
     let mut comm_totals: HashMap<(String, String), [f64; 2]> = HashMap::new();
     for (i, item) in items.iter().enumerate() {
-        // Table dumps carry "id"; BENCH metric records carry "experiment".
-        if item.get("experiment").is_none() && item.get("id").is_none() {
-            die(&format!(
-                "{path}: record {i} has neither an \"experiment\" nor an \"id\" field"
-            ));
-        }
-        let experiment = item.get("experiment").and_then(Json::as_str);
+        let Some(experiment) = item.get("experiment") else {
+            if item.get("id").is_none() {
+                die(&format!(
+                    "{path}: record {i} has neither an \"experiment\" nor an \"id\" field"
+                ));
+            }
+            continue;
+        };
+        let experiment = experiment.as_str();
         if experiment == Some("treebuild") {
             if item.get("algorithm").and_then(Json::as_str).is_none() {
                 die(&format!("{path}: treebuild record {i} lacks \"algorithm\""));
@@ -569,29 +465,8 @@ fn check_json(path: &str) {
                     ));
                 }
             }
-        }
-        if let Some((name, strs, nums)) =
-            experiment.and_then(|e| SERVE_SCHEMAS.iter().find(|(name, _, _)| *name == e))
-        {
-            for field in *strs {
-                if item.get(field).and_then(Json::as_str).is_none() {
-                    die(&format!(
-                        "{path}: {name} record {i} lacks string \"{field}\""
-                    ));
-                }
-            }
-            for field in *nums {
-                if item.get(field).and_then(Json::as_f64).is_none() {
-                    die(&format!(
-                        "{path}: {name} record {i} lacks numeric \"{field}\""
-                    ));
-                }
-            }
-        }
-        if experiment.is_some_and(|e| e.starts_with("report_")) {
-            if let Err(e) = report::validate_report_record(item) {
-                die(&format!("{path}: record {i}: {e}"));
-            }
+        } else if let Err(e) = report::validate_report_record(item) {
+            die(&format!("{path}: record {i}: {e}"));
         }
         if experiment == Some("report_comm") {
             let key = (
@@ -707,223 +582,6 @@ fn check_same(path_a: &str, path_b: &str) {
         "{path_a} and {path_b}: same report structure ({} table(s))",
         tables_a.len()
     );
-}
-
-/// Key identifying a treebuild record across two BENCH documents.
-fn bench_key(r: &Json) -> Option<(String, String, String)> {
-    Some((
-        r.get("experiment").and_then(Json::as_str)?.to_string(),
-        r.get("scale").and_then(Json::as_str)?.to_string(),
-        r.get("algorithm").and_then(Json::as_str)?.to_string(),
-    ))
-}
-
-/// Per-metric comparison spec for `bench-diff`: metric name and whether a
-/// regression beyond the threshold fails the gate. The native wall timings
-/// gate (they measure this machine, and run-to-run noise is why the
-/// threshold is a tolerance rather than equality). The simulated metrics
-/// are compared and printed but informational: multi-processor simulated
-/// timings carry real run-to-run jitter (host thread interleaving feeds
-/// the contention model), so gating them would flake.
-const DIFF_METRICS: [(&str, bool); 8] = [
-    ("tree_cycles", false),
-    ("flatten_cycles", false),
-    ("sort_cycles", false),
-    ("force_cycles", false),
-    ("barrier_wait_cycles", false),
-    ("native_tree_ns", true),
-    ("native_total_ns", true),
-    ("native_force_ns", true),
-];
-
-/// Compare two BENCH documents metric by metric (records matched on
-/// algorithm and scale) and exit 1 when a fresh *gated* metric is more than
-/// `max_regress` (fraction) above the baseline for any algorithm. See
-/// [`DIFF_METRICS`] for which metrics gate and which are informational.
-fn bench_diff(baseline_path: &str, fresh_path: &str, max_regress: f64) {
-    let baseline = load(baseline_path);
-    let fresh = load(fresh_path);
-    let base_items = baseline
-        .as_array()
-        .unwrap_or_else(|| die(&format!("{baseline_path}: top level is not an array")));
-    let fresh_items = fresh
-        .as_array()
-        .unwrap_or_else(|| die(&format!("{fresh_path}: top level is not an array")));
-
-    let mut fresh_by_key: HashMap<(String, String, String), &Json> = HashMap::new();
-    for r in fresh_items {
-        if let Some(k) = bench_key(r) {
-            fresh_by_key.insert(k, r);
-        }
-    }
-
-    let mut compared = 0usize;
-    let mut regressions = 0usize;
-    for b in base_items {
-        let Some(key) = bench_key(b) else { continue };
-        let Some(f) = fresh_by_key.get(&key) else {
-            eprintln!(
-                "bench-diff: {}/{}/{} present in baseline but missing from {fresh_path}",
-                key.0, key.1, key.2
-            );
-            regressions += 1;
-            continue;
-        };
-        for (metric, gated) in DIFF_METRICS {
-            let old = b.get(metric).and_then(Json::as_f64);
-            let new = f.get(metric).and_then(Json::as_f64);
-            let (Some(old), Some(new)) = (old, new) else {
-                continue;
-            };
-            if old <= 0.0 {
-                continue;
-            }
-            let ratio = new / old;
-            let marker = if ratio > 1.0 + max_regress {
-                if gated {
-                    regressions += 1;
-                    "  <-- REGRESSION"
-                } else {
-                    "  (info: over threshold, not gated)"
-                }
-            } else if gated {
-                ""
-            } else {
-                "  (info)"
-            };
-            println!(
-                "{:8} {:20} {:>14.0} -> {:>14.0}  ({:+6.1}%){}",
-                key.2,
-                metric,
-                old,
-                new,
-                (ratio - 1.0) * 100.0,
-                marker
-            );
-            if gated {
-                compared += 1;
-            }
-        }
-    }
-    if compared == 0 {
-        die(&format!(
-            "bench-diff: no comparable records between {baseline_path} and {fresh_path}"
-        ));
-    }
-    if regressions > 0 {
-        eprintln!(
-            "bench-diff: {regressions} metric(s) regressed by more than {:.0}%",
-            max_regress * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "bench-diff: OK ({compared} metric(s) within {:.0}% of {baseline_path})",
-        max_regress * 100.0
-    );
-}
-
-/// `repro bench-serve`: drive a job server with a multi-tenant load mix
-/// and write `serve_*` records. Self-hosts on a temp unix socket unless
-/// `--connect` points at a running `serve` binary. Non-zero exit on any
-/// failed job, digest mismatch, or (with `--expect-backpressure`) a burst
-/// that never saw `queue_full`.
-fn bench_serve_cmd(args: &[String]) {
-    use bh_experiments::bench_serve::{run_bench, BenchServeOpts};
-    let mut opts = BenchServeOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| args.get(i).map(String::as_str);
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                opts.scale = cliargs::parse_scale("--scale", value(i)).unwrap_or_else(|e| die(&e));
-            }
-            "--connect" => {
-                i += 1;
-                let s = cliargs::require_value("--connect", value(i), "unix:<path> or tcp:<addr>")
-                    .unwrap_or_else(|e| die(&e));
-                opts.connect =
-                    Some(bh_serve::transport::Endpoint::parse(s).unwrap_or_else(|e| die(&e)));
-            }
-            "--tenants" => {
-                i += 1;
-                opts.tenants = cliargs::parse_min("--tenants", value(i), 1, "an integer >= 1")
-                    .unwrap_or_else(|e| die(&e));
-            }
-            "--jobs" => {
-                i += 1;
-                opts.jobs = cliargs::parse_min("--jobs", value(i), 1, "an integer >= 1")
-                    .unwrap_or_else(|e| die(&e));
-            }
-            "--workers" => {
-                i += 1;
-                opts.workers = cliargs::parse_min("--workers", value(i), 1, "an integer >= 1")
-                    .unwrap_or_else(|e| die(&e));
-            }
-            "--queue-cap" => {
-                i += 1;
-                opts.queue_cap = cliargs::parse_min("--queue-cap", value(i), 1, "an integer >= 1")
-                    .unwrap_or_else(|e| die(&e));
-            }
-            "--engines" => {
-                i += 1;
-                opts.engines = cliargs::parse_min("--engines", value(i), 1, "an integer >= 1")
-                    .unwrap_or_else(|e| die(&e));
-            }
-            "--mode" => {
-                i += 1;
-                match cliargs::require_value("--mode", value(i), "closed or open")
-                    .unwrap_or_else(|e| die(&e))
-                {
-                    "closed" => opts.open_loop = false,
-                    "open" => opts.open_loop = true,
-                    other => die(&format!(
-                        "invalid --mode '{other}' (expected closed or open)"
-                    )),
-                }
-            }
-            "--rate" => {
-                i += 1;
-                let v: f64 = cliargs::parse_value("--rate", value(i), "jobs per second > 0")
-                    .unwrap_or_else(|e| die(&e));
-                if v <= 0.0 {
-                    die(&format!(
-                        "invalid --rate '{}' (expected jobs per second > 0)",
-                        args[i]
-                    ));
-                }
-                opts.rate = v;
-            }
-            "--window" => {
-                i += 1;
-                opts.window = cliargs::parse_min("--window", value(i), 1, "an integer >= 1")
-                    .unwrap_or_else(|e| die(&e));
-            }
-            "--burst" => {
-                i += 1;
-                opts.burst = cliargs::parse_value("--burst", value(i), "an integer >= 0")
-                    .unwrap_or_else(|e| die(&e));
-            }
-            "--out" => {
-                i += 1;
-                let s =
-                    cliargs::require_value("--out", value(i), "a path").unwrap_or_else(|e| die(&e));
-                opts.out_path = Some(s.into());
-            }
-            "--expect-backpressure" => opts.expect_backpressure = true,
-            "--shutdown" => opts.shutdown = true,
-            extra => die(&format!("unexpected argument '{extra}'")),
-        }
-        i += 1;
-    }
-    match run_bench(&opts) {
-        Ok(path) => eprintln!("[wrote {path}]"),
-        Err(msg) => {
-            eprintln!("repro: bench-serve: {msg}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Validate a Chrome trace-event document: well-formed JSON, nonzero

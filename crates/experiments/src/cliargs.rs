@@ -1,5 +1,4 @@
-//! Shared command-line flag parsing for the `repro`, `probe` and
-//! `bench-serve` front ends.
+//! Shared command-line flag parsing for the `repro` and `probe` front ends.
 //!
 //! The binaries hand-roll their argument loops (no clap offline), which
 //! historically meant each numeric flag reinvented its own error message —

@@ -396,6 +396,30 @@ pub struct TreebuildReport {
     pub bench_json: String,
 }
 
+/// The numeric fields of a `treebuild` BENCH record, in emission order: the
+/// emitter zips its values with this list and `repro check-json` requires
+/// every name, so the two cannot disagree. All are simulated quantities.
+pub const TREEBUILD_FIELDS: [&str; 18] = [
+    "n",
+    "procs",
+    "tree_cycles",
+    "total_cycles",
+    "tree_lock_acquires",
+    "tree_lock_wait_cycles",
+    "barrier_wait_cycles",
+    "remote_misses",
+    "page_faults",
+    "lock_ids",
+    "lock_acquires_all_steps",
+    "lock_wait_all_steps",
+    "tree_imbalance",
+    "flatten_cycles",
+    "sort_cycles",
+    "force_cycles",
+    "list_len",
+    "list_reuse",
+];
+
 /// One (platform, algorithm) traced run distilled for the report.
 struct TracedRun {
     phase: [CtxStatsRow; 4],
@@ -548,17 +572,8 @@ fn treebuild_sized(
     let mut bench: Vec<String> = Vec::new();
     for (pid, alg) in ALGS.iter().enumerate() {
         let alg = *alg;
-        // Native wall times are noisy under host load; keep the fastest of
-        // three runs (minimum estimator) so the regression gate compares
-        // signal rather than scheduler luck.
-        let (native, nat) = (0..3)
-            .map(|_| {
-                let env = bh_core::trace::TraceEnv::new(NativeEnv::new(procs));
-                let run = traced_run(&env, alg, n, group_size);
-                (env, run)
-            })
-            .min_by_key(|(_, run)| run.total_time)
-            .expect("three native attempts");
+        let native = bh_core::trace::TraceEnv::new(NativeEnv::new(procs));
+        let nat = traced_run(&native, alg, n, group_size);
         treebuild_row(&mut table, "native", alg, &nat);
         events.extend(native.chrome_trace_events(
             2 * pid as u32,
@@ -575,38 +590,42 @@ fn treebuild_sized(
             1.0,
         ));
 
+        let values: [String; TREEBUILD_FIELDS.len()] = [
+            n.to_string(),
+            procs.to_string(),
+            org.tree_time.to_string(),
+            org.total_time.to_string(),
+            org.phase[0].locks.to_string(),
+            org.phase[0].lock_wait.to_string(),
+            org.phase
+                .iter()
+                .map(|x| x.barrier_wait)
+                .sum::<u64>()
+                .to_string(),
+            org.phase.iter().map(|x| x.remote).sum::<u64>().to_string(),
+            org.phase.iter().map(|x| x.faults).sum::<u64>().to_string(),
+            org.hist_locks.to_string(),
+            org.hist_total_acquires.to_string(),
+            org.hist_total_wait.to_string(),
+            format!("{:.4}", org.tree_imbalance),
+            org.flatten_cycles.to_string(),
+            org.sort_cycles.to_string(),
+            org.phase[2].time.to_string(),
+            format!("{:.2}", org.list_len),
+            format!("{:.4}", org.list_reuse),
+        ];
+        let numeric: Vec<String> = TREEBUILD_FIELDS
+            .iter()
+            .zip(values)
+            .map(|(field, value)| format!("\"{field}\": {value}"))
+            .collect();
         bench.push(format!(
             "  {{\"experiment\": \"treebuild\", \"scale\": \"{}\", \"algorithm\": \"{}\", \
-             \"platform\": \"{}\", \"n\": {n}, \"procs\": {procs}, \
-             \"tree_cycles\": {}, \"total_cycles\": {}, \
-             \"tree_lock_acquires\": {}, \"tree_lock_wait_cycles\": {}, \
-             \"barrier_wait_cycles\": {}, \"remote_misses\": {}, \"page_faults\": {}, \
-             \"lock_ids\": {}, \"lock_acquires_all_steps\": {}, \"lock_wait_all_steps\": {}, \
-             \"tree_imbalance\": {:.4}, \"flatten_cycles\": {}, \"sort_cycles\": {}, \
-             \"force_cycles\": {}, \"list_len\": {:.2}, \"list_reuse\": {:.4}, \
-             \"native_tree_ns\": {}, \"native_total_ns\": {}, \"native_force_ns\": {}}}",
+             \"platform\": \"{}\", {}}}",
             scale.name(),
             alg.name(),
             cost.name,
-            org.tree_time,
-            org.total_time,
-            org.phase[0].locks,
-            org.phase[0].lock_wait,
-            org.phase.iter().map(|x| x.barrier_wait).sum::<u64>(),
-            org.phase.iter().map(|x| x.remote).sum::<u64>(),
-            org.phase.iter().map(|x| x.faults).sum::<u64>(),
-            org.hist_locks,
-            org.hist_total_acquires,
-            org.hist_total_wait,
-            org.tree_imbalance,
-            org.flatten_cycles,
-            org.sort_cycles,
-            org.phase[2].time,
-            org.list_len,
-            org.list_reuse,
-            nat.tree_time,
-            nat.total_time,
-            nat.phase[2].time,
+            numeric.join(", "),
         ));
     }
     TreebuildReport {
@@ -734,13 +753,17 @@ mod tests {
         let records = bench.as_array().expect("bench is an array");
         assert_eq!(records.len(), 6);
         for r in records {
+            for field in TREEBUILD_FIELDS {
+                assert!(
+                    r.get(field).and_then(Json::as_f64).is_some(),
+                    "record lacks numeric {field}: {r:?}"
+                );
+            }
             assert!(r.get("tree_cycles").and_then(Json::as_f64).unwrap() > 0.0);
-            assert!(r.get("native_tree_ns").and_then(Json::as_f64).unwrap() > 0.0);
             assert!(r.get("tree_imbalance").and_then(Json::as_f64).unwrap() >= 1.0);
             // Batched force kernel metrics: the default config runs it, so
             // every record reports force time and nontrivial list reuse.
             assert!(r.get("force_cycles").and_then(Json::as_f64).unwrap() > 0.0);
-            assert!(r.get("native_force_ns").and_then(Json::as_f64).unwrap() > 0.0);
             assert!(r.get("list_len").and_then(Json::as_f64).unwrap() > 0.0);
             assert!(
                 r.get("list_reuse").and_then(Json::as_f64).unwrap() > 1.0,

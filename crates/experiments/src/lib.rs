@@ -5,7 +5,6 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod bench_serve;
 pub mod cliargs;
 pub mod experiments;
 pub mod report;

@@ -104,7 +104,7 @@ pub const REPORT_SCHEMAS: &[(&str, &[&str], &[&str])] = &[
 ];
 
 /// Validate one record of a `REPORT_*.json` document against
-/// [`REPORT_SCHEMAS`]: known experiment type, every required string field a
+/// [`REPORT_SCHEMAS`]: known experiment name, every required string field a
 /// string, every required numeric field a number.
 pub fn validate_report_record(record: &Json) -> Result<(), String> {
     let exp = record
@@ -114,7 +114,7 @@ pub fn validate_report_record(record: &Json) -> Result<(), String> {
     let (_, strs, nums) = REPORT_SCHEMAS
         .iter()
         .find(|(name, _, _)| *name == exp)
-        .ok_or_else(|| format!("unknown report record type \"{exp}\""))?;
+        .ok_or_else(|| format!("unknown experiment \"{exp}\""))?;
     for field in *strs {
         if record.get(field).and_then(Json::as_str).is_none() {
             return Err(format!("{exp} record lacks string \"{field}\""));

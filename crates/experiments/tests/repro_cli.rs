@@ -1,0 +1,63 @@
+//! The `repro` binary's command line, driven as a subprocess: what it
+//! rejects (exit 2, a diagnostic naming the offender, the usage banner) and
+//! that the committed `BENCH_small.json` passes its own validator.
+
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("run repro")
+}
+
+/// Assert a usage failure: exit code 2, `needle` in the diagnostic, and the
+/// usage banner after it.
+fn assert_rejected(out: &Output, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(needle), "did not name {needle}: {stderr}");
+    assert!(stderr.contains("usage: repro"), "no usage banner: {stderr}");
+}
+
+#[test]
+fn removed_subcommands_are_unknown_experiments() {
+    for name in ["bench-serve", "bench-diff"] {
+        assert_rejected(&repro(&[name]), &format!("unknown experiment '{name}'"));
+    }
+}
+
+#[test]
+fn group_size_outside_1_to_64_is_rejected_by_name() {
+    for value in ["0", "65"] {
+        assert_rejected(
+            &repro(&["treebuild", "--scale", "tiny", "--group-size", value]),
+            &format!("invalid --group-size '{value}'"),
+        );
+    }
+}
+
+#[test]
+fn check_json_rejects_an_unknown_experiment_value() {
+    let path = std::env::temp_dir().join(format!("repro-cli-{}.json", std::process::id()));
+    std::fs::write(
+        &path,
+        r#"[{"experiment":"serve_cache","hits":3,"misses":1,"evictions":0,"hit_rate":0.75}]"#,
+    )
+    .expect("write temp document");
+    let out = repro(&["check-json", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_rejected(&out, "record 0: unknown experiment \"serve_cache\"");
+}
+
+#[test]
+fn committed_bench_document_passes_check_json() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_small.json");
+    let out = repro(&["check-json", path]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("OK (6 record(s))"));
+}

@@ -54,23 +54,12 @@ impl AnyEngine {
     }
 }
 
-/// Counters for the bench report and the `stats` protocol op.
+/// Counters behind the `stats` protocol op.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
-}
-
-impl CacheCounters {
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 struct Entry {

@@ -1,24 +1,14 @@
-//! Blocking protocol client and the multi-tenant load generator.
+//! Blocking protocol client: a thin line-oriented wrapper over one socket.
 //!
-//! The client half is a thin line-oriented wrapper over a socket. The load
-//! generator drives a server the way the paper's methodology drives a
-//! machine: a configurable tenant mix, closed-loop (each tenant keeps a
-//! fixed number of requests outstanding) or open-loop (requests arrive on
-//! a clock regardless of completions — the mode that actually exposes
-//! queueing behaviour), plus a pipelined burst phase designed to overrun
-//! the admission queue and demonstrate explicit backpressure.
-//!
-//! This module is on the sync-confinement whitelist: it spawns one driver
-//! thread per tenant connection. Latency statistics use the existing
-//! nearest-rank percentile helpers so bench reports match the repo's other
-//! tables.
+//! `send` and `recv` are separate so a caller can pipeline requests down a
+//! connection without reading between them, which is how the protocol tests
+//! overrun the bounded admission queue.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::json::Json;
 use crate::transport::Endpoint;
 
 /// A connected protocol client (one socket, blocking I/O).
@@ -87,163 +77,5 @@ impl Client {
             }
         }
         Err(last.unwrap())
-    }
-}
-
-/// One tenant's share of the generated load.
-#[derive(Debug, Clone)]
-pub struct TenantPlan {
-    pub name: String,
-    /// Request lines to send, in order (pre-rendered by the caller so the
-    /// generator stays protocol-dumb and replayable).
-    pub requests: Vec<String>,
-    /// Closed loop: max requests outstanding. Open loop: ignored.
-    pub window: usize,
-    /// Open loop: inter-arrival gap. `None` selects closed-loop mode.
-    pub gap: Option<Duration>,
-}
-
-/// What one tenant's driver observed.
-#[derive(Debug, Clone, Default)]
-pub struct TenantLoadResult {
-    pub name: String,
-    pub ok: u64,
-    pub rejected: u64,
-    pub failed: u64,
-    /// Per-completed-request latency (µs), completion order.
-    pub latencies_us: Vec<u64>,
-    /// Raw response lines, completion order (for digest verification and
-    /// the replay gate).
-    pub responses: Vec<String>,
-    pub elapsed: Duration,
-}
-
-/// Drive all tenants concurrently (one connection and driver thread each);
-/// returns per-tenant results in the order given.
-pub fn run_load(endpoint: &Endpoint, plans: Vec<TenantPlan>) -> io::Result<Vec<TenantLoadResult>> {
-    let mut handles = Vec::new();
-    for plan in plans {
-        let endpoint = endpoint.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("load-{}", plan.name))
-                .spawn(move || drive_tenant(&endpoint, plan))
-                .expect("spawn load driver"),
-        );
-    }
-    let mut results = Vec::new();
-    for h in handles {
-        results.push(h.join().expect("load driver panicked")?);
-    }
-    Ok(results)
-}
-
-fn classify(line: &str, result: &mut TenantLoadResult) {
-    match Json::parse(line) {
-        Ok(doc) if doc.get("ok") == Some(&Json::Bool(true)) => result.ok += 1,
-        Ok(doc) => {
-            let code = doc.get("error").and_then(Json::as_str).unwrap_or("");
-            if code == "queue_full" {
-                result.rejected += 1;
-            } else {
-                result.failed += 1;
-            }
-        }
-        Err(_) => result.failed += 1,
-    }
-}
-
-fn drive_tenant(endpoint: &Endpoint, plan: TenantPlan) -> io::Result<TenantLoadResult> {
-    let mut client = Client::connect(endpoint)?;
-    let mut result = TenantLoadResult {
-        name: plan.name.clone(),
-        ..Default::default()
-    };
-    let start = Instant::now();
-    let mut sent_at: Vec<Instant> = Vec::with_capacity(plan.requests.len());
-    let mut completed = 0usize;
-
-    match plan.gap {
-        // Closed loop: keep `window` requests outstanding.
-        None => {
-            let window = plan.window.max(1);
-            let mut next = 0usize;
-            while next < plan.requests.len().min(window) {
-                client.send(&plan.requests[next])?;
-                sent_at.push(Instant::now());
-                next += 1;
-            }
-            while completed < plan.requests.len() {
-                let line = client.recv()?;
-                // Responses interleave in completion order; latency is
-                // measured send-to-completion of the oldest outstanding
-                // request, the conservative (FIFO) reading.
-                result
-                    .latencies_us
-                    .push(sent_at[completed].elapsed().as_micros() as u64);
-                classify(&line, &mut result);
-                result.responses.push(line);
-                completed += 1;
-                if next < plan.requests.len() {
-                    client.send(&plan.requests[next])?;
-                    sent_at.push(Instant::now());
-                    next += 1;
-                }
-            }
-        }
-        // Open loop: send on the clock, collect responses as they come.
-        Some(gap) => {
-            for (i, req) in plan.requests.iter().enumerate() {
-                if i > 0 {
-                    std::thread::sleep(gap);
-                }
-                client.send(req)?;
-                sent_at.push(Instant::now());
-            }
-            while completed < plan.requests.len() {
-                let line = client.recv()?;
-                result
-                    .latencies_us
-                    .push(sent_at[completed].elapsed().as_micros() as u64);
-                classify(&line, &mut result);
-                result.responses.push(line);
-                completed += 1;
-            }
-        }
-    }
-    result.elapsed = start.elapsed();
-    Ok(result)
-}
-
-/// Fire `requests` down one connection back-to-back (no reads between
-/// sends), then collect all responses: the burst that overruns a bounded
-/// queue. Returns the responses in completion order.
-pub fn burst(endpoint: &Endpoint, requests: &[String]) -> io::Result<Vec<String>> {
-    let mut client = Client::connect(endpoint)?;
-    for req in requests {
-        client.send(req)?;
-    }
-    let mut responses = Vec::with_capacity(requests.len());
-    for _ in requests {
-        responses.push(client.recv()?);
-    }
-    Ok(responses)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classify_counts_ok_rejection_and_failure() {
-        let mut r = TenantLoadResult::default();
-        classify(r#"{"ok":true,"id":"a"}"#, &mut r);
-        classify(r#"{"ok":false,"error":"queue_full","message":"m"}"#, &mut r);
-        classify(
-            r#"{"ok":false,"error":"engine_panic","message":"m"}"#,
-            &mut r,
-        );
-        classify("not json", &mut r);
-        assert_eq!((r.ok, r.rejected, r.failed), (1, 1, 2));
     }
 }

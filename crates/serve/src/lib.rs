@@ -16,8 +16,8 @@
 //! * [`exec`] — one job spec in, one outcome out.
 //! * [`server`] — executor workers, admission, graceful drain.
 //! * [`transport`] — unix/TCP listeners, one reader thread per connection.
-//! * [`client`] — blocking client and the multi-tenant load generator
-//!   behind `repro bench-serve`.
+//! * [`client`] — blocking line-oriented client (`bhbench serve-mixed`,
+//!   the protocol tests).
 //!
 //! Layering: `bh-serve` sits between `bh-core`/`ssmp` and
 //! `bh-experiments`; the experiment sweep scheduler is itself a client of

@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-/// Per-tenant accounting, reported in server stats and bench reports.
+/// Per-tenant accounting, reported in server stats.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantCounters {
     pub enqueued: u64,

@@ -23,7 +23,6 @@
 //! wakes every worker, lets queued jobs drain, joins the workers, then
 //! clears the engine cache (parking each pool's threads on drop).
 
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -125,7 +124,7 @@ struct Shared {
     served_total: AtomicU64,
 }
 
-/// A snapshot of server health, for the `stats` op and bench reports.
+/// A snapshot of server health, for the `stats` op and `bhbench`.
 #[derive(Debug, Clone)]
 pub struct ServerStats {
     pub queue_depth: usize,
@@ -362,15 +361,6 @@ pub fn parse_weights(s: &str) -> Result<Vec<(String, u32)>, String> {
         out.push((name.to_string(), w));
     }
     Ok(out)
-}
-
-/// Weight-map stats view keyed by tenant, for report assembly.
-pub fn tenant_map(stats: &ServerStats) -> HashMap<&str, &TenantCounters> {
-    stats
-        .tenants
-        .iter()
-        .map(|(name, c)| (name.as_str(), c))
-        .collect()
 }
 
 #[cfg(test)]

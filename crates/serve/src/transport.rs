@@ -126,7 +126,7 @@ pub fn run(server: Server, endpoint: &Endpoint) -> io::Result<ServerStats> {
 }
 
 /// Start [`run`] on a background thread: the self-hosted mode used by
-/// `repro bench-serve` and the protocol tests. Join the handle after a
+/// `bhbench serve-mixed` and the protocol tests. Join the handle after a
 /// client sends `{"op":"shutdown"}` to collect the final stats.
 pub fn spawn(
     server: Server,

@@ -4,9 +4,10 @@
 //! The invariants under test: hostile or broken input (malformed JSON,
 //! unknown fields, oversized payloads, mid-request disconnects) produces a
 //! structured error or a clean close — never a wedged executor; served
-//! physics is bitwise-identical to a direct engine run at one processor;
-//! and the response stream for a fixed request stream is byte-stable
-//! across server instances (the replay gate).
+//! physics is bitwise-identical to a direct engine run at one processor,
+//! also with two tenants sharing warm engines; and the response stream for
+//! a fixed request stream is byte-stable across server instances (the
+//! replay gate).
 
 use bh_repro::bh_core::prelude::*;
 use bh_repro::bh_serve::client::Client;
@@ -43,6 +44,19 @@ fn connect(endpoint: &Endpoint) -> Client {
 
 fn job_line(id: &str, n: usize) -> String {
     format!(r#"{{"op":"job","id":"{id}","tenant":"t","n":{n},"steps":1,"warmup":0}}"#)
+}
+
+/// Assert the response is `ok` and return the body digest it carries.
+fn served_digest(r: &str) -> u64 {
+    let doc = Json::parse(r).unwrap();
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{r}");
+    u64::from_str_radix(doc.get("digest").and_then(Json::as_str).unwrap(), 16).unwrap()
+}
+
+/// The digest a direct single-processor run of `spec` in this process ends with.
+fn direct_digest(spec: &JobSpec) -> u64 {
+    let (_, state) = run_simulation_with_state(&NativeEnv::new(1), &spec.config(), &spec.bodies());
+    digest_bodies(&state)
 }
 
 fn shutdown_and_join(
@@ -189,17 +203,77 @@ fn served_physics_is_bitwise_identical_to_a_direct_run() {
     let (endpoint, handle) = start("digest", ServerConfig::default());
     let mut c = connect(&endpoint);
     let r = c.request(&job_line("d1", 128)).expect("job response");
-    let doc = Json::parse(&r).unwrap();
-    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{r}");
-    let served =
-        u64::from_str_radix(doc.get("digest").and_then(Json::as_str).unwrap(), 16).unwrap();
-
-    // The same spec, run directly in this process.
     let mut spec = JobSpec::defaults(128);
     spec.warmup = 0;
-    let (_, state) = run_simulation_with_state(&NativeEnv::new(1), &spec.config(), &spec.bodies());
-    assert_eq!(served, digest_bodies(&state), "served physics diverged");
+    assert_eq!(
+        served_digest(&r),
+        direct_digest(&spec),
+        "served physics diverged"
+    );
     shutdown_and_join(&endpoint, handle);
+}
+
+#[test]
+fn two_tenants_share_warm_engines_and_every_digest_matches_a_direct_run() {
+    // Two connections, one job outstanding each, so the default queue never
+    // fills; same engine shape throughout, scenario rotating, so after the
+    // first checkouts every job runs on a reused engine.
+    const JOBS: usize = 24;
+    let (endpoint, handle) = start(
+        "tenants",
+        ServerConfig {
+            workers: 2,
+            engine_capacity: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let expected: Vec<(&str, u64)> = Model::ALL
+        .iter()
+        .map(|&scenario| {
+            let mut spec = JobSpec::defaults(128);
+            spec.scenario = scenario;
+            spec.warmup = 0;
+            (scenario.name(), direct_digest(&spec))
+        })
+        .collect();
+
+    std::thread::scope(|s| {
+        for (t, tenant) in ["a", "b"].into_iter().enumerate() {
+            let (endpoint, expected) = (&endpoint, &expected);
+            s.spawn(move || {
+                let mut c = connect(endpoint);
+                for j in 0..JOBS {
+                    let (scenario, digest) = expected[(t + j) % expected.len()];
+                    let r = c
+                        .request(&format!(
+                            r#"{{"op":"job","id":"{tenant}{j}","tenant":"{tenant}","n":128,"steps":1,"warmup":0,"scenario":"{scenario}"}}"#
+                        ))
+                        .expect("job response");
+                    assert_eq!(
+                        served_digest(&r),
+                        digest,
+                        "{tenant}{j} ({scenario}) diverged: {r}"
+                    );
+                }
+            });
+        }
+    });
+
+    let stats = shutdown_and_join(&endpoint, handle);
+    assert_eq!(stats.served_total, 2 * JOBS as u64);
+    for tenant in ["a", "b"] {
+        let (_, counters) = stats
+            .tenants
+            .iter()
+            .find(|(name, _)| name == tenant)
+            .unwrap_or_else(|| panic!("tenant {tenant} missing from {:?}", stats.tenants));
+        assert_eq!(counters.served, JOBS as u64, "tenant {tenant}");
+    }
+    assert!(
+        stats.cache.hits > stats.cache.misses,
+        "engine cache idle on a same-shape mix: {:?}",
+        stats.cache
+    );
 }
 
 #[test]

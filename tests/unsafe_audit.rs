@@ -49,7 +49,7 @@ const SYNC_WHITELIST: &[&str] = &[
     "crates/ssmp/src/machine.rs",
     // The serve layer's thread-owning edges: executor workers + condvars
     // (server.rs), per-connection socket reader threads (transport.rs),
-    // and the load generator's per-tenant driver threads (client.rs).
+    // and the client's sleep between connect retries (client.rs).
     // These are host-side service plumbing around the Env-confined
     // simulation core; job *logic* (queue.rs, cache.rs, exec.rs, job.rs,
     // protocol.rs) stays off this list deliberately.
