@@ -13,6 +13,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== unsafe audit =="
 cargo test --offline -q --test unsafe_audit
 
+echo "== sync primitives (RawLock / SenseBarrier unit tests, 20 runs) =="
+# Everything below synchronizes through these two, and a lost wake-up is a
+# rare event one run will not show, so a broken primitive should fail here
+# first and by name. Built outside the time limit; one run takes ~0.6 s.
+cargo test --offline --release -q -p bh-core --no-run
+timeout 120 bash -c \
+    'for _ in $(seq 20); do cargo test --offline --release -q -p bh-core sync:: || exit 1; done'
+
 echo "== race-freedom matrix =="
 cargo test --offline -q --test race_freedom
 

@@ -509,9 +509,12 @@ impl Env for NativeEnv {
     }
 
     fn barrier(&self, ctx: &mut NativeCtx) {
-        let t0 = Instant::now();
-        self.barrier.wait();
-        ctx.barrier_wait_ns += t0.elapsed().as_nanos() as u64;
+        // The last arrival (every arrival at P = 1) waits for nobody.
+        if let Err(open) = self.barrier.arrive() {
+            let t0 = Instant::now();
+            self.barrier.wait_past(open);
+            ctx.barrier_wait_ns += t0.elapsed().as_nanos() as u64;
+        }
     }
 
     fn now(&self, _ctx: &NativeCtx) -> u64 {
@@ -580,6 +583,23 @@ mod tests {
             env.unlock(&mut ctx, i);
         }
         assert_eq!(env.stats(&ctx).lock_acquires, 10);
+    }
+
+    #[test]
+    fn a_single_processor_never_waits() {
+        // Waiting time is time spent on somebody else; the cost of the
+        // primitive itself must not be booked as such.
+        let env = NativeEnv::new(1);
+        let mut ctx = env.make_ctx(0);
+        for i in 0..1000 {
+            env.lock(&mut ctx, i);
+            env.unlock(&mut ctx, i);
+            env.barrier(&mut ctx);
+        }
+        let stats = env.stats(&ctx);
+        assert_eq!(stats.lock_acquires, 1000);
+        assert_eq!(stats.lock_wait, 0);
+        assert_eq!(stats.barrier_wait, 0);
     }
 
     #[test]

@@ -31,9 +31,9 @@ use crate::cache::{Held, PageEntry, PageTable, PrivateCache};
 use crate::config::CostModel;
 use bh_core::env::{CtxStats, Env, Phase, Placement, Region, VAddr};
 use bh_core::shared::RegionMap;
-use bh_core::sync::{Mutex, RawLock};
+use bh_core::sync::{Mutex, RawLock, SenseBarrier};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 const SHARDS: usize = 256;
 const LOCK_TABLE: usize = 4096;
@@ -101,7 +101,7 @@ pub struct Machine {
     procs: usize,
     shards: Box<[Mutex<Shard>]>,
     locks: Box<[LockSlot]>,
-    rendezvous: Barrier,
+    rendezvous: SenseBarrier,
     barrier_clocks: Box<[AtomicU64]>,
     queues: Box<[InvalQueue]>,
     next_global: AtomicU64,
@@ -185,7 +185,7 @@ impl Machine {
                     }),
                 })
                 .collect(),
-            rendezvous: Barrier::new(procs),
+            rendezvous: SenseBarrier::new(procs),
             barrier_clocks: (0..procs).map(|_| AtomicU64::new(0)).collect(),
             queues: (0..procs)
                 .map(|_| InvalQueue {
