@@ -36,7 +36,10 @@ echo "== force kernel lane (sequential-reference parity + group-size matrix cell
 # The kernel against seq_accel/seq_run (exact interaction totals, ≤1e-12
 # velocities, MORTON bitwise), the group-window property test, and the
 # group-size race/schedule cells (the matrices above cover group_size = 16).
+# flat_force runs twice: the debug build keeps the kernel's count-tiling
+# assertion, the release build is the auto-vectorised shape that ships.
 cargo test --offline -q --test flat_force
+cargo test --offline --release -q --test flat_force
 cargo test --offline -q --test race_freedom grouped_force_kernel
 cargo test --offline -q --test schedule_matrix grouped_force_kernel
 
@@ -98,15 +101,18 @@ sweep matrix --scale tiny --jobs 2 --json matrix_j2.json
 sweep matrix --scale tiny --jobs 1 --json matrix_j1.json
 "$REPRO" check-same "$SMOKE_DIR/matrix_j2.json" "$SMOKE_DIR/matrix_j1.json"
 
-echo "== bench lane (bench/ builds offline, its tests pass, two short runs check out) =="
+echo "== bench lane (bench/ builds offline, its tests pass, three short runs check out) =="
 # bench/ is a package of its own outside the workspace, so nothing above
 # compiles it. `bhbench run` exits 1 when its check line fails: on
 # sim-platforms that is P=1 cycles repeating exactly from round to round and
 # every builder ending with the same bodies on every platform; on
 # serve-mixed it is every hit and miss digest served over a real unix socket
-# equalling a direct run_job of the same spec.
+# equalling a direct run_job of the same spec; on native-step it is every
+# run of a builder on a body set - staged by the benchmark or through the
+# engine, whole steps with the force kernel in them - ending on the same
+# final-body digest.
 cargo test --offline -q --manifest-path bench/Cargo.toml
-for workload in sim-platforms serve-mixed; do
+for workload in native-step sim-platforms serve-mixed; do
     cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
         run --workload "$workload" --seconds 2 --out "$SMOKE_DIR/bench"
 done

@@ -89,9 +89,9 @@ fn cell_accepted(side: f64, theta2: f64, d2: f64) -> bool {
 /// member exactly — the margin affects performance only, never results.
 const GROUP_MARGIN: f64 = 1e-9;
 
-/// Accumulator-lane width of the batched evaluation loop: 4 matches one
-/// AVX2 `f64` vector. The lane count fixes the summation grouping at
-/// `group_size > 1`.
+/// Vector width of the batched evaluation, 4 = one AVX2 `f64` vector: the
+/// dense loop's accumulator lanes (which fixes its summation grouping at
+/// `group_size > 1`) and the members of one partial-list sub-group.
 pub const EVAL_LANES: usize = 4;
 
 /// Aggregate statistics of one processor's batched force phase:
@@ -132,9 +132,12 @@ pub struct ForceScratch {
 /// **dense** entries (every member applies them) grow up from index 0 and
 /// **partial** entries (some members apply them, per a bitmask kept at the
 /// emitting processor) grow down from the capacity — their sum is bounded
-/// by `nodes + bodies`, so the halves can never collide. Entries carry no
-/// id: a member's own body in the dense half contributes exactly zero
-/// (`dx = dy = dz = 0`, and the `r2` guard keeps the scale finite).
+/// by `nodes + bodies`, so the halves can never collide. The dense half is
+/// streamed whole by every member; the partial half is read entry by
+/// entry, each sub-group of members visiting the entries that name it.
+/// Entries carry no id: a member's own body contributes exactly zero in
+/// either half (`dx = dy = dz = 0`, and the `r2` guard keeps the scale
+/// finite).
 struct ForceRow {
     xs: SharedVec<f64>,
     ys: SharedVec<f64>,
@@ -281,8 +284,12 @@ pub fn zone_group_windows(
 /// the dense list contributes exactly zero, because `dx = dy = dz = 0`
 /// and the `r2` guard keeps the scale finite — so every evaluated flop is
 /// a real interaction and the loop auto-vectorizes cleanly. The partial
-/// list follows in the same packed shape with the member's mask bit
-/// blended in as a 0/1 weight (and summed for the interaction count).
+/// list is applied per *sub-group* — an aligned run of [`EVAL_LANES`]
+/// consecutive members, the vector lanes — and a sub-group visits only
+/// the entries whose mask names one of its members: Morton-adjacent
+/// members accept and open together, so most of a boundary-band entry's
+/// non-acceptors are never evaluated at all. Each member still sums its
+/// own entries in emission order, with its mask bit as a 0/1 weight.
 /// Exact per-body interaction counts (dense length plus the member's
 /// partial entries, minus its self appearances) are stored for costzones
 /// and debug-asserted to tile the group total. Caller barriers
@@ -309,10 +316,15 @@ pub fn force_phase_grouped<E: Env>(
     let mut mpos: Vec<Vec3> = Vec::with_capacity(group_size);
     // Partially-accepted entries carry a per-entry member bitmask instead
     // of being scattered into per-member buffers: emission stays one store
-    // per entry, and the evaluation blends the mask bit into the packed
-    // loop as a 0/1 weight. `pmasks[k]` is the mask of the entry in row
-    // slot `k` (only the partial half, at the top of the row, is read).
-    let mut pmasks: Vec<u64> = vec![0; cap];
+    // per entry. `pmask_buf[j]` is the mask of the group's `j`-th emitted
+    // partial entry (row slot `cap - 1 - j`). The buffer is reused across
+    // groups and never zeroed, yet no stale mask can be read: a group
+    // writes ranks `0..plen` in order and evaluation only sees the slice
+    // `pmask_buf[..plen]`. `pidx` is the one sub-group index list, rebuilt
+    // from the masks for each sub-group ([`subgroup_entries`]). Both grow
+    // with the longest list seen instead of being sized by `cap`.
+    let mut pmask_buf: Vec<u64> = Vec::new();
+    let mut pidx: Vec<u32> = Vec::new();
     // O(1) self-lookup: `inv[b] = 1 + member-slot of body b` for current
     // group members, 0 otherwise (unmarked again at group end).
     let mut inv: Vec<u32> = vec![0; n];
@@ -378,9 +390,9 @@ pub fn force_phase_grouped<E: Env>(
                         if mi != 0 {
                             self_in_partial |= (mask >> (mi - 1) & 1) << (mi - 1);
                         }
+                        pmask_buf = push_mask(pmask_buf, plen, mask);
                         plen += 1;
                         emit_entry(env, ctx, row, cap - plen, opos, om);
-                        pmasks[cap - plen] = mask;
                     }
                 }
                 continue;
@@ -437,9 +449,9 @@ pub fn force_phase_grouped<E: Env>(
                     emit_entry(env, ctx, row, dlen, node.com, node.mass);
                     dlen += 1;
                 } else {
+                    pmask_buf = push_mask(pmask_buf, plen, accept_mask);
                     plen += 1;
                     emit_entry(env, ctx, row, cap - plen, node.com, node.mass);
-                    pmasks[cap - plen] = accept_mask;
                 }
             }
             let open_mask = mask & !accept_mask;
@@ -451,6 +463,7 @@ pub fn force_phase_grouped<E: Env>(
             }
         }
 
+        let pmasks = &pmask_buf[..plen];
         stats.groups += 1;
         stats.list_entries += (dlen + plen) as u64;
 
@@ -465,38 +478,57 @@ pub fn force_phase_grouped<E: Env>(
         let pys = row.ys.peek_slice(cap - plen..cap);
         let pzs = row.zs.peek_slice(cap - plen..cap);
         let pms = row.ms.peek_slice(cap - plen..cap);
-        let pmk = &pmasks[cap - plen..cap];
         #[cfg(debug_assertions)]
         let before = stats.interactions;
-        for i in a0..a1 {
-            let m = i - w0;
-            let b = members[m];
-            let (acc, cnt) = if single {
-                eval_list_seq(xs, ys, zs, ms, mpos[m], params.gravity, eps2)
-            } else {
-                let dense =
-                    eval_list_lanes::<EVAL_LANES>(xs, ys, zs, ms, mpos[m], params.gravity, eps2);
-                let (part, pcnt) = eval_masked_lanes::<EVAL_LANES>(
-                    pxs,
-                    pys,
-                    pzs,
-                    pms,
-                    pmk,
-                    m as u32,
-                    mpos[m],
-                    params.gravity,
-                    eps2,
-                );
-                let cnt = dlen as u32 + pcnt
-                    - ((self_in_dense >> m) & 1) as u32
-                    - ((self_in_partial >> m) & 1) as u32;
-                (dense + part, cnt)
-            };
-            env.compute(ctx, INTERACT_CYCLES * u64::from(cnt));
-            world.acc.store(env, ctx, b as usize, acc);
-            // Exact count (no floor): costzones guards zero at read time.
-            world.cost.store(env, ctx, b as usize, cnt);
-            stats.interactions += u64::from(cnt);
+        // Sub-groups are the aligned runs of `EVAL_LANES` members of the
+        // window, so — like the window itself — they do not depend on the
+        // zone cut: a cut sub-group is evaluated whole by both owners and
+        // each keeps the lanes of its own members.
+        for m0 in ((a0 - w0) / EVAL_LANES * EVAL_LANES..a1 - w0).step_by(EVAL_LANES) {
+            let m1 = (m0 + EVAL_LANES).min(len);
+            // A short last run pads its lanes with a member's position; no
+            // mask names them, so they weigh 0.
+            let mut lanes = [mpos[m0]; EVAL_LANES];
+            lanes[..m1 - m0].copy_from_slice(&mpos[m0..m1]);
+            let visits = subgroup_entries(pmasks, m0 as u32, &mut pidx);
+            let (pax, pay, paz, pcnt) = eval_partial_lanes(
+                pxs,
+                pys,
+                pzs,
+                pms,
+                pmasks,
+                &pidx[..visits],
+                m0 as u32,
+                &lanes,
+                params.gravity,
+                eps2,
+            );
+            for m in m0.max(a0 - w0)..m1.min(a1 - w0) {
+                let b = members[m];
+                let (acc, cnt) = if single {
+                    eval_list_seq(xs, ys, zs, ms, mpos[m], params.gravity, eps2)
+                } else {
+                    let dense = eval_list_lanes::<EVAL_LANES>(
+                        xs,
+                        ys,
+                        zs,
+                        ms,
+                        mpos[m],
+                        params.gravity,
+                        eps2,
+                    );
+                    let l = m - m0;
+                    let cnt = dlen as u32 + pcnt[l]
+                        - ((self_in_dense >> m) & 1) as u32
+                        - ((self_in_partial >> m) & 1) as u32;
+                    (dense + Vec3::new(pax[l], pay[l], paz[l]), cnt)
+                };
+                env.compute(ctx, INTERACT_CYCLES * u64::from(cnt));
+                world.acc.store(env, ctx, b as usize, acc);
+                // Exact count (no floor): costzones guards zero at read time.
+                world.cost.store(env, ctx, b as usize, cnt);
+                stats.interactions += u64::from(cnt);
+            }
         }
         #[cfg(debug_assertions)]
         {
@@ -509,7 +541,7 @@ pub fn force_phase_grouped<E: Env>(
                 let m = i - w0;
                 let mut per = dlen as u64;
                 if !single {
-                    for &pm in pmk {
+                    for &pm in pmasks {
                         per += (pm >> m) & 1;
                     }
                     per -= (self_in_dense >> m) & 1;
@@ -528,6 +560,26 @@ pub fn force_phase_grouped<E: Env>(
         }
     }
     stats
+}
+
+/// Store `mask` as the group's partial mask of rank `len`, doubling the
+/// buffer when it is full. The buffer travels by value so that its pointer
+/// and length stay in registers across the walk: lent out as `&mut` to a
+/// call that can reallocate (`Vec::push`), they are reloaded at every
+/// emission, which cost the walk 1.2 ms of 10.5 at n = 16384.
+#[inline]
+fn push_mask(mut buf: Vec<u64>, len: usize, mask: u64) -> Vec<u64> {
+    #[cold]
+    #[inline(never)]
+    fn doubled(mut buf: Vec<u64>) -> Vec<u64> {
+        buf.resize((2 * buf.len()).max(64), 0);
+        buf
+    }
+    if len == buf.len() {
+        buf = doubled(buf);
+    }
+    buf[len] = mask;
+    buf
 }
 
 /// Sequential list evaluation — the `group_size = 1` path. Entries are
@@ -643,76 +695,92 @@ fn eval_list_lanes<const L: usize>(
     Vec3::new(fold_lanes(&axl), fold_lanes(&ayl), fold_lanes(&azl))
 }
 
-/// Mask-blended variant of [`eval_list_lanes`] for the partial list: the
-/// entry's mask bit for member `m` becomes a 0/1 weight on the scale
-/// factor (`1.0 ·` is exact, `0.0 ·` contributes nothing, and the `r2`
-/// guard keeps the scale finite), so the loop stays branch-free and
-/// vectorizes to packed sqrt/divide with the bit extraction folded in as
-/// integer lanes. Returns the accumulated acceleration and the number of
-/// entries whose mask named the member — the member's own body, if
-/// present, is included and must be subtracted by the caller.
+/// Collect into `out[..returned]`, in emission order, the ranks of the
+/// partial entries whose mask names at least one member of the sub-group
+/// whose first member is bit `shift` — the entries that sub-group visits.
+/// The append is branch-free (store always, advance on a non-empty
+/// nibble): acceptance flips along the boundary band, so a branch here
+/// would mispredict. `out` only ever grows, to the longest list seen.
+fn subgroup_entries(masks: &[u64], shift: u32, out: &mut Vec<u32>) -> usize {
+    if out.len() < masks.len() {
+        out.resize(masks.len(), 0);
+    }
+    let out = &mut out[..masks.len()];
+    let nibble = (1u64 << EVAL_LANES) - 1;
+    let mut len = 0;
+    for (j, &mask) in masks.iter().enumerate() {
+        out[len] = j as u32;
+        len += usize::from((mask >> shift) & nibble != 0);
+    }
+    len
+}
+
+/// Evaluation of the partial half for one sub-group: the [`EVAL_LANES`]
+/// lanes are as many consecutive *members* (mask bits from `shift` up,
+/// positions `pos`), not entries seen by one member. Each visited entry is
+/// broadcast to the lanes and weighted by the member's mask bit (`1.0 ·`
+/// is exact, `0.0 ·` contributes nothing), so a member's accumulator is
+/// summed over its own entries in emission order — the loop is
+/// branch-free and every vector of square roots and divides it issues
+/// holds at least one real interaction.
+///
+/// `xs..ms` are the row's partial half, which grows *down*: the entry of
+/// emission rank `j` (mask `masks[j]`) sits at position `len - 1 - j`.
+/// `idx` lists the ranks to visit ([`subgroup_entries`]). Returns each
+/// lane's acceleration and the number of entries that named it — its own
+/// body, if present, included; the caller subtracts that.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-fn eval_masked_lanes<const L: usize>(
+fn eval_partial_lanes(
     xs: &[f64],
     ys: &[f64],
     zs: &[f64],
     ms: &[f64],
     masks: &[u64],
-    m: u32,
-    pos: Vec3,
+    idx: &[u32],
+    shift: u32,
+    pos: &[Vec3; EVAL_LANES],
     gravity: f64,
     eps2: f64,
-) -> (Vec3, u32) {
-    let n = xs.len().min(masks.len());
+) -> (
+    [f64; EVAL_LANES],
+    [f64; EVAL_LANES],
+    [f64; EVAL_LANES],
+    [u32; EVAL_LANES],
+) {
+    const L: usize = EVAL_LANES;
+    // One length for all five slices: a rank below it indexes each of them.
+    let n = masks.len();
+    let (xs, ys, zs, ms) = (&xs[..n], &ys[..n], &zs[..n], &ms[..n]);
+    let px: [f64; L] = std::array::from_fn(|l| pos[l].x);
+    let py: [f64; L] = std::array::from_fn(|l| pos[l].y);
+    let pz: [f64; L] = std::array::from_fn(|l| pos[l].z);
     let mut axl = [0.0f64; L];
     let mut ayl = [0.0f64; L];
     let mut azl = [0.0f64; L];
     let mut cntl = [0u64; L];
-    let mut k = 0;
-    while k + L <= n {
-        let xc = &xs[k..k + L];
-        let yc = &ys[k..k + L];
-        let zc = &zs[k..k + L];
-        let mc = &ms[k..k + L];
-        let mks = &masks[k..k + L];
+    for &j in idx {
+        let j = j as usize;
+        let k = n - 1 - j;
+        let bits = masks[j] >> shift;
+        let (x, y, z, m) = (xs[k], ys[k], zs[k], ms[k]);
         for l in 0..L {
-            let bit = (mks[l] >> m) & 1;
-            let dx = xc[l] - pos.x;
-            let dy = yc[l] - pos.y;
-            let dz = zc[l] - pos.z;
-            let r2 = (dx * dx + dy * dy + dz * dz + eps2).max(f64::MIN_POSITIVE);
-            let r = r2.sqrt();
-            let sca = bit as f64 * gravity * mc[l] / (r2 * r);
-            axl[l] += dx * sca;
-            ayl[l] += dy * sca;
-            azl[l] += dz * sca;
+            let bit = (bits >> l) & 1;
+            accum_pair(
+                x - px[l],
+                y - py[l],
+                z - pz[l],
+                bit as f64 * m,
+                gravity,
+                eps2,
+                &mut axl[l],
+                &mut ayl[l],
+                &mut azl[l],
+            );
             cntl[l] += bit;
         }
-        k += L;
     }
-    let mut cnt: u64 = cntl.iter().sum();
-    // Remainder entries round-robin into the lanes.
-    let mut lane = 0;
-    while k < n {
-        let bit = (masks[k] >> m) & 1;
-        let dx = xs[k] - pos.x;
-        let dy = ys[k] - pos.y;
-        let dz = zs[k] - pos.z;
-        let r2 = (dx * dx + dy * dy + dz * dz + eps2).max(f64::MIN_POSITIVE);
-        let r = r2.sqrt();
-        let sca = bit as f64 * gravity * ms[k] / (r2 * r);
-        axl[lane] += dx * sca;
-        ayl[lane] += dy * sca;
-        azl[lane] += dz * sca;
-        cnt += bit;
-        lane = (lane + 1) % L;
-        k += 1;
-    }
-    (
-        Vec3::new(fold_lanes(&axl), fold_lanes(&ayl), fold_lanes(&azl)),
-        cnt as u32,
-    )
+    (axl, ayl, azl, cntl.map(|c| c as u32))
 }
 
 /// Fixed-order pairwise reduction of the accumulator lanes.
@@ -838,6 +906,7 @@ mod tests {
     use super::*;
     use crate::body::Body;
     use crate::model::Model;
+    use crate::rng::SmallRng;
 
     #[test]
     fn pair_accel_points_toward_source() {
@@ -924,6 +993,154 @@ mod tests {
         let (_, n_loose) = seq_accel(&tree, &pos, &mass, 0, &loose);
         let (_, n_tight) = seq_accel(&tree, &pos, &mass, 0, &tight);
         assert!(n_loose < n_tight, "loose {n_loose} vs tight {n_tight}");
+    }
+
+    const G: f64 = 0.75;
+    const EPS2: f64 = 0.0025;
+
+    fn random_vec3(rng: &mut SmallRng) -> Vec3 {
+        Vec3::new(
+            rng.gen_range(-1.0, 1.0),
+            rng.gen_range(-1.0, 1.0),
+            rng.gen_range(-1.0, 1.0),
+        )
+    }
+
+    fn random_lanes(rng: &mut SmallRng) -> [Vec3; EVAL_LANES] {
+        std::array::from_fn(|_| random_vec3(rng))
+    }
+
+    /// A partial half in emission order.
+    struct PartialList {
+        src: Vec<Vec3>,
+        mass: Vec<f64>,
+    }
+
+    impl PartialList {
+        fn random(rng: &mut SmallRng, n: usize) -> PartialList {
+            PartialList {
+                src: (0..n).map(|_| random_vec3(rng)).collect(),
+                mass: (0..n).map(|_| rng.gen_range(0.1, 2.0)).collect(),
+            }
+        }
+
+        /// The `(x, y, z, mass)` columns in emission order.
+        fn columns(&self) -> [Vec<f64>; 4] {
+            [
+                self.src.iter().map(|p| p.x).collect(),
+                self.src.iter().map(|p| p.y).collect(),
+                self.src.iter().map(|p| p.z).collect(),
+                self.mass.clone(),
+            ]
+        }
+
+        /// The evaluator as the kernel drives it — columns laid out as the
+        /// row holds them (rank `j` at position `n - 1 - j`), index list
+        /// from the masks, then the lanes; per-lane `(acceleration, count)`.
+        fn eval_subgroup(
+            &self,
+            masks: &[u64],
+            shift: u32,
+            lanes: &[Vec3; EVAL_LANES],
+        ) -> [(Vec3, u32); EVAL_LANES] {
+            let [xs, ys, zs, ms] = self.columns().map(|mut c| {
+                c.reverse();
+                c
+            });
+            let mut idx = Vec::new();
+            let visits = subgroup_entries(masks, shift, &mut idx);
+            let idx = &idx[..visits];
+            let (ax, ay, az, cnt) =
+                eval_partial_lanes(&xs, &ys, &zs, &ms, masks, idx, shift, lanes, G, EPS2);
+            std::array::from_fn(|l| (Vec3::new(ax[l], ay[l], az[l]), cnt[l]))
+        }
+    }
+
+    fn assert_same_bits(label: &str, got: Vec3, want: Vec3) {
+        for (g, w) in [(got.x, want.x), (got.y, want.y), (got.z, want.z)] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{label}: {got:?} vs {want:?}");
+        }
+    }
+
+    #[test]
+    fn partial_lanes_match_a_scalar_loop_over_each_members_entries() {
+        let mut rng = SmallRng::seed_from_u64(0x7061_7274);
+        for shift in [0u32, 4, 28, 60] {
+            for n in [1usize, 7, 64, 301] {
+                let list = PartialList::random(&mut rng, n);
+                let masks: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+                let lanes = random_lanes(&mut rng);
+                let mut idx = Vec::new();
+                let visits = subgroup_entries(&masks, shift, &mut idx);
+                let visited: Vec<u32> = (0..n as u32)
+                    .filter(|&j| (masks[j as usize] >> shift) & 0xF != 0)
+                    .collect();
+                assert_eq!(idx[..visits], visited[..], "shift {shift} n {n}");
+                let got = list.eval_subgroup(&masks, shift, &lanes);
+                for (l, &(acc, cnt)) in got.iter().enumerate() {
+                    let mut want = Vec3::ZERO;
+                    let mut want_cnt = 0;
+                    for (j, &mask) in masks.iter().enumerate() {
+                        if (mask >> (shift + l as u32)) & 1 == 1 {
+                            let d = list.src[j] - lanes[l];
+                            let r2 = d.norm_sq() + EPS2;
+                            want += d * (G * list.mass[j] / (r2 * r2.sqrt()));
+                            want_cnt += 1;
+                        }
+                    }
+                    assert_same_bits(&format!("shift {shift} n {n} lane {l}"), acc, want);
+                    assert_eq!(cnt, want_cnt, "shift {shift} n {n} lane {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partial_lanes_with_every_bit_set_equal_the_sequential_evaluation() {
+        let mut rng = SmallRng::seed_from_u64(0x6675_6c6c);
+        let n = 97;
+        let list = PartialList::random(&mut rng, n);
+        let lanes = random_lanes(&mut rng);
+        let [xs, ys, zs, ms] = list.columns();
+        let got = list.eval_subgroup(&vec![!0u64; n], 8, &lanes);
+        for (l, &(acc, cnt)) in got.iter().enumerate() {
+            let (want, want_cnt) = eval_list_seq(&xs, &ys, &zs, &ms, lanes[l], G, EPS2);
+            assert_same_bits(&format!("lane {l}"), acc, want);
+            assert_eq!(cnt, want_cnt);
+        }
+    }
+
+    #[test]
+    fn padded_lane_of_a_short_sub_group_is_exactly_zero() {
+        // A group tail of three members: no mask names bit 3 of the
+        // sub-group, and the kernel pads the lane with a member's position.
+        let mut rng = SmallRng::seed_from_u64(0x7061_6464);
+        let n = 50;
+        let list = PartialList::random(&mut rng, n);
+        let masks: Vec<u64> = (0..n).map(|_| rng.next_u64() & (0b0111 << 4)).collect();
+        let mut lanes = random_lanes(&mut rng);
+        lanes[3] = lanes[0];
+        let got = list.eval_subgroup(&masks, 4, &lanes);
+        assert!(got[..3].iter().all(|&(_, cnt)| cnt > 0));
+        let (acc, cnt) = got[3];
+        assert_same_bits("padded lane", acc, Vec3::ZERO);
+        assert_eq!(cnt, 0);
+    }
+
+    #[test]
+    fn empty_index_list_returns_zeros_without_reading_the_row() {
+        // No mask names this sub-group: nothing is visited, so not even a
+        // row of NaNs can reach the accumulators.
+        let n = 12;
+        let list = PartialList {
+            src: vec![Vec3::new(f64::NAN, f64::NAN, f64::NAN); n],
+            mass: vec![f64::NAN; n],
+        };
+        let lanes = random_lanes(&mut SmallRng::seed_from_u64(1));
+        for (acc, cnt) in list.eval_subgroup(&vec![0xF0u64; n], 0, &lanes) {
+            assert_same_bits("unvisited", acc, Vec3::ZERO);
+            assert_eq!(cnt, 0);
+        }
     }
 
     #[test]

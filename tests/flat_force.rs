@@ -14,7 +14,7 @@
 //! sequential walk's floating-point operation sequence and is the bitwise
 //! anchor; it is also bitwise independent of the processor count.
 
-use bh_repro::bh_core::force::{group_window, seq_accel, zone_group_windows};
+use bh_repro::bh_core::force::{group_window, seq_accel, zone_group_windows, EVAL_LANES};
 use bh_repro::bh_core::prelude::*;
 use bh_repro::bh_core::rng::SmallRng;
 use bh_repro::bh_core::seq_app::seq_run;
@@ -57,38 +57,114 @@ fn assert_bitwise(label: &str, a: &[Body], b: &[Body]) {
     }
 }
 
-#[test]
-fn kernel_matches_sequential_reference_for_every_algorithm_group_size_and_procs() {
-    let bodies = Model::Plummer.generate(1200, 42);
-    let cfg = SimConfig::new(Algorithm::Orig);
-    let tree = SeqTree::build(&bodies, cfg.k);
+/// `seq_accel`'s `(acceleration, interaction count)` for every body.
+fn seq_accels(bodies: &[Body], cfg: &SimConfig) -> Vec<(Vec3, u32)> {
+    let tree = SeqTree::build(bodies, cfg.k);
     let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
     let mass: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
-    let expect: u64 = (0..bodies.len() as u32)
-        .map(|b| u64::from(seq_accel(&tree, &pos, &mass, b, &cfg.force).1))
-        .sum();
-    let mut seq = bodies.clone();
-    seq_run(&mut seq, cfg.k, &cfg.force, cfg.dt, 1);
+    (0..bodies.len() as u32)
+        .map(|b| seq_accel(&tree, &pos, &mass, b, &cfg.force))
+        .collect()
+}
 
-    for alg in Algorithm::ALL {
-        for gs in [1, 16, 33] {
-            for procs in [1, 4] {
-                let (stats, par) = run_grouped(alg, procs, gs, &bodies, 1);
-                assert_eq!(
-                    stats.force_interactions(),
-                    expect,
-                    "{alg} gs={gs} {procs}p: interaction total differs from seq_accel's"
-                );
-                let worst = par
-                    .iter()
-                    .zip(&seq)
-                    .map(|(a, b)| (a.vel - b.vel).norm() / b.vel.norm())
-                    .fold(0.0f64, f64::max);
-                assert!(
-                    worst <= 1e-12,
-                    "{alg} gs={gs} {procs}p: velocities differ from seq_run by {worst:e}"
-                );
+#[test]
+fn kernel_matches_sequential_reference_for_every_algorithm_group_size_and_procs() {
+    // n ≡ 1, 2, 3 (mod 4) leaves the last group's last sub-group short (and
+    // at n = 1201 the last group of 16 a lone body); group sizes 2, 3 and 5
+    // make every group end in a short sub-group, 4 and 64 are the smallest
+    // and the widest group of whole sub-groups.
+    let cfg = SimConfig::new(Algorithm::Orig);
+    let mut worst_all = 0.0f64;
+    for n in [1201, 1202, 1203] {
+        let bodies = Model::Plummer.generate(n, 42);
+        let expect: u64 = seq_accels(&bodies, &cfg)
+            .iter()
+            .map(|&(_, cnt)| u64::from(cnt))
+            .sum();
+        let mut seq = bodies.clone();
+        seq_run(&mut seq, cfg.k, &cfg.force, cfg.dt, 1);
+        for alg in Algorithm::ALL {
+            for gs in [1, 2, 3, 4, 5, 16, 33, 64] {
+                for procs in [1, 4] {
+                    let (stats, par) = run_grouped(alg, procs, gs, &bodies, 1);
+                    assert_eq!(
+                        stats.force_interactions(),
+                        expect,
+                        "n={n} {alg} gs={gs} {procs}p: interaction total differs from seq_accel's"
+                    );
+                    let worst = par
+                        .iter()
+                        .zip(&seq)
+                        .map(|(a, b)| (a.vel - b.vel).norm() / b.vel.norm())
+                        .fold(0.0f64, f64::max);
+                    assert!(
+                        worst <= 1e-12,
+                        "n={n} {alg} gs={gs} {procs}p: velocities differ from seq_run by {worst:e}"
+                    );
+                    worst_all = worst_all.max(worst);
+                }
             }
+        }
+    }
+    // DESIGN.md §5b quotes this figure (`--nocapture` to see it).
+    println!("worst relative velocity deviation from seq_run: {worst_all:e}");
+}
+
+#[test]
+fn zone_cut_inside_a_sub_group_is_evaluated_by_both_owners() {
+    // Drive the stages by hand so the zones are in reach: with three
+    // processors over 1203 bodies costzones cuts the order where no aligned
+    // run of four members ends, so both neighbours evaluate the cut
+    // sub-group and each must keep exactly its own members' lanes. Every
+    // body's acceleration and interaction count is held to `seq_accel`.
+    use bh_repro::bh_core::algorithms::common::bounds_phase;
+    use bh_repro::bh_core::algorithms::Builder;
+    use bh_repro::bh_core::force::{force_phase_grouped, ForceScratch};
+    use bh_repro::bh_core::partition::costzones;
+    use bh_repro::bh_core::tree::flat::FlatTree;
+
+    let (n, procs) = (1203, 3);
+    let bodies = Model::Plummer.generate(n, 42);
+    let cfg = SimConfig::new(Algorithm::Orig);
+    let (alg, k) = (cfg.algorithm, cfg.k);
+    let expect = seq_accels(&bodies, &cfg);
+
+    let env = NativeEnv::new(procs);
+    let pool = WorkerPool::new(procs);
+    let world = World::new(&env, &bodies);
+    let tree = SharedTree::new(&env, n, k, alg.layout());
+    let flat = FlatTree::new(&env, n, k, alg.layout());
+    let scratch = ForceScratch::new(&env, &flat, n, procs);
+    let builder = Builder::new(&env, alg, n, k);
+    pool.run(&env, |proc, ctx| {
+        let cube = bounds_phase(&env, ctx, &world, proc);
+        builder.build(&env, ctx, &tree, &world, proc, 0, cube);
+        env.barrier(ctx);
+        builder.com(&env, ctx, &tree, &world, proc, 0);
+        env.barrier(ctx);
+        let plan = flat.plan(&env, ctx, &tree);
+        flat.publish_counts(&env, ctx, &tree, &plan, proc);
+        env.barrier(ctx);
+        flat.fill(&env, ctx, &tree, &plan, proc);
+        costzones(&env, ctx, &tree, &world, proc);
+        env.barrier(ctx);
+    });
+    for gs in [5, 16, 64] {
+        assert!(
+            (1..procs).any(|q| !(world.zone(q).0 % gs).is_multiple_of(EVAL_LANES)),
+            "gs={gs}: no zone cut falls inside a sub-group; pick another shape"
+        );
+        pool.run(&env, |proc, ctx| {
+            force_phase_grouped(&env, ctx, &flat, &world, &cfg.force, &scratch, gs, proc);
+            env.barrier(ctx);
+        });
+        for (b, &(acc, cnt)) in expect.iter().enumerate() {
+            assert_eq!(world.cost.peek(b), cnt, "gs={gs} body {b}: count");
+            let rel = (world.acc.peek(b) - acc).norm() / acc.norm();
+            assert!(
+                rel <= 1e-12,
+                "gs={gs} body {b}: acceleration off by {rel:e}"
+            );
         }
     }
 }
