@@ -66,12 +66,17 @@ REPRO="$PWD/target/release/repro"
 "$REPRO" check-trace "$SMOKE_DIR/trace.json"
 # The committed treebuild records (simulated metrics only) keep the schema.
 "$REPRO" check-json BENCH_small.json
+# One experiment's own job list: Figure 13's grid is 4 sizes x 6 algorithms
+# on one platform, which at tiny is 2 distinct sizes, so 2 baselines + 12 runs.
+(cd "$SMOKE_DIR" && timeout 120 "$REPRO" fig13 --scale tiny --jobs 2 2>fig13.err >/dev/null)
+grep -q '^\[sweep: 14 job(s)' "$SMOKE_DIR/fig13.err" || {
+    echo "fig13 --jobs 2 did not prewarm 14 jobs:"; cat "$SMOKE_DIR/fig13.err"; exit 1; }
 
 echo "== report lane (attributed telemetry + scaling analysis) =="
 # Smoke-run the scaling/analysis subsystem and schema-check what it emits;
 # check-json also re-derives the attribution tiling property from the
-# report_comm records alone. The schema-drift test (every emitted metric
-# key covered by the validator) runs with the library tests above.
+# report_comm records alone. Emitter and validator read one declaration
+# (records::RECORD_TYPES), so a record cannot carry an unvalidated key.
 (cd "$SMOKE_DIR" && "$REPRO" report --scale tiny >/dev/null)
 "$REPRO" check-json "$SMOKE_DIR/REPORT_tiny.json"
 
@@ -93,6 +98,13 @@ sweep() {
     fi
     return "$rc"
 }
+# The prewarm covers the render: after the tiny matrix's 93 jobs, drawing all
+# thirteen tables adds no entry to either run cache. #[ignore]d in the suite
+# for the same livelock, and because it must have the process-wide caches to
+# itself; hence by name, alone, under the same bound (built outside it).
+cargo test --offline --release -q -p bh-experiments --lib --no-run
+timeout 120 cargo test --offline --release -q -p bh-experiments --lib -- \
+    --ignored rendering_after_the_prewarm_computes_nothing
 sweep table1 --scale tiny --jobs 2 --json table1_j2.json
 sweep table1 --scale tiny --jobs 1 --json table1_j1.json
 cmp "$SMOKE_DIR/table1_j2.json" "$SMOKE_DIR/table1_j1.json"

@@ -2,13 +2,14 @@
 //!
 //! ```text
 //! repro <experiment|all|matrix> [--scale tiny|small|full] [--jobs <N>]
-//!       [--json <path>] [--trace <path>]
+//!       [--json <path>] [--trace <path>] [--group-size <N>]
+//! repro report [--scale <scale>] [--json <path>]
 //! repro check-json <path>
 //! repro check-trace <path>
-//!
-//! experiments: table1 fig6 fig7 fig8 fig9 fig10 fig11 table2
-//!              fig12 fig13 fig14 sc442 fig15 treebuild
 //! ```
+//!
+//! The experiments are the entries of `experiments::EXPERIMENTS`; the usage
+//! banner (`repro` with no arguments) lists their names from that table.
 //!
 //! `--scale small` (default) runs the paper's problem sizes divided by 8;
 //! `--scale full` runs the paper sizes (slow); `--scale tiny` is a smoke
@@ -16,12 +17,13 @@
 //! machine-readable record.
 //!
 //! `matrix` runs every *cached* experiment (everything except `treebuild`,
-//! whose table carries native wall-time rows).
+//! which traces its own runs).
 //!
 //! `--jobs N` prewarms the run caches with the sweep scheduler: the
-//! deduplicated (platform, algorithm, n, procs) job list is executed across
-//! N scheduler threads, then the tables are generated serially from the
-//! caches. The scheduler changes wall-clock time only, never which
+//! deduplicated (platform, algorithm, n, procs) job list of the selected
+//! experiments' grids is executed across N scheduler threads, then the
+//! tables are generated serially from the caches. The scheduler changes
+//! wall-clock time only, never which
 //! configurations are computed. Single-processor experiments (`table1`) are
 //! bitwise deterministic, so their output is byte-identical across any
 //! `--jobs` setting; multi-processor simulated timings carry run-to-run
@@ -29,8 +31,8 @@
 //! `check-same` verifies structural equality of two documents.
 //!
 //! The `treebuild` experiment (also part of `all`) instruments every
-//! algorithm with `TraceEnv` on both a native machine and a simulated
-//! Origin2000, emits `BENCH_<scale>.json` with per-algorithm simulated
+//! algorithm with `TraceEnv` on a simulated Origin2000, emits
+//! `BENCH_<scale>.json` with per-algorithm simulated
 //! tree-build metrics (host time is `bhbench`'s job, see `bench/README.md`),
 //! and — with `--trace <path>` — writes a Chrome/Perfetto trace with one
 //! track per processor.
@@ -49,11 +51,10 @@
 
 use bh_core::force::MAX_GROUP_SIZE;
 use bh_experiments::cliargs;
-use bh_experiments::experiments::{self, TREEBUILD_FIELDS};
+use bh_experiments::experiments::{self, Experiment, EXPERIMENTS};
 use bh_experiments::json::Json;
-use bh_experiments::report;
+use bh_experiments::records;
 use bh_experiments::runner::ExperimentScale;
-use bh_experiments::sweep;
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 
@@ -67,8 +68,13 @@ fn usage_text() -> String {
          \x20      repro check-same <a> <b>\n\
          experiments: {}",
         ExperimentScale::NAMES.join("|"),
-        experiments::EXPERIMENT_NAMES.join(" ")
+        experiment_names(" ")
     )
+}
+
+fn experiment_names(separator: &str) -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    names.join(separator)
 }
 
 /// Print a specific diagnostic plus the usage banner, then exit non-zero.
@@ -177,18 +183,21 @@ fn main() {
         i += 1;
     }
     let which = which.unwrap_or_else(|| die("missing experiment name"));
-    if group_size.is_some() && !matches!(which.as_str(), "all" | "treebuild" | "tb") {
-        die("--group-size only affects the 'treebuild' experiment (or 'all')");
-    }
 
     // The scaling/analysis report: communication-by-data-structure breakdown
     // (attribution-enabled runs), speedup/efficiency curves over a processor
     // sweep with crossover points, and repeat-aware per-step summaries.
     // Emits REPORT_<scale>.json alongside the text tables; `check-json`
-    // validates it against the report schemas.
+    // validates it against the declared record types.
     if which == "report" {
-        if trace_path.is_some() {
-            die("--trace is only produced by the 'treebuild' experiment (or 'all')");
+        for (flag, given) in [
+            ("--trace", trace_path.is_some()),
+            ("--group-size", group_size.is_some()),
+            ("--jobs", jobs > 1),
+        ] {
+            if given {
+                die(&format!("{flag} does not apply to 'report'"));
+            }
         }
         let t0 = std::time::Instant::now();
         let r = bh_experiments::report::scaling_report(scale);
@@ -202,29 +211,38 @@ fn main() {
             r.tables.len(),
             t0.elapsed().as_secs_f64()
         );
-        if let Some(path) = json_path {
-            let objects: Vec<String> = r
-                .tables
-                .iter()
-                .map(|t| format!("  {}", t.to_json()))
-                .collect();
-            let mut f = std::fs::File::create(&path).expect("create json output");
-            writeln!(f, "[\n{}\n]", objects.join(",\n")).expect("write json");
-            eprintln!("[wrote {path}]");
-        }
+        write_tables_json(json_path.as_deref(), &r.tables);
         return;
+    }
+
+    let selected: Vec<&Experiment> = match which.as_str() {
+        "all" => EXPERIMENTS.iter().collect(),
+        "matrix" => experiments::matrix().collect(),
+        name => match experiments::find(name) {
+            Some(e) => vec![e],
+            None => die(&format!(
+                "unknown experiment '{which}' (valid: all, matrix, report, {})",
+                experiment_names(", ")
+            )),
+        },
+    };
+    // Only `treebuild` (the entry without cached runs) traces, and only it
+    // takes a group size.
+    if selected.iter().all(|e| e.spec.is_some()) {
+        if group_size.is_some() {
+            die("--group-size only affects the 'treebuild' experiment (or 'all')");
+        }
+        if trace_path.is_some() {
+            die("--trace is only produced by the 'treebuild' experiment (or 'all')");
+        }
     }
 
     // Prewarm the run caches with the sweep scheduler; the serial table
     // generation below then only performs lookups. Progress goes to stderr
     // so the emitted documents stay byte-identical to a --jobs 1 run.
     if jobs > 1 {
-        let sched = if which == "all" || which == "matrix" {
-            Some(sweep::all_jobs(scale))
-        } else {
-            sweep::jobs_for(&which, scale)
-        };
-        if let Some(sched) = sched {
+        let sched = experiments::prewarm_jobs(selected.iter().copied(), scale);
+        if !sched.is_empty() {
             let t = std::time::Instant::now();
             let count = sched.run(jobs);
             eprintln!(
@@ -236,21 +254,15 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     let mut tables = Vec::new();
-    let mut report = None;
-    if which == "all" || which == "matrix" {
-        tables = experiments::all_experiments(scale);
-    }
-    if which == "all" || which == "treebuild" || which == "tb" {
-        let r = experiments::treebuild_with(scale, group_size);
-        tables.push(r.table.clone());
-        report = Some(r);
-    } else if which != "matrix" {
-        match experiments::by_name(&which, scale) {
-            Some(t) => tables.push(t),
-            None => die(&format!(
-                "unknown experiment '{which}' (valid: all, matrix, report, {})",
-                experiments::EXPERIMENT_NAMES.join(", ")
-            )),
+    let mut traced = None;
+    for e in &selected {
+        match e.spec {
+            Some(spec) => tables.push(spec(scale).table(e.id)),
+            None => {
+                let r = experiments::treebuild(scale, group_size);
+                tables.push(r.table.clone());
+                traced = Some(r);
+            }
         }
     }
     for t in &tables {
@@ -261,8 +273,7 @@ fn main() {
         tables.len(),
         t0.elapsed().as_secs_f64()
     );
-
-    if let Some(r) = &report {
+    if let Some(r) = &traced {
         let bench_path = format!("BENCH_{}.json", scale.name());
         std::fs::write(&bench_path, &r.bench_json).expect("write bench json");
         eprintln!("[wrote {bench_path}]");
@@ -270,19 +281,20 @@ fn main() {
             std::fs::write(path, &r.trace_json).expect("write trace json");
             eprintln!("[wrote {path} — open in https://ui.perfetto.dev]");
         }
-    } else if trace_path.is_some() {
-        die("--trace is only produced by the 'treebuild' experiment (or 'all')");
     }
+    write_tables_json(json_path.as_deref(), &tables);
+}
 
-    if let Some(path) = json_path {
-        let objects: Vec<String> = tables
-            .iter()
-            .map(|t| format!("  {}", t.to_json()))
-            .collect();
-        let mut f = std::fs::File::create(&path).expect("create json output");
-        writeln!(f, "[\n{}\n]", objects.join(",\n")).expect("write json");
-        eprintln!("[wrote {path}]");
-    }
+/// `--json <path>`: the rendered tables as one array document.
+fn write_tables_json(path: Option<&str>, tables: &[bh_experiments::Table]) {
+    let Some(path) = path else { return };
+    let objects: Vec<String> = tables
+        .iter()
+        .map(|t| format!("  {}", t.to_json()))
+        .collect();
+    let mut f = std::fs::File::create(path).expect("create json output");
+    writeln!(f, "[\n{}\n]", objects.join(",\n")).expect("write json");
+    eprintln!("[wrote {path}]");
 }
 
 /// `repro verify` — run the schedule-exploration verification matrix: every
@@ -427,12 +439,10 @@ fn load(path: &str) -> Json {
 
 /// Validate an experiment-table, BENCH or REPORT document: well-formed
 /// JSON, a non-empty array of objects. Table dumps are keyed by `id`; a
-/// record with an `experiment` field must be a `treebuild` record carrying
-/// every [`TREEBUILD_FIELDS`] name as a number, or a `report_*` record
-/// matching [`bh_experiments::report::REPORT_SCHEMAS`] — any other
-/// `experiment` value is an error. The `report_comm` breakdown is re-checked
-/// for the tiling property from the document alone: per-region rows must sum
-/// exactly to their configuration's "total" row.
+/// record with an `experiment` field must match its declaration in
+/// [`records::RECORD_TYPES`] — any other `experiment` value is an error.
+/// The `report_comm` breakdown is re-checked for the tiling property from
+/// the document alone.
 fn check_json(path: &str) {
     let doc = load(path);
     let items = doc
@@ -441,67 +451,16 @@ fn check_json(path: &str) {
     if items.is_empty() {
         die(&format!("{path}: empty document"));
     }
-    // (platform, algorithm) -> (sum of region rows, total row), per metric.
-    let mut comm_sums: HashMap<(String, String), [f64; 2]> = HashMap::new();
-    let mut comm_totals: HashMap<(String, String), [f64; 2]> = HashMap::new();
     for (i, item) in items.iter().enumerate() {
-        let Some(experiment) = item.get("experiment") else {
-            if item.get("id").is_none() {
-                die(&format!(
-                    "{path}: record {i} has neither an \"experiment\" nor an \"id\" field"
-                ));
-            }
-            continue;
-        };
-        let experiment = experiment.as_str();
-        if experiment == Some("treebuild") {
-            if item.get("algorithm").and_then(Json::as_str).is_none() {
-                die(&format!("{path}: treebuild record {i} lacks \"algorithm\""));
-            }
-            for field in TREEBUILD_FIELDS {
-                if item.get(field).and_then(Json::as_f64).is_none() {
-                    die(&format!(
-                        "{path}: treebuild record {i} lacks numeric \"{field}\""
-                    ));
-                }
-            }
-        } else if let Err(e) = report::validate_report_record(item) {
-            die(&format!("{path}: record {i}: {e}"));
-        }
-        if experiment == Some("report_comm") {
-            let key = (
-                item.get("platform")
-                    .and_then(Json::as_str)
-                    .unwrap()
-                    .to_string(),
-                item.get("algorithm")
-                    .and_then(Json::as_str)
-                    .unwrap()
-                    .to_string(),
-            );
-            let metrics = [
-                item.get("remote_misses").and_then(Json::as_f64).unwrap(),
-                item.get("lock_wait_cycles").and_then(Json::as_f64).unwrap(),
-            ];
-            if item.get("region").and_then(Json::as_str) == Some("total") {
-                comm_totals.insert(key, metrics);
-            } else {
-                let e = comm_sums.entry(key).or_default();
-                e[0] += metrics[0];
-                e[1] += metrics[1];
-            }
-        }
-    }
-    for (key, total) in &comm_totals {
-        let sum = comm_sums.get(key).copied().unwrap_or_default();
-        if sum != *total {
+        if item.get("experiment").is_some() {
+            records::validate(item).unwrap_or_else(|e| die(&format!("{path}: record {i}: {e}")));
+        } else if item.get("id").is_none() {
             die(&format!(
-                "{path}: report_comm rows for {}/{} do not tile the total \
-                 (regions sum to {:?}, total says {:?})",
-                key.0, key.1, sum, total
+                "{path}: record {i} has neither an \"experiment\" nor an \"id\" field"
             ));
         }
     }
+    records::check_comm_tiling(items).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     println!("{path}: OK ({} record(s))", items.len());
 }
 

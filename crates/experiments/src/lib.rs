@@ -7,6 +7,7 @@
 
 pub mod cliargs;
 pub mod experiments;
+pub mod records;
 pub mod report;
 pub mod runner;
 pub mod sweep;

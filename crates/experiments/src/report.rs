@@ -8,8 +8,8 @@
 //!    misses, faults, invalidations and lock waits are charged to the shared
 //!    [`Region`] they hit and the pipeline stage that incurred them. The
 //!    per-region rows *tile* the aggregate counters exactly — the generator
-//!    asserts it, and [`validate_report_record`]'s caller re-checks it from
-//!    the emitted document.
+//!    asserts it, and `repro check-json` re-checks it from the emitted
+//!    document ([`crate::records::check_comm_tiling`]).
 //! 2. **Speedup/efficiency curves**: per-algorithm speedups over a
 //!    processor-count sweep on each simulated platform, with parallel
 //!    efficiency (speedup / processors).
@@ -24,17 +24,15 @@
 //! run-level mean.
 //!
 //! Everything is emitted twice: human-readable [`Table`]s and a flat JSON
-//! array (`REPORT_<scale>.json`) of typed records whose schemas live in
-//! [`REPORT_SCHEMAS`] — `repro check-json` validates against them, and a
-//! schema-drift test asserts every emitted key is covered.
+//! array (`REPORT_<scale>.json`) of typed records declared in
+//! [`crate::records::RECORD_TYPES`], which `repro check-json` validates
+//! against.
 
+use crate::records::emit;
 use crate::runner::{run_cached, ExperimentScale, WORKLOAD_SEED};
 use crate::tables::{fmt_pct, fmt_speedup, Table};
 use bh_core::prelude::*;
 use ssmp::{platform, slot_name, AttrTable, CostModel, Machine, ATTR_SLOTS};
-
-use crate::experiments::ALGS;
-use crate::json::Json;
 
 /// Complete output of `repro report`.
 #[derive(Debug, Clone)]
@@ -43,89 +41,6 @@ pub struct ScalingReport {
     pub tables: Vec<Table>,
     /// The `REPORT_<scale>.json` document: a flat array of typed records.
     pub json: String,
-}
-
-/// Required fields per record type: (experiment, string fields, numeric
-/// fields). Every record `repro report` emits carries `"experiment"` naming
-/// its type plus exactly the fields listed here — `repro check-json`
-/// validates presence and type, and the schema-drift test asserts no
-/// emitted key escapes validation.
-pub const REPORT_SCHEMAS: &[(&str, &[&str], &[&str])] = &[
-    (
-        "report_comm",
-        &["scale", "platform", "algorithm", "region", "stage"],
-        &[
-            "n",
-            "procs",
-            "local_misses",
-            "remote_misses",
-            "page_faults",
-            "invalidations",
-            "lock_acquires",
-            "lock_wait_cycles",
-        ],
-    ),
-    (
-        "report_scaling",
-        &["scale", "platform", "algorithm"],
-        &[
-            "n",
-            "procs",
-            "total_cycles",
-            "tree_cycles",
-            "seq_cycles",
-            "speedup",
-            "efficiency",
-        ],
-    ),
-    (
-        "report_crossover",
-        &["scale", "platform", "winner", "runner_up"],
-        &["n", "procs", "winner_speedup", "margin", "changed"],
-    ),
-    (
-        "report_steps",
-        &["scale", "platform", "algorithm"],
-        &[
-            "n",
-            "procs",
-            "repeats",
-            "steps",
-            "tree_p50_cycles",
-            "tree_p99_cycles",
-            "total_p50_cycles",
-            "total_p99_cycles",
-            "lock_wait_p50_cycles",
-            "lock_wait_p99_cycles",
-            "imbalance_p50",
-            "imbalance_p99",
-        ],
-    ),
-];
-
-/// Validate one record of a `REPORT_*.json` document against
-/// [`REPORT_SCHEMAS`]: known experiment name, every required string field a
-/// string, every required numeric field a number.
-pub fn validate_report_record(record: &Json) -> Result<(), String> {
-    let exp = record
-        .get("experiment")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "record lacks \"experiment\"".to_string())?;
-    let (_, strs, nums) = REPORT_SCHEMAS
-        .iter()
-        .find(|(name, _, _)| *name == exp)
-        .ok_or_else(|| format!("unknown experiment \"{exp}\""))?;
-    for field in *strs {
-        if record.get(field).and_then(Json::as_str).is_none() {
-            return Err(format!("{exp} record lacks string \"{field}\""));
-        }
-    }
-    for field in *nums {
-        if record.get(field).and_then(Json::as_f64).is_none() {
-            return Err(format!("{exp} record lacks numeric \"{field}\""));
-        }
-    }
-    Ok(())
 }
 
 /// The simulated platforms the report covers: one hardware-coherent CC-NUMA
@@ -200,7 +115,7 @@ fn comm_breakdown(
     );
     let bodies = Model::Plummer.generate(n, WORKLOAD_SEED);
     for cost in platforms(procs) {
-        for alg in ALGS {
+        for alg in Algorithm::ALL {
             let machine = Machine::new(cost.clone(), procs).with_attribution();
             let stats = run_simulation(&machine, &SimConfig::new(alg), &bodies);
             stats.assert_valid();
@@ -292,20 +207,20 @@ fn comm_record(
     stage: &str,
     c: &ssmp::AttrCell,
 ) -> String {
-    format!(
-        "  {{\"experiment\": \"report_comm\", \"scale\": \"{}\", \"platform\": \"{platform}\", \
-         \"algorithm\": \"{}\", \"region\": \"{region}\", \"stage\": \"{stage}\", \
-         \"n\": {n}, \"procs\": {procs}, \
-         \"local_misses\": {}, \"remote_misses\": {}, \"page_faults\": {}, \
-         \"invalidations\": {}, \"lock_acquires\": {}, \"lock_wait_cycles\": {}}}",
-        scale.name(),
-        alg.name(),
-        c.local_misses,
-        c.remote_misses,
-        c.page_faults,
-        c.invalidations,
-        c.lock_acquires,
-        c.lock_wait,
+    emit(
+        "report_comm",
+        &[scale.name(), platform, alg.name(), region, stage],
+        &[
+            n as u64,
+            procs as u64,
+            c.local_misses,
+            c.remote_misses,
+            c.page_faults,
+            c.invalidations,
+            c.lock_acquires,
+            c.lock_wait,
+        ]
+        .map(|v| v.to_string()),
     )
 }
 
@@ -339,13 +254,14 @@ fn scaling_curves(
              lock-heavy algorithms fall off first",
         );
         t.headers = vec!["procs".to_string()];
-        t.headers.extend(ALGS.iter().map(|a| a.name().to_string()));
+        t.headers
+            .extend(Algorithm::ALL.iter().map(|a| a.name().to_string()));
         let mut prev_winner: Option<Algorithm> = None;
         for &p in procs_sweep {
             let cost = maker(p);
             let mut row = vec![p.to_string()];
             let mut by_speedup: Vec<(Algorithm, f64)> = Vec::new();
-            for alg in ALGS {
+            for alg in Algorithm::ALL {
                 let run = run_cached(&cost, alg, n, p);
                 let efficiency = run.speedup / p as f64;
                 row.push(format!(
@@ -354,19 +270,18 @@ fn scaling_curves(
                     fmt_pct(efficiency)
                 ));
                 by_speedup.push((alg, run.speedup));
-                records.push(format!(
-                    "  {{\"experiment\": \"report_scaling\", \"scale\": \"{}\", \
-                     \"platform\": \"{}\", \"algorithm\": \"{}\", \"n\": {n}, \"procs\": {p}, \
-                     \"total_cycles\": {}, \"tree_cycles\": {}, \"seq_cycles\": {}, \
-                     \"speedup\": {:.4}, \"efficiency\": {:.4}}}",
-                    scale.name(),
-                    cost.name,
-                    alg.name(),
-                    run.total_cycles,
-                    run.tree_cycles,
-                    run.seq_cycles,
-                    run.speedup,
-                    efficiency,
+                records.push(emit(
+                    "report_scaling",
+                    &[scale.name(), &cost.name, alg.name()],
+                    &[
+                        n.to_string(),
+                        p.to_string(),
+                        run.total_cycles.to_string(),
+                        run.tree_cycles.to_string(),
+                        run.seq_cycles.to_string(),
+                        format!("{:.4}", run.speedup),
+                        format!("{efficiency:.4}"),
+                    ],
                 ));
             }
             t.rows.push(row);
@@ -386,18 +301,16 @@ fn scaling_curves(
                 format!("+{:.2} vs {}", ws - rs, runner_up.name()),
                 note,
             ]);
-            records.push(format!(
-                "  {{\"experiment\": \"report_crossover\", \"scale\": \"{}\", \
-                 \"platform\": \"{}\", \"winner\": \"{}\", \"runner_up\": \"{}\", \
-                 \"n\": {n}, \"procs\": {p}, \"winner_speedup\": {:.4}, \
-                 \"margin\": {:.4}, \"changed\": {}}}",
-                scale.name(),
-                cost.name,
-                winner.name(),
-                runner_up.name(),
-                ws,
-                ws - rs,
-                if changed { 1 } else { 0 },
+            records.push(emit(
+                "report_crossover",
+                &[scale.name(), &cost.name, winner.name(), runner_up.name()],
+                &[
+                    n.to_string(),
+                    p.to_string(),
+                    format!("{ws:.4}"),
+                    format!("{:.4}", ws - rs),
+                    u8::from(changed).to_string(),
+                ],
             ));
             prev_winner = Some(winner);
         }
@@ -442,7 +355,7 @@ fn step_series(
     );
     let bodies = Model::Plummer.generate(n, WORKLOAD_SEED);
     for cost in platforms(procs) {
-        for alg in ALGS {
+        for alg in Algorithm::ALL {
             let mut tree_times: Vec<u64> = Vec::new();
             let mut totals: Vec<u64> = Vec::new();
             let mut lock_waits: Vec<u64> = Vec::new();
@@ -474,24 +387,15 @@ fn step_series(
             cells.push(format!("{imb50:.3}"));
             cells.push(format!("{imb99:.3}"));
             table.row(cells);
-            records.push(format!(
-                "  {{\"experiment\": \"report_steps\", \"scale\": \"{}\", \
-                 \"platform\": \"{}\", \"algorithm\": \"{}\", \"n\": {n}, \"procs\": {procs}, \
-                 \"repeats\": {}, \"steps\": {steps}, \
-                 \"tree_p50_cycles\": {}, \"tree_p99_cycles\": {}, \
-                 \"total_p50_cycles\": {}, \"total_p99_cycles\": {}, \
-                 \"lock_wait_p50_cycles\": {}, \"lock_wait_p99_cycles\": {}, \
-                 \"imbalance_p50\": {imb50:.4}, \"imbalance_p99\": {imb99:.4}}}",
-                scale.name(),
-                cost.name,
-                alg.name(),
-                repeats.max(1),
-                row[0],
-                row[1],
-                row[2],
-                row[3],
-                row[4],
-                row[5],
+            let mut nums = [n, procs, repeats.max(1), steps]
+                .map(|v| v.to_string())
+                .to_vec();
+            nums.extend(row.iter().map(u64::to_string));
+            nums.extend([format!("{imb50:.4}"), format!("{imb99:.4}")]);
+            records.push(emit(
+                "report_steps",
+                &[scale.name(), &cost.name, alg.name()],
+                &nums,
             ));
         }
     }
@@ -501,7 +405,8 @@ fn step_series(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::json::Json;
+    use crate::records::{check_comm_tiling, validate, RECORD_TYPES};
 
     fn tiny_report() -> ScalingReport {
         scaling_report_sized(ExperimentScale::Tiny, 128, &[1, 2], 2)
@@ -514,44 +419,16 @@ mod tests {
         let doc = Json::parse(&report.json).expect("report JSON must parse");
         let records = doc.as_array().expect("report is an array");
         assert!(!records.is_empty());
-
-        let mut seen: HashMap<&str, usize> = HashMap::new();
         for r in records {
-            validate_report_record(r).expect("every emitted record validates");
-            let exp = r.get("experiment").and_then(Json::as_str).unwrap();
-            *seen
-                .entry(
-                    REPORT_SCHEMAS
-                        .iter()
-                        .find(|(name, _, _)| *name == exp)
-                        .map(|(name, _, _)| *name)
-                        .unwrap(),
-                )
-                .or_default() += 1;
-
-            // Schema drift: every key the generator emits must be covered
-            // by the validator — a new metric key without a schema entry
-            // fails here before it can ship unvalidated.
-            let (_, strs, nums) = REPORT_SCHEMAS
-                .iter()
-                .find(|(name, _, _)| *name == exp)
-                .unwrap();
-            let Json::Obj(fields) = r else {
-                panic!("record is not an object")
-            };
-            for (key, _) in fields {
-                assert!(
-                    key == "experiment"
-                        || strs.contains(&key.as_str())
-                        || nums.contains(&key.as_str()),
-                    "{exp} emits key \"{key}\" that no schema covers"
-                );
-            }
+            validate(r).expect("every emitted record validates");
         }
-        // Every record type appears.
-        for (name, _, _) in REPORT_SCHEMAS {
+        // Every report record type appears. (Drift between emitter and
+        // validator is unrepresentable: both read `RECORD_TYPES`.)
+        for (name, _, _) in RECORD_TYPES.iter().filter(|t| t.0.starts_with("report_")) {
             assert!(
-                seen.get(name).copied().unwrap_or(0) > 0,
+                records
+                    .iter()
+                    .any(|r| r.get("experiment").and_then(Json::as_str) == Some(name)),
                 "report emitted no {name} records"
             );
         }
@@ -559,57 +436,35 @@ mod tests {
 
     #[test]
     fn comm_records_tile_their_totals() {
-        let report = tiny_report();
-        let doc = Json::parse(&report.json).unwrap();
-        // Group report_comm rows by (platform, algorithm) and check the
-        // non-total rows sum to the total row, metric by metric.
-        let mut sums: HashMap<(String, String), (f64, f64)> = HashMap::new();
-        let mut totals: HashMap<(String, String), (f64, f64)> = HashMap::new();
-        for r in doc.as_array().unwrap() {
-            if r.get("experiment").and_then(Json::as_str) != Some("report_comm") {
-                continue;
-            }
-            let key = (
-                r.get("platform")
-                    .and_then(Json::as_str)
-                    .unwrap()
-                    .to_string(),
-                r.get("algorithm")
-                    .and_then(Json::as_str)
-                    .unwrap()
-                    .to_string(),
-            );
-            let remote = r.get("remote_misses").and_then(Json::as_f64).unwrap();
-            let wait = r.get("lock_wait_cycles").and_then(Json::as_f64).unwrap();
-            if r.get("region").and_then(Json::as_str) == Some("total") {
-                totals.insert(key, (remote, wait));
-            } else {
-                let e = sums.entry(key).or_default();
-                e.0 += remote;
-                e.1 += wait;
-            }
-        }
-        assert!(!totals.is_empty());
-        for (key, total) in &totals {
-            let sum = sums.get(key).copied().unwrap_or((0.0, 0.0));
-            assert_eq!(sum, *total, "comm rows do not tile the total for {key:?}");
-        }
+        let doc = Json::parse(&tiny_report().json).unwrap();
+        let records = doc.as_array().unwrap();
+        let is_total = |r: &Json| r.get("region").and_then(Json::as_str) == Some("total");
+        assert!(records.iter().any(is_total));
+        check_comm_tiling(records).expect("comm rows tile their totals");
+
+        // And the check has teeth: drop one region row and it must fail.
+        let mut broken = records.to_vec();
+        let victim = broken
+            .iter()
+            .position(|r| {
+                r.get("experiment").and_then(Json::as_str) == Some("report_comm")
+                    && !is_total(r)
+                    && r.get("remote_misses").and_then(Json::as_f64) > Some(0.0)
+            })
+            .expect("some region saw remote misses");
+        broken.remove(victim);
+        assert!(check_comm_tiling(&broken)
+            .unwrap_err()
+            .contains("do not tile the total"));
     }
 
     #[test]
     fn validator_rejects_malformed_records() {
         let bad = Json::parse(r#"{"experiment": "report_comm", "scale": "tiny"}"#).unwrap();
-        assert!(validate_report_record(&bad).is_err());
+        assert!(validate(&bad).is_err());
         let unknown = Json::parse(r#"{"experiment": "report_nope"}"#).unwrap();
-        assert!(unknown_err_mentions_type(&unknown));
+        assert!(validate(&unknown).unwrap_err().contains("report_nope"));
         let no_exp = Json::parse(r#"{"id": "x"}"#).unwrap();
-        assert!(validate_report_record(&no_exp).is_err());
-    }
-
-    fn unknown_err_mentions_type(j: &Json) -> bool {
-        match validate_report_record(j) {
-            Err(e) => e.contains("report_nope"),
-            Ok(()) => false,
-        }
+        assert!(validate(&no_exp).is_err());
     }
 }

@@ -186,6 +186,16 @@ pub fn run_cached(cost: &CostModel, alg: Algorithm, n: usize, procs: usize) -> P
     run
 }
 
+/// Entries in the baseline and run caches: lets a test assert that a
+/// prewarmed render computes nothing.
+#[cfg(test)]
+pub(crate) fn cache_sizes() -> (usize, usize) {
+    (
+        SEQ_CACHE.lock().as_ref().map_or(0, HashMap::len),
+        RUN_CACHE.lock().as_ref().map_or(0, HashMap::len),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

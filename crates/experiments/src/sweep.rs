@@ -1,12 +1,12 @@
 //! Batched sweep scheduling: the experiment suite as an explicit job list.
 //!
-//! Each table/figure function in [`crate::experiments`] runs its platform
-//! configurations serially and memoizes them in the run caches of
-//! [`crate::runner`]. The sweep scheduler makes the implied job list
-//! explicit: it enumerates every (platform, algorithm, n, procs)
-//! configuration a set of experiments will need, dedups them (figures share
-//! many configurations), and submits them — as tenant `"sweep"` — to an
-//! in-process [`bh_serve::server::Server`] to *prewarm* the caches. Batch
+//! Rendering a table of [`crate::experiments`] looks its runs up serially
+//! and memoizes them in the run caches of [`crate::runner`]. The sweep
+//! scheduler takes the same runs as an explicit job list
+//! ([`crate::experiments::prewarm_jobs`] queues every run of the selected
+//! experiments' grids), dedups them (figures share many configurations),
+//! and submits them — as tenant `"sweep"` — to an in-process
+//! [`bh_serve::server::Server`] to *prewarm* the caches. Batch
 //! sweeps and socket-served jobs thereby share one admission/worker path;
 //! the sweep is just another client of the service layer. The serial
 //! table-generation pass that follows is then pure cache lookup: the
@@ -26,11 +26,10 @@
 //! parallel runs that divide by them; if a parallel job nevertheless starts
 //! first it simply computes the (identical, deterministic) baseline itself.
 
-use crate::experiments::ALGS;
-use crate::runner::{run_cached, seq_time_on_platform, ExperimentScale};
+use crate::runner::{run_cached, seq_time_on_platform};
 use bh_core::prelude::*;
 use bh_serve::server::{Server, ServerConfig};
-use ssmp::{platform, CostModel};
+use ssmp::CostModel;
 use std::collections::HashSet;
 
 /// One unit of sweep work: a full simulated application run.
@@ -177,181 +176,12 @@ impl SweepScheduler {
     }
 }
 
-/// The job list of the full cached-experiment matrix (everything
-/// [`crate::experiments::all_experiments`] will look up), mirroring each
-/// figure's enumeration exactly. The `treebuild` experiment is not cached
-/// (its native timings are intentionally re-measured), so it has no jobs
-/// here.
-pub fn all_jobs(scale: ExperimentScale) -> SweepScheduler {
-    let mut s = SweepScheduler::new();
-    for name in MATRIX_EXPERIMENTS {
-        add_jobs_for(&mut s, name, scale);
-    }
-    s
-}
-
-/// The cached experiments making up the deterministic report matrix, in
-/// paper order.
-pub const MATRIX_EXPERIMENTS: [&str; 13] = [
-    "table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "fig12", "fig13",
-    "fig14", "sc442", "fig15",
-];
-
-/// Job list for one named experiment (same names as
-/// [`crate::experiments::by_name`]); `None` for unknown names and for
-/// `treebuild`, which bypasses the caches.
-pub fn jobs_for(name: &str, scale: ExperimentScale) -> Option<SweepScheduler> {
-    let mut s = SweepScheduler::new();
-    let name = name.to_ascii_lowercase();
-    let known = matches!(
-        name.as_str(),
-        "table1"
-            | "t1"
-            | "fig6"
-            | "f6"
-            | "fig7"
-            | "f7"
-            | "fig8"
-            | "f8"
-            | "fig9"
-            | "f9"
-            | "fig10"
-            | "f10"
-            | "fig11"
-            | "f11"
-            | "table2"
-            | "t2"
-            | "fig12"
-            | "f12"
-            | "fig13"
-            | "f13"
-            | "fig14"
-            | "f14"
-            | "sc442"
-            | "sc"
-            | "fig15"
-            | "f15"
-    );
-    if !known {
-        return None;
-    }
-    add_jobs_for(&mut s, &name, scale);
-    Some(s)
-}
-
-fn sizes(scale: ExperimentScale, paper: &[usize]) -> Vec<usize> {
-    paper.iter().map(|&n| scale.size(n)).collect()
-}
-
-fn add_jobs_for(s: &mut SweepScheduler, name: &str, scale: ExperimentScale) {
-    match name {
-        "table1" | "t1" => {
-            for cost in [
-                platform::origin2000(1),
-                platform::challenge(1),
-                platform::typhoon0_hlrc(1),
-                platform::paragon_hlrc(1),
-            ] {
-                for n in sizes(scale, &[8192, 16384, 32768, 65536, 131072, 524288]) {
-                    s.add_seq(&cost, n);
-                }
-            }
-        }
-        "fig6" | "f6" => {
-            let procs = scale.procs(16);
-            let cost = platform::challenge(procs);
-            for n in sizes(scale, &[8192, 16384, 32768, 65536, 131072]) {
-                for alg in ALGS {
-                    s.add_run(&cost, alg, n, procs);
-                }
-            }
-        }
-        "fig7" | "f7" => {
-            let n = scale.size(131072);
-            let cost = platform::challenge(16);
-            for p in [4, 8, 16].map(|p| scale.procs(p)) {
-                for alg in ALGS {
-                    s.add_run(&cost, alg, n, p);
-                }
-            }
-        }
-        "fig8" | "f8" | "fig9" | "f9" => {
-            let procs = scale.procs(30);
-            let cost = platform::origin2000(procs);
-            for n in sizes(scale, &[8192, 16384, 32768, 65536, 131072, 524288]) {
-                for alg in ALGS {
-                    s.add_run(&cost, alg, n, procs);
-                }
-            }
-        }
-        "fig10" | "f10" => {
-            let n = scale.size(524288);
-            for p in [16, 24, 30].map(|p| scale.procs(p)) {
-                let cost = platform::origin2000(p);
-                for alg in ALGS {
-                    s.add_run(&cost, alg, n, p);
-                }
-            }
-        }
-        "fig11" | "f11" => {
-            let n = scale.size(524288);
-            let cost = platform::origin2000(30);
-            for p in [1, 8, 16, 24, 30].map(|p| scale.procs(p)) {
-                for alg in ALGS {
-                    s.add_run(&cost, alg, n, p);
-                }
-            }
-        }
-        "table2" | "t2" => {
-            let procs = scale.procs(16);
-            let cost = platform::origin2000(procs);
-            for n in sizes(scale, &[65536, 524288]) {
-                for alg in ALGS {
-                    s.add_run(&cost, alg, n, procs);
-                }
-            }
-        }
-        "fig12" | "f12" => {
-            let procs = scale.procs(16);
-            let cost = platform::paragon_hlrc(procs);
-            for n in sizes(scale, &[8192, 16384, 32768, 65536]) {
-                for alg in [Algorithm::Partree, Algorithm::Space] {
-                    s.add_run(&cost, alg, n, procs);
-                }
-            }
-        }
-        "fig13" | "f13" | "fig14" | "f14" => {
-            let procs = scale.procs(16);
-            let cost = platform::typhoon0_hlrc(procs);
-            for n in sizes(scale, &[8192, 16384, 32768, 65536]) {
-                for alg in ALGS {
-                    s.add_run(&cost, alg, n, procs);
-                }
-            }
-        }
-        "sc442" | "sc" => {
-            let procs = scale.procs(16);
-            let cost = platform::typhoon0_sc(procs);
-            for alg in ALGS {
-                s.add_run(&cost, alg, scale.size(16384), procs);
-            }
-        }
-        "fig15" | "f15" => {
-            let n = scale.size(65536);
-            let procs = scale.procs(16);
-            for cost in [platform::typhoon0_hlrc(procs), platform::origin2000(procs)] {
-                for alg in ALGS {
-                    s.add_run(&cost, alg, n, procs);
-                }
-            }
-        }
-        _ => unreachable!("unknown experiment {name}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{find, matrix, prewarm_jobs};
+    use crate::runner::ExperimentScale;
+    use ssmp::platform;
 
     #[test]
     fn jobs_are_deduplicated() {
@@ -368,7 +198,7 @@ mod tests {
 
     #[test]
     fn full_matrix_is_enumerated_and_shared_configs_collapse() {
-        let s = all_jobs(ExperimentScale::Tiny);
+        let s = prewarm_jobs(matrix(), ExperimentScale::Tiny);
         assert!(!s.is_empty());
         // Figures 8 and 9 (and 13/14) share all their runs; the dedup set
         // must therefore be much smaller than the naive enumeration.
@@ -378,12 +208,13 @@ mod tests {
             "dedup had no effect: {} jobs of {naive} naive",
             s.len()
         );
-        for name in MATRIX_EXPERIMENTS {
-            let js = jobs_for(name, ExperimentScale::Tiny).expect("known name");
-            assert!(!js.is_empty(), "{name} enumerated no jobs");
+        for e in matrix() {
+            let js = prewarm_jobs([e], ExperimentScale::Tiny);
+            assert!(!js.is_empty(), "{} enumerated no jobs", e.name);
         }
-        assert!(jobs_for("treebuild", ExperimentScale::Tiny).is_none());
-        assert!(jobs_for("nope", ExperimentScale::Tiny).is_none());
+        let treebuild = find("treebuild").expect("a known name");
+        assert!(prewarm_jobs([treebuild], ExperimentScale::Tiny).is_empty());
+        assert!(find("nope").is_none());
     }
 
     #[test]

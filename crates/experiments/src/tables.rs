@@ -1,5 +1,7 @@
 //! Plain-text table rendering and JSON export for experiment results.
 
+use crate::json::escape;
+
 /// A rendered experiment result: rows/series matching what the paper's
 /// table or figure reports.
 #[derive(Debug, Clone)]
@@ -13,28 +15,8 @@ pub struct Table {
     pub paper_expectation: String,
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_string_array(items: &[String]) -> String {
-    let quoted: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
+    let quoted: Vec<String> = items.iter().map(|s| escape(s)).collect();
     format!("[{}]", quoted.join(", "))
 }
 
@@ -59,12 +41,12 @@ impl Table {
     pub fn to_json(&self) -> String {
         let rows: Vec<String> = self.rows.iter().map(|r| json_string_array(r)).collect();
         format!(
-            "{{\"id\": \"{}\", \"title\": \"{}\", \"headers\": {}, \"rows\": [{}], \"paper_expectation\": \"{}\"}}",
-            json_escape(&self.id),
-            json_escape(&self.title),
+            "{{\"id\": {}, \"title\": {}, \"headers\": {}, \"rows\": [{}], \"paper_expectation\": {}}}",
+            escape(&self.id),
+            escape(&self.title),
             json_string_array(&self.headers),
             rows.join(", "),
-            json_escape(&self.paper_expectation),
+            escape(&self.paper_expectation),
         )
     }
 }
@@ -140,7 +122,6 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let t = Table::new("T", "quote \" and newline\n", &[], "");
         assert!(t.to_json().contains("quote \\\" and newline\\n"));
     }

@@ -28,6 +28,42 @@ fn removed_subcommands_are_unknown_experiments() {
 }
 
 #[test]
+fn short_aliases_are_gone_and_the_valid_names_come_from_the_table() {
+    let names: Vec<&str> = bh_experiments::experiments::EXPERIMENTS
+        .iter()
+        .map(|e| e.name)
+        .collect();
+    for alias in ["f6", "tb"] {
+        let out = repro(&[alias]);
+        assert_rejected(&out, &format!("unknown experiment '{alias}'"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "(valid: all, matrix, report, {})",
+                names.join(", ")
+            )),
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("experiments: {}", names.join(" "))),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn report_rejects_the_flags_it_would_ignore() {
+    for flag in [
+        ["--jobs", "4"],
+        ["--trace", "t.json"],
+        ["--group-size", "8"],
+    ] {
+        let out = repro(&["report", "--scale", "tiny", flag[0], flag[1]]);
+        assert_rejected(&out, &format!("{} does not apply to 'report'", flag[0]));
+    }
+}
+
+#[test]
 fn group_size_outside_1_to_64_is_rejected_by_name() {
     for value in ["0", "65"] {
         assert_rejected(
