@@ -7,6 +7,11 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== doc drift (every pub mod of bh-core is in DESIGN.md's module table) =="
+for m in $(sed -n 's/^pub mod \([a-z_]*\);$/\1/p' crates/core/src/lib.rs); do
+    grep -q "^| \`$m[\`:]" DESIGN.md || { echo "DESIGN.md section 2 does not list bh-core module $m"; exit 1; }
+done
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -20,6 +25,9 @@ echo "== sync primitives (RawLock / SenseBarrier unit tests, 20 runs) =="
 cargo test --offline --release -q -p bh-core --no-run
 timeout 120 bash -c \
     'for _ in $(seq 20); do cargo test --offline --release -q -p bh-core sync:: || exit 1; done'
+# All of bh-core's unit tests once in the release build: the shape that
+# ships, and where a check left in a debug_assert! goes missing.
+cargo test --offline --release -q -p bh-core --lib
 
 echo "== race-freedom matrix =="
 cargo test --offline -q --test race_freedom

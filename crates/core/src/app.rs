@@ -4,7 +4,7 @@
 //! (a number of warm-up steps to let the partition settle, then measured
 //! steps).
 //!
-//! The step itself lives in [`crate::pipeline`] as an explicit stage list;
+//! The step itself lives in [`crate::pipeline`], one function per stage;
 //! this module owns the run-level protocol (warm-up vs. measured steps,
 //! validation, final snapshot) and the [`RunStats`] aggregation. Workers
 //! come from a [`WorkerPool`]; [`run_simulation`] spins up a throwaway pool,
@@ -16,7 +16,7 @@ use crate::body::Body;
 use crate::env::{CtxStats, Env, Phase};
 use crate::force::{ForceParams, ForceScratch, MAX_GROUP_SIZE};
 use crate::harness::WorkerPool;
-use crate::pipeline::{StageIo, StepPipeline};
+use crate::pipeline::{run_step, StageIo};
 use crate::tree::flat::FlatTree;
 use crate::tree::types::SharedTree;
 use crate::tree::validate::{validate_with, ValidateOpts};
@@ -513,7 +513,6 @@ pub(crate) fn execute<E: Env>(
     // final update phase moves bodies after the tree was summarized).
     let tree_snapshot: crate::sync::Mutex<Option<Vec<crate::math::Vec3>>> =
         crate::sync::Mutex::new(None);
-    let pipeline: StepPipeline<E> = StepPipeline::for_algorithm(cfg.algorithm);
     let io = StageIo {
         cfg,
         world,
@@ -545,7 +544,7 @@ pub(crate) fn execute<E: Env>(
         };
         for step in 0..total_steps {
             let measuring = step >= cfg.warmup_steps;
-            pipeline.run_step(env, ctx, &io, proc, step as u32, measuring, &mut rec);
+            run_step(env, ctx, &io, proc, step as u32, measuring, &mut rec);
         }
         rec.final_stats = env.stats(ctx);
         rec

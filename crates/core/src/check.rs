@@ -1,14 +1,16 @@
 //! A happens-before data-race detector over the [`Env`] abstraction.
 //!
 //! Every shared-memory access an algorithm performs is already reported
-//! through [`Env::read`]/[`Env::write`]/[`Env::rmw`] with a simulated
-//! virtual address, and every synchronization operation flows through
+//! through [`Env::access`] with a simulated virtual address and its
+//! [`Access`] kind, and every synchronization operation flows through
 //! [`Env::lock`]/[`Env::unlock`]/[`Env::barrier`]. That makes the
 //! race-freedom contract stated in [`crate::shared`] *mechanically
 //! checkable*: [`CheckedEnv`] wraps any inner environment (native or
-//! simulated), maintains FastTrack-style vector clocks, and records a
-//! structured [`RaceReport`] whenever two accesses to the same address grain
-//! conflict without a happens-before edge between them.
+//! simulated) as an [`EnvLayer`] overriding five hooks (`on_access`,
+//! `on_atomic_commit`, `on_lock`, `on_unlock`, `on_barrier`), maintains
+//! FastTrack-style vector clocks, and records a structured [`RaceReport`]
+//! whenever two accesses to the same address grain conflict without a
+//! happens-before edge between them.
 //!
 //! ## Happens-before model
 //!
@@ -24,9 +26,9 @@
 //! * **Barriers.** Arrival at barrier episode `e` joins the processor's
 //!   clock into the episode clock; departure adopts the episode clock, so
 //!   everything before the barrier happens-before everything after it.
-//! * **Atomics.** [`Env::read_atomic`] joins the address's release clock
-//!   into the reader (acquire); [`Env::write_atomic`] and [`Env::rmw`] join
-//!   the writer's clock into the address's release clock (release). This
+//! * **Atomics.** [`Access::AtomicRead`] joins the address's release clock
+//!   into the reader (acquire); [`Access::AtomicWrite`] and [`Access::Rmw`]
+//!   join the writer's clock into the address's release clock (release). This
 //!   models the acquire/release chains the algorithms build from atomic
 //!   child pointers and pending counters. Conflicts where *both* accesses
 //!   are atomic are synchronization, not races, and are never reported.
@@ -38,17 +40,17 @@
 //!   after it**: if A's real operation precedes B's, A published before
 //!   its real op, which preceded B's real op, which precedes B's join —
 //!   B cannot miss A regardless of interleaving. Concretely, releases
-//!   ([`Env::write_atomic`], the release half of [`Env::rmw`]) are
+//!   ([`Access::AtomicWrite`], the release half of [`Access::Rmw`]) are
 //!   instrumented *before* the real atomic; acquires are instrumented
-//!   *after* it ([`Env::read_atomic`] is called after the real load, and
-//!   the acquire half of an RMW rides on [`Env::atomic_commit`], invoked
+//!   *after* it ([`Access::AtomicRead`] is reported after the real load,
+//!   and the acquire half of an RMW rides on [`Env::atomic_commit`], invoked
 //!   after the real RMW). Joining "too early" from the detector's
 //!   perspective is impossible this way; the alternative single-call
 //!   scheme produced rare false positives under scheduler preemption
 //!   between the instrumentation and the real operation. Locks and
 //!   barriers follow the same shape naturally (release clocks are
 //!   published before the real unlock, joined after the real lock).
-//! * **Unordered reads.** [`Env::read_unordered`] marks deliberate
+//! * **Unordered reads.** [`Access::Unordered`] marks deliberate
 //!   optimistic pre-checks (re-validated before use); they are exempt.
 //!
 //! ## Granularity
@@ -66,7 +68,7 @@
 //! further sessions on the same environment (the final barrier orders
 //! everything before it against everything after).
 
-use crate::env::{CtxStats, Env, Phase, Placement, Region, VAddr};
+use crate::env::{Access, Env, EnvLayer, LayerCtx, VAddr};
 use crate::sync::Mutex;
 use std::collections::HashMap;
 
@@ -90,34 +92,6 @@ impl Granularity {
     }
 }
 
-/// What kind of access participated in a conflict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    Read,
-    Write,
-    AtomicRead,
-    AtomicWrite,
-    Rmw,
-}
-
-impl AccessKind {
-    #[inline]
-    fn is_write(self) -> bool {
-        matches!(
-            self,
-            AccessKind::Write | AccessKind::AtomicWrite | AccessKind::Rmw
-        )
-    }
-
-    #[inline]
-    fn is_atomic(self) -> bool {
-        matches!(
-            self,
-            AccessKind::AtomicRead | AccessKind::AtomicWrite | AccessKind::Rmw
-        )
-    }
-}
-
 /// Classification of a reported conflict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConflictClass {
@@ -133,7 +107,7 @@ pub enum ConflictClass {
 #[derive(Debug, Clone)]
 pub struct AccessInfo {
     pub proc: usize,
-    pub kind: AccessKind,
+    pub kind: Access,
     /// The processor's vector clock at the access.
     pub vclock: Vec<u64>,
     /// The accessor's barrier-episode number (count of barriers it had
@@ -199,7 +173,7 @@ struct LastAccess {
     /// The accessor's own clock component at the access — the epoch a
     /// later access must have observed for a happens-before edge.
     epoch: u64,
-    kind: AccessKind,
+    kind: Access,
     addr: VAddr,
     bytes: u32,
     episode: usize,
@@ -253,7 +227,7 @@ impl Detector {
     fn access(
         &mut self,
         proc: usize,
-        kind: AccessKind,
+        kind: Access,
         addr: VAddr,
         bytes: u32,
         grain: u64,
@@ -270,7 +244,7 @@ impl Detector {
     fn access_grain(
         &mut self,
         proc: usize,
-        kind: AccessKind,
+        kind: Access,
         addr: VAddr,
         bytes: u32,
         g: u64,
@@ -387,13 +361,6 @@ impl Detector {
     }
 }
 
-/// Per-processor context of a [`CheckedEnv`].
-pub struct CheckedCtx<C> {
-    proc: usize,
-    episode: usize,
-    inner: C,
-}
-
 /// A race-detecting wrapper around any [`Env`]. See the module docs.
 pub struct CheckedEnv<E: Env> {
     inner: E,
@@ -463,105 +430,54 @@ impl<E: Env> CheckedEnv<E> {
     }
 }
 
-impl<E: Env> Env for CheckedEnv<E> {
-    type Ctx = CheckedCtx<E::Ctx>;
+impl<E: Env> EnvLayer for CheckedEnv<E> {
+    type Inner = E;
+    /// The processor's barrier-episode number (count of barriers passed).
+    type Local = usize;
 
-    fn num_procs(&self) -> usize {
-        self.inner.num_procs()
+    fn inner(&self) -> &E {
+        &self.inner
     }
 
-    fn make_ctx(&self, proc: usize) -> Self::Ctx {
-        CheckedCtx {
-            proc,
-            episode: 0,
-            inner: self.inner.make_ctx(proc),
+    fn make_local(&self, _proc: usize) -> usize {
+        0
+    }
+
+    fn on_access(&self, ctx: &mut LayerCtx<Self>, addr: VAddr, bytes: u32, kind: Access) {
+        self.inner.access(&mut ctx.inner, addr, bytes, kind);
+        if kind == Access::Unordered {
+            // Deliberately unordered optimistic read: charged to the cost
+            // model, exempt from race reporting (see the `Access` docs).
+            return;
+        }
+        let mut det = self.det.lock();
+        if kind == Access::AtomicRead {
+            // Callers account an acquiring load *after* the real one (see
+            // the Env docs), so joining the release clock here cannot miss a
+            // writer whose real store the load observed.
+            det.atomic_acquire(ctx.proc, addr, bytes);
+        }
+        det.access(
+            ctx.proc,
+            kind,
+            addr,
+            bytes,
+            self.granularity.bytes(),
+            ctx.local,
+        );
+        if matches!(kind, Access::AtomicWrite | Access::Rmw) {
+            // Release side only: this instrumentation call precedes the
+            // *real* atomic operation, so the processor's clock is published
+            // now (any real-order successor's post-operation acquire will
+            // see it), while the acquire side of an RMW waits for our own
+            // `atomic_commit` — joining here could miss a publication by a
+            // processor whose real operation lands before ours. See the
+            // module docs.
+            det.atomic_release(ctx.proc, addr, bytes);
         }
     }
 
-    fn alloc(&self, bytes: u64, align: u64, place: Placement) -> VAddr {
-        self.inner.alloc(bytes, align, place)
-    }
-
-    fn tag_region(&self, base: VAddr, bytes: u64, region: Region) {
-        self.inner.tag_region(base, bytes, region)
-    }
-
-    fn read(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.read(&mut ctx.inner, addr, bytes);
-        self.det.lock().access(
-            ctx.proc,
-            AccessKind::Read,
-            addr,
-            bytes,
-            self.granularity.bytes(),
-            ctx.episode,
-        );
-    }
-
-    fn write(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.write(&mut ctx.inner, addr, bytes);
-        self.det.lock().access(
-            ctx.proc,
-            AccessKind::Write,
-            addr,
-            bytes,
-            self.granularity.bytes(),
-            ctx.episode,
-        );
-    }
-
-    fn rmw(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.rmw(&mut ctx.inner, addr, bytes);
-        // Release side only: this instrumentation call precedes the *real*
-        // atomic operation, so the processor's clock is published now (any
-        // real-order successor's post-operation `atomic_commit` will see
-        // it), while the acquire side waits for our own `atomic_commit` —
-        // joining here could miss a publication by a processor whose real
-        // operation lands before ours. See the module docs.
-        let mut det = self.det.lock();
-        det.access(
-            ctx.proc,
-            AccessKind::Rmw,
-            addr,
-            bytes,
-            self.granularity.bytes(),
-            ctx.episode,
-        );
-        det.atomic_release(ctx.proc, addr, bytes);
-    }
-
-    fn read_atomic(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.read_atomic(&mut ctx.inner, addr, bytes);
-        // Callers invoke this *after* the real atomic load (see the Env
-        // docs), so joining the release clock here cannot miss a writer
-        // whose real store the load observed.
-        let mut det = self.det.lock();
-        det.atomic_acquire(ctx.proc, addr, bytes);
-        det.access(
-            ctx.proc,
-            AccessKind::AtomicRead,
-            addr,
-            bytes,
-            self.granularity.bytes(),
-            ctx.episode,
-        );
-    }
-
-    fn write_atomic(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.write_atomic(&mut ctx.inner, addr, bytes);
-        let mut det = self.det.lock();
-        det.access(
-            ctx.proc,
-            AccessKind::AtomicWrite,
-            addr,
-            bytes,
-            self.granularity.bytes(),
-            ctx.episode,
-        );
-        det.atomic_release(ctx.proc, addr, bytes);
-    }
-
-    fn atomic_commit(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
+    fn on_atomic_commit(&self, ctx: &mut LayerCtx<Self>, addr: VAddr, bytes: u32) {
         self.inner.atomic_commit(&mut ctx.inner, addr, bytes);
         // Acquire side of an RMW, after the real atomic has executed: every
         // real-order predecessor published its clock before its own real
@@ -569,17 +485,7 @@ impl<E: Env> Env for CheckedEnv<E> {
         self.det.lock().atomic_acquire(ctx.proc, addr, bytes);
     }
 
-    fn read_unordered(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        // Deliberately unordered optimistic read: charged to the cost model,
-        // exempt from race reporting (see the Env docs).
-        self.inner.read_unordered(&mut ctx.inner, addr, bytes);
-    }
-
-    fn compute(&self, ctx: &mut Self::Ctx, cycles: u64) {
-        self.inner.compute(&mut ctx.inner, cycles);
-    }
-
-    fn lock(&self, ctx: &mut Self::Ctx, lock: usize) {
+    fn on_lock(&self, ctx: &mut LayerCtx<Self>, lock: usize) {
         self.inner.lock(&mut ctx.inner, lock);
         // Join the release clock *after* the inner acquire: the previous
         // holder's unlock has completed, so its release clock is published.
@@ -590,7 +496,7 @@ impl<E: Env> Env for CheckedEnv<E> {
         }
     }
 
-    fn unlock(&self, ctx: &mut Self::Ctx, lock: usize) {
+    fn on_unlock(&self, ctx: &mut LayerCtx<Self>, lock: usize) {
         {
             let mut det = self.det.lock();
             let clock = det.clocks[ctx.proc].clone();
@@ -600,9 +506,9 @@ impl<E: Env> Env for CheckedEnv<E> {
         self.inner.unlock(&mut ctx.inner, lock);
     }
 
-    fn barrier(&self, ctx: &mut Self::Ctx) {
-        let e = ctx.episode;
-        ctx.episode += 1;
+    fn on_barrier(&self, ctx: &mut LayerCtx<Self>) {
+        let e = ctx.local;
+        ctx.local += 1;
         {
             let mut det = self.det.lock();
             let procs = det.procs;
@@ -619,40 +525,12 @@ impl<E: Env> Env for CheckedEnv<E> {
         join(&mut det.clocks[ctx.proc], &joined);
         det.clocks[ctx.proc][ctx.proc] += 1;
     }
-
-    fn phase_begin(&self, ctx: &mut Self::Ctx, phase: Phase, step: u32) {
-        // Pure observability: no happens-before implications, but the hook
-        // must reach any tracing environment wrapped *inside* the detector.
-        self.inner.phase_begin(&mut ctx.inner, phase, step);
-    }
-
-    fn phase_end(&self, ctx: &mut Self::Ctx, phase: Phase, step: u32) {
-        self.inner.phase_end(&mut ctx.inner, phase, step);
-    }
-
-    fn worker_begin(&self, proc: usize) {
-        // The scheduler gate (if any) lives below the detector; a worker
-        // must not be admitted past it unannounced.
-        self.inner.worker_begin(proc);
-    }
-
-    fn worker_end(&self, proc: usize) {
-        self.inner.worker_end(proc);
-    }
-
-    fn now(&self, ctx: &Self::Ctx) -> u64 {
-        self.inner.now(&ctx.inner)
-    }
-
-    fn stats(&self, ctx: &Self::Ctx) -> CtxStats {
-        self.inner.stats(&ctx.inner)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::NativeEnv;
+    use crate::env::{NativeEnv, Placement};
     use crate::harness::spmd;
     use crate::shared::{SharedAtomicVec, SharedVec};
 
@@ -795,7 +673,7 @@ mod tests {
         let mut c1 = env.make_ctx(1);
         // P0: instrumented half of its RMW, then preempted before the
         // real operation.
-        env.rmw(&mut c0, flag.addr(0), 4);
+        env.access(&mut c0, flag.addr(0), 4, Access::Rmw);
         // P1: writes data, then performs its full RMW (instrumentation,
         // real operation, commit).
         data.store(&env, &mut c1, 0, 7);

@@ -5,18 +5,28 @@
 //!
 //! * **real synchronization** — locks and barriers that actually provide
 //!   mutual exclusion / rendezvous among the worker threads, and
-//! * **a timing account** — hooks (`read`, `write`, `compute`) through which
-//!   the algorithm reports its shared-memory accesses and local computation.
+//! * **a timing account** — two hooks through which the algorithm reports
+//!   its shared-memory accesses ([`Env::access`], one call per access, the
+//!   kind of access named by an [`Access`]) and its local computation
+//!   ([`Env::compute`]).
 //!
-//! [`NativeEnv`] maps synchronization to `std`-based primitives and
+//! [`NativeEnv`] maps synchronization to [`crate::sync`]'s primitives and
 //! ignores the timing hooks: algorithms then run at full native speed on the
-//! host. The `ssmp` crate provides `SimEnv`, which additionally routes every
+//! host. The `ssmp` crate provides `Machine`, which additionally routes every
 //! access through a coherence-protocol cost model and advances a per-processor
 //! virtual clock — the same algorithm code then "runs on" an SGI Origin 2000,
 //! an SGI Challenge, an Intel Paragon under HLRC shared virtual memory, or a
 //! Typhoon-zero, reproducing the paper's cross-platform study.
+//!
+//! Those two are the only types that implement `Env` by hand. An environment
+//! that wraps another one — the tracer, the race detector, the controlled
+//! scheduler — implements [`EnvLayer`] instead: it overrides the hooks it
+//! inspects, and one blanket `impl Env` forwards everything else to the
+//! wrapped environment, so a hook added to `Env` reaches the bottom of every
+//! stack without any wrapper being edited.
 
 use crate::sync::{RawLock, SenseBarrier};
+use crate::tree::types::RESERVED_LOCKS;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -38,6 +48,42 @@ pub enum Placement {
     Global,
     /// Allocated in (and homed at) the given processor's local memory.
     Local(usize),
+}
+
+/// The kinds of shared-memory access an algorithm reports through
+/// [`Env::access`]. Cost models charge by [`Access::is_write`] (and give
+/// [`Access::Rmw`] its own serialization at the line's home); checking
+/// environments use the atomic kinds to model happens-before edges instead
+/// of reporting a data race.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// Plain load.
+    Read,
+    /// Plain store.
+    Write,
+    /// Atomic load with acquire semantics.
+    AtomicRead,
+    /// Atomic store with release semantics.
+    AtomicWrite,
+    /// Atomic read-modify-write: acquire *and* release, a synchronization
+    /// edge on the address. Followed by [`Env::atomic_commit`].
+    Rmw,
+    /// Deliberately unordered (relaxed, possibly torn) load: an optimistic
+    /// pre-check whose result is re-validated under proper synchronization
+    /// before being acted on. Charged as a read, exempt from race reporting.
+    Unordered,
+}
+
+impl Access {
+    #[inline]
+    pub fn is_write(self) -> bool {
+        matches!(self, Access::Write | Access::AtomicWrite | Access::Rmw)
+    }
+
+    #[inline]
+    pub fn is_atomic(self) -> bool {
+        matches!(self, Access::AtomicRead | Access::AtomicWrite | Access::Rmw)
+    }
 }
 
 /// The four top-level phases of one Barnes-Hut step, in execution order.
@@ -195,8 +241,7 @@ impl Region {
     /// paper's "time spent locking hot cells" signal.
     #[inline]
     pub fn of_lock(id: usize) -> Region {
-        const RESERVED: usize = 64; // == crate::tree::types::RESERVED_LOCKS
-        if id < RESERVED {
+        if id < RESERVED_LOCKS {
             Region::TreeAlloc
         } else {
             Region::TreeCells
@@ -279,53 +324,24 @@ pub trait Env: Sync {
     /// Allocate `bytes` of shared address space.
     fn alloc(&self, bytes: u64, align: u64, place: Placement) -> VAddr;
 
-    /// Account for a shared-memory read of `bytes` at `addr`.
-    fn read(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32);
-
-    /// Account for a shared-memory write of `bytes` at `addr`.
-    fn write(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32);
-
-    /// Account for an atomic read-modify-write (defaults to read + write).
-    /// An RMW carries acquire *and* release semantics: checking
-    /// environments treat it as a synchronization edge on `addr`.
-    fn rmw(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.read(ctx, addr, bytes);
-        self.write(ctx, addr, bytes);
-    }
-
-    /// Account for an atomic load with acquire semantics. Cost models treat
-    /// it as a plain read; checking environments use the distinction to
-    /// model the happens-before edge instead of reporting a data race.
-    fn read_atomic(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.read(ctx, addr, bytes);
-    }
-
-    /// Account for an atomic store with release semantics. See
-    /// [`Env::read_atomic`].
-    fn write_atomic(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.write(ctx, addr, bytes);
-    }
+    /// Account for one shared-memory access of `bytes` at `addr`; `kind`
+    /// says which (see [`Access`]). A real *releasing* atomic is accounted
+    /// before it executes, a real *acquiring* load after (see
+    /// [`Env::atomic_commit`]).
+    fn access(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32, kind: Access);
 
     /// Ordering-model hook invoked *after* the real atomic operation that an
-    /// [`Env::rmw`] or [`Env::read_atomic`] call accounted for has executed.
+    /// [`Access::Rmw`] accounting call described has executed.
     ///
     /// Cost models ignore it (no time or traffic is charged — the default is
     /// a no-op). Checking environments use it for the acquire side of the
     /// synchronization edge: the instrumentation call necessarily runs at a
     /// different instant than the real atomic it describes, and the sound
     /// protocol is *publish before the real operation, acquire after it*
-    /// (see [`crate::check`]). Callers performing a real acquiring atomic
+    /// (see [`crate::check`]). Callers performing a real read-modify-write
     /// must therefore invoke the accounting call first, the real operation
     /// second, and `atomic_commit` third.
     fn atomic_commit(&self, _ctx: &mut Self::Ctx, _addr: VAddr, _bytes: u32) {}
-
-    /// Account for a deliberately unordered (relaxed, possibly torn) read:
-    /// an optimistic pre-check whose result is re-validated under proper
-    /// synchronization before being acted on. Cost models charge it as a
-    /// read; checking environments exempt it from race reporting.
-    fn read_unordered(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.read(ctx, addr, bytes);
-    }
 
     /// Account for `cycles` of purely local computation.
     fn compute(&self, ctx: &mut Self::Ctx, cycles: u64);
@@ -346,15 +362,14 @@ pub trait Env: Sync {
     /// set-up thread before workers start. Execution environments ignore it
     /// (the default is a no-op and charges nothing); attribution-capable
     /// environments record the mapping so per-region communication counters
-    /// can be reported. Wrapper environments must forward it.
+    /// can be reported.
     fn tag_region(&self, _base: VAddr, _bytes: u64, _region: Region) {}
 
     /// Observability hook: processor `ctx` is entering `phase` of step
     /// `step` (warm-up steps included). Emitted by [`crate::app`] at every
     /// phase boundary; execution environments and cost models ignore it
     /// (the default is a no-op and charges nothing), while tracing wrappers
-    /// ([`crate::trace::TraceEnv`]) open a span. Wrapper environments must
-    /// forward it to their inner environment.
+    /// ([`crate::trace::TraceEnv`]) open a span.
     fn phase_begin(&self, _ctx: &mut Self::Ctx, _phase: Phase, _step: u32) {}
 
     /// Observability hook: processor `ctx` is leaving `phase` of step
@@ -368,15 +383,13 @@ pub trait Env: Sync {
     /// [`Env::make_ctx`]. Execution environments ignore it (the default is a
     /// no-op); the controlled scheduler ([`crate::sched::SchedEnv`]) uses it
     /// as the registration rendezvous that gates workers behind the
-    /// scheduler. Wrapper environments must forward it to their inner
-    /// environment.
+    /// scheduler.
     fn worker_begin(&self, _proc: usize) {}
 
     /// Scheduling hook: the worker thread for processor `proc` has finished
     /// (or unwound from) its SPMD job. Always called, even when the job
     /// panicked, so a controlled scheduler can hand control to the remaining
-    /// workers. Must pair with [`Env::worker_begin`]; wrapper environments
-    /// must forward it.
+    /// workers. Must pair with [`Env::worker_begin`].
     fn worker_end(&self, _proc: usize) {}
 
     /// Current time for this processor: wall nanoseconds (native) or
@@ -385,6 +398,153 @@ pub trait Env: Sync {
 
     /// Statistics snapshot for this processor.
     fn stats(&self, ctx: &Self::Ctx) -> CtxStats;
+}
+
+/// An environment that wraps another one. See the module docs.
+///
+/// Every `on_` hook has the same shape as the [`Env`] method it is named
+/// after and defaults to handing the call to [`EnvLayer::inner`] unchanged;
+/// a layer overrides the ones it inspects, and an override that does not call
+/// the inner environment *replaces* the operation (the controlled scheduler's
+/// locks and barriers). `num_procs`, `alloc`, `tag_region`, `compute` and
+/// `now` are not hooks: no layer inspects them, so the blanket `impl Env`
+/// below forwards them itself.
+pub trait EnvLayer: Sync + Sized {
+    /// The wrapped environment.
+    type Inner: Env;
+    /// This layer's own per-processor state, beside the inner context.
+    type Local: Send;
+
+    fn inner(&self) -> &Self::Inner;
+
+    /// Create this layer's state for processor `proc`.
+    fn make_local(&self, proc: usize) -> Self::Local;
+
+    #[inline]
+    fn on_access(&self, ctx: &mut LayerCtx<Self>, addr: VAddr, bytes: u32, kind: Access) {
+        self.inner().access(&mut ctx.inner, addr, bytes, kind)
+    }
+
+    #[inline]
+    fn on_atomic_commit(&self, ctx: &mut LayerCtx<Self>, addr: VAddr, bytes: u32) {
+        self.inner().atomic_commit(&mut ctx.inner, addr, bytes)
+    }
+
+    fn on_lock(&self, ctx: &mut LayerCtx<Self>, lock: usize) {
+        self.inner().lock(&mut ctx.inner, lock)
+    }
+
+    fn on_unlock(&self, ctx: &mut LayerCtx<Self>, lock: usize) {
+        self.inner().unlock(&mut ctx.inner, lock)
+    }
+
+    fn on_barrier(&self, ctx: &mut LayerCtx<Self>) {
+        self.inner().barrier(&mut ctx.inner)
+    }
+
+    fn on_phase_begin(&self, ctx: &mut LayerCtx<Self>, phase: Phase, step: u32) {
+        self.inner().phase_begin(&mut ctx.inner, phase, step)
+    }
+
+    fn on_phase_end(&self, ctx: &mut LayerCtx<Self>, phase: Phase, step: u32) {
+        self.inner().phase_end(&mut ctx.inner, phase, step)
+    }
+
+    fn on_worker_begin(&self, proc: usize) {
+        self.inner().worker_begin(proc)
+    }
+
+    fn on_worker_end(&self, proc: usize) {
+        self.inner().worker_end(proc)
+    }
+
+    fn on_stats(&self, ctx: &LayerCtx<Self>) -> CtxStats {
+        self.inner().stats(&ctx.inner)
+    }
+}
+
+/// Per-processor context of an [`EnvLayer`]: the layer's own state and the
+/// wrapped environment's context.
+pub struct LayerCtx<L: EnvLayer> {
+    pub proc: usize,
+    pub local: L::Local,
+    pub inner: <L::Inner as Env>::Ctx,
+}
+
+/// The one place the [`Env`] surface is forwarded through a wrapper.
+impl<L: EnvLayer> Env for L {
+    type Ctx = LayerCtx<L>;
+
+    fn num_procs(&self) -> usize {
+        self.inner().num_procs()
+    }
+
+    fn make_ctx(&self, proc: usize) -> LayerCtx<L> {
+        LayerCtx {
+            proc,
+            local: self.make_local(proc),
+            inner: self.inner().make_ctx(proc),
+        }
+    }
+
+    fn alloc(&self, bytes: u64, align: u64, place: Placement) -> VAddr {
+        self.inner().alloc(bytes, align, place)
+    }
+
+    #[inline(always)]
+    fn access(&self, ctx: &mut LayerCtx<L>, addr: VAddr, bytes: u32, kind: Access) {
+        self.on_access(ctx, addr, bytes, kind)
+    }
+
+    #[inline(always)]
+    fn atomic_commit(&self, ctx: &mut LayerCtx<L>, addr: VAddr, bytes: u32) {
+        self.on_atomic_commit(ctx, addr, bytes)
+    }
+
+    #[inline(always)]
+    fn compute(&self, ctx: &mut LayerCtx<L>, cycles: u64) {
+        self.inner().compute(&mut ctx.inner, cycles)
+    }
+
+    fn lock(&self, ctx: &mut LayerCtx<L>, lock: usize) {
+        self.on_lock(ctx, lock)
+    }
+
+    fn unlock(&self, ctx: &mut LayerCtx<L>, lock: usize) {
+        self.on_unlock(ctx, lock)
+    }
+
+    fn barrier(&self, ctx: &mut LayerCtx<L>) {
+        self.on_barrier(ctx)
+    }
+
+    fn tag_region(&self, base: VAddr, bytes: u64, region: Region) {
+        self.inner().tag_region(base, bytes, region)
+    }
+
+    fn phase_begin(&self, ctx: &mut LayerCtx<L>, phase: Phase, step: u32) {
+        self.on_phase_begin(ctx, phase, step)
+    }
+
+    fn phase_end(&self, ctx: &mut LayerCtx<L>, phase: Phase, step: u32) {
+        self.on_phase_end(ctx, phase, step)
+    }
+
+    fn worker_begin(&self, proc: usize) {
+        self.on_worker_begin(proc)
+    }
+
+    fn worker_end(&self, proc: usize) {
+        self.on_worker_end(proc)
+    }
+
+    fn now(&self, ctx: &LayerCtx<L>) -> u64 {
+        self.inner().now(&ctx.inner)
+    }
+
+    fn stats(&self, ctx: &LayerCtx<L>) -> CtxStats {
+        self.on_stats(ctx)
+    }
 }
 
 /// Number of entries in the native lock table. Cell locks are hashed into
@@ -402,20 +562,20 @@ pub const NATIVE_LOCK_TABLE: usize = 4096;
 /// reserved slots, silently breaking the free-list/node-lock separation.
 #[inline]
 pub fn lock_slot(id: usize, table: usize) -> usize {
-    const RESERVED: usize = 64;
-    debug_assert!(
-        table > RESERVED,
-        "lock table of {table} entries cannot preserve the {RESERVED} reserved slots"
+    // Both callers pass a constant table, so the check folds away.
+    assert!(
+        table > RESERVED_LOCKS,
+        "lock table of {table} entries cannot preserve the {RESERVED_LOCKS} reserved slots"
     );
-    if id < RESERVED {
+    if id < RESERVED_LOCKS {
         id
     } else {
-        RESERVED + (id - RESERVED) % (table - RESERVED)
+        RESERVED_LOCKS + (id - RESERVED_LOCKS) % (table - RESERVED_LOCKS)
     }
 }
 
 /// The native execution environment: real threads, real locks, zero timing
-/// overhead. `read`/`write`/`compute` are no-ops that compile away.
+/// overhead. `access` and `compute` are no-ops that compile away.
 pub struct NativeEnv {
     procs: usize,
     locks: Box<[RawLock]>,
@@ -486,10 +646,7 @@ impl Env for NativeEnv {
     }
 
     #[inline(always)]
-    fn read(&self, _ctx: &mut NativeCtx, _addr: VAddr, _bytes: u32) {}
-
-    #[inline(always)]
-    fn write(&self, _ctx: &mut NativeCtx, _addr: VAddr, _bytes: u32) {}
+    fn access(&self, _ctx: &mut NativeCtx, _addr: VAddr, _bytes: u32, _kind: Access) {}
 
     #[inline(always)]
     fn compute(&self, _ctx: &mut NativeCtx, _cycles: u64) {}
@@ -746,6 +903,167 @@ mod tests {
         let after = env.stats(&ctx);
         assert_eq!(before.lock_acquires, after.lock_acquires);
         assert_eq!(before.barrier_wait, after.barrier_wait);
+    }
+
+    /// A bottom environment that does nothing but log every hook it is
+    /// handed and answer the three value-returning methods with constants.
+    struct Recorder(crate::sync::Mutex<Vec<String>>);
+
+    const REC_ADDR: VAddr = 0xA110C;
+    const REC_NOW: u64 = 77;
+    const REC_STATS: CtxStats = CtxStats {
+        time: 77,
+        lock_acquires: 5,
+        lock_wait: 4,
+        barrier_wait: 3,
+        remote_misses: 2,
+        local_misses: 1,
+        page_faults: 9,
+    };
+
+    impl Recorder {
+        fn new() -> Recorder {
+            Recorder(crate::sync::Mutex::new(Vec::new()))
+        }
+
+        fn log(&self, call: String) {
+            self.0.lock().push(call);
+        }
+    }
+
+    impl Env for Recorder {
+        type Ctx = ();
+
+        fn num_procs(&self) -> usize {
+            1
+        }
+        fn make_ctx(&self, _proc: usize) {}
+        fn alloc(&self, _bytes: u64, _align: u64, _place: Placement) -> VAddr {
+            REC_ADDR
+        }
+        fn access(&self, _ctx: &mut (), addr: VAddr, bytes: u32, kind: Access) {
+            self.log(format!("access {addr:#x} {bytes} {kind:?}"));
+        }
+        fn atomic_commit(&self, _ctx: &mut (), addr: VAddr, bytes: u32) {
+            self.log(format!("atomic_commit {addr:#x} {bytes}"));
+        }
+        fn compute(&self, _ctx: &mut (), cycles: u64) {
+            self.log(format!("compute {cycles}"));
+        }
+        fn lock(&self, _ctx: &mut (), lock: usize) {
+            self.log(format!("lock {lock}"));
+        }
+        fn unlock(&self, _ctx: &mut (), lock: usize) {
+            self.log(format!("unlock {lock}"));
+        }
+        fn barrier(&self, _ctx: &mut ()) {
+            self.log("barrier".to_string());
+        }
+        fn tag_region(&self, base: VAddr, bytes: u64, region: Region) {
+            self.log(format!("tag_region {base:#x} {bytes} {region}"));
+        }
+        fn phase_begin(&self, _ctx: &mut (), phase: Phase, step: u32) {
+            self.log(format!("phase_begin {phase} {step}"));
+        }
+        fn phase_end(&self, _ctx: &mut (), phase: Phase, step: u32) {
+            self.log(format!("phase_end {phase} {step}"));
+        }
+        fn worker_begin(&self, proc: usize) {
+            self.log(format!("worker_begin {proc}"));
+        }
+        fn worker_end(&self, proc: usize) {
+            self.log(format!("worker_end {proc}"));
+        }
+        fn now(&self, _ctx: &()) -> u64 {
+            REC_NOW
+        }
+        fn stats(&self, _ctx: &()) -> CtxStats {
+            REC_STATS
+        }
+    }
+
+    /// What [`drive_every_hook`] makes a bottom environment log.
+    const EVERY_HOOK: [&str; 16] = [
+        "tag_region 0x400 96 tree-cells",
+        "worker_begin 0",
+        "phase_begin force 3",
+        "access 0x400 4 Read",
+        "access 0x408 5 Write",
+        "access 0x410 6 AtomicRead",
+        "access 0x418 7 AtomicWrite",
+        "access 0x420 8 Rmw",
+        "atomic_commit 0x420 8",
+        "access 0x428 9 Unordered",
+        "compute 1234",
+        "lock 70",
+        "unlock 70",
+        "barrier",
+        "phase_end force 3",
+        "worker_end 0",
+    ];
+
+    /// Call every `Env` method once on `env` as processor 0, each with
+    /// arguments of its own, and return the statistics `env` reports.
+    fn drive_every_hook<E: Env>(env: &E) -> CtxStats {
+        assert_eq!(env.num_procs(), 1);
+        assert_eq!(env.alloc(96, 8, Placement::Global), REC_ADDR);
+        env.tag_region(0x400, 96, Region::TreeCells);
+        env.worker_begin(0);
+        let mut ctx = env.make_ctx(0);
+        env.phase_begin(&mut ctx, Phase::Force, 3);
+        env.access(&mut ctx, 0x400, 4, Access::Read);
+        env.access(&mut ctx, 0x408, 5, Access::Write);
+        env.access(&mut ctx, 0x410, 6, Access::AtomicRead);
+        env.access(&mut ctx, 0x418, 7, Access::AtomicWrite);
+        env.access(&mut ctx, 0x420, 8, Access::Rmw);
+        env.atomic_commit(&mut ctx, 0x420, 8);
+        env.access(&mut ctx, 0x428, 9, Access::Unordered);
+        env.compute(&mut ctx, 1234);
+        env.lock(&mut ctx, 70);
+        env.unlock(&mut ctx, 70);
+        env.barrier(&mut ctx);
+        env.phase_end(&mut ctx, Phase::Force, 3);
+        assert_eq!(env.now(&ctx), REC_NOW);
+        let stats = env.stats(&ctx);
+        env.worker_end(0);
+        stats
+    }
+
+    #[test]
+    fn layers_hand_every_hook_to_the_bottom_exactly_once() {
+        use crate::check::CheckedEnv;
+        use crate::trace::TraceEnv;
+        let env = TraceEnv::new(CheckedEnv::new(Recorder::new()));
+        assert_eq!(drive_every_hook(&env), REC_STATS);
+        assert_eq!(*env.inner().inner().0.lock(), EVERY_HOOK);
+        env.inner().assert_race_free();
+        assert_eq!(env.spans().len(), 1);
+        assert_eq!(env.lock_histogram()[0].lock, 70);
+    }
+
+    #[test]
+    fn the_scheduler_replaces_locks_and_barriers_and_forwards_the_rest() {
+        use crate::sched::{SchedEnv, SchedStrategy};
+        let env = SchedEnv::new(Recorder::new(), SchedStrategy::RoundRobin);
+        let stats = drive_every_hook(&env);
+        // The scheduler implements these three itself over the raw lock ids;
+        // the inner environment's are never entered, and the acquisition is
+        // counted on top of the inner environment's.
+        let forwarded: Vec<&str> = EVERY_HOOK
+            .into_iter()
+            .filter(|c| !c.contains("lock") && *c != "barrier")
+            .collect();
+        assert_eq!(*env.inner().0.lock(), forwarded);
+        let lock_acquires = REC_STATS.lock_acquires + 1;
+        assert_eq!(
+            stats,
+            CtxStats {
+                lock_acquires,
+                ..REC_STATS
+            }
+        );
+        assert!(env.finding().is_none());
+        assert_eq!(env.barrier_generations(), vec![1]);
     }
 
     #[test]

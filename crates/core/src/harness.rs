@@ -23,7 +23,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 thread_local! {
     /// The phase/step the current worker thread is executing, maintained by
-    /// [`crate::pipeline::StepPipeline::run_step`]. Read when enriching a
+    /// [`crate::pipeline::run_step`]. Read when enriching a
     /// propagated panic so schedule-exploration counterexamples name the
     /// failing phase, not just the processor.
     static WORKER_PHASE: Cell<Option<(Phase, u32)>> = const { Cell::new(None) };

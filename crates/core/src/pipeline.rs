@@ -1,14 +1,13 @@
 //! The per-step phase pipeline: each simulation phase as an explicit stage.
 //!
-//! Historically the step loop in [`crate::app`] was one ~150-line block with
-//! the timing / stats-delta bookkeeping copy-pasted once per phase. The
-//! pipeline splits it into [`StepStage`] implementations — tree, partition,
-//! force, update — and keeps the accounting in exactly one place,
-//! [`StepPipeline::run_step`]: phase begin/end markers, barrier-boundary
-//! phase times, [`CtxStats`] deltas (always via [`CtxStats::delta_since`],
-//! never raw counter subtraction), and the tree phase's lock/miss/fault
-//! attribution. A future stage (I/O, checkpointing) slots into
-//! [`StepPipeline::new`]'s stage list without touching the loop.
+//! One step is the four phases of [`Phase::ALL`], in that order. Each phase
+//! is one plain function — `tree_stage`, `partition_stage`, `force_stage`,
+//! `update_stage`, with `morton_tree_stage` and `morton_partition_stage`
+//! standing in for the first two under MORTON — and the accounting lives in
+//! exactly one place, [`run_step`]: phase begin/end markers,
+//! barrier-boundary phase times, [`CtxStats`] deltas (always via
+//! [`CtxStats::delta_since`], never raw counter subtraction), and the tree
+//! phase's lock/miss/fault attribution.
 //!
 //! Barrier placement is part of each stage's algorithm, so stages own their
 //! barriers: the tree stage barriers internally between build, CoM and
@@ -17,9 +16,9 @@
 //! force stage's reads); partition, force and update each end with the
 //! phase-closing barrier.
 
-use crate::algorithms::{morton, Algorithm, Builder};
+use crate::algorithms::{morton, Builder};
 use crate::app::{PhaseSample, ProcRecord, SimConfig};
-use crate::env::{Env, Phase};
+use crate::env::{CtxStats, Env, Phase};
 use crate::force::{force_phase_grouped, ForceScratch};
 use crate::math::Vec3;
 use crate::partition::{costzones, morton_reorder};
@@ -73,354 +72,200 @@ impl StageExtra {
     };
 }
 
-/// One phase of a simulation step, executed by every processor.
-pub trait StepStage<E: Env>: Send + Sync {
-    /// The phase this stage's work (and accounting) is attributed to.
-    fn phase(&self) -> Phase;
-
-    /// Execute the stage for one processor. Stages own their barrier
-    /// structure (see the module docs). The return value carries the
-    /// stage's sub-phase times, credited to [`ProcRecord::flatten_time`] /
-    /// [`ProcRecord::sort_time`] (only the tree stages report nonzero
-    /// values).
-    fn run(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        io: &StageIo<'_>,
-        proc: usize,
-        step: u32,
-    ) -> StageExtra;
-}
-
-/// An ordered list of stages plus the single copy of the per-phase
-/// accounting logic.
-pub struct StepPipeline<E: Env> {
-    stages: Vec<Box<dyn StepStage<E>>>,
-}
-
-impl<E: Env> StepPipeline<E> {
-    /// A pipeline over an explicit stage list.
-    pub fn new(stages: Vec<Box<dyn StepStage<E>>>) -> StepPipeline<E> {
-        StepPipeline { stages }
-    }
-
-    /// The standard Barnes-Hut step: tree → partition → force → update.
-    pub fn standard() -> StepPipeline<E> {
-        StepPipeline::new(vec![
-            Box::new(TreeStage),
-            Box::new(PartitionStage),
-            Box::new(ForceStage),
-            Box::new(UpdateStage),
-        ])
-    }
-
-    /// The pipeline for `alg`: the five linked-tree algorithms run the
-    /// standard stages; MORTON swaps in its sort-then-emit tree stage and
-    /// the cost-cut partition over the emitted body order.
-    pub fn for_algorithm(alg: Algorithm) -> StepPipeline<E> {
-        if alg.builds_flat_directly() {
-            StepPipeline::new(vec![
-                Box::new(MortonTreeStage),
-                Box::new(MortonPartitionStage),
-                Box::new(ForceStage),
-                Box::new(UpdateStage),
-            ])
-        } else {
-            StepPipeline::standard()
-        }
-    }
-
-    /// Run one full step for one processor, accumulating measurements into
-    /// `rec` when `measuring`. Phase times are measured at barrier
-    /// boundaries via `now` (`stats().time` may lag behind on some
-    /// environments), so the [`CtxStats`] delta of each stage has its `time`
-    /// overwritten with the barrier-boundary time — keeping the two accounts
-    /// consistent.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_step(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        io: &StageIo<'_>,
-        proc: usize,
-        step: u32,
-        measuring: bool,
-        rec: &mut ProcRecord,
-    ) {
-        let mut prev_stats = env.stats(ctx);
-        let mut prev_t = env.now(ctx);
-        let mut sample = PhaseSample::default();
-        let mut step_stats = [crate::env::CtxStats::default(); 4];
-        for stage in &self.stages {
-            let phase = stage.phase();
-            // Mark the phase on the worker thread so a panic anywhere in the
-            // stage is attributed to (proc, phase, step) when propagated out
-            // of the pool (see crate::harness::set_worker_phase).
-            crate::harness::set_worker_phase(Some((phase, step)));
-            env.phase_begin(ctx, phase, step);
-            let extra = stage.run(env, ctx, io, proc, step);
-            env.phase_end(ctx, phase, step);
-            let t = env.now(ctx);
-            let stats = env.stats(ctx);
-            if measuring {
-                let mut delta = stats.delta_since(&prev_stats);
-                delta.time = t - prev_t;
-                *sample.phase_mut(phase) += delta.time;
-                step_stats[phase.index()].accumulate(&delta);
-                rec.phases[phase.index()].accumulate(&delta);
-                rec.barrier_wait += delta.barrier_wait;
-                if phase == Phase::Tree {
-                    rec.tree_locks += delta.lock_acquires;
-                    rec.tree_remote_misses += delta.remote_misses;
-                    rec.tree_page_faults += delta.page_faults;
-                    rec.tree_lock_wait += delta.lock_wait;
-                    rec.flatten_time += extra.flatten;
-                    rec.sort_time += extra.sort;
-                }
-                if phase == Phase::Force {
-                    rec.force_groups += extra.force_groups;
-                    rec.force_list_entries += extra.force_list_entries;
-                    rec.force_interactions += extra.force_interactions;
-                }
-            }
-            prev_stats = stats;
-            prev_t = t;
-        }
-        crate::harness::set_worker_phase(None);
+/// Run one full step for one processor, accumulating measurements into
+/// `rec` when `measuring`. Phase times are measured at barrier boundaries via
+/// `now` (`stats().time` may lag behind on some environments), so the
+/// [`CtxStats`] delta of each stage has its `time` overwritten with the
+/// barrier-boundary time — keeping the two accounts consistent.
+pub fn run_step<E: Env>(
+    env: &E,
+    ctx: &mut E::Ctx,
+    io: &StageIo<'_>,
+    proc: usize,
+    step: u32,
+    measuring: bool,
+    rec: &mut ProcRecord,
+) {
+    // The five linked-tree algorithms run the standard stages; MORTON swaps
+    // in its sort-then-emit tree stage and the cost-cut partition over the
+    // emitted body order.
+    let flat_directly = io.cfg.algorithm.builds_flat_directly();
+    let mut prev_stats = env.stats(ctx);
+    let mut prev_t = env.now(ctx);
+    let mut sample = PhaseSample::default();
+    let mut step_stats = [CtxStats::default(); 4];
+    for phase in Phase::ALL {
+        // Mark the phase on the worker thread so a panic anywhere in the
+        // stage is attributed to (proc, phase, step) when propagated out
+        // of the pool (see crate::harness::set_worker_phase).
+        crate::harness::set_worker_phase(Some((phase, step)));
+        env.phase_begin(ctx, phase, step);
+        let extra = match (phase, flat_directly) {
+            (Phase::Tree, false) => tree_stage(env, ctx, io, proc, step),
+            (Phase::Tree, true) => morton_tree_stage(env, ctx, io, proc, step),
+            (Phase::Partition, false) => partition_stage(env, ctx, io, proc),
+            (Phase::Partition, true) => morton_partition_stage(env, ctx, io, proc),
+            (Phase::Force, _) => force_stage(env, ctx, io, proc),
+            (Phase::Update, _) => update_stage(env, ctx, io, proc),
+        };
+        env.phase_end(ctx, phase, step);
+        let t = env.now(ctx);
+        let stats = env.stats(ctx);
         if measuring {
-            rec.steps.push(sample);
-            rec.step_stats.push(step_stats);
+            let mut delta = stats.delta_since(&prev_stats);
+            delta.time = t - prev_t;
+            *sample.phase_mut(phase) += delta.time;
+            step_stats[phase.index()].accumulate(&delta);
+            rec.phases[phase.index()].accumulate(&delta);
+            rec.barrier_wait += delta.barrier_wait;
+            if phase == Phase::Tree {
+                rec.tree_locks += delta.lock_acquires;
+                rec.tree_remote_misses += delta.remote_misses;
+                rec.tree_page_faults += delta.page_faults;
+                rec.tree_lock_wait += delta.lock_wait;
+                rec.flatten_time += extra.flatten;
+                rec.sort_time += extra.sort;
+            }
+            if phase == Phase::Force {
+                rec.force_groups += extra.force_groups;
+                rec.force_list_entries += extra.force_list_entries;
+                rec.force_interactions += extra.force_interactions;
+            }
         }
+        prev_stats = stats;
+        prev_t = t;
+    }
+    crate::harness::set_worker_phase(None);
+    if measuring {
+        rec.steps.push(sample);
+        rec.step_stats.push(step_stats);
     }
 }
 
 /// Tree-build phase: optional Morton reorder, bounds reduction, build,
 /// center-of-mass pass, and the cooperative flat-snapshot pass.
-struct TreeStage;
-
-impl<E: Env> StepStage<E> for TreeStage {
-    fn phase(&self) -> Phase {
-        Phase::Tree
+fn tree_stage<E: Env>(
+    env: &E,
+    ctx: &mut E::Ctx,
+    io: &StageIo<'_>,
+    proc: usize,
+    step: u32,
+) -> StageExtra {
+    let cfg = io.cfg;
+    if cfg.morton_every > 0 && (step as usize).is_multiple_of(cfg.morton_every) {
+        morton_reorder(env, ctx, io.world, proc);
     }
-
-    fn run(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        io: &StageIo<'_>,
-        proc: usize,
-        step: u32,
-    ) -> StageExtra {
-        let cfg = io.cfg;
-        if cfg.morton_every > 0 && (step as usize).is_multiple_of(cfg.morton_every) {
-            morton_reorder(env, ctx, io.world, proc);
-        }
-        let cube = crate::algorithms::common::bounds_phase(env, ctx, io.world, proc);
-        io.builder
-            .build(env, ctx, io.tree, io.world, proc, step, cube);
-        env.barrier(ctx);
-        io.builder.com(env, ctx, io.tree, io.world, proc, step);
-        env.barrier(ctx);
-        // Snapshot the summarized tree. The fill's writes are separated
-        // from the force phase's reads by the partition stage's closing
-        // barrier.
-        let f0 = env.now(ctx);
-        let plan = io.flat.plan(env, ctx, io.tree);
-        io.flat.publish_counts(env, ctx, io.tree, &plan, proc);
-        env.barrier(ctx);
-        io.flat.fill(env, ctx, io.tree, &plan, proc);
-        let flatten_t = env.now(ctx) - f0;
-        if cfg.validate && proc == 0 && step as usize + 1 == io.total_steps {
-            *io.tree_snapshot.lock() = Some(io.world.positions());
-        }
-        StageExtra {
-            flatten: flatten_t,
-            ..StageExtra::NONE
-        }
+    let cube = crate::algorithms::common::bounds_phase(env, ctx, io.world, proc);
+    io.builder
+        .build(env, ctx, io.tree, io.world, proc, step, cube);
+    env.barrier(ctx);
+    io.builder.com(env, ctx, io.tree, io.world, proc, step);
+    env.barrier(ctx);
+    // Snapshot the summarized tree. The fill's writes are separated
+    // from the force phase's reads by the partition stage's closing
+    // barrier.
+    let f0 = env.now(ctx);
+    let plan = io.flat.plan(env, ctx, io.tree);
+    io.flat.publish_counts(env, ctx, io.tree, &plan, proc);
+    env.barrier(ctx);
+    io.flat.fill(env, ctx, io.tree, &plan, proc);
+    let flatten_t = env.now(ctx) - f0;
+    if cfg.validate && proc == 0 && step as usize + 1 == io.total_steps {
+        *io.tree_snapshot.lock() = Some(io.world.positions());
+    }
+    StageExtra {
+        flatten: flatten_t,
+        ..StageExtra::NONE
     }
 }
 
 /// MORTON tree-build phase: bounds reduction, parallel radix sort of the
 /// Morton keys, then direct emission of the flat snapshot from the sorted
 /// key array — no linked tree, no flatten, no locks.
-struct MortonTreeStage;
-
-impl<E: Env> StepStage<E> for MortonTreeStage {
-    fn phase(&self) -> Phase {
-        Phase::Tree
+fn morton_tree_stage<E: Env>(
+    env: &E,
+    ctx: &mut E::Ctx,
+    io: &StageIo<'_>,
+    proc: usize,
+    step: u32,
+) -> StageExtra {
+    let cfg = io.cfg;
+    let scratch = io.builder.morton_scratch();
+    // No periodic Morton reorder: the emitted body order *is* the
+    // Morton order, refreshed every step by the partition stage.
+    let cube = crate::algorithms::common::bounds_phase(env, ctx, io.world, proc);
+    let s0 = env.now(ctx);
+    morton::sort_keys(env, ctx, io.world, scratch, &cube, proc);
+    let sort_t = env.now(ctx) - s0;
+    // Emission: plan is deterministic and identical on every
+    // processor; owners publish counts, a barrier, disjoint fill,
+    // another barrier, then processor 0 summarizes the spine. The
+    // partition stage's closing barrier separates the spine writes
+    // from the force phase's reads (the partition itself reads only
+    // `flat.bodies`, complete since the post-fill barrier).
+    let plan = morton::plan(env, ctx, scratch, io.world.n, cfg.k, cube);
+    let owned = morton::publish_counts(env, ctx, scratch, &plan, cfg.k, proc);
+    env.barrier(ctx);
+    morton::fill(env, ctx, io.flat, io.world, scratch, &plan, &owned, cfg.k);
+    env.barrier(ctx);
+    if proc == 0 {
+        morton::fill_spine(env, ctx, io.flat, scratch, &plan);
     }
-
-    fn run(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        io: &StageIo<'_>,
-        proc: usize,
-        step: u32,
-    ) -> StageExtra {
-        let cfg = io.cfg;
-        let scratch = io.builder.morton_scratch();
-        // No periodic Morton reorder: the emitted body order *is* the
-        // Morton order, refreshed every step by the partition stage.
-        let cube = crate::algorithms::common::bounds_phase(env, ctx, io.world, proc);
-        let s0 = env.now(ctx);
-        morton::sort_keys(env, ctx, io.world, scratch, &cube, proc);
-        let sort_t = env.now(ctx) - s0;
-        // Emission: plan is deterministic and identical on every
-        // processor; owners publish counts, a barrier, disjoint fill,
-        // another barrier, then processor 0 summarizes the spine. The
-        // partition stage's closing barrier separates the spine writes
-        // from the force phase's reads (the partition itself reads only
-        // `flat.bodies`, complete since the post-fill barrier).
-        let plan = morton::plan(env, ctx, scratch, io.world.n, cfg.k, cube);
-        let owned = morton::publish_counts(env, ctx, scratch, &plan, cfg.k, proc);
-        env.barrier(ctx);
-        morton::fill(env, ctx, io.flat, io.world, scratch, &plan, &owned, cfg.k);
-        env.barrier(ctx);
-        if proc == 0 {
-            morton::fill_spine(env, ctx, io.flat, scratch, &plan);
-        }
-        if cfg.validate && proc == 0 && step as usize + 1 == io.total_steps {
-            *io.tree_snapshot.lock() = Some(io.world.positions());
-        }
-        StageExtra {
-            sort: sort_t,
-            ..StageExtra::NONE
-        }
+    if cfg.validate && proc == 0 && step as usize + 1 == io.total_steps {
+        *io.tree_snapshot.lock() = Some(io.world.positions());
+    }
+    StageExtra {
+        sort: sort_t,
+        ..StageExtra::NONE
     }
 }
 
 /// MORTON partitioning: a cost-weighted cut of the emitted depth-first
 /// body order (costzones without the tree walk).
-struct MortonPartitionStage;
-
-impl<E: Env> StepStage<E> for MortonPartitionStage {
-    fn phase(&self) -> Phase {
-        Phase::Partition
-    }
-
-    fn run(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        io: &StageIo<'_>,
-        proc: usize,
-        _step: u32,
-    ) -> StageExtra {
-        let scratch = io.builder.morton_scratch();
-        morton::partition(env, ctx, io.flat, io.world, scratch, proc);
-        env.barrier(ctx);
-        StageExtra::NONE
-    }
+fn morton_partition_stage<E: Env>(
+    env: &E,
+    ctx: &mut E::Ctx,
+    io: &StageIo<'_>,
+    proc: usize,
+) -> StageExtra {
+    let scratch = io.builder.morton_scratch();
+    morton::partition(env, ctx, io.flat, io.world, scratch, proc);
+    env.barrier(ctx);
+    StageExtra::NONE
 }
 
 /// Costzones partitioning.
-struct PartitionStage;
-
-impl<E: Env> StepStage<E> for PartitionStage {
-    fn phase(&self) -> Phase {
-        Phase::Partition
-    }
-
-    fn run(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        io: &StageIo<'_>,
-        proc: usize,
-        _step: u32,
-    ) -> StageExtra {
-        costzones(env, ctx, io.tree, io.world, proc);
-        env.barrier(ctx);
-        StageExtra::NONE
-    }
+fn partition_stage<E: Env>(env: &E, ctx: &mut E::Ctx, io: &StageIo<'_>, proc: usize) -> StageExtra {
+    costzones(env, ctx, io.tree, io.world, proc);
+    env.barrier(ctx);
+    StageExtra::NONE
 }
 
 /// Force computation over the flat snapshot: the batched
 /// traversal/evaluation kernel.
-struct ForceStage;
-
-impl<E: Env> StepStage<E> for ForceStage {
-    fn phase(&self) -> Phase {
-        Phase::Force
-    }
-
-    fn run(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        io: &StageIo<'_>,
-        proc: usize,
-        _step: u32,
-    ) -> StageExtra {
-        let fl = force_phase_grouped(
-            env,
-            ctx,
-            io.flat,
-            io.world,
-            &io.cfg.force,
-            io.force_scratch,
-            io.cfg.group_size,
-            proc,
-        );
-        env.barrier(ctx);
-        StageExtra {
-            force_groups: fl.groups,
-            force_list_entries: fl.list_entries,
-            force_interactions: fl.interactions,
-            ..StageExtra::NONE
-        }
+fn force_stage<E: Env>(env: &E, ctx: &mut E::Ctx, io: &StageIo<'_>, proc: usize) -> StageExtra {
+    let fl = force_phase_grouped(
+        env,
+        ctx,
+        io.flat,
+        io.world,
+        &io.cfg.force,
+        io.force_scratch,
+        io.cfg.group_size,
+        proc,
+    );
+    env.barrier(ctx);
+    StageExtra {
+        force_groups: fl.groups,
+        force_list_entries: fl.list_entries,
+        force_interactions: fl.interactions,
+        ..StageExtra::NONE
     }
 }
 
 /// Position/velocity integration.
-struct UpdateStage;
-
-impl<E: Env> StepStage<E> for UpdateStage {
-    fn phase(&self) -> Phase {
-        Phase::Update
-    }
-
-    fn run(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        io: &StageIo<'_>,
-        proc: usize,
-        _step: u32,
-    ) -> StageExtra {
-        update_phase(env, ctx, io.world, proc, io.cfg.dt);
-        env.barrier(ctx);
-        StageExtra::NONE
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::env::NativeEnv;
-
-    #[test]
-    fn standard_pipeline_covers_all_phases_in_order() {
-        let p: StepPipeline<NativeEnv> = StepPipeline::standard();
-        let phases: Vec<Phase> = p.stages.iter().map(|s| s.phase()).collect();
-        assert_eq!(
-            phases,
-            vec![Phase::Tree, Phase::Partition, Phase::Force, Phase::Update]
-        );
-    }
-
-    #[test]
-    fn every_algorithm_pipeline_covers_all_phases_in_order() {
-        for alg in Algorithm::ALL {
-            let p: StepPipeline<NativeEnv> = StepPipeline::for_algorithm(alg);
-            let phases: Vec<Phase> = p.stages.iter().map(|s| s.phase()).collect();
-            assert_eq!(
-                phases,
-                vec![Phase::Tree, Phase::Partition, Phase::Force, Phase::Update],
-                "{alg} pipeline"
-            );
-        }
-    }
+fn update_stage<E: Env>(env: &E, ctx: &mut E::Ctx, io: &StageIo<'_>, proc: usize) -> StageExtra {
+    update_phase(env, ctx, io.world, proc, io.cfg.dt);
+    env.barrier(ctx);
+    StageExtra::NONE
 }

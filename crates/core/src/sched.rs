@@ -3,7 +3,7 @@
 //! [`crate::check::CheckedEnv`] certifies the *one* interleaving a run
 //! happens to take. [`SchedEnv`] removes that qualifier: it serializes the
 //! SPMD workers at every synchronization point — `lock`, `unlock`,
-//! `barrier`, the `*_atomic` accounting calls and `atomic_commit` — and
+//! `barrier`, the atomic kinds of `access` and `atomic_commit` — and
 //! hands control to exactly one runnable processor at a time under a
 //! pluggable [`SchedStrategy`]. Replaying a program under many strategies
 //! (seeded-random sampling, the deterministic round-robin schedule, or the
@@ -84,7 +84,7 @@
 use crate::algorithms::Algorithm;
 use crate::app::{run_simulation, SimConfig};
 use crate::check::{CheckedEnv, RaceReport};
-use crate::env::{CtxStats, Env, NativeEnv, Phase, Placement, Region, VAddr};
+use crate::env::{Access, CtxStats, Env, EnvLayer, LayerCtx, NativeEnv, VAddr};
 use crate::model::Model;
 use crate::rng::SmallRng;
 use crate::sync::Mutex;
@@ -457,13 +457,6 @@ impl SchedState {
             }
         }
     }
-}
-
-/// Per-processor context of a [`SchedEnv`].
-pub struct SchedCtx<C> {
-    proc: usize,
-    lock_acquires: u64,
-    inner: C,
 }
 
 /// The controlled scheduler. See the module docs.
@@ -866,93 +859,57 @@ impl<E: Env> SchedEnv<E> {
     }
 }
 
-impl<E: Env> Env for SchedEnv<E> {
-    type Ctx = SchedCtx<E::Ctx>;
+impl<E: Env> EnvLayer for SchedEnv<E> {
+    type Inner = E;
+    /// Lock acquisitions granted to this processor (the inner environment
+    /// never sees them).
+    type Local = u64;
 
-    fn num_procs(&self) -> usize {
-        self.inner.num_procs()
+    fn inner(&self) -> &E {
+        &self.inner
     }
 
-    fn make_ctx(&self, proc: usize) -> Self::Ctx {
-        SchedCtx {
-            proc,
-            lock_acquires: 0,
-            inner: self.inner.make_ctx(proc),
+    fn make_local(&self, _proc: usize) -> u64 {
+        0
+    }
+
+    fn on_access(&self, ctx: &mut LayerCtx<Self>, addr: VAddr, bytes: u32, kind: Access) {
+        // The atomic kinds are sync points; plain and deliberately unordered
+        // accesses are straight-line code and do not yield.
+        match kind {
+            Access::Rmw => self.yield_at(ctx.proc, SyncOp::Rmw(addr)),
+            Access::AtomicRead => self.yield_at(ctx.proc, SyncOp::AtomicRead(addr)),
+            Access::AtomicWrite => self.yield_at(ctx.proc, SyncOp::AtomicWrite(addr)),
+            Access::Read | Access::Write | Access::Unordered => {}
         }
+        self.inner.access(&mut ctx.inner, addr, bytes, kind);
     }
 
-    fn alloc(&self, bytes: u64, align: u64, place: Placement) -> VAddr {
-        self.inner.alloc(bytes, align, place)
-    }
-
-    fn tag_region(&self, base: VAddr, bytes: u64, region: Region) {
-        self.inner.tag_region(base, bytes, region)
-    }
-
-    fn read(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.read(&mut ctx.inner, addr, bytes);
-    }
-
-    fn write(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.write(&mut ctx.inner, addr, bytes);
-    }
-
-    fn rmw(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.yield_at(ctx.proc, SyncOp::Rmw(addr));
-        self.inner.rmw(&mut ctx.inner, addr, bytes);
-    }
-
-    fn read_atomic(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.yield_at(ctx.proc, SyncOp::AtomicRead(addr));
-        self.inner.read_atomic(&mut ctx.inner, addr, bytes);
-    }
-
-    fn write_atomic(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.yield_at(ctx.proc, SyncOp::AtomicWrite(addr));
-        self.inner.write_atomic(&mut ctx.inner, addr, bytes);
-    }
-
-    fn atomic_commit(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
+    fn on_atomic_commit(&self, ctx: &mut LayerCtx<Self>, addr: VAddr, bytes: u32) {
         self.yield_at(ctx.proc, SyncOp::Commit(addr));
         self.inner.atomic_commit(&mut ctx.inner, addr, bytes);
     }
 
-    fn read_unordered(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        // Deliberately unordered: not a sync point, no yield.
-        self.inner.read_unordered(&mut ctx.inner, addr, bytes);
-    }
-
-    fn compute(&self, ctx: &mut Self::Ctx, cycles: u64) {
-        self.inner.compute(&mut ctx.inner, cycles);
-    }
-
-    fn lock(&self, ctx: &mut Self::Ctx, lock: usize) {
+    fn on_lock(&self, ctx: &mut LayerCtx<Self>, lock: usize) {
         // Scheduler-level lock semantics over the raw id: the grant is the
         // acquisition. The inner environment's hashed lock table is never
         // entered (see the module docs).
-        ctx.lock_acquires += 1;
+        ctx.local += 1;
         self.yield_at(ctx.proc, SyncOp::Lock(lock));
     }
 
-    fn unlock(&self, ctx: &mut Self::Ctx, lock: usize) {
+    fn on_unlock(&self, ctx: &mut LayerCtx<Self>, lock: usize) {
         self.yield_at(ctx.proc, SyncOp::Unlock(lock));
     }
 
-    fn barrier(&self, ctx: &mut Self::Ctx) {
+    fn on_barrier(&self, ctx: &mut LayerCtx<Self>) {
         // Returning from the yield means this proc was granted its
         // post-release Resume: the episode completed.
         self.yield_at(ctx.proc, SyncOp::Barrier);
     }
 
-    fn phase_begin(&self, ctx: &mut Self::Ctx, phase: Phase, step: u32) {
-        self.inner.phase_begin(&mut ctx.inner, phase, step);
-    }
-
-    fn phase_end(&self, ctx: &mut Self::Ctx, phase: Phase, step: u32) {
-        self.inner.phase_end(&mut ctx.inner, phase, step);
-    }
-
-    fn worker_begin(&self, proc: usize) {
+    fn on_worker_begin(&self, proc: usize) {
+        self.inner.worker_begin(proc);
         let mut g = self.state.lock();
         if g.aborted {
             drop(g);
@@ -969,30 +926,26 @@ impl<E: Env> Env for SchedEnv<E> {
         self.park(g, proc);
     }
 
-    fn worker_end(&self, proc: usize) {
-        let mut g = self.state.lock();
-        if g.aborted {
-            // Unwinding out of an aborted schedule: just leave.
-            g.status[proc] = Status::Done;
-            return;
+    fn on_worker_end(&self, proc: usize) {
+        {
+            let mut g = self.state.lock();
+            if g.aborted {
+                // Unwinding out of an aborted schedule: just leave.
+                g.status[proc] = Status::Done;
+            } else if g.session {
+                g.push_trace(proc, SyncOp::Exit);
+                g.status[proc] = Status::Done;
+                g.current = None;
+                g.last_run = Some(proc);
+                self.schedule(&mut g);
+            }
         }
-        if !g.session {
-            return;
-        }
-        g.push_trace(proc, SyncOp::Exit);
-        g.status[proc] = Status::Done;
-        g.current = None;
-        g.last_run = Some(proc);
-        self.schedule(&mut g);
+        self.inner.worker_end(proc);
     }
 
-    fn now(&self, ctx: &Self::Ctx) -> u64 {
-        self.inner.now(&ctx.inner)
-    }
-
-    fn stats(&self, ctx: &Self::Ctx) -> CtxStats {
+    fn on_stats(&self, ctx: &LayerCtx<Self>) -> CtxStats {
         let mut s = self.inner.stats(&ctx.inner);
-        s.lock_acquires += ctx.lock_acquires;
+        s.lock_acquires += ctx.local;
         s
     }
 }
@@ -1630,6 +1583,7 @@ pub mod selftest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::Placement;
     use crate::harness::spmd;
     use crate::shared::{SharedAtomicVec, SharedVec};
 

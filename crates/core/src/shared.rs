@@ -22,7 +22,7 @@
 //! tree "fights the borrow checker": the unsafety is confined to this module
 //! and [`crate::tree`], with the contract stated here.
 
-use crate::env::{Env, Placement, Region, VAddr};
+use crate::env::{Access, Env, Placement, Region, VAddr};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -157,7 +157,7 @@ impl<T: Copy> SharedVec<T> {
     /// Timed read of element `i`.
     #[inline]
     pub fn load<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize) -> T {
-        env.read(ctx, self.addr(i), self.stride as u32);
+        env.access(ctx, self.addr(i), self.stride as u32, Access::Read);
         // SAFETY: module-level contract (lock/ownership discipline).
         unsafe { *self.slots[i].get() }
     }
@@ -165,7 +165,7 @@ impl<T: Copy> SharedVec<T> {
     /// Timed write of element `i`.
     #[inline]
     pub fn store<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, value: T) {
-        env.write(ctx, self.addr(i), self.stride as u32);
+        env.access(ctx, self.addr(i), self.stride as u32, Access::Write);
         // SAFETY: module-level contract.
         unsafe { *self.slots[i].get() = value };
     }
@@ -173,11 +173,11 @@ impl<T: Copy> SharedVec<T> {
     /// Timed *unordered* read of element `i`: an optimistic pre-check whose
     /// result is re-validated under a lock (or found to be benignly stale)
     /// before being acted on. Reported to the environment through
-    /// [`Env::read_unordered`], so checking environments know not to flag
+    /// [`Access::Unordered`], so checking environments know not to flag
     /// it as a data race.
     #[inline]
     pub fn load_relaxed<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize) -> T {
-        env.read_unordered(ctx, self.addr(i), self.stride as u32);
+        env.access(ctx, self.addr(i), self.stride as u32, Access::Unordered);
         // SAFETY: module-level contract. The value may be concurrently
         // written (struct-granularity tearing included); callers only use
         // fields whose staleness they re-validate.
@@ -194,8 +194,8 @@ impl<T: Copy> SharedVec<T> {
         i: usize,
         f: impl FnOnce(&mut T) -> R,
     ) -> R {
-        env.read(ctx, self.addr(i), self.stride as u32);
-        env.write(ctx, self.addr(i), self.stride as u32);
+        env.access(ctx, self.addr(i), self.stride as u32, Access::Read);
+        env.access(ctx, self.addr(i), self.stride as u32, Access::Write);
         // SAFETY: module-level contract.
         unsafe { f(&mut *self.slots[i].get()) }
     }
@@ -279,7 +279,7 @@ impl SharedAtomicVec {
     /// Timed atomic fetch-add.
     #[inline]
     pub fn fetch_add<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: u32) -> u32 {
-        env.rmw(ctx, self.addr(i), 4);
+        env.access(ctx, self.addr(i), 4, Access::Rmw);
         let r = self.slots[i].fetch_add(v, Ordering::AcqRel);
         env.atomic_commit(ctx, self.addr(i), 4);
         r
@@ -288,7 +288,7 @@ impl SharedAtomicVec {
     /// Timed atomic fetch-sub.
     #[inline]
     pub fn fetch_sub<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: u32) -> u32 {
-        env.rmw(ctx, self.addr(i), 4);
+        env.access(ctx, self.addr(i), 4, Access::Rmw);
         let r = self.slots[i].fetch_sub(v, Ordering::AcqRel);
         env.atomic_commit(ctx, self.addr(i), 4);
         r
@@ -300,14 +300,14 @@ impl SharedAtomicVec {
     #[inline]
     pub fn load<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize) -> u32 {
         let r = self.slots[i].load(Ordering::Acquire);
-        env.read_atomic(ctx, self.addr(i), 4);
+        env.access(ctx, self.addr(i), 4, Access::AtomicRead);
         r
     }
 
     /// Timed atomic store (release).
     #[inline]
     pub fn store<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: u32) {
-        env.write_atomic(ctx, self.addr(i), 4);
+        env.access(ctx, self.addr(i), 4, Access::AtomicWrite);
         self.slots[i].store(v, Ordering::Release)
     }
 
@@ -359,7 +359,7 @@ impl SharedAtomicVec64 {
 
     #[inline]
     pub fn fetch_add<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: u64) -> u64 {
-        env.rmw(ctx, self.addr(i), 8);
+        env.access(ctx, self.addr(i), 8, Access::Rmw);
         let r = self.slots[i].fetch_add(v, Ordering::AcqRel);
         env.atomic_commit(ctx, self.addr(i), 8);
         r
@@ -368,13 +368,13 @@ impl SharedAtomicVec64 {
     #[inline]
     pub fn load<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize) -> u64 {
         let r = self.slots[i].load(Ordering::Acquire);
-        env.read_atomic(ctx, self.addr(i), 8);
+        env.access(ctx, self.addr(i), 8, Access::AtomicRead);
         r
     }
 
     #[inline]
     pub fn store<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: u64) {
-        env.write_atomic(ctx, self.addr(i), 8);
+        env.access(ctx, self.addr(i), 8, Access::AtomicWrite);
         self.slots[i].store(v, Ordering::Release)
     }
 

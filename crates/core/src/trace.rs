@@ -27,12 +27,13 @@
 //! JSON ([`TraceEnv::chrome_trace_json`]) with one track (thread) per
 //! processor — load it at <https://ui.perfetto.dev> or `chrome://tracing`.
 //!
-//! Tracing is honest about its own cost: the wrapper adds a mutex-free hot
-//! path for plain accesses (pure delegation) and touches its per-processor
-//! buffer (an uncontended mutex) only at phase boundaries and lock
-//! acquires.
+//! `TraceEnv` is an [`EnvLayer`] that overrides three hooks — `on_lock`,
+//! `on_phase_begin`, `on_phase_end` — so tracing is honest about its own
+//! cost: accesses take the layer's inlined forwarding default and never see
+//! the wrapper, which touches its per-processor buffer (an uncontended
+//! mutex) only at phase boundaries and lock acquires.
 
-use crate::env::{CtxStats, Env, Phase, Placement, Region, VAddr};
+use crate::env::{CtxStats, Env, EnvLayer, LayerCtx, Phase};
 use crate::sync::Mutex;
 use std::collections::HashMap;
 
@@ -107,14 +108,6 @@ struct ProcTrace {
 pub struct TraceEnv<E: Env> {
     inner: E,
     procs: Box<[Mutex<ProcTrace>]>,
-}
-
-/// Per-processor context of a [`TraceEnv`].
-pub struct TraceCtx<C> {
-    proc: usize,
-    inner: C,
-    /// The currently open phase span: (phase, step, start, stats-at-start).
-    open: Option<(Phase, u32, u64, CtxStats)>,
 }
 
 impl<E: Env> TraceEnv<E> {
@@ -424,70 +417,20 @@ fn escape(s: &str) -> String {
     out
 }
 
-impl<E: Env> Env for TraceEnv<E> {
-    type Ctx = TraceCtx<E::Ctx>;
+impl<E: Env> EnvLayer for TraceEnv<E> {
+    type Inner = E;
+    /// The currently open phase span: (phase, step, start, stats-at-start).
+    type Local = Option<(Phase, u32, u64, CtxStats)>;
 
-    fn num_procs(&self) -> usize {
-        self.inner.num_procs()
+    fn inner(&self) -> &E {
+        &self.inner
     }
 
-    fn make_ctx(&self, proc: usize) -> Self::Ctx {
-        TraceCtx {
-            proc,
-            inner: self.inner.make_ctx(proc),
-            open: None,
-        }
+    fn make_local(&self, _proc: usize) -> Self::Local {
+        None
     }
 
-    fn alloc(&self, bytes: u64, align: u64, place: Placement) -> VAddr {
-        self.inner.alloc(bytes, align, place)
-    }
-
-    fn tag_region(&self, base: VAddr, bytes: u64, region: Region) {
-        self.inner.tag_region(base, bytes, region)
-    }
-
-    #[inline(always)]
-    fn read(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.read(&mut ctx.inner, addr, bytes);
-    }
-
-    #[inline(always)]
-    fn write(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.write(&mut ctx.inner, addr, bytes);
-    }
-
-    #[inline(always)]
-    fn rmw(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.rmw(&mut ctx.inner, addr, bytes);
-    }
-
-    #[inline(always)]
-    fn read_atomic(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.read_atomic(&mut ctx.inner, addr, bytes);
-    }
-
-    #[inline(always)]
-    fn write_atomic(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.write_atomic(&mut ctx.inner, addr, bytes);
-    }
-
-    #[inline(always)]
-    fn atomic_commit(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.atomic_commit(&mut ctx.inner, addr, bytes);
-    }
-
-    #[inline(always)]
-    fn read_unordered(&self, ctx: &mut Self::Ctx, addr: VAddr, bytes: u32) {
-        self.inner.read_unordered(&mut ctx.inner, addr, bytes);
-    }
-
-    #[inline(always)]
-    fn compute(&self, ctx: &mut Self::Ctx, cycles: u64) {
-        self.inner.compute(&mut ctx.inner, cycles);
-    }
-
-    fn lock(&self, ctx: &mut Self::Ctx, lock: usize) {
+    fn on_lock(&self, ctx: &mut LayerCtx<Self>, lock: usize) {
         let start = self.inner.now(&ctx.inner);
         let before = self.inner.stats(&ctx.inner);
         self.inner.lock(&mut ctx.inner, lock);
@@ -518,30 +461,22 @@ impl<E: Env> Env for TraceEnv<E> {
         }
     }
 
-    fn unlock(&self, ctx: &mut Self::Ctx, lock: usize) {
-        self.inner.unlock(&mut ctx.inner, lock);
-    }
-
-    fn barrier(&self, ctx: &mut Self::Ctx) {
-        self.inner.barrier(&mut ctx.inner);
-    }
-
-    fn phase_begin(&self, ctx: &mut Self::Ctx, phase: Phase, step: u32) {
+    fn on_phase_begin(&self, ctx: &mut LayerCtx<Self>, phase: Phase, step: u32) {
         self.inner.phase_begin(&mut ctx.inner, phase, step);
         debug_assert!(
-            ctx.open.is_none(),
+            ctx.local.is_none(),
             "phase_begin({phase}) while {:?} is open",
-            ctx.open.as_ref().map(|o| o.0)
+            ctx.local.as_ref().map(|o| o.0)
         );
         let start = self.inner.now(&ctx.inner);
         let stats = self.inner.stats(&ctx.inner);
-        ctx.open = Some((phase, step, start, stats));
+        ctx.local = Some((phase, step, start, stats));
     }
 
-    fn phase_end(&self, ctx: &mut Self::Ctx, phase: Phase, step: u32) {
+    fn on_phase_end(&self, ctx: &mut LayerCtx<Self>, phase: Phase, step: u32) {
         let end = self.inner.now(&ctx.inner);
         let stats = self.inner.stats(&ctx.inner);
-        match ctx.open.take() {
+        match ctx.local.take() {
             Some((open_phase, open_step, start, stats0)) => {
                 debug_assert!(
                     open_phase == phase && open_step == step,
@@ -562,22 +497,6 @@ impl<E: Env> Env for TraceEnv<E> {
             None => debug_assert!(false, "phase_end({phase}) without phase_begin"),
         }
         self.inner.phase_end(&mut ctx.inner, phase, step);
-    }
-
-    fn worker_begin(&self, proc: usize) {
-        self.inner.worker_begin(proc);
-    }
-
-    fn worker_end(&self, proc: usize) {
-        self.inner.worker_end(proc);
-    }
-
-    fn now(&self, ctx: &Self::Ctx) -> u64 {
-        self.inner.now(&ctx.inner)
-    }
-
-    fn stats(&self, ctx: &Self::Ctx) -> CtxStats {
-        self.inner.stats(&ctx.inner)
     }
 }
 

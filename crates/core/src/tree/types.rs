@@ -8,7 +8,7 @@
 //! into 32 bits, exactly the role the cell-pointer arrays play in the
 //! original C codes.
 
-use crate::env::{Env, Placement};
+use crate::env::{Access, Env, Placement};
 use crate::math::{Cube, Vec3};
 use crate::shared::{SharedAtomicVec, SharedAtomicVec64, SharedVec};
 
@@ -556,7 +556,7 @@ impl SharedTree {
         // instrumented after the operation they describe (see
         // [`crate::env::Env::atomic_commit`]).
         let kids = std::array::from_fn(|oct| NodeRef(a.peek(base + oct)));
-        env.read_atomic(ctx, a.addr(base), 32);
+        env.access(ctx, a.addr(base), 32, Access::AtomicRead);
         kids
     }
 

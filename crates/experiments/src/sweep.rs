@@ -142,6 +142,12 @@ impl SweepScheduler {
     /// jobs first within each class; with a single tenant the server's
     /// deficit round-robin degenerates to FIFO, so that submission order
     /// is also the dispatch order.
+    ///
+    /// A job that panics does not stop the batch (the server keeps its
+    /// worker), but it fails the sweep: once every job has finished, this
+    /// panics with the first message the server collected. Swallowing it
+    /// would let the serial render that follows recompute the key and hide
+    /// the failure.
     pub fn run(mut self, workers: usize) -> usize {
         self.jobs.sort_by_key(|j| {
             let seq_first = match j {
@@ -171,7 +177,14 @@ impl SweepScheduler {
                 .expect("sweep queue sized to the batch");
         }
         server.wait_idle();
+        let panics = server.take_task_panics();
         server.shutdown();
+        if let Some(first) = panics.first() {
+            panic!(
+                "{} of {total} sweep job(s) panicked, the first with: {first}",
+                panics.len()
+            );
+        }
         total
     }
 }
@@ -215,6 +228,22 @@ mod tests {
         let treebuild = find("treebuild").expect("a known name");
         assert!(prewarm_jobs([treebuild], ExperimentScale::Tiny).is_empty());
         assert!(find("nope").is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated processors supported")]
+    fn a_panicking_job_fails_the_sweep() {
+        let cost = platform::challenge(2);
+        let mut s = SweepScheduler::new();
+        s.add_seq(&cost, 192);
+        // 65 processors is outside what `Machine::new` accepts.
+        s.push(SweepJob::Par {
+            cost,
+            alg: Algorithm::Space,
+            n: 64,
+            procs: 65,
+        });
+        s.run(2);
     }
 
     #[test]

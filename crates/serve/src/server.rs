@@ -113,6 +113,8 @@ struct Inner {
     in_flight: usize,
     /// Running sum/samples for queue-depth percentiles.
     depth_samples: Vec<usize>,
+    /// Messages of the batch tasks that panicked, in completion order.
+    task_panics: Vec<String>,
 }
 
 struct Shared {
@@ -159,6 +161,7 @@ impl Server {
                 draining: false,
                 in_flight: 0,
                 depth_samples: Vec::new(),
+                task_panics: Vec::new(),
             }),
             work_ready: Condvar::new(),
             idle: Condvar::new(),
@@ -232,6 +235,13 @@ impl Server {
         }
     }
 
+    /// The panic messages of the batch tasks (see [`Server::submit_task`])
+    /// that died since the last call. A task has nobody to report to, so
+    /// its submitter asks here once the server is idle.
+    pub fn take_task_panics(&self) -> Vec<String> {
+        std::mem::take(&mut self.shared.inner.lock().unwrap().task_panics)
+    }
+
     /// Snapshot of counters and queue state.
     pub fn stats(&self) -> ServerStats {
         let inner = self.shared.inner.lock().unwrap();
@@ -295,8 +305,12 @@ fn worker_loop(shared: &Shared) {
         };
         match work {
             Work::Task(task) => {
-                // A panicking batch task must not kill the executor.
-                let _ = std::panic::catch_unwind(AssertUnwindSafe(task));
+                // A panicking batch task must not kill the executor; its
+                // message is kept for `take_task_panics`.
+                if let Err(panic) = std::panic::catch_unwind(AssertUnwindSafe(task)) {
+                    let mut inner = shared.inner.lock().unwrap();
+                    inner.task_panics.push(panic_message(panic));
+                }
             }
             Work::Job { spec, on_done } => {
                 let shape = spec.shape();
@@ -322,7 +336,7 @@ fn worker_loop(shared: &Shared) {
                     }
                     Err(panic) => {
                         drop(engine); // poisoned pool: discard, never park
-                        JobResult::Failed(panic_message(&panic))
+                        JobResult::Failed(panic_message(panic))
                     }
                 };
                 // The callback is client code; its panics must not kill the
@@ -338,7 +352,10 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic. Takes the payload by value: a `&Box<..>`
+/// argument would coerce the `Box` itself into the `dyn Any`, and no
+/// downcast below would hit.
+fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -467,6 +484,8 @@ mod tests {
             JobResult::Done(o) => assert!(o.digest != 0),
             JobResult::Failed(m) => panic!("follow-up job failed: {m}"),
         }
+        assert_eq!(server.take_task_panics(), ["boom"]);
+        assert!(server.take_task_panics().is_empty());
         let stats = server.shutdown();
         assert_eq!(stats.served_total, 1);
     }

@@ -29,7 +29,7 @@ use crate::attr::{AttrTable, SETUP_SLOT};
 use crate::cache::GrainMap;
 use crate::cache::{Held, PageEntry, PageTable, PrivateCache};
 use crate::config::CostModel;
-use bh_core::env::{CtxStats, Env, Phase, Placement, Region, VAddr};
+use bh_core::env::{Access, CtxStats, Env, Phase, Placement, Region, VAddr};
 use bh_core::shared::RegionMap;
 use bh_core::sync::{Mutex, RawLock, SenseBarrier};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -265,41 +265,6 @@ impl Machine {
     #[inline]
     fn grains(&self, addr: VAddr, bytes: u32) -> std::ops::RangeInclusive<u64> {
         (addr >> self.grain_shift)..=((addr + bytes.max(1) as u64 - 1) >> self.grain_shift)
-    }
-
-    /// `read`/`write`. The common case is decided here, inlined into the
-    /// caller: the access lies in one grain, no invalidation is pending and
-    /// this processor's table says hit. Everything else goes to the
-    /// protocol's out-of-line body, which starts over from the top.
-    #[inline(always)]
-    fn access(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32, write: bool) {
-        let grains = self.grains(addr, bytes);
-        let (grain, one_grain) = (*grains.start(), grains.start() == grains.end());
-        if self.lazy {
-            let hit = one_grain
-                && matches!(ctx.pages.get(grain),
-                    Some(e) if e.checked_epoch == ctx.epoch && (e.writing || !write));
-            if hit {
-                ctx.clock += self.cost.t_hit;
-            } else {
-                self.lazy_access(ctx, addr, bytes, write);
-            }
-        } else {
-            // `Acquire` pairs with the `Release` store in `post`. A clear
-            // flag is what the swap in `drain` would see as well: a message
-            // takes effect at the first access that observes its flag.
-            let hit = one_grain
-                && !self.queues[ctx.proc].flag.load(Ordering::Acquire)
-                && matches!(
-                    (ctx.cache.get(grain), write),
-                    (Some(_), false) | (Some(Held::Exclusive), true)
-                );
-            if hit {
-                ctx.clock += self.cost.t_hit;
-            } else {
-                self.eager_access(ctx, addr, bytes, write);
-            }
-        }
     }
 
     /// Drain this processor's invalidation queue into its private cache.
@@ -563,6 +528,39 @@ impl Machine {
         ctx.clock += backlog + self.cost.t_page_fault;
         ctx.page_faults += 1;
     }
+
+    /// [`Access::Rmw`]: a read and a write, serialized at the line's home.
+    fn rmw_access(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32) {
+        if self.lazy {
+            self.lazy_access(ctx, addr, bytes, false);
+            self.lazy_access(ctx, addr, bytes, true);
+            return;
+        }
+        // Gain exclusive ownership, then serialize at the line's home:
+        // concurrent atomics on one hot line (a shared allocation counter, a
+        // line of adjacent per-processor counters) queue up in the
+        // directory/memory controller.
+        self.eager_access(ctx, addr, bytes, true);
+        let occ = self.cost.t_rmw_occupancy;
+        if occ > 0 {
+            let grain = addr >> self.grain_shift;
+            let backlog = {
+                let mut shard = self.shard_of(grain).lock();
+                let line = shard.lines.entry(grain).or_insert_with(|| LineState {
+                    sharers: 0,
+                    exclusive: -1,
+                    service_end: 0,
+                });
+                let backlog = line
+                    .service_end
+                    .saturating_sub(ctx.clock)
+                    .min(self.procs as u64 * occ);
+                line.service_end = ctx.clock + backlog + occ;
+                backlog
+            };
+            ctx.clock += backlog + occ;
+        }
+    }
 }
 
 impl Env for Machine {
@@ -618,45 +616,42 @@ impl Env for Machine {
         }
     }
 
-    #[inline]
-    fn read(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32) {
-        self.access(ctx, addr, bytes, false)
-    }
-
-    #[inline]
-    fn write(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32) {
-        self.access(ctx, addr, bytes, true)
-    }
-
-    fn rmw(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32) {
-        if self.lazy {
-            self.lazy_access(ctx, addr, bytes, false);
-            self.lazy_access(ctx, addr, bytes, true);
-            return;
+    /// The common case is decided here, inlined into the caller (where
+    /// `kind` is a constant): the access lies in one grain, no invalidation
+    /// is pending and this processor's table says hit. Everything else goes
+    /// to the protocol's out-of-line body, which starts over from the top.
+    #[inline(always)]
+    fn access(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32, kind: Access) {
+        if kind == Access::Rmw {
+            return self.rmw_access(ctx, addr, bytes);
         }
-        // Gain exclusive ownership, then serialize at the line's home:
-        // concurrent atomics on one hot line (a shared allocation counter, a
-        // line of adjacent per-processor counters) queue up in the
-        // directory/memory controller.
-        self.eager_access(ctx, addr, bytes, true);
-        let occ = self.cost.t_rmw_occupancy;
-        if occ > 0 {
-            let grain = addr >> self.grain_shift;
-            let backlog = {
-                let mut shard = self.shard_of(grain).lock();
-                let line = shard.lines.entry(grain).or_insert_with(|| LineState {
-                    sharers: 0,
-                    exclusive: -1,
-                    service_end: 0,
-                });
-                let backlog = line
-                    .service_end
-                    .saturating_sub(ctx.clock)
-                    .min(self.procs as u64 * occ);
-                line.service_end = ctx.clock + backlog + occ;
-                backlog
-            };
-            ctx.clock += backlog + occ;
+        let write = kind.is_write();
+        let grains = self.grains(addr, bytes);
+        let (grain, one_grain) = (*grains.start(), grains.start() == grains.end());
+        if self.lazy {
+            let hit = one_grain
+                && matches!(ctx.pages.get(grain),
+                    Some(e) if e.checked_epoch == ctx.epoch && (e.writing || !write));
+            if hit {
+                ctx.clock += self.cost.t_hit;
+            } else {
+                self.lazy_access(ctx, addr, bytes, write);
+            }
+        } else {
+            // `Acquire` pairs with the `Release` store in `post`. A clear
+            // flag is what the swap in `drain` would see as well: a message
+            // takes effect at the first access that observes its flag.
+            let hit = one_grain
+                && !self.queues[ctx.proc].flag.load(Ordering::Acquire)
+                && matches!(
+                    (ctx.cache.get(grain), write),
+                    (Some(_), false) | (Some(Held::Exclusive), true)
+                );
+            if hit {
+                ctx.clock += self.cost.t_hit;
+            } else {
+                self.eager_access(ctx, addr, bytes, write);
+            }
         }
     }
 
@@ -823,10 +818,10 @@ mod tests {
         let m = origin(2);
         let mut ctx = m.make_ctx(0);
         let a = m.alloc(64, 64, Placement::Local(0));
-        m.read(&mut ctx, a, 8);
+        m.access(&mut ctx, a, 8, Access::Read);
         let after_miss = ctx.clock;
         assert!(after_miss >= m.cost_model().t_local_miss);
-        m.read(&mut ctx, a, 8);
+        m.access(&mut ctx, a, 8, Access::Read);
         assert_eq!(ctx.clock - after_miss, m.cost_model().t_hit);
     }
 
@@ -837,10 +832,10 @@ mod tests {
         let remote = m.alloc(128, 128, Placement::Local(1));
         let mut ctx = m.make_ctx(0);
         let c0 = ctx.clock;
-        m.read(&mut ctx, local, 8);
+        m.access(&mut ctx, local, 8, Access::Read);
         let local_cost = ctx.clock - c0;
         let c1 = ctx.clock;
-        m.read(&mut ctx, remote, 8);
+        m.access(&mut ctx, remote, 8, Access::Read);
         let remote_cost = ctx.clock - c1;
         assert!(
             remote_cost > local_cost,
@@ -859,11 +854,11 @@ mod tests {
         let a = m.alloc(128, 128, Placement::Global);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
-        m.read(&mut c0, a, 8);
-        m.read(&mut c0, a, 8); // hit
-        m.write(&mut c1, a, 8); // invalidates P0
+        m.access(&mut c0, a, 8, Access::Read);
+        m.access(&mut c0, a, 8, Access::Read); // hit
+        m.access(&mut c1, a, 8, Access::Write); // invalidates P0
         let before = c0.clock;
-        m.read(&mut c0, a, 8);
+        m.access(&mut c0, a, 8, Access::Read);
         assert!(
             c0.clock - before > m.cost_model().t_hit,
             "expected a coherence miss after remote write"
@@ -879,8 +874,8 @@ mod tests {
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         for _ in 0..50 {
-            m.write(&mut c0, same_line, 4);
-            m.write(&mut c1, same_line + 64, 4); // same 128B line
+            m.access(&mut c0, same_line, 4, Access::Write);
+            m.access(&mut c1, same_line + 64, 4, Access::Write); // same 128B line
         }
         let pingpong = c0.clock + c1.clock;
 
@@ -890,8 +885,8 @@ mod tests {
         let mut d0 = m2.make_ctx(0);
         let mut d1 = m2.make_ctx(1);
         for _ in 0..50 {
-            m2.write(&mut d0, a0, 4);
-            m2.write(&mut d1, a1, 4);
+            m2.access(&mut d0, a0, 4, Access::Write);
+            m2.access(&mut d1, a1, 4, Access::Write);
         }
         let separate = d0.clock + d1.clock;
         assert!(
@@ -908,24 +903,24 @@ mod tests {
         let a = m.alloc(4096, 4096, Placement::Global);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
-        m.read(&mut c0, a, 8); // map the page
+        m.access(&mut c0, a, 8, Access::Read); // map the page
         let t_hit_baseline = {
             let before = c0.clock;
-            m.read(&mut c0, a, 8);
+            m.access(&mut c0, a, 8, Access::Read);
             c0.clock - before
         };
         // P1 writes the page inside a critical section.
         m.lock(&mut c1, 9);
-        m.write(&mut c1, a, 8);
+        m.access(&mut c1, a, 8, Access::Write);
         m.unlock(&mut c1, 9);
         // P0 still hits — no eager invalidation.
         let before = c0.clock;
-        m.read(&mut c0, a, 8);
+        m.access(&mut c0, a, 8, Access::Read);
         assert_eq!(c0.clock - before, t_hit_baseline);
         // After an acquire, P0 faults on the modified page.
         m.lock(&mut c0, 9);
         let before = c0.clock;
-        m.read(&mut c0, a, 8);
+        m.access(&mut c0, a, 8, Access::Read);
         let cost = c0.clock - before;
         m.unlock(&mut c0, 9);
         assert!(
@@ -947,7 +942,7 @@ mod tests {
         let mut c1 = m.make_ctx(1);
         // P1 writes the page under lock 3 (creating versions to fault on).
         m.lock(&mut c1, 3);
-        m.write(&mut c1, a, 8);
+        m.access(&mut c1, a, 8, Access::Write);
         m.unlock(&mut c1, 3);
         let release_time = c1.clock;
         // P0, whose clock is far behind, acquires the same lock: its virtual
@@ -1016,7 +1011,7 @@ mod tests {
         // P1 dirties 3 pages in one interval.
         m.lock(&mut c1, 5);
         for i in 0..3 {
-            m.write(&mut c1, a + i * 4096, 8);
+            m.access(&mut c1, a + i * 4096, 8, Access::Write);
         }
         m.unlock(&mut c1, 5);
         // P0's next acquire must pay 3 notices.
@@ -1043,7 +1038,7 @@ mod tests {
         let mut c2 = m.make_ctx(2);
         // P0 maps and dirties the page inside a critical section.
         m.lock(&mut c0, 3);
-        m.write(&mut c0, a, 8);
+        m.access(&mut c0, a, 8, Access::Write);
         m.unlock(&mut c0, 3);
         // P1 and P2 acquire (new epochs) and read: both must fault.
         m.lock(&mut c1, 4);
@@ -1051,7 +1046,7 @@ mod tests {
         m.lock(&mut c2, 5);
         m.unlock(&mut c2, 5);
         let b1 = c1.clock;
-        m.read(&mut c1, a, 8);
+        m.access(&mut c1, a, 8, Access::Read);
         let first = c1.clock - b1;
         // Align P2 into the same virtual window as P1's fault.
         if c2.clock < b1 {
@@ -1059,7 +1054,7 @@ mod tests {
             m.compute(&mut c2, delta);
         }
         let b2 = c2.clock;
-        m.read(&mut c2, a, 8);
+        m.access(&mut c2, a, 8, Access::Read);
         let second = c2.clock - b2;
         assert!(first >= m.cost_model().t_page_fault, "first fault {first}");
         assert!(
@@ -1081,9 +1076,9 @@ mod tests {
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         // Both at vt 0: each RMW pays at least occ; the second also queues.
-        m.rmw(&mut c0, a, 4);
+        m.access(&mut c0, a, 4, Access::Rmw);
         let t0 = c0.clock;
-        m.rmw(&mut c1, a, 4);
+        m.access(&mut c1, a, 4, Access::Rmw);
         let t1 = c1.clock;
         assert!(t0 >= occ);
         assert!(
@@ -1101,17 +1096,17 @@ mod tests {
         let a = m.alloc(128, 128, Placement::Global);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
-        m.write(&mut c0, a, 8);
-        m.read(&mut c1, a, 8);
+        m.access(&mut c0, a, 8, Access::Write);
+        m.access(&mut c1, a, 8, Access::Read);
         let before = c0.clock;
-        m.read(&mut c0, a, 8);
+        m.access(&mut c0, a, 8, Access::Read);
         assert_eq!(
             c0.clock - before,
             m.cost_model().t_hit,
             "read after downgrade must hit"
         );
         let before = c0.clock;
-        m.write(&mut c0, a, 8);
+        m.access(&mut c0, a, 8, Access::Write);
         assert!(
             c0.clock - before > m.cost_model().t_hit,
             "write after downgrade must upgrade"
@@ -1123,16 +1118,16 @@ mod tests {
         let m = hlrc(1);
         let a = m.alloc(4096, 4096, Placement::Local(0));
         let mut ctx = m.make_ctx(0);
-        m.read(&mut ctx, a, 8); // map in
+        m.access(&mut ctx, a, 8, Access::Read); // map in
         let before = ctx.clock;
-        m.write(&mut ctx, a, 8);
+        m.access(&mut ctx, a, 8, Access::Write);
         let first_write = ctx.clock - before;
         assert!(
             first_write >= m.cost_model().t_twin,
             "first write must pay twin creation"
         );
         let before = ctx.clock;
-        m.write(&mut ctx, a + 64, 8);
+        m.access(&mut ctx, a + 64, 8, Access::Write);
         let second_write = ctx.clock - before;
         assert!(
             second_write < m.cost_model().t_twin,
@@ -1186,15 +1181,15 @@ mod tests {
             m.tag_region(b, 256, Region::TreeCells);
             let mut ctx = m.make_ctx(0);
             m.phase_begin(&mut ctx, Phase::Tree, 0);
-            m.read(&mut ctx, a, 8);
-            m.write(&mut ctx, b, 8);
+            m.access(&mut ctx, a, 8, Access::Read);
+            m.access(&mut ctx, b, 8, Access::Write);
             m.lock(&mut ctx, 70); // node lock -> tree-cells
             m.unlock(&mut ctx, 70);
             m.phase_end(&mut ctx, Phase::Tree, 0);
             m.lock(&mut ctx, 3); // free-list lock -> tree-alloc
             m.unlock(&mut ctx, 3);
             let untagged = m.alloc(64, 64, Placement::Local(1));
-            m.read(&mut ctx, untagged, 8);
+            m.access(&mut ctx, untagged, 8, Access::Read);
             (ctx.clock, m.stats(&ctx))
         };
         let plain = origin(2);
@@ -1233,11 +1228,11 @@ mod tests {
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         m.lock(&mut c1, 9);
-        m.write(&mut c1, a, 8);
+        m.access(&mut c1, a, 8, Access::Write);
         m.unlock(&mut c1, 9);
         m.lock(&mut c0, 9);
         m.phase_begin(&mut c0, Phase::Force, 0);
-        m.read(&mut c0, a, 8); // faults on the modified page
+        m.access(&mut c0, a, 8, Access::Read); // faults on the modified page
         m.phase_end(&mut c0, Phase::Force, 0);
         m.unlock(&mut c0, 9);
         let s0 = m.stats(&c0);
