@@ -43,7 +43,8 @@ cargo test --offline -q --test schedule_matrix --test schedule_mutation
 echo "== force kernel lane (sequential-reference parity + group-size matrix cells) =="
 # The kernel against seq_accel/seq_run (exact interaction totals, ≤1e-12
 # velocities, MORTON bitwise), the group-window property test, and the
-# group-size race/schedule cells (the matrices above cover group_size = 16).
+# group-size race/schedule cells (the matrices above cover the default
+# group_size = 64; the cells add 16, the old default, and the edges).
 # flat_force runs twice: the debug build keeps the kernel's count-tiling
 # assertion, the release build is the auto-vectorised shape that ships.
 cargo test --offline -q --test flat_force

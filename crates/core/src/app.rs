@@ -42,8 +42,11 @@ pub struct SimConfig {
     /// `0.0` disables cost-triggered refinement.
     pub space_rebalance: f64,
     /// Bodies per interaction-list group in the force kernel, in
-    /// `1..=MAX_GROUP_SIZE`. `1` builds per-body lists (bitwise identical
-    /// to the sequential reference walk over the same octree).
+    /// `1..=MAX_GROUP_SIZE`, default `MAX_GROUP_SIZE`: the evaluation
+    /// issues the same vector lanes at every multiple of four, so the
+    /// widest group pays for the fewest walks. `1` builds per-body lists
+    /// (bitwise identical to the sequential reference walk over the same
+    /// octree).
     pub group_size: usize,
     /// Morton-reorder each zone's bodies every this many steps (including
     /// step 0); `0` disables the pass.
@@ -63,7 +66,7 @@ impl SimConfig {
             measured_steps: 2,
             space_threshold: None,
             space_rebalance: 0.25,
-            group_size: 16,
+            group_size: MAX_GROUP_SIZE,
             morton_every: 4,
             validate: true,
         }

@@ -271,12 +271,15 @@ pub fn zone_group_windows(
 /// bitmask. Because the band is resolved with each member's exact
 /// criterion and the box bounds are conservative, every body's
 /// interaction *multiset* — and its visit count, which the kernel
-/// charges as [`VISIT_CYCLES`] × popcount — is identical to a
-/// one-body-at-a-time walk's ([`seq_accel`]); only the summation order
-/// differs. At `group_size = 1` the box is a point, the group test *is*
-/// the member's own criterion, the self-entry is skipped at emission, and
-/// the sequential evaluation replays the DFS order — bitwise identical to
-/// [`seq_accel`] over the same octree.
+/// charges as [`VISIT_CYCLES`] × the popcount of the active members this
+/// zone owns — is identical to a one-body-at-a-time walk's
+/// ([`seq_accel`]); only the summation order differs. A window split by
+/// a zone cut is walked by both owners, and each pays for its own members'
+/// visits only, as it does for their interactions. At `group_size = 1` the
+/// box is a point, the group test *is* the member's own criterion, the
+/// self-entry is skipped at emission, and the sequential evaluation
+/// replays the DFS order — bitwise identical to [`seq_accel`] over the
+/// same octree.
 ///
 /// **Evaluation** streams the dense list once per member in a
 /// structure-of-arrays loop with no masks or branches at all
@@ -353,7 +356,10 @@ pub fn force_phase_grouped<E: Env>(
             hi.z = hi.z.max(p.z);
         }
         let single = len == 1;
-        let full: u64 = if len == 64 { !0 } else { (1u64 << len) - 1 };
+        let full = low_bits(len);
+        // The members this zone applies the list to: a window split by a
+        // zone cut is walked by both owners, and each charges only its own.
+        let owned = low_bits(a1 - w0) & !low_bits(a0 - w0);
         for (mi, &b) in members.iter().enumerate() {
             inv[b as usize] = mi as u32 + 1;
         }
@@ -398,8 +404,8 @@ pub fn force_phase_grouped<E: Env>(
                 continue;
             }
             // The members active here are exactly those whose own walk
-            // visits this cell, so the visit charge is per member.
-            env.compute(ctx, VISIT_CYCLES * u64::from(mask.count_ones()));
+            // visits this cell, so the visit charge is per owned member.
+            env.compute(ctx, VISIT_CYCLES * u64::from((mask & owned).count_ones()));
             let side = 2.0 * node.half;
             if single {
                 // A point box: the group test is the member's own
@@ -560,6 +566,16 @@ pub fn force_phase_grouped<E: Env>(
         }
     }
     stats
+}
+
+/// The member mask with bits `0..k` set, `k` in `0..=MAX_GROUP_SIZE`.
+#[inline]
+fn low_bits(k: usize) -> u64 {
+    if k == MAX_GROUP_SIZE {
+        !0
+    } else {
+        (1u64 << k) - 1
+    }
 }
 
 /// Store `mask` as the group's partial mask of rank `len`, doubling the
@@ -1175,5 +1191,111 @@ mod tests {
             assert_eq!(next, 50);
         }
         assert!(zone_group_windows(5, 5, 4, 64).is_empty());
+    }
+
+    /// Charges nothing and logs every `compute` call into the context. The
+    /// kernel's data live in `NativeEnv` allocations.
+    struct ComputeLog;
+
+    impl Env for ComputeLog {
+        type Ctx = Vec<u64>;
+
+        fn num_procs(&self) -> usize {
+            2
+        }
+        fn make_ctx(&self, _proc: usize) -> Vec<u64> {
+            Vec::new()
+        }
+        fn alloc(&self, _bytes: u64, _align: u64, _place: Placement) -> crate::env::VAddr {
+            unreachable!("allocate with NativeEnv")
+        }
+        fn access(&self, _: &mut Vec<u64>, _: crate::env::VAddr, _: u32, _: crate::env::Access) {}
+        fn compute(&self, ctx: &mut Vec<u64>, cycles: u64) {
+            ctx.push(cycles);
+        }
+        fn lock(&self, _ctx: &mut Vec<u64>, _lock: usize) {
+            unreachable!("the force kernel takes no lock")
+        }
+        fn unlock(&self, _ctx: &mut Vec<u64>, _lock: usize) {
+            unreachable!("the force kernel takes no lock")
+        }
+        fn barrier(&self, _ctx: &mut Vec<u64>) {
+            unreachable!("the caller barriers after the force kernel")
+        }
+        fn now(&self, _ctx: &Vec<u64>) -> u64 {
+            0
+        }
+        fn stats(&self, _ctx: &Vec<u64>) -> crate::env::CtxStats {
+            crate::env::CtxStats::default()
+        }
+    }
+
+    #[test]
+    fn a_split_window_charges_each_owner_only_its_own_members_visits() {
+        use crate::env::NativeEnv;
+        use crate::tree::flat::{FlatNode, LEAF_TAG};
+        use crate::tree::TreeLayout;
+        // One window of 64 bodies, one per leaf of a two-level octree (root,
+        // eight octant cells, 64 leaves), cut at a0 = 5 between two zones.
+        // At θ = 0 every member opens every cell.
+        let n = 64;
+        // The center of octant `o` of the cube of half side `half` at `c`.
+        let sub = |c: Vec3, half: f64, o: usize| {
+            let s = |bit: usize| if (o >> bit) & 1 == 1 { half } else { -half };
+            c + Vec3::new(s(0), s(1), s(2)) * 0.5
+        };
+        let bodies: Vec<Body> = (0..n)
+            .map(|i| {
+                let pos = sub(sub(Vec3::ZERO, 1.0, i / 8), 0.5, i % 8);
+                Body::new(pos, Vec3::ZERO, 1.0 / n as f64)
+            })
+            .collect();
+        let native = NativeEnv::new(2);
+        let world = World::new(&native, &bodies);
+        world.zone_start.poke(1, 5);
+        let flat = FlatTree::new(&native, n, 1, TreeLayout::GlobalArena);
+        let cell = |com: Vec3, mass: f64, half: f64, first: usize, tag: u32| FlatNode {
+            com,
+            mass,
+            half,
+            first: first as u32,
+            tag,
+        };
+        flat.nodes.poke(0, cell(Vec3::ZERO, 1.0, 1.0, 0, 8));
+        for c in 0..8 {
+            let com = sub(Vec3::ZERO, 1.0, c);
+            flat.nodes.poke(1 + c, cell(com, 0.125, 0.5, 8 + 8 * c, 8));
+            flat.kids.poke(c, 1 + c as u32);
+        }
+        for (i, b) in bodies.iter().enumerate() {
+            let leaf = cell(b.pos, b.mass, 0.25, i, LEAF_TAG | 1);
+            flat.nodes.poke(9 + i, leaf);
+            flat.kids.poke(8 + i, 9 + i as u32);
+            flat.bodies.poke(i, i as u32);
+        }
+        let scratch = ForceScratch::new(&native, &flat, n, 2);
+        let params = ForceParams {
+            theta: 0.0,
+            ..Default::default()
+        };
+        for (proc, owned) in [(0, 5u64), (1, 59)] {
+            let mut log = Vec::new();
+            let stats = force_phase_grouped(
+                &ComputeLog,
+                &mut log,
+                &flat,
+                &world,
+                &params,
+                &scratch,
+                64,
+                proc,
+            );
+            assert_eq!(stats.interactions, owned * 63, "proc {proc}");
+            // The walk charges its nine cell visits, then the evaluation
+            // each owned member's 63 interactions.
+            let mut want = vec![VISIT_CYCLES * owned; 9];
+            want.extend(vec![INTERACT_CYCLES * 63; owned as usize]);
+            assert_eq!(log, want, "proc {proc}");
+        }
     }
 }

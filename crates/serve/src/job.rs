@@ -43,7 +43,8 @@ pub const MAX_N: usize = 1 << 20;
 pub const MIN_N: usize = 16;
 pub const MAX_PROCS: usize = 32;
 pub const MAX_STEPS: usize = 64;
-pub const MAX_K: usize = 64;
+/// The widest leaf the core's tree builders hold.
+pub const MAX_K: usize = bh_core::tree::MAX_LEAF_BODIES;
 
 /// One validated simulation job.
 #[derive(Debug, Clone, PartialEq)]
@@ -215,6 +216,19 @@ mod tests {
             good.group_size = gs;
             assert!(good.validate().is_ok(), "{gs}");
         }
+    }
+
+    #[test]
+    fn leaf_threshold_is_bounded_by_what_the_builders_hold() {
+        let mut spec = JobSpec::defaults(64);
+        spec.k = MAX_K + 1;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("k 17 out of range [1, 16]"), "{err}");
+        spec.k = MAX_K;
+        spec.validate().expect("k = 16 is admitted");
+        let mut engine = crate::cache::AnyEngine::fresh(&spec.shape());
+        let out = crate::exec::run_job(&mut engine, &spec);
+        assert_eq!(out.steps, spec.steps);
     }
 
     #[test]

@@ -346,6 +346,14 @@ mod tests {
         assert!(err.message.contains("'mars'"), "{}", err.message);
         let err = parse_request(r#"{"op":"teapot"}"#).unwrap_err();
         assert!(err.message.contains("'teapot'"), "{}", err.message);
+        // Parsing only shapes the data; the range check is admission's.
+        match parse_request(r#"{"op":"job","id":"a","tenant":"t","n":64,"k":17}"#).unwrap() {
+            Request::Job { spec, .. } => {
+                let err = spec.validate().unwrap_err();
+                assert!(err.contains("k 17"), "{err}");
+            }
+            other => panic!("wrong request: {other:?}"),
+        }
     }
 
     #[test]

@@ -14,10 +14,17 @@
 //! sequential walk's floating-point operation sequence and is the bitwise
 //! anchor; it is also bitwise independent of the processor count.
 
-use bh_repro::bh_core::force::{group_window, seq_accel, zone_group_windows, EVAL_LANES};
+use bh_repro::bh_core::algorithms::common::bounds_phase;
+use bh_repro::bh_core::algorithms::Builder;
+use bh_repro::bh_core::force::{
+    direct_accel, force_phase_grouped, group_window, seq_accel, zone_group_windows, ForceScratch,
+    EVAL_LANES,
+};
+use bh_repro::bh_core::partition::costzones;
 use bh_repro::bh_core::prelude::*;
 use bh_repro::bh_core::rng::SmallRng;
 use bh_repro::bh_core::seq_app::seq_run;
+use bh_repro::bh_core::tree::flat::FlatTree;
 
 /// Run `steps` measured steps; returns the run's statistics and the final
 /// bodies.
@@ -110,54 +117,84 @@ fn kernel_matches_sequential_reference_for_every_algorithm_group_size_and_procs(
     println!("worst relative velocity deviation from seq_run: {worst_all:e}");
 }
 
+/// The force phase's inputs for one step, with the stages driven by hand so
+/// the zones are in reach: the summarized tree's flat snapshot, a
+/// costzones partition over `procs` and the kernel's scratch.
+struct Snapshot {
+    env: NativeEnv,
+    pool: WorkerPool,
+    world: World,
+    flat: FlatTree,
+    scratch: ForceScratch,
+}
+
+impl Snapshot {
+    fn build(bodies: &[Body], cfg: &SimConfig, procs: usize) -> Snapshot {
+        let (n, alg, k) = (bodies.len(), cfg.algorithm, cfg.k);
+        let env = NativeEnv::new(procs);
+        let pool = WorkerPool::new(procs);
+        let world = World::new(&env, bodies);
+        let tree = SharedTree::new(&env, n, k, alg.layout());
+        let flat = FlatTree::new(&env, n, k, alg.layout());
+        let scratch = ForceScratch::new(&env, &flat, n, procs);
+        let builder = Builder::new(&env, alg, n, k);
+        pool.run(&env, |proc, ctx| {
+            let cube = bounds_phase(&env, ctx, &world, proc);
+            builder.build(&env, ctx, &tree, &world, proc, 0, cube);
+            env.barrier(ctx);
+            builder.com(&env, ctx, &tree, &world, proc, 0);
+            env.barrier(ctx);
+            let plan = flat.plan(&env, ctx, &tree);
+            flat.publish_counts(&env, ctx, &tree, &plan, proc);
+            env.barrier(ctx);
+            flat.fill(&env, ctx, &tree, &plan, proc);
+            costzones(&env, ctx, &tree, &world, proc);
+            env.barrier(ctx);
+        });
+        Snapshot {
+            env,
+            pool,
+            world,
+            flat,
+            scratch,
+        }
+    }
+
+    /// Run the force phase at `group_size`; results land in `world.acc`
+    /// and `world.cost`.
+    fn force(&self, params: &ForceParams, group_size: usize) {
+        let Snapshot {
+            env,
+            pool,
+            world,
+            flat,
+            scratch,
+        } = self;
+        pool.run(env, |proc, ctx| {
+            force_phase_grouped(env, ctx, flat, world, params, scratch, group_size, proc);
+            env.barrier(ctx);
+        });
+    }
+}
+
 #[test]
 fn zone_cut_inside_a_sub_group_is_evaluated_by_both_owners() {
-    // Drive the stages by hand so the zones are in reach: with three
-    // processors over 1203 bodies costzones cuts the order where no aligned
-    // run of four members ends, so both neighbours evaluate the cut
-    // sub-group and each must keep exactly its own members' lanes. Every
+    // With three processors over 1203 bodies costzones cuts the order where
+    // no aligned run of four members ends, so both neighbours evaluate the
+    // cut sub-group and each must keep exactly its own members' lanes. Every
     // body's acceleration and interaction count is held to `seq_accel`.
-    use bh_repro::bh_core::algorithms::common::bounds_phase;
-    use bh_repro::bh_core::algorithms::Builder;
-    use bh_repro::bh_core::force::{force_phase_grouped, ForceScratch};
-    use bh_repro::bh_core::partition::costzones;
-    use bh_repro::bh_core::tree::flat::FlatTree;
-
     let (n, procs) = (1203, 3);
     let bodies = Model::Plummer.generate(n, 42);
     let cfg = SimConfig::new(Algorithm::Orig);
-    let (alg, k) = (cfg.algorithm, cfg.k);
     let expect = seq_accels(&bodies, &cfg);
-
-    let env = NativeEnv::new(procs);
-    let pool = WorkerPool::new(procs);
-    let world = World::new(&env, &bodies);
-    let tree = SharedTree::new(&env, n, k, alg.layout());
-    let flat = FlatTree::new(&env, n, k, alg.layout());
-    let scratch = ForceScratch::new(&env, &flat, n, procs);
-    let builder = Builder::new(&env, alg, n, k);
-    pool.run(&env, |proc, ctx| {
-        let cube = bounds_phase(&env, ctx, &world, proc);
-        builder.build(&env, ctx, &tree, &world, proc, 0, cube);
-        env.barrier(ctx);
-        builder.com(&env, ctx, &tree, &world, proc, 0);
-        env.barrier(ctx);
-        let plan = flat.plan(&env, ctx, &tree);
-        flat.publish_counts(&env, ctx, &tree, &plan, proc);
-        env.barrier(ctx);
-        flat.fill(&env, ctx, &tree, &plan, proc);
-        costzones(&env, ctx, &tree, &world, proc);
-        env.barrier(ctx);
-    });
+    let snap = Snapshot::build(&bodies, &cfg, procs);
+    let world = &snap.world;
     for gs in [5, 16, 64] {
         assert!(
             (1..procs).any(|q| !(world.zone(q).0 % gs).is_multiple_of(EVAL_LANES)),
             "gs={gs}: no zone cut falls inside a sub-group; pick another shape"
         );
-        pool.run(&env, |proc, ctx| {
-            force_phase_grouped(&env, ctx, &flat, &world, &cfg.force, &scratch, gs, proc);
-            env.barrier(ctx);
-        });
+        snap.force(&cfg.force, gs);
         for (b, &(acc, cnt)) in expect.iter().enumerate() {
             assert_eq!(world.cost.peek(b), cnt, "gs={gs} body {b}: count");
             let rel = (world.acc.peek(b) - acc).norm() / acc.norm();
@@ -166,6 +203,69 @@ fn zone_cut_inside_a_sub_group_is_evaluated_by_both_owners() {
                 "gs={gs} body {b}: acceleration off by {rel:e}"
             );
         }
+    }
+}
+
+/// `(p50, p99, max)` of the per-body relative error `|a - exact| / |exact|`
+/// (nearest-rank percentiles).
+fn error_quantiles(accels: impl Iterator<Item = Vec3>, exact: &[Vec3]) -> [f64; 3] {
+    let mut err: Vec<f64> = accels
+        .zip(exact)
+        .map(|(a, e)| (a - *e).norm() / e.norm())
+        .collect();
+    err.sort_by(f64::total_cmp);
+    let rank = |q: f64| err[(q * err.len() as f64).ceil() as usize - 1];
+    [rank(0.5), rank(0.99), rank(1.0)]
+}
+
+#[test]
+fn force_error_against_direct_summation_does_not_depend_on_the_group_size() {
+    // ROADMAP item 5's accuracy axis at the default θ, ε and k: the group
+    // size decides which bodies share a walk and how each sum is grouped,
+    // never which interactions a body applies, so the error against the
+    // O(n²) sum is `seq_accel`'s at every group size. EXPERIMENTS.md
+    // records the table (`--nocapture` to see it).
+    let n = 2048;
+    let bodies = Model::Plummer.generate(n, 1998);
+    let cfg = SimConfig::new(Algorithm::Orig);
+    let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
+    let mass: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
+    let exact: Vec<Vec3> = (0..n as u32)
+        .map(|b| direct_accel(&pos, &mass, b, &cfg.force))
+        .collect();
+    let reference = error_quantiles(
+        seq_accels(&bodies, &cfg).into_iter().map(|(a, _)| a),
+        &exact,
+    );
+    println!(
+        "seq_accel: p50 {:.3e} p99 {:.3e} max {:.3e}",
+        reference[0], reference[1], reference[2]
+    );
+    let snap = Snapshot::build(&bodies, &cfg, 1);
+    for gs in [1, 16, 64] {
+        snap.force(&cfg.force, gs);
+        let got = error_quantiles((0..n).map(|b| snap.world.acc.peek(b)), &exact);
+        println!(
+            "group_size {gs}: p50 {:.3e} p99 {:.3e} max {:.3e}",
+            got[0], got[1], got[2]
+        );
+        for ((g, r), what) in got.iter().zip(&reference).zip(["p50", "p99", "max"]) {
+            assert!(
+                (g - r).abs() <= 1e-9 * r,
+                "group_size {gs}: {what} {g:e} differs from seq_accel's {r:e}"
+            );
+        }
+    }
+    // Pinned just above the measured 1.307e-2 / 6.692e-2 / 2.623e-1.
+    for ((r, bound), what) in reference
+        .iter()
+        .zip([1.31e-2, 6.70e-2, 2.63e-1])
+        .zip(["p50", "p99", "max"])
+    {
+        assert!(
+            *r < bound,
+            "{what} relative force error {r:e} over its pinned bound {bound:e}"
+        );
     }
 }
 
@@ -235,14 +335,17 @@ fn morton_is_bitwise_processor_count_independent() {
     // is determined by keys and k alone, and every node's mass summation
     // runs over a fixed order (ascending id in leaves, octant order in
     // cells) — so the processor count must not perturb a single bit. This
-    // runs the default (batched, group_size = 16) kernel: group windows are
-    // aligned to absolute order indices and a split window is traversed
-    // identically by both owners, so grouping preserves the property.
+    // runs the batched kernel at the default group_size = 64 and at 16:
+    // group windows are aligned to absolute order indices and a split
+    // window is traversed identically by both owners, so grouping preserves
+    // the property.
     let bodies = Model::TwoClusterCollision.generate(1500, 7);
-    let (_, one) = run_grouped(Algorithm::Morton, 1, 16, &bodies, 2);
-    for procs in [2, 4] {
-        let (_, many) = run_grouped(Algorithm::Morton, procs, 16, &bodies, 2);
-        assert_bitwise(&format!("MORTON {procs}p vs 1p"), &one, &many);
+    for gs in [16, 64] {
+        let (_, one) = run_grouped(Algorithm::Morton, 1, gs, &bodies, 2);
+        for procs in [2, 4] {
+            let (_, many) = run_grouped(Algorithm::Morton, procs, gs, &bodies, 2);
+            assert_bitwise(&format!("MORTON gs={gs} {procs}p vs 1p"), &one, &many);
+        }
     }
 }
 
@@ -253,11 +356,11 @@ fn flat_walk_is_valid_on_simulated_platform() {
     // as well (physics agreement with the native run).
     use bh_repro::ssmp::{platform, Machine};
     let bodies = Model::Plummer.generate(800, 23);
-    let (_, native) = run_grouped(Algorithm::Space, 2, 16, &bodies, 2);
     let machine = Machine::new(platform::origin2000(4), 4);
     let mut cfg = SimConfig::new(Algorithm::Space);
     cfg.warmup_steps = 0;
     cfg.measured_steps = 2;
+    let (_, native) = run_grouped(Algorithm::Space, 2, cfg.group_size, &bodies, 2);
     let (stats, simulated) = run_simulation_with_state(&machine, &cfg, &bodies);
     stats.assert_valid();
     assert!(stats.flatten_cycles() > 0, "flatten cost must be charged");

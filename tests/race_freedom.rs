@@ -106,13 +106,13 @@ fn flatten_and_cost_rebalance_race_free() {
 
 #[test]
 fn grouped_force_kernel_group_sizes_race_free() {
-    // The default matrix already certifies the batched kernel at
-    // group_size = 16; this cell covers the knob's edges: per-body lists
-    // (1) and an odd size that leaves a remainder window straddling zone
-    // boundaries. Group windows may span two processors' zones — both
-    // traverse the shared snapshot read-only and emit only into their own
-    // scratch rows, so no cell may race.
-    for gs in [1usize, 7] {
+    // The default matrix already certifies the batched kernel at the
+    // default group_size = 64; this cell covers the knob's edges: per-body
+    // lists (1), an odd size that leaves a remainder window straddling zone
+    // boundaries, and 16, the default before PR 25. Group windows may span
+    // two processors' zones — both traverse the shared snapshot read-only
+    // and emit only into their own scratch rows, so no cell may race.
+    for gs in [1usize, 7, 16] {
         for alg in [Algorithm::Orig, Algorithm::Morton] {
             let mut cfg = SimConfig::new(alg);
             cfg.group_size = gs;

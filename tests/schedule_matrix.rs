@@ -147,11 +147,12 @@ fn morton_sort_and_emit_kernel_bounded_exhaustive() {
 /// per-body lists (`group_size = 1`) and an odd size (`3`) whose windows
 /// straddle the zone cut between the two processors, so both owners
 /// traverse the same shared window while emitting into disjoint scratch
-/// rows. The default matrix above already explores `group_size = 16`;
-/// these cells pin the edges on one lock-based and one lock-free builder.
+/// rows, plus `16`, the default before PR 25. The default matrix above
+/// already explores the default `group_size = 64`; these cells pin the
+/// edges on one lock-based and one lock-free builder.
 #[test]
 fn grouped_force_kernel_certifies_across_group_sizes() {
-    for gs in [1usize, 3] {
+    for gs in [1usize, 3, 16] {
         let mut spec = MatrixSpec::fast(8);
         spec.group_size = gs;
         for alg in [Algorithm::Orig, Algorithm::Morton] {

@@ -106,6 +106,15 @@ fn hostile_input_gets_structured_errors_and_the_executor_survives() {
     assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_request"));
     assert!(r.contains("group_size 0"), "value not echoed: {r}");
 
+    // A leaf threshold past what the builders hold is refused at admission
+    // rather than panicking the executor.
+    let r = c
+        .request(r#"{"op":"job","id":"x","tenant":"t","n":64,"k":17}"#)
+        .expect("response to k 17");
+    let doc = Json::parse(&r).unwrap();
+    assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_request"));
+    assert!(r.contains("k 17"), "value not echoed: {r}");
+
     // Oversized payload: explicit error, and the *same connection* still
     // serves a real job afterwards.
     let huge = format!(
