@@ -57,6 +57,18 @@ echo "== build (release) =="
 # target/release/repro and serve the lanes below run.
 cargo build --offline --release
 
+echo "== force evaluator vectorisation (packed ymm sqrt and divide in eval_subgroup) =="
+# The evaluation's speed rests on LLVM turning eval_subgroup's lane loops
+# into packed vsqrtpd/vdivpd on four lanes (DESIGN.md section 5b). Inlined
+# or reshaped, they drop to scalar or xmm halves with every test still green.
+EVAL_ASM="$(objdump -d --no-show-raw-insn target/release/repro |
+    awk '/<[^>]*eval_subgroup[^>]*>:$/,/^$/')"
+[ -n "$EVAL_ASM" ] || { echo "target/release/repro has no eval_subgroup symbol"; exit 1; }
+for op in sqrtpd divpd; do
+    grep -qE "$op +%ymm" <<<"$EVAL_ASM" || {
+        echo "eval_subgroup issues no packed ymm $op"; exit 1; }
+done
+
 echo "== full test suite =="
 cargo test --offline -q --workspace
 

@@ -50,23 +50,58 @@ const INTERACT_CYCLES: u64 = 45;
 /// Cycle cost charged per visited (opened) cell.
 const VISIT_CYCLES: u64 = 10;
 
-/// Pairwise softened-gravity acceleration with a precomputed ε² — the form
-/// the hot loop uses (ε² and θ² are hoisted out of the walk; the arithmetic
-/// is identical to computing `eps * eps` in place, so results stay bitwise
-/// equal to the historical formula).
-#[inline]
-pub fn pair_accel_eps2(pos: Vec3, src: Vec3, m: f64, gravity: f64, eps2: f64) -> Vec3 {
-    let d = src - pos;
-    let r2 = d.norm_sq() + eps2;
-    let r = r2.sqrt();
-    d * (gravity * m / (r2 * r))
-}
-
 /// Pairwise softened-gravity acceleration on a body at `pos` from mass `m`
-/// at `src`.
+/// at `src`, one divide per pair — the arithmetic of [`direct_accel`].
 #[inline]
 pub fn pair_accel(pos: Vec3, src: Vec3, m: f64, params: &ForceParams) -> Vec3 {
-    pair_accel_eps2(pos, src, m, params.gravity, params.eps * params.eps)
+    let d = src - pos;
+    let r2 = d.norm_sq() + params.eps * params.eps;
+    let r = r2.sqrt();
+    d * (params.gravity * m / (r2 * r))
+}
+
+/// Floor on the softened `r²` of the list evaluation. A member's own entry
+/// has `d = 0`, so at `eps = 0` its `r²` is 0; floored, its `r³` is
+/// 1e-150 and the product of two `r³` at least 1e-300, all normal numbers,
+/// so the shared divide stays finite and `0 · scale` contributes exactly
+/// zero. (`f64::MIN_POSITIVE` is too small: its `r²·√r²` underflows to 0.)
+/// Every real pair at `eps > 0` has `r² ≥ ε²`, far above the floor.
+const R2_FLOOR: f64 = 1e-100;
+
+/// `r³ = r²·√r²` of the offset `d`, with `r² = |d|² + ε²` floored at
+/// [`R2_FLOOR`].
+#[inline(always)]
+fn cube_dist(d: Vec3, eps2: f64) -> f64 {
+    let r2 = (d.norm_sq() + eps2).max(R2_FLOOR);
+    r2 * r2.sqrt()
+}
+
+/// `(1/c0, 1/c1)` from one divide: `q = 1/(c0·c1)`, then `1/c0 = q·c1` and
+/// `1/c1 = q·c0`. Plain `*`, no `mul_add`, so the bits do not depend on
+/// FMA hardware.
+#[inline(always)]
+fn recip_pair(c0: f64, c1: f64) -> (f64, f64) {
+    let q = 1.0 / (c0 * c1);
+    (q * c1, q * c0)
+}
+
+/// Apply `entries` (source position, mass) in order to the body at `pos`,
+/// adding into `acc`: consecutive entries share one divide
+/// ([`recip_pair`]), an odd last entry takes its own. This is the
+/// arithmetic of one [`eval_subgroup`] lane, which is what makes a
+/// `group_size = 1` list replay [`seq_accel`] bitwise.
+fn apply_sequence(acc: &mut Vec3, pos: Vec3, entries: &[(Vec3, f64)], gravity: f64, eps2: f64) {
+    let mut pairs = entries.chunks_exact(2);
+    for p in &mut pairs {
+        let (d0, d1) = (p[0].0 - pos, p[1].0 - pos);
+        let (i0, i1) = recip_pair(cube_dist(d0, eps2), cube_dist(d1, eps2));
+        *acc += d0 * (gravity * p[0].1 * i0);
+        *acc += d1 * (gravity * p[1].1 * i1);
+    }
+    if let [(src, m)] = pairs.remainder() {
+        let d = *src - pos;
+        *acc += d * (gravity * m * (1.0 / cube_dist(d, eps2)));
+    }
 }
 
 /// The Barnes-Hut opening criterion the kernel and `seq_walk` share: a
@@ -90,8 +125,8 @@ fn cell_accepted(side: f64, theta2: f64, d2: f64) -> bool {
 const GROUP_MARGIN: f64 = 1e-9;
 
 /// Vector width of the batched evaluation, 4 = one AVX2 `f64` vector: the
-/// dense loop's accumulator lanes (which fixes its summation grouping at
-/// `group_size > 1`) and the members of one partial-list sub-group.
+/// members of one sub-group, which [`eval_subgroup`] applies the list to
+/// together, one lane each.
 pub const EVAL_LANES: usize = 4;
 
 /// Aggregate statistics of one processor's batched force phase:
@@ -133,10 +168,10 @@ pub struct ForceScratch {
 /// **partial** entries (some members apply them, per a bitmask kept at the
 /// emitting processor) grow down from the capacity — their sum is bounded
 /// by `nodes + bodies`, so the halves can never collide. The dense half is
-/// streamed whole by every member; the partial half is read entry by
-/// entry, each sub-group of members visiting the entries that name it.
+/// streamed whole by every sub-group of members; the partial half is read
+/// entry by entry, each sub-group visiting the entries that name it.
 /// Entries carry no id: a member's own body contributes exactly zero in
-/// either half (`dx = dy = dz = 0`, and the `r2` guard keeps the scale
+/// either half (`dx = dy = dz = 0`, and [`R2_FLOOR`] keeps the scale
 /// finite).
 struct ForceRow {
     xs: SharedVec<f64>,
@@ -261,9 +296,10 @@ pub fn zone_group_windows(
 ///   entry joins the list with the current mask;
 /// * **open-all** — `side² ≥ θ²·dmax²` (grown by the margin): every
 ///   active member opens, so the children are pushed with the same mask;
-/// * **mixed** — the band in between: each active member is tested with
-///   its own exact criterion; the accepting subset takes the entry and the
-///   complement descends into the children.
+/// * **mixed** — the band in between: every member slot is tested with
+///   its own exact criterion in one branch-free pass ([`mixed_accepts`]);
+///   the accepting active members take the entry and the rest descend
+///   into the children.
 ///
 /// Emission routes by acceptance: an entry every member applies (full
 /// mask) joins the **dense** shared list; a partially-accepted entry is
@@ -277,26 +313,23 @@ pub fn zone_group_windows(
 /// a zone cut is walked by both owners, and each pays for its own members'
 /// visits only, as it does for their interactions. At `group_size = 1` the
 /// box is a point, the group test *is* the member's own criterion, the
-/// self-entry is skipped at emission, and the sequential evaluation
-/// replays the DFS order — bitwise identical to [`seq_accel`] over the
-/// same octree.
+/// self-entry is skipped at emission, and the list is the DFS sequence,
+/// applied with [`seq_accel`]'s pair/tail arithmetic — bitwise identical
+/// to it over the same octree.
 ///
-/// **Evaluation** streams the dense list once per member in a
-/// structure-of-arrays loop with no masks or branches at all
-/// ([`EVAL_LANES`] independent accumulator lanes): a member's own body in
-/// the dense list contributes exactly zero, because `dx = dy = dz = 0`
-/// and the `r2` guard keeps the scale finite — so every evaluated flop is
-/// a real interaction and the loop auto-vectorizes cleanly. The partial
-/// list is applied per *sub-group* — an aligned run of [`EVAL_LANES`]
-/// consecutive members, the vector lanes — and a sub-group visits only
-/// the entries whose mask names one of its members: Morton-adjacent
-/// members accept and open together, so most of a boundary-band entry's
-/// non-acceptors are never evaluated at all. Each member still sums its
-/// own entries in emission order, with its mask bit as a 0/1 weight.
-/// Exact per-body interaction counts (dense length plus the member's
-/// partial entries, minus its self appearances) are stored for costzones
-/// and debug-asserted to tile the group total. Caller barriers
-/// afterwards.
+/// **Evaluation** runs once per *sub-group* — an aligned run of
+/// [`EVAL_LANES`] consecutive members, the vector lanes of
+/// [`eval_subgroup`]: the whole dense half, then the partial entries whose
+/// mask names one of its members (Morton-adjacent members accept and open
+/// together, so most of a boundary-band entry's non-acceptors are never
+/// evaluated at all), each member summing its own entries in emission
+/// order with its mask bit as a 0/1 weight, and consecutive entries
+/// sharing one divide. A member's own body contributes exactly zero,
+/// because `dx = dy = dz = 0` and [`R2_FLOOR`] keeps the scale finite, so
+/// the loop has no branches. Exact per-body interaction counts (dense
+/// length plus the member's partial entries, minus its self appearances)
+/// are stored for costzones and debug-asserted to tile the group total.
+/// Caller barriers afterwards.
 #[allow(clippy::too_many_arguments)]
 pub fn force_phase_grouped<E: Env>(
     env: &E,
@@ -316,7 +349,10 @@ pub fn force_phase_grouped<E: Env>(
     let cap = scratch.cap;
     let mut stack: Vec<(u32, u64)> = Vec::with_capacity(64);
     let mut members: Vec<u32> = Vec::with_capacity(group_size);
-    let mut mpos: Vec<Vec3> = Vec::with_capacity(group_size);
+    // Member positions as `x`, `y`, `z` columns, one slot per mask bit.
+    // Slots past the group repeat member 0, so every slot is a finite
+    // position: a padded lane evaluates real numbers, weighed by no mask.
+    let mut mcols = [[0.0f64; MAX_GROUP_SIZE]; 3];
     // Partially-accepted entries carry a per-entry member bitmask instead
     // of being scattered into per-member buffers: emission stays one store
     // per entry. `pmask_buf[j]` is the mask of the group's `j`-th emitted
@@ -336,24 +372,27 @@ pub fn force_phase_grouped<E: Env>(
     for (w0, w1, a0, a1) in zone_group_windows(s, e, group_size, n) {
         let len = w1 - w0;
         members.clear();
-        mpos.clear();
         for i in w0..w1 {
             let b = world.order.load(env, ctx, i);
             members.push(b);
-            mpos.push(world.pos.load(env, ctx, b as usize));
+            let p = world.pos.load(env, ctx, b as usize);
+            for (col, v) in mcols.iter_mut().zip([p.x, p.y, p.z]) {
+                col[i - w0] = v;
+            }
         }
+        for col in &mut mcols {
+            let first = col[0];
+            col[len..].fill(first);
+        }
+        let member = |m: usize| Vec3::new(mcols[0][m], mcols[1][m], mcols[2][m]);
         // Group bounding box: Morton-consecutive members span a compact
         // AABB, whose squared distance bounds to a cell are much tighter
         // than a centroid sphere's for elongated runs — and need no sqrt.
-        let mut lo = mpos[0];
-        let mut hi = mpos[0];
-        for &p in &mpos[1..] {
-            lo.x = lo.x.min(p.x);
-            lo.y = lo.y.min(p.y);
-            lo.z = lo.z.min(p.z);
-            hi.x = hi.x.max(p.x);
-            hi.y = hi.y.max(p.y);
-            hi.z = hi.z.max(p.z);
+        let mut lo = member(0);
+        let mut hi = lo;
+        for m in 1..len {
+            lo = lo.min(member(m));
+            hi = hi.max(member(m));
         }
         let single = len == 1;
         let full = low_bits(len);
@@ -410,7 +449,7 @@ pub fn force_phase_grouped<E: Env>(
             if single {
                 // A point box: the group test is the member's own
                 // criterion, in the same squared form as `seq_walk`.
-                if cell_accepted(side, theta2, mpos[0].dist_sq(node.com)) {
+                if cell_accepted(side, theta2, member(0).dist_sq(node.com)) {
                     emit_entry(env, ctx, row, dlen, node.com, node.mass);
                     dlen += 1;
                 } else {
@@ -439,16 +478,7 @@ pub fn force_phase_grouped<E: Env>(
                     0 // open-all: every member opens
                 } else {
                     // Mixed band: each active member decides exactly.
-                    let mut am = 0u64;
-                    let mut rem = mask;
-                    while rem != 0 {
-                        let m = rem.trailing_zeros() as usize;
-                        rem &= rem - 1;
-                        if cell_accepted(side, theta2, mpos[m].dist_sq(node.com)) {
-                            am |= 1 << m;
-                        }
-                    }
-                    am
+                    mixed_accepts(&mcols, node.com, side, theta2) & mask
                 };
             if accept_mask != 0 {
                 if accept_mask == full {
@@ -476,14 +506,8 @@ pub fn force_phase_grouped<E: Env>(
         // Evaluation: stream the row's two halves straight from the scratch
         // (untimed borrows — the list was charged at emission) and apply
         // them to the members this zone owns.
-        let xs = row.xs.peek_slice(0..dlen);
-        let ys = row.ys.peek_slice(0..dlen);
-        let zs = row.zs.peek_slice(0..dlen);
-        let ms = row.ms.peek_slice(0..dlen);
-        let pxs = row.xs.peek_slice(cap - plen..cap);
-        let pys = row.ys.peek_slice(cap - plen..cap);
-        let pzs = row.zs.peek_slice(cap - plen..cap);
-        let pms = row.ms.peek_slice(cap - plen..cap);
+        let dense = [&row.xs, &row.ys, &row.zs, &row.ms].map(|c| c.peek_slice(0..dlen));
+        let partial = [&row.xs, &row.ys, &row.zs, &row.ms].map(|c| c.peek_slice(cap - plen..cap));
         #[cfg(debug_assertions)]
         let before = stats.interactions;
         // Sub-groups are the aligned runs of `EVAL_LANES` members of the
@@ -491,44 +515,29 @@ pub fn force_phase_grouped<E: Env>(
         // zone cut: a cut sub-group is evaluated whole by both owners and
         // each keeps the lanes of its own members.
         for m0 in ((a0 - w0) / EVAL_LANES * EVAL_LANES..a1 - w0).step_by(EVAL_LANES) {
-            let m1 = (m0 + EVAL_LANES).min(len);
-            // A short last run pads its lanes with a member's position; no
-            // mask names them, so they weigh 0.
-            let mut lanes = [mpos[m0]; EVAL_LANES];
-            lanes[..m1 - m0].copy_from_slice(&mpos[m0..m1]);
+            // A short last run's lanes sit on member 0's padded slots.
+            let lanes = mcols
+                .each_ref()
+                .map(|col| std::array::from_fn(|l| col[m0 + l]));
             let visits = subgroup_entries(pmasks, m0 as u32, &mut pidx);
-            let (pax, pay, paz, pcnt) = eval_partial_lanes(
-                pxs,
-                pys,
-                pzs,
-                pms,
+            let (ax, ay, az, pcnt) = eval_subgroup(
+                dense,
+                partial,
                 pmasks,
                 &pidx[..visits],
                 m0 as u32,
-                &lanes,
+                lanes,
                 params.gravity,
                 eps2,
             );
-            for m in m0.max(a0 - w0)..m1.min(a1 - w0) {
-                let b = members[m];
-                let (acc, cnt) = if single {
-                    eval_list_seq(xs, ys, zs, ms, mpos[m], params.gravity, eps2)
-                } else {
-                    let dense = eval_list_lanes::<EVAL_LANES>(
-                        xs,
-                        ys,
-                        zs,
-                        ms,
-                        mpos[m],
-                        params.gravity,
-                        eps2,
-                    );
-                    let l = m - m0;
-                    let cnt = dlen as u32 + pcnt[l]
-                        - ((self_in_dense >> m) & 1) as u32
-                        - ((self_in_partial >> m) & 1) as u32;
-                    (dense + Vec3::new(pax[l], pay[l], paz[l]), cnt)
-                };
+            // The sub-group's members this zone owns.
+            let mine = m0.max(a0 - w0)..(m0 + EVAL_LANES).min(a1 - w0);
+            for (m, &b) in mine.clone().zip(&members[mine]) {
+                let l = m - m0;
+                let acc = Vec3::new(ax[l], ay[l], az[l]);
+                let cnt = dlen as u32 + pcnt[l]
+                    - ((self_in_dense >> m) & 1) as u32
+                    - ((self_in_partial >> m) & 1) as u32;
                 env.compute(ctx, INTERACT_CYCLES * u64::from(cnt));
                 world.acc.store(env, ctx, b as usize, acc);
                 // Exact count (no floor): costzones guards zero at read time.
@@ -546,13 +555,11 @@ pub fn force_phase_grouped<E: Env>(
             for i in a0..a1 {
                 let m = i - w0;
                 let mut per = dlen as u64;
-                if !single {
-                    for &pm in pmasks {
-                        per += (pm >> m) & 1;
-                    }
-                    per -= (self_in_dense >> m) & 1;
-                    per -= (self_in_partial >> m) & 1;
+                for &pm in pmasks {
+                    per += (pm >> m) & 1;
                 }
+                per -= (self_in_dense >> m) & 1;
+                per -= (self_in_partial >> m) & 1;
                 expect += per;
             }
             debug_assert_eq!(
@@ -598,117 +605,20 @@ fn push_mask(mut buf: Vec<u64>, len: usize, mask: u64) -> Vec<u64> {
     buf
 }
 
-/// Sequential list evaluation — the `group_size = 1` path. Entries are
-/// applied in emission (DFS pre-)order with the same arithmetic as
-/// `seq_walk`, so the result is bitwise identical to [`seq_accel`].
-fn eval_list_seq(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    ms: &[f64],
-    pos: Vec3,
-    gravity: f64,
-    eps2: f64,
-) -> (Vec3, u32) {
-    let mut acc = Vec3::ZERO;
-    for k in 0..xs.len() {
-        let src = Vec3::new(xs[k], ys[k], zs[k]);
-        acc += pair_accel_eps2(pos, src, ms[k], gravity, eps2);
-    }
-    (acc, xs.len() as u32)
-}
-
-/// One pair interaction in the lane loop's fused shape, identical
-/// arithmetic to `pair_accel_eps2`. No self-exclusion is needed: a
-/// member's own dense entry has `dx = dy = dz = 0`, the
-/// `max(MIN_POSITIVE)` guard keeps `sca` finite even at `eps = 0`, and
-/// `0 · sca` contributes exactly zero; the guard is the identity for
-/// every real pair.
+/// The mixed band's decision for every member slot at once: bit `m` is
+/// set iff slot `m` of the member columns accepts the cell,
+/// `side² < θ²·d²` with `d²` computed exactly as `Vec3::dist_sq` does. A
+/// fixed 64-slot loop with no branch, which the caller masks with the
+/// active members; padded slots decide too and are masked out.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn accum_pair(
-    dx: f64,
-    dy: f64,
-    dz: f64,
-    m: f64,
-    gravity: f64,
-    eps2: f64,
-    ax: &mut f64,
-    ay: &mut f64,
-    az: &mut f64,
-) {
-    let r2 = (dx * dx + dy * dy + dz * dz + eps2).max(f64::MIN_POSITIVE);
-    let r = r2.sqrt();
-    let sca = gravity * m / (r2 * r);
-    *ax += dx * sca;
-    *ay += dy * sca;
-    *az += dz * sca;
-}
-
-/// Structure-of-arrays evaluation of one member against the dense half of
-/// the list: `L` independent accumulator lanes (no loop-carried
-/// dependence, no masks, no branches — every lane is a real interaction,
-/// so the loop auto-vectorizes to packed sqrt/divide), and a fixed
-/// pairwise lane combine so results are deterministic for a given `L`.
-/// The caller derives the interaction count from the list lengths.
-///
-/// `inline(never)`: compiled as its own function the SLP vectorizer
-/// reliably turns into packed sqrt/divide — inlined into the (large,
-/// `Env`-generic) traversal body it stays scalar, which costs ~2-4x on
-/// the kernel's throughput bound. One call per member per list is noise.
-#[inline(never)]
-fn eval_list_lanes<const L: usize>(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    ms: &[f64],
-    pos: Vec3,
-    gravity: f64,
-    eps2: f64,
-) -> Vec3 {
-    let n = xs.len();
-    let mut axl = [0.0f64; L];
-    let mut ayl = [0.0f64; L];
-    let mut azl = [0.0f64; L];
-    let mut k = 0;
-    while k + L <= n {
-        let xc = &xs[k..k + L];
-        let yc = &ys[k..k + L];
-        let zc = &zs[k..k + L];
-        let mc = &ms[k..k + L];
-        for l in 0..L {
-            accum_pair(
-                xc[l] - pos.x,
-                yc[l] - pos.y,
-                zc[l] - pos.z,
-                mc[l],
-                gravity,
-                eps2,
-                &mut axl[l],
-                &mut ayl[l],
-                &mut azl[l],
-            );
-        }
-        k += L;
+fn mixed_accepts(mcols: &[[f64; MAX_GROUP_SIZE]; 3], com: Vec3, side: f64, theta2: f64) -> u64 {
+    let [mx, my, mz] = mcols;
+    let mut accepts = 0u64;
+    for m in 0..MAX_GROUP_SIZE {
+        let d2 = Vec3::new(mx[m], my[m], mz[m]).dist_sq(com);
+        accepts |= u64::from(cell_accepted(side, theta2, d2)) << m;
     }
-    // Remainder entries round-robin into the lanes.
-    let mut lane = 0;
-    while k < n {
-        accum_pair(
-            xs[k] - pos.x,
-            ys[k] - pos.y,
-            zs[k] - pos.z,
-            ms[k],
-            gravity,
-            eps2,
-            &mut axl[lane],
-            &mut ayl[lane],
-            &mut azl[lane],
-        );
-        lane = (lane + 1) % L;
-        k += 1;
-    }
-    Vec3::new(fold_lanes(&axl), fold_lanes(&ayl), fold_lanes(&azl))
+    accepts
 }
 
 /// Collect into `out[..returned]`, in emission order, the ranks of the
@@ -731,31 +641,89 @@ fn subgroup_entries(masks: &[u64], shift: u32, out: &mut Vec<u32>) -> usize {
     len
 }
 
-/// Evaluation of the partial half for one sub-group: the [`EVAL_LANES`]
+/// One list entry as the lanes see it: its position and a weight per lane
+/// (`G·m`, times the lane's mask bit in the partial half).
+type LaneEntry = (Vec3, [f64; EVAL_LANES]);
+
+/// One sub-group's lanes: the members' positions, one column per axis,
+/// and one acceleration accumulator per member.
+struct Lanes {
+    pos: [[f64; EVAL_LANES]; 3],
+    acc: [[f64; EVAL_LANES]; 3],
+}
+
+impl Lanes {
+    /// The offset from lane `l`'s member to the entry at `src`.
+    #[inline(always)]
+    fn offset(&self, l: usize, src: Vec3) -> Vec3 {
+        let [px, py, pz] = &self.pos;
+        Vec3::new(src.x - px[l], src.y - py[l], src.z - pz[l])
+    }
+
+    #[inline(always)]
+    fn kick(&mut self, l: usize, d: Vec3, scale: f64) {
+        let [ax, ay, az] = &mut self.acc;
+        ax[l] += d.x * scale;
+        ay[l] += d.y * scale;
+        az[l] += d.z * scale;
+    }
+
+    /// Apply two consecutive entries with one shared divide per lane —
+    /// [`apply_sequence`]'s pair step.
+    #[inline(always)]
+    fn two(&mut self, (s0, w0): LaneEntry, (s1, w1): LaneEntry, eps2: f64) {
+        for l in 0..EVAL_LANES {
+            let (d0, d1) = (self.offset(l, s0), self.offset(l, s1));
+            let (i0, i1) = recip_pair(cube_dist(d0, eps2), cube_dist(d1, eps2));
+            self.kick(l, d0, w0[l] * i0);
+            self.kick(l, d1, w1[l] * i1);
+        }
+    }
+
+    /// Apply an odd last entry with its own divide — [`apply_sequence`]'s
+    /// tail.
+    #[inline(always)]
+    fn one(&mut self, (s, w): LaneEntry, eps2: f64) {
+        for (l, wl) in w.into_iter().enumerate() {
+            let d = self.offset(l, s);
+            self.kick(l, d, wl * (1.0 / cube_dist(d, eps2)));
+        }
+    }
+}
+
+/// Evaluation of a group's list for one sub-group: the [`EVAL_LANES`]
 /// lanes are as many consecutive *members* (mask bits from `shift` up,
-/// positions `pos`), not entries seen by one member. Each visited entry is
-/// broadcast to the lanes and weighted by the member's mask bit (`1.0 ·`
-/// is exact, `0.0 ·` contributes nothing), so a member's accumulator is
-/// summed over its own entries in emission order — the loop is
-/// branch-free and every vector of square roots and divides it issues
-/// holds at least one real interaction.
+/// positions `pos` as `x`, `y`, `z` columns), and each entry is broadcast
+/// to them. The whole dense half is applied with weight `G·m` in every
+/// lane, then the visited partial entries (ranks `idx`, from
+/// [`subgroup_entries`]) with weight `bit·G·m`, the member's mask bit as a
+/// 0/1 factor (`1.0 ·` is exact, `0.0 ·` contributes nothing). Each member
+/// has one accumulator, summed in emission order; within each half,
+/// consecutive entries share one divide and an odd last entry takes its
+/// own, so a lane computes exactly what [`apply_sequence`] does over the
+/// dense half and then the visited entries. The loop is branch-free and
+/// every vector it issues holds at least one real interaction.
 ///
-/// `xs..ms` are the row's partial half, which grows *down*: the entry of
-/// emission rank `j` (mask `masks[j]`) sits at position `len - 1 - j`.
-/// `idx` lists the ranks to visit ([`subgroup_entries`]). Returns each
-/// lane's acceleration and the number of entries that named it — its own
-/// body, if present, included; the caller subtracts that.
+/// `dense` and `partial` are the row's halves as `(x, y, z, mass)`
+/// columns. The partial half grows *down*: the entry of emission rank `j`
+/// (mask `masks[j]`) sits at position `len - 1 - j`. Returns each lane's
+/// acceleration and the number of partial entries that named it — its own
+/// body, if present, included; the caller adds the dense length and
+/// subtracts self appearances.
+///
+/// `inline(never)`: compiled as its own function the SLP vectorizer
+/// reliably turns the lane loops into packed sqrt/divide — inlined into
+/// the (large, `Env`-generic) walk it stays scalar, which costs ~2-4x on
+/// the kernel's throughput bound. `check.sh` disassembles it to hold this.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-fn eval_partial_lanes(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    ms: &[f64],
+fn eval_subgroup(
+    dense: [&[f64]; 4],
+    partial: [&[f64]; 4],
     masks: &[u64],
     idx: &[u32],
     shift: u32,
-    pos: &[Vec3; EVAL_LANES],
+    pos: [[f64; EVAL_LANES]; 3],
     gravity: f64,
     eps2: f64,
 ) -> (
@@ -764,55 +732,77 @@ fn eval_partial_lanes(
     [f64; EVAL_LANES],
     [u32; EVAL_LANES],
 ) {
-    const L: usize = EVAL_LANES;
-    // One length for all five slices: a rank below it indexes each of them.
-    let n = masks.len();
-    let (xs, ys, zs, ms) = (&xs[..n], &ys[..n], &zs[..n], &ms[..n]);
-    let px: [f64; L] = std::array::from_fn(|l| pos[l].x);
-    let py: [f64; L] = std::array::from_fn(|l| pos[l].y);
-    let pz: [f64; L] = std::array::from_fn(|l| pos[l].z);
-    let mut axl = [0.0f64; L];
-    let mut ayl = [0.0f64; L];
-    let mut azl = [0.0f64; L];
-    let mut cntl = [0u64; L];
-    for &j in idx {
-        let j = j as usize;
-        let k = n - 1 - j;
-        let bits = masks[j] >> shift;
-        let (x, y, z, m) = (xs[k], ys[k], zs[k], ms[k]);
-        for l in 0..L {
-            let bit = (bits >> l) & 1;
-            accum_pair(
-                x - px[l],
-                y - py[l],
-                z - pz[l],
-                bit as f64 * m,
-                gravity,
-                eps2,
-                &mut axl[l],
-                &mut ayl[l],
-                &mut azl[l],
-            );
-            cntl[l] += bit;
-        }
+    let mut lanes = Lanes {
+        pos,
+        acc: [[0.0; EVAL_LANES]; 3],
+    };
+
+    // One length per half: an index below it reads each of its columns.
+    let n = dense[0].len();
+    let [xs, ys, zs, ms] = dense.map(|c| &c[..n]);
+    let entry = |k: usize| {
+        (
+            Vec3::new(xs[k], ys[k], zs[k]),
+            [gravity * ms[k]; EVAL_LANES],
+        )
+    };
+    let mut k = 0;
+    while k + 1 < n {
+        lanes.two(entry(k), entry(k + 1), eps2);
+        k += 2;
     }
-    (axl, ayl, azl, cntl.map(|c| c as u32))
+    if k < n {
+        lanes.one(entry(k), eps2);
+    }
+
+    let n = masks.len();
+    let partial = partial.map(|c| &c[..n]);
+    let mut count = [0u64; EVAL_LANES];
+    let mut pairs = idx.chunks_exact(2);
+    for p in &mut pairs {
+        let e0 = partial_entry(partial, masks, p[0], shift, gravity, &mut count);
+        let e1 = partial_entry(partial, masks, p[1], shift, gravity, &mut count);
+        lanes.two(e0, e1, eps2);
+    }
+    if let [j] = pairs.remainder() {
+        let e = partial_entry(partial, masks, *j, shift, gravity, &mut count);
+        lanes.one(e, eps2);
+    }
+
+    let [ax, ay, az] = lanes.acc;
+    (ax, ay, az, count.map(|c| c as u32))
 }
 
-/// Fixed-order pairwise reduction of the accumulator lanes.
-#[inline]
-fn fold_lanes(lanes: &[f64]) -> f64 {
-    match lanes.len() {
-        4 => (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]),
-        _ => lanes.iter().sum(),
+/// The partial entry of emission rank `j` as the sub-group at `shift` sees
+/// it (weights `bit·G·m`), adding its mask bits to the lanes' `count`.
+/// A function, not a closure, so that it is always inlined: a closure here
+/// was left out of line, a call per entry.
+#[inline(always)]
+fn partial_entry(
+    [xs, ys, zs, ms]: [&[f64]; 4],
+    masks: &[u64],
+    j: u32,
+    shift: u32,
+    gravity: f64,
+    count: &mut [u64; EVAL_LANES],
+) -> LaneEntry {
+    let bits = masks[j as usize] >> shift;
+    let k = masks.len() - 1 - j as usize;
+    let w = gravity * ms[k];
+    let bit: [u64; EVAL_LANES] = std::array::from_fn(|l| (bits >> l) & 1);
+    for (c, b) in count.iter_mut().zip(bit) {
+        *c += b;
     }
+    (Vec3::new(xs[k], ys[k], zs[k]), bit.map(|b| b as f64 * w))
 }
 
 // ---------------------------------------------------------------------------
 // Sequential reference force computation (same criterion, on SeqTree).
 // ---------------------------------------------------------------------------
 
-/// Compute the acceleration on a single position over the sequential tree.
+/// Compute the acceleration on a single position over the sequential tree:
+/// a recursive walk collects the accepted `(position, mass)` sources in DFS
+/// order, and [`apply_sequence`] sums them.
 pub fn seq_accel(
     tree: &SeqTree,
     bodies_pos: &[Vec3],
@@ -821,47 +811,37 @@ pub fn seq_accel(
     params: &ForceParams,
 ) -> (Vec3, u32) {
     let pos = bodies_pos[body as usize];
-    let mut acc = Vec3::ZERO;
-    let mut interactions = 0;
+    let mut sources = Vec::new();
     seq_walk(
         tree,
         tree.root,
         bodies_pos,
         bodies_mass,
         body,
-        pos,
-        params,
-        &mut acc,
-        &mut interactions,
+        params.theta * params.theta,
+        &mut sources,
     );
-    (acc, interactions)
+    let mut acc = Vec3::ZERO;
+    let eps2 = params.eps * params.eps;
+    apply_sequence(&mut acc, pos, &sources, params.gravity, eps2);
+    (acc, sources.len() as u32)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn seq_walk(
     tree: &SeqTree,
     node: i32,
     bodies_pos: &[Vec3],
     bodies_mass: &[f64],
     body: u32,
-    pos: Vec3,
-    params: &ForceParams,
-    acc: &mut Vec3,
-    interactions: &mut u32,
+    theta2: f64,
+    sources: &mut Vec<(Vec3, f64)>,
 ) {
     match &tree.nodes[node as usize] {
         SeqNode::Leaf { bodies, .. } => {
             for &ob in bodies {
-                if ob == body {
-                    continue;
+                if ob != body {
+                    sources.push((bodies_pos[ob as usize], bodies_mass[ob as usize]));
                 }
-                *acc += pair_accel(
-                    pos,
-                    bodies_pos[ob as usize],
-                    bodies_mass[ob as usize],
-                    params,
-                );
-                *interactions += 1;
             }
         }
         SeqNode::Cell {
@@ -874,25 +854,14 @@ fn seq_walk(
             if *mass == 0.0 {
                 return;
             }
-            let theta2 = params.theta * params.theta;
+            let pos = bodies_pos[body as usize];
             if cell_accepted(cube.side(), theta2, pos.dist_sq(*com)) {
-                *acc += pair_accel(pos, *com, *mass, params);
-                *interactions += 1;
+                sources.push((*com, *mass));
                 return;
             }
             for &ch in child {
                 if ch != -1 {
-                    seq_walk(
-                        tree,
-                        ch,
-                        bodies_pos,
-                        bodies_mass,
-                        body,
-                        pos,
-                        params,
-                        acc,
-                        interactions,
-                    );
+                    seq_walk(tree, ch, bodies_pos, bodies_mass, body, theta2, sources);
                 }
             }
         }
@@ -1026,50 +995,83 @@ mod tests {
         std::array::from_fn(|_| random_vec3(rng))
     }
 
-    /// A partial half in emission order.
-    struct PartialList {
-        src: Vec<Vec3>,
-        mass: Vec<f64>,
+    /// A list half in emission order: `(source, mass)` per entry.
+    fn random_entries(rng: &mut SmallRng, n: usize) -> Vec<(Vec3, f64)> {
+        (0..n)
+            .map(|_| (random_vec3(rng), rng.gen_range(0.1, 2.0)))
+            .collect()
     }
 
-    impl PartialList {
-        fn random(rng: &mut SmallRng, n: usize) -> PartialList {
-            PartialList {
-                src: (0..n).map(|_| random_vec3(rng)).collect(),
-                mass: (0..n).map(|_| rng.gen_range(0.1, 2.0)).collect(),
-            }
+    /// The `(x, y, z, mass)` columns of a list half as the row holds it: a
+    /// partial half grows down, rank `j` at position `n - 1 - j`.
+    fn columns(entries: &[(Vec3, f64)], grows_down: bool) -> [Vec<f64>; 4] {
+        let mut cols = [
+            entries.iter().map(|e| e.0.x).collect::<Vec<f64>>(),
+            entries.iter().map(|e| e.0.y).collect(),
+            entries.iter().map(|e| e.0.z).collect(),
+            entries.iter().map(|e| e.1).collect(),
+        ];
+        if grows_down {
+            cols.iter_mut().for_each(|c| c.reverse());
         }
+        cols
+    }
 
-        /// The `(x, y, z, mass)` columns in emission order.
-        fn columns(&self) -> [Vec<f64>; 4] {
-            [
-                self.src.iter().map(|p| p.x).collect(),
-                self.src.iter().map(|p| p.y).collect(),
-                self.src.iter().map(|p| p.z).collect(),
-                self.mass.clone(),
-            ]
-        }
+    /// The mask bits of one sub-group starting at bit `shift`.
+    fn nibble(mask: u64, shift: u32) -> u64 {
+        (mask >> shift) & ((1 << EVAL_LANES) - 1)
+    }
 
-        /// The evaluator as the kernel drives it — columns laid out as the
-        /// row holds them (rank `j` at position `n - 1 - j`), index list
-        /// from the masks, then the lanes; per-lane `(acceleration, count)`.
-        fn eval_subgroup(
-            &self,
-            masks: &[u64],
-            shift: u32,
-            lanes: &[Vec3; EVAL_LANES],
-        ) -> [(Vec3, u32); EVAL_LANES] {
-            let [xs, ys, zs, ms] = self.columns().map(|mut c| {
-                c.reverse();
-                c
-            });
-            let mut idx = Vec::new();
-            let visits = subgroup_entries(masks, shift, &mut idx);
-            let idx = &idx[..visits];
-            let (ax, ay, az, cnt) =
-                eval_partial_lanes(&xs, &ys, &zs, &ms, masks, idx, shift, lanes, G, EPS2);
-            std::array::from_fn(|l| (Vec3::new(ax[l], ay[l], az[l]), cnt[l]))
-        }
+    /// [`eval_subgroup`] as the kernel drives it — index list from the
+    /// masks, columns laid out as the row holds them; per-lane
+    /// `(acceleration, count)`.
+    fn eval_lanes(
+        dense: &[(Vec3, f64)],
+        partial: &[(Vec3, f64)],
+        masks: &[u64],
+        shift: u32,
+        lanes: &[Vec3; EVAL_LANES],
+        eps2: f64,
+    ) -> [(Vec3, u32); EVAL_LANES] {
+        let (d, p) = (columns(dense, false), columns(partial, true));
+        let mut idx = Vec::new();
+        let visits = subgroup_entries(masks, shift, &mut idx);
+        let (ax, ay, az, cnt) = eval_subgroup(
+            d.each_ref().map(Vec::as_slice),
+            p.each_ref().map(Vec::as_slice),
+            masks,
+            &idx[..visits],
+            shift,
+            [lanes.map(|v| v.x), lanes.map(|v| v.y), lanes.map(|v| v.z)],
+            G,
+            eps2,
+        );
+        std::array::from_fn(|l| (Vec3::new(ax[l], ay[l], az[l]), cnt[l]))
+    }
+
+    /// What lane `l` must hold, one member at a time: [`apply_sequence`]
+    /// over the dense half, then over the sub-group's visited partial
+    /// entries with the member's mask bit as a 0/1 factor on the mass.
+    fn scalar_lane(
+        dense: &[(Vec3, f64)],
+        partial: &[(Vec3, f64)],
+        masks: &[u64],
+        shift: u32,
+        l: u32,
+        pos: Vec3,
+        eps2: f64,
+    ) -> (Vec3, u32) {
+        let mut acc = Vec3::ZERO;
+        apply_sequence(&mut acc, pos, dense, G, eps2);
+        let visited: Vec<(Vec3, f64)> = partial
+            .iter()
+            .zip(masks)
+            .filter(|&(_, &mask)| nibble(mask, shift) != 0)
+            .map(|(&(src, m), &mask)| (src, ((mask >> (shift + l)) & 1) as f64 * m))
+            .collect();
+        apply_sequence(&mut acc, pos, &visited, G, eps2);
+        let count = masks.iter().filter(|&&m| (m >> (shift + l)) & 1 == 1);
+        (acc, count.count() as u32)
     }
 
     fn assert_same_bits(label: &str, got: Vec3, want: Vec3) {
@@ -1080,82 +1082,155 @@ mod tests {
 
     #[test]
     fn partial_lanes_match_a_scalar_loop_over_each_members_entries() {
-        let mut rng = SmallRng::seed_from_u64(0x7061_7274);
+        let mut rng = SmallRng::seed_from_u64(0x7061_6972);
+        // Which (dense length, visited length) parities were covered.
+        let mut parities = [[false; 2]; 2];
         for shift in [0u32, 4, 28, 60] {
-            for n in [1usize, 7, 64, 301] {
-                let list = PartialList::random(&mut rng, n);
-                let masks: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-                let lanes = random_lanes(&mut rng);
-                let mut idx = Vec::new();
-                let visits = subgroup_entries(&masks, shift, &mut idx);
-                let visited: Vec<u32> = (0..n as u32)
-                    .filter(|&j| (masks[j as usize] >> shift) & 0xF != 0)
-                    .collect();
-                assert_eq!(idx[..visits], visited[..], "shift {shift} n {n}");
-                let got = list.eval_subgroup(&masks, shift, &lanes);
-                for (l, &(acc, cnt)) in got.iter().enumerate() {
-                    let mut want = Vec3::ZERO;
-                    let mut want_cnt = 0;
-                    for (j, &mask) in masks.iter().enumerate() {
-                        if (mask >> (shift + l as u32)) & 1 == 1 {
-                            let d = list.src[j] - lanes[l];
-                            let r2 = d.norm_sq() + EPS2;
-                            want += d * (G * list.mass[j] / (r2 * r2.sqrt()));
-                            want_cnt += 1;
-                        }
+            for dn in [0usize, 1, 6, 7] {
+                for pn in [0usize, 1, 2, 7, 64, 301] {
+                    let dense = random_entries(&mut rng, dn);
+                    let partial = random_entries(&mut rng, pn);
+                    let masks: Vec<u64> = (0..pn).map(|_| rng.next_u64()).collect();
+                    let lanes = random_lanes(&mut rng);
+                    let mut idx = Vec::new();
+                    let visits = subgroup_entries(&masks, shift, &mut idx);
+                    let visited: Vec<u32> = (0..pn as u32)
+                        .filter(|&j| nibble(masks[j as usize], shift) != 0)
+                        .collect();
+                    assert_eq!(idx[..visits], visited[..], "shift {shift} pn {pn}");
+                    parities[dn % 2][visits % 2] = true;
+                    let got = eval_lanes(&dense, &partial, &masks, shift, &lanes, EPS2);
+                    for (l, &(acc, cnt)) in got.iter().enumerate() {
+                        let label = format!("shift {shift} dense {dn} partial {pn} lane {l}");
+                        let (want, want_cnt) =
+                            scalar_lane(&dense, &partial, &masks, shift, l as u32, lanes[l], EPS2);
+                        assert_same_bits(&label, acc, want);
+                        assert_eq!(cnt, want_cnt, "{label}");
                     }
-                    assert_same_bits(&format!("shift {shift} n {n} lane {l}"), acc, want);
-                    assert_eq!(cnt, want_cnt, "shift {shift} n {n} lane {l}");
                 }
             }
         }
+        assert_eq!(
+            parities, [[true; 2]; 2],
+            "odd and even lengths of both halves"
+        );
     }
 
     #[test]
     fn partial_lanes_with_every_bit_set_equal_the_sequential_evaluation() {
+        // Every member names every partial entry: with an even dense half
+        // (pairs never straddle the halves) each lane is `apply_sequence`
+        // over the whole row in emission order, as `seq_accel` sums a DFS.
         let mut rng = SmallRng::seed_from_u64(0x6675_6c6c);
-        let n = 97;
-        let list = PartialList::random(&mut rng, n);
         let lanes = random_lanes(&mut rng);
-        let [xs, ys, zs, ms] = list.columns();
-        let got = list.eval_subgroup(&vec![!0u64; n], 8, &lanes);
-        for (l, &(acc, cnt)) in got.iter().enumerate() {
-            let (want, want_cnt) = eval_list_seq(&xs, &ys, &zs, &ms, lanes[l], G, EPS2);
-            assert_same_bits(&format!("lane {l}"), acc, want);
-            assert_eq!(cnt, want_cnt);
+        for (dn, pn) in [(0usize, 97usize), (0, 96), (6, 97), (6, 96)] {
+            let dense = random_entries(&mut rng, dn);
+            let partial = random_entries(&mut rng, pn);
+            let row: Vec<(Vec3, f64)> = dense.iter().chain(&partial).copied().collect();
+            let got = eval_lanes(&dense, &partial, &vec![!0u64; pn], 8, &lanes, EPS2);
+            for (l, &(acc, cnt)) in got.iter().enumerate() {
+                let mut want = Vec3::ZERO;
+                apply_sequence(&mut want, lanes[l], &row, G, EPS2);
+                assert_same_bits(&format!("dense {dn} partial {pn} lane {l}"), acc, want);
+                assert_eq!(cnt, pn as u32);
+            }
         }
     }
 
     #[test]
     fn padded_lane_of_a_short_sub_group_is_exactly_zero() {
         // A group tail of three members: no mask names bit 3 of the
-        // sub-group, and the kernel pads the lane with a member's position.
+        // sub-group, and the kernel pads the lane with member 0's position.
+        // It takes nothing from the partial half: exactly zero with no dense
+        // half, exactly the dense half's sum with one.
         let mut rng = SmallRng::seed_from_u64(0x7061_6464);
-        let n = 50;
-        let list = PartialList::random(&mut rng, n);
-        let masks: Vec<u64> = (0..n).map(|_| rng.next_u64() & (0b0111 << 4)).collect();
+        let partial = random_entries(&mut rng, 50);
+        let masks: Vec<u64> = (0..50).map(|_| rng.next_u64() & (0b0111 << 4)).collect();
         let mut lanes = random_lanes(&mut rng);
         lanes[3] = lanes[0];
-        let got = list.eval_subgroup(&masks, 4, &lanes);
-        assert!(got[..3].iter().all(|&(_, cnt)| cnt > 0));
-        let (acc, cnt) = got[3];
-        assert_same_bits("padded lane", acc, Vec3::ZERO);
-        assert_eq!(cnt, 0);
+        for dn in [0, 5] {
+            let dense = random_entries(&mut rng, dn);
+            let got = eval_lanes(&dense, &partial, &masks, 4, &lanes, EPS2);
+            assert!(got[..3].iter().all(|&(_, cnt)| cnt > 0));
+            let mut dense_only = Vec3::ZERO;
+            apply_sequence(&mut dense_only, lanes[3], &dense, G, EPS2);
+            assert_same_bits(&format!("padded lane, dense {dn}"), got[3].0, dense_only);
+            assert_eq!(got[3].1, 0);
+        }
     }
 
     #[test]
     fn empty_index_list_returns_zeros_without_reading_the_row() {
-        // No mask names this sub-group: nothing is visited, so not even a
-        // row of NaNs can reach the accumulators.
-        let n = 12;
-        let list = PartialList {
-            src: vec![Vec3::new(f64::NAN, f64::NAN, f64::NAN); n],
-            mass: vec![f64::NAN; n],
-        };
+        // Nothing dense and no mask names this sub-group: nothing is
+        // visited, so not even a row of NaNs can reach the accumulators.
         let lanes = random_lanes(&mut SmallRng::seed_from_u64(1));
-        for (acc, cnt) in list.eval_subgroup(&vec![0xF0u64; n], 0, &lanes) {
+        let nans = vec![(Vec3::new(f64::NAN, f64::NAN, f64::NAN), f64::NAN); 12];
+        for (acc, cnt) in eval_lanes(&[], &nans, &[0xF0; 12], 0, &lanes, EPS2) {
             assert_same_bits("unvisited", acc, Vec3::ZERO);
             assert_eq!(cnt, 0);
+        }
+    }
+
+    #[test]
+    fn a_members_own_entry_adds_exactly_zero_at_zero_softening() {
+        // ε = 0: a member's own entry has r² = 0, floored at R2_FLOOR, so
+        // its scale stays finite and shares a divide with a real entry
+        // without disturbing it.
+        let mut rng = SmallRng::seed_from_u64(0x7a65_726f);
+        let lanes = random_lanes(&mut rng);
+        let mut dense = random_entries(&mut rng, 6);
+        dense[2].0 = lanes[1];
+        let mut partial = random_entries(&mut rng, 3);
+        partial[0].0 = lanes[2];
+        let masks = [0b1111 << 8; 3];
+        let got = eval_lanes(&dense, &partial, &masks, 8, &lanes, 0.0);
+        let params = ForceParams {
+            theta: 1.0,
+            eps: 0.0,
+            gravity: G,
+        };
+        for (l, &(acc, _)) in got.iter().enumerate() {
+            let (want, _) = scalar_lane(&dense, &partial, &masks, 8, l as u32, lanes[l], 0.0);
+            assert_same_bits(&format!("lane {l}"), acc, want);
+            let direct = dense
+                .iter()
+                .chain(&partial)
+                .filter(|e| e.0 != lanes[l])
+                .fold(Vec3::ZERO, |a, e| {
+                    a + pair_accel(lanes[l], e.0, e.1, &params)
+                });
+            let rel = (acc - direct).norm() / direct.norm();
+            assert!(rel <= 1e-12, "lane {l}: {acc:?} vs {direct:?}");
+        }
+    }
+
+    #[test]
+    fn mixed_accepts_decides_every_slot_like_the_members_own_criterion() {
+        let mut rng = SmallRng::seed_from_u64(0x6d69_7864);
+        let theta2 = 0.25;
+        for case in 0..200 {
+            let mut mpos: Vec<Vec3> = (0..MAX_GROUP_SIZE).map(|_| random_vec3(&mut rng)).collect();
+            let mut com = random_vec3(&mut rng) * 2.0;
+            let mut side = rng.gen_range(0.0, 2.0);
+            if case % 2 == 0 {
+                // Put one member exactly on the boundary: every coordinate
+                // is dyadic, so d² = 0.75² + 1² and side² = θ²·d² exactly.
+                let m = case % MAX_GROUP_SIZE;
+                mpos[m] = Vec3::new(0.5, -0.25, 0.125);
+                com = mpos[m] + Vec3::new(0.75, 1.0, 0.0);
+                side = 0.625;
+                assert_eq!(side * side, theta2 * mpos[m].dist_sq(com));
+            }
+            let cols: [[f64; MAX_GROUP_SIZE]; 3] = [
+                std::array::from_fn(|m| mpos[m].x),
+                std::array::from_fn(|m| mpos[m].y),
+                std::array::from_fn(|m| mpos[m].z),
+            ];
+            let got = mixed_accepts(&cols, com, side, theta2);
+            for (m, p) in mpos.iter().enumerate() {
+                let want = cell_accepted(side, theta2, p.dist_sq(com));
+                assert_eq!((got >> m) & 1 == 1, want, "case {case} slot {m}");
+            }
         }
     }
 

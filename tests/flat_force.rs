@@ -8,11 +8,12 @@
 //! resolved per member with the exact criterion): every body's interaction
 //! *multiset* — hence the interaction total — equals the sequential
 //! walk's exactly, for every algorithm, group size and processor count.
-//! The summation order may differ (list grouping at `group_size > 1`, leaf
-//! body order of the lock-based builders at P > 1), so velocities agree to
-//! ≤1e-12 relative. MORTON at `group_size = 1` on one processor replays the
-//! sequential walk's floating-point operation sequence and is the bitwise
-//! anchor; it is also bitwise independent of the processor count.
+//! The summation order and which consecutive entries share a divide may
+//! differ (list grouping at `group_size > 1`, leaf body order of the
+//! lock-based builders at P > 1), so velocities agree to ≤1e-12 relative.
+//! MORTON at `group_size = 1` on one processor replays the sequential
+//! walk's floating-point operation sequence and is the bitwise anchor; it
+//! is also bitwise independent of the processor count.
 
 use bh_repro::bh_core::algorithms::common::bounds_phase;
 use bh_repro::bh_core::algorithms::Builder;
@@ -115,6 +116,34 @@ fn kernel_matches_sequential_reference_for_every_algorithm_group_size_and_procs(
     }
     // DESIGN.md §5b quotes this figure (`--nocapture` to see it).
     println!("worst relative velocity deviation from seq_run: {worst_all:e}");
+}
+
+#[test]
+fn zero_softening_keeps_velocities_finite_at_every_group_size() {
+    // At ε = 0 a member's own list entry has r² = 0. The evaluation floors
+    // r² high enough that r²·√r² and the shared divide stay finite, so that
+    // entry adds exactly zero; a floor at f64::MIN_POSITIVE underflowed and
+    // turned every velocity into NaN at group sizes above 1.
+    let bodies = Model::Plummer.generate(512, 42);
+    let mut cfg = SimConfig::new(Algorithm::Orig);
+    cfg.force.eps = 0.0;
+    cfg.warmup_steps = 0;
+    cfg.measured_steps = 1;
+    let mut seq = bodies.clone();
+    seq_run(&mut seq, cfg.k, &cfg.force, cfg.dt, 1);
+    for gs in [1, 16, 64] {
+        cfg.group_size = gs;
+        let (stats, par) = run_simulation_with_state(&NativeEnv::new(1), &cfg, &bodies);
+        stats.assert_valid();
+        for (i, (a, b)) in par.iter().zip(&seq).enumerate() {
+            assert!(a.vel.is_finite(), "gs={gs} body {i}: velocity {:?}", a.vel);
+            let rel = (a.vel - b.vel).norm() / b.vel.norm();
+            assert!(
+                rel <= 1e-12,
+                "gs={gs} body {i}: velocity differs from seq_run by {rel:e}"
+            );
+        }
+    }
 }
 
 /// The force phase's inputs for one step, with the stages driven by hand so
