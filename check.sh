@@ -134,7 +134,7 @@ sweep matrix --scale tiny --jobs 2 --json matrix_j2.json
 sweep matrix --scale tiny --jobs 1 --json matrix_j1.json
 "$REPRO" check-same "$SMOKE_DIR/matrix_j2.json" "$SMOKE_DIR/matrix_j1.json"
 
-echo "== bench lane (bench/ builds offline, its tests pass, three short runs check out) =="
+echo "== bench lane (bench/ builds offline, its tests pass, four short runs check out) =="
 # bench/ is a package of its own outside the workspace, so nothing above
 # compiles it. `bhbench run` exits 1 when its check line fails: on
 # sim-platforms that is P=1 cycles repeating exactly from round to round and
@@ -143,9 +143,11 @@ echo "== bench lane (bench/ builds offline, its tests pass, three short runs che
 # equalling a direct run_job of the same spec; on native-step it is every
 # run of a builder on a body set - staged by the benchmark or through the
 # engine, whole steps with the force kernel in them - ending on the same
-# final-body digest.
+# final-body digest; on native-treebuild it is every builder's tree
+# validating after a reset (the only workload whose own resets go through
+# SharedTree::reset) and after an incremental step.
 cargo test --offline -q --manifest-path bench/Cargo.toml
-for workload in native-step sim-platforms serve-mixed; do
+for workload in native-step native-treebuild sim-platforms serve-mixed; do
     cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
         run --workload "$workload" --seconds 2 --out "$SMOKE_DIR/bench"
 done

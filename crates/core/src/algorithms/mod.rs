@@ -201,6 +201,18 @@ impl Builder {
     pub fn may_leave_husks(&self) -> bool {
         self.alg == Algorithm::Update
     }
+
+    /// Test support: a step-0 bounds, build and centre-of-mass pass on
+    /// every processor of `env`.
+    #[cfg(test)]
+    pub(crate) fn build_once(&self, env: &crate::env::NativeEnv, tree: &SharedTree, world: &World) {
+        crate::harness::WorkerPool::new(env.num_procs()).run(env, |proc, ctx| {
+            let cube = common::bounds_phase(env, ctx, world, proc);
+            self.build(env, ctx, tree, world, proc, 0, cube);
+            env.barrier(ctx);
+            self.com(env, ctx, tree, world, proc, 0);
+        });
+    }
 }
 
 #[cfg(test)]

@@ -190,42 +190,36 @@ impl MortonScratch {
         (&self.keys[b], &self.ids[b])
     }
 
-    /// Reset the workspace to its freshly-allocated state (untimed,
-    /// single-threaded engine setup between jobs). Like
-    /// [`FlatTree::reset`], this exists so reused-engine runs are
-    /// indistinguishable from fresh ones — each step overwrites every slot
-    /// it reads.
+    /// Reset the workspace to its freshly-allocated bytes (untimed).
+    /// `SimEngine` does not call this between jobs: like
+    /// [`FlatTree::reset`], each step overwrites every slot it reads. The
+    /// benchmark's staged mirror of the engine does.
     pub fn reset(&self) {
-        for v in &self.keys {
-            for i in 0..v.len() {
-                v.poke(i, 0);
-            }
+        self.fill(0, 0, 0.0);
+    }
+
+    /// Overwrite every slot with garbage, so a test can show a step reads
+    /// nothing here it did not write.
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        self.fill(u64::MAX, u32::MAX, f64::NAN);
+    }
+
+    fn fill(&self, wide: u64, word: u32, real: f64) {
+        for v in [&self.keys[0], &self.keys[1], &self.chunk_cost] {
+            v.fill(wide);
         }
-        for v in &self.ids {
-            for i in 0..v.len() {
-                v.poke(i, 0);
-            }
+        let words = [
+            &self.ids[0],
+            &self.ids[1],
+            &self.rank,
+            &self.totals,
+            &self.ent_counts,
+        ];
+        for v in words.into_iter().chain(&self.hist) {
+            v.fill(word);
         }
-        for v in &self.hist {
-            for i in 0..v.len() {
-                v.poke(i, 0);
-            }
-        }
-        for i in 0..self.rank.len() {
-            self.rank.poke(i, 0);
-        }
-        for i in 0..self.totals.len() {
-            self.totals.poke(i, 0);
-        }
-        for i in 0..self.ent_counts.len() {
-            self.ent_counts.poke(i, 0);
-        }
-        for i in 0..self.ent_mass.len() {
-            self.ent_mass.poke(i, 0.0);
-        }
-        for i in 0..self.chunk_cost.len() {
-            self.chunk_cost.poke(i, 0);
-        }
+        self.ent_mass.fill(real);
     }
 }
 

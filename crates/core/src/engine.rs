@@ -11,11 +11,17 @@
 //!   job's shape — body count, leaf threshold, tree layout — matches the
 //!   previous one; an incompatible job simply reallocates.
 //!
-//! Because `reset()` restores exactly the state a fresh allocation starts
-//! with, a reused engine produces **bitwise-identical physics** to a fresh
+//! A reset restores what a run reads before writing it, not the fresh
+//! bytes: [`World::reset`] rewrites the body arrays and the initial
+//! assignment, [`SharedTree::reset`] empties the tree's allocation state,
+//! and the flat snapshot, the force lists and MORTON's sort workspace are
+//! not touched at all, because every step overwrites each slot of them it
+//! reads. Scratch keeps the last job's bytes, whose values no run uses. So a
+//! reused engine produces **bitwise-identical physics** to a fresh
 //! [`crate::app::run_simulation`] call for the same config and bodies
-//! (`tests/engine_reuse.rs` certifies this). Timing-derived statistics may
-//! of course differ on native environments.
+//! (`tests/engine_reuse.rs` certifies this, and this module's poison test
+//! runs every algorithm on state filled with garbage). Timing-derived
+//! statistics may of course differ on native environments.
 
 use std::collections::HashMap;
 
@@ -89,10 +95,6 @@ impl<E: Env> SimEngine<E> {
             let st = self.state.as_mut().unwrap();
             st.world.reset(bodies);
             st.tree.reset();
-            st.flat.reset();
-            // Hygiene, like FlatTree::reset: evaluation only ever reads
-            // entries the same step's traversal emitted.
-            st.force_scratch.reset();
         } else {
             let flat = FlatTree::new(&self.env, n, cfg.k, layout);
             let force_scratch = ForceScratch::new(&self.env, &flat, n, self.env.num_procs());
@@ -122,12 +124,6 @@ impl<E: Env> SimEngine<E> {
             None => crate::algorithms::space::default_threshold(n, env.num_procs(), cfg.k),
         };
         builder.space_rebalance = cfg.space_rebalance.max(0.0);
-        if cfg.algorithm.builds_flat_directly() {
-            // Like FlatTree::reset: keep reused-engine runs bitwise
-            // indistinguishable from fresh ones (each step overwrites every
-            // workspace slot it reads, so this is hygiene, not correctness).
-            builder.morton_scratch().reset();
-        }
 
         app::execute(
             env,
@@ -145,8 +141,9 @@ impl<E: Env> SimEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::NativeEnv;
+    use crate::env::{Access, EnvLayer, LayerCtx, NativeEnv, VAddr};
     use crate::model::Model;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn engine_reallocates_on_shape_change_and_reuses_otherwise() {
@@ -182,5 +179,107 @@ mod tests {
         // Local/Update/Space share the per-processor layout: one allocation,
         // three cached builders.
         assert_eq!(engine.state.as_ref().unwrap().builders.len(), 3);
+    }
+
+    /// `NativeEnv` plus an order-sensitive digest of every access (address,
+    /// size, kind): at P = 1, equal digests mean equal access streams.
+    struct Streamed {
+        inner: NativeEnv,
+        digest: AtomicU64,
+    }
+
+    impl EnvLayer for Streamed {
+        type Inner = NativeEnv;
+        type Local = ();
+
+        fn inner(&self) -> &NativeEnv {
+            &self.inner
+        }
+
+        fn make_local(&self, _proc: usize) {}
+
+        fn on_access(&self, ctx: &mut LayerCtx<Self>, addr: VAddr, bytes: u32, kind: Access) {
+            let word = addr ^ (bytes as u64) << 48 ^ (kind as u64) << 56;
+            let h = self.digest.load(Ordering::Relaxed);
+            let h = (h ^ word).wrapping_mul(0x100000001b3);
+            self.digest.store(h, Ordering::Relaxed);
+            self.inner.access(&mut ctx.inner, addr, bytes, kind)
+        }
+    }
+
+    /// One job's final bodies, per-body interaction counts and access digest.
+    fn job(engine: &mut SimEngine<Streamed>, cfg: &SimConfig, bodies: &[Body]) -> Job {
+        let (stats, state) = engine.run_with_state(cfg, bodies);
+        stats.assert_valid();
+        let world = &engine.state.as_ref().unwrap().world;
+        Job {
+            bits: state.iter().map(bits).collect(),
+            cost: (0..world.n).map(|i| world.cost.peek(i)).collect(),
+            stream: engine.env.digest.swap(0, Ordering::Relaxed),
+            bodies: state,
+        }
+    }
+
+    struct Job {
+        bodies: Vec<Body>,
+        bits: Vec<[u64; 7]>,
+        cost: Vec<u32>,
+        stream: u64,
+    }
+
+    /// The exact bit patterns of a body.
+    fn bits(b: &Body) -> [u64; 7] {
+        [b.pos.x, b.pos.y, b.pos.z, b.vel.x, b.vel.y, b.vel.z, b.mass].map(f64::to_bits)
+    }
+
+    #[test]
+    fn a_poisoned_parked_engine_runs_like_a_fresh_one() {
+        // Every slot holds garbage when the next job starts: if a run read
+        // one that its reset skips before writing it, positions,
+        // velocities, interaction counts or the access stream would move
+        // (NaN geometry, out-of-range refs, records marked in use).
+        let bodies = Model::Plummer.generate(96, 1998);
+        let engine = |procs| {
+            let digest = AtomicU64::new(0);
+            SimEngine::new(Streamed {
+                inner: NativeEnv::new(procs),
+                digest,
+            })
+        };
+        for procs in [1, 4] {
+            for alg in Algorithm::ALL {
+                let mut cfg = SimConfig::new(alg);
+                cfg.k = 4;
+                cfg.warmup_steps = 1;
+                cfg.measured_steps = 2;
+                let fresh = job(&mut engine(procs), &cfg, &bodies);
+                let mut parked = engine(procs);
+                job(&mut parked, &cfg, &bodies);
+                let st = parked.state.as_ref().unwrap();
+                st.world.poison();
+                st.tree.poison();
+                st.flat.poison();
+                st.force_scratch.poison();
+                if alg.builds_flat_directly() {
+                    st.builders[&alg].morton_scratch().poison();
+                }
+                let reused = job(&mut parked, &cfg, &bodies);
+                if procs == 1 {
+                    assert!(reused.bits == fresh.bits, "{alg}: final bodies differ");
+                    assert!(
+                        reused.cost == fresh.cost,
+                        "{alg}: interaction counts differ"
+                    );
+                    assert_eq!(reused.stream, fresh.stream, "{alg}: access streams differ");
+                    continue;
+                }
+                // Racy insertion order jitters floating point at P > 1;
+                // tests/engine_reuse.rs's bound.
+                for (a, b) in reused.bodies.iter().zip(&fresh.bodies) {
+                    let d = (a.pos - b.pos).norm().max((a.vel - b.vel).norm());
+                    assert!(d <= 1e-3 && a.mass == b.mass, "{alg} at P=4: {d:e}");
+                }
+            }
+        }
     }
 }

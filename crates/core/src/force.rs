@@ -207,14 +207,24 @@ impl ForceScratch {
         self.cap
     }
 
-    /// Zero every list — allocation hygiene for engine reuse across jobs.
+    /// Zero every list (untimed). `SimEngine` does not call this between
+    /// jobs: the evaluation reads only the entries the same group's
+    /// traversal emitted. The benchmark's staged mirror of the engine does.
     pub fn reset(&self) {
+        self.fill(0.0);
+    }
+
+    /// Fill every list with NaN, so a test can show the evaluation reads
+    /// nothing its traversal did not emit.
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        self.fill(f64::NAN);
+    }
+
+    fn fill(&self, v: f64) {
         for row in &self.rows {
-            for k in 0..self.cap {
-                row.xs.poke(k, 0.0);
-                row.ys.poke(k, 0.0);
-                row.zs.poke(k, 0.0);
-                row.ms.poke(k, 0.0);
+            for c in [&row.xs, &row.ys, &row.zs, &row.ms] {
+                c.fill(v);
             }
         }
     }

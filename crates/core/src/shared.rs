@@ -216,6 +216,11 @@ impl<T: Copy> SharedVec<T> {
         unsafe { *self.slots[i].get() = value };
     }
 
+    /// Untimed write of `value` to every element; see [`SharedVec::peek`].
+    pub fn fill(&self, value: T) {
+        (0..self.len()).for_each(|i| self.poke(i, value));
+    }
+
     /// Iterate over a snapshot of the contents (untimed).
     pub fn iter_peek(&self) -> impl Iterator<Item = T> + '_ {
         (0..self.len()).map(move |i| self.peek(i))
@@ -322,6 +327,11 @@ impl SharedAtomicVec {
     pub fn poke(&self, i: usize, v: u32) {
         self.slots[i].store(v, Ordering::Release)
     }
+
+    /// Untimed store of `v` to every slot; see [`SharedVec::fill`].
+    pub fn fill(&self, v: u32) {
+        (0..self.len()).for_each(|i| self.poke(i, v));
+    }
 }
 
 /// A shared array of atomic 64-bit counters (work totals, cost sums).
@@ -386,6 +396,11 @@ impl SharedAtomicVec64 {
     #[inline]
     pub fn poke(&self, i: usize, v: u64) {
         self.slots[i].store(v, Ordering::Release)
+    }
+
+    /// Untimed store of `v` to every slot; see [`SharedVec::fill`].
+    pub fn fill(&self, v: u64) {
+        (0..self.len()).for_each(|i| self.poke(i, v));
     }
 }
 

@@ -173,23 +173,30 @@ impl FlatTree {
         flat
     }
 
-    /// Reset the snapshot storage to its freshly-allocated state (untimed,
-    /// single-threaded engine setup between jobs). The per-step flatten
-    /// protocol overwrites every slot it later reads, so this exists to
-    /// make reused-engine runs bitwise indistinguishable from
-    /// fresh-allocation runs, not for per-step correctness.
+    /// Reset the snapshot storage to its freshly-allocated bytes (untimed).
+    /// `SimEngine` does not call this between jobs: the per-step flatten
+    /// protocol (and MORTON's emission) overwrites every slot it later
+    /// reads. The benchmark's staged mirror of the engine does.
     pub fn reset(&self) {
-        for i in 0..self.nodes.len() {
-            self.nodes.poke(i, FlatNode::zero());
-        }
-        for i in 0..self.kids.len() {
-            self.kids.poke(i, 0);
-        }
-        for i in 0..self.bodies.len() {
-            self.bodies.poke(i, 0);
-        }
-        for i in 0..self.sub_counts.len() {
-            self.sub_counts.poke(i, 0);
+        self.nodes.fill(FlatNode::zero());
+        self.kids.fill(0);
+        self.bodies.fill(0);
+        self.sub_counts.fill(0);
+    }
+
+    /// Overwrite every slot with garbage, so a test can show a run reads
+    /// nothing here it did not write.
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        self.nodes.fill(FlatNode {
+            com: Vec3::splat(f64::NAN),
+            mass: f64::NAN,
+            half: f64::NAN,
+            first: u32::MAX,
+            tag: u32::MAX,
+        });
+        for v in [&self.kids, &self.bodies, &self.sub_counts] {
+            v.fill(u32::MAX);
         }
     }
 

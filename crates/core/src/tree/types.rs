@@ -821,52 +821,84 @@ impl SharedTree {
         }
     }
 
-    /// Reset already-allocated tree storage to its freshly-allocated state
-    /// (untimed, single-threaded engine setup between jobs). Unlike the
-    /// per-step [`SharedTree::reset_for_rebuild`] — which only rewinds the
-    /// allocation counters — this clears every record, child slot, mirror
-    /// and free list back to the values [`SharedTree::new`] establishes, so
-    /// a run on a reused engine starts from bitwise the same cold state as a
-    /// run on a fresh allocation.
+    /// Return already-allocated tree storage to an empty tree (untimed,
+    /// single-threaded engine setup between jobs): allocation cursors,
+    /// free-stack depths and leaf-list lengths at zero, `root` NULL and
+    /// `root_cube` as [`SharedTree::new`] leaves it.
+    ///
+    /// Records, child slots, the leaf mirrors, pending counters, free
+    /// stacks and leaf lists keep the last run's bytes. A run never reads
+    /// them before writing them: [`SharedTree::alloc_cell`] and
+    /// [`SharedTree::alloc_leaf`] store a whole record (and a cell's pending
+    /// counter and child slots) before anything loads it, and every other
+    /// read reaches the tree through `root`, a prefix of a leaf list,
+    /// `World::body_leaf`, a free stack below its depth, or UPDATE's
+    /// rescale of `[0, next_*)` — all reset here or written in the same
+    /// run. So a run on a reused engine loads the same values as a run on
+    /// a fresh allocation.
     pub fn reset(&self) {
         for a in &self.arenas {
-            for i in 0..a.cells.len() {
-                a.cells.poke(i, Cell::empty());
-            }
-            for i in 0..a.leaves.len() {
-                a.leaves.poke(i, Leaf::empty());
-            }
-            for i in 0..a.children.len() {
-                a.children.poke(i, 0);
-            }
-            for i in 0..a.leaf_parent.len() {
-                a.leaf_parent.poke(i, 0);
-            }
-            for i in 0..a.leaf_bounds.len() {
-                a.leaf_bounds.poke(i, 0);
-            }
-            for i in 0..a.cell_pending.len() {
-                a.cell_pending.poke(i, 0);
-            }
             a.next_cell.poke(0, 0);
             a.next_leaf.poke(0, 0);
-            for i in 0..a.free_cells.len() {
-                a.free_cells.poke(i, 0);
-            }
-            for i in 0..a.free_leaves.len() {
-                a.free_leaves.poke(i, 0);
-            }
-            a.free_tops.poke(0, 0);
-            a.free_tops.poke(1, 0);
+            a.free_tops.fill(0);
         }
-        for (list, len) in self.leaf_lists.iter().zip(&self.leaf_list_len) {
-            for i in 0..list.len() {
-                list.poke(i, 0);
-            }
+        for len in &self.leaf_list_len {
             len.poke(0, 0);
         }
         self.root.poke(0, NodeRef::NULL);
         self.root_cube.poke(0, Cube::new(Vec3::ZERO, 1.0));
+    }
+
+    /// Overwrite every slot with garbage (NaN geometry, `u32::MAX` refs and
+    /// counts, records marked in use), so a test can show
+    /// [`SharedTree::reset`] restores all a run reads before writing.
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        let (nan, bad) = (Vec3::splat(f64::NAN), NodeRef(u32::MAX));
+        for a in &self.arenas {
+            a.cells.fill(Cell {
+                com: nan,
+                mass: f64::NAN,
+                cost: u64::MAX,
+                count: u32::MAX,
+                owner: 0,
+                octant_in_parent: u8::MAX,
+                in_use: true,
+                husk_listed: true,
+                parent: bad,
+                center: nan,
+                half: f64::NAN,
+            });
+            a.leaves.fill(Leaf {
+                bodies: [u32::MAX; MAX_LEAF_BODIES],
+                n: u32::MAX,
+                com: nan,
+                mass: f64::NAN,
+                cost: u64::MAX,
+                owner: 0,
+                listed_by: 0,
+                octant_in_parent: u8::MAX,
+                in_use: true,
+                com_stamp: 0,
+                parent: bad,
+                center: nan,
+                half: f64::NAN,
+            });
+            let words = [&a.children, &a.leaf_parent, &a.cell_pending];
+            for v in words
+                .into_iter()
+                .chain([&a.next_cell, &a.next_leaf, &a.free_tops])
+            {
+                v.fill(u32::MAX);
+            }
+            a.leaf_bounds.fill(f64::NAN.to_bits());
+            a.free_cells.fill(u32::MAX);
+            a.free_leaves.fill(u32::MAX);
+        }
+        self.leaf_lists.iter().for_each(|v| v.fill(u32::MAX));
+        self.leaf_list_len.iter().for_each(|v| v.fill(u32::MAX));
+        self.root.fill(bad);
+        self.root_cube.fill(Cube::new(nan, f64::NAN));
     }
 
     /// Number of live cells allocated across all arenas (untimed).
@@ -889,7 +921,11 @@ impl SharedTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{Algorithm, Builder};
     use crate::env::NativeEnv;
+    use crate::model::Model;
+    use crate::tree::{validate, SeqTree};
+    use crate::world::World;
 
     #[test]
     fn noderef_packing_roundtrip() {
@@ -987,15 +1023,7 @@ mod tests {
     fn full_reset_restores_fresh_state() {
         let env = NativeEnv::new(2);
         let tree = SharedTree::new(&env, 200, 4, TreeLayout::PerProcessor);
-        let mut ctx = env.make_ctx(0);
-        let c = tree.alloc_cell(&env, &mut ctx, 0, 0);
-        let l = tree.alloc_leaf(&env, &mut ctx, 0, 0);
-        tree.set_child(&env, &mut ctx, c, 3, l);
-        tree.set_leaf_parent(&env, &mut ctx, l, c);
-        tree.free_leaf(&env, &mut ctx, l);
-        tree.root.poke(0, c);
-        tree.root_cube
-            .poke(0, Cube::new(Vec3::new(1.0, 2.0, 3.0), 9.0));
+        tree.poison();
         tree.reset();
         assert_eq!(tree.cells_allocated(), 0);
         assert_eq!(tree.leaves_allocated(), 0);
@@ -1003,17 +1031,17 @@ mod tests {
         let cube = tree.root_cube.peek(0);
         assert_eq!((cube.center, cube.half), (Vec3::ZERO, 1.0));
         for a in &tree.arenas {
-            assert!(!a.cells.peek(0).in_use);
-            assert!(!a.leaves.peek(0).in_use);
-            assert_eq!(a.leaves.peek(0).listed_by, u8::MAX);
-            assert_eq!(a.children.peek(3), 0);
-            assert_eq!(a.leaf_parent.peek(0), 0);
-            assert_eq!(a.free_tops.peek(1), 0);
+            assert_eq!((a.free_tops.peek(0), a.free_tops.peek(1)), (0, 0));
+            // Records keep their garbage: nothing reaches them until an
+            // allocation rewrites them.
+            assert!(a.cells.peek(0).in_use && a.leaves.peek(0).in_use);
         }
-        for q in 0..2 {
-            assert_eq!(tree.leaf_list_len[q].peek(0), 0);
-            assert_eq!(tree.leaf_lists[q].peek(0), 0);
-        }
+        assert!(tree.leaf_list_len.iter().all(|len| len.peek(0) == 0));
+        let bodies = Model::Plummer.generate(200, 3);
+        let world = World::new(&env, &bodies);
+        Builder::new(&env, Algorithm::Local, 200, 4).build_once(&env, &tree, &world);
+        validate::validate(&tree, &world.positions(), &world.masses(), true).unwrap();
+        validate::matches_reference(&tree, &SeqTree::build(&bodies, 4)).unwrap();
     }
 
     #[test]

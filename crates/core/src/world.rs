@@ -197,12 +197,17 @@ impl World {
     }
 
     /// Reinitialize already-allocated world state for a new run over
-    /// `bodies` (untimed, single-threaded engine setup between jobs). Every
-    /// array — body state, costzones assignment, bounds scratch and the
-    /// SPACE partitioner scratch — returns to exactly the state
-    /// [`World::new`] establishes, so a run on a reused engine performs the
-    /// same memory operations, in the same order, on the same values as a
-    /// run on a fresh allocation.
+    /// `bodies` (untimed, single-threaded engine setup between jobs).
+    ///
+    /// Restores what a run reads before writing it: the body arrays, the
+    /// costzones `order` and initial `zone_start`, the bounds scratch
+    /// `proc_bbox`, and `sp_nsub`. The SPACE scratch (frontier, count and
+    /// cost rows, totals, subspaces, routing slots, buckets) keeps the last
+    /// run's bytes: every SPACE round stores each of those slots before it
+    /// loads it, except round 0's routing-slot load, whose value is
+    /// discarded. So a run on a reused engine loads the same values, and
+    /// performs the same memory operations in the same order, as a run on
+    /// a fresh allocation.
     pub fn reset(&self, bodies: &[Body]) {
         assert_eq!(
             bodies.len(),
@@ -228,44 +233,42 @@ impl World {
         for q in 0..p {
             self.proc_bbox.poke(q, Aabb::EMPTY);
         }
-        for frontier in &self.sp_frontier {
-            for i in 0..frontier.len() {
-                frontier.poke(i, 0);
-            }
-        }
-        for row in &self.sp_counts {
-            for i in 0..row.len() {
-                row.poke(i, 0);
-            }
-        }
-        for row in &self.sp_costs {
-            for i in 0..row.len() {
-                row.poke(i, 0);
-            }
-        }
-        for i in 0..self.sp_total_counts.len() {
-            self.sp_total_counts.poke(i, 0);
-            self.sp_total_costs.poke(i, 0);
-        }
-        for i in 0..self.sp_subspaces.len() {
-            self.sp_subspaces.poke(i, Subspace::zero());
-        }
         self.sp_nsub.poke(0, 0);
-        for row in &self.sp_body_slot {
-            for i in 0..row.len() {
-                row.poke(i, 0);
-            }
+    }
+
+    /// Overwrite every slot with garbage (NaN coordinates, `u32::MAX` refs
+    /// and counts), so a test can show [`World::reset`] restores all a run
+    /// reads before writing.
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        let nan = Vec3::splat(f64::NAN);
+        for v in [&self.pos, &self.vel, &self.acc] {
+            v.fill(nan);
         }
-        for row in &self.sp_bucket {
-            for i in 0..row.len() {
-                row.poke(i, 0);
-            }
+        self.mass.fill(f64::NAN);
+        self.proc_bbox.fill(Aabb { min: nan, max: nan });
+        self.sp_subspaces.fill(Subspace {
+            parent: NodeRef(u32::MAX),
+            oct: u8::MAX,
+            count: u32::MAX,
+            cost: u64::MAX,
+            center: nan,
+            half: f64::NAN,
+        });
+        let rows = [&self.sp_body_slot, &self.sp_bucket, &self.sp_bucket_off];
+        let words = rows.into_iter().flatten().chain(&self.sp_frontier);
+        for v in words.chain([&self.order, &self.zone_start, &self.sp_total_counts]) {
+            v.fill(u32::MAX);
         }
-        for row in &self.sp_bucket_off {
-            for i in 0..row.len() {
-                row.poke(i, 0);
-            }
-        }
+        let atomics = self
+            .sp_counts
+            .iter()
+            .chain([&self.body_leaf, &self.sp_nsub]);
+        atomics.for_each(|v| v.fill(u32::MAX));
+        // Skewed, so that a stale cost would move SPACE's cost refinement.
+        (0..self.n).for_each(|i| self.cost.poke(i, u32::MAX >> (i % 32)));
+        self.sp_total_costs.fill(u64::MAX);
+        self.sp_costs.iter().for_each(|v| v.fill(u64::MAX));
     }
 
     /// Bodies assigned to `proc` (zone bounds, untimed read; the zone
@@ -299,8 +302,11 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{Algorithm, Builder};
     use crate::env::NativeEnv;
     use crate::model::Model;
+    use crate::tree::validate::validate;
+    use crate::tree::{SharedTree, TreeLayout};
 
     #[test]
     fn world_initialization_roundtrip() {
@@ -334,23 +340,27 @@ mod tests {
         let first = Model::Plummer.generate(64, 7);
         let second = Model::UniformSphere.generate(64, 9);
         let w = World::new(&env, &first);
-        // Dirty state a run would leave behind.
-        w.acc.poke(3, Vec3::new(1.0, 2.0, 3.0));
-        w.cost.poke(5, 99);
-        w.body_leaf.poke(1, 77);
-        w.order.poke(0, 63);
-        w.zone_start.poke(1, 1);
-        w.sp_nsub.poke(0, 12);
-        w.sp_total_counts.poke(17, 4);
+        w.poison();
         w.reset(&second);
         assert_eq!(w.snapshot(), second);
-        assert_eq!(w.acc.peek(3), Vec3::ZERO);
-        assert_eq!(w.cost.peek(5), 1);
-        assert_eq!(w.body_leaf.peek(1), 0);
-        assert_eq!(w.order.peek(0), 0);
-        assert_eq!(w.zone(0), (0, 16));
+        for i in 0..64 {
+            assert_eq!(w.acc.peek(i), Vec3::ZERO);
+            let meta = (w.cost.peek(i), w.body_leaf.peek(i), w.order.peek(i));
+            assert_eq!(meta, (1, 0, i as u32));
+        }
+        let zones: Vec<_> = (0..4).map(|q| w.zone(q)).collect();
+        assert_eq!(zones, [(0, 16), (16, 32), (32, 48), (48, 64)]);
+        assert!((0..4).all(|q| w.proc_bbox.peek(q) == Aabb::EMPTY));
         assert_eq!(w.sp_nsub.peek(0), 0);
-        assert_eq!(w.sp_total_counts.peek(17), 0);
+        // The SPACE scratch keeps its garbage, and SPACE still builds a
+        // valid tree over it.
+        assert_eq!(w.sp_total_counts.peek(17), u32::MAX);
+        let tree = SharedTree::new(&env, 64, 4, TreeLayout::PerProcessor);
+        Builder::new(&env, Algorithm::Space, 64, 4)
+            .with_space_threshold(4)
+            .build_once(&env, &tree, &w);
+        validate(&tree, &w.positions(), &w.masses(), true).unwrap();
+        assert!(w.sp_nsub.peek(0) > 8, "SPACE refined only its root");
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! alive across jobs, `reset()`-ing them instead of reallocating. These
 //! tests certify the load-bearing property of that reuse: a job run on a
 //! *reused* engine produces the same physics as the same job run fresh —
-//! i.e. `reset()` restores exactly the state a fresh allocation starts
-//! with, for every algorithm.
+//! i.e. `reset()` restores everything a run reads before writing it, for
+//! every algorithm. It does not restore the fresh bytes: scratch keeps the
+//! previous job's contents, whose values no run uses (`engine.rs`'s poison
+//! test fills them with garbage first).
 //!
 //! On one processor runs are fully deterministic, so the comparison is
 //! **bitwise** — any state leaking across jobs (a stale cost, a leftover
