@@ -92,6 +92,12 @@ REPRO="$PWD/target/release/repro"
 (cd "$SMOKE_DIR" && timeout 120 "$REPRO" fig13 --scale tiny --jobs 2 2>fig13.err >/dev/null)
 grep -q '^\[sweep: 14 job(s)' "$SMOKE_DIR/fig13.err" || {
     echo "fig13 --jobs 2 did not prewarm 14 jobs:"; cat "$SMOKE_DIR/fig13.err"; exit 1; }
+# One configuration through `repro run`: a simulated platform with the
+# communication breakdown and a trace the validator accepts, then the host.
+(cd "$SMOKE_DIR" && timeout 120 "$REPRO" run origin2000 morton 512 4 --attr \
+    --trace run.json >/dev/null)
+"$REPRO" check-trace "$SMOKE_DIR/run.json"
+(cd "$SMOKE_DIR" && timeout 120 "$REPRO" run native space 512 2 >/dev/null)
 
 echo "== report lane (attributed telemetry + scaling analysis) =="
 # Smoke-run the scaling/analysis subsystem and schema-check what it emits;

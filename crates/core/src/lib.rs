@@ -72,8 +72,8 @@ pub mod prelude {
     pub use crate::shared::RegionMap;
 
     pub use crate::sched::{
-        explore, verify_matrix, CounterExample, Exploration, ExplorePlan, Finding, MatrixCell,
-        MatrixSpec, SchedConfig, SchedEnv, SchedStrategy, VerifyEnv,
+        explore, CounterExample, Exploration, ExplorePlan, Finding, MatrixSpec, SchedConfig,
+        SchedEnv, SchedStrategy, VerifyEnv,
     };
     pub use crate::trace::{StepPhaseRow, TraceEnv};
     pub use crate::tree::{SeqTree, SharedTree, TreeLayout};

@@ -77,9 +77,9 @@
 //! `CheckedEnv<SchedEnv<NativeEnv>>`: the detector outermost (so its own
 //! mutex is invisible to the scheduler), the scheduler in the middle, the
 //! native environment as the terminal allocator/clock. [`explore`] runs one
-//! program under an [`ExplorePlan`]; [`verify_matrix`] runs the full
-//! (algorithm × procs × strategy) certification the `repro verify`
-//! subcommand and `tests/schedule_matrix.rs` consume.
+//! program under an [`ExplorePlan`]; [`explore_algorithm`] runs one tree
+//! algorithm's whole simulation that way, the cell `tests/schedule_matrix.rs`
+//! certifies per (algorithm × procs × strategy).
 
 use crate::algorithms::Algorithm;
 use crate::app::{run_simulation, SimConfig};
@@ -104,8 +104,8 @@ pub mod mutation {
     /// Re-introduce the UPDATE publication-order bug fixed in PR 1: store
     /// `body_leaf` forwarding pointers *while* a private subtree is still
     /// being built, instead of deferring them until after publication.
-    /// Process-global; only ever set by mutation tests and `repro verify
-    /// --self-test`, which run in their own process.
+    /// Process-global; only ever set by the mutation tests, which run in
+    /// their own process.
     pub fn set_early_forward_flush(on: bool) {
         EARLY_FORWARD_FLUSH.store(on, Ordering::SeqCst);
         INJECTIONS.store(0, Ordering::SeqCst);
@@ -1215,10 +1215,6 @@ pub struct Exploration {
     pub lock_edges: HashMap<(usize, usize), u64>,
     /// Cycles in the union graph.
     pub lock_cycles: Vec<Vec<usize>>,
-    /// Largest decision-log length seen.
-    pub max_decisions: usize,
-    /// Largest op count seen.
-    pub max_ops: u64,
 }
 
 impl Exploration {
@@ -1238,8 +1234,6 @@ fn aggregate(agg: &mut Exploration, o: &ScheduleOutcome) {
     for (k, v) in &o.lock_edges {
         *agg.lock_edges.entry(*k).or_insert(0) += v;
     }
-    agg.max_decisions = agg.max_decisions.max(o.decisions.len());
-    agg.max_ops = agg.max_ops.max(o.ops);
     if !o.clean() {
         agg.defects += 1;
         for ce in counterexamples_of(o) {
@@ -1263,8 +1257,6 @@ where
         defects: 0,
         lock_edges: HashMap::new(),
         lock_cycles: Vec::new(),
-        max_decisions: 0,
-        max_ops: 0,
     };
     match plan {
         ExplorePlan::RoundRobin => {
@@ -1355,15 +1347,12 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// The (algorithm × procs × strategy) verification matrix
+// One tree algorithm under the explorer
 // ---------------------------------------------------------------------------
 
-/// Workload + coverage specification for [`verify_matrix`].
+/// The workload [`explore_algorithm`] runs.
 #[derive(Debug, Clone)]
 pub struct MatrixSpec {
-    pub algorithms: Vec<Algorithm>,
-    pub procs: Vec<usize>,
-    pub plans: Vec<ExplorePlan>,
     pub model: Model,
     pub n: usize,
     pub k: usize,
@@ -1377,19 +1366,9 @@ pub struct MatrixSpec {
 }
 
 impl MatrixSpec {
-    /// The pre-merge configuration: all six algorithms, 2 processors,
-    /// round-robin plus a small seeded sample, tiny workload.
-    pub fn fast(seeds: usize) -> MatrixSpec {
+    /// The pre-merge workload: tiny, one warm-up and one measured step.
+    pub fn fast() -> MatrixSpec {
         MatrixSpec {
-            algorithms: Algorithm::ALL.to_vec(),
-            procs: vec![2],
-            plans: vec![
-                ExplorePlan::RoundRobin,
-                ExplorePlan::Seeded {
-                    base: 1,
-                    count: seeds,
-                },
-            ],
             model: Model::Plummer,
             n: 24,
             k: 2,
@@ -1402,16 +1381,8 @@ impl MatrixSpec {
     }
 }
 
-/// One cell of the verification matrix.
-pub struct MatrixCell {
-    pub algorithm: Algorithm,
-    pub procs: usize,
-    pub plan: String,
-    pub exploration: Exploration,
-}
-
-/// Build the `SimConfig` + program closure for one matrix workload and
-/// explore it. Exposed so tests can run single cells.
+/// Build the `SimConfig` + program closure for one algorithm on `spec`'s
+/// workload and explore it under `plan`.
 pub fn explore_algorithm(
     alg: Algorithm,
     procs: usize,
@@ -1434,24 +1405,6 @@ pub fn explore_algorithm(
     })
 }
 
-/// Run the full (algorithm × procs × strategy) matrix.
-pub fn verify_matrix(spec: &MatrixSpec) -> Vec<MatrixCell> {
-    let mut cells = Vec::new();
-    for &alg in &spec.algorithms {
-        for &procs in &spec.procs {
-            for plan in &spec.plans {
-                cells.push(MatrixCell {
-                    algorithm: alg,
-                    procs,
-                    plan: plan.name(),
-                    exploration: explore_algorithm(alg, procs, plan, spec),
-                });
-            }
-        }
-    }
-    cells
-}
-
 /// Self-test of the verification stack against a known bug class.
 ///
 /// [`publication_kernel`] is a deterministic two-processor workload driving
@@ -1460,9 +1413,9 @@ pub fn verify_matrix(spec: &MatrixSpec) -> Vec<MatrixCell> {
 /// certifies clean under a *complete* bounded-exhaustive exploration; with
 /// the flag on (re-introducing the publication-order bug fixed early in the
 /// repo's history) the same exploration must report a data race. The
-/// mutation test and `repro verify --self-test` both run it: if it ever
-/// stops detecting the mutant, the schedule explorer — not the tree code —
-/// has regressed.
+/// mutation test (`tests/schedule_mutation.rs`) runs it: if it ever stops
+/// detecting the mutant, the schedule explorer — not the tree code — has
+/// regressed.
 pub mod selftest {
     use super::*;
     use crate::algorithms::common::{create_root, insert_locked};

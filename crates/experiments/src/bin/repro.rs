@@ -1,11 +1,15 @@
-//! `repro` — regenerate the tables and figures of Shan & Singh (IPPS 1998).
+//! `repro` — regenerate the tables and figures of Shan & Singh (IPPS 1998),
+//! or run one configuration with every diagnostic.
 //!
 //! ```text
 //! repro <experiment|all|matrix> [--scale tiny|small|full] [--jobs <N>]
 //!       [--json <path>] [--trace <path>] [--group-size <N>]
 //! repro report [--scale <scale>] [--json <path>]
+//! repro run <platform|native> <algorithm> <n> <procs> [--scale <scale>]
+//!       [--trace <path>] [--attr] [--group-size <N>] [--json <path>]
 //! repro check-json <path>
 //! repro check-trace <path>
+//! repro check-same <a> <b>
 //! ```
 //!
 //! The experiments are the entries of `experiments::EXPERIMENTS`; the usage
@@ -37,32 +41,32 @@
 //! and — with `--trace <path>` — writes a Chrome/Perfetto trace with one
 //! track per processor.
 //!
+//! `run` runs one configuration under `TraceEnv` (`experiments::run`): on a
+//! simulated platform (times in cycles) or, with `native`, on the host
+//! (wall-clock nanoseconds). It prints the per-phase totals, the force-list
+//! counts and a row per processor. `--scale` shrinks `n` and `procs` as it
+//! shrinks the paper's configurations, so one can be pasted verbatim;
+//! `--attr` (simulated platforms only) adds the communication breakdown by
+//! data structure; `--trace` writes the run's Chrome/Perfetto trace and
+//! prints its summary and per-step percentiles.
+//!
 //! `check-json` / `check-trace` validate previously emitted documents; the
 //! pre-merge gate uses them as schema sanity checks.
-//!
-//! `verify` runs the schedule-exploration verification matrix: every tree
-//! algorithm on a tiny workload under the controlled scheduler stacked with
-//! the dynamic race detector, across round-robin plus `--seeds` seeded
-//! schedules per processor count (`--procs`, default 2). `--exhaustive`
-//! adds a bounded-exhaustive plan; `--self-test` instead re-introduces a
-//! known publication-order bug behind a mutation flag and requires the
-//! explorer to find it. Non-zero exit on any non-certified cell, with a
-//! counterexample report (finding, schedule id, trace tail) for each.
 
+use bh_core::algorithms::Algorithm;
 use bh_core::force::MAX_GROUP_SIZE;
 use bh_experiments::cliargs;
 use bh_experiments::experiments::{self, Experiment, EXPERIMENTS};
 use bh_experiments::json::Json;
 use bh_experiments::records;
 use bh_experiments::runner::ExperimentScale;
-use std::collections::{HashMap, HashSet};
 use std::io::Write;
 
 fn usage_text() -> String {
     format!(
         "usage: repro <experiment|all|matrix> [--scale {}] [--jobs <N>] [--json <path>] [--trace <path>] [--group-size <N>]\n\
          \x20      repro report [--scale <scale>] [--json <path>]\n\
-         \x20      repro verify [--seeds <N>] [--procs <p,q,..>] [--exhaustive] [--self-test]\n\
+         \x20      repro run <platform|native> <algorithm> <n> <procs> [--scale <scale>] [--trace <path>] [--attr] [--group-size <N>] [--json <path>]\n\
          \x20      repro check-json <path>\n\
          \x20      repro check-trace <path>\n\
          \x20      repro check-same <a> <b>\n\
@@ -84,105 +88,68 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value of a parsed argument, or its diagnostic and the usage banner.
+fn ok<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| die(&e))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        die("missing experiment name");
-    }
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
 
     // Validation subcommands: exercise the JSON reader against emitted files.
-    match args[0].as_str() {
-        "check-json" => {
-            let path = args
-                .get(1)
-                .unwrap_or_else(|| die("check-json needs a <path>"));
-            check_json(path);
-            return;
-        }
-        "check-trace" => {
-            let path = args
-                .get(1)
-                .unwrap_or_else(|| die("check-trace needs a <path>"));
-            check_trace(path);
-            return;
-        }
-        "check-same" => {
-            let a = args
-                .get(1)
-                .unwrap_or_else(|| die("check-same needs <a> <b>"));
-            let b = args
-                .get(2)
-                .unwrap_or_else(|| die("check-same needs <a> <b>"));
-            check_same(a, b);
-            return;
-        }
-        "verify" => {
-            verify(&args[1..]);
-            return;
+    match args[..] {
+        ["check-json", path] => return check_json(path),
+        ["check-trace", path] => return check_trace(path),
+        ["check-same", a, b] => return check_same(a, b),
+        [command @ ("check-json" | "check-trace" | "check-same"), ..] => {
+            die(&format!("wrong number of arguments to {command}"))
         }
         _ => {}
     }
 
-    let mut which: Option<String> = None;
-    let mut scale = ExperimentScale::Small;
-    let mut jobs = 1usize;
-    let mut json_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
+    let mut positional: Vec<&str> = Vec::new();
+    let mut scale: Option<ExperimentScale> = None;
+    let mut jobs: Option<usize> = None;
+    let mut json_path: Option<&str> = None;
+    let mut trace_path: Option<&str> = None;
     let mut group_size: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" => {
-                i += 1;
-                jobs = cliargs::parse_min(
-                    "--jobs",
-                    args.get(i).map(String::as_str),
-                    1,
-                    "an integer >= 1",
-                )
-                .unwrap_or_else(|e| die(&e));
-            }
-            "--scale" => {
-                i += 1;
-                scale = cliargs::parse_scale("--scale", args.get(i).map(String::as_str))
-                    .unwrap_or_else(|e| die(&e));
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(
-                    cliargs::require_value("--json", args.get(i).map(String::as_str), "a path")
-                        .map(str::to_string)
-                        .unwrap_or_else(|e| die(&e)),
-                );
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(
-                    cliargs::require_value("--trace", args.get(i).map(String::as_str), "a path")
-                        .map(str::to_string)
-                        .unwrap_or_else(|e| die(&e)),
-                );
-            }
+    let mut attr = false;
+    let mut rest = args.into_iter();
+    while let Some(arg) = rest.next() {
+        match arg {
+            "--jobs" => jobs = Some(ok(cliargs::parse_in(arg, rest.next(), 1..=usize::MAX))),
+            "--scale" => scale = Some(ok(cliargs::parse_scale(arg, rest.next()))),
+            "--json" => json_path = Some(ok(cliargs::require_value(arg, rest.next(), "a path"))),
+            "--trace" => trace_path = Some(ok(cliargs::require_value(arg, rest.next(), "a path"))),
             "--group-size" => {
-                i += 1;
-                let expected = format!("integer in 1..={MAX_GROUP_SIZE}");
-                let value = args.get(i).map(String::as_str);
-                let gs = cliargs::parse_min("--group-size", value, 1, &expected)
-                    .unwrap_or_else(|e| die(&e));
-                if gs > MAX_GROUP_SIZE {
-                    die(&format!(
-                        "invalid --group-size '{gs}' (expected {expected})"
-                    ));
-                }
-                group_size = Some(gs);
+                group_size = Some(ok(cliargs::parse_in(arg, rest.next(), 1..=MAX_GROUP_SIZE)));
             }
+            "--attr" => attr = true,
             flag if flag.starts_with("--") => die(&format!("unrecognized flag '{flag}'")),
-            other if which.is_none() => which = Some(other.to_string()),
-            extra => die(&format!("unexpected argument '{extra}'")),
+            other => positional.push(other),
         }
-        i += 1;
     }
-    let which = which.unwrap_or_else(|| die("missing experiment name"));
+    let Some((&which, rest)) = positional.split_first() else {
+        die("missing experiment name")
+    };
+    // A flag the command would ignore is refused by name.
+    let refuse = |command: &str, flags: &[(&str, bool)]| {
+        if let Some((flag, _)) = flags.iter().find(|(_, given)| *given) {
+            die(&format!("{flag} does not apply to '{command}'"));
+        }
+    };
+
+    if which == "run" {
+        refuse("run", &[("--jobs", jobs.is_some())]);
+        run(rest, scale, group_size, attr, trace_path, json_path);
+        return;
+    }
+    refuse(which, &[("--attr", attr)]);
+    if let Some(extra) = rest.first() {
+        die(&format!("unexpected argument '{extra}'"));
+    }
+    let scale = scale.unwrap_or(ExperimentScale::Small);
 
     // The scaling/analysis report: communication-by-data-structure breakdown
     // (attribution-enabled runs), speedup/efficiency curves over a processor
@@ -190,15 +157,14 @@ fn main() {
     // Emits REPORT_<scale>.json alongside the text tables; `check-json`
     // validates it against the declared record types.
     if which == "report" {
-        for (flag, given) in [
-            ("--trace", trace_path.is_some()),
-            ("--group-size", group_size.is_some()),
-            ("--jobs", jobs > 1),
-        ] {
-            if given {
-                die(&format!("{flag} does not apply to 'report'"));
-            }
-        }
+        refuse(
+            "report",
+            &[
+                ("--trace", trace_path.is_some()),
+                ("--group-size", group_size.is_some()),
+                ("--jobs", jobs.is_some_and(|j| j > 1)),
+            ],
+        );
         let t0 = std::time::Instant::now();
         let r = bh_experiments::report::scaling_report(scale);
         for t in &r.tables {
@@ -211,11 +177,11 @@ fn main() {
             r.tables.len(),
             t0.elapsed().as_secs_f64()
         );
-        write_tables_json(json_path.as_deref(), &r.tables);
+        write_tables_json(json_path, &r.tables);
         return;
     }
 
-    let selected: Vec<&Experiment> = match which.as_str() {
+    let selected: Vec<&Experiment> = match which {
         "all" => EXPERIMENTS.iter().collect(),
         "matrix" => experiments::matrix().collect(),
         name => match experiments::find(name) {
@@ -240,7 +206,7 @@ fn main() {
     // Prewarm the run caches with the sweep scheduler; the serial table
     // generation below then only performs lookups. Progress goes to stderr
     // so the emitted documents stay byte-identical to a --jobs 1 run.
-    if jobs > 1 {
+    if let Some(jobs) = jobs.filter(|&j| j > 1) {
         let sched = experiments::prewarm_jobs(selected.iter().copied(), scale);
         if !sched.is_empty() {
             let t = std::time::Instant::now();
@@ -277,12 +243,12 @@ fn main() {
         let bench_path = format!("BENCH_{}.json", scale.name());
         std::fs::write(&bench_path, &r.bench_json).expect("write bench json");
         eprintln!("[wrote {bench_path}]");
-        if let Some(path) = &trace_path {
+        if let Some(path) = trace_path {
             std::fs::write(path, &r.trace_json).expect("write trace json");
             eprintln!("[wrote {path} — open in https://ui.perfetto.dev]");
         }
     }
-    write_tables_json(json_path.as_deref(), &tables);
+    write_tables_json(json_path, &tables);
 }
 
 /// `--json <path>`: the rendered tables as one array document.
@@ -297,138 +263,42 @@ fn write_tables_json(path: Option<&str>, tables: &[bh_experiments::Table]) {
     eprintln!("[wrote {path}]");
 }
 
-/// `repro verify` — run the schedule-exploration verification matrix: every
-/// algorithm under the controlled scheduler + race detector, across a set of
-/// schedules per (algorithm, procs, strategy) cell. Prints one row per cell
-/// and a full counterexample report (schedule id, finding, trace tail) for
-/// any defect; exits non-zero unless every cell certifies.
-fn verify(args: &[String]) {
-    use bh_core::prelude::*;
-    use bh_core::sched::{mutation, selftest};
-
-    let mut seeds = 10usize;
-    let mut procs: Vec<usize> = vec![2];
-    let mut exhaustive = false;
-    let mut self_test = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                seeds =
-                    cliargs::parse_value("--seeds", args.get(i).map(String::as_str), "an integer")
-                        .unwrap_or_else(|e| die(&e));
-            }
-            "--procs" => {
-                i += 1;
-                let v = cliargs::require_value(
-                    "--procs",
-                    args.get(i).map(String::as_str),
-                    "a comma-separated list like 2,4",
-                )
-                .unwrap_or_else(|e| die(&e));
-                procs = v
-                    .split(',')
-                    .map(|p| {
-                        p.parse::<usize>()
-                            .ok()
-                            .filter(|p| (1..=8).contains(p))
-                            .unwrap_or_else(|| {
-                                die(&format!("invalid --procs entry '{p}' (expected 1..=8)"))
-                            })
-                    })
-                    .collect();
-            }
-            "--exhaustive" => exhaustive = true,
-            "--self-test" => self_test = true,
-            extra => die(&format!("unexpected argument '{extra}'")),
-        }
-        i += 1;
+/// `repro run <platform|native> <algorithm> <n> <procs>`: check every
+/// argument, then run the configuration and print its tables.
+fn run(
+    args: &[&str],
+    scale: Option<ExperimentScale>,
+    group_size: Option<usize>,
+    attr: bool,
+    trace_path: Option<&str>,
+    json_path: Option<&str>,
+) {
+    let &[target, alg, n, procs] = args else {
+        die(&format!(
+            "run needs 4 arguments (platform algorithm n procs), got {}",
+            args.len()
+        ))
+    };
+    let alg = Algorithm::parse(alg).unwrap_or_else(|| {
+        let names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
+        die(&format!(
+            "unknown algorithm '{alg}' (valid: {})",
+            names.join(", ")
+        ))
+    });
+    let n = ok(cliargs::parse_in("n", Some(n), 1..=usize::MAX));
+    let procs = ok(cliargs::parse_in("procs", Some(procs), 1..=ssmp::MAX_PROCS));
+    let (n, procs) = scale.map_or((n, procs), |s| (s.size(n), s.procs(procs)));
+    let r = ok(experiments::run(target, alg, n, procs, group_size, attr));
+    for t in &r.tables {
+        println!("{t}");
     }
-
-    if self_test {
-        // Prove the stack detects a known bug: re-introduce the
-        // publication-order mutation and require a data-race counterexample.
-        println!("verify --self-test: publication-order mutation kernel");
-        let clean = selftest::explore_publication_kernel();
-        mutation::set_early_forward_flush(true);
-        let mutant = selftest::explore_publication_kernel();
-        mutation::set_early_forward_flush(false);
-        println!(
-            "  baseline: {} schedule(s), {} defect(s), complete={}",
-            clean.schedules, clean.defects, clean.complete
-        );
-        println!(
-            "  mutant:   {} schedule(s), {} defect(s)",
-            mutant.schedules, mutant.defects
-        );
-        if let Some(ce) = mutant.counterexamples.first() {
-            print!("{ce}");
-        }
-        if !(clean.certified() && clean.complete) {
-            eprintln!("verify: FAILED — baseline kernel did not certify");
-            std::process::exit(1);
-        }
-        if mutant.defects == 0 {
-            eprintln!("verify: FAILED — mutation survived undetected: the explorer has regressed");
-            std::process::exit(1);
-        }
-        println!("verify --self-test: OK (mutation detected, baseline certified)");
-        return;
+    if let Some(path) = trace_path {
+        std::fs::write(path, &r.trace_json).expect("write trace json");
+        eprintln!("[wrote {path} — open in https://ui.perfetto.dev]");
+        println!("{}", r.trace_summary);
     }
-
-    let mut spec = MatrixSpec::fast(seeds);
-    spec.procs = procs;
-    if exhaustive {
-        spec.plans.push(ExplorePlan::Exhaustive {
-            preemption_bound: 1,
-            max_schedules: 400,
-        });
-    }
-
-    let t0 = std::time::Instant::now();
-    let cells = bh_core::sched::verify_matrix(&spec);
-    println!(
-        "{:<8} {:>5}  {:<16} {:>9} {:>7} {:>9} {:>10}  result",
-        "algo", "procs", "plan", "schedules", "defects", "decisions", "max-ops"
-    );
-    let mut failed = 0usize;
-    for cell in &cells {
-        let e = &cell.exploration;
-        let result = if e.certified() { "ok" } else { "FAIL" };
-        println!(
-            "{:<8} {:>5}  {:<16} {:>9} {:>7} {:>9} {:>10}  {}",
-            format!("{:?}", cell.algorithm),
-            cell.procs,
-            cell.plan,
-            e.schedules,
-            e.defects,
-            e.max_decisions,
-            e.max_ops,
-            result
-        );
-        if !e.certified() {
-            failed += 1;
-            for ce in &e.counterexamples {
-                print!("{ce}");
-            }
-            if !e.lock_cycles.is_empty() {
-                println!("  lock-order cycles: {:?}", e.lock_cycles);
-            }
-        }
-    }
-    let schedules: usize = cells.iter().map(|c| c.exploration.schedules).sum();
-    eprintln!(
-        "[{} cell(s), {} schedule(s) in {:.1}s]",
-        cells.len(),
-        schedules,
-        t0.elapsed().as_secs_f64()
-    );
-    if failed > 0 {
-        eprintln!("verify: FAILED — {failed} cell(s) did not certify");
-        std::process::exit(1);
-    }
-    println!("verify: OK — all {} cell(s) certified", cells.len());
+    write_tables_json(json_path, &r.tables);
 }
 
 fn load(path: &str) -> Json {
@@ -543,70 +413,9 @@ fn check_same(path_a: &str, path_b: &str) {
     );
 }
 
-/// Validate a Chrome trace-event document: well-formed JSON, nonzero
-/// complete-event spans, every declared process has one thread track per
-/// processor (the `num_procs` metadata arg), and all four phases appear.
+/// Validate a Chrome trace-event document with [`records::check_trace`].
 fn check_trace(path: &str) {
-    let doc = load(path);
-    let events = doc
-        .as_array()
-        .unwrap_or_else(|| die(&format!("{path}: top level is not an array")));
-
-    let mut declared_procs: HashMap<i64, f64> = HashMap::new();
-    let mut tids_by_pid: HashMap<i64, HashSet<i64>> = HashMap::new();
-    let mut span_count = 0usize;
-    let mut phases_seen: HashSet<String> = HashSet::new();
-    for e in events {
-        let pid = e.get("pid").and_then(Json::as_f64).map(|p| p as i64);
-        match e.get("ph").and_then(Json::as_str) {
-            Some("M") => {
-                let pid = pid.unwrap_or_else(|| die(&format!("{path}: metadata without pid")));
-                if e.get("name").and_then(Json::as_str) == Some("process_name") {
-                    let n = e
-                        .get("args")
-                        .and_then(|a| a.get("num_procs"))
-                        .and_then(Json::as_f64)
-                        .unwrap_or_else(|| die(&format!("{path}: process {pid} lacks num_procs")));
-                    declared_procs.insert(pid, n);
-                }
-                if e.get("name").and_then(Json::as_str) == Some("thread_name") {
-                    let tid = e.get("tid").and_then(Json::as_f64).map(|t| t as i64);
-                    tids_by_pid.entry(pid).or_default().extend(tid);
-                }
-            }
-            Some("X") => {
-                span_count += 1;
-                if let Some(name) = e.get("name").and_then(Json::as_str) {
-                    if !name.starts_with("lock ") {
-                        phases_seen.insert(name.to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    if span_count == 0 {
-        die(&format!("{path}: no complete-event spans"));
-    }
-    if declared_procs.is_empty() {
-        die(&format!("{path}: no process_name metadata"));
-    }
-    for (pid, n) in &declared_procs {
-        let tracks = tids_by_pid.get(pid).map_or(0, HashSet::len);
-        if tracks != *n as usize {
-            die(&format!(
-                "{path}: process {pid} declares {n} processors but has {tracks} thread track(s)"
-            ));
-        }
-    }
-    for phase in ["tree", "partition", "force", "update"] {
-        if !phases_seen.contains(phase) {
-            die(&format!("{path}: no '{phase}' phase spans"));
-        }
-    }
-    println!(
-        "{path}: OK ({span_count} span(s), {} process track(s))",
-        declared_procs.len()
-    );
+    let summary =
+        records::check_trace(&load(path)).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    println!("{path}: OK ({summary})");
 }

@@ -1,15 +1,16 @@
-//! Shared command-line flag parsing for the `repro` and `probe` front ends.
+//! Shared command-line parsing for the `repro` front end.
 //!
-//! The binaries hand-roll their argument loops (no clap offline), which
+//! The binary hand-rolls its argument loop (no clap offline), which
 //! historically meant each numeric flag reinvented its own error message —
 //! some of them dropping the offending value from the diagnostic. These
-//! helpers centralize the contract: every failure names the *flag*, echoes
-//! the *value* verbatim, and states what was expected, so a typo like
-//! `--group-size 1e6` is diagnosable from the error alone. They return
-//! `Result` (rather than exiting) so the error paths are unit-testable;
-//! the binaries wrap them in their `die()`.
+//! helpers centralize the contract: every failure names the *flag* (or
+//! positional), echoes the *value* verbatim, and states what was expected,
+//! so a typo like `--group-size 1e6` is diagnosable from the error alone.
+//! They return `Result` (rather than exiting) so the error paths are
+//! unit-testable; the binary wraps them in its `die()`.
 
 use crate::runner::ExperimentScale;
+use std::ops::RangeInclusive;
 use std::str::FromStr;
 
 /// Fetch the value following `flag`, or a "needs a value" error.
@@ -33,16 +34,19 @@ pub fn parse_value<T: FromStr>(
         .map_err(|_| format!("invalid {flag} '{value}' (expected {expected})"))
 }
 
-/// Parse a numeric flag with an inclusive lower bound (most count-like
-/// flags want "integer >= 1").
-pub fn parse_min(
+/// Parse an integer that must lie in `range` (`usize::MAX` as the end
+/// means no upper bound), echoing the offending value on failure.
+pub fn parse_in(
     flag: &str,
     value: Option<&str>,
-    min: usize,
-    expected: &str,
+    range: RangeInclusive<usize>,
 ) -> Result<usize, String> {
-    let n: usize = parse_value(flag, value, expected)?;
-    if n < min {
+    let expected = match *range.end() {
+        usize::MAX => format!("an integer >= {}", range.start()),
+        end => format!("an integer in {}..={end}", range.start()),
+    };
+    let n: usize = parse_value(flag, value, &expected)?;
+    if !range.contains(&n) {
         let shown = value.unwrap_or_default();
         return Err(format!("invalid {flag} '{shown}' (expected {expected})"));
     }
@@ -55,13 +59,6 @@ pub fn parse_scale(flag: &str, value: Option<&str>) -> Result<ExperimentScale, S
     let value = require_value(flag, value, &expected)?;
     ExperimentScale::parse(value)
         .ok_or_else(|| format!("unknown scale '{value}' (valid: {expected})"))
-}
-
-/// Parse a positional (non-flag) argument with the same echo guarantee.
-pub fn parse_positional<T: FromStr>(name: &str, value: &str, expected: &str) -> Result<T, String> {
-    value
-        .parse::<T>()
-        .map_err(|_| format!("invalid {name} '{value}' (expected {expected})"))
 }
 
 #[cfg(test)]
@@ -103,13 +100,13 @@ mod tests {
 
     #[test]
     fn minimum_bounds_are_enforced_with_echo() {
-        assert_eq!(
-            parse_min("--jobs", Some("2"), 1, "integer >= 1").unwrap(),
-            2
-        );
-        let err = parse_min("--jobs", Some("0"), 1, "integer >= 1").unwrap_err();
-        assert!(err.contains("'0'"), "{err}");
-        assert!(err.contains("--jobs"), "{err}");
+        assert_eq!(parse_in("--jobs", Some("2"), 1..=usize::MAX).unwrap(), 2);
+        let err = parse_in("--jobs", Some("0"), 1..=usize::MAX).unwrap_err();
+        assert!(err.contains("--jobs '0'"), "{err}");
+        assert!(err.contains("an integer >= 1"), "{err}");
+        let err = parse_in("procs", Some("65"), 1..=64).unwrap_err();
+        assert!(err.contains("procs '65'"), "{err}");
+        assert!(err.contains("an integer in 1..=64"), "{err}");
     }
 
     #[test]
@@ -129,11 +126,8 @@ mod tests {
 
     #[test]
     fn positional_errors_echo_too() {
-        let err = parse_positional::<usize>("n", "many", "body count").unwrap_err();
+        let err = parse_in("n", Some("many"), 1..=usize::MAX).unwrap_err();
         assert!(err.contains("n 'many'"), "{err}");
-        assert_eq!(
-            parse_positional::<usize>("n", "512", "body count").unwrap(),
-            512
-        );
+        assert_eq!(parse_in("n", Some("512"), 1..=usize::MAX).unwrap(), 512);
     }
 }

@@ -10,6 +10,7 @@
 //! configurations (e.g. Figures 8 and 9) reuse them.
 
 use crate::records;
+use crate::report;
 use crate::runner::{
     run_cached, seq_time_on_platform, ExperimentScale, PlatformRun, WORKLOAD_SEED,
 };
@@ -421,42 +422,27 @@ pub struct TreebuildReport {
     pub bench_json: String,
 }
 
-/// One (platform, algorithm) traced run distilled for the report.
+/// One traced run distilled for the tables: its statistics plus the lock
+/// histogram's summary.
 struct TracedRun {
-    phase: [CtxStatsRow; 4],
+    stats: RunStats,
     hist_locks: usize,
     hist_total_acquires: u64,
     hist_total_wait: u64,
     /// Share of total lock wait (or acquires, if wait is zero) absorbed by
     /// the single hottest lock id — the paper's "hot shared cells" signal.
     hot_share: f64,
-    total_time: u64,
-    tree_time: u64,
-    /// Max/avg per-processor tree-phase work time (barrier wait excluded).
-    tree_imbalance: f64,
-    /// Max per-processor time in the flat-snapshot pass of the tree phase.
-    flatten_cycles: u64,
-    /// Max per-processor time in the parallel key sort (MORTON only).
-    sort_cycles: u64,
-    /// Mean interaction-list length per group in the batched force kernel.
-    list_len: f64,
-    /// Interactions evaluated per emitted list entry (the kernel's reuse
-    /// factor; ≈ group_size when most groups share their whole list).
-    list_reuse: f64,
 }
 
-#[derive(Clone, Copy, Default)]
-struct CtxStatsRow {
-    time: u64,
-    locks: u64,
-    lock_wait: u64,
-    barrier_wait: u64,
-    remote: u64,
-    faults: u64,
+impl TracedRun {
+    /// Measured per-phase totals, indexed by [`Phase::index`].
+    fn phases(&self) -> [CtxStats; 4] {
+        Phase::ALL.map(|p| self.stats.phase_stats(p))
+    }
 }
 
 fn traced_run<E: Env>(
-    env: &bh_core::trace::TraceEnv<E>,
+    env: &TraceEnv<E>,
     alg: Algorithm,
     n: usize,
     group_size: Option<usize>,
@@ -468,18 +454,6 @@ fn traced_run<E: Env>(
     }
     let stats = run_simulation(env, &cfg, &bodies);
     stats.assert_valid();
-    let mut phase = [CtxStatsRow::default(); 4];
-    for p in Phase::ALL {
-        let a = stats.phase_stats(p);
-        phase[p.index()] = CtxStatsRow {
-            time: a.time,
-            locks: a.lock_acquires,
-            lock_wait: a.lock_wait,
-            barrier_wait: a.barrier_wait,
-            remote: a.remote_misses,
-            faults: a.page_faults,
-        };
-    }
     let hist = env.lock_histogram();
     let total_acquires: u64 = hist.iter().map(|s| s.acquires).sum();
     let total_wait: u64 = hist.iter().map(|s| s.wait_total).sum();
@@ -489,38 +463,67 @@ fn traced_run<E: Env>(
         Some(top) => top.acquires as f64 / total_acquires.max(1) as f64,
     };
     TracedRun {
-        phase,
+        stats,
         hist_locks: hist.len(),
         hist_total_acquires: total_acquires,
         hist_total_wait: total_wait,
         hot_share,
-        total_time: stats.total_time(),
-        tree_time: stats.tree_time(),
-        tree_imbalance: stats.tree_imbalance(),
-        flatten_cycles: stats.flatten_cycles(),
-        sort_cycles: stats.sort_cycles(),
-        list_len: stats.force_list_len(),
-        list_reuse: stats.force_list_reuse(),
     }
 }
 
-fn treebuild_row(table: &mut Table, platform: &str, alg: Algorithm, r: &TracedRun) {
-    let p = &r.phase;
+/// The per-phase table [`phase_row`] fills.
+fn phase_table(id: &str, title: &str, expectation: &str) -> Table {
+    Table::new(
+        id,
+        title,
+        &[
+            "platform",
+            "alg",
+            "tree",
+            "partition",
+            "force",
+            "update",
+            "tree locks",
+            "tree lockwait",
+            "lock ids",
+            "hot lock",
+            "barrier wait",
+            "remote",
+            "faults",
+        ],
+        expectation,
+    )
+}
+
+/// `field` summed over the four phases, as a table cell.
+fn phase_sum(p: &[CtxStats; 4], field: fn(&CtxStats) -> u64) -> String {
+    p.iter().map(field).sum::<u64>().to_string()
+}
+
+/// A [`phase_table`] row: the two label cells, the per-phase totals `p`
+/// (indexed by [`Phase::index`]), and the lock histogram's two cells.
+fn phase_row(table: &mut Table, label: [&str; 2], p: &[CtxStats; 4], hist: [String; 2]) {
+    let [lock_ids, hot_lock] = hist;
     table.row(vec![
-        platform.to_string(),
-        alg.name().to_string(),
+        label[0].to_string(),
+        label[1].to_string(),
         p[0].time.to_string(),
         p[1].time.to_string(),
         p[2].time.to_string(),
         p[3].time.to_string(),
-        p[0].locks.to_string(),
+        p[0].lock_acquires.to_string(),
         p[0].lock_wait.to_string(),
-        r.hist_locks.to_string(),
-        fmt_pct(r.hot_share),
-        p.iter().map(|x| x.barrier_wait).sum::<u64>().to_string(),
-        p.iter().map(|x| x.remote).sum::<u64>().to_string(),
-        p.iter().map(|x| x.faults).sum::<u64>().to_string(),
+        lock_ids,
+        hot_lock,
+        phase_sum(p, |x| x.barrier_wait),
+        phase_sum(p, |x| x.remote_misses),
+        phase_sum(p, |x| x.page_faults),
     ]);
+}
+
+fn treebuild_row(table: &mut Table, platform: &str, alg: Algorithm, r: &TracedRun) {
+    let hist = [r.hist_locks.to_string(), fmt_pct(r.hot_share)];
+    phase_row(table, [platform, alg.name()], &r.phases(), hist);
 }
 
 /// Run the full application under [`bh_core::trace::TraceEnv`] for all six
@@ -539,34 +542,19 @@ fn treebuild_sized(
     group_size: Option<usize>,
 ) -> TreebuildReport {
     let cost = platform::origin2000(procs);
-    let mut table = Table::new(
+    let mut table = phase_table(
         "Treebuild",
         &format!(
             "Traced per-phase breakdown, {n} particles, {procs} processors \
              ({} cycles; measured steps only, lock histogram over all steps)",
             cost.name
         ),
-        &[
-            "platform",
-            "alg",
-            "tree",
-            "partition",
-            "force",
-            "update",
-            "tree locks",
-            "tree lockwait",
-            "lock ids",
-            "hot lock",
-            "barrier wait",
-            "remote",
-            "faults",
-        ],
         "lock-based algorithms spend tree time in locks (ORIG concentrated on few hot cells); SPACE takes none",
     );
     let mut events: Vec<String> = Vec::new();
     let mut bench: Vec<String> = Vec::new();
     for (pid, alg) in Algorithm::ALL.into_iter().enumerate() {
-        let sim = bh_core::trace::TraceEnv::new(Machine::new(cost.clone(), procs));
+        let sim = TraceEnv::new(Machine::new(cost.clone(), procs));
         let org = traced_run(&sim, alg, n, group_size);
         treebuild_row(&mut table, &cost.name, alg, &org);
         events.extend(sim.chrome_trace_events(
@@ -575,32 +563,29 @@ fn treebuild_sized(
             1.0,
         ));
 
+        let (s, p) = (&org.stats, org.phases());
         bench.push(records::emit(
             "treebuild",
             &[scale.name(), alg.name(), &cost.name],
             &[
                 n.to_string(),
                 procs.to_string(),
-                org.tree_time.to_string(),
-                org.total_time.to_string(),
-                org.phase[0].locks.to_string(),
-                org.phase[0].lock_wait.to_string(),
-                org.phase
-                    .iter()
-                    .map(|x| x.barrier_wait)
-                    .sum::<u64>()
-                    .to_string(),
-                org.phase.iter().map(|x| x.remote).sum::<u64>().to_string(),
-                org.phase.iter().map(|x| x.faults).sum::<u64>().to_string(),
+                s.tree_time().to_string(),
+                s.total_time().to_string(),
+                p[0].lock_acquires.to_string(),
+                p[0].lock_wait.to_string(),
+                phase_sum(&p, |x| x.barrier_wait),
+                phase_sum(&p, |x| x.remote_misses),
+                phase_sum(&p, |x| x.page_faults),
                 org.hist_locks.to_string(),
                 org.hist_total_acquires.to_string(),
                 org.hist_total_wait.to_string(),
-                format!("{:.4}", org.tree_imbalance),
-                org.flatten_cycles.to_string(),
-                org.sort_cycles.to_string(),
-                org.phase[2].time.to_string(),
-                format!("{:.2}", org.list_len),
-                format!("{:.4}", org.list_reuse),
+                format!("{:.4}", s.tree_imbalance()),
+                s.flatten_cycles().to_string(),
+                s.sort_cycles().to_string(),
+                p[2].time.to_string(),
+                format!("{:.2}", s.force_list_len()),
+                format!("{:.4}", s.force_list_reuse()),
             ],
         ));
     }
@@ -608,6 +593,150 @@ fn treebuild_sized(
         table,
         trace_json: format!("[\n{}\n]\n", events.join(",\n")),
         bench_json: format!("[\n{}\n]\n", bench.join(",\n")),
+    }
+}
+
+// --------------------------------------------------------------------------
+// `repro run`: one configuration, every diagnostic
+// --------------------------------------------------------------------------
+
+/// Output of `repro run`: one configuration's diagnostic tables, and its
+/// Chrome trace with the tracer's own text summaries.
+pub struct RunReport {
+    pub tables: Vec<Table>,
+    /// Complete Chrome trace-event JSON document of the run.
+    pub trace_json: String,
+    /// [`TraceEnv::summary`] (all steps) and the per-step percentiles.
+    pub trace_summary: String,
+}
+
+/// Run one configuration under [`TraceEnv`]: on the host when `target` is
+/// `"native"` (times in nanoseconds), else on the simulated platform
+/// [`platform::by_name`] knows it as (times in cycles), with the per-region
+/// communication breakdown if `attr`. An unknown platform, or `attr` on the
+/// host, is an `Err` naming it, returned before anything runs.
+pub fn run(
+    target: &str,
+    alg: Algorithm,
+    n: usize,
+    procs: usize,
+    group_size: Option<usize>,
+    attr: bool,
+) -> Result<RunReport, String> {
+    if target == "native" {
+        if attr {
+            return Err("--attr needs a simulated platform \
+                        (the native machine has no protocol to attribute)"
+                .into());
+        }
+        // Native timestamps are nanoseconds; /1000 puts them on the trace
+        // viewer's microsecond axis.
+        let env = TraceEnv::new(NativeEnv::new(procs));
+        return Ok(run_report(&env, target, alg, n, group_size, "ns", 1000.0));
+    }
+    let cost = platform::by_name(target, procs).ok_or_else(|| {
+        let names: Vec<String> = platform::all_platforms(1)
+            .iter()
+            .map(|c| c.name.to_ascii_lowercase())
+            .collect();
+        format!(
+            "unknown platform '{target}' (valid: native, {})",
+            names.join(", ")
+        )
+    })?;
+    let mut machine = Machine::new(cost.clone(), procs);
+    if attr {
+        machine = machine.with_attribution();
+    }
+    let env = TraceEnv::new(machine);
+    // Simulated clocks tick in cycles; render one cycle per µs.
+    let mut report = run_report(&env, &cost.name, alg, n, group_size, "cycles", 1.0);
+    if attr {
+        let mut table = report::comm_table(
+            "Run communication",
+            &format!(
+                "{} {alg}, {n} particles, {procs} processors \
+                 (whole run; zero rows omitted)",
+                cost.name
+            ),
+        );
+        report::comm_rows(
+            &mut table,
+            &cost.name,
+            alg,
+            &report::attribution_sum(env.inner()),
+        );
+        report.tables.push(table);
+    }
+    Ok(report)
+}
+
+fn run_report<E: Env>(
+    env: &TraceEnv<E>,
+    platform: &str,
+    alg: Algorithm,
+    n: usize,
+    group_size: Option<usize>,
+    unit: &str,
+    ts_div: f64,
+) -> RunReport {
+    let r = traced_run(env, alg, n, group_size);
+    let s = &r.stats;
+    let label = format!("{platform} {alg}");
+    let title = |more: &str| {
+        let procs = s.procs;
+        format!("{label}, {n} particles, {procs} processors ({unit}; measured steps{more})")
+    };
+
+    // The run's row, then each processor's: its own phase times and counters.
+    let mut phases = phase_table(
+        "Run phases",
+        &title("; lock histogram over all steps; then per processor"),
+        "",
+    );
+    treebuild_row(&mut phases, platform, alg, &r);
+    for p in &s.procs_records {
+        let proc = format!("P{}", p.proc);
+        phase_row(
+            &mut phases,
+            [&proc, alg.name()],
+            &p.phases,
+            ["-".into(), "-".into()],
+        );
+    }
+
+    let mut totals = Table::new(
+        "Run totals",
+        &title(""),
+        &[
+            "total",
+            "tree%",
+            "groups",
+            "list entries",
+            "interactions",
+            "list len",
+            "reuse",
+        ],
+        "",
+    );
+    totals.row(vec![
+        s.total_time().to_string(),
+        fmt_pct(s.tree_fraction()),
+        s.force_groups().to_string(),
+        s.force_list_entries().to_string(),
+        s.force_interactions().to_string(),
+        format!("{:.1}", s.force_list_len()),
+        format!("{:.2}", s.force_list_reuse()),
+    ]);
+
+    RunReport {
+        tables: vec![phases, totals],
+        trace_json: env.chrome_trace_json(&label, ts_div),
+        trace_summary: format!(
+            "{}\nper-step percentiles (all steps incl. warm-up):\n{}",
+            env.summary(unit),
+            env.step_summary(unit)
+        ),
     }
 }
 
@@ -677,35 +806,8 @@ mod tests {
         assert_eq!(report.table.rows.len(), 6);
 
         let trace = Json::parse(&report.trace_json).expect("trace must be valid JSON");
-        let events = trace.as_array().expect("trace is an array");
-        let spans: Vec<&Json> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .collect();
-        assert!(!spans.is_empty(), "trace has no spans");
-        // Each process track declares 2 threads.
-        let procs_meta: Vec<&Json> = events
-            .iter()
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some("process_name"))
-            .collect();
-        assert_eq!(procs_meta.len(), 6);
-        for m in procs_meta {
-            assert_eq!(
-                m.get("args")
-                    .and_then(|a| a.get("num_procs"))
-                    .and_then(Json::as_f64),
-                Some(2.0)
-            );
-        }
-        // All four phases appear as span names.
-        for phase in ["tree", "partition", "force", "update"] {
-            assert!(
-                spans
-                    .iter()
-                    .any(|s| s.get("name").and_then(Json::as_str) == Some(phase)),
-                "no {phase} span in trace"
-            );
-        }
+        let checked = records::check_trace(&trace).expect("the trace validates");
+        assert!(checked.ends_with(", 6 process track(s)"), "{checked}");
 
         let bench = Json::parse(&report.bench_json).expect("bench must be valid JSON");
         let records = bench.as_array().expect("bench is an array");

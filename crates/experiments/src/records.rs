@@ -1,10 +1,12 @@
 //! The typed records of `BENCH_<scale>.json` and `REPORT_<scale>.json`,
 //! declared once: every emitter zips its values with a declaration here and
 //! `repro check-json` validates against the same declaration, so a record
-//! cannot carry a key the validator does not know.
+//! cannot carry a key the validator does not know. [`check_trace`] is the
+//! same gate for the Chrome trace documents `repro` writes.
 
 use crate::json::{escape, Json};
-use std::collections::HashMap;
+use bh_core::env::Phase;
+use std::collections::{HashMap, HashSet};
 
 /// (`experiment` value, string fields, numeric fields), in emission order.
 pub type RecordType = (
@@ -168,4 +170,96 @@ pub fn check_comm_tiling(records: &[Json]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Validate a Chrome trace-event document: nonzero complete-event spans,
+/// every declared process has one thread track per processor (its
+/// `num_procs` metadata arg), and all four phases appear. On success, a
+/// one-line count of what was checked.
+pub fn check_trace(doc: &Json) -> Result<String, String> {
+    let events = doc.as_array().ok_or("top level is not an array")?;
+    let int = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64).map(|v| v as i64);
+    let mut declared_procs: HashMap<i64, i64> = HashMap::new();
+    let mut tids_by_pid: HashMap<i64, HashSet<i64>> = HashMap::new();
+    let mut span_count = 0usize;
+    let mut phases_seen: HashSet<&str> = HashSet::new();
+    for e in events {
+        let name = e.get("name").and_then(Json::as_str).unwrap_or_default();
+        match e.get("ph").and_then(Json::as_str) {
+            Some("M") => {
+                let pid = int(e, "pid").ok_or("metadata without pid")?;
+                if name == "process_name" {
+                    let n = e.get("args").and_then(|a| int(a, "num_procs"));
+                    let n = n.ok_or_else(|| format!("process {pid} lacks num_procs"))?;
+                    declared_procs.insert(pid, n);
+                } else if name == "thread_name" {
+                    tids_by_pid.entry(pid).or_default().extend(int(e, "tid"));
+                }
+            }
+            Some("X") => {
+                span_count += 1;
+                if !name.starts_with("lock ") {
+                    phases_seen.insert(name);
+                }
+            }
+            _ => {}
+        }
+    }
+    if span_count == 0 {
+        return Err("no complete-event spans".into());
+    }
+    if declared_procs.is_empty() {
+        return Err("no process_name metadata".into());
+    }
+    for (pid, &n) in &declared_procs {
+        let tracks = tids_by_pid.get(pid).map_or(0, HashSet::len);
+        if tracks as i64 != n {
+            return Err(format!(
+                "process {pid} declares {n} processors but has {tracks} thread track(s)"
+            ));
+        }
+    }
+    if let Some(phase) = Phase::ALL.iter().find(|p| !phases_seen.contains(p.name())) {
+        return Err(format!("no '{}' phase spans", phase.name()));
+    }
+    Ok(format!(
+        "{span_count} span(s), {} process track(s)",
+        declared_procs.len()
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-process, two-processor trace with the four phases on P0.
+    fn trace(num_procs: usize, phases: &[&str]) -> Json {
+        let mut events = vec![
+            format!(
+                r#"{{"name":"process_name","ph":"M","pid":0,"args":{{"num_procs":{num_procs}}}}}"#
+            ),
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":0}"#.to_string(),
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":1}"#.to_string(),
+        ];
+        for phase in phases {
+            events.push(format!(r#"{{"name":"{phase}","ph":"X","pid":0,"tid":0}}"#));
+        }
+        Json::parse(&format!("[{}]", events.join(","))).expect("test trace parses")
+    }
+
+    #[test]
+    fn trace_validator_rejects_a_missing_phase_and_a_track_mismatch() {
+        let all = ["tree", "partition", "force", "update"];
+        assert_eq!(
+            check_trace(&trace(2, &all)),
+            Ok("4 span(s), 1 process track(s)".to_string())
+        );
+        let err = check_trace(&trace(2, &all[..3])).unwrap_err();
+        assert!(err.contains("no 'update' phase spans"), "{err}");
+        let err = check_trace(&trace(3, &all)).unwrap_err();
+        assert!(
+            err.contains("declares 3 processors but has 2 thread track(s)"),
+            "{err}"
+        );
+    }
 }

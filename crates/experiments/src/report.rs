@@ -84,20 +84,11 @@ pub fn scaling_report_sized(
     }
 }
 
-/// Product 1: per-region communication breakdown with attribution enabled,
-/// asserting the tiling property against the aggregate counters.
-fn comm_breakdown(
-    scale: ExperimentScale,
-    n: usize,
-    procs: usize,
-    records: &mut Vec<String>,
-) -> Table {
-    let mut table = Table::new(
-        "Report: communication",
-        &format!(
-            "Simulated communication by data structure, {n} particles, {procs} processors \
-             (whole run; tree-stage remote misses split out; zero rows omitted)"
-        ),
+/// The communication-by-data-structure table, rows added by [`comm_rows`].
+pub(crate) fn comm_table(id: &str, title: &str) -> Table {
+    Table::new(
+        id,
+        title,
         &[
             "platform",
             "alg",
@@ -112,6 +103,57 @@ fn comm_breakdown(
         ],
         "tree cells dominate communication for the lock-based algorithms; \
          SPACE shifts traffic to bodies and the flat tree",
+    )
+}
+
+/// An attributed machine's per-processor tables, summed over processors.
+pub(crate) fn attribution_sum(machine: &Machine) -> AttrTable {
+    let mut sum = AttrTable::new();
+    for t in &machine
+        .attribution()
+        .expect("attribution was enabled on this machine")
+    {
+        sum.accumulate(t);
+    }
+    sum
+}
+
+/// One [`comm_table`] row per region of `sum` that saw any traffic.
+pub(crate) fn comm_rows(table: &mut Table, platform: &str, alg: Algorithm, sum: &AttrTable) {
+    for region in Region::ALL {
+        let r = sum.region_total(region);
+        if !r.is_zero() {
+            let tree_remote = sum.cell(region, Phase::Tree.index()).remote_misses;
+            table.row(vec![
+                platform.to_string(),
+                alg.name().to_string(),
+                region.name().to_string(),
+                r.local_misses.to_string(),
+                r.remote_misses.to_string(),
+                tree_remote.to_string(),
+                r.page_faults.to_string(),
+                r.invalidations.to_string(),
+                r.lock_acquires.to_string(),
+                r.lock_wait.to_string(),
+            ]);
+        }
+    }
+}
+
+/// Product 1: per-region communication breakdown with attribution enabled,
+/// asserting the tiling property against the aggregate counters.
+fn comm_breakdown(
+    scale: ExperimentScale,
+    n: usize,
+    procs: usize,
+    records: &mut Vec<String>,
+) -> Table {
+    let mut table = comm_table(
+        "Report: communication",
+        &format!(
+            "Simulated communication by data structure, {n} particles, {procs} processors \
+             (whole run; tree-stage remote misses split out; zero rows omitted)"
+        ),
     );
     let bodies = Model::Plummer.generate(n, WORKLOAD_SEED);
     for cost in platforms(procs) {
@@ -119,13 +161,7 @@ fn comm_breakdown(
             let machine = Machine::new(cost.clone(), procs).with_attribution();
             let stats = run_simulation(&machine, &SimConfig::new(alg), &bodies);
             stats.assert_valid();
-            let tables = machine
-                .attribution()
-                .expect("attribution was enabled on this machine");
-            let mut sum = AttrTable::new();
-            for t in &tables {
-                sum.accumulate(t);
-            }
+            let sum = attribution_sum(&machine);
 
             // The tiling property is the contract that makes the breakdown
             // trustworthy: per-region counters must sum exactly to the
@@ -151,25 +187,10 @@ fn comm_breakdown(
                 );
             }
 
+            comm_rows(&mut table, &cost.name, alg, &sum);
+            // JSON keeps the full (region x stage) resolution; zero cells
+            // are omitted but their absence cannot break tiling.
             for region in Region::ALL {
-                let r = sum.region_total(region);
-                if !r.is_zero() {
-                    let tree_remote = sum.cell(region, Phase::Tree.index()).remote_misses;
-                    table.row(vec![
-                        cost.name.clone(),
-                        alg.name().to_string(),
-                        region.name().to_string(),
-                        r.local_misses.to_string(),
-                        r.remote_misses.to_string(),
-                        tree_remote.to_string(),
-                        r.page_faults.to_string(),
-                        r.invalidations.to_string(),
-                        r.lock_acquires.to_string(),
-                        r.lock_wait.to_string(),
-                    ]);
-                }
-                // JSON keeps the full (region x stage) resolution; zero
-                // cells are omitted but their absence cannot break tiling.
                 for slot in 0..ATTR_SLOTS {
                     let c = sum.cell(region, slot);
                     if !c.is_zero() {

@@ -11,7 +11,8 @@ pub struct Table {
     pub title: String,
     pub headers: Vec<String>,
     pub rows: Vec<Vec<String>>,
-    /// What the paper reports for this experiment, for eyeball comparison.
+    /// What the paper reports for this experiment, for eyeball comparison;
+    /// empty for diagnostics the paper has no figure for.
     pub paper_expectation: String,
 }
 
@@ -80,6 +81,9 @@ impl std::fmt::Display for Table {
         )?;
         for row in &self.rows {
             writeln!(f, "{}", fmt_row(row))?;
+        }
+        if self.paper_expectation.is_empty() {
+            return Ok(());
         }
         writeln!(f, "paper: {}", self.paper_expectation)
     }

@@ -1,6 +1,7 @@
 //! The `repro` binary's command line, driven as a subprocess: what it
-//! rejects (exit 2, a diagnostic naming the offender, the usage banner) and
-//! that the committed `BENCH_small.json` passes its own validator.
+//! rejects (exit 2, a diagnostic naming the offender, the usage banner),
+//! one `run`, and that the committed `BENCH_small.json` passes its own
+//! validator.
 
 use std::process::{Command, Output};
 
@@ -22,7 +23,7 @@ fn assert_rejected(out: &Output, needle: &str) {
 
 #[test]
 fn removed_subcommands_are_unknown_experiments() {
-    for name in ["bench-serve", "bench-diff"] {
+    for name in ["bench-serve", "bench-diff", "verify", "probe"] {
         assert_rejected(&repro(&[name]), &format!("unknown experiment '{name}'"));
     }
 }
@@ -71,6 +72,64 @@ fn group_size_outside_1_to_64_is_rejected_by_name() {
             &format!("invalid --group-size '{value}'"),
         );
     }
+}
+
+#[test]
+fn run_rejects_bad_arguments_before_running() {
+    for (args, needle) in [
+        (&["origin2000", "morton", "0", "2"][..], "invalid n '0'"),
+        (&["origin2000", "morton", "512", "0"], "invalid procs '0'"),
+        (&["origin2000", "morton", "512", "65"], "invalid procs '65'"),
+        (&["native", "space", "512", "0"], "invalid procs '0'"),
+        (
+            &["nowhere", "morton", "512", "2"],
+            "unknown platform 'nowhere'",
+        ),
+        (
+            &["origin2000", "quicksort", "512", "2"],
+            "unknown algorithm 'quicksort'",
+        ),
+        (
+            &["native", "space", "512", "2", "--attr"],
+            "--attr needs a simulated platform",
+        ),
+        (
+            &["origin2000", "space", "512", "2", "--jobs", "2"],
+            "--jobs does not apply to 'run'",
+        ),
+        (&["origin2000", "space", "512"], "run needs 4 arguments"),
+    ] {
+        let out = repro(&[&["run"][..], args].concat());
+        assert_rejected(&out, needle);
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting");
+    }
+    assert_rejected(
+        &repro(&["table1", "--attr"]),
+        "--attr does not apply to 'table1'",
+    );
+}
+
+#[test]
+fn run_with_attr_prints_the_per_region_rows() {
+    let out = repro(&["run", "origin2000", "morton", "512", "2", "--attr"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for table in ["Run phases", "Run totals", "Run communication"] {
+        assert!(
+            stdout.contains(&format!("== {table}: ")),
+            "no {table}: {stdout}"
+        );
+    }
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.contains("SGI-Origin2000  MORTON") && l.contains(" bodies ")),
+        "no per-region row: {stdout}"
+    );
 }
 
 #[test]

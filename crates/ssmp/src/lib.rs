@@ -30,4 +30,4 @@ pub mod platform;
 
 pub use attr::{slot_name, AttrCell, AttrTable, ATTR_SLOTS, SETUP_SLOT};
 pub use config::{CostModel, Protocol};
-pub use machine::{Machine, SimCtx};
+pub use machine::{Machine, SimCtx, MAX_PROCS};

@@ -162,11 +162,14 @@ impl SimAttr {
     }
 }
 
+/// The most simulated processors a [`Machine`] runs.
+pub const MAX_PROCS: usize = 64;
+
 impl Machine {
     pub fn new(cost: CostModel, procs: usize) -> Machine {
         assert!(
-            (1..=64).contains(&procs),
-            "1..=64 simulated processors supported"
+            (1..=MAX_PROCS).contains(&procs),
+            "1..={MAX_PROCS} simulated processors supported"
         );
         Machine {
             grain_shift: cost.grain_shift(),

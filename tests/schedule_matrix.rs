@@ -23,7 +23,7 @@ use bh_core::sched::explore_algorithm;
 const SEEDS_PER_CELL: usize = 25;
 
 fn certify(alg: Algorithm, procs: usize, plan: &ExplorePlan) {
-    let spec = MatrixSpec::fast(SEEDS_PER_CELL);
+    let spec = MatrixSpec::fast();
     let agg = explore_algorithm(alg, procs, plan, &spec);
     let mut report = String::new();
     for ce in &agg.counterexamples {
@@ -153,7 +153,7 @@ fn morton_sort_and_emit_kernel_bounded_exhaustive() {
 #[test]
 fn grouped_force_kernel_certifies_across_group_sizes() {
     for gs in [1usize, 3, 16] {
-        let mut spec = MatrixSpec::fast(8);
+        let mut spec = MatrixSpec::fast();
         spec.group_size = gs;
         for alg in [Algorithm::Orig, Algorithm::Morton] {
             let agg = explore_algorithm(
@@ -195,7 +195,7 @@ fn round_robin_matrix_is_clean() {
 /// nesting was actually observed and that the union graph is acyclic.
 #[test]
 fn update_freelist_nesting_stays_acyclic() {
-    let mut spec = MatrixSpec::fast(8);
+    let mut spec = MatrixSpec::fast();
     spec.measured_steps = 2;
     let agg = explore_algorithm(
         Algorithm::Update,
@@ -220,7 +220,7 @@ fn update_freelist_nesting_stays_acyclic() {
 #[test]
 #[ignore = "bounded-exhaustive: minutes of runtime; nightly / manual only"]
 fn space_bounded_exhaustive_at_two_procs() {
-    let mut spec = MatrixSpec::fast(0);
+    let mut spec = MatrixSpec::fast();
     spec.n = 8;
     spec.k = 1;
     spec.warmup_steps = 0;

@@ -22,6 +22,9 @@
 //! Only the modules that *implement* that layer (and the host-side batch
 //! scheduler) are whitelisted; `#[cfg(test)]` modules are exempt because
 //! unit tests drive the layer from outside it.
+//!
+//! A third keeps every setting on the command line: nothing under `crates/`
+//! or `src/` reads an environment variable.
 
 use std::path::{Path, PathBuf};
 
@@ -181,6 +184,16 @@ fn scan_sync(src: &str) -> Vec<usize> {
     hits
 }
 
+/// Lines that read an environment variable (`env::var`, `var_os`, `vars`).
+/// `std::env::args` and the compile-time `env!` macro do not count.
+fn scan_env(src: &str) -> Vec<usize> {
+    src.lines()
+        .enumerate()
+        .filter(|(_, raw)| code_portion(raw).contains("env::var"))
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -285,6 +298,30 @@ fn production_code_synchronizes_only_through_env() {
     );
 }
 
+/// Every setting is an argument: a knob read from the environment is
+/// invisible in the command line that reproduces a number.
+#[test]
+fn production_code_reads_no_environment_variables() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for sub in ["crates", "src"] {
+        collect_rs_files(&root.join(sub), &mut files);
+    }
+    let mut failures = Vec::new();
+    for path in &files {
+        let rel = path.strip_prefix(&root).unwrap().to_string_lossy();
+        let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {rel}: {e}"));
+        for line in scan_env(&src) {
+            failures.push(format!("{rel}:{line}: reads an environment variable"));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "environment audit failed:\n  {}\nTake the setting as a command-line argument instead.",
+        failures.join("\n  ")
+    );
+}
+
 #[test]
 fn crate_roots_deny_unsafe_op_in_unsafe_fn() {
     let root = repo_root();
@@ -348,6 +385,15 @@ fn sync_scanner_flags_production_uses_only() {
                let s = \"std::thread in a string\";\n\
                #[cfg(test)]\nmod tests {\n    use std::sync::Arc; // exempt\n}\n";
     assert_eq!(scan_sync(src), vec![1, 2]);
+}
+
+#[test]
+fn env_scanner_flags_variable_reads_only() {
+    let src = "let a = std::env::var(\"A\");\nlet b = env::var_os(\"B\");\n\
+               let args = std::env::args();\nlet dir = env!(\"CARGO_MANIFEST_DIR\");\n\
+               // env::var in a comment is fine\n\
+               let s = \"env::var in a string\";\n";
+    assert_eq!(scan_env(src), vec![1, 2]);
 }
 
 #[test]
