@@ -80,8 +80,19 @@ echo "== repro smoke run (batched sweep over all six algorithms, --jobs 2) + emi
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 REPRO="$PWD/target/release/repro"
-(cd "$SMOKE_DIR" && "$REPRO" all --scale tiny --jobs 2 \
-    --json results.json --trace trace.json >/dev/null)
+# Every repro command below that runs UPDATE at P > 1 goes through sweep:
+# UPDATE's move_body can spin forever (ROADMAP item 1, seen in 1-3 of 30
+# matrix runs). Until that is fixed, `timeout` turns the livelock into a
+# failed gate instead of a wedged one; a clean matrix run takes ~5 s.
+sweep() {
+    local rc=0
+    (cd "$SMOKE_DIR" && timeout 120 "$REPRO" "$@" >/dev/null) || rc=$?
+    if [ "$rc" -eq 124 ]; then
+        echo "repro $* still running after 120 s: the known UPDATE move_body livelock (ROADMAP item 1); rerun the gate"
+    fi
+    return "$rc"
+}
+sweep all --scale tiny --jobs 2 --json results.json --trace trace.json
 "$REPRO" check-json "$SMOKE_DIR/results.json"
 "$REPRO" check-json "$SMOKE_DIR/BENCH_tiny.json"
 "$REPRO" check-trace "$SMOKE_DIR/trace.json"
@@ -104,7 +115,7 @@ echo "== report lane (attributed telemetry + scaling analysis) =="
 # check-json also re-derives the attribution tiling property from the
 # report_comm records alone. Emitter and validator read one declaration
 # (records::RECORD_TYPES), so a record cannot carry an unvalidated key.
-(cd "$SMOKE_DIR" && "$REPRO" report --scale tiny >/dev/null)
+sweep report --scale tiny
 "$REPRO" check-json "$SMOKE_DIR/REPORT_tiny.json"
 
 echo "== sweep determinism gate (--jobs 2 vs --jobs 1) =="
@@ -113,18 +124,6 @@ echo "== sweep determinism gate (--jobs 2 vs --jobs 1) =="
 # timings carry inherent run-to-run jitter (real thread interleaving feeds
 # the contention model), so the full matrix is compared structurally — same
 # experiments, configurations and series.
-#
-# UPDATE's move_body can spin forever (ROADMAP item 1, seen in 1-3 of 30
-# matrix runs). Until that is fixed, `timeout` turns the livelock into a
-# failed gate instead of a wedged one; a clean matrix run takes ~5 s.
-sweep() {
-    local rc=0
-    (cd "$SMOKE_DIR" && timeout 120 "$REPRO" "$@" >/dev/null) || rc=$?
-    if [ "$rc" -eq 124 ]; then
-        echo "repro $* still running after 120 s: the known UPDATE move_body livelock (ROADMAP item 1); rerun the gate"
-    fi
-    return "$rc"
-}
 # The prewarm covers the render: after the tiny matrix's 93 jobs, drawing all
 # thirteen tables adds no entry to either run cache. #[ignore]d in the suite
 # for the same livelock, and because it must have the process-wide caches to

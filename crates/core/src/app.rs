@@ -6,17 +6,23 @@
 //!
 //! The step itself lives in [`crate::pipeline`], one function per stage;
 //! this module owns the run-level protocol (warm-up vs. measured steps,
-//! validation, final snapshot) and the [`RunStats`] aggregation. Workers
-//! come from a [`WorkerPool`]; [`run_simulation`] spins up a throwaway pool,
-//! while [`crate::engine::SimEngine`] keeps pool and state alive across
-//! runs.
+//! validation, final snapshot) and the run's one record of what each phase
+//! did: every processor keeps a [`StepRecord`] per step, warm-up included,
+//! and every aggregate, step series, table and trace is a fold over those
+//! ([`RunStats`]). Workers come from a [`WorkerPool`]; [`run_simulation`]
+//! spins up a throwaway pool, while [`crate::engine::SimEngine`] keeps pool
+//! and state alive across runs. Both allocate through the same
+//! [`crate::engine`] path.
+
+use std::ops::Range;
 
 use crate::algorithms::{Algorithm, Builder};
 use crate::body::Body;
+use crate::engine::EngineState;
 use crate::env::{CtxStats, Env, Phase};
-use crate::force::{ForceParams, ForceScratch, MAX_GROUP_SIZE};
+use crate::force::{ForceListStats, ForceParams, ForceScratch, MAX_GROUP_SIZE};
 use crate::harness::WorkerPool;
-use crate::pipeline::{run_step, StageIo};
+use crate::pipeline::{run_step, StageExtra, StageIo};
 use crate::tree::flat::FlatTree;
 use crate::tree::types::SharedTree;
 use crate::tree::validate::{validate_with, ValidateOpts};
@@ -73,78 +79,93 @@ impl SimConfig {
     }
 }
 
-/// Time spent in each phase of one step, in the environment's time unit
-/// (wall nanoseconds natively, simulated cycles under `ssmp`). Measured at
-/// barrier boundaries, so a phase time includes any load-imbalance wait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseSample {
-    /// Bounds reduction + tree build + center-of-mass pass.
-    pub tree: u64,
-    /// Costzones partitioning.
-    pub partition: u64,
-    /// Force computation.
-    pub force: u64,
-    /// Position/velocity update.
-    pub update: u64,
+/// What one step did on one processor, measured at the phase boundaries
+/// (so a phase's time includes any load-imbalance wait at its closing
+/// barrier).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StepRecord {
+    /// [`Env::now`] when the step began: wall nanoseconds natively,
+    /// simulated cycles under `ssmp`.
+    pub start: u64,
+    /// Each phase's [`CtxStats`] delta on this processor, indexed by
+    /// [`Phase::index`], with `time` the phase's duration. Phase `i` began
+    /// at `start` plus the durations of phases `0..i`.
+    pub phases: [CtxStats; 4],
+    /// What the stages reported besides: sub-phase times and force-list
+    /// counts.
+    pub extra: StageExtra,
 }
 
-impl PhaseSample {
-    pub fn total(&self) -> u64 {
-        self.tree + self.partition + self.force + self.update
-    }
-
-    /// The slot a phase's time accumulates into.
-    pub fn phase_mut(&mut self, phase: Phase) -> &mut u64 {
-        match phase {
-            Phase::Tree => &mut self.tree,
-            Phase::Partition => &mut self.partition,
-            Phase::Force => &mut self.force,
-            Phase::Update => &mut self.update,
-        }
+impl StepRecord {
+    /// The step's duration: its four phase times summed.
+    pub fn time(&self) -> u64 {
+        self.phases.iter().map(|p| p.time).sum()
     }
 }
 
-/// Everything one processor recorded over the measured steps.
+/// Everything one processor recorded over a run.
 #[derive(Debug, Clone)]
 pub struct ProcRecord {
     pub proc: usize,
-    pub steps: Vec<PhaseSample>,
-    /// Per-phase [`CtxStats`] deltas accumulated over the measured steps,
-    /// indexed by [`Phase::index`]: each phase's time, lock, barrier and
-    /// protocol activity on this processor (`time` equals the summed phase
-    /// times of [`ProcRecord::steps`]).
-    pub phases: [CtxStats; 4],
-    /// The same per-phase deltas kept per measured step (parallel to
-    /// [`ProcRecord::steps`]): entry `s` holds step `s`'s delta for each
-    /// phase, so run-level aggregates can be decomposed into a time series.
-    /// Summing over steps reproduces [`ProcRecord::phases`] exactly.
-    pub step_stats: Vec<[CtxStats; 4]>,
-    /// Lock acquisitions during the measured tree-build phases (Figure 15).
-    pub tree_locks: u64,
-    /// Remote misses during the measured tree-build phases.
-    pub tree_remote_misses: u64,
-    /// Page faults during the measured tree-build phases.
-    pub tree_page_faults: u64,
-    /// Lock wait during the measured tree-build phases.
-    pub tree_lock_wait: u64,
-    /// Time spent waiting at barriers during measured steps (Table 2).
-    pub barrier_wait: u64,
-    /// Time this processor spent in the flatten sub-phase of the tree phase
-    /// during measured steps (zero for MORTON, which never flattens).
-    pub flatten_time: u64,
-    /// Time this processor spent in the parallel Morton key sort during
-    /// measured steps (nonzero only for MORTON).
-    pub sort_time: u64,
-    /// Interaction-list group traversals the batched force kernel performed
-    /// during measured steps.
-    pub force_groups: u64,
-    /// Interaction-list entries the batched force kernel emitted during
-    /// measured steps.
-    pub force_list_entries: u64,
-    /// Pair interactions the batched force kernel evaluated from its lists
-    /// during measured steps.
-    pub force_interactions: u64,
+    /// One record per step, warm-up steps included
+    /// ([`RunStats::measured`] selects the rest).
+    pub steps: Vec<StepRecord>,
     pub final_stats: CtxStats,
+}
+
+impl ProcRecord {
+    /// This processor's per-phase deltas summed over `steps`, indexed by
+    /// [`Phase::index`].
+    pub fn phases(&self, steps: Range<usize>) -> [CtxStats; 4] {
+        let mut sum = [CtxStats::default(); 4];
+        for s in &self.steps[steps] {
+            for (acc, d) in sum.iter_mut().zip(&s.phases) {
+                acc.accumulate(d);
+            }
+        }
+        sum
+    }
+}
+
+/// One phase of one step, aggregated over processors
+/// ([`RunStats::step_rows`]).
+#[derive(Debug, Clone)]
+pub struct StepPhaseRow {
+    /// Step index, counting warm-up steps (step 0 is the first warm-up).
+    pub step: usize,
+    pub phase: Phase,
+    /// Counters summed over processors; `time` is the critical path, the
+    /// maximum over processors.
+    pub stats: CtxStats,
+    /// Load imbalance of the phase's work over processors (see
+    /// [`RunStats::tree_imbalance`]).
+    pub imbalance: f64,
+}
+
+/// Fold one processor's delta into an aggregate over processors: counters
+/// are summed, `time` is the maximum (the critical path, as the paper
+/// reports it).
+fn merge_proc(agg: &mut CtxStats, d: &CtxStats) {
+    let time = agg.time.max(d.time);
+    agg.accumulate(d);
+    agg.time = time;
+}
+
+/// The maximum over processors of a phase's *work* (its time minus barrier
+/// wait: raw phase times are taken at barrier boundaries and therefore
+/// agree across processors) divided by the average. 1.0 is perfectly
+/// balanced, and so is no work at all.
+fn imbalance(deltas: impl Iterator<Item = CtxStats>) -> f64 {
+    let work: Vec<u64> = deltas
+        .map(|d| d.time.saturating_sub(d.barrier_wait))
+        .collect();
+    let max = work.iter().max().copied().unwrap_or(0) as f64;
+    let avg = work.iter().sum::<u64>() as f64 / work.len().max(1) as f64;
+    if avg == 0.0 {
+        1.0
+    } else {
+        max / avg
+    }
 }
 
 /// Result of a full run.
@@ -161,24 +182,36 @@ pub struct RunStats {
     pub validation_error: Option<String>,
 }
 
+/// Every aggregate below that takes no range of steps folds over the
+/// measured steps alone.
 impl RunStats {
-    /// Total measured time: the maximum over processors of the summed phase
-    /// times (post-barrier these agree across processors).
-    pub fn total_time(&self) -> u64 {
-        self.procs_records
-            .iter()
-            .map(|r| r.steps.iter().map(PhaseSample::total).sum::<u64>())
+    /// The measured steps' indices into every [`ProcRecord::steps`].
+    pub fn measured(&self) -> Range<usize> {
+        self.warmup_steps..self.warmup_steps + self.measured_steps
+    }
+
+    /// Each processor's measured steps.
+    fn measured_records(&self) -> impl Iterator<Item = &[StepRecord]> {
+        self.procs_records.iter().map(|r| &r.steps[self.measured()])
+    }
+
+    /// The maximum over processors of `f` summed over measured steps.
+    fn max_over_procs(&self, f: impl Fn(&StepRecord) -> u64) -> u64 {
+        self.measured_records()
+            .map(|steps| steps.iter().map(&f).sum())
             .max()
             .unwrap_or(0)
     }
 
+    /// Total measured time: the maximum over processors of the summed phase
+    /// times (post-barrier these agree across processors).
+    pub fn total_time(&self) -> u64 {
+        self.max_over_procs(StepRecord::time)
+    }
+
     /// Total measured tree-build time (max over processors).
     pub fn tree_time(&self) -> u64 {
-        self.procs_records
-            .iter()
-            .map(|r| r.steps.iter().map(|s| s.tree).sum::<u64>())
-            .max()
-            .unwrap_or(0)
+        self.phase_stats(Phase::Tree).time
     }
 
     /// Fraction of measured time spent building the tree.
@@ -193,60 +226,54 @@ impl RunStats {
 
     /// Measured force-phase time (max over processors).
     pub fn force_time(&self) -> u64 {
-        self.procs_records
-            .iter()
-            .map(|r| r.steps.iter().map(|s| s.force).sum::<u64>())
-            .max()
-            .unwrap_or(0)
+        self.phase_stats(Phase::Force).time
     }
 
     /// Lock acquisitions in the measured tree-build phases, per processor.
     pub fn tree_locks_per_proc(&self) -> Vec<u64> {
-        self.procs_records.iter().map(|r| r.tree_locks).collect()
+        self.procs_records
+            .iter()
+            .map(|r| r.phases(self.measured())[Phase::Tree.index()].lock_acquires)
+            .collect()
     }
 
-    /// One phase's measured statistics aggregated across processors:
-    /// counters are summed, `time` is the maximum over processors (the
-    /// phase's critical path, as the paper reports it).
-    pub fn phase_stats(&self, phase: Phase) -> CtxStats {
-        let mut agg = CtxStats::default();
+    /// Each phase's statistics over `steps`, aggregated across processors
+    /// (counters summed, `time` the maximum over processors) and indexed by
+    /// [`Phase::index`].
+    pub fn phases_over(&self, steps: Range<usize>) -> [CtxStats; 4] {
+        let mut agg = [CtxStats::default(); 4];
         for r in &self.procs_records {
-            let p = &r.phases[phase.index()];
-            agg.time = agg.time.max(p.time);
-            agg.lock_acquires += p.lock_acquires;
-            agg.lock_wait += p.lock_wait;
-            agg.barrier_wait += p.barrier_wait;
-            agg.remote_misses += p.remote_misses;
-            agg.local_misses += p.local_misses;
-            agg.page_faults += p.page_faults;
+            for (a, d) in agg.iter_mut().zip(&r.phases(steps.clone())) {
+                merge_proc(a, d);
+            }
         }
         agg
     }
 
+    /// One phase's measured statistics aggregated across processors: counters
+    /// are summed, `time` is the maximum over processors (the phase's critical
+    /// path, as the paper reports it).
+    pub fn phase_stats(&self, phase: Phase) -> CtxStats {
+        self.phases_over(self.measured())[phase.index()]
+    }
+
     /// Total barrier wait time across processors during measured steps.
     pub fn barrier_wait_total(&self) -> u64 {
-        self.procs_records.iter().map(|r| r.barrier_wait).sum()
+        let phases = self.phases_over(self.measured());
+        phases.iter().map(|p| p.barrier_wait).sum()
     }
 
     /// Time spent flattening the tree snapshot (max over processors; the
     /// sub-phase's critical path, already included in the tree phase).
     pub fn flatten_cycles(&self) -> u64 {
-        self.procs_records
-            .iter()
-            .map(|r| r.flatten_time)
-            .max()
-            .unwrap_or(0)
+        self.max_over_procs(|s| s.extra.flatten)
     }
 
     /// Time spent in the parallel Morton key sort (max over processors; the
     /// sub-phase's critical path, already included in the tree phase;
     /// nonzero only for MORTON).
     pub fn sort_cycles(&self) -> u64 {
-        self.procs_records
-            .iter()
-            .map(|r| r.sort_time)
-            .max()
-            .unwrap_or(0)
+        self.max_over_procs(|s| s.extra.sort)
     }
 
     /// Tree-phase load imbalance: the maximum over processors of measured
@@ -254,117 +281,74 @@ impl RunStats {
     /// times are taken at barrier boundaries and therefore agree across
     /// processors) divided by the average. 1.0 is perfectly balanced.
     pub fn tree_imbalance(&self) -> f64 {
-        let times: Vec<u64> = self
-            .procs_records
-            .iter()
-            .map(|r| {
-                let p = &r.phases[Phase::Tree.index()];
-                p.time.saturating_sub(p.barrier_wait)
-            })
-            .collect();
-        if times.is_empty() {
-            return 1.0;
-        }
-        let max = *times.iter().max().unwrap() as f64;
-        let avg = times.iter().sum::<u64>() as f64 / times.len() as f64;
-        if avg == 0.0 {
-            1.0
-        } else {
-            max / avg
-        }
+        imbalance(
+            self.procs_records
+                .iter()
+                .map(|r| r.phases(self.measured())[Phase::Tree.index()]),
+        )
     }
 
     /// Number of measured steps actually recorded (0 for an empty run).
     pub fn steps_recorded(&self) -> usize {
         self.procs_records
             .iter()
-            .map(|r| r.steps.len())
+            .map(|r| r.steps.len().saturating_sub(self.warmup_steps))
             .max()
             .unwrap_or(0)
     }
 
-    /// Per-measured-step time of one phase: entry `s` is the maximum over
-    /// processors of step `s`'s phase time (the step's critical path —
-    /// post-barrier these agree across processors).
-    pub fn step_phase_times(&self, phase: Phase) -> Vec<u64> {
-        (0..self.steps_recorded())
-            .map(|s| {
-                self.procs_records
-                    .iter()
-                    .filter_map(|r| r.steps.get(s))
-                    .map(|smp| match phase {
-                        Phase::Tree => smp.tree,
-                        Phase::Partition => smp.partition,
-                        Phase::Force => smp.force,
-                        Phase::Update => smp.update,
-                    })
-                    .max()
-                    .unwrap_or(0)
+    /// One row per (step, phase) of `steps`, in step then phase order:
+    /// the phase's critical-path time and counters summed over processors,
+    /// and its load imbalance. The run-level aggregates decomposed step by
+    /// step.
+    pub fn step_rows(&self, steps: Range<usize>) -> Vec<StepPhaseRow> {
+        steps
+            .flat_map(|step| {
+                Phase::ALL.map(|phase| {
+                    let deltas = || {
+                        self.procs_records
+                            .iter()
+                            .map(move |r| r.steps[step].phases[phase.index()])
+                    };
+                    let mut stats = CtxStats::default();
+                    deltas().for_each(|d| merge_proc(&mut stats, &d));
+                    StepPhaseRow {
+                        step,
+                        phase,
+                        stats,
+                        imbalance: imbalance(deltas()),
+                    }
+                })
             })
             .collect()
     }
 
-    /// Per-measured-step total time (max over processors of the step's
-    /// summed phase times). Sums to [`RunStats::total_time`].
-    pub fn step_totals(&self) -> Vec<u64> {
-        (0..self.steps_recorded())
-            .map(|s| {
-                self.procs_records
-                    .iter()
-                    .filter_map(|r| r.steps.get(s))
-                    .map(PhaseSample::total)
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect()
-    }
-
-    /// Per-measured-step lock wait, summed over processors and phases.
-    pub fn step_lock_waits(&self) -> Vec<u64> {
-        self.step_counter(|c| c.lock_wait)
-    }
-
-    /// Per-measured-step barrier wait, summed over processors and phases.
-    pub fn step_barrier_waits(&self) -> Vec<u64> {
-        self.step_counter(|c| c.barrier_wait)
-    }
-
-    /// Per-measured-step count of some [`CtxStats`] field, summed over
-    /// processors and phases.
-    pub fn step_counter(&self, field: impl Fn(&CtxStats) -> u64) -> Vec<u64> {
-        (0..self.steps_recorded())
-            .map(|s| {
-                self.procs_records
-                    .iter()
-                    .filter_map(|r| r.step_stats.get(s))
-                    .flat_map(|phases| phases.iter().map(&field))
-                    .sum()
-            })
-            .collect()
+    /// The batched force kernel's list counters summed over all processors
+    /// and measured steps.
+    fn force_lists(&self) -> ForceListStats {
+        let mut sum = ForceListStats::default();
+        for s in self.measured_records().flatten() {
+            sum.accumulate(&s.extra.force);
+        }
+        sum
     }
 
     /// Interaction-list group traversals performed by the batched force
     /// kernel over all processors and measured steps.
     pub fn force_groups(&self) -> u64 {
-        self.procs_records.iter().map(|r| r.force_groups).sum()
+        self.force_lists().groups
     }
 
     /// Interaction-list entries emitted by the batched force kernel over
     /// all processors and measured steps.
     pub fn force_list_entries(&self) -> u64 {
-        self.procs_records
-            .iter()
-            .map(|r| r.force_list_entries)
-            .sum()
+        self.force_lists().list_entries
     }
 
     /// Pair interactions the batched force kernel evaluated from its lists
     /// over all processors and measured steps.
     pub fn force_interactions(&self) -> u64 {
-        self.procs_records
-            .iter()
-            .map(|r| r.force_interactions)
-            .sum()
+        self.force_lists().interactions
     }
 
     /// Mean interaction-list length (entries per group traversal); `0.0`
@@ -388,35 +372,6 @@ impl RunStats {
         } else {
             self.force_interactions() as f64 / entries as f64
         }
-    }
-
-    /// Per-measured-step tree-phase load imbalance (same definition as
-    /// [`RunStats::tree_imbalance`], per step instead of over the run).
-    pub fn step_tree_imbalance(&self) -> Vec<f64> {
-        (0..self.steps_recorded())
-            .map(|s| {
-                let work: Vec<u64> = self
-                    .procs_records
-                    .iter()
-                    .filter_map(|r| r.step_stats.get(s))
-                    .map(|phases| {
-                        let p = &phases[Phase::Tree.index()];
-                        p.time.saturating_sub(p.barrier_wait)
-                    })
-                    .collect();
-                let max = work.iter().max().copied().unwrap_or(0) as f64;
-                let avg = if work.is_empty() {
-                    0.0
-                } else {
-                    work.iter().sum::<u64>() as f64 / work.len() as f64
-                };
-                if avg == 0.0 {
-                    1.0
-                } else {
-                    max / avg
-                }
-            })
-            .collect()
     }
 
     /// Panic unless the run validated.
@@ -454,7 +409,7 @@ pub fn percentile_f64(values: &[f64], p: f64) -> f64 {
 
 /// Run the complete application on `env` and return per-processor records.
 pub fn run_simulation<E: Env>(env: &E, cfg: &SimConfig, bodies: &[Body]) -> RunStats {
-    run_inner(env, cfg, bodies).0
+    run_simulation_with_state(env, cfg, bodies).0
 }
 
 /// Run the application and also return the final body state (for examples
@@ -464,31 +419,8 @@ pub fn run_simulation_with_state<E: Env>(
     cfg: &SimConfig,
     bodies: &[Body],
 ) -> (RunStats, Vec<Body>) {
-    run_inner(env, cfg, bodies)
-}
-
-fn run_inner<E: Env>(env: &E, cfg: &SimConfig, bodies: &[Body]) -> (RunStats, Vec<Body>) {
-    let n = bodies.len();
-    let world = World::new(env, bodies);
-    let tree = SharedTree::new(env, n, cfg.k, cfg.algorithm.layout());
-    let mut builder = Builder::new(env, cfg.algorithm, n, cfg.k);
-    if let Some(t) = cfg.space_threshold {
-        builder = builder.with_space_threshold(t);
-    }
-    builder = builder.with_space_rebalance(cfg.space_rebalance);
-    let flat = FlatTree::new(env, n, cfg.k, cfg.algorithm.layout());
-    let force_scratch = ForceScratch::new(env, &flat, n, env.num_procs());
-    let pool = WorkerPool::new(env.num_procs());
-    execute(
-        env,
-        &pool,
-        cfg,
-        &world,
-        &tree,
-        &flat,
-        &force_scratch,
-        &builder,
-    )
+    let mut state = EngineState::new(env, cfg, bodies);
+    state.run(env, &WorkerPool::new(env.num_procs()), cfg)
 }
 
 /// Run the warm-up + measured protocol over already-allocated state and
@@ -528,29 +460,14 @@ pub(crate) fn execute<E: Env>(
     };
 
     let procs_records = pool.run(env, |proc, ctx| {
-        let mut rec = ProcRecord {
+        let steps = (0..total_steps)
+            .map(|step| run_step(env, ctx, &io, proc, step as u32))
+            .collect();
+        ProcRecord {
             proc,
-            steps: Vec::with_capacity(cfg.measured_steps),
-            phases: [CtxStats::default(); 4],
-            step_stats: Vec::with_capacity(cfg.measured_steps),
-            tree_locks: 0,
-            tree_remote_misses: 0,
-            tree_page_faults: 0,
-            tree_lock_wait: 0,
-            barrier_wait: 0,
-            flatten_time: 0,
-            sort_time: 0,
-            force_groups: 0,
-            force_list_entries: 0,
-            force_interactions: 0,
-            final_stats: CtxStats::default(),
-        };
-        for step in 0..total_steps {
-            let measuring = step >= cfg.warmup_steps;
-            run_step(env, ctx, &io, proc, step as u32, measuring, &mut rec);
+            steps,
+            final_stats: env.stats(ctx),
         }
-        rec.final_stats = env.stats(ctx);
-        rec
     });
 
     let validation_error = if cfg.validate {

@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use crate::algorithms::{Algorithm, Builder};
+use crate::algorithms::{space, Algorithm, Builder};
 use crate::app::{self, RunStats, SimConfig};
 use crate::body::Body;
 use crate::env::Env;
@@ -36,7 +36,7 @@ use crate::tree::types::{SharedTree, TreeLayout};
 use crate::world::World;
 
 /// The allocation-shape key plus the allocations themselves.
-struct EngineState {
+pub(crate) struct EngineState {
     n: usize,
     k: usize,
     layout: TreeLayout,
@@ -49,6 +49,62 @@ struct EngineState {
     /// One builder per algorithm, kept because some algorithms (Update)
     /// own per-processor scratch arrays sized to `n`.
     builders: HashMap<Algorithm, Builder>,
+}
+
+impl EngineState {
+    /// Allocate everything a run of `cfg` over `bodies` needs, the builder
+    /// of `cfg.algorithm` included: the one allocation path of
+    /// [`app::run_simulation`] and [`SimEngine`]. The order fixes the
+    /// simulated addresses, and with them every simulated cycle.
+    pub(crate) fn new<E: Env>(env: &E, cfg: &SimConfig, bodies: &[Body]) -> EngineState {
+        let (n, k, layout) = (bodies.len(), cfg.k, cfg.algorithm.layout());
+        let world = World::new(env, bodies);
+        let tree = SharedTree::new(env, n, k, layout);
+        let builder = Builder::new(env, cfg.algorithm, n, k);
+        let flat = FlatTree::new(env, n, k, layout);
+        let force_scratch = ForceScratch::new(env, &flat, n, env.num_procs());
+        EngineState {
+            n,
+            k,
+            layout,
+            world,
+            tree,
+            flat,
+            force_scratch,
+            builders: HashMap::from([(cfg.algorithm, builder)]),
+        }
+    }
+
+    /// Run `cfg` on these allocations; see [`app::execute`]. The SPACE
+    /// threshold and rebalance come from `cfg` every time, so a cached
+    /// builder carries nothing over from the previous job.
+    pub(crate) fn run<E: Env>(
+        &mut self,
+        env: &E,
+        pool: &WorkerPool,
+        cfg: &SimConfig,
+    ) -> (RunStats, Vec<Body>) {
+        let (alg, n) = (cfg.algorithm, self.n);
+        let threshold = cfg
+            .space_threshold
+            .unwrap_or_else(|| space::default_threshold(n, env.num_procs(), cfg.k));
+        let builder = self
+            .builders
+            .remove(&alg)
+            .unwrap_or_else(|| Builder::new(env, alg, n, cfg.k))
+            .with_space_threshold(threshold)
+            .with_space_rebalance(cfg.space_rebalance);
+        app::execute(
+            env,
+            pool,
+            cfg,
+            &self.world,
+            &self.tree,
+            &self.flat,
+            &self.force_scratch,
+            self.builders.entry(alg).or_insert(builder),
+        )
+    }
 }
 
 /// A reusable simulation engine bound to one environment.
@@ -85,56 +141,16 @@ impl<E: Env> SimEngine<E> {
     /// Run one job and also return the final body state; see
     /// [`crate::app::run_simulation_with_state`].
     pub fn run_with_state(&mut self, cfg: &SimConfig, bodies: &[Body]) -> (RunStats, Vec<Body>) {
-        let n = bodies.len();
-        let layout = cfg.algorithm.layout();
-        let compatible = self
-            .state
-            .as_ref()
-            .is_some_and(|s| s.n == n && s.k == cfg.k && s.layout == layout);
-        if compatible {
-            let st = self.state.as_mut().unwrap();
-            st.world.reset(bodies);
-            st.tree.reset();
-        } else {
-            let flat = FlatTree::new(&self.env, n, cfg.k, layout);
-            let force_scratch = ForceScratch::new(&self.env, &flat, n, self.env.num_procs());
-            self.state = Some(EngineState {
-                n,
-                k: cfg.k,
-                layout,
-                world: World::new(&self.env, bodies),
-                tree: SharedTree::new(&self.env, n, cfg.k, layout),
-                flat,
-                force_scratch,
-                builders: HashMap::new(),
-            });
-        }
-
-        let env = &self.env;
-        let st = self.state.as_mut().unwrap();
-        let builder = st
-            .builders
-            .entry(cfg.algorithm)
-            .or_insert_with(|| Builder::new(env, cfg.algorithm, n, cfg.k));
-        // The threshold/rebalance knobs live on the builder; recompute them
-        // from this job's config so a cached builder carries nothing over
-        // from the previous job.
-        builder.space_threshold = match cfg.space_threshold {
-            Some(t) => t.max(1),
-            None => crate::algorithms::space::default_threshold(n, env.num_procs(), cfg.k),
+        let (n, layout) = (bodies.len(), cfg.algorithm.layout());
+        let state = match self.state.take() {
+            Some(st) if st.n == n && st.k == cfg.k && st.layout == layout => {
+                st.world.reset(bodies);
+                st.tree.reset();
+                st
+            }
+            _ => EngineState::new(&self.env, cfg, bodies),
         };
-        builder.space_rebalance = cfg.space_rebalance.max(0.0);
-
-        app::execute(
-            env,
-            &self.pool,
-            cfg,
-            &st.world,
-            &st.tree,
-            &st.flat,
-            &st.force_scratch,
-            builder,
-        )
+        self.state.insert(state).run(&self.env, &self.pool, cfg)
     }
 }
 

@@ -366,10 +366,10 @@ pub trait Env: Sync {
     fn tag_region(&self, _base: VAddr, _bytes: u64, _region: Region) {}
 
     /// Observability hook: processor `ctx` is entering `phase` of step
-    /// `step` (warm-up steps included). Emitted by [`crate::app`] at every
-    /// phase boundary; execution environments and cost models ignore it
-    /// (the default is a no-op and charges nothing), while tracing wrappers
-    /// ([`crate::trace::TraceEnv`]) open a span.
+    /// `step` (warm-up steps included). Emitted by [`crate::pipeline`] at
+    /// every phase boundary; execution environments and cost models ignore
+    /// it (the default is a no-op and charges nothing), while the `ssmp`
+    /// simulator's attribution charges what follows to `phase`.
     fn phase_begin(&self, _ctx: &mut Self::Ctx, _phase: Phase, _step: u32) {}
 
     /// Observability hook: processor `ctx` is leaving `phase` of step
@@ -406,9 +406,9 @@ pub trait Env: Sync {
 /// after and defaults to handing the call to [`EnvLayer::inner`] unchanged;
 /// a layer overrides the ones it inspects, and an override that does not call
 /// the inner environment *replaces* the operation (the controlled scheduler's
-/// locks and barriers). `num_procs`, `alloc`, `tag_region`, `compute` and
-/// `now` are not hooks: no layer inspects them, so the blanket `impl Env`
-/// below forwards them itself.
+/// locks and barriers). `num_procs`, `alloc`, `tag_region`, `compute`,
+/// `phase_begin`, `phase_end` and `now` are not hooks: no layer inspects
+/// them, so the blanket `impl Env` below forwards them itself.
 pub trait EnvLayer: Sync + Sized {
     /// The wrapped environment.
     type Inner: Env;
@@ -440,14 +440,6 @@ pub trait EnvLayer: Sync + Sized {
 
     fn on_barrier(&self, ctx: &mut LayerCtx<Self>) {
         self.inner().barrier(&mut ctx.inner)
-    }
-
-    fn on_phase_begin(&self, ctx: &mut LayerCtx<Self>, phase: Phase, step: u32) {
-        self.inner().phase_begin(&mut ctx.inner, phase, step)
-    }
-
-    fn on_phase_end(&self, ctx: &mut LayerCtx<Self>, phase: Phase, step: u32) {
-        self.inner().phase_end(&mut ctx.inner, phase, step)
     }
 
     fn on_worker_begin(&self, proc: usize) {
@@ -523,11 +515,11 @@ impl<L: EnvLayer> Env for L {
     }
 
     fn phase_begin(&self, ctx: &mut LayerCtx<L>, phase: Phase, step: u32) {
-        self.on_phase_begin(ctx, phase, step)
+        self.inner().phase_begin(&mut ctx.inner, phase, step)
     }
 
     fn phase_end(&self, ctx: &mut LayerCtx<L>, phase: Phase, step: u32) {
-        self.on_phase_end(ctx, phase, step)
+        self.inner().phase_end(&mut ctx.inner, phase, step)
     }
 
     fn worker_begin(&self, proc: usize) {
@@ -1037,7 +1029,6 @@ mod tests {
         assert_eq!(drive_every_hook(&env), REC_STATS);
         assert_eq!(*env.inner().inner().0.lock(), EVERY_HOOK);
         env.inner().assert_race_free();
-        assert_eq!(env.spans().len(), 1);
         assert_eq!(env.lock_histogram()[0].lock, 70);
     }
 

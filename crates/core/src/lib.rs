@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::algorithms::Algorithm;
     pub use crate::app::{
         percentile_f64, percentile_u64, run_simulation, run_simulation_with_state, RunStats,
-        SimConfig,
+        SimConfig, StepPhaseRow,
     };
     pub use crate::body::Body;
     pub use crate::check::{CheckedEnv, Granularity, RaceReport};
@@ -75,7 +75,7 @@ pub mod prelude {
         explore, CounterExample, Exploration, ExplorePlan, Finding, MatrixSpec, SchedConfig,
         SchedEnv, SchedStrategy, VerifyEnv,
     };
-    pub use crate::trace::{StepPhaseRow, TraceEnv};
+    pub use crate::trace::TraceEnv;
     pub use crate::tree::{SeqTree, SharedTree, TreeLayout};
     pub use crate::world::World;
 }

@@ -437,7 +437,7 @@ struct TracedRun {
 impl TracedRun {
     /// Measured per-phase totals, indexed by [`Phase::index`].
     fn phases(&self) -> [CtxStats; 4] {
-        Phase::ALL.map(|p| self.stats.phase_stats(p))
+        self.stats.phases_over(self.stats.measured())
     }
 }
 
@@ -558,6 +558,7 @@ fn treebuild_sized(
         let org = traced_run(&sim, alg, n, group_size);
         treebuild_row(&mut table, &cost.name, alg, &org);
         events.extend(sim.chrome_trace_events(
+            &org.stats,
             pid as u32,
             &format!("{} {} ({procs}p, cycles)", cost.name, alg.name()),
             1.0,
@@ -606,7 +607,8 @@ pub struct RunReport {
     pub tables: Vec<Table>,
     /// Complete Chrome trace-event JSON document of the run.
     pub trace_json: String,
-    /// [`TraceEnv::summary`] (all steps) and the per-step percentiles.
+    /// [`TraceEnv::summary`]: the per-phase rows and the per-step
+    /// percentiles, over all steps.
     pub trace_summary: String,
 }
 
@@ -700,7 +702,7 @@ fn run_report<E: Env>(
         phase_row(
             &mut phases,
             [&proc, alg.name()],
-            &p.phases,
+            &p.phases(s.measured()),
             ["-".into(), "-".into()],
         );
     }
@@ -731,12 +733,8 @@ fn run_report<E: Env>(
 
     RunReport {
         tables: vec![phases, totals],
-        trace_json: env.chrome_trace_json(&label, ts_div),
-        trace_summary: format!(
-            "{}\nper-step percentiles (all steps incl. warm-up):\n{}",
-            env.summary(unit),
-            env.step_summary(unit)
-        ),
+        trace_json: env.chrome_trace_json(s, &label, ts_div),
+        trace_summary: env.summary(s, unit),
     }
 }
 

@@ -76,7 +76,7 @@ pub fn scaling_report_sized(
     let (curves, crossover) = scaling_curves(scale, n, procs_sweep, &mut records);
     tables.extend(curves);
     tables.push(crossover);
-    tables.push(step_series(scale, n, max_procs, repeats, &mut records));
+    tables.push(step_percentiles(scale, n, max_procs, repeats, &mut records));
 
     ScalingReport {
         tables,
@@ -345,7 +345,7 @@ fn scaling_curves(
 /// nearest-rank p50/p99 (multi-processor simulated timings carry real
 /// run-to-run jitter — the interleaving of the host threads feeds the
 /// contention model — so repeats widen the sample honestly).
-fn step_series(
+fn step_percentiles(
     scale: ExperimentScale,
     n: usize,
     procs: usize,
@@ -385,10 +385,19 @@ fn step_series(
                 let machine = Machine::new(cost.clone(), procs);
                 let stats = run_simulation(&machine, &SimConfig::new(alg), &bodies);
                 stats.assert_valid();
-                tree_times.extend(stats.step_phase_times(Phase::Tree));
-                totals.extend(stats.step_totals());
-                lock_waits.extend(stats.step_lock_waits());
-                imbalances.extend(stats.step_tree_imbalance());
+                let rows = stats.step_rows(stats.measured());
+                for step in rows.chunks(Phase::ALL.len()) {
+                    let tree = &step[Phase::Tree.index()];
+                    tree_times.push(tree.stats.time);
+                    imbalances.push(tree.imbalance);
+                    lock_waits.push(step.iter().map(|r| r.stats.lock_wait).sum());
+                }
+                // The tree stage ends without a barrier, so a step's total
+                // is its longest processor, not the sum of phase maxima.
+                totals.extend(stats.measured().map(|s| {
+                    let steps = stats.procs_records.iter().map(|r| r.steps[s].time());
+                    steps.max().unwrap_or(0)
+                }));
             }
             let steps = totals.len();
             let row = [

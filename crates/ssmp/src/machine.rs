@@ -1139,21 +1139,22 @@ mod tests {
     }
 
     #[test]
-    fn trace_env_spans_are_in_simulated_cycles() {
-        // A TraceEnv wrapped around a Machine must measure spans on the
-        // virtual clock: a span containing exactly `compute(1000)` is
-        // exactly 1000 cycles wide, independent of wall time.
-        let traced = bh_core::trace::TraceEnv::new(origin(2));
-        bh_core::harness::spmd(&traced, |_proc, ctx| {
-            traced.phase_begin(ctx, Phase::Tree, 0);
-            traced.compute(ctx, 1000);
-            traced.phase_end(ctx, Phase::Tree, 0);
-        });
-        let spans = traced.spans();
-        assert_eq!(spans.len(), 2);
-        for s in &spans {
-            assert_eq!(s.end - s.start, 1000);
-            assert_eq!(s.stats.time, 1000);
+    fn step_records_are_in_simulated_cycles() {
+        // Phase times are read off the virtual clock: each processor's
+        // steps follow one another without a gap, and its last one ends
+        // where its clock stopped.
+        use bh_core::prelude::*;
+        let mut cfg = SimConfig::new(Algorithm::Space);
+        cfg.warmup_steps = 1;
+        cfg.measured_steps = 1;
+        let stats = run_simulation(&origin(2), &cfg, &Model::Plummer.generate(64, 7));
+        for r in &stats.procs_records {
+            let mut t = r.steps[0].start;
+            for s in &r.steps {
+                assert_eq!(s.start, t);
+                t += s.time();
+            }
+            assert_eq!(t, r.final_stats.time);
         }
     }
 

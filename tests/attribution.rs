@@ -134,7 +134,7 @@ fn disabled_attribution_changes_nothing() {
             assert_eq!(a.tree_time(), b.tree_time(), "{label} tree cycles");
             for (ra, rb) in a.procs_records.iter().zip(&b.procs_records) {
                 assert_eq!(ra.final_stats, rb.final_stats, "{label} final stats");
-                assert_eq!(ra.step_stats, rb.step_stats, "{label} step stats");
+                assert_eq!(ra.steps, rb.steps, "{label} step records");
             }
         }
     }
