@@ -103,6 +103,11 @@ sweep all --scale tiny --jobs 2 --json results.json --trace trace.json
 (cd "$SMOKE_DIR" && timeout 120 "$REPRO" fig13 --scale tiny --jobs 2 2>fig13.err >/dev/null)
 grep -q '^\[sweep: 14 job(s)' "$SMOKE_DIR/fig13.err" || {
     echo "fig13 --jobs 2 did not prewarm 14 jobs:"; cat "$SMOKE_DIR/fig13.err"; exit 1; }
+# Figure 11 at tiny: 1 size x processor counts {1, 8} x 6 algorithms, plus
+# the baseline, which is its own PARTREE run at one processor: 12 jobs.
+(cd "$SMOKE_DIR" && timeout 120 "$REPRO" fig11 --scale tiny --jobs 2 2>fig11.err >/dev/null)
+grep -q '^\[sweep: 12 job(s)' "$SMOKE_DIR/fig11.err" || {
+    echo "fig11 --jobs 2 did not prewarm 12 jobs:"; cat "$SMOKE_DIR/fig11.err"; exit 1; }
 # One configuration through `repro run`: a simulated platform with the
 # communication breakdown and a trace the validator accepts, then the host.
 (cd "$SMOKE_DIR" && timeout 120 "$REPRO" run origin2000 morton 512 4 --attr \
@@ -120,13 +125,13 @@ sweep report --scale tiny
 
 echo "== sweep determinism gate (--jobs 2 vs --jobs 1) =="
 # Single-processor runs are bitwise deterministic: table1 must emit
-# byte-identical JSON whatever the scheduler width. Multi-processor simulated
+# byte-identical JSON whatever the prewarm width. Multi-processor simulated
 # timings carry inherent run-to-run jitter (real thread interleaving feeds
 # the contention model), so the full matrix is compared structurally — same
 # experiments, configurations and series.
-# The prewarm covers the render: after the tiny matrix's 93 jobs, drawing all
-# thirteen tables adds no entry to either run cache. #[ignore]d in the suite
-# for the same livelock, and because it must have the process-wide caches to
+# The prewarm covers the render: after the tiny matrix's 92 jobs, drawing all
+# thirteen tables adds no entry to the run memo. #[ignore]d in the suite
+# for the same livelock, and because it must have the process-wide memo to
 # itself; hence by name, alone, under the same bound (built outside it).
 cargo test --offline --release -q -p bh-experiments --lib --no-run
 timeout 120 cargo test --offline --release -q -p bh-experiments --lib -- \

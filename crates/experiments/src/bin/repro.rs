@@ -23,11 +23,10 @@
 //! `matrix` runs every *cached* experiment (everything except `treebuild`,
 //! which traces its own runs).
 //!
-//! `--jobs N` prewarms the run caches with the sweep scheduler: the
-//! deduplicated (platform, algorithm, n, procs) job list of the selected
-//! experiments' grids is executed across N scheduler threads, then the
-//! tables are generated serially from the caches. The scheduler changes
-//! wall-clock time only, never which
+//! `--jobs N` prewarms the run memo (`runner::prewarm`): the deduplicated
+//! (platform, algorithm, n, procs) runs of the selected experiments' grids
+//! are simulated across N threads, then the tables are generated serially
+//! from the memo. The prewarm changes wall-clock time only, never which
 //! configurations are computed. Single-processor experiments (`table1`) are
 //! bitwise deterministic, so their output is byte-identical across any
 //! `--jobs` setting; multi-processor simulated timings carry run-to-run
@@ -59,7 +58,7 @@ use bh_experiments::cliargs;
 use bh_experiments::experiments::{self, Experiment, EXPERIMENTS};
 use bh_experiments::json::Json;
 use bh_experiments::records;
-use bh_experiments::runner::ExperimentScale;
+use bh_experiments::runner::{self, ExperimentScale};
 use std::io::Write;
 
 fn usage_text() -> String {
@@ -203,16 +202,16 @@ fn main() {
         }
     }
 
-    // Prewarm the run caches with the sweep scheduler; the serial table
-    // generation below then only performs lookups. Progress goes to stderr
-    // so the emitted documents stay byte-identical to a --jobs 1 run.
+    // Prewarm the run memo; the serial table generation below then only
+    // performs lookups. Progress goes to stderr so the emitted documents
+    // stay byte-identical to a --jobs 1 run.
     if let Some(jobs) = jobs.filter(|&j| j > 1) {
-        let sched = experiments::prewarm_jobs(selected.iter().copied(), scale);
-        if !sched.is_empty() {
+        let runs = experiments::prewarm_jobs(selected.iter().copied(), scale);
+        if !runs.is_empty() {
             let t = std::time::Instant::now();
-            let count = sched.run(jobs);
+            let count = runner::prewarm(runs, jobs);
             eprintln!(
-                "[sweep: {count} job(s) across {jobs} scheduler thread(s) in {:.1}s]",
+                "[sweep: {count} job(s) across {jobs} thread(s) in {:.1}s]",
                 t.elapsed().as_secs_f64()
             );
         }
@@ -307,110 +306,19 @@ fn load(path: &str) -> Json {
     Json::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")))
 }
 
-/// Validate an experiment-table, BENCH or REPORT document: well-formed
-/// JSON, a non-empty array of objects. Table dumps are keyed by `id`; a
-/// record with an `experiment` field must match its declaration in
-/// [`records::RECORD_TYPES`] — any other `experiment` value is an error.
-/// The `report_comm` breakdown is re-checked for the tiling property from
-/// the document alone.
+/// Validate an experiment-table, BENCH or REPORT document with
+/// [`records::check_json`].
 fn check_json(path: &str) {
-    let doc = load(path);
-    let items = doc
-        .as_array()
-        .unwrap_or_else(|| die(&format!("{path}: top level is not an array")));
-    if items.is_empty() {
-        die(&format!("{path}: empty document"));
-    }
-    for (i, item) in items.iter().enumerate() {
-        if item.get("experiment").is_some() {
-            records::validate(item).unwrap_or_else(|e| die(&format!("{path}: record {i}: {e}")));
-        } else if item.get("id").is_none() {
-            die(&format!(
-                "{path}: record {i} has neither an \"experiment\" nor an \"id\" field"
-            ));
-        }
-    }
-    records::check_comm_tiling(items).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-    println!("{path}: OK ({} record(s))", items.len());
+    let summary = records::check_json(&load(path)).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    println!("{path}: OK ({summary})");
 }
 
-/// Verify two experiment-table documents describe the same report: equal
-/// table ids, titles, headers, row counts and row labels (first column).
-/// This is the cross-`--jobs` matrix gate: numeric cells of multi-processor
-/// simulated runs jitter run to run, but the *structure* — which
-/// experiments, configurations and series were computed — must be invariant
-/// under the sweep scheduler.
+/// Verify two experiment-table documents describe the same report with
+/// [`records::check_same`].
 fn check_same(path_a: &str, path_b: &str) {
-    let a = load(path_a);
-    let b = load(path_b);
-    let tables_a = a
-        .as_array()
-        .unwrap_or_else(|| die(&format!("{path_a}: top level is not an array")));
-    let tables_b = b
-        .as_array()
-        .unwrap_or_else(|| die(&format!("{path_b}: top level is not an array")));
-    if tables_a.len() != tables_b.len() {
-        die(&format!(
-            "{path_a} has {} table(s) but {path_b} has {}",
-            tables_a.len(),
-            tables_b.len()
-        ));
-    }
-    let str_field = |t: &Json, field: &str, path: &str, i: usize| -> String {
-        t.get(field)
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| die(&format!("{path}: table {i} lacks \"{field}\"")))
-            .to_string()
-    };
-    let rows_of = |t: &Json, path: &str, i: usize| -> Vec<Vec<String>> {
-        t.get("rows")
-            .and_then(Json::as_array)
-            .unwrap_or_else(|| die(&format!("{path}: table {i} lacks \"rows\"")))
-            .iter()
-            .map(|r| {
-                r.as_array()
-                    .unwrap_or_else(|| die(&format!("{path}: table {i} has a non-array row")))
-                    .iter()
-                    .map(|c| c.as_str().unwrap_or("").to_string())
-                    .collect()
-            })
-            .collect()
-    };
-    for (i, (ta, tb)) in tables_a.iter().zip(tables_b).enumerate() {
-        for field in ["id", "title"] {
-            let (va, vb) = (
-                str_field(ta, field, path_a, i),
-                str_field(tb, field, path_b, i),
-            );
-            if va != vb {
-                die(&format!("table {i}: {field} differs: \"{va}\" vs \"{vb}\""));
-            }
-        }
-        let id = str_field(ta, "id", path_a, i);
-        if ta.get("headers") != tb.get("headers") {
-            die(&format!("{id}: headers differ"));
-        }
-        let (ra, rb) = (rows_of(ta, path_a, i), rows_of(tb, path_b, i));
-        if ra.len() != rb.len() {
-            die(&format!("{id}: {} row(s) vs {}", ra.len(), rb.len()));
-        }
-        for (j, (rowa, rowb)) in ra.iter().zip(&rb).enumerate() {
-            if rowa.len() != rowb.len() {
-                die(&format!("{id} row {j}: column counts differ"));
-            }
-            if rowa.first() != rowb.first() {
-                die(&format!(
-                    "{id} row {j}: label differs: {:?} vs {:?}",
-                    rowa.first(),
-                    rowb.first()
-                ));
-            }
-        }
-    }
-    println!(
-        "{path_a} and {path_b}: same report structure ({} table(s))",
-        tables_a.len()
-    );
+    let (a, b) = (load(path_a), load(path_b));
+    let summary = records::check_same(&a, &b, [path_a, path_b]).unwrap_or_else(|e| die(&e));
+    println!("{path_a} and {path_b}: {summary}");
 }
 
 /// Validate a Chrome trace-event document with [`records::check_trace`].

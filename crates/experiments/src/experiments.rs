@@ -12,9 +12,9 @@
 use crate::records;
 use crate::report;
 use crate::runner::{
-    run_cached, seq_time_on_platform, ExperimentScale, PlatformRun, WORKLOAD_SEED,
+    baseline, distinct, run_cached, seq_time_on_platform, ExperimentScale, PlatformRun, Run,
+    WORKLOAD_SEED,
 };
-use crate::sweep::SweepScheduler;
 use crate::tables::{fmt_pct, fmt_speedup, Table};
 use bh_core::prelude::*;
 use ssmp::{platform, CostModel, Machine};
@@ -67,22 +67,24 @@ pub fn matrix() -> impl Iterator<Item = &'static Experiment> {
     EXPERIMENTS.iter().filter(|e| e.spec.is_some())
 }
 
-/// The job list that prewarms the run caches for `experiments`: every run
-/// of every grid, deduplicated (figures share many configurations).
+/// The runs that prewarm the memo for `experiments`: every run of every
+/// grid, deduplicated (figures share many configurations).
 pub fn prewarm_jobs<'a>(
     experiments: impl IntoIterator<Item = &'a Experiment>,
     scale: ExperimentScale,
-) -> SweepScheduler {
-    let mut s = SweepScheduler::new();
-    for spec in experiments.into_iter().filter_map(|e| e.spec) {
-        spec(scale).grid.enqueue(&mut s);
-    }
-    s
+) -> Vec<Run> {
+    distinct(
+        experiments
+            .into_iter()
+            .filter_map(|e| e.spec)
+            .flat_map(|spec| spec(scale).grid.runs()),
+    )
 }
 
 /// The simulated runs one experiment reads: every platform x size x
 /// processor count x algorithm, each against its platform's sequential
-/// baseline at that size. Sizes and processor counts are already scaled.
+/// baseline at that size. Sizes and processor counts are already scaled,
+/// ascending and distinct.
 pub struct Grid {
     pub platforms: Vec<CostModel>,
     pub sizes: Vec<usize>,
@@ -96,34 +98,40 @@ const SIZES: [usize; 6] = [8192, 16384, 32768, 65536, 131072, 524288];
 
 impl Grid {
     /// All six algorithms over the paper's `sizes` and `procs` at `scale`.
+    /// Scaling floors sizes and caps processor counts, so the ascending
+    /// lists can repeat (Tiny maps 8192..32768 to 512); repeats are dropped.
     fn new(
         scale: ExperimentScale,
         platforms: &[fn(usize) -> CostModel],
         sizes: &[usize],
         procs: &[usize],
     ) -> Grid {
-        let procs: Vec<usize> = procs.iter().map(|&p| scale.procs(p)).collect();
+        let mut procs: Vec<usize> = procs.iter().map(|&p| scale.procs(p)).collect();
+        procs.dedup();
+        let mut sizes: Vec<usize> = sizes.iter().map(|&n| scale.size(n)).collect();
+        sizes.dedup();
         let max_procs = procs.iter().copied().max().unwrap_or(1);
         Grid {
             platforms: platforms.iter().map(|make| make(max_procs)).collect(),
-            sizes: sizes.iter().map(|&n| scale.size(n)).collect(),
+            sizes,
             procs,
             algs: &Algorithm::ALL,
         }
     }
 
-    /// Queue every run of the grid (the scheduler drops repeats).
-    pub fn enqueue(&self, s: &mut SweepScheduler) {
+    /// Every run the grid reads: per platform and size, the sequential
+    /// baseline, then each (processor count, algorithm) run.
+    pub fn runs(&self) -> Vec<Run> {
+        let mut runs = Vec::new();
         for cost in &self.platforms {
             for &n in &self.sizes {
-                s.add_seq(cost, n);
+                runs.push(baseline(cost, n));
                 for &p in &self.procs {
-                    for &alg in self.algs {
-                        s.add_run(cost, alg, n, p);
-                    }
+                    runs.extend(self.algs.iter().map(|&alg| (cost.clone(), alg, n, p)));
                 }
             }
         }
+        runs
     }
 }
 
@@ -325,12 +333,13 @@ fn fig10(scale: ExperimentScale) -> Spec {
 }
 
 fn fig11(scale: ExperimentScale) -> Spec {
-    let procs = [1, 8, 16, 24, 30];
-    let mut grid = Grid::new(scale, &[platform::origin2000], &[524288], &procs);
-    // Tiny caps every count at 8: one row for 8, not four.
-    grid.procs.dedup();
     Spec {
-        grid,
+        grid: Grid::new(
+            scale,
+            &[platform::origin2000],
+            &[524288],
+            &[1, 8, 16, 24, 30],
+        ),
         title: "Tree-building cost on Origin 2000, {n} particles (% of total time)",
         expectation: "ORIG's tree-build share grows toward ~60% at 30 procs; the others stay small",
         render: Render::ByProcs(tree_pct),
@@ -742,6 +751,7 @@ fn run_report<E: Env>(
 mod tests {
     use super::*;
     use crate::json::Json;
+    use crate::runner::prewarm;
 
     #[test]
     fn registry_rejects_unknown_names() {
@@ -757,18 +767,20 @@ mod tests {
     #[test]
     fn job_counts_match_the_hand_kept_enumeration_they_replaced() {
         // Distinct jobs per experiment in table order, then for the whole
-        // matrix, measured at 0f0012b from the second enumeration `sweep.rs`
-        // then kept by hand.
+        // matrix, measured at 0f0012b from the second enumeration then kept
+        // by hand, less one for Figure 11 (and so for the matrix): its
+        // PARTREE run at one processor is the sequential baseline, one memo
+        // entry and one job.
         for (scale, each, all) in [
             (
                 ExperimentScale::Tiny,
-                [16, 21, 13, 28, 28, 7, 13, 14, 6, 14, 14, 7, 14],
-                93,
+                [16, 21, 13, 28, 28, 7, 12, 14, 6, 14, 14, 7, 14],
+                92,
             ),
             (
                 ExperimentScale::Small,
-                [24, 35, 19, 42, 42, 19, 31, 14, 12, 28, 28, 7, 14],
-                171,
+                [24, 35, 19, 42, 42, 19, 30, 14, 12, 28, 28, 7, 14],
+                170,
             ),
         ] {
             assert_eq!(matrix().count(), each.len());
@@ -779,22 +791,59 @@ mod tests {
         }
     }
 
+    #[test]
+    fn full_matrix_is_enumerated_and_shared_configs_collapse() {
+        let jobs = prewarm_jobs(matrix(), ExperimentScale::Tiny);
+        // Figures 8 and 9 (and 13/14) share all their runs; the dedup set
+        // must therefore be much smaller than the naive enumeration.
+        let naive = 24 + 2 * (25 + 15) + 2 * (30 + 15) + 15 + 25 + 10 + 2 * 20 + 5 + 10;
+        assert!(
+            jobs.len() < naive,
+            "dedup had no effect: {} jobs of {naive} naive",
+            jobs.len()
+        );
+        for e in matrix() {
+            let js = prewarm_jobs([e], ExperimentScale::Tiny);
+            assert!(!js.is_empty(), "{} enumerated no jobs", e.name);
+        }
+        let treebuild = find("treebuild").expect("a known name");
+        assert!(prewarm_jobs([treebuild], ExperimentScale::Tiny).is_empty());
+    }
+
+    #[test]
+    fn grid_sizes_and_processor_counts_are_distinct() {
+        for scale in [ExperimentScale::Tiny, ExperimentScale::Small] {
+            for e in matrix() {
+                let g = e.spec.unwrap()(scale).grid;
+                for (what, list) in [("sizes", &g.sizes), ("procs", &g.procs)] {
+                    assert!(
+                        list.windows(2).all(|w| w[0] < w[1]),
+                        "{} at {}: {what} {list:?}",
+                        e.name,
+                        scale.name()
+                    );
+                }
+            }
+        }
+    }
+
     /// Runs the whole tiny matrix, so it can meet the UPDATE `move_body`
     /// livelock (ROADMAP item 1; 1 of 40 runs here) and must run alone in
-    /// its process (the caches are process-wide): check.sh runs it by name
+    /// its process (the memo is process-wide): check.sh runs it by name
     /// under `timeout`.
     #[test]
     #[ignore = "runs the tiny matrix; check.sh runs it alone under timeout"]
     fn rendering_after_the_prewarm_computes_nothing() {
         let scale = ExperimentScale::Tiny;
-        assert_eq!(prewarm_jobs(matrix(), scale).run(2), 93);
-        let warmed = crate::runner::cache_sizes();
-        assert_eq!(warmed.0 + warmed.1, 93);
+        // 92, not 93: Figure 11's PARTREE run at one processor is the
+        // baseline, so the memo holds it once.
+        assert_eq!(prewarm(prewarm_jobs(matrix(), scale), 2), 92);
+        assert_eq!(crate::runner::memo_size(), 92);
         for e in matrix() {
             let table = e.spec.unwrap()(scale).table(e.id);
             assert!(!table.rows.is_empty(), "{} rendered no rows", e.name);
         }
-        assert_eq!(crate::runner::cache_sizes(), warmed);
+        assert_eq!(crate::runner::memo_size(), 92);
     }
 
     #[test]

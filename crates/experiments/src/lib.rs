@@ -10,7 +10,6 @@ pub mod experiments;
 pub mod records;
 pub mod report;
 pub mod runner;
-pub mod sweep;
 pub mod tables;
 
 /// JSON parsing moved down into `bh-serve` (the job protocol needs it
@@ -18,6 +17,5 @@ pub mod tables;
 /// and schema gates keep their historical import path.
 pub use bh_serve::json;
 
-pub use runner::{run_cached, run_on_platform, seq_time_on_platform, ExperimentScale, PlatformRun};
-pub use sweep::{SweepJob, SweepScheduler};
+pub use runner::{run_cached, seq_time_on_platform, ExperimentScale, PlatformRun};
 pub use tables::Table;

@@ -1,8 +1,9 @@
 //! The typed records of `BENCH_<scale>.json` and `REPORT_<scale>.json`,
 //! declared once: every emitter zips its values with a declaration here and
 //! `repro check-json` validates against the same declaration, so a record
-//! cannot carry a key the validator does not know. [`check_trace`] is the
-//! same gate for the Chrome trace documents `repro` writes.
+//! cannot carry a key the validator does not know. [`check_json`],
+//! [`check_same`] and [`check_trace`] are `repro`'s gates for the documents
+//! it writes.
 
 use crate::json::{escape, Json};
 use bh_core::env::Phase;
@@ -172,6 +173,106 @@ pub fn check_comm_tiling(records: &[Json]) -> Result<(), String> {
     Ok(())
 }
 
+/// Validate an experiment-table, BENCH or REPORT document: a non-empty
+/// array of objects. Table dumps are keyed by `id`; a record with an
+/// `experiment` field must match its declaration in [`RECORD_TYPES`] — any
+/// other `experiment` value is an error. The `report_comm` breakdown is
+/// re-checked for the tiling property from the document alone. On
+/// success, a one-line count of what was checked.
+pub fn check_json(doc: &Json) -> Result<String, String> {
+    let items = doc.as_array().ok_or("top level is not an array")?;
+    if items.is_empty() {
+        return Err("empty document".into());
+    }
+    for (i, item) in items.iter().enumerate() {
+        if item.get("experiment").is_some() {
+            validate(item).map_err(|e| format!("record {i}: {e}"))?;
+        } else if item.get("id").is_none() {
+            return Err(format!(
+                "record {i} has neither an \"experiment\" nor an \"id\" field"
+            ));
+        }
+    }
+    check_comm_tiling(items)?;
+    Ok(format!("{} record(s)", items.len()))
+}
+
+/// Verify two experiment-table documents, named `names` in diagnostics,
+/// describe the same report: equal table ids, titles, headers, row counts
+/// and row labels (first column). This is the cross-`--jobs` matrix gate:
+/// numeric cells of multi-processor simulated runs jitter run to run, but
+/// which experiments, configurations and series were computed must not
+/// depend on the prewarm. On success, a one-line count of what was checked.
+pub fn check_same(a: &Json, b: &Json, names: [&str; 2]) -> Result<String, String> {
+    let [name_a, name_b] = names;
+    let not_array = |name: &str| format!("{name}: top level is not an array");
+    let tables_a = a.as_array().ok_or_else(|| not_array(name_a))?;
+    let tables_b = b.as_array().ok_or_else(|| not_array(name_b))?;
+    if tables_a.len() != tables_b.len() {
+        return Err(format!(
+            "{name_a} has {} table(s) but {name_b} has {}",
+            tables_a.len(),
+            tables_b.len()
+        ));
+    }
+    let str_field = |t: &Json, field: &str, name: &str, i: usize| {
+        t.get(field)
+            .and_then(Json::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("{name}: table {i} lacks \"{field}\""))
+    };
+    let rows_of = |t: &Json, name: &str, i: usize| -> Result<Vec<Vec<String>>, String> {
+        let rows = t.get("rows").and_then(Json::as_array);
+        let rows = rows.ok_or_else(|| format!("{name}: table {i} lacks \"rows\""))?;
+        rows.iter()
+            .map(|r| {
+                let cells = r.as_array();
+                let cells =
+                    cells.ok_or_else(|| format!("{name}: table {i} has a non-array row"))?;
+                Ok(cells
+                    .iter()
+                    .map(|c| c.as_str().unwrap_or("").to_string())
+                    .collect())
+            })
+            .collect()
+    };
+    for (i, (ta, tb)) in tables_a.iter().zip(tables_b).enumerate() {
+        for field in ["id", "title"] {
+            let (va, vb) = (
+                str_field(ta, field, name_a, i)?,
+                str_field(tb, field, name_b, i)?,
+            );
+            if va != vb {
+                return Err(format!("table {i}: {field} differs: \"{va}\" vs \"{vb}\""));
+            }
+        }
+        let id = str_field(ta, "id", name_a, i)?;
+        if ta.get("headers") != tb.get("headers") {
+            return Err(format!("{id}: headers differ"));
+        }
+        let (ra, rb) = (rows_of(ta, name_a, i)?, rows_of(tb, name_b, i)?);
+        if ra.len() != rb.len() {
+            return Err(format!("{id}: {} row(s) vs {}", ra.len(), rb.len()));
+        }
+        for (j, (rowa, rowb)) in ra.iter().zip(&rb).enumerate() {
+            if rowa.len() != rowb.len() {
+                return Err(format!("{id} row {j}: column counts differ"));
+            }
+            if rowa.first() != rowb.first() {
+                return Err(format!(
+                    "{id} row {j}: label differs: {:?} vs {:?}",
+                    rowa.first(),
+                    rowb.first()
+                ));
+            }
+        }
+    }
+    Ok(format!(
+        "same report structure ({} table(s))",
+        tables_a.len()
+    ))
+}
+
 /// Validate a Chrome trace-event document: nonzero complete-event spans,
 /// every declared process has one thread track per processor (its
 /// `num_procs` metadata arg), and all four phases appear. On success, a
@@ -245,6 +346,94 @@ mod tests {
             events.push(format!(r#"{{"name":"{phase}","ph":"X","pid":0,"tid":0}}"#));
         }
         Json::parse(&format!("[{}]", events.join(","))).expect("test trace parses")
+    }
+
+    fn parse(text: &str) -> Json {
+        Json::parse(text).expect("test document parses")
+    }
+
+    /// A `report_comm` record of `region` with `remote` remote misses.
+    fn comm(region: &str, remote: u32) -> String {
+        let strs: Vec<&str> = vec!["tiny", "P", "SPACE", region, "all"];
+        let mut nums = vec!["0".to_string(); 8];
+        nums[3] = remote.to_string();
+        emit("report_comm", &strs, &nums)
+    }
+
+    #[test]
+    fn json_validator_names_each_defect() {
+        let tiled = format!("[{}, {}]", comm("total", 3), comm("tree", 3));
+        assert_eq!(check_json(&parse(&tiled)), Ok("2 record(s)".to_string()));
+        let table = r#"[{"id": "Figure 6", "rows": []}]"#;
+        assert_eq!(check_json(&parse(table)), Ok("1 record(s)".to_string()));
+        let untiled = format!("[{}, {}]", comm("total", 3), comm("tree", 2));
+        for (doc, diagnostic) in [
+            ("{}", "top level is not an array"),
+            ("[]", "empty document"),
+            (
+                r#"[{"id": "x"}, {"experiment": "nope"}]"#,
+                "record 1: unknown experiment \"nope\"",
+            ),
+            (
+                r#"[{"rows": []}]"#,
+                "record 0 has neither an \"experiment\" nor an \"id\" field",
+            ),
+            (
+                &untiled,
+                "report_comm rows for P/SPACE do not tile the total",
+            ),
+        ] {
+            let err = check_json(&parse(doc)).unwrap_err();
+            assert!(err.starts_with(diagnostic), "{doc}: {err}");
+        }
+    }
+
+    #[test]
+    fn structure_check_names_each_difference() {
+        let table = |id: &str, title: &str, headers: &str, rows: &str| {
+            format!(
+                r#"[{{"id": "{id}", "title": "{title}", "headers": {headers}, "rows": {rows}}}]"#
+            )
+        };
+        let fig6 = |rows: &str| table("Figure 6", "T", r#"["n", "A"]"#, rows);
+        let a = parse(&fig6(r#"[["512", "1.0"]]"#));
+        let same = fig6(r#"[["512", "2.0"]]"#);
+        let check = |b: &str| check_same(&a, &parse(b), ["a", "b"]);
+        assert_eq!(
+            check(&same),
+            Ok("same report structure (1 table(s))".to_string())
+        );
+        for (b, diagnostic) in [
+            ("{}".to_string(), "b: top level is not an array"),
+            ("[]".to_string(), "a has 1 table(s) but b has 0"),
+            (r#"[{"title": "T"}]"#.to_string(), "b: table 0 lacks \"id\""),
+            (
+                table("Figure 7", "T", "[]", "[]"),
+                "table 0: id differs: \"Figure 6\" vs \"Figure 7\"",
+            ),
+            (table("Figure 6", "U", "[]", "[]"), "table 0: title differs"),
+            (
+                table("Figure 6", "T", r#"["n"]"#, "[]"),
+                "Figure 6: headers differ",
+            ),
+            (
+                r#"[{"id": "Figure 6", "title": "T", "headers": ["n", "A"]}]"#.to_string(),
+                "b: table 0 lacks \"rows\"",
+            ),
+            (fig6(r#"["512"]"#), "b: table 0 has a non-array row"),
+            (
+                fig6(r#"[["512", "1.0"], ["1024", "1.0"]]"#),
+                "Figure 6: 1 row(s) vs 2",
+            ),
+            (fig6(r#"[["512"]]"#), "Figure 6 row 0: column counts differ"),
+            (
+                fig6(r#"[["1024", "1.0"]]"#),
+                "Figure 6 row 0: label differs",
+            ),
+        ] {
+            let err = check(&b).unwrap_err();
+            assert!(err.starts_with(diagnostic), "{b}: {err}");
+        }
     }
 
     #[test]

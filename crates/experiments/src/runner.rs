@@ -1,10 +1,14 @@
-//! Shared experiment machinery: platform runs, sequential baselines (with
-//! memoization — many figures share them), and problem-size scaling.
+//! Shared experiment machinery: one memo of simulated platform runs (many
+//! figures share them, and the sequential baseline is one of them), its
+//! `--jobs` prewarm, and problem-size scaling.
 
+use bh_core::harness::spmd;
 use bh_core::prelude::*;
+use bh_core::shared::SharedAtomicVec;
 use bh_core::sync::Mutex;
 use ssmp::{CostModel, Machine};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{HashMap, HashSet};
 
 /// How large to run the experiments relative to the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +63,7 @@ impl ExperimentScale {
 }
 
 /// Everything one platform run yields.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformRun {
     pub platform: String,
     pub algorithm: Algorithm,
@@ -85,115 +89,154 @@ pub struct PlatformRun {
 /// Fixed workload seed so every experiment sees the same galaxy.
 pub const WORKLOAD_SEED: u64 = 1998;
 
-fn workload(n: usize) -> Vec<Body> {
-    Model::Plummer.generate(n, WORKLOAD_SEED)
+/// One simulated run: (platform, algorithm, n, procs).
+pub type Run = (CostModel, Algorithm, usize, usize);
+
+/// What the memo keeps of one [`run_simulation`]. Entries do not depend on
+/// each other: [`run_cached`] divides by the `(PARTREE, n, 1)` entry when it
+/// reads one.
+#[derive(Debug, Clone)]
+struct Simulated {
+    total_cycles: u64,
+    tree_cycles: u64,
+    force_cycles: u64,
+    tree_fraction: f64,
+    barrier_wait_cycles: u64,
+    locks_per_proc: Vec<u64>,
+    page_faults: u64,
+    remote_misses: u64,
 }
 
-fn paper_config(alg: Algorithm) -> SimConfig {
-    // The paper's protocol: warm up two steps (let the partition settle),
-    // measure two.
-    SimConfig::new(alg)
+/// A run's memo key. Platforms are known by name: a preset built for
+/// another processor count is the same cost model.
+type RunKey = (String, Algorithm, usize, usize);
+
+fn key((cost, alg, n, procs): &Run) -> RunKey {
+    (cost.name.clone(), *alg, *n, *procs)
 }
 
-/// Memoized sequential baselines keyed by (platform, n): (total, tree) cycles.
-type SeqKey = (String, usize);
-static SEQ_CACHE: Mutex<Option<HashMap<SeqKey, (u64, u64)>>> = Mutex::new(None);
+/// Every simulated run of the process, keyed by [`RunKey`]. Many figures
+/// share configurations (e.g. Figures 8 and 9), and [`prewarm`] fills it so
+/// the serial table-generation pass that follows is pure lookup.
+static RUNS: Mutex<Option<HashMap<RunKey, Simulated>>> = Mutex::new(None);
 
-/// Sequential time on a platform: the application run on a single simulated
-/// processor with the PARTREE algorithm, whose one-processor execution is a
-/// lock-free private build plus a handful of attach operations — i.e. the
-/// best sequential version (LOCAL on one processor would still pay per-insert
-/// lock instructions and, on SVM platforms, per-acquire protocol actions).
-pub fn seq_time_on_platform(cost: &CostModel, n: usize) -> (u64, u64) {
-    let key = (cost.name.clone(), n);
-    if let Some(hit) = SEQ_CACHE.lock().get_or_insert_with(HashMap::new).get(&key) {
-        return *hit;
+/// The memo entry of `run`, simulated with the paper's protocol (warm up
+/// two steps, measure two) on first use. Simulated runs at one processor
+/// are deterministic; at more, the first value stored is the one every
+/// later lookup sees.
+fn simulated(run: &Run) -> Simulated {
+    let key = key(run);
+    if let Some(hit) = RUNS.lock().get_or_insert_with(HashMap::new).get(&key) {
+        return hit.clone();
     }
-    let machine = Machine::new(cost.clone(), 1);
-    let cfg = paper_config(Algorithm::Partree);
-    let stats = run_simulation(&machine, &cfg, &workload(n));
+    let (cost, alg, n, procs) = run;
+    let machine = Machine::new(cost.clone(), *procs);
+    let stats = run_simulation(
+        &machine,
+        &SimConfig::new(*alg),
+        &Model::Plummer.generate(*n, WORKLOAD_SEED),
+    );
     stats.assert_valid();
-    let result = (stats.total_time(), stats.tree_time());
-    SEQ_CACHE
-        .lock()
+    let summed = |field: fn(&CtxStats) -> u64| {
+        stats
+            .procs_records
+            .iter()
+            .map(|r| field(&r.final_stats))
+            .sum()
+    };
+    let fresh = Simulated {
+        total_cycles: stats.total_time(),
+        tree_cycles: stats.tree_time(),
+        force_cycles: stats.force_time(),
+        tree_fraction: stats.tree_fraction(),
+        barrier_wait_cycles: stats.barrier_wait_total(),
+        locks_per_proc: stats.tree_locks_per_proc(),
+        page_faults: summed(|s| s.page_faults),
+        remote_misses: summed(|s| s.remote_misses),
+    };
+    RUNS.lock()
         .get_or_insert_with(HashMap::new)
-        .insert(key, result);
-    result
+        .entry(key)
+        .or_insert(fresh)
+        .clone()
 }
 
-/// Run one (platform, algorithm, n, procs) configuration with the paper's
-/// measurement protocol and compute speedups against the platform's
-/// sequential baseline.
-pub fn run_on_platform(cost: &CostModel, alg: Algorithm, n: usize, procs: usize) -> PlatformRun {
-    let machine = Machine::new(cost.clone(), procs);
-    let cfg = paper_config(alg);
-    let stats = run_simulation(&machine, &cfg, &workload(n));
-    stats.assert_valid();
+/// The run every speedup on a platform divides by: the application on a
+/// single simulated processor with the PARTREE algorithm, whose
+/// one-processor execution is a lock-free private build plus a handful of
+/// attach operations — i.e. the best sequential version (LOCAL on one
+/// processor would still pay per-insert lock instructions and, on SVM
+/// platforms, per-acquire protocol actions).
+pub fn baseline(cost: &CostModel, n: usize) -> Run {
+    (cost.clone(), Algorithm::Partree, n, 1)
+}
+
+/// Sequential (total, tree) cycles on a platform: the [`baseline`] run.
+pub fn seq_time_on_platform(cost: &CostModel, n: usize) -> (u64, u64) {
+    let seq = simulated(&baseline(cost, n));
+    (seq.total_cycles, seq.tree_cycles)
+}
+
+/// One (platform, algorithm, n, procs) configuration with the paper's
+/// measurement protocol, and its speedups against the platform's
+/// sequential baseline, both memoized within the process.
+pub fn run_cached(cost: &CostModel, alg: Algorithm, n: usize, procs: usize) -> PlatformRun {
+    let run = simulated(&(cost.clone(), alg, n, procs));
     let (seq_cycles, seq_tree_cycles) = seq_time_on_platform(cost, n);
-    let total_cycles = stats.total_time();
-    let tree_cycles = stats.tree_time();
-    let page_faults = stats
-        .procs_records
-        .iter()
-        .map(|r| r.final_stats.page_faults)
-        .sum();
-    let remote_misses = stats
-        .procs_records
-        .iter()
-        .map(|r| r.final_stats.remote_misses)
-        .sum();
     PlatformRun {
         platform: cost.name.clone(),
         algorithm: alg,
         n,
         procs,
-        total_cycles,
-        tree_cycles,
-        force_cycles: stats.force_time(),
+        total_cycles: run.total_cycles,
+        tree_cycles: run.tree_cycles,
+        force_cycles: run.force_cycles,
         seq_cycles,
         seq_tree_cycles,
-        speedup: seq_cycles as f64 / total_cycles.max(1) as f64,
-        tree_speedup: seq_tree_cycles as f64 / tree_cycles.max(1) as f64,
-        tree_fraction: stats.tree_fraction(),
-        seconds: cost.cycles_to_seconds(total_cycles),
-        barrier_wait_cycles: stats.barrier_wait_total(),
-        locks_per_proc: stats.tree_locks_per_proc(),
-        page_faults,
-        remote_misses,
+        speedup: seq_cycles as f64 / run.total_cycles.max(1) as f64,
+        tree_speedup: seq_tree_cycles as f64 / run.tree_cycles.max(1) as f64,
+        tree_fraction: run.tree_fraction,
+        seconds: cost.cycles_to_seconds(run.total_cycles),
+        barrier_wait_cycles: run.barrier_wait_cycles,
+        locks_per_proc: run.locks_per_proc,
+        page_faults: run.page_faults,
+        remote_misses: run.remote_misses,
     }
 }
 
-/// Memoized platform runs keyed by (platform, algorithm, n, procs). Many
-/// figures share configurations (e.g. Figures 8 and 9), and the sweep
-/// scheduler prewarms this cache so the serial table-generation pass that
-/// follows is pure lookup.
-type RunKey = (String, Algorithm, usize, usize);
-static RUN_CACHE: Mutex<Option<HashMap<RunKey, PlatformRun>>> = Mutex::new(None);
-
-/// [`run_on_platform`], memoized within the process. Simulated runs are
-/// deterministic, so concurrent computations of the same key (possible when
-/// the sweep scheduler races the serial path) insert identical values.
-pub fn run_cached(cost: &CostModel, alg: Algorithm, n: usize, procs: usize) -> PlatformRun {
-    let key = (cost.name.clone(), alg, n, procs);
-    if let Some(hit) = RUN_CACHE.lock().get_or_insert_with(HashMap::new).get(&key) {
-        return hit.clone();
-    }
-    let run = run_on_platform(cost, alg, n, procs);
-    RUN_CACHE
-        .lock()
-        .get_or_insert_with(HashMap::new)
-        .insert(key, run.clone());
-    run
+/// `runs` without repeats, in first-seen order.
+pub fn distinct(runs: impl IntoIterator<Item = Run>) -> Vec<Run> {
+    let mut seen = HashSet::new();
+    runs.into_iter().filter(|r| seen.insert(key(r))).collect()
 }
 
-/// Entries in the baseline and run caches: lets a test assert that a
-/// prewarmed render computes nothing.
+/// Simulate every distinct run of `runs` across `jobs` host threads and
+/// memoize it, returning how many there were. Threads claim runs longest
+/// first (force evaluation, ~n log n a step, dominates a run) from one
+/// shared counter. A run that panics stops its own thread only; once every
+/// thread has returned, the first panic is raised again, so a failure is
+/// never left for the serial render to recompute and hide.
+pub fn prewarm(runs: impl IntoIterator<Item = Run>, jobs: usize) -> usize {
+    let mut runs = distinct(runs);
+    runs.sort_by_key(|&(_, _, n, _)| Reverse(n as u64 * n.max(2).ilog2() as u64));
+    if runs.is_empty() {
+        return 0;
+    }
+    let env = NativeEnv::new(jobs.min(runs.len()));
+    let next = SharedAtomicVec::new(&env, 1, 0, Placement::Global);
+    spmd(&env, |_, ctx| {
+        while let Some(run) = runs.get(next.fetch_add(&env, ctx, 0, 1) as usize) {
+            simulated(run);
+        }
+    });
+    runs.len()
+}
+
+/// Entries in the memo: lets a test assert that a prewarmed render
+/// computes nothing.
 #[cfg(test)]
-pub(crate) fn cache_sizes() -> (usize, usize) {
-    (
-        SEQ_CACHE.lock().as_ref().map_or(0, HashMap::len),
-        RUN_CACHE.lock().as_ref().map_or(0, HashMap::len),
-    )
+pub(crate) fn memo_size() -> usize {
+    RUNS.lock().as_ref().map_or(0, HashMap::len)
 }
 
 #[cfg(test)]
@@ -229,10 +272,95 @@ mod tests {
     #[test]
     fn platform_run_produces_sane_metrics() {
         let cost = platform::challenge(4);
-        let run = run_on_platform(&cost, Algorithm::Space, 800, 4);
+        let run = run_cached(&cost, Algorithm::Space, 800, 4);
         assert!(run.speedup > 0.5, "speedup {}", run.speedup);
         assert!(run.tree_fraction > 0.0 && run.tree_fraction < 1.0);
         assert_eq!(run.locks_per_proc.len(), 4);
         assert!(run.seconds > 0.0);
+    }
+
+    #[test]
+    fn the_baseline_is_the_partree_one_processor_run() {
+        // A size no other test simulates, so the prewarm fills the entries
+        // rather than finding them.
+        let (cost, n) = (platform::typhoon0_sc(2), 256);
+        let runs = [1, 2].map(|p| (cost.clone(), Algorithm::Partree, n, p));
+        assert_eq!(prewarm(runs, 2), 2);
+        let prewarmed = run_cached(&cost, Algorithm::Partree, n, 1);
+        assert_eq!(
+            seq_time_on_platform(&cost, n),
+            (prewarmed.total_cycles, prewarmed.tree_cycles)
+        );
+        assert_eq!((prewarmed.speedup, prewarmed.tree_speedup), (1.0, 1.0));
+        assert_eq!(
+            run_cached(&cost, Algorithm::Partree, n, 2).seq_cycles,
+            prewarmed.total_cycles
+        );
+        // The memo knows platforms by name, so a renamed copy of the model
+        // has no entries: its lookup simulates on demand.
+        let mut renamed = cost.clone();
+        renamed.name.push_str(" on demand");
+        let on_demand = run_cached(&renamed, Algorithm::Partree, n, 1);
+        let on_demand = PlatformRun {
+            platform: cost.name.clone(),
+            ..on_demand
+        };
+        assert_eq!(on_demand, prewarmed);
+    }
+
+    #[test]
+    fn jobs_are_deduplicated() {
+        let cost = platform::challenge(4);
+        let run = |alg, procs| (cost.clone(), alg, 512, procs);
+        let runs = distinct([
+            baseline(&cost, 512),
+            run(Algorithm::Space, 4),
+            run(Algorithm::Space, 4),
+            // The same platform built for another processor count.
+            (platform::challenge(16), Algorithm::Space, 512, 4),
+            run(Algorithm::Partree, 4),
+            run(Algorithm::Partree, 1),
+        ]);
+        // The baseline, SPACE and PARTREE at 4: PARTREE at 1 is the baseline.
+        assert_eq!(runs.len(), 3);
+        assert_eq!(prewarm([], 2), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated processors supported")]
+    fn a_panicking_job_fails_the_sweep() {
+        let cost = platform::challenge(2);
+        // 65 processors is outside what `Machine::new` accepts.
+        prewarm(
+            [
+                baseline(&cost, 192),
+                (cost.clone(), Algorithm::Space, 64, 65),
+            ],
+            2,
+        );
+    }
+
+    #[test]
+    fn concurrent_sweep_prewarms_deterministic_baselines() {
+        // Prewarm a tiny slice of the matrix on 2 threads, then verify a
+        // cached single-processor baseline (which is bitwise deterministic)
+        // equals a direct recomputation.
+        let cost = platform::challenge(2);
+        let mut runs = vec![baseline(&cost, 320)];
+        for alg in [Algorithm::Partree, Algorithm::Space] {
+            runs.extend([baseline(&cost, 256), (cost.clone(), alg, 256, 2)]);
+        }
+        // 2 distinct baselines + 2 parallel runs (the shared 256 baseline
+        // dedups).
+        assert_eq!(prewarm(runs, 2), 4);
+        let (total, tree) = seq_time_on_platform(&cost, 256);
+        let machine = Machine::new(cost.clone(), 1);
+        let bodies = Model::Plummer.generate(256, WORKLOAD_SEED);
+        let direct = run_simulation(&machine, &SimConfig::new(Algorithm::Partree), &bodies);
+        assert_eq!(total, direct.total_time());
+        assert_eq!(tree, direct.tree_time());
+        // The parallel runs landed in the memo too.
+        let hit = run_cached(&cost, Algorithm::Space, 256, 2);
+        assert_eq!(hit.seq_cycles, total);
     }
 }

@@ -146,8 +146,8 @@ impl JobSpec {
     }
 
     /// Rough relative cost for deficit round-robin accounting: the dominant
-    /// force-evaluation term, `steps * n log n` (same model as the sweep
-    /// scheduler's longest-job-first weight).
+    /// force-evaluation term, `steps * n log n` (the model `repro`'s `--jobs`
+    /// prewarm also orders its runs by).
     pub fn cost(&self) -> u64 {
         let n = self.n as u64;
         (self.warmup + self.steps) as u64 * n * n.max(2).ilog2() as u64

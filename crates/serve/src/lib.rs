@@ -20,9 +20,9 @@
 //!   the protocol tests).
 //!
 //! Layering: `bh-serve` sits between `bh-core`/`ssmp` and
-//! `bh-experiments`; the experiment sweep scheduler is itself a client of
-//! [`server::Server`] (in-process, no sockets), so batch and service
-//! traffic share one admission/fairness/execution path.
+//! `bh-experiments`, which uses its [`json`] reader. [`server::Server`]
+//! serves simulation jobs only, to the socket [`transport`], `bhbench` and
+//! tests; `repro`'s batch prewarm runs on its own threads.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![forbid(unsafe_code)]

@@ -3,9 +3,9 @@
 //! Layering (top to bottom):
 //!
 //! ```text
-//!   transport (sockets)      sweep scheduler / tests (in-process)
-//!            \                      /
-//!             Server::submit{,_task}
+//!   transport (sockets)      tests (in-process)
+//!            \                  /
+//!             Server::submit
 //!                      |
 //!          AdmissionQueue (bounded, DRR-fair)     <- one mutex
 //!                      |
@@ -95,14 +95,11 @@ pub enum JobResult {
 }
 
 type DoneFn = Box<dyn FnOnce(JobResult) + Send + 'static>;
-type TaskFn = Box<dyn FnOnce() + Send + 'static>;
 
-enum Work {
-    /// A simulation job: checkout/park engines around `run_job`.
-    Job { spec: Box<JobSpec>, on_done: DoneFn },
-    /// An arbitrary closure (the sweep scheduler's jobs carry their own
-    /// engines/memoization; they only want the queue + worker fabric).
-    Task(TaskFn),
+/// An admitted simulation job: its spec, and who hears how it ended.
+struct Work {
+    spec: Box<JobSpec>,
+    on_done: DoneFn,
 }
 
 struct Inner {
@@ -113,8 +110,6 @@ struct Inner {
     in_flight: usize,
     /// Running sum/samples for queue-depth percentiles.
     depth_samples: Vec<usize>,
-    /// Messages of the batch tasks that panicked, in completion order.
-    task_panics: Vec<String>,
 }
 
 struct Shared {
@@ -161,7 +156,6 @@ impl Server {
                 draining: false,
                 in_flight: 0,
                 depth_samples: Vec::new(),
-                task_panics: Vec::new(),
             }),
             work_ready: Condvar::new(),
             idle: Condvar::new(),
@@ -189,27 +183,10 @@ impl Server {
             return Err(SubmitError::Invalid(msg));
         }
         let cost = spec.cost();
-        self.admit(
-            tenant,
-            cost,
-            Work::Job {
-                spec: Box::new(spec),
-                on_done,
-            },
-        )
-    }
-
-    /// Submit an opaque task (the batch path). Cost feeds DRR fairness.
-    pub fn submit_task<F: FnOnce() + Send + 'static>(
-        &self,
-        tenant: &str,
-        cost: u64,
-        task: F,
-    ) -> Result<(), SubmitError> {
-        self.admit(tenant, cost, Work::Task(Box::new(task)))
-    }
-
-    fn admit(&self, tenant: &str, cost: u64, work: Work) -> Result<(), SubmitError> {
+        let work = Work {
+            spec: Box::new(spec),
+            on_done,
+        };
         let mut inner = self.shared.inner.lock().unwrap();
         if inner.draining {
             return Err(SubmitError::ShuttingDown);
@@ -233,13 +210,6 @@ impl Server {
         while inner.in_flight > 0 {
             inner = self.shared.idle.wait(inner).unwrap();
         }
-    }
-
-    /// The panic messages of the batch tasks (see [`Server::submit_task`])
-    /// that died since the last call. A task has nobody to report to, so
-    /// its submitter asks here once the server is idle.
-    pub fn take_task_panics(&self) -> Vec<String> {
-        std::mem::take(&mut self.shared.inner.lock().unwrap().task_panics)
     }
 
     /// Snapshot of counters and queue state.
@@ -303,47 +273,35 @@ fn worker_loop(shared: &Shared) {
                 inner = shared.work_ready.wait(inner).unwrap();
             }
         };
-        match work {
-            Work::Task(task) => {
-                // A panicking batch task must not kill the executor; its
-                // message is kept for `take_task_panics`.
-                if let Err(panic) = std::panic::catch_unwind(AssertUnwindSafe(task)) {
-                    let mut inner = shared.inner.lock().unwrap();
-                    inner.task_panics.push(panic_message(panic));
-                }
+        let Work { spec, on_done } = work;
+        let shape = spec.shape();
+        let (cached, fresh_needed) = {
+            let mut inner = shared.inner.lock().unwrap();
+            match inner.cache.checkout(&shape) {
+                Some(e) => (Some(e), false),
+                None => (None, true),
             }
-            Work::Job { spec, on_done } => {
-                let shape = spec.shape();
-                let (cached, fresh_needed) = {
-                    let mut inner = shared.inner.lock().unwrap();
-                    match inner.cache.checkout(&shape) {
-                        Some(e) => (Some(e), false),
-                        None => (None, true),
-                    }
-                };
-                let cache_hit = !fresh_needed;
-                // Engine construction and the run itself happen unlocked.
-                let mut engine = cached.unwrap_or_else(|| AnyEngine::fresh(&shape));
-                let result =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| run_job(&mut engine, &spec)));
-                let result = match result {
-                    Ok(mut outcome) => {
-                        outcome.cache_hit = cache_hit;
-                        // Only a healthy engine goes back in the cache.
-                        shared.inner.lock().unwrap().cache.park(shape, engine);
-                        shared.served_total.fetch_add(1, Ordering::Relaxed);
-                        JobResult::Done(outcome)
-                    }
-                    Err(panic) => {
-                        drop(engine); // poisoned pool: discard, never park
-                        JobResult::Failed(panic_message(panic))
-                    }
-                };
-                // The callback is client code; its panics must not kill the
-                // worker either.
-                let _ = std::panic::catch_unwind(AssertUnwindSafe(move || on_done(result)));
+        };
+        let cache_hit = !fresh_needed;
+        // Engine construction and the run itself happen unlocked.
+        let mut engine = cached.unwrap_or_else(|| AnyEngine::fresh(&shape));
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| run_job(&mut engine, &spec)));
+        let result = match result {
+            Ok(mut outcome) => {
+                outcome.cache_hit = cache_hit;
+                // Only a healthy engine goes back in the cache.
+                shared.inner.lock().unwrap().cache.park(shape, engine);
+                shared.served_total.fetch_add(1, Ordering::Relaxed);
+                JobResult::Done(outcome)
             }
-        }
+            Err(panic) => {
+                drop(engine); // poisoned pool: discard, never park
+                JobResult::Failed(panic_message(panic))
+            }
+        };
+        // The callback is client code; its panics must not kill the
+        // worker either.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(move || on_done(result)));
         let mut inner = shared.inner.lock().unwrap();
         inner.in_flight -= 1;
         if inner.in_flight == 0 {
@@ -440,32 +398,30 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_queue_full() {
-        // One worker wedged on a slow task keeps the queue occupied.
+        // One worker wedged in a job's callback keeps the queue occupied.
         let server = Server::start(ServerConfig {
             workers: 1,
             queue_capacity: 2,
             ..Default::default()
         });
         let (block_tx, block_rx) = mpsc::channel::<()>();
-        server
-            .submit_task("t", 1, move || {
-                let _ = block_rx.recv();
-            })
-            .unwrap();
-        // Wait until the blocker is running (queue drained to 0).
-        while server.stats().queue_depth > 0 {
-            std::thread::yield_now();
-        }
-        server.submit_task("t", 1, || {}).unwrap();
-        server.submit_task("t", 1, || {}).unwrap();
-        let err = server.submit_task("t", 1, || {}).unwrap_err();
-        assert_eq!(err, SubmitError::QueueFull);
+        let (running_tx, running_rx) = mpsc::channel::<()>();
+        let wedge = move |_| {
+            running_tx.send(()).unwrap();
+            let _ = block_rx.recv();
+        };
+        server.submit("t", tiny_spec(32), Box::new(wedge)).unwrap();
+        running_rx.recv().unwrap();
+        let submit = || server.submit("t", tiny_spec(32), Box::new(|_| {}));
+        submit().unwrap();
+        submit().unwrap();
+        assert_eq!(submit().unwrap_err(), SubmitError::QueueFull);
         let stats = server.stats();
         assert_eq!(stats.rejected_full, 1);
         assert_eq!(stats.depth_hwm, 2);
         block_tx.send(()).unwrap();
         server.wait_idle();
-        server.shutdown();
+        assert_eq!(server.shutdown().served_total, 3);
     }
 
     #[test]
@@ -475,19 +431,19 @@ mod tests {
             ..Default::default()
         });
         let (tx, rx) = mpsc::channel();
-        server.submit_task("t", 1, || panic!("boom")).unwrap();
-        let tx2 = tx.clone();
         server
-            .submit("t", tiny_spec(64), Box::new(move |r| tx2.send(r).unwrap()))
+            .submit("t", tiny_spec(64), Box::new(|_| panic!("boom")))
+            .unwrap();
+        server
+            .submit("t", tiny_spec(64), Box::new(move |r| tx.send(r).unwrap()))
             .unwrap();
         match rx.recv().unwrap() {
             JobResult::Done(o) => assert!(o.digest != 0),
             JobResult::Failed(m) => panic!("follow-up job failed: {m}"),
         }
-        assert_eq!(server.take_task_panics(), ["boom"]);
-        assert!(server.take_task_panics().is_empty());
+        // Both jobs ran; the first one's callback panicked after it.
         let stats = server.shutdown();
-        assert_eq!(stats.served_total, 1);
+        assert_eq!(stats.served_total, 2);
     }
 
     #[test]

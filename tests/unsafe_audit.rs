@@ -19,8 +19,8 @@
 //! `std::sync` / `std::thread` directly — all synchronization and shared
 //! memory must flow through the [`Env`] trait, or `SchedEnv`'s schedule
 //! exploration and `CheckedEnv`'s race detection silently lose sight of it.
-//! Only the modules that *implement* that layer (and the host-side batch
-//! scheduler) are whitelisted; `#[cfg(test)]` modules are exempt because
+//! Only the modules that *implement* that layer (and the serve layer's
+//! thread-owning edges) are whitelisted; `#[cfg(test)]` modules are exempt because
 //! unit tests drive the layer from outside it.
 //!
 //! A third keeps every setting on the command line: nothing under `crates/`
@@ -39,8 +39,8 @@ const WHITELIST: &[&str] = &[
 ];
 
 /// Modules allowed to use `std::sync` / `std::thread` directly: the layer
-/// that implements the `Env` abstraction (plus the host-side experiment
-/// scheduler, which manages OS processes rather than simulated procs).
+/// that implements the `Env` abstraction (plus the serve layer's
+/// thread-owning edges, which manage OS threads rather than simulated procs).
 /// Everything else must synchronize through `Env`, where the schedule
 /// explorer and race checker can see it.
 const SYNC_WHITELIST: &[&str] = &[
