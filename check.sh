@@ -7,9 +7,17 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== doc drift (every pub mod of bh-core is in DESIGN.md's module table) =="
-for m in $(sed -n 's/^pub mod \([a-z_]*\);$/\1/p' crates/core/src/lib.rs); do
-    grep -q "^| \`$m[\`:]" DESIGN.md || { echo "DESIGN.md section 2 does not list bh-core module $m"; exit 1; }
+echo "== doc drift (every pub mod of bh-core, ssmp and bh-serve is in its DESIGN.md module table) =="
+# Each crate is held to its own table: the rows between its "### crates/<dir>"
+# heading in section 2 and the first line after them that is not a table row.
+for krate in core:bh-core ssmp:ssmp serve:bh-serve; do
+    dir="${krate%%:*}"
+    table="$(awk -v h="### crates/$dir " 'index($0, h) == 1 { f = 1; next }
+        f && /^\|/ { print; t = 1; next } t { exit }' DESIGN.md)"
+    for m in $(sed -n 's/^pub mod \([a-z_]*\);$/\1/p' "crates/$dir/src/lib.rs"); do
+        grep -q "^| \`$m[\`:]" <<<"$table" || {
+            echo "DESIGN.md section 2 does not list ${krate#*:} module $m"; exit 1; }
+    done
 done
 
 echo "== cargo clippy (deny warnings) =="

@@ -52,14 +52,16 @@
 //! is the root; a range splits into the eight sub-ranges sharing the next
 //! 3-bit digit while it holds more than `k` bodies, bottoming out in a
 //! leaf (or, past the 21-level key resolution, an oversized leaf of
-//! key-identical bodies). Emission mirrors the flatten protocol of
-//! [`crate::tree::flat`]: an identical plan on every processor expands
-//! heavy ranges (by binary search over the shared sorted keys, never below
-//! the sorted resolution) into a *spine* and assigns the frontier subtree
-//! ranges greedy-LPT. Each owner then copies its ranges' (key, id) pairs
-//! into private memory **once**, finishes the sort exactly on the full
-//! 63-bit keys, derives and counts the subtree privately, publishes
-//! per-entry totals, and — after a prefix sum of segment bases — emits its
+//! key-identical bodies). It is the tree the linked builders produce,
+//! described as leaf ranges of a sorted array, so emission follows the same
+//! top-of-tree [`Plan`] as the flatten pass ([`crate::tree::plan`]). This
+//! module is the plan's *sorted-key* source: a node is a key range, its
+//! children are found by binary search over the shared sorted keys, and a
+//! range may split only down to [`MAX_PLAN_SPLIT_DEPTH`], the sorted
+//! resolution. Each owner then copies its ranges' (key, id) pairs into
+//! private memory **once**, finishes the sort exactly on the full 63-bit
+//! keys, derives and counts the subtree privately, publishes per-entry
+//! totals, and — after the plan's prefix sum of segment bases — emits its
 //! subtrees into disjoint output segments; the root always lands at flat
 //! index 0. Within a leaf, bodies are stored in ascending id order, which
 //! makes the emitted tree — and therefore the forces — bitwise identical
@@ -70,6 +72,7 @@ use crate::math::morton::{key_in_cube, MORTON_BITS};
 use crate::math::{Cube, Vec3};
 use crate::shared::SharedVec;
 use crate::tree::flat::{FlatNode, FlatTree, LEAF_TAG};
+use crate::tree::plan::{Cursors, Plan, PlanSource, SpineKid, PLAN_CAP};
 use crate::world::World;
 
 /// Radix of one sort pass.
@@ -90,10 +93,6 @@ pub const SORT_LOW_BIT: u32 = 64 - SORT_BITS;
 /// iff `d <= MAX_PLAN_SPLIT_DEPTH`. Emission owners resolve deeper
 /// structure privately on the full keys.
 const MAX_PLAN_SPLIT_DEPTH: u32 = (3 * (MORTON_BITS - 1) - SORT_LOW_BIT) / 3;
-
-/// Hard cap on emission-plan size (spine cells + frontier entries); same
-/// role as the flatten plan's cap.
-const PLAN_CAP: usize = 4096;
 
 /// Rough instruction cost of computing one Morton key (3 quantizations +
 /// 3 bit spreads).
@@ -315,7 +314,7 @@ pub fn sort_keys<E: Env>(
 /// One range of the sorted key array: a subtree root at `depth` covering
 /// sorted positions `[lo, hi)` inside `cube`.
 #[derive(Debug, Clone, Copy)]
-struct Range {
+pub struct Range {
     lo: u32,
     hi: u32,
     depth: u32,
@@ -329,33 +328,10 @@ impl Range {
     }
 }
 
-/// A child of a spine cell in the emission plan.
-#[derive(Debug, Clone, Copy)]
-enum SpineKid {
-    /// Another spine cell, by pre-order index (== its flat node index).
-    Spine(u32),
-    /// A frontier entry, by entry index.
-    Sub(u32),
-}
-
-/// The deterministic emission plan; identical on every processor (all
-/// inputs are the post-barrier sorted keys).
-pub struct MortonPlan {
-    /// Frontier subtree ranges in discovery (pre-order) order.
-    subs: Vec<Range>,
-    /// Upper-tree cells in pre-order; `spine[0]` is the root (empty when
-    /// the root itself is the only frontier entry).
-    spine: Vec<(Range, Vec<SpineKid>)>,
-    spine_kids_total: usize,
-    owner: Vec<u8>,
-}
-
-impl MortonPlan {
-    /// Number of frontier entries.
-    pub fn entries(&self) -> usize {
-        self.subs.len()
-    }
-}
+/// The emission plan: the top-of-tree [`Plan`] over sorted-key ranges;
+/// identical on every processor (all inputs are the post-barrier sorted
+/// keys).
+pub type MortonPlan = Plan<Range>;
 
 /// First sorted index in `[lo, hi)` whose key is `>= bound` (binary search
 /// over timed loads). Only valid for bounds whose distinguishing bits are
@@ -383,12 +359,7 @@ fn lower_bound<E: Env>(
 /// The eight octant sub-ranges of `r`, in octant order, empty ones
 /// skipped. `r.depth` must be at most [`MAX_PLAN_SPLIT_DEPTH`] — the
 /// partial sort resolves no deeper.
-fn split<E: Env>(
-    env: &E,
-    ctx: &mut E::Ctx,
-    keys: &SharedVec<u64>,
-    r: &Range,
-) -> Vec<(usize, Range)> {
+fn split<E: Env>(env: &E, ctx: &mut E::Ctx, keys: &SharedVec<u64>, r: &Range) -> Vec<Range> {
     debug_assert!(r.depth <= MAX_PLAN_SPLIT_DEPTH);
     let shift = 3 * (MORTON_BITS - 1 - r.depth);
     // The common key prefix of the range, low (unconsumed) bits cleared.
@@ -404,19 +375,48 @@ fn split<E: Env>(
             lower_bound(env, ctx, keys, start, r.hi as usize, bound)
         };
         if end > start {
-            out.push((
-                oct,
-                Range {
-                    lo: start as u32,
-                    hi: end as u32,
-                    depth: r.depth + 1,
-                    cube: r.cube.octant(oct),
-                },
-            ));
+            out.push(Range {
+                lo: start as u32,
+                hi: end as u32,
+                depth: r.depth + 1,
+                cube: r.cube.octant(oct),
+            });
         }
         start = end;
     }
     out
+}
+
+/// The shared sorted key array as a [`PlanSource`].
+struct SortedKeys<'a> {
+    keys: &'a SharedVec<u64>,
+    n: usize,
+    cube: Cube,
+}
+
+impl PlanSource for SortedKeys<'_> {
+    type Node = Range;
+    type Kids = Vec<Range>;
+
+    fn root<E: Env>(&self, _env: &E, _ctx: &mut E::Ctx) -> (Range, u32) {
+        let root = Range {
+            lo: 0,
+            hi: self.n as u32,
+            depth: 0,
+            cube: self.cube,
+        };
+        (root, self.n as u32)
+    }
+
+    fn children<E: Env>(&self, env: &E, ctx: &mut E::Ctx, r: &Range) -> Vec<Range> {
+        split(env, ctx, self.keys, r)
+    }
+
+    /// Every sub-range is nonempty; it may split while the sorted bits
+    /// resolve its children.
+    fn classify<E: Env>(&self, _env: &E, _ctx: &mut E::Ctx, r: &Range) -> Option<(u32, bool)> {
+        Some((r.hi - r.lo, r.depth <= MAX_PLAN_SPLIT_DEPTH))
+    }
 }
 
 /// Phase 1 of the emission: compute the deterministic plan. Identical on
@@ -429,78 +429,8 @@ pub fn plan<E: Env>(
     k: usize,
     cube: Cube,
 ) -> MortonPlan {
-    let p = env.num_procs();
-    // Same granularity target as the flatten plan: a handful of subtrees
-    // per processor.
-    let limit = (n / (8 * p)).max(k).max(1);
-    let root = Range {
-        lo: 0,
-        hi: n as u32,
-        depth: 0,
-        cube,
-    };
-    let mut plan = MortonPlan {
-        subs: Vec::new(),
-        spine: Vec::new(),
-        spine_kids_total: 0,
-        owner: Vec::new(),
-    };
-    if root.count() > limit && root.depth <= MAX_PLAN_SPLIT_DEPTH {
-        expand(env, ctx, scratch.sorted().0, limit, &mut plan, root);
-    } else {
-        plan.subs.push(root);
-    }
-    plan.spine_kids_total = plan.spine.iter().map(|(_, kids)| kids.len()).sum();
-    assert!(
-        plan.subs.len() <= PLAN_CAP,
-        "morton emission plan overflow ({} entries)",
-        plan.subs.len()
-    );
-
-    // Greedy LPT by body count, deterministic tie-breaking (the flatten
-    // plan's scheme).
-    let mut by_weight: Vec<(u32, u32)> = plan
-        .subs
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r.hi - r.lo, i as u32))
-        .collect();
-    by_weight.sort_unstable_by(|a, b| b.cmp(a));
-    let mut load = vec![0u64; p];
-    plan.owner = vec![0u8; plan.subs.len()];
-    for &(w, i) in &by_weight {
-        let q = (0..p).min_by_key(|&q| (load[q], q)).unwrap();
-        load[q] += w as u64;
-        plan.owner[i as usize] = q as u8;
-        env.compute(ctx, 8);
-    }
-    plan
-}
-
-/// Expand the spine: `r` splits and is heavier than `limit`; record it as
-/// a spine cell and classify its children. Returns the cell's spine index.
-fn expand<E: Env>(
-    env: &E,
-    ctx: &mut E::Ctx,
-    keys: &SharedVec<u64>,
-    limit: usize,
-    plan: &mut MortonPlan,
-    r: Range,
-) -> u32 {
-    let j = plan.spine.len() as u32;
-    plan.spine.push((r, Vec::new()));
-    for (_, child) in split(env, ctx, keys, &r) {
-        let room = plan.spine.len() + plan.subs.len() + 16 <= PLAN_CAP;
-        let kid = if child.count() > limit && child.depth <= MAX_PLAN_SPLIT_DEPTH && room {
-            SpineKid::Spine(expand(env, ctx, keys, limit, plan, child))
-        } else {
-            let i = plan.subs.len() as u32;
-            plan.subs.push(child);
-            SpineKid::Sub(i)
-        };
-        plan.spine[j as usize].1.push(kid);
-    }
-    j
+    let keys = scratch.sorted().0;
+    Plan::build(env, ctx, &SortedKeys { keys, n, cube }, k)
 }
 
 // ---------------------------------------------------------------------------
@@ -581,10 +511,7 @@ pub fn publish_counts<E: Env>(
 ) -> OwnedEntries {
     let (keys, ids) = scratch.sorted();
     let mut entries = Vec::new();
-    for (i, r) in plan.subs.iter().enumerate() {
-        if plan.owner[i] as usize != proc {
-            continue;
-        }
+    for (i, r) in plan.owned(proc) {
         let mut pairs = Vec::with_capacity(r.count());
         for j in r.lo..r.hi {
             let j = j as usize;
@@ -602,13 +529,6 @@ pub fn publish_counts<E: Env>(
         entries.push(OwnedEntry { idx: i, pairs });
     }
     OwnedEntries { entries }
-}
-
-/// Running output cursors for one processor's segment.
-struct Cursors {
-    node: u32,
-    kid: u32,
-    body: u32,
 }
 
 /// Emit one privately-derived subtree in pre-order, children in octant
@@ -727,54 +647,36 @@ pub fn fill<E: Env>(
     for e in &owned.entries {
         let i = e.idx;
         let r = &plan.subs[i];
-        let (bn, bk, bb) = bases[i];
-        let mut cur = Cursors {
-            node: bn,
-            kid: bk,
-            body: bb,
-        };
+        let mut cur = bases[i];
         let (at, mass, com) = emit_pairs(
             env, ctx, flat, world, &e.pairs, r.depth, r.cube, k, &mut cur,
         );
-        debug_assert_eq!(at, bn);
+        debug_assert_eq!(at, bases[i].node);
         scratch.ent_mass.store(env, ctx, 4 * i, mass);
         scratch.ent_mass.store(env, ctx, 4 * i + 1, com.x);
         scratch.ent_mass.store(env, ctx, 4 * i + 2, com.y);
         scratch.ent_mass.store(env, ctx, 4 * i + 3, com.z);
     }
-    bases
-        .last()
-        .map(|&(bn, _, _)| bn)
-        .unwrap_or(plan.spine.len() as u32)
+    bases[plan.subs.len()].node
 }
 
-/// Segment bases of every frontier entry plus a final (total nodes, total
-/// kid slots, total bodies) sentinel; spine first, so the root is flat
-/// index 0. Identical on every processor. Asserts snapshot capacity.
-fn segment_bases<E: Env>(
+/// The plan's segment bases from the published per-entry counts (an
+/// entry's body count is its range length).
+pub(crate) fn segment_bases<E: Env>(
     env: &E,
     ctx: &mut E::Ctx,
     flat: &FlatTree,
     scratch: &MortonScratch,
     plan: &MortonPlan,
-) -> Vec<(u32, u32, u32)> {
-    let ns = plan.subs.len();
-    let mut bases = Vec::with_capacity(ns + 1);
-    let mut nn = plan.spine.len() as u32;
-    let mut nk = plan.spine_kids_total as u32;
-    let mut nb = 0u32;
-    for (i, r) in plan.subs.iter().enumerate() {
-        bases.push((nn, nk, nb));
-        nn += scratch.ent_counts.load(env, ctx, 2 * i);
-        nk += scratch.ent_counts.load(env, ctx, 2 * i + 1);
-        nb += r.hi - r.lo;
-    }
-    bases.push((nn, nk, nb));
-    assert!(
-        (nn as usize) <= flat.node_capacity() && (nk as usize) <= flat.kid_capacity(),
-        "flat snapshot capacity exceeded ({nn} nodes, {nk} kid slots)"
-    );
-    bases
+) -> Vec<Cursors> {
+    plan.segment_bases(flat, |i| {
+        let r = &plan.subs[i];
+        (
+            scratch.ent_counts.load(env, ctx, 2 * i),
+            scratch.ent_counts.load(env, ctx, 2 * i + 1),
+            r.hi - r.lo,
+        )
+    })
 }
 
 /// Phase 4 (processor 0, after the post-`fill` barrier): emit the spine
@@ -806,12 +708,9 @@ pub fn fill_spine<E: Env>(
         let (r, kids) = &plan.spine[j];
         let mut mass = 0.0;
         let mut weighted = Vec3::ZERO;
-        for (off, kid) in kids.iter().enumerate() {
-            let (idx, m, com) = match *kid {
-                SpineKid::Spine(j2) => {
-                    let (m, com) = agg[j2 as usize];
-                    (j2, m, com)
-                }
+        for (off, &kid) in kids.iter().enumerate() {
+            let (m, com) = match kid {
+                SpineKid::Spine(j2) => agg[j2 as usize],
                 SpineKid::Sub(i) => {
                     let i = i as usize;
                     let m = scratch.ent_mass.load(env, ctx, 4 * i);
@@ -820,9 +719,10 @@ pub fn fill_spine<E: Env>(
                         scratch.ent_mass.load(env, ctx, 4 * i + 2),
                         scratch.ent_mass.load(env, ctx, 4 * i + 3),
                     );
-                    (bases[i].0, m, com)
+                    (m, com)
                 }
             };
+            let idx = kid.flat_index(&bases);
             flat.put_kid(env, ctx, (firsts[j] + off as u32) as usize, idx);
             mass += m;
             weighted += com * m;
@@ -995,17 +895,23 @@ mod tests {
         };
         let (keys, _) = scratch.sorted();
         let parts = split(&env, &mut ctx, keys, &root);
-        // The sub-ranges tile [0, n) in order and agree with each key's
-        // top digit.
+        // The sub-ranges tile [0, n) in order; each holds exactly the keys
+        // of one top digit, in ascending digit order, and its cube is that
+        // octant of the root's.
         let mut at = 0u32;
-        for (oct, r) in &parts {
+        let mut octs = Vec::new();
+        for r in &parts {
             assert_eq!(r.lo, at);
+            let oct = (keys.peek(r.lo as usize) >> (3 * (MORTON_BITS - 1))) as usize;
             for i in r.lo..r.hi {
                 let k = keys.peek(i as usize);
-                assert_eq!((k >> (3 * (MORTON_BITS - 1))) as usize, *oct);
+                assert_eq!((k >> (3 * (MORTON_BITS - 1))) as usize, oct);
             }
+            assert_eq!(r.cube, cube.octant(oct));
+            octs.push(oct);
             at = r.hi;
         }
+        assert!(octs.windows(2).all(|w| w[0] < w[1]), "{octs:?}");
         assert_eq!(at, bodies.len() as u32);
     }
 

@@ -15,6 +15,7 @@
 use crate::algorithms::common::{self, create_root, insert_private, new_cell};
 use crate::env::Env;
 use crate::math::Cube;
+use crate::tree::plan::lpt_owners;
 use crate::tree::types::{NodeRef, SharedTree};
 use crate::world::{World, FRONTIER_CAP, SUBSPACE_BIT, SUBSPACE_CAP};
 
@@ -174,22 +175,13 @@ pub fn build<E: Env>(
     // ---- Phase 2: cost-weighted subspace assignment (computed identically
     // everywhere, from the private subspace count).
     let nsub = nsub as usize;
-    let mut subs: Vec<(u64, u32)> = (0..nsub)
-        .map(|id| (world.sp_subspaces.load(env, ctx, id).cost, id as u32))
+    let costs: Vec<u64> = (0..nsub)
+        .map(|id| world.sp_subspaces.load(env, ctx, id).cost)
         .collect();
     // Greedy longest-processing-time on last step's interaction costs (the
-    // same signal costzones balances on): costliest subspaces first, each
-    // to the least-loaded processor; deterministic tie-breaking.
-    subs.sort_unstable_by(|a, b| b.cmp(a));
-    let mut load = vec![0u64; p];
-    let mut owner = vec![0u8; nsub];
-    #[allow(clippy::needless_range_loop)]
-    for &(cost, id) in &subs {
-        let q = (0..p).min_by_key(|&q| (load[q], q)).unwrap();
-        load[q] += cost;
-        owner[id as usize] = q as u8;
-        env.compute(ctx, 8);
-    }
+    // same signal costzones balances on), as the top-of-tree plan assigns
+    // its frontier.
+    let owner = lpt_owners(env, ctx, &costs);
 
     // ---- Phase 3: bucket my bodies by final subspace.
     let mut hist = vec![0u32; nsub + 1];

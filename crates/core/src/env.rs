@@ -578,7 +578,6 @@ pub struct NativeEnv {
 
 /// Per-processor context of [`NativeEnv`].
 pub struct NativeCtx {
-    proc: usize,
     lock_acquires: u64,
     lock_wait_ns: u64,
     barrier_wait_ns: u64,
@@ -596,11 +595,6 @@ impl NativeEnv {
             next_addr: AtomicU64::new(0x1000),
         }
     }
-
-    /// The processor id a context was created for.
-    pub fn proc_of(ctx: &NativeCtx) -> usize {
-        ctx.proc
-    }
 }
 
 impl Env for NativeEnv {
@@ -613,7 +607,6 @@ impl Env for NativeEnv {
     fn make_ctx(&self, proc: usize) -> NativeCtx {
         assert!(proc < self.procs);
         NativeCtx {
-            proc,
             lock_acquires: 0,
             lock_wait_ns: 0,
             barrier_wait_ns: 0,

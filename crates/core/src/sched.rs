@@ -241,18 +241,15 @@ pub struct SchedConfig {
     /// livelock net (a plain-read spin never yields, but every atomic-load
     /// spin does, and so does every productive loop).
     pub op_budget: u64,
-    /// How many trailing trace events to keep for counterexample reports.
-    pub trace_cap: usize,
-    /// Maintain sleep sets and prune redundant branches (replay mode).
-    pub sleep_sets: bool,
 }
+
+/// How many trailing trace events a run keeps for counterexample reports.
+const TRACE_CAP: usize = 96;
 
 impl Default for SchedConfig {
     fn default() -> SchedConfig {
         SchedConfig {
             op_budget: 5_000_000,
-            trace_cap: 96,
-            sleep_sets: false,
         }
     }
 }
@@ -382,7 +379,6 @@ struct SchedState {
     preemptions: u32,
     replay_diverged: bool,
     trace: VecDeque<TraceEvent>,
-    trace_cap: usize,
     ops: u64,
     op_budget: u64,
     /// (held, acquired) -> grant count.
@@ -396,7 +392,7 @@ impl SchedState {
     fn push_trace(&mut self, proc: usize, op: SyncOp) {
         self.ops += 1;
         let seq = self.ops;
-        if self.trace.len() == self.trace_cap {
+        if self.trace.len() == TRACE_CAP {
             self.trace.pop_front();
         }
         self.trace.push_back(TraceEvent { seq, proc, op });
@@ -475,6 +471,9 @@ impl<E: Env> SchedEnv<E> {
     /// Wrap `inner` with explicit tuning knobs.
     pub fn with_config(inner: E, strategy: SchedStrategy, cfg: &SchedConfig) -> SchedEnv<E> {
         let procs = inner.num_procs();
+        // Sleep sets prune the exhaustive explorer's replayed branches, the
+        // only schedules a `Replay` script drives.
+        let sleep_sets = matches!(strategy, SchedStrategy::Replay(_));
         let strategy = match strategy {
             SchedStrategy::RoundRobin => StrategyState::RoundRobin,
             SchedStrategy::Seeded(seed) => StrategyState::Seeded(SmallRng::seed_from_u64(seed)),
@@ -496,12 +495,11 @@ impl<E: Env> SchedEnv<E> {
                 proc_gen: vec![0; procs],
                 strategy,
                 sleep: HashSet::new(),
-                sleep_sets: cfg.sleep_sets,
+                sleep_sets,
                 decisions: Vec::new(),
                 preemptions: 0,
                 replay_diverged: false,
                 trace: VecDeque::new(),
-                trace_cap: cfg.trace_cap.max(16),
                 ops: 0,
                 op_budget: cfg.op_budget,
                 lock_edges: HashMap::new(),
@@ -1286,8 +1284,6 @@ where
             preemption_bound,
             max_schedules,
         } => {
-            let mut cfg = cfg.clone();
-            cfg.sleep_sets = true;
             agg.complete = true;
             let mut stack: Vec<ReplayScript> = vec![ReplayScript::default()];
             while let Some(script) = stack.pop() {
@@ -1300,7 +1296,7 @@ where
                 let o = run_schedule(
                     procs,
                     SchedStrategy::Replay(script.clone()),
-                    &cfg,
+                    cfg,
                     &id,
                     &program,
                 );
@@ -1397,7 +1393,6 @@ pub fn explore_algorithm(
     cfg.group_size = spec.group_size;
     let sched_cfg = SchedConfig {
         op_budget: spec.op_budget,
-        ..SchedConfig::default()
     };
     explore(procs, plan, &sched_cfg, move |env: &VerifyEnv| {
         let stats = run_simulation(env, &cfg, &bodies);
@@ -1805,10 +1800,7 @@ mod tests {
         let o = run_schedule(
             2,
             SchedStrategy::RoundRobin,
-            &SchedConfig {
-                op_budget: 500,
-                ..SchedConfig::default()
-            },
+            &SchedConfig { op_budget: 500 },
             "rr",
             &|env: &VerifyEnv| {
                 let flag = SharedAtomicVec::new(env, 1, 0, Placement::Global);
@@ -1856,9 +1848,9 @@ mod tests {
 
     #[test]
     fn sleep_sets_prune_without_losing_the_deadlock() {
-        // The same AB-BA program explored with and without sleep-set
-        // pruning: both must find the deadlock; pruning must not explore
-        // more schedules.
+        // The AB-BA program under the exhaustive explorer, which always
+        // prunes with sleep sets: pruning must not lose the deadlock, and
+        // the preemption bound must keep the space small.
         let program = |env: &VerifyEnv| {
             spmd(env, |proc, ctx| {
                 let (first, second) = if proc == 0 { (60, 61) } else { (61, 60) };

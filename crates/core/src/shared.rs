@@ -221,11 +221,6 @@ impl<T: Copy> SharedVec<T> {
         (0..self.len()).for_each(|i| self.poke(i, value));
     }
 
-    /// Iterate over a snapshot of the contents (untimed).
-    pub fn iter_peek(&self) -> impl Iterator<Item = T> + '_ {
-        (0..self.len()).map(move |i| self.peek(i))
-    }
-
     /// Untimed borrow of a contiguous range — the native fast path for
     /// per-processor scratch that the borrowing processor alone writes
     /// (the batched force kernel streams its interaction lists straight

@@ -15,23 +15,25 @@
 //! records (48 bytes vs a ~100-byte cell plus a 32-byte child vector)
 //! show up as genuinely cheaper traffic.
 //!
-//! # Cooperative flatten protocol
+//! # One plan, two sources
 //!
-//! Flattening is deterministic and atomics-free:
+//! Flattening is deterministic and atomics-free. It follows the
+//! top-of-tree [`Plan`] that MORTON's emission also follows
+//! ([`crate::tree::plan`]); this module is the plan's *linked-tree*
+//! source, which reads each child's record as the plan walks the spine.
 //!
-//! 1. **Plan** (every processor, identical result): walk the top of the
-//!    tree, expanding cells with more than `n/(8P)` bodies into a *spine*
-//!    and collecting the subtrees hanging off it as *frontier entries*;
-//!    assign entries to processors greedy-LPT by body count.
+//! 1. **Plan** (every processor, identical result): [`FlatTree::plan`]
+//!    expands cells with more than `n/(8P)` bodies into a spine, husks and
+//!    empty leaves skipped, and assigns the frontier subtrees greedy-LPT.
 //! 2. **Publish** (owners): each processor walks its claimed subtrees once,
 //!    counting nodes / child slots / bodies, and publishes the three counts
-//!    per entry.
+//!    per entry into `sub_counts`.
 //! 3. Barrier (the caller's), then **fill**: every processor prefix-sums
-//!    the published counts into disjoint segment bases (spine first, so
-//!    the root is always flat index 0), then emits its claimed subtrees
-//!    into its segments; processor 0 emits the spine, pointing at the
-//!    segment bases. The caller's next barrier (end of the partition
-//!    phase) separates these writes from the force phase's reads.
+//!    the published counts into the plan's segment bases and emits its
+//!    claimed subtrees into its segments; processor 0 emits the spine,
+//!    pointing at the segment bases. The caller's next barrier (end of the
+//!    partition phase) separates these writes from the force phase's
+//!    reads.
 //!
 //! Child order within a node is octant order, exactly the order the
 //! sequential reference (`force::seq_accel` over a `SeqTree`) visits
@@ -42,11 +44,8 @@
 use crate::env::{Env, Placement};
 use crate::math::Vec3;
 use crate::shared::SharedVec;
+use crate::tree::plan::{Cursors, Plan, PlanSource, PLAN_CAP};
 use crate::tree::types::{Cell, Leaf, NodeRef, SharedTree, TreeCapacity};
-
-/// Hard cap on plan size (spine cells + frontier entries). Expansion stops
-/// at the cap; correctness is unaffected, balance degrades gracefully.
-const PLAN_CAP: usize = 4096;
 
 /// Tag bit marking a leaf record; the low bits hold the child/body count.
 pub const LEAF_TAG: u32 = 1 << 31;
@@ -87,37 +86,36 @@ impl FlatNode {
     }
 }
 
-/// A child of a spine cell in the flatten plan.
-#[derive(Debug, Clone, Copy)]
-enum SpineKid {
-    /// Another spine cell, by pre-order index (== its flat node index).
-    Spine(u32),
-    /// A frontier subtree, by entry index.
-    Sub(u32),
-}
+/// The flatten plan: the top-of-tree [`Plan`] over linked-tree nodes.
+/// Every processor computes an identical plan from the (immutable)
+/// summarized tree.
+pub type FlatPlan = Plan<NodeRef>;
 
-struct SpineCell {
-    node: NodeRef,
-    kids: Vec<SpineKid>,
-}
+/// The summarized linked tree as a [`PlanSource`].
+struct Linked<'a>(&'a SharedTree);
 
-/// The deterministic flatten plan. Every processor computes an identical
-/// plan from the (immutable) summarized tree; `owner` assigns frontier
-/// entries greedy-LPT by body count.
-pub struct FlatPlan {
-    /// Frontier subtree roots in discovery (pre-order) order.
-    subs: Vec<NodeRef>,
-    /// Upper-tree cells in pre-order; `spine[0]` is the root (empty when
-    /// the root itself is the only frontier entry).
-    spine: Vec<SpineCell>,
-    spine_kids_total: usize,
-    owner: Vec<u8>,
-}
+impl PlanSource for Linked<'_> {
+    type Node = NodeRef;
+    type Kids = [NodeRef; 8];
 
-impl FlatPlan {
-    /// Number of frontier subtrees.
-    pub fn entries(&self) -> usize {
-        self.subs.len()
+    fn root<E: Env>(&self, env: &E, ctx: &mut E::Ctx) -> (NodeRef, u32) {
+        let root = self.0.root.load(env, ctx, 0);
+        (root, self.0.load_cell(env, ctx, root).count)
+    }
+
+    fn children<E: Env>(&self, env: &E, ctx: &mut E::Ctx, cell: &NodeRef) -> [NodeRef; 8] {
+        self.0.children(env, ctx, *cell)
+    }
+
+    /// Null slots, husks and empty leaves are skipped; a leaf never splits.
+    fn classify<E: Env>(&self, env: &E, ctx: &mut E::Ctx, kid: &NodeRef) -> Option<(u32, bool)> {
+        if kid.is_null() {
+            return None;
+        }
+        match load_included(env, ctx, self.0, *kid)? {
+            Rec::L(l) => Some((l.n, false)),
+            Rec::C(c) => Some((c.count, true)),
+        }
     }
 }
 
@@ -130,13 +128,6 @@ pub struct FlatTree {
     /// Published per-entry counts: `[3i] = nodes, [3i+1] = kid slots,
     /// [3i+2] = bodies` of frontier entry `i`.
     sub_counts: SharedVec<u32>,
-}
-
-/// Running output cursors for one processor's segment.
-struct Cursors {
-    node: u32,
-    kid: u32,
-    body: u32,
 }
 
 /// A preloaded node record (loaded once to decide inclusion, then reused
@@ -230,58 +221,10 @@ impl FlatTree {
         self.kids.len()
     }
 
-    /// Capacity of the CSR leaf-body array.
-    pub fn body_capacity(&self) -> usize {
-        self.bodies.len()
-    }
-
     /// Phase 1 of the flatten: compute the deterministic plan. Identical on
     /// every processor (all inputs are post-barrier immutable tree state).
     pub fn plan<E: Env>(&self, env: &E, ctx: &mut E::Ctx, tree: &SharedTree) -> FlatPlan {
-        let p = env.num_procs();
-        let root = tree.root.load(env, ctx, 0);
-        let rc = tree.load_cell(env, ctx, root);
-        let n = rc.count as usize;
-        // Aim for a handful of subtrees per processor: fine enough for LPT
-        // balance, coarse enough that the spine stays tiny.
-        let limit = (n / (8 * p)).max(tree.k).max(1);
-        let mut plan = FlatPlan {
-            subs: Vec::new(),
-            spine: Vec::new(),
-            spine_kids_total: 0,
-            owner: Vec::new(),
-        };
-        let mut weights: Vec<u32> = Vec::new();
-        if n > limit {
-            expand(env, ctx, tree, limit, &mut plan, &mut weights, root);
-        } else {
-            plan.subs.push(root);
-            weights.push(rc.count);
-        }
-        plan.spine_kids_total = plan.spine.iter().map(|s| s.kids.len()).sum();
-        assert!(
-            plan.subs.len() <= PLAN_CAP,
-            "flatten plan overflow ({} entries)",
-            plan.subs.len()
-        );
-
-        // Greedy LPT by body count, deterministic tie-breaking (same scheme
-        // as the SPACE subspace assignment).
-        let mut by_weight: Vec<(u32, u32)> = weights
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (w, i as u32))
-            .collect();
-        by_weight.sort_unstable_by(|a, b| b.cmp(a));
-        let mut load = vec![0u64; p];
-        plan.owner = vec![0u8; plan.subs.len()];
-        for &(w, i) in &by_weight {
-            let q = (0..p).min_by_key(|&q| (load[q], q)).unwrap();
-            load[q] += w as u64;
-            plan.owner[i as usize] = q as u8;
-            env.compute(ctx, 8);
-        }
-        plan
+        Plan::build(env, ctx, &Linked(tree), tree.k)
     }
 
     /// Phase 2: each owner counts its claimed subtrees and publishes the
@@ -294,10 +237,7 @@ impl FlatTree {
         plan: &FlatPlan,
         proc: usize,
     ) {
-        for (i, &node) in plan.subs.iter().enumerate() {
-            if plan.owner[i] as usize != proc {
-                continue;
-            }
+        for (i, &node) in plan.owned(proc) {
             let rec = load_included(env, ctx, tree, node).expect("frontier entry became a husk");
             let (nn, nk, nb) = count_subtree(env, ctx, tree, node, &rec);
             self.sub_counts.store(env, ctx, 3 * i, nn);
@@ -318,51 +258,23 @@ impl FlatTree {
         plan: &FlatPlan,
         proc: usize,
     ) -> u32 {
-        let ns = plan.subs.len();
-        // Segment bases: spine first (root at index 0), then the frontier
-        // entries in discovery order.
-        let mut bases: Vec<(u32, u32, u32)> = Vec::with_capacity(ns);
-        let mut nn = plan.spine.len() as u32;
-        let mut nk = plan.spine_kids_total as u32;
-        let mut nb = 0u32;
-        for i in 0..ns {
-            bases.push((nn, nk, nb));
-            nn += self.sub_counts.load(env, ctx, 3 * i);
-            nk += self.sub_counts.load(env, ctx, 3 * i + 1);
-            nb += self.sub_counts.load(env, ctx, 3 * i + 2);
-        }
-        assert!(
-            (nn as usize) <= self.nodes.len() && (nk as usize) <= self.kids.len(),
-            "flat snapshot capacity exceeded ({nn} nodes, {nk} kid slots)"
-        );
-
-        for (i, &node) in plan.subs.iter().enumerate() {
-            if plan.owner[i] as usize != proc {
-                continue;
-            }
-            let (bn, bk, bb) = bases[i];
-            let mut cur = Cursors {
-                node: bn,
-                kid: bk,
-                body: bb,
-            };
+        let bases = self.segment_bases(env, ctx, plan);
+        for (i, &node) in plan.owned(proc) {
+            let mut cur = bases[i];
             let rec = load_included(env, ctx, tree, node).expect("frontier entry became a husk");
             let at = self.emit(env, ctx, tree, node, rec, &mut cur);
-            debug_assert_eq!(at, bn);
+            debug_assert_eq!(at, bases[i].node);
         }
 
         // Processor 0 emits the spine: its cells sit at flat indices
         // [0, spine.len()) in pre-order, kid slots at [0, spine_kids_total).
         if proc == 0 {
             let mut kid_cur = 0u32;
-            for (j, sc) in plan.spine.iter().enumerate() {
-                let c = tree.load_cell(env, ctx, sc.node);
+            for (j, (node, kids)) in plan.spine.iter().enumerate() {
+                let c = tree.load_cell(env, ctx, *node);
                 let first = kid_cur;
-                for kid in &sc.kids {
-                    let idx = match *kid {
-                        SpineKid::Spine(j2) => j2,
-                        SpineKid::Sub(i) => bases[i as usize].0,
-                    };
+                for kid in kids {
+                    let idx = kid.flat_index(&bases);
                     self.kids.store(env, ctx, kid_cur as usize, idx);
                     kid_cur += 1;
                 }
@@ -375,12 +287,28 @@ impl FlatTree {
                         mass: c.mass,
                         half: c.half,
                         first,
-                        tag: sc.kids.len() as u32,
+                        tag: kids.len() as u32,
                     },
                 );
             }
         }
-        nn
+        bases[plan.subs.len()].node
+    }
+
+    /// The plan's segment bases from the published per-entry counts.
+    pub(crate) fn segment_bases<E: Env>(
+        &self,
+        env: &E,
+        ctx: &mut E::Ctx,
+        plan: &FlatPlan,
+    ) -> Vec<Cursors> {
+        plan.segment_bases(self, |i| {
+            (
+                self.sub_counts.load(env, ctx, 3 * i),
+                self.sub_counts.load(env, ctx, 3 * i + 1),
+                self.sub_counts.load(env, ctx, 3 * i + 2),
+            )
+        })
     }
 
     /// Emit one subtree in pre-order, children in octant order. Returns the
@@ -488,53 +416,4 @@ fn count_subtree<E: Env>(
             (nn, nk, nb)
         }
     }
-}
-
-/// Expand the spine: `cell` has more than `limit` bodies; record it as a
-/// spine cell and classify its children. Returns the cell's spine index.
-fn expand<E: Env>(
-    env: &E,
-    ctx: &mut E::Ctx,
-    tree: &SharedTree,
-    limit: usize,
-    plan: &mut FlatPlan,
-    weights: &mut Vec<u32>,
-    cell: NodeRef,
-) -> u32 {
-    let j = plan.spine.len() as u32;
-    plan.spine.push(SpineCell {
-        node: cell,
-        kids: Vec::new(),
-    });
-    for ch in tree.children(env, ctx, cell) {
-        if ch.is_null() {
-            continue;
-        }
-        let kid = if ch.is_leaf() {
-            let l = tree.load_leaf(env, ctx, ch);
-            if l.n == 0 {
-                continue;
-            }
-            let i = plan.subs.len() as u32;
-            plan.subs.push(ch);
-            weights.push(l.n);
-            SpineKid::Sub(i)
-        } else {
-            let c = tree.load_cell(env, ctx, ch);
-            if c.count == 0 || c.mass == 0.0 {
-                continue;
-            }
-            let room = plan.spine.len() + plan.subs.len() + 16 <= PLAN_CAP;
-            if c.count as usize > limit && room {
-                SpineKid::Spine(expand(env, ctx, tree, limit, plan, weights, ch))
-            } else {
-                let i = plan.subs.len() as u32;
-                plan.subs.push(ch);
-                weights.push(c.count);
-                SpineKid::Sub(i)
-            }
-        };
-        plan.spine[j as usize].kids.push(kid);
-    }
-    j
 }

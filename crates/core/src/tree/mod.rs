@@ -2,6 +2,7 @@
 //! reference tree, and validation utilities.
 
 pub mod flat;
+pub mod plan;
 pub mod seq;
 pub mod types;
 pub mod validate;

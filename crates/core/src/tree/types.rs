@@ -422,12 +422,6 @@ impl SharedTree {
     }
 
     #[inline]
-    pub fn store_cell<E: Env>(&self, env: &E, ctx: &mut E::Ctx, r: NodeRef, c: Cell) {
-        debug_assert!(r.is_cell());
-        self.arenas[r.arena()].cells.store(env, ctx, r.index(), c)
-    }
-
-    #[inline]
     pub fn update_cell<E: Env, R>(
         &self,
         env: &E,
@@ -464,12 +458,6 @@ impl SharedTree {
         self.arenas[r.arena()]
             .leaves
             .load_relaxed(env, ctx, r.index())
-    }
-
-    #[inline]
-    pub fn store_leaf<E: Env>(&self, env: &E, ctx: &mut E::Ctx, r: NodeRef, l: Leaf) {
-        debug_assert!(r.is_leaf());
-        self.arenas[r.arena()].leaves.store(env, ctx, r.index(), l)
     }
 
     #[inline]
@@ -781,24 +769,6 @@ impl SharedTree {
         a.free_leaves
             .store(env, ctx, top as usize, r.index() as u32);
         a.free_tops.store(env, ctx, 1, top + 1);
-        env.unlock(ctx, a.freelist_lock());
-    }
-
-    /// Return a cell to its arena's free list (UPDATE reclamation).
-    pub fn free_cell<E: Env>(&self, env: &E, ctx: &mut E::Ctx, r: NodeRef) {
-        debug_assert!(r.is_cell());
-        let a = &self.arenas[r.arena()];
-        self.update_cell(env, ctx, r, |c| {
-            c.in_use = false;
-            c.owner = OWNER_FREE;
-        });
-        for oct in 0..8 {
-            a.children.store(env, ctx, r.index() * 8 + oct, 0);
-        }
-        env.lock(ctx, a.freelist_lock());
-        let top = a.free_tops.load(env, ctx, 0);
-        a.free_cells.store(env, ctx, top as usize, r.index() as u32);
-        a.free_tops.store(env, ctx, 0, top + 1);
         env.unlock(ctx, a.freelist_lock());
     }
 

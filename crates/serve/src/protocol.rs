@@ -247,14 +247,13 @@ pub fn encode_stats(stats: &crate::server::ServerStats) -> String {
             )
         })
         .collect();
-    let samples: Vec<u64> = stats.depth_samples.iter().map(|&d| d as u64).collect();
     format!(
         "{{\"ok\":true,\"queue_depth\":{},\"queue_capacity\":{},\"depth_hwm\":{},\"depth_p50\":{},\"depth_p99\":{},\"rejected_full\":{},\"served_total\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\"cached_engines\":{},\"tenants\":[{}]}}",
         stats.queue_depth,
         stats.queue_capacity,
         stats.depth_hwm,
-        bh_core::prelude::percentile_u64(&samples, 50.0),
-        bh_core::prelude::percentile_u64(&samples, 99.0),
+        stats.depth_p50,
+        stats.depth_p99,
         stats.rejected_full,
         stats.served_total,
         stats.cache.hits,

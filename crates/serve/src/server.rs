@@ -108,8 +108,44 @@ struct Inner {
     draining: bool,
     /// Jobs admitted but not yet finished (queued + running).
     in_flight: usize,
-    /// Running sum/samples for queue-depth percentiles.
-    depth_samples: Vec<usize>,
+    /// Queue depth at every admission, as a histogram.
+    depths: DepthCounts,
+}
+
+/// How many admissions saw each queue depth: `counts[d]` for depth `d`.
+/// Admission depth is always in `1..=capacity`, so storage is fixed at
+/// `capacity + 1` counters however many jobs the server admits.
+struct DepthCounts {
+    counts: Vec<u64>,
+}
+
+impl DepthCounts {
+    fn new(capacity: usize) -> DepthCounts {
+        DepthCounts {
+            counts: vec![0; capacity + 1],
+        }
+    }
+
+    fn record(&mut self, depth: usize) {
+        self.counts[depth] += 1;
+    }
+
+    /// Nearest-rank percentile of the recorded depths, the value
+    /// [`percentile_u64`](bh_core::prelude::percentile_u64) gives over the
+    /// raw admission sequence (`0` before the first admission).
+    fn percentile(&self, p: f64) -> u64 {
+        let total: u64 = self.counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = (((p / 100.0) * total as f64).ceil() as u64).clamp(1, total);
+        let mut seen = 0;
+        let depth = self.counts.iter().position(|&c| {
+            seen += c;
+            seen >= rank
+        });
+        depth.expect("rank within the recorded depths") as u64
+    }
 }
 
 struct Shared {
@@ -132,8 +168,9 @@ pub struct ServerStats {
     pub cache: CacheCounters,
     pub cached_engines: usize,
     pub tenants: Vec<(String, TenantCounters)>,
-    /// Queue depths sampled at every admission (for p50/p99 reporting).
-    pub depth_samples: Vec<usize>,
+    /// Nearest-rank percentiles of the queue depth seen at admission.
+    pub depth_p50: u64,
+    pub depth_p99: u64,
 }
 
 /// Multi-tenant job server over [`SimEngine`](bh_core::engine::SimEngine).
@@ -146,6 +183,7 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> Server {
         assert!(cfg.workers > 0);
         let mut queue = AdmissionQueue::new(cfg.queue_capacity, cfg.quantum.max(1));
+        let depths = DepthCounts::new(queue.capacity());
         for (tenant, weight) in &cfg.weights {
             queue.set_weight(tenant, *weight);
         }
@@ -155,7 +193,7 @@ impl Server {
                 cache: EngineCache::new(cfg.engine_capacity),
                 draining: false,
                 in_flight: 0,
-                depth_samples: Vec::new(),
+                depths,
             }),
             work_ready: Condvar::new(),
             idle: Condvar::new(),
@@ -195,7 +233,7 @@ impl Server {
             Ok(()) => {
                 inner.in_flight += 1;
                 let depth = inner.queue.len();
-                inner.depth_samples.push(depth);
+                inner.depths.record(depth);
                 drop(inner);
                 self.shared.work_ready.notify_one();
                 Ok(())
@@ -224,7 +262,8 @@ impl Server {
             cache: inner.cache.counters,
             cached_engines: inner.cache.len(),
             tenants: inner.queue.counters(),
-            depth_samples: inner.depth_samples.clone(),
+            depth_p50: inner.depths.percentile(50.0),
+            depth_p99: inner.depths.percentile(99.0),
         }
     }
 
@@ -394,6 +433,35 @@ mod tests {
             SubmitError::Invalid(msg) => assert!(msg.contains("procs 999"), "{msg}"),
             other => panic!("wrong error: {other:?}"),
         }
+    }
+
+    #[test]
+    fn depth_counts_give_the_raw_percentiles_in_fixed_storage() {
+        let capacity = 8;
+        let mut depths = DepthCounts::new(capacity);
+        assert_eq!(depths.percentile(99.0), 0, "no admission yet");
+        // A scripted admission sequence: a ramp up to the capacity, a
+        // plateau, a drain, repeated far past the number of counters.
+        let script: Vec<u64> = (0..1000u64)
+            .map(|i| match i % 20 {
+                t @ 0..=7 => t + 1,
+                8..=13 => 8,
+                t => 20 - t,
+            })
+            .collect();
+        for (i, &d) in script.iter().enumerate() {
+            depths.record(d as usize);
+            let seen = &script[..=i];
+            for p in [1.0, 50.0, 90.0, 99.0, 100.0] {
+                assert_eq!(
+                    depths.percentile(p),
+                    bh_core::prelude::percentile_u64(seen, p),
+                    "p{p} after {} admissions",
+                    i + 1
+                );
+            }
+        }
+        assert_eq!(depths.counts.len(), capacity + 1);
     }
 
     #[test]

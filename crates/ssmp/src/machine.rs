@@ -218,22 +218,12 @@ impl Machine {
         self
     }
 
-    /// Whether attributed telemetry is enabled.
-    pub fn attribution_enabled(&self) -> bool {
-        self.attribution
-    }
-
     /// Per-processor attribution tables as of each processor's most recent
     /// [`Env::stats`] snapshot (the application snapshots at every phase
     /// boundary and at run end). `None` when attribution is disabled.
     pub fn attribution(&self) -> Option<Vec<AttrTable>> {
         self.attribution
             .then(|| self.attr_mirror.iter().map(|m| m.lock().clone()).collect())
-    }
-
-    /// Current snapshot of the region registry.
-    pub fn region_map(&self) -> Arc<RegionMap> {
-        self.regions.lock().clone()
     }
 
     pub fn cost_model(&self) -> &CostModel {
