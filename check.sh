@@ -116,10 +116,13 @@ grep -q '^\[sweep: 14 job(s)' "$SMOKE_DIR/fig13.err" || {
 (cd "$SMOKE_DIR" && timeout 120 "$REPRO" fig11 --scale tiny --jobs 2 2>fig11.err >/dev/null)
 grep -q '^\[sweep: 12 job(s)' "$SMOKE_DIR/fig11.err" || {
     echo "fig11 --jobs 2 did not prewarm 12 jobs:"; cat "$SMOKE_DIR/fig11.err"; exit 1; }
-# One configuration through `repro run`: a simulated platform with the
-# communication breakdown and a trace the validator accepts, then the host.
-(cd "$SMOKE_DIR" && timeout 120 "$REPRO" run origin2000 morton 512 4 --attr \
-    --trace run.json >/dev/null)
+# One configuration through `repro run`: a simulated platform, which prints
+# its communication breakdown without being asked, and a trace the
+# validator accepts, then the host.
+(cd "$SMOKE_DIR" && timeout 120 "$REPRO" run origin2000 morton 512 4 \
+    --trace run.json >run.out)
+grep -q '^== Run communication: ' "$SMOKE_DIR/run.out" || {
+    echo "run origin2000 printed no communication table:"; cat "$SMOKE_DIR/run.out"; exit 1; }
 "$REPRO" check-trace "$SMOKE_DIR/run.json"
 (cd "$SMOKE_DIR" && timeout 120 "$REPRO" run native space 512 2 >/dev/null)
 

@@ -1,6 +1,6 @@
 //! The best sequential version of the application — no locks, no shared
-//! memory bookkeeping — used as the baseline for every speedup the
-//! experiments report (the paper's Table 1), and as the physics oracle.
+//! memory bookkeeping — and the tests' physics oracle. (The experiments'
+//! speedups divide by a simulated run instead: PARTREE on one processor.)
 
 use crate::body::Body;
 use crate::force::{seq_accel, ForceParams};

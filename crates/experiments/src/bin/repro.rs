@@ -6,7 +6,7 @@
 //!       [--json <path>] [--trace <path>] [--group-size <N>]
 //! repro report [--scale <scale>] [--json <path>]
 //! repro run <platform|native> <algorithm> <n> <procs> [--scale <scale>]
-//!       [--trace <path>] [--attr] [--group-size <N>] [--json <path>]
+//!       [--trace <path>] [--group-size <N>] [--json <path>]
 //! repro check-json <path>
 //! repro check-trace <path>
 //! repro check-same <a> <b>
@@ -43,10 +43,10 @@
 //! `run` runs one configuration under `TraceEnv` (`experiments::run`): on a
 //! simulated platform (times in cycles) or, with `native`, on the host
 //! (wall-clock nanoseconds). It prints the per-phase totals, the force-list
-//! counts and a row per processor. `--scale` shrinks `n` and `procs` as it
-//! shrinks the paper's configurations, so one can be pasted verbatim;
-//! `--attr` (simulated platforms only) adds the communication breakdown by
-//! data structure; `--trace` writes the run's Chrome/Perfetto trace and
+//! counts and a row per processor, and on a simulated platform the
+//! communication breakdown by data structure. `--scale` shrinks `n` and
+//! `procs` as it shrinks the paper's configurations, so one can be pasted
+//! verbatim; `--trace` writes the run's Chrome/Perfetto trace and
 //! prints its summary and per-step percentiles.
 //!
 //! `check-json` / `check-trace` validate previously emitted documents; the
@@ -65,7 +65,7 @@ fn usage_text() -> String {
     format!(
         "usage: repro <experiment|all|matrix> [--scale {}] [--jobs <N>] [--json <path>] [--trace <path>] [--group-size <N>]\n\
          \x20      repro report [--scale <scale>] [--json <path>]\n\
-         \x20      repro run <platform|native> <algorithm> <n> <procs> [--scale <scale>] [--trace <path>] [--attr] [--group-size <N>] [--json <path>]\n\
+         \x20      repro run <platform|native> <algorithm> <n> <procs> [--scale <scale>] [--trace <path>] [--group-size <N>] [--json <path>]\n\
          \x20      repro check-json <path>\n\
          \x20      repro check-trace <path>\n\
          \x20      repro check-same <a> <b>\n\
@@ -113,7 +113,6 @@ fn main() {
     let mut json_path: Option<&str> = None;
     let mut trace_path: Option<&str> = None;
     let mut group_size: Option<usize> = None;
-    let mut attr = false;
     let mut rest = args.into_iter();
     while let Some(arg) = rest.next() {
         match arg {
@@ -124,7 +123,6 @@ fn main() {
             "--group-size" => {
                 group_size = Some(ok(cliargs::parse_in(arg, rest.next(), 1..=MAX_GROUP_SIZE)));
             }
-            "--attr" => attr = true,
             flag if flag.starts_with("--") => die(&format!("unrecognized flag '{flag}'")),
             other => positional.push(other),
         }
@@ -141,18 +139,18 @@ fn main() {
 
     if which == "run" {
         refuse("run", &[("--jobs", jobs.is_some())]);
-        run(rest, scale, group_size, attr, trace_path, json_path);
+        run(rest, scale, group_size, trace_path, json_path);
         return;
     }
-    refuse(which, &[("--attr", attr)]);
     if let Some(extra) = rest.first() {
         die(&format!("unexpected argument '{extra}'"));
     }
     let scale = scale.unwrap_or(ExperimentScale::Small);
 
     // The scaling/analysis report: communication-by-data-structure breakdown
-    // (attribution-enabled runs), speedup/efficiency curves over a processor
-    // sweep with crossover points, and repeat-aware per-step summaries.
+    // (of the scaling curves' runs), speedup/efficiency curves over a
+    // processor sweep with crossover points, and repeat-aware per-step
+    // summaries.
     // Emits REPORT_<scale>.json alongside the text tables; `check-json`
     // validates it against the declared record types.
     if which == "report" {
@@ -268,7 +266,6 @@ fn run(
     args: &[&str],
     scale: Option<ExperimentScale>,
     group_size: Option<usize>,
-    attr: bool,
     trace_path: Option<&str>,
     json_path: Option<&str>,
 ) {
@@ -288,7 +285,7 @@ fn run(
     let n = ok(cliargs::parse_in("n", Some(n), 1..=usize::MAX));
     let procs = ok(cliargs::parse_in("procs", Some(procs), 1..=ssmp::MAX_PROCS));
     let (n, procs) = scale.map_or((n, procs), |s| (s.size(n), s.procs(procs)));
-    let r = ok(experiments::run(target, alg, n, procs, group_size, attr));
+    let r = ok(experiments::run(target, alg, n, procs, group_size));
     for t in &r.tables {
         println!("{t}");
     }

@@ -623,23 +623,17 @@ pub struct RunReport {
 
 /// Run one configuration under [`TraceEnv`]: on the host when `target` is
 /// `"native"` (times in nanoseconds), else on the simulated platform
-/// [`platform::by_name`] knows it as (times in cycles), with the per-region
-/// communication breakdown if `attr`. An unknown platform, or `attr` on the
-/// host, is an `Err` naming it, returned before anything runs.
+/// [`platform::by_name`] knows it as (times in cycles, plus the per-region
+/// communication breakdown). An unknown platform is an `Err` naming it,
+/// returned before anything runs.
 pub fn run(
     target: &str,
     alg: Algorithm,
     n: usize,
     procs: usize,
     group_size: Option<usize>,
-    attr: bool,
 ) -> Result<RunReport, String> {
     if target == "native" {
-        if attr {
-            return Err("--attr needs a simulated platform \
-                        (the native machine has no protocol to attribute)"
-                .into());
-        }
         // Native timestamps are nanoseconds; /1000 puts them on the trace
         // viewer's microsecond axis.
         let env = TraceEnv::new(NativeEnv::new(procs));
@@ -655,30 +649,20 @@ pub fn run(
             names.join(", ")
         )
     })?;
-    let mut machine = Machine::new(cost.clone(), procs);
-    if attr {
-        machine = machine.with_attribution();
-    }
-    let env = TraceEnv::new(machine);
+    let env = TraceEnv::new(Machine::new(cost.clone(), procs));
     // Simulated clocks tick in cycles; render one cycle per µs.
     let mut report = run_report(&env, &cost.name, alg, n, group_size, "cycles", 1.0);
-    if attr {
-        let mut table = report::comm_table(
-            "Run communication",
-            &format!(
-                "{} {alg}, {n} particles, {procs} processors \
-                 (whole run; zero rows omitted)",
-                cost.name
-            ),
-        );
-        report::comm_rows(
-            &mut table,
-            &cost.name,
-            alg,
-            &report::attribution_sum(env.inner()),
-        );
-        report.tables.push(table);
-    }
+    let mut table = report::comm_table(
+        "Run communication",
+        &format!(
+            "{} {alg}, {n} particles, {procs} processors \
+             (whole run; zero rows omitted)",
+            cost.name
+        ),
+    );
+    let comm = env.inner().attribution().iter().sum();
+    report::comm_rows(&mut table, &cost.name, alg, &comm);
+    report.tables.push(table);
     Ok(report)
 }
 

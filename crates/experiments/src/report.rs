@@ -3,13 +3,14 @@
 //! Distills the reproduced runs into three analysis products the paper's
 //! tables only hint at:
 //!
-//! 1. **Communication by data structure** (Table-4-style): every algorithm
-//!    run with the simulator's attribution hooks enabled, so simulated
-//!    misses, faults, invalidations and lock waits are charged to the shared
-//!    [`Region`] they hit and the pipeline stage that incurred them. The
-//!    per-region rows *tile* the aggregate counters exactly — the generator
-//!    asserts it, and `repro check-json` re-checks it from the emitted
-//!    document ([`crate::records::check_comm_tiling`]).
+//! 1. **Communication by data structure** (Table-4-style): the simulator
+//!    charges every miss, fault, invalidation and lock wait to the shared
+//!    [`Region`] it hit and the pipeline stage that incurred it, and the
+//!    run memo keeps that record of each run; this table reads the runs
+//!    the scaling curves use at the sweep's largest processor count. The
+//!    per-region rows *tile* each run's totals — `repro check-json`
+//!    re-checks it from the emitted document
+//!    ([`crate::records::check_comm_tiling`]).
 //! 2. **Speedup/efficiency curves**: per-algorithm speedups over a
 //!    processor-count sweep on each simulated platform, with parallel
 //!    efficiency (speedup / processors).
@@ -29,10 +30,10 @@
 //! against.
 
 use crate::records::emit;
-use crate::runner::{run_cached, ExperimentScale, WORKLOAD_SEED};
+use crate::runner::{run_cached, simulate, ExperimentScale};
 use crate::tables::{fmt_pct, fmt_speedup, Table};
 use bh_core::prelude::*;
-use ssmp::{platform, slot_name, AttrTable, CostModel, Machine, ATTR_SLOTS};
+use ssmp::{platform, slot_name, AttrTable, CostModel, ATTR_SLOTS};
 
 /// Complete output of `repro report`.
 #[derive(Debug, Clone)]
@@ -106,18 +107,6 @@ pub(crate) fn comm_table(id: &str, title: &str) -> Table {
     )
 }
 
-/// An attributed machine's per-processor tables, summed over processors.
-pub(crate) fn attribution_sum(machine: &Machine) -> AttrTable {
-    let mut sum = AttrTable::new();
-    for t in &machine
-        .attribution()
-        .expect("attribution was enabled on this machine")
-    {
-        sum.accumulate(t);
-    }
-    sum
-}
-
 /// One [`comm_table`] row per region of `sum` that saw any traffic.
 pub(crate) fn comm_rows(table: &mut Table, platform: &str, alg: Algorithm, sum: &AttrTable) {
     for region in Region::ALL {
@@ -140,8 +129,7 @@ pub(crate) fn comm_rows(table: &mut Table, platform: &str, alg: Algorithm, sum: 
     }
 }
 
-/// Product 1: per-region communication breakdown with attribution enabled,
-/// asserting the tiling property against the aggregate counters.
+/// Product 1: per-region communication breakdown of the memo's runs.
 fn comm_breakdown(
     scale: ExperimentScale,
     n: usize,
@@ -155,38 +143,10 @@ fn comm_breakdown(
              (whole run; tree-stage remote misses split out; zero rows omitted)"
         ),
     );
-    let bodies = Model::Plummer.generate(n, WORKLOAD_SEED);
     for cost in platforms(procs) {
         for alg in Algorithm::ALL {
-            let machine = Machine::new(cost.clone(), procs).with_attribution();
-            let stats = run_simulation(&machine, &SimConfig::new(alg), &bodies);
-            stats.assert_valid();
-            let sum = attribution_sum(&machine);
-
-            // The tiling property is the contract that makes the breakdown
-            // trustworthy: per-region counters must sum exactly to the
-            // aggregates the rest of the harness reports.
-            let mut agg = CtxStats::default();
-            for r in &stats.procs_records {
-                agg.accumulate(&r.final_stats);
-            }
+            let sum = run_cached(&cost, alg, n, procs).comm;
             let total = sum.total();
-            for (name, got, want) in [
-                ("local_misses", total.local_misses, agg.local_misses),
-                ("remote_misses", total.remote_misses, agg.remote_misses),
-                ("page_faults", total.page_faults, agg.page_faults),
-                ("lock_acquires", total.lock_acquires, agg.lock_acquires),
-                ("lock_wait", total.lock_wait, agg.lock_wait),
-            ] {
-                assert_eq!(
-                    got,
-                    want,
-                    "report: attribution does not tile {name} for {}/{}",
-                    cost.name,
-                    alg.name()
-                );
-            }
-
             comm_rows(&mut table, &cost.name, alg, &sum);
             // JSON keeps the full (region x stage) resolution; zero cells
             // are omitted but their absence cannot break tiling.
@@ -374,7 +334,6 @@ fn step_percentiles(
         "lock-based algorithms show wider tree-time tails (p99 >> p50) \
          under contention; SPACE stays tight",
     );
-    let bodies = Model::Plummer.generate(n, WORKLOAD_SEED);
     for cost in platforms(procs) {
         for alg in Algorithm::ALL {
             let mut tree_times: Vec<u64> = Vec::new();
@@ -382,9 +341,7 @@ fn step_percentiles(
             let mut lock_waits: Vec<u64> = Vec::new();
             let mut imbalances: Vec<f64> = Vec::new();
             for _ in 0..repeats.max(1) {
-                let machine = Machine::new(cost.clone(), procs);
-                let stats = run_simulation(&machine, &SimConfig::new(alg), &bodies);
-                stats.assert_valid();
+                let (stats, _) = simulate(&(cost.clone(), alg, n, procs));
                 let rows = stats.step_rows(stats.measured());
                 for step in rows.chunks(Phase::ALL.len()) {
                     let tree = &step[Phase::Tree.index()];

@@ -6,7 +6,7 @@ use bh_core::harness::spmd;
 use bh_core::prelude::*;
 use bh_core::shared::SharedAtomicVec;
 use bh_core::sync::Mutex;
-use ssmp::{CostModel, Machine};
+use ssmp::{AttrTable, CostModel, Machine};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
@@ -82,8 +82,9 @@ pub struct PlatformRun {
     pub seconds: f64,
     pub barrier_wait_cycles: u64,
     pub locks_per_proc: Vec<u64>,
-    pub page_faults: u64,
-    pub remote_misses: u64,
+    /// The whole run's misses, faults, invalidations and lock waits by
+    /// (region, stage), summed over processors.
+    pub comm: AttrTable,
 }
 
 /// Fixed workload seed so every experiment sees the same galaxy.
@@ -103,8 +104,7 @@ struct Simulated {
     tree_fraction: f64,
     barrier_wait_cycles: u64,
     locks_per_proc: Vec<u64>,
-    page_faults: u64,
-    remote_misses: u64,
+    comm: AttrTable,
 }
 
 /// A run's memo key. Platforms are known by name: a preset built for
@@ -120,30 +120,15 @@ fn key((cost, alg, n, procs): &Run) -> RunKey {
 /// the serial table-generation pass that follows is pure lookup.
 static RUNS: Mutex<Option<HashMap<RunKey, Simulated>>> = Mutex::new(None);
 
-/// The memo entry of `run`, simulated with the paper's protocol (warm up
-/// two steps, measure two) on first use. Simulated runs at one processor
-/// are deterministic; at more, the first value stored is the one every
-/// later lookup sees.
+/// The memo entry of `run`, [`simulate`]d on first use. Simulated runs at
+/// one processor are deterministic; at more, the first value stored is the
+/// one every later lookup sees.
 fn simulated(run: &Run) -> Simulated {
     let key = key(run);
     if let Some(hit) = RUNS.lock().get_or_insert_with(HashMap::new).get(&key) {
         return hit.clone();
     }
-    let (cost, alg, n, procs) = run;
-    let machine = Machine::new(cost.clone(), *procs);
-    let stats = run_simulation(
-        &machine,
-        &SimConfig::new(*alg),
-        &Model::Plummer.generate(*n, WORKLOAD_SEED),
-    );
-    stats.assert_valid();
-    let summed = |field: fn(&CtxStats) -> u64| {
-        stats
-            .procs_records
-            .iter()
-            .map(|r| field(&r.final_stats))
-            .sum()
-    };
+    let (stats, comm) = simulate(run);
     let fresh = Simulated {
         total_cycles: stats.total_time(),
         tree_cycles: stats.tree_time(),
@@ -151,14 +136,27 @@ fn simulated(run: &Run) -> Simulated {
         tree_fraction: stats.tree_fraction(),
         barrier_wait_cycles: stats.barrier_wait_total(),
         locks_per_proc: stats.tree_locks_per_proc(),
-        page_faults: summed(|s| s.page_faults),
-        remote_misses: summed(|s| s.remote_misses),
+        comm,
     };
     RUNS.lock()
         .get_or_insert_with(HashMap::new)
         .entry(key)
         .or_insert(fresh)
         .clone()
+}
+
+/// Simulate `run` on a fresh machine with the paper's protocol (warm up two
+/// steps, measure two): its statistics, and its per-region record summed
+/// over processors.
+pub(crate) fn simulate((cost, alg, n, procs): &Run) -> (RunStats, AttrTable) {
+    let machine = Machine::new(cost.clone(), *procs);
+    let stats = run_simulation(
+        &machine,
+        &SimConfig::new(*alg),
+        &Model::Plummer.generate(*n, WORKLOAD_SEED),
+    );
+    stats.assert_valid();
+    (stats, machine.attribution().iter().sum())
 }
 
 /// The run every speedup on a platform divides by: the application on a
@@ -199,8 +197,7 @@ pub fn run_cached(cost: &CostModel, alg: Algorithm, n: usize, procs: usize) -> P
         seconds: cost.cycles_to_seconds(run.total_cycles),
         barrier_wait_cycles: run.barrier_wait_cycles,
         locks_per_proc: run.locks_per_proc,
-        page_faults: run.page_faults,
-        remote_misses: run.remote_misses,
+        comm: run.comm,
     }
 }
 

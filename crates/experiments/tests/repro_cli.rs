@@ -90,8 +90,8 @@ fn run_rejects_bad_arguments_before_running() {
             "unknown algorithm 'quicksort'",
         ),
         (
-            &["native", "space", "512", "2", "--attr"],
-            "--attr needs a simulated platform",
+            &["origin2000", "space", "512", "2", "--attr"],
+            "unrecognized flag '--attr'",
         ),
         (
             &["origin2000", "space", "512", "2", "--jobs", "2"],
@@ -103,32 +103,39 @@ fn run_rejects_bad_arguments_before_running() {
         assert_rejected(&out, needle);
         assert!(out.stdout.is_empty(), "{args:?} ran before rejecting");
     }
-    assert_rejected(
-        &repro(&["table1", "--attr"]),
-        "--attr does not apply to 'table1'",
-    );
+    assert_rejected(&repro(&["table1", "--attr"]), "unrecognized flag '--attr'");
 }
 
 #[test]
-fn run_with_attr_prints_the_per_region_rows() {
-    let out = repro(&["run", "origin2000", "morton", "512", "2", "--attr"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    for table in ["Run phases", "Run totals", "Run communication"] {
+fn a_simulated_run_prints_its_communication_and_native_does_not() {
+    let stdout = |target| {
+        let out = repro(&["run", target, "morton", "512", "2"]);
         assert!(
-            stdout.contains(&format!("== {table}: ")),
-            "no {table}: {stdout}"
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
         );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let (simulated, native) = (stdout("origin2000"), stdout("native"));
+    for table in ["Run phases", "Run totals"] {
+        for out in [&simulated, &native] {
+            assert!(out.contains(&format!("== {table}: ")), "no {table}: {out}");
+        }
     }
     assert!(
-        stdout
+        simulated.contains("== Run communication: "),
+        "no communication table: {simulated}"
+    );
+    assert!(
+        simulated
             .lines()
             .any(|l| l.contains("SGI-Origin2000  MORTON") && l.contains(" bodies ")),
-        "no per-region row: {stdout}"
+        "no per-region row: {simulated}"
+    );
+    assert!(
+        !native.contains("== Run communication: "),
+        "native has no protocol to attribute: {native}"
     );
 }
 

@@ -5,8 +5,8 @@
 //! the tables, the Chrome trace and the text summaries — is too. The length
 //! and an FNV-1a digest of each are pinned here: a change to how the
 //! accounting is recorded or exported must leave every byte as it is. ORIG
-//! exercises the contended-lock spans and the summary's lock line; MORTON
-//! with `--attr` exercises the per-region communication table.
+//! exercises the contended-lock spans and the summary's lock line; both
+//! end with the per-region communication table.
 
 use bh_core::prelude::*;
 use bh_experiments::experiments;
@@ -19,27 +19,25 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// `(length, digest)` of the rendered tables, the trace and the summary.
-fn fingerprint(alg: Algorithm, attr: bool) -> [(usize, u64); 3] {
-    let r = experiments::run("origin2000", alg, 512, 1, None, attr).expect("run");
+fn fingerprint(alg: Algorithm) -> [(usize, u64); 3] {
+    let r = experiments::run("origin2000", alg, 512, 1, None).expect("run");
     let tables: String = r.tables.iter().map(|t| format!("{t}\n")).collect();
     [tables, r.trace_json, r.trace_summary].map(|s| (s.len(), fnv1a(s.as_bytes())))
 }
 
 #[test]
 fn p1_run_output_matches_the_pinned_digests() {
-    for (alg, attr, want) in [
+    for (alg, want) in [
         (
             Algorithm::Orig,
-            false,
             [
-                (988, 9682388592234942088),
+                (2165, 15950424837826739790),
                 (239510, 14003360300188575086),
                 (1187, 8150354578270138069),
             ],
         ),
         (
             Algorithm::Morton,
-            true,
             [
                 (2009, 7507500908272623850),
                 (3526, 13750009369464778162),
@@ -47,7 +45,7 @@ fn p1_run_output_matches_the_pinned_digests() {
             ],
         ),
     ] {
-        let got = fingerprint(alg, attr);
-        assert_eq!(got, want, "{alg} attr={attr}: tables, trace, summary");
+        let got = fingerprint(alg);
+        assert_eq!(got, want, "{alg}: tables, trace, summary");
     }
 }

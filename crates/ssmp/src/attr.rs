@@ -1,17 +1,13 @@
 //! Attributed telemetry: per-(region × pipeline-stage) counters.
 //!
-//! When attribution is enabled on a [`crate::Machine`], every simulated
-//! cache miss, page fault, invalidation and lock wait is charged — in
-//! addition to the per-context aggregate counters — to an [`AttrCell`]
-//! keyed by the [`Region`] the access hit and the pipeline stage the
-//! processor was executing. The increments are placed at exactly the same
-//! program points as the aggregate increments, so the per-region counters
-//! *tile* the aggregates: summing any counter over all regions and slots
-//! reproduces the corresponding [`bh_core::env::CtxStats`] field exactly.
+//! Every simulated cache miss, page fault, invalidation and lock wait on a
+//! [`crate::Machine`] is charged once, to the [`AttrCell`] keyed by the
+//! [`Region`] the access hit and the pipeline stage the processor was
+//! executing. The table is the machine's only record of those events: the
+//! mirrored [`bh_core::env::CtxStats`] fields are its [`AttrTable::total`].
 //!
-//! Attribution never touches the virtual clock, so enabling it cannot
-//! change any simulated timing; disabling it reduces the hooks to a
-//! never-taken `Option` check on the slow paths only.
+//! Charging an event never touches the virtual clock, so where an event is
+//! attributed cannot change any simulated timing.
 
 use bh_core::env::{Phase, Region};
 
@@ -30,25 +26,24 @@ pub fn slot_name(slot: usize) -> &'static str {
     }
 }
 
-/// Counters for one (region × stage) cell. Fields that mirror an aggregate
-/// [`bh_core::env::CtxStats`] field tile it exactly; `invalidations` is
-/// attribution-only (invalidation messages that killed a resident line in
-/// this processor's private cache — the coherence traffic the aggregate
-/// stats fold into miss latencies).
+/// Counters for one (region × stage) cell. Summed over a table, the fields
+/// that mirror a [`bh_core::env::CtxStats`] field are that field;
+/// `invalidations` has no aggregate (invalidation messages that killed a
+/// resident line in this processor's private cache — the coherence traffic
+/// the aggregate stats fold into miss latencies).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AttrCell {
-    /// Misses served from local memory (tiles `local_misses`).
+    /// Misses served from local memory.
     pub local_misses: u64,
-    /// Misses served remotely (tiles `remote_misses`).
+    /// Misses served remotely.
     pub remote_misses: u64,
-    /// Software page faults (tiles `page_faults`).
+    /// Software page faults.
     pub page_faults: u64,
     /// Invalidations received that dropped a resident line.
     pub invalidations: u64,
-    /// Lock acquisitions on locks guarding this region (tiles
-    /// `lock_acquires`).
+    /// Lock acquisitions on locks guarding this region.
     pub lock_acquires: u64,
-    /// Cycles waited on locks guarding this region (tiles `lock_wait`).
+    /// Cycles waited on locks guarding this region.
     pub lock_wait: u64,
 }
 
@@ -73,13 +68,13 @@ impl AttrCell {
 /// (region, pipeline-stage slot) pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttrTable {
-    cells: Box<[AttrCell]>,
+    cells: [AttrCell; Region::COUNT * ATTR_SLOTS],
 }
 
 impl AttrTable {
     pub fn new() -> AttrTable {
         AttrTable {
-            cells: vec![AttrCell::default(); Region::COUNT * ATTR_SLOTS].into_boxed_slice(),
+            cells: [AttrCell::default(); Region::COUNT * ATTR_SLOTS],
         }
     }
 
@@ -108,17 +103,8 @@ impl AttrTable {
         t
     }
 
-    /// Sum over all regions for one stage slot.
-    pub fn slot_total(&self, slot: usize) -> AttrCell {
-        let mut t = AttrCell::default();
-        for region in Region::ALL {
-            t.accumulate(self.cell(region, slot));
-        }
-        t
-    }
-
-    /// Grand total over every cell. By the tiling property this equals the
-    /// processor's aggregate counters for the mirrored fields.
+    /// Grand total over every cell: the processor's aggregate counters for
+    /// the mirrored fields.
     pub fn total(&self) -> AttrCell {
         let mut t = AttrCell::default();
         for c in self.cells.iter() {
@@ -126,18 +112,24 @@ impl AttrTable {
         }
         t
     }
-
-    /// Field-wise accumulation of another table (e.g. summing processors).
-    pub fn accumulate(&mut self, o: &AttrTable) {
-        for (c, oc) in self.cells.iter_mut().zip(o.cells.iter()) {
-            c.accumulate(oc);
-        }
-    }
 }
 
 impl Default for AttrTable {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Field-wise sum of tables, e.g. a run's processors.
+impl<'a> std::iter::Sum<&'a AttrTable> for AttrTable {
+    fn sum<I: Iterator<Item = &'a AttrTable>>(tables: I) -> AttrTable {
+        let mut sum = AttrTable::new();
+        for t in tables {
+            for (c, tc) in sum.cells.iter_mut().zip(&t.cells) {
+                c.accumulate(tc);
+            }
+        }
+        sum
     }
 }
 
@@ -161,13 +153,10 @@ mod tests {
         t.cell_mut(Region::TreeCells, SETUP_SLOT).remote_misses = 2;
         t.cell_mut(Region::Bodies, 2).local_misses = 7;
         assert_eq!(t.region_total(Region::TreeCells).remote_misses, 5);
-        assert_eq!(t.slot_total(0).remote_misses, 3);
         assert_eq!(t.total().remote_misses, 5);
         assert_eq!(t.total().local_misses, 7);
         assert!(t.cell(Region::FlatTree, 1).is_zero());
-        let mut sum = AttrTable::new();
-        sum.accumulate(&t);
-        sum.accumulate(&t);
+        let sum: AttrTable = [&t, &t].into_iter().sum();
         assert_eq!(sum.total().remote_misses, 10);
     }
 }

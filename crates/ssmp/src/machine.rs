@@ -25,7 +25,7 @@
 //!   epoch, forcing lazy revalidation of every cached page on first use —
 //!   pages that actually changed pay a full software page fault.
 
-use crate::attr::{AttrTable, SETUP_SLOT};
+use crate::attr::{AttrCell, AttrTable, SETUP_SLOT};
 use crate::cache::GrainMap;
 use crate::cache::{Held, PageEntry, PageTable, PrivateCache};
 use crate::config::CostModel;
@@ -42,13 +42,22 @@ const GLOBAL_BASE: u64 = 0x1_0000;
 /// Each processor's local region starts at `(p+1) << LOCAL_SHIFT`.
 const LOCAL_SHIFT: u32 = 40;
 
-#[derive(Default)]
 struct LineState {
     sharers: u64,
     exclusive: i16, // -1 = none
     /// Virtual time at which the line's home finishes servicing the most
     /// recent atomic operation (RMW occupancy).
     service_end: u64,
+}
+
+impl Default for LineState {
+    fn default() -> Self {
+        LineState {
+            sharers: 0,
+            exclusive: -1,
+            service_end: 0,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -108,10 +117,6 @@ pub struct Machine {
     next_local: Box<[AtomicU64]>,
     /// HLRC: total write notices (dirty-page flushes) issued system-wide.
     notices: AtomicU64,
-    /// Attributed telemetry enabled? Set before the machine is shared (see
-    /// [`Machine::with_attribution`]); when false the hooks reduce to a
-    /// never-taken `Option` check on the slow paths.
-    attribution: bool,
     /// Region registry. Tagging happens single-threaded during world/tree
     /// setup; each context snapshots the `Arc` at [`Env::make_ctx`], so the
     /// hot path reads the map without taking this mutex (copy-on-write).
@@ -133,32 +138,22 @@ pub struct SimCtx {
     notices_seen: u64,
     cache: PrivateCache,
     pages: PageTable,
-    // statistics
-    local_misses: u64,
-    remote_misses: u64,
-    page_faults: u64,
-    lock_acquires: u64,
-    lock_wait: u64,
     barrier_wait: u64,
-    /// Attribution state; `None` when attribution is disabled.
-    attr: Option<Box<SimAttr>>,
-}
-
-/// Attribution state of one context (allocated only when enabled).
-struct SimAttr {
     /// Snapshot of the machine's region registry at context creation.
     regions: Arc<RegionMap>,
     /// Current pipeline-stage slot ([`SETUP_SLOT`] outside any phase).
     slot: usize,
+    /// Every miss, fault, invalidation and lock wait, by (region, stage);
+    /// [`Env::stats`] reports its totals.
     table: AttrTable,
 }
 
-impl SimAttr {
-    /// Charge one attributed event at `addr` via `f`. Never touches the
-    /// clock: attribution cannot change simulated timings.
+impl SimCtx {
+    /// The cell an event at `addr` is charged to. Never touches the clock:
+    /// attribution cannot change simulated timings.
     #[inline]
-    fn charge(&mut self, addr: VAddr, f: impl FnOnce(&mut crate::attr::AttrCell)) {
-        f(self.table.cell_mut(self.regions.lookup(addr), self.slot))
+    fn charge(&mut self, addr: VAddr) -> &mut AttrCell {
+        self.table.cell_mut(self.regions.lookup(addr), self.slot)
     }
 }
 
@@ -201,29 +196,16 @@ impl Machine {
                 .map(|p| AtomicU64::new((p as u64 + 1) << LOCAL_SHIFT))
                 .collect(),
             notices: AtomicU64::new(0),
-            attribution: false,
             regions: Mutex::new(Arc::new(RegionMap::new())),
             attr_mirror: (0..procs).map(|_| Mutex::new(AttrTable::new())).collect(),
         }
     }
 
-    /// Enable attributed telemetry: every simulated miss, fault,
-    /// invalidation and lock wait is additionally charged to a
-    /// (region × pipeline stage) cell. Must be called before the machine is
-    /// shared with workers. Attribution never touches the virtual clock, so
-    /// all simulated timings and counters are bitwise identical to a
-    /// machine without it.
-    pub fn with_attribution(mut self) -> Machine {
-        self.attribution = true;
-        self
-    }
-
     /// Per-processor attribution tables as of each processor's most recent
     /// [`Env::stats`] snapshot (the application snapshots at every phase
-    /// boundary and at run end). `None` when attribution is disabled.
-    pub fn attribution(&self) -> Option<Vec<AttrTable>> {
-        self.attribution
-            .then(|| self.attr_mirror.iter().map(|m| m.lock().clone()).collect())
+    /// boundary and at run end).
+    pub fn attribution(&self) -> Vec<AttrTable> {
+        self.attr_mirror.iter().map(|m| m.lock().clone()).collect()
     }
 
     pub fn cost_model(&self) -> &CostModel {
@@ -272,9 +254,7 @@ impl Machine {
                 match m {
                     QMsg::Invalidate(g) => {
                         if ctx.cache.invalidate(g) {
-                            if let Some(a) = ctx.attr.as_deref_mut() {
-                                a.charge(g << self.grain_shift, |c| c.invalidations += 1);
-                            }
+                            ctx.charge(g << self.grain_shift).invalidations += 1;
                         }
                     }
                     QMsg::Downgrade(g) => ctx.cache.downgrade(g),
@@ -303,11 +283,7 @@ impl Machine {
             let grain_base = grain << self.grain_shift;
             let home_local = self.home_of(grain_base) == me;
             let mut shard = self.shard_of(grain).lock();
-            let line = shard.lines.entry(grain).or_insert_with(|| LineState {
-                sharers: 0,
-                exclusive: -1,
-                service_end: 0,
-            });
+            let line = shard.lines.entry(grain).or_default();
             let mut cost;
             if write {
                 // Fetch/upgrade + invalidate other copies.
@@ -362,17 +338,11 @@ impl Machine {
             }
             // Attribution uses the first accessed byte within the grain —
             // an access targets one element, which lives in one region.
-            let rep = addr.max(grain_base);
+            let cell = ctx.charge(addr.max(grain_base));
             if cost >= self.cost.t_remote_miss && !home_local {
-                ctx.remote_misses += 1;
-                if let Some(a) = ctx.attr.as_deref_mut() {
-                    a.charge(rep, |c| c.remote_misses += 1);
-                }
+                cell.remote_misses += 1;
             } else {
-                ctx.local_misses += 1;
-                if let Some(a) = ctx.attr.as_deref_mut() {
-                    a.charge(rep, |c| c.local_misses += 1);
-                }
+                cell.local_misses += 1;
             }
             ctx.clock += cost;
         }
@@ -392,62 +362,40 @@ impl Machine {
                     let shard = self.shard_of(page).lock();
                     shard.pages.get(&page).map(|m| m.version).unwrap_or(0)
                 };
-                match entry {
+                // Events are charged at the first accessed byte in the page.
+                let rep = addr.max(page_base);
+                let writing = match entry {
                     Some(e) if e.version == gv => {
                         // Unchanged since we fetched it: cheap check.
                         ctx.clock += self.cost.t_check;
-                        ctx.pages.set(
-                            page,
-                            PageEntry {
-                                version: gv,
-                                checked_epoch: ctx.epoch,
-                                writing: e.writing,
-                            },
-                        );
+                        e.writing
                     }
                     Some(e) => {
                         // Page was modified by someone else: software fault,
                         // serialized at the page's home (handler occupancy).
-                        self.fault(ctx, page);
-                        if let Some(a) = ctx.attr.as_deref_mut() {
-                            a.charge(addr.max(page_base), |c| c.page_faults += 1);
-                        }
-                        ctx.pages.set(
-                            page,
-                            PageEntry {
-                                version: gv,
-                                checked_epoch: ctx.epoch,
-                                writing: e.writing,
-                            },
-                        );
+                        self.fault(ctx, page, rep);
+                        e.writing
                     }
                     None => {
                         // Cold map-in. Locally homed fresh pages are cheap;
                         // anything else is a fault.
-                        let home_local = self.home_of(page_base) == ctx.proc;
-                        let rep = addr.max(page_base);
-                        if gv == 0 && home_local {
+                        if gv == 0 && self.home_of(page_base) == ctx.proc {
                             ctx.clock += self.cost.t_local_miss;
-                            ctx.local_misses += 1;
-                            if let Some(a) = ctx.attr.as_deref_mut() {
-                                a.charge(rep, |c| c.local_misses += 1);
-                            }
+                            ctx.charge(rep).local_misses += 1;
                         } else {
-                            self.fault(ctx, page);
-                            if let Some(a) = ctx.attr.as_deref_mut() {
-                                a.charge(rep, |c| c.page_faults += 1);
-                            }
+                            self.fault(ctx, page, rep);
                         }
-                        ctx.pages.set(
-                            page,
-                            PageEntry {
-                                version: gv,
-                                checked_epoch: ctx.epoch,
-                                writing: false,
-                            },
-                        );
+                        false
                     }
-                }
+                };
+                ctx.pages.set(
+                    page,
+                    PageEntry {
+                        version: gv,
+                        checked_epoch: ctx.epoch,
+                        writing,
+                    },
+                );
             } else {
                 ctx.clock += self.cost.t_hit;
             }
@@ -501,25 +449,34 @@ impl Machine {
         }
     }
 
-    /// Charge a full HLRC page fault, serializing concurrent faults on the
-    /// same page at its home. The queueing delay is the home handler's
-    /// backlog, bounded by `procs × t_fault_occupancy` (everyone faulting at
-    /// once) so that processors far apart in virtual time cannot drag each
-    /// other's clocks forward through a shared page.
-    fn fault(&self, ctx: &mut SimCtx, page: u64) {
-        let occ = self.cost.t_fault_occupancy;
+    /// Serialize a request at `clock` at a home that is busy until
+    /// `service_end` and serves one request per `occ` cycles: returns the
+    /// backlog the request waits, and books the home through its service.
+    /// The backlog is bounded by `procs × occ` (everyone at once) so that
+    /// processors far apart in virtual time cannot drag each other's clocks
+    /// forward through one shared grain.
+    fn occupy(&self, service_end: &mut u64, clock: u64, occ: u64) -> u64 {
+        let backlog = service_end
+            .saturating_sub(clock)
+            .min(self.procs as u64 * occ);
+        *service_end = clock + backlog + occ;
+        backlog
+    }
+
+    /// Charge a full HLRC page fault at `addr`, serializing concurrent
+    /// faults on the same page at its home (handler occupancy).
+    fn fault(&self, ctx: &mut SimCtx, page: u64, addr: VAddr) {
         let backlog = {
             let mut shard = self.shard_of(page).lock();
             let meta = shard.pages.entry(page).or_default();
-            let backlog = meta
-                .service_end
-                .saturating_sub(ctx.clock)
-                .min(self.procs as u64 * occ);
-            meta.service_end = ctx.clock + backlog + occ;
-            backlog
+            self.occupy(
+                &mut meta.service_end,
+                ctx.clock,
+                self.cost.t_fault_occupancy,
+            )
         };
         ctx.clock += backlog + self.cost.t_page_fault;
-        ctx.page_faults += 1;
+        ctx.charge(addr).page_faults += 1;
     }
 
     /// [`Access::Rmw`]: a read and a write, serialized at the line's home.
@@ -539,17 +496,8 @@ impl Machine {
             let grain = addr >> self.grain_shift;
             let backlog = {
                 let mut shard = self.shard_of(grain).lock();
-                let line = shard.lines.entry(grain).or_insert_with(|| LineState {
-                    sharers: 0,
-                    exclusive: -1,
-                    service_end: 0,
-                });
-                let backlog = line
-                    .service_end
-                    .saturating_sub(ctx.clock)
-                    .min(self.procs as u64 * occ);
-                line.service_end = ctx.clock + backlog + occ;
-                backlog
+                let line = shard.lines.entry(grain).or_default();
+                self.occupy(&mut line.service_end, ctx.clock, occ)
             };
             ctx.clock += backlog + occ;
         }
@@ -572,19 +520,10 @@ impl Env for Machine {
             notices_seen: 0,
             cache: PrivateCache::new(self.cost.cache_grains, LOCAL_SHIFT - self.grain_shift),
             pages: PageTable::new(LOCAL_SHIFT - self.grain_shift),
-            local_misses: 0,
-            remote_misses: 0,
-            page_faults: 0,
-            lock_acquires: 0,
-            lock_wait: 0,
             barrier_wait: 0,
-            attr: self.attribution.then(|| {
-                Box::new(SimAttr {
-                    regions: self.regions.lock().clone(),
-                    slot: SETUP_SLOT,
-                    table: AttrTable::new(),
-                })
-            }),
+            regions: self.regions.lock().clone(),
+            slot: SETUP_SLOT,
+            table: AttrTable::new(),
         }
     }
 
@@ -656,7 +595,6 @@ impl Env for Machine {
     fn lock(&self, ctx: &mut SimCtx, lock: usize) {
         let slot = &self.locks[bh_core::env::lock_slot(lock, LOCK_TABLE)];
         slot.real.lock();
-        ctx.lock_acquires += 1;
         let mut vt = slot.vt.lock();
         let transfer = if vt.last_owner >= 0 && vt.last_owner as usize != ctx.proc {
             self.cost.t_lock_transfer
@@ -683,16 +621,13 @@ impl Env for Machine {
         // An ownership change always pays at least the transfer latency,
         // whether or not the lock was contended in virtual time.
         let wait = gap.min(bound).max(transfer) + self.cost.t_lock;
-        ctx.lock_wait += wait;
         ctx.clock += wait;
-        if let Some(a) = ctx.attr.as_deref_mut() {
-            // Lock activity is attributed to the region the lock protects
-            // (free-list locks → allocator, node locks → cells), not to an
-            // address: lock slots live outside the simulated address space.
-            let c = a.table.cell_mut(Region::of_lock(lock), a.slot);
-            c.lock_acquires += 1;
-            c.lock_wait += wait;
-        }
+        // Lock activity is attributed to the region the lock protects
+        // (free-list locks → allocator, node locks → cells), not to an
+        // address: lock slots live outside the simulated address space.
+        let c = ctx.table.cell_mut(Region::of_lock(lock), ctx.slot);
+        c.lock_acquires += 1;
+        c.lock_wait += wait;
         vt.acquire_clock = ctx.clock;
         drop(vt);
         self.acquire_epoch(ctx);
@@ -738,21 +673,14 @@ impl Env for Machine {
         // work (invalidation drains, epoch opens) rides on the barriers the
         // application already executes at those boundaries. Attribution
         // only moves its stage pointer (charging nothing).
-        if let Some(a) = ctx.attr.as_deref_mut() {
-            a.slot = phase.index();
-        }
+        ctx.slot = phase.index();
     }
 
     fn phase_end(&self, ctx: &mut SimCtx, _phase: Phase, _step: u32) {
-        if let Some(a) = ctx.attr.as_deref_mut() {
-            a.slot = SETUP_SLOT;
-        }
+        ctx.slot = SETUP_SLOT;
     }
 
     fn tag_region(&self, base: VAddr, bytes: u64, region: Region) {
-        if !self.attribution {
-            return;
-        }
         // Copy-on-write: contexts snapshot the Arc at creation, so the
         // (setup-time, single-threaded) tagging path pays for the copy and
         // the per-access lookup path stays lock-free.
@@ -767,17 +695,16 @@ impl Env for Machine {
     }
 
     fn stats(&self, ctx: &SimCtx) -> CtxStats {
-        if let Some(a) = ctx.attr.as_deref() {
-            self.attr_mirror[ctx.proc].lock().clone_from(&a.table);
-        }
+        self.attr_mirror[ctx.proc].lock().clone_from(&ctx.table);
+        let total = ctx.table.total();
         CtxStats {
             time: ctx.clock,
-            lock_acquires: ctx.lock_acquires,
-            lock_wait: ctx.lock_wait,
+            lock_acquires: total.lock_acquires,
+            lock_wait: total.lock_wait,
             barrier_wait: ctx.barrier_wait,
-            remote_misses: ctx.remote_misses,
-            local_misses: ctx.local_misses,
-            page_faults: ctx.page_faults,
+            remote_misses: total.remote_misses,
+            local_misses: total.local_misses,
+            page_faults: total.page_faults,
         }
     }
 }
@@ -1164,15 +1091,16 @@ mod tests {
 
     #[test]
     fn attribution_tiles_and_never_touches_the_clock() {
-        use crate::attr::SETUP_SLOT;
-        // Identical operation sequences on a plain and an attributed
-        // machine: clocks and aggregate stats must be bitwise identical;
-        // the attributed one additionally localizes every event.
-        let ops = |m: &Machine| {
+        // Identical operation sequences on an untagged and a tagged machine:
+        // clocks and aggregate stats must be bitwise identical; the tagged
+        // one localizes every event, and its table's totals are its stats.
+        let ops = |m: &Machine, tag: bool| {
             let a = m.alloc(256, 64, Placement::Global);
             let b = m.alloc(256, 64, Placement::Local(1));
-            m.tag_region(a, 256, Region::Bodies);
-            m.tag_region(b, 256, Region::TreeCells);
+            if tag {
+                m.tag_region(a, 256, Region::Bodies);
+                m.tag_region(b, 256, Region::TreeCells);
+            }
             let mut ctx = m.make_ctx(0);
             m.phase_begin(&mut ctx, Phase::Tree, 0);
             m.access(&mut ctx, a, 8, Access::Read);
@@ -1186,15 +1114,21 @@ mod tests {
             m.access(&mut ctx, untagged, 8, Access::Read);
             (ctx.clock, m.stats(&ctx))
         };
-        let plain = origin(2);
-        let attributed = Machine::new(platform::origin2000(2), 2).with_attribution();
-        let (clock_plain, stats_plain) = ops(&plain);
-        let (clock_attr, stats_attr) = ops(&attributed);
+        let (untagged, tagged) = (origin(2), origin(2));
+        let (clock_plain, stats_plain) = ops(&untagged, false);
+        let (clock_attr, stats_attr) = ops(&tagged, true);
         assert_eq!(clock_plain, clock_attr, "attribution changed the clock");
         assert_eq!(stats_plain, stats_attr, "attribution changed aggregates");
-        assert!(plain.attribution().is_none());
+        // Untagged, every miss lands in the catch-all (locks are charged
+        // by lock number, not address).
+        let plain = &untagged.attribution()[0];
+        let (all, other) = (plain.total(), plain.region_total(Region::Other));
+        assert_eq!(
+            other.local_misses + other.remote_misses,
+            all.local_misses + all.remote_misses
+        );
 
-        let tables = attributed.attribution().expect("attribution enabled");
+        let tables = tagged.attribution();
         let t = &tables[0];
         let tree = Phase::Tree.index();
         let bodies = t.cell(Region::Bodies, tree);
@@ -1205,7 +1139,7 @@ mod tests {
         assert_eq!(t.cell(Region::TreeAlloc, SETUP_SLOT).lock_acquires, 1);
         let other = t.cell(Region::Other, SETUP_SLOT);
         assert_eq!(other.remote_misses, 1, "untagged access lands in other");
-        // The tiling property: totals reproduce the aggregates exactly.
+        // The aggregates are the table's totals.
         let total = t.total();
         assert_eq!(total.local_misses, stats_attr.local_misses);
         assert_eq!(total.remote_misses, stats_attr.remote_misses);
@@ -1216,7 +1150,7 @@ mod tests {
 
     #[test]
     fn attribution_localizes_hlrc_faults() {
-        let m = Machine::new(platform::typhoon0_hlrc(2), 2).with_attribution();
+        let m = hlrc(2);
         let a = m.alloc(4096, 4096, Placement::Global);
         m.tag_region(a, 4096, Region::FlatTree);
         let mut c0 = m.make_ctx(0);
@@ -1231,7 +1165,7 @@ mod tests {
         m.unlock(&mut c0, 9);
         let s0 = m.stats(&c0);
         let s1 = m.stats(&c1);
-        let tables = m.attribution().unwrap();
+        let tables = m.attribution();
         let faults = tables[0].cell(Region::FlatTree, Phase::Force.index());
         assert_eq!(faults.page_faults, 1, "fault attributed to flat-tree");
         assert_eq!(tables[0].total().page_faults, s0.page_faults);

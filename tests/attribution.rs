@@ -1,19 +1,19 @@
 //! Contract tests for attributed telemetry.
 //!
-//! Two properties make the per-region breakdown trustworthy:
+//! Every simulated miss, fault, invalidation and lock wait is charged once,
+//! to a (region × pipeline stage) cell, and the aggregate [`CtxStats`]
+//! counters are the table's totals. What makes the breakdown trustworthy:
 //!
-//! 1. **Tiling.** Every counter the simulator attributes is incremented at
-//!    the same program point as its aggregate: summing any attributed
-//!    counter over all regions and pipeline stages must reproduce the
-//!    aggregate [`CtxStats`] field *exactly* — for every algorithm, on both
-//!    a hardware-coherent and a software-SVM platform, at one and several
-//!    processors.
-//! 2. **Zero perturbation.** Attribution never touches the virtual clock,
-//!    so a run with attribution enabled must report bitwise-identical
-//!    simulated cycle and counter totals to the same run with it disabled.
-//!    (Checked at one processor, where simulated runs are fully
-//!    deterministic; multi-processor runs feed real thread interleavings
-//!    into the contention model, so their timings legitimately jitter.)
+//! 1. **Tiling.** The per-processor tables [`Machine::attribution`] hands
+//!    out after a run, summed over all regions and stages, reproduce the
+//!    run's final [`CtxStats`] *exactly* — for every algorithm, on both a
+//!    hardware-coherent and a software-SVM platform, at one and several
+//!    processors, and per job on a reused engine.
+//! 2. **Resolution.** Tagged regions absorb the traffic; the untagged
+//!    catch-all stays a sliver.
+//!
+//! Attribution never touches the virtual clock: `tests/sim_cycles_golden.rs`
+//! pins the P = 1 cycles of all five platforms and six algorithms.
 
 use bh_repro::bh_core::prelude::*;
 use bh_repro::ssmp::{platform, AttrTable, CostModel, Machine};
@@ -37,14 +37,24 @@ fn tiny_cfg(alg: Algorithm) -> SimConfig {
 
 fn run_attributed(cost: &CostModel, alg: Algorithm, procs: usize) -> (RunStats, AttrTable) {
     let bodies = Model::Plummer.generate(192, 1998);
-    let machine = Machine::new(cost.clone(), procs).with_attribution();
+    let machine = Machine::new(cost.clone(), procs);
     let stats = run_simulation(&machine, &tiny_cfg(alg), &bodies);
     stats.assert_valid();
-    let mut sum = AttrTable::new();
-    for t in machine.attribution().expect("attribution enabled") {
-        sum.accumulate(&t);
+    (stats, machine.attribution().iter().sum())
+}
+
+/// Assert that `sum`'s totals are `stats`' aggregate counters.
+fn assert_tiles(stats: &RunStats, sum: &AttrTable, label: &str) {
+    let mut agg = CtxStats::default();
+    for r in &stats.procs_records {
+        agg.accumulate(&r.final_stats);
     }
-    (stats, sum)
+    let total = sum.total();
+    assert_eq!(total.local_misses, agg.local_misses, "{label} local");
+    assert_eq!(total.remote_misses, agg.remote_misses, "{label} remote");
+    assert_eq!(total.page_faults, agg.page_faults, "{label} faults");
+    assert_eq!(total.lock_acquires, agg.lock_acquires, "{label} locks");
+    assert_eq!(total.lock_wait, agg.lock_wait, "{label} lock wait");
 }
 
 /// Tiling: per-(region x stage) counters sum exactly to the aggregates, for
@@ -55,17 +65,8 @@ fn attribution_tiles_aggregates_for_every_algorithm() {
         for alg in ALGS {
             for procs in [1, 4] {
                 let (stats, sum) = run_attributed(&cost, alg, procs);
-                let mut agg = CtxStats::default();
-                for r in &stats.procs_records {
-                    agg.accumulate(&r.final_stats);
-                }
-                let total = sum.total();
                 let label = format!("{}/{}/{procs}p", cost.name, alg.name());
-                assert_eq!(total.local_misses, agg.local_misses, "{label} local");
-                assert_eq!(total.remote_misses, agg.remote_misses, "{label} remote");
-                assert_eq!(total.page_faults, agg.page_faults, "{label} faults");
-                assert_eq!(total.lock_acquires, agg.lock_acquires, "{label} locks");
-                assert_eq!(total.lock_wait, agg.lock_wait, "{label} lock wait");
+                assert_tiles(&stats, &sum, &label);
             }
         }
     }
@@ -117,25 +118,34 @@ fn attribution_resolves_regions() {
     }
 }
 
-/// Disabled telemetry is free: with attribution off (the default), the
-/// simulated clocks and counters are bitwise identical to an attributed
-/// run of the same single-processor configuration.
+/// A parked engine starts each job on fresh contexts: after every job on
+/// one reused `SimEngine<Machine>`, the tables are that job's alone, not
+/// the accumulation of the jobs before it. The same-shape LOCAL job resets
+/// and reuses the allocations; the UPDATE job after it also tags its new
+/// builder's arrays mid-life. At one processor a job takes as many locks
+/// as it does on a fresh machine, whatever protocol state the engine's
+/// earlier jobs left behind.
 #[test]
-fn disabled_attribution_changes_nothing() {
+fn a_reused_engine_attributes_each_job_on_its_own() {
     let bodies = Model::Plummer.generate(192, 1998);
     for cost in [platform::origin2000(1), platform::typhoon0_hlrc(1)] {
-        for alg in ALGS {
-            let plain = Machine::new(cost.clone(), 1);
-            let with = Machine::new(cost.clone(), 1).with_attribution();
-            let a = run_simulation(&plain, &tiny_cfg(alg), &bodies);
-            let b = run_simulation(&with, &tiny_cfg(alg), &bodies);
-            let label = format!("{}/{}", cost.name, alg.name());
-            assert_eq!(a.total_time(), b.total_time(), "{label} total cycles");
-            assert_eq!(a.tree_time(), b.tree_time(), "{label} tree cycles");
-            for (ra, rb) in a.procs_records.iter().zip(&b.procs_records) {
-                assert_eq!(ra.final_stats, rb.final_stats, "{label} final stats");
-                assert_eq!(ra.steps, rb.steps, "{label} step records");
-            }
+        let mut engine = SimEngine::new(Machine::new(cost.clone(), 1));
+        for (job, alg) in [Algorithm::Local, Algorithm::Local, Algorithm::Update]
+            .into_iter()
+            .enumerate()
+        {
+            let stats = engine.run(&tiny_cfg(alg), &bodies);
+            stats.assert_valid();
+            let sum: AttrTable = engine.env().attribution().iter().sum();
+            let label = format!("{}/{}/job {job}", cost.name, alg.name());
+            assert_tiles(&stats, &sum, &label);
+            let (_, fresh) = run_attributed(&cost, alg, 1);
+            assert!(fresh.total().lock_acquires > 0, "{label}: no locks");
+            assert_eq!(
+                sum.total().lock_acquires,
+                fresh.total().lock_acquires,
+                "{label}: locks of earlier jobs carried over"
+            );
         }
     }
 }
