@@ -131,7 +131,11 @@ echo "== report lane (attributed telemetry + scaling analysis) =="
 # check-json also re-derives the attribution tiling property from the
 # report_comm records alone. Emitter and validator read one declaration
 # (records::RECORD_TYPES), so a record cannot carry an unvalidated key.
-sweep report --scale tiny
+# The report is one grid of runs that --jobs prewarms: 2 platforms x
+# (baseline + 4 processor counts x 6 algorithms - the baseline's duplicate).
+(cd "$SMOKE_DIR" && timeout 120 "$REPRO" report --scale tiny --jobs 2 2>report.err >/dev/null)
+grep -q '^\[sweep: 48 job(s)' "$SMOKE_DIR/report.err" || {
+    echo "report --jobs 2 did not prewarm 48 jobs:"; cat "$SMOKE_DIR/report.err"; exit 1; }
 "$REPRO" check-json "$SMOKE_DIR/REPORT_tiny.json"
 
 echo "== sweep determinism gate (--jobs 2 vs --jobs 1) =="
@@ -140,8 +144,9 @@ echo "== sweep determinism gate (--jobs 2 vs --jobs 1) =="
 # timings carry inherent run-to-run jitter (real thread interleaving feeds
 # the contention model), so the full matrix is compared structurally — same
 # experiments, configurations and series.
-# The prewarm covers the render: after the tiny matrix's 92 jobs, drawing all
-# thirteen tables adds no entry to the run memo. #[ignore]d in the suite
+# The prewarm covers the render: after the tiny matrix's 92 jobs and the tiny
+# report's, drawing all thirteen tables and the report adds no entry to the
+# run memo. #[ignore]d in the suite
 # for the same livelock, and because it must have the process-wide memo to
 # itself; hence by name, alone, under the same bound (built outside it).
 cargo test --offline --release -q -p bh-experiments --lib --no-run

@@ -125,7 +125,7 @@ impl Builder {
         self.morton_scratch.as_ref().expect("MORTON scratch")
     }
 
-    /// Override the SPACE subdivision threshold (ablation studies).
+    /// Override the SPACE subdivision threshold.
     pub fn with_space_threshold(mut self, threshold: usize) -> Builder {
         self.space_threshold = threshold.max(1);
         self

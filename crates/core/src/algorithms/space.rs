@@ -466,7 +466,9 @@ mod tests {
 
     #[test]
     fn matches_reference_parallel() {
-        check(3000, 4, 8, Model::Plummer, default_threshold(3000, 4, 8));
+        for threshold in [default_threshold(3000, 4, 8), 256, 100_000] {
+            check(3000, 4, 8, Model::Plummer, threshold);
+        }
     }
 
     #[test]

@@ -41,8 +41,6 @@ pub struct SimConfig {
     pub warmup_steps: usize,
     /// Steps measured (paper uses 2).
     pub measured_steps: usize,
-    /// Override for the SPACE subdivision threshold.
-    pub space_threshold: Option<usize>,
     /// SPACE cost-rebalance factor: a would-be-final subspace whose cost
     /// exceeds `factor * total_cost / P` is refined one extra round.
     /// `0.0` disables cost-triggered refinement.
@@ -70,7 +68,6 @@ impl SimConfig {
             dt: 0.025,
             warmup_steps: 2,
             measured_steps: 2,
-            space_threshold: None,
             space_rebalance: 0.25,
             group_size: MAX_GROUP_SIZE,
             morton_every: 4,
@@ -384,8 +381,8 @@ impl RunStats {
 
 /// Nearest-rank percentile of an unsorted `u64` sample. `p` is in
 /// `[0, 100]`; the result is always an observed value (no interpolation),
-/// and `0` for an empty sample. Used for repeat-aware per-step summaries:
-/// pool the per-step series across repeats, then take p50/p99.
+/// and `0` for an empty sample. Used for per-step summaries: p50/p99 of a
+/// run's per-step series.
 pub fn percentile_u64(values: &[u64], p: f64) -> u64 {
     if values.is_empty() {
         return 0;

@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use crate::algorithms::{space, Algorithm, Builder};
+use crate::algorithms::{Algorithm, Builder};
 use crate::app::{self, RunStats, SimConfig};
 use crate::body::Body;
 use crate::env::Env;
@@ -76,23 +76,20 @@ impl EngineState {
     }
 
     /// Run `cfg` on these allocations; see [`app::execute`]. The SPACE
-    /// threshold and rebalance come from `cfg` every time, so a cached
-    /// builder carries nothing over from the previous job.
+    /// rebalance comes from `cfg` every time, so a cached builder carries
+    /// nothing over from the previous job; its threshold is the default for
+    /// this state's shape.
     pub(crate) fn run<E: Env>(
         &mut self,
         env: &E,
         pool: &WorkerPool,
         cfg: &SimConfig,
     ) -> (RunStats, Vec<Body>) {
-        let (alg, n) = (cfg.algorithm, self.n);
-        let threshold = cfg
-            .space_threshold
-            .unwrap_or_else(|| space::default_threshold(n, env.num_procs(), cfg.k));
+        let alg = cfg.algorithm;
         let builder = self
             .builders
             .remove(&alg)
-            .unwrap_or_else(|| Builder::new(env, alg, n, cfg.k))
-            .with_space_threshold(threshold)
+            .unwrap_or_else(|| Builder::new(env, alg, self.n, cfg.k))
             .with_space_rebalance(cfg.space_rebalance);
         app::execute(
             env,

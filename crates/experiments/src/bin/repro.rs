@@ -4,7 +4,7 @@
 //! ```text
 //! repro <experiment|all|matrix> [--scale tiny|small|full] [--jobs <N>]
 //!       [--json <path>] [--trace <path>] [--group-size <N>]
-//! repro report [--scale <scale>] [--json <path>]
+//! repro report [--scale <scale>] [--jobs <N>] [--json <path>]
 //! repro run <platform|native> <algorithm> <n> <procs> [--scale <scale>]
 //!       [--trace <path>] [--group-size <N>] [--json <path>]
 //! repro check-json <path>
@@ -24,9 +24,9 @@
 //! which traces its own runs).
 //!
 //! `--jobs N` prewarms the run memo (`runner::prewarm`): the deduplicated
-//! (platform, algorithm, n, procs) runs of the selected experiments' grids
-//! are simulated across N threads, then the tables are generated serially
-//! from the memo. The prewarm changes wall-clock time only, never which
+//! (platform, algorithm, n, procs) runs of the selected experiments' grids,
+//! or of the report's, are simulated across N threads, then the tables are
+//! generated serially from the memo. The prewarm changes wall-clock time only, never which
 //! configurations are computed. Single-processor experiments (`table1`) are
 //! bitwise deterministic, so their output is byte-identical across any
 //! `--jobs` setting; multi-processor simulated timings carry run-to-run
@@ -58,13 +58,14 @@ use bh_experiments::cliargs;
 use bh_experiments::experiments::{self, Experiment, EXPERIMENTS};
 use bh_experiments::json::Json;
 use bh_experiments::records;
+use bh_experiments::report;
 use bh_experiments::runner::{self, ExperimentScale};
 use std::io::Write;
 
 fn usage_text() -> String {
     format!(
         "usage: repro <experiment|all|matrix> [--scale {}] [--jobs <N>] [--json <path>] [--trace <path>] [--group-size <N>]\n\
-         \x20      repro report [--scale <scale>] [--json <path>]\n\
+         \x20      repro report [--scale <scale>] [--jobs <N>] [--json <path>]\n\
          \x20      repro run <platform|native> <algorithm> <n> <procs> [--scale <scale>] [--trace <path>] [--group-size <N>] [--json <path>]\n\
          \x20      repro check-json <path>\n\
          \x20      repro check-trace <path>\n\
@@ -147,10 +148,9 @@ fn main() {
     }
     let scale = scale.unwrap_or(ExperimentScale::Small);
 
-    // The scaling/analysis report: communication-by-data-structure breakdown
-    // (of the scaling curves' runs), speedup/efficiency curves over a
-    // processor sweep with crossover points, and repeat-aware per-step
-    // summaries.
+    // The scaling/analysis report, one grid of runs: communication-by-data-
+    // structure breakdown, speedup/efficiency curves over a processor sweep
+    // with crossover points, and per-step summaries of the same runs.
     // Emits REPORT_<scale>.json alongside the text tables; `check-json`
     // validates it against the declared record types.
     if which == "report" {
@@ -159,11 +159,12 @@ fn main() {
             &[
                 ("--trace", trace_path.is_some()),
                 ("--group-size", group_size.is_some()),
-                ("--jobs", jobs.is_some_and(|j| j > 1)),
             ],
         );
+        let grid = report::grid(scale);
+        prewarm(grid.runs(), jobs);
         let t0 = std::time::Instant::now();
-        let r = bh_experiments::report::scaling_report(scale);
+        let r = report::scaling_report(scale, &grid);
         for t in &r.tables {
             println!("{t}");
         }
@@ -200,20 +201,10 @@ fn main() {
         }
     }
 
-    // Prewarm the run memo; the serial table generation below then only
-    // performs lookups. Progress goes to stderr so the emitted documents
-    // stay byte-identical to a --jobs 1 run.
-    if let Some(jobs) = jobs.filter(|&j| j > 1) {
-        let runs = experiments::prewarm_jobs(selected.iter().copied(), scale);
-        if !runs.is_empty() {
-            let t = std::time::Instant::now();
-            let count = runner::prewarm(runs, jobs);
-            eprintln!(
-                "[sweep: {count} job(s) across {jobs} thread(s) in {:.1}s]",
-                t.elapsed().as_secs_f64()
-            );
-        }
-    }
+    prewarm(
+        experiments::prewarm_jobs(selected.iter().copied(), scale),
+        jobs,
+    );
 
     let t0 = std::time::Instant::now();
     let mut tables = Vec::new();
@@ -246,6 +237,24 @@ fn main() {
         }
     }
     write_tables_json(json_path, &tables);
+}
+
+/// `--jobs N` (N > 1): fill the run memo with `runs` across N threads, so
+/// the serial table generation that follows only performs lookups. Progress
+/// goes to stderr so the emitted documents stay byte-identical to a
+/// `--jobs 1` run.
+fn prewarm(runs: Vec<runner::Run>, jobs: Option<usize>) {
+    let Some(jobs) = jobs.filter(|&j| j > 1) else {
+        return;
+    };
+    let t = std::time::Instant::now();
+    let count = runner::prewarm(runs, jobs);
+    if count > 0 {
+        eprintln!(
+            "[sweep: {count} job(s) across {jobs} thread(s) in {:.1}s]",
+            t.elapsed().as_secs_f64()
+        );
+    }
 }
 
 /// `--json <path>`: the rendered tables as one array document.

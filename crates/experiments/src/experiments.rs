@@ -85,6 +85,7 @@ pub fn prewarm_jobs<'a>(
 /// processor count x algorithm, each against its platform's sequential
 /// baseline at that size. Sizes and processor counts are already scaled,
 /// ascending and distinct.
+#[derive(Clone)]
 pub struct Grid {
     pub platforms: Vec<CostModel>,
     pub sizes: Vec<usize>,
@@ -100,7 +101,7 @@ impl Grid {
     /// All six algorithms over the paper's `sizes` and `procs` at `scale`.
     /// Scaling floors sizes and caps processor counts, so the ascending
     /// lists can repeat (Tiny maps 8192..32768 to 512); repeats are dropped.
-    fn new(
+    pub(crate) fn new(
         scale: ExperimentScale,
         platforms: &[fn(usize) -> CostModel],
         sizes: &[usize],
@@ -138,7 +139,8 @@ impl Grid {
 /// One experiment at one scale.
 pub struct Spec {
     pub grid: Grid,
-    /// `{n}` and `{p}` stand for the grid's first size and processor count.
+    /// `{platform}`, `{n}` and `{p}` stand for the grid's first platform,
+    /// size and processor count.
     pub title: &'static str,
     /// What the paper reports, for eyeball comparison.
     pub expectation: &'static str,
@@ -176,12 +178,12 @@ fn tree_speedup(_: &CostModel, run: &PlatformRun) -> String {
 }
 
 fn tree_pct(_: &CostModel, run: &PlatformRun) -> String {
-    fmt_pct(run.tree_fraction)
+    fmt_pct(run.stats.tree_fraction())
 }
 
 /// Average barrier wait per processor, in seconds.
 fn barrier_seconds(cost: &CostModel, run: &PlatformRun) -> String {
-    let avg = run.barrier_wait_cycles / run.procs as u64;
+    let avg = run.stats.barrier_wait_total() / run.procs as u64;
     format!("{:.3}", cost.cycles_to_seconds(avg))
 }
 
@@ -245,7 +247,7 @@ impl Spec {
                 let mut rows = Vec::new();
                 for cost in &g.platforms {
                     for &alg in g.algs {
-                        let locks = run_cached(cost, alg, n0, p0).locks_per_proc;
+                        let locks = run_cached(cost, alg, n0, p0).stats.tree_locks_per_proc();
                         let label = format!("{} {}", cost.name, alg.name());
                         rows.push(row(label, locks.iter().map(|l| l.to_string())));
                     }
@@ -255,6 +257,7 @@ impl Spec {
         };
         let title = self
             .title
+            .replace("{platform}", &cost.name)
             .replace("{n}", &n0.to_string())
             .replace("{p}", &p0.to_string());
         Table {
@@ -811,23 +814,32 @@ mod tests {
         }
     }
 
-    /// Runs the whole tiny matrix, so it can meet the UPDATE `move_body`
-    /// livelock (ROADMAP item 1; 1 of 40 runs here) and must run alone in
-    /// its process (the memo is process-wide): check.sh runs it by name
-    /// under `timeout`.
+    /// Runs the whole tiny matrix and the tiny report, so it can meet the
+    /// UPDATE `move_body` livelock (ROADMAP item 1; 1 of 40 runs here) and
+    /// must run alone in its process (the memo is process-wide): check.sh
+    /// runs it by name under `timeout`.
     #[test]
     #[ignore = "runs the tiny matrix; check.sh runs it alone under timeout"]
     fn rendering_after_the_prewarm_computes_nothing() {
         let scale = ExperimentScale::Tiny;
-        // 92, not 93: Figure 11's PARTREE run at one processor is the
-        // baseline, so the memo holds it once.
-        assert_eq!(prewarm(prewarm_jobs(matrix(), scale), 2), 92);
-        assert_eq!(crate::runner::memo_size(), 92);
+        let report_grid = report::grid(scale);
+        // The report shares its runs at the largest processor count with
+        // Figures 8 and 13, so the union is smaller than the sum.
+        let runs = distinct(
+            prewarm_jobs(matrix(), scale)
+                .into_iter()
+                .chain(report_grid.runs()),
+        );
+        let count = runs.len();
+        assert_eq!(prewarm(runs, 2), count);
+        assert_eq!(crate::runner::memo_size(), count);
         for e in matrix() {
             let table = e.spec.unwrap()(scale).table(e.id);
             assert!(!table.rows.is_empty(), "{} rendered no rows", e.name);
         }
-        assert_eq!(crate::runner::memo_size(), 92);
+        let report = report::scaling_report(scale, &report_grid);
+        assert!(report.tables.iter().all(|t| !t.rows.is_empty()));
+        assert_eq!(crate::runner::memo_size(), count);
     }
 
     #[test]

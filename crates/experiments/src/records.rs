@@ -79,7 +79,6 @@ pub const RECORD_TYPES: &[RecordType] = &[
         &[
             "n",
             "procs",
-            "repeats",
             "steps",
             "tree_p50_cycles",
             "tree_p99_cycles",

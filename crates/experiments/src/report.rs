@@ -1,36 +1,39 @@
 //! The `repro report` scaling/analysis subsystem.
 //!
-//! Distills the reproduced runs into three analysis products the paper's
-//! tables only hint at:
+//! The report is one [`Grid`] ([`grid`]): two platforms, one size and a
+//! processor sweep, read from the run memo ([`crate::runner`]) like every
+//! figure, so each configuration is simulated once and every product below
+//! describes the same runs. It distills them into three analysis products
+//! the paper's tables only hint at:
 //!
 //! 1. **Communication by data structure** (Table-4-style): the simulator
 //!    charges every miss, fault, invalidation and lock wait to the shared
 //!    [`Region`] it hit and the pipeline stage that incurred it, and the
-//!    run memo keeps that record of each run; this table reads the runs
-//!    the scaling curves use at the sweep's largest processor count. The
-//!    per-region rows *tile* each run's totals — `repro check-json`
-//!    re-checks it from the emitted document
-//!    ([`crate::records::check_comm_tiling`]).
-//! 2. **Speedup/efficiency curves**: per-algorithm speedups over a
-//!    processor-count sweep on each simulated platform, with parallel
-//!    efficiency (speedup / processors).
+//!    run memo keeps that record of each run; this table reads the runs at
+//!    the sweep's largest processor count. The per-region rows *tile* each
+//!    run's totals — `repro check-json` re-checks it from the emitted
+//!    document ([`crate::records::check_comm_tiling`]).
+//! 2. **Speedup/efficiency curves**: per-algorithm speedups over the
+//!    processor sweep on each platform, with parallel efficiency
+//!    (speedup / processors).
 //! 3. **Crossover analysis**: which algorithm wins at each processor count,
 //!    and where the winner changes — e.g. the point where SPACE's lock-free
 //!    build overtakes the lock-based algorithms as contention grows.
 //!
-//! Plus a per-step time-series summary (**4**): each configuration run
-//! `repeats` times, the per-step tree/total times, lock waits and imbalance
-//! pooled across repeats, and summarized with nearest-rank p50/p99 — a
-//! single slow step surfaces in the p99 column instead of vanishing into a
-//! run-level mean.
+//! Plus a per-step time-series summary (**4**): the measured steps of each
+//! run at the largest processor count — the curves' own runs — with their
+//! tree/total times, lock waits and imbalance summarized as nearest-rank
+//! p50/p99, so a single slow step surfaces in the p99 column instead of
+//! vanishing into a run-level mean.
 //!
 //! Everything is emitted twice: human-readable [`Table`]s and a flat JSON
 //! array (`REPORT_<scale>.json`) of typed records declared in
 //! [`crate::records::RECORD_TYPES`], which `repro check-json` validates
 //! against.
 
+use crate::experiments::{Grid, Render, Spec};
 use crate::records::emit;
-use crate::runner::{run_cached, simulate, ExperimentScale};
+use crate::runner::{run_cached, ExperimentScale, PlatformRun};
 use crate::tables::{fmt_pct, fmt_speedup, Table};
 use bh_core::prelude::*;
 use ssmp::{platform, slot_name, AttrTable, CostModel, ATTR_SLOTS};
@@ -44,41 +47,26 @@ pub struct ScalingReport {
     pub json: String,
 }
 
-/// The simulated platforms the report covers: one hardware-coherent CC-NUMA
-/// machine and one software shared-virtual-memory machine — the two ends of
-/// the paper's communication-cost spectrum.
-fn platforms(procs: usize) -> [CostModel; 2] {
-    [platform::origin2000(procs), platform::typhoon0_hlrc(procs)]
+/// The runs the report reads: one hardware-coherent CC-NUMA machine and one
+/// software shared-virtual-memory machine — the two ends of the paper's
+/// communication-cost spectrum — at one size, over a processor sweep.
+pub fn grid(scale: ExperimentScale) -> Grid {
+    let platforms = [platform::origin2000, platform::typhoon0_hlrc];
+    Grid::new(scale, &platforms, &[16384], &[1, 2, 4, 8, 16])
 }
 
-/// Generate the full scaling report at a scale's standard size. See
-/// [`scaling_report_sized`] for the knobs.
-pub fn scaling_report(scale: ExperimentScale) -> ScalingReport {
-    let mut sweep: Vec<usize> = [1, 2, 4, 8, 16].iter().map(|&p| scale.procs(p)).collect();
-    sweep.dedup();
-    scaling_report_sized(scale, scale.size(16384), &sweep, 2)
-}
-
-/// Generate the report for an explicit size, processor sweep and repeat
-/// count. The communication breakdown and step series run at the sweep's
-/// largest processor count; the scaling curves cover the whole sweep.
-pub fn scaling_report_sized(
-    scale: ExperimentScale,
-    n: usize,
-    procs_sweep: &[usize],
-    repeats: usize,
-) -> ScalingReport {
-    assert!(!procs_sweep.is_empty(), "empty processor sweep");
-    let max_procs = *procs_sweep.iter().max().unwrap();
+/// Generate the report from the runs of `grid`, which has one size;
+/// `scale` names the records. The communication breakdown and step series
+/// read the sweep's largest processor count; the scaling curves cover the
+/// whole sweep.
+pub fn scaling_report(scale: ExperimentScale, grid: &Grid) -> ScalingReport {
+    let n = *grid.sizes.first().expect("a grid has a size");
+    let procs = *grid.procs.last().expect("a grid has processor counts");
     let mut records: Vec<String> = Vec::new();
-    let mut tables = Vec::new();
-
-    tables.push(comm_breakdown(scale, n, max_procs, &mut records));
-    let (curves, crossover) = scaling_curves(scale, n, procs_sweep, &mut records);
-    tables.extend(curves);
-    tables.push(crossover);
-    tables.push(step_percentiles(scale, n, max_procs, repeats, &mut records));
-
+    let mut tables = vec![comm_breakdown(scale, grid, n, procs, &mut records)];
+    tables.extend(grid.platforms.iter().map(|cost| curve(grid, cost)));
+    tables.push(crossover(scale, grid, n, &mut records));
+    tables.push(step_percentiles(scale, grid, n, procs, &mut records));
     ScalingReport {
         tables,
         json: format!("[\n{}\n]\n", records.join(",\n")),
@@ -132,6 +120,7 @@ pub(crate) fn comm_rows(table: &mut Table, platform: &str, alg: Algorithm, sum: 
 /// Product 1: per-region communication breakdown of the memo's runs.
 fn comm_breakdown(
     scale: ExperimentScale,
+    grid: &Grid,
     n: usize,
     procs: usize,
     records: &mut Vec<String>,
@@ -143,9 +132,9 @@ fn comm_breakdown(
              (whole run; tree-stage remote misses split out; zero rows omitted)"
         ),
     );
-    for cost in platforms(procs) {
-        for alg in Algorithm::ALL {
-            let sum = run_cached(&cost, alg, n, procs).comm;
+    for cost in &grid.platforms {
+        for &alg in grid.algs {
+            let sum = run_cached(cost, alg, n, procs).comm;
             let total = sum.total();
             comm_rows(&mut table, &cost.name, alg, &sum);
             // JSON keeps the full (region x stage) resolution; zero cells
@@ -205,15 +194,30 @@ fn comm_record(
     )
 }
 
-/// Products 2 and 3: per-algorithm speedup/efficiency curves over the
-/// processor sweep, and the crossover table derived from them.
-fn scaling_curves(
-    scale: ExperimentScale,
-    n: usize,
-    procs_sweep: &[usize],
-    records: &mut Vec<String>,
-) -> (Vec<Table>, Table) {
-    let mut curve_tables = Vec::new();
+/// Product 2: one platform's speedup (and efficiency) curve over the
+/// processor sweep.
+fn curve(grid: &Grid, cost: &CostModel) -> Table {
+    Spec {
+        grid: Grid {
+            platforms: vec![cost.clone()],
+            ..grid.clone()
+        },
+        title: "Speedup (and efficiency) vs processor count on {platform}, {n} particles",
+        expectation: "speedups grow with processors but efficiency falls; \
+                      lock-heavy algorithms fall off first",
+        render: Render::ByProcs(speedup_efficiency),
+    }
+    .table(&format!("Report: scaling on {}", cost.name))
+}
+
+fn speedup_efficiency(_: &CostModel, run: &PlatformRun) -> String {
+    let efficiency = run.speedup / run.procs as f64;
+    format!("{} ({})", fmt_speedup(run.speedup), fmt_pct(efficiency))
+}
+
+/// Product 3: the best algorithm per processor count, derived from the
+/// curves' runs, which it also emits as `report_scaling` records.
+fn crossover(scale: ExperimentScale, grid: &Grid, n: usize, records: &mut Vec<String>) -> Table {
     let mut crossover = Table::new(
         "Report: crossover",
         &format!("Best algorithm per processor count, {n} particles"),
@@ -221,35 +225,12 @@ fn scaling_curves(
         "the winner at 1 processor (least overhead) is overtaken by the \
          contention-robust algorithms as processors grow",
     );
-    let makers: [fn(usize) -> CostModel; 2] = [platform::origin2000, platform::typhoon0_hlrc];
-    for maker in makers {
-        let cost0 = maker(1);
-        let mut t = Table::new(
-            &format!("Report: scaling on {}", cost0.name),
-            &format!(
-                "Speedup (and efficiency) vs processor count on {}, {n} particles",
-                cost0.name
-            ),
-            &[],
-            "speedups grow with processors but efficiency falls; \
-             lock-heavy algorithms fall off first",
-        );
-        t.headers = vec!["procs".to_string()];
-        t.headers
-            .extend(Algorithm::ALL.iter().map(|a| a.name().to_string()));
+    for cost in &grid.platforms {
         let mut prev_winner: Option<Algorithm> = None;
-        for &p in procs_sweep {
-            let cost = maker(p);
-            let mut row = vec![p.to_string()];
+        for &p in &grid.procs {
             let mut by_speedup: Vec<(Algorithm, f64)> = Vec::new();
-            for alg in Algorithm::ALL {
-                let run = run_cached(&cost, alg, n, p);
-                let efficiency = run.speedup / p as f64;
-                row.push(format!(
-                    "{} ({})",
-                    fmt_speedup(run.speedup),
-                    fmt_pct(efficiency)
-                ));
+            for &alg in grid.algs {
+                let run = run_cached(cost, alg, n, p);
                 by_speedup.push((alg, run.speedup));
                 records.push(emit(
                     "report_scaling",
@@ -261,11 +242,10 @@ fn scaling_curves(
                         run.tree_cycles.to_string(),
                         run.seq_cycles.to_string(),
                         format!("{:.4}", run.speedup),
-                        format!("{efficiency:.4}"),
+                        format!("{:.4}", run.speedup / p as f64),
                     ],
                 ));
             }
-            t.rows.push(row);
             by_speedup.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
             let (winner, ws) = by_speedup[0];
             let (runner_up, rs) = by_speedup[1];
@@ -295,28 +275,24 @@ fn scaling_curves(
             ));
             prev_winner = Some(winner);
         }
-        curve_tables.push(t);
     }
-    (curve_tables, crossover)
+    crossover
 }
 
-/// Product 4: repeat-aware per-step summaries. Each configuration runs
-/// `repeats` times; per-step values are pooled across repeats before taking
-/// nearest-rank p50/p99 (multi-processor simulated timings carry real
-/// run-to-run jitter — the interleaving of the host threads feeds the
-/// contention model — so repeats widen the sample honestly).
+/// Product 4: per-step summaries of the curves' runs at `procs`: each
+/// run's measured steps, summarized with nearest-rank p50/p99.
 fn step_percentiles(
     scale: ExperimentScale,
+    grid: &Grid,
     n: usize,
     procs: usize,
-    repeats: usize,
     records: &mut Vec<String>,
 ) -> Table {
     let mut table = Table::new(
         "Report: step series",
         &format!(
-            "Per-step time series over {repeats} repeat(s), {n} particles, {procs} processors \
-             (nearest-rank percentiles over all measured steps of all repeats)"
+            "Per-step time series of the scaling curves' runs, {n} particles, {procs} processors \
+             (nearest-rank percentiles over the measured steps)"
         ),
         &[
             "platform",
@@ -334,29 +310,26 @@ fn step_percentiles(
         "lock-based algorithms show wider tree-time tails (p99 >> p50) \
          under contention; SPACE stays tight",
     );
-    for cost in platforms(procs) {
-        for alg in Algorithm::ALL {
-            let mut tree_times: Vec<u64> = Vec::new();
-            let mut totals: Vec<u64> = Vec::new();
-            let mut lock_waits: Vec<u64> = Vec::new();
-            let mut imbalances: Vec<f64> = Vec::new();
-            for _ in 0..repeats.max(1) {
-                let (stats, _) = simulate(&(cost.clone(), alg, n, procs));
-                let rows = stats.step_rows(stats.measured());
-                for step in rows.chunks(Phase::ALL.len()) {
-                    let tree = &step[Phase::Tree.index()];
-                    tree_times.push(tree.stats.time);
-                    imbalances.push(tree.imbalance);
-                    lock_waits.push(step.iter().map(|r| r.stats.lock_wait).sum());
-                }
-                // The tree stage ends without a barrier, so a step's total
-                // is its longest processor, not the sum of phase maxima.
-                totals.extend(stats.measured().map(|s| {
+    for cost in &grid.platforms {
+        for &alg in grid.algs {
+            let stats = run_cached(cost, alg, n, procs).stats;
+            let rows = stats.step_rows(stats.measured());
+            let tree = rows.iter().filter(|r| r.phase == Phase::Tree);
+            let tree_times: Vec<u64> = tree.clone().map(|r| r.stats.time).collect();
+            let imbalances: Vec<f64> = tree.map(|r| r.imbalance).collect();
+            let lock_waits: Vec<u64> = rows
+                .chunks(Phase::ALL.len())
+                .map(|step| step.iter().map(|r| r.stats.lock_wait).sum())
+                .collect();
+            // The tree stage ends without a barrier, so a step's total is
+            // its longest processor, not the sum of phase maxima.
+            let totals: Vec<u64> = stats
+                .measured()
+                .map(|s| {
                     let steps = stats.procs_records.iter().map(|r| r.steps[s].time());
                     steps.max().unwrap_or(0)
-                }));
-            }
-            let steps = totals.len();
+                })
+                .collect();
             let row = [
                 percentile_u64(&tree_times, 50.0),
                 percentile_u64(&tree_times, 99.0),
@@ -369,14 +342,13 @@ fn step_percentiles(
                 percentile_f64(&imbalances, 50.0),
                 percentile_f64(&imbalances, 99.0),
             );
+            let steps = totals.len();
             let mut cells = vec![cost.name.clone(), alg.name().to_string(), steps.to_string()];
             cells.extend(row.iter().map(u64::to_string));
             cells.push(format!("{imb50:.3}"));
             cells.push(format!("{imb99:.3}"));
             table.row(cells);
-            let mut nums = [n, procs, repeats.max(1), steps]
-                .map(|v| v.to_string())
-                .to_vec();
+            let mut nums = [n, procs, steps].map(|v| v.to_string()).to_vec();
             nums.extend(row.iter().map(u64::to_string));
             nums.extend([format!("{imb50:.4}"), format!("{imb99:.4}")]);
             records.push(emit(
@@ -395,8 +367,16 @@ mod tests {
     use crate::json::Json;
     use crate::records::{check_comm_tiling, validate, RECORD_TYPES};
 
+    fn tiny_grid() -> Grid {
+        Grid {
+            sizes: vec![128],
+            procs: vec![1, 2],
+            ..grid(ExperimentScale::Tiny)
+        }
+    }
+
     fn tiny_report() -> ScalingReport {
-        scaling_report_sized(ExperimentScale::Tiny, 128, &[1, 2], 2)
+        scaling_report(ExperimentScale::Tiny, &tiny_grid())
     }
 
     #[test]
@@ -417,6 +397,44 @@ mod tests {
                     .iter()
                     .any(|r| r.get("experiment").and_then(Json::as_str) == Some(name)),
                 "report emitted no {name} records"
+            );
+        }
+    }
+
+    #[test]
+    fn the_step_series_reads_the_curves_runs() {
+        let grid = tiny_grid();
+        let doc = Json::parse(&scaling_report(ExperimentScale::Tiny, &grid).json).unwrap();
+        let field = |r: &Json, key: &str| r.get(key).cloned().unwrap();
+        let steps: Vec<&Json> = doc
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|r| field(r, "experiment").as_str() == Some("report_steps"))
+            .collect();
+        assert_eq!(steps.len(), grid.platforms.len() * grid.algs.len());
+        for r in steps {
+            // The run's own measured steps.
+            assert_eq!(field(r, "steps").as_f64(), Some(2.0));
+            let platform = field(r, "platform");
+            let cost = grid
+                .platforms
+                .iter()
+                .find(|c| platform.as_str() == Some(&c.name));
+            let alg = Algorithm::parse(field(r, "algorithm").as_str().unwrap()).unwrap();
+            let stats = run_cached(cost.unwrap(), alg, 128, 2).stats;
+            let tree: Vec<u64> = stats
+                .step_rows(stats.measured())
+                .iter()
+                .filter(|row| row.phase == Phase::Tree)
+                .map(|row| row.stats.time)
+                .collect();
+            assert_eq!(tree.len(), 2);
+            assert_eq!(
+                field(r, "tree_p50_cycles").as_f64(),
+                Some(percentile_u64(&tree, 50.0) as f64),
+                "{} {alg}",
+                cost.unwrap().name
             );
         }
     }

@@ -62,8 +62,9 @@ impl ExperimentScale {
     }
 }
 
-/// Everything one platform run yields.
-#[derive(Debug, Clone, PartialEq)]
+/// One platform run as the figures read it: its memo entry, and its
+/// speedups against the platform's sequential baseline.
+#[derive(Debug, Clone)]
 pub struct PlatformRun {
     pub platform: String,
     pub algorithm: Algorithm,
@@ -72,16 +73,13 @@ pub struct PlatformRun {
     /// Measured-steps totals, in simulated cycles.
     pub total_cycles: u64,
     pub tree_cycles: u64,
-    pub force_cycles: u64,
     /// Sequential baseline on the same platform (cycles).
     pub seq_cycles: u64,
     pub seq_tree_cycles: u64,
     pub speedup: f64,
     pub tree_speedup: f64,
-    pub tree_fraction: f64,
-    pub seconds: f64,
-    pub barrier_wait_cycles: u64,
-    pub locks_per_proc: Vec<u64>,
+    /// The run's record: every processor's phase deltas, step by step.
+    pub stats: &'static RunStats,
     /// The whole run's misses, faults, invalidations and lock waits by
     /// (region, stage), summed over processors.
     pub comm: AttrTable,
@@ -93,20 +91,6 @@ pub const WORKLOAD_SEED: u64 = 1998;
 /// One simulated run: (platform, algorithm, n, procs).
 pub type Run = (CostModel, Algorithm, usize, usize);
 
-/// What the memo keeps of one [`run_simulation`]. Entries do not depend on
-/// each other: [`run_cached`] divides by the `(PARTREE, n, 1)` entry when it
-/// reads one.
-#[derive(Debug, Clone)]
-struct Simulated {
-    total_cycles: u64,
-    tree_cycles: u64,
-    force_cycles: u64,
-    tree_fraction: f64,
-    barrier_wait_cycles: u64,
-    locks_per_proc: Vec<u64>,
-    comm: AttrTable,
-}
-
 /// A run's memo key. Platforms are known by name: a preset built for
 /// another processor count is the same cost model.
 type RunKey = (String, Algorithm, usize, usize);
@@ -115,40 +99,38 @@ fn key((cost, alg, n, procs): &Run) -> RunKey {
     (cost.name.clone(), *alg, *n, *procs)
 }
 
+/// What the memo keeps of one run: its statistics and its per-region
+/// record summed over processors. Entries do not depend on each other:
+/// [`run_cached`] divides by the `(PARTREE, n, 1)` entry when it reads one.
+/// The memo never drops an entry, so its statistics live as long as the
+/// process and every reader shares them.
+type Entry = (&'static RunStats, AttrTable);
+
 /// Every simulated run of the process, keyed by [`RunKey`]. Many figures
 /// share configurations (e.g. Figures 8 and 9), and [`prewarm`] fills it so
 /// the serial table-generation pass that follows is pure lookup.
-static RUNS: Mutex<Option<HashMap<RunKey, Simulated>>> = Mutex::new(None);
+static RUNS: Mutex<Option<HashMap<RunKey, Entry>>> = Mutex::new(None);
 
 /// The memo entry of `run`, [`simulate`]d on first use. Simulated runs at
 /// one processor are deterministic; at more, the first value stored is the
 /// one every later lookup sees.
-fn simulated(run: &Run) -> Simulated {
+fn simulated(run: &Run) -> Entry {
     let key = key(run);
     if let Some(hit) = RUNS.lock().get_or_insert_with(HashMap::new).get(&key) {
         return hit.clone();
     }
     let (stats, comm) = simulate(run);
-    let fresh = Simulated {
-        total_cycles: stats.total_time(),
-        tree_cycles: stats.tree_time(),
-        force_cycles: stats.force_time(),
-        tree_fraction: stats.tree_fraction(),
-        barrier_wait_cycles: stats.barrier_wait_total(),
-        locks_per_proc: stats.tree_locks_per_proc(),
-        comm,
-    };
     RUNS.lock()
         .get_or_insert_with(HashMap::new)
         .entry(key)
-        .or_insert(fresh)
+        .or_insert_with(|| (Box::leak(Box::new(stats)), comm))
         .clone()
 }
 
 /// Simulate `run` on a fresh machine with the paper's protocol (warm up two
 /// steps, measure two): its statistics, and its per-region record summed
 /// over processors.
-pub(crate) fn simulate((cost, alg, n, procs): &Run) -> (RunStats, AttrTable) {
+fn simulate((cost, alg, n, procs): &Run) -> (RunStats, AttrTable) {
     let machine = Machine::new(cost.clone(), *procs);
     let stats = run_simulation(
         &machine,
@@ -171,33 +153,30 @@ pub fn baseline(cost: &CostModel, n: usize) -> Run {
 
 /// Sequential (total, tree) cycles on a platform: the [`baseline`] run.
 pub fn seq_time_on_platform(cost: &CostModel, n: usize) -> (u64, u64) {
-    let seq = simulated(&baseline(cost, n));
-    (seq.total_cycles, seq.tree_cycles)
+    let (seq, _) = simulated(&baseline(cost, n));
+    (seq.total_time(), seq.tree_time())
 }
 
 /// One (platform, algorithm, n, procs) configuration with the paper's
 /// measurement protocol, and its speedups against the platform's
 /// sequential baseline, both memoized within the process.
 pub fn run_cached(cost: &CostModel, alg: Algorithm, n: usize, procs: usize) -> PlatformRun {
-    let run = simulated(&(cost.clone(), alg, n, procs));
+    let (stats, comm) = simulated(&(cost.clone(), alg, n, procs));
     let (seq_cycles, seq_tree_cycles) = seq_time_on_platform(cost, n);
+    let (total_cycles, tree_cycles) = (stats.total_time(), stats.tree_time());
     PlatformRun {
         platform: cost.name.clone(),
         algorithm: alg,
         n,
         procs,
-        total_cycles: run.total_cycles,
-        tree_cycles: run.tree_cycles,
-        force_cycles: run.force_cycles,
+        total_cycles,
+        tree_cycles,
         seq_cycles,
         seq_tree_cycles,
-        speedup: seq_cycles as f64 / run.total_cycles.max(1) as f64,
-        tree_speedup: seq_tree_cycles as f64 / run.tree_cycles.max(1) as f64,
-        tree_fraction: run.tree_fraction,
-        seconds: cost.cycles_to_seconds(run.total_cycles),
-        barrier_wait_cycles: run.barrier_wait_cycles,
-        locks_per_proc: run.locks_per_proc,
-        comm: run.comm,
+        speedup: seq_cycles as f64 / total_cycles.max(1) as f64,
+        tree_speedup: seq_tree_cycles as f64 / tree_cycles.max(1) as f64,
+        stats,
+        comm,
     }
 }
 
@@ -271,9 +250,9 @@ mod tests {
         let cost = platform::challenge(4);
         let run = run_cached(&cost, Algorithm::Space, 800, 4);
         assert!(run.speedup > 0.5, "speedup {}", run.speedup);
-        assert!(run.tree_fraction > 0.0 && run.tree_fraction < 1.0);
-        assert_eq!(run.locks_per_proc.len(), 4);
-        assert!(run.seconds > 0.0);
+        let tree_fraction = run.stats.tree_fraction();
+        assert!(tree_fraction > 0.0 && tree_fraction < 1.0);
+        assert_eq!(run.stats.tree_locks_per_proc().len(), 4);
     }
 
     #[test]
@@ -298,11 +277,18 @@ mod tests {
         let mut renamed = cost.clone();
         renamed.name.push_str(" on demand");
         let on_demand = run_cached(&renamed, Algorithm::Partree, n, 1);
-        let on_demand = PlatformRun {
-            platform: cost.name.clone(),
-            ..on_demand
+        assert!(!std::ptr::eq(on_demand.stats, prewarmed.stats));
+        let numbers = |r: &PlatformRun| {
+            let steps = r.stats.procs_records[0].steps.clone();
+            (
+                r.total_cycles,
+                r.tree_cycles,
+                r.seq_cycles,
+                r.comm.clone(),
+                steps,
+            )
         };
-        assert_eq!(on_demand, prewarmed);
+        assert_eq!(numbers(&on_demand), numbers(&prewarmed));
     }
 
     #[test]

@@ -54,11 +54,7 @@ fn short_aliases_are_gone_and_the_valid_names_come_from_the_table() {
 
 #[test]
 fn report_rejects_the_flags_it_would_ignore() {
-    for flag in [
-        ["--jobs", "4"],
-        ["--trace", "t.json"],
-        ["--group-size", "8"],
-    ] {
+    for flag in [["--trace", "t.json"], ["--group-size", "8"]] {
         let out = repro(&["report", "--scale", "tiny", flag[0], flag[1]]);
         assert_rejected(&out, &format!("{} does not apply to 'report'", flag[0]));
     }
