@@ -65,17 +65,23 @@ echo "== build (release) =="
 # target/release/repro and serve the lanes below run.
 cargo build --offline --release
 
-echo "== force evaluator vectorisation (packed ymm sqrt and divide in eval_subgroup) =="
-# The evaluation's speed rests on LLVM turning eval_subgroup's lane loops
-# into packed vsqrtpd/vdivpd on four lanes (DESIGN.md section 5b). Inlined
-# or reshaped, they drop to scalar or xmm halves with every test still green.
+echo "== force evaluator vectorisation (packed f32 sqrt and divide in eval_subgroup) =="
+# The evaluation's speed rests on LLVM turning eval_subgroup's lane loop
+# into packed f32 vsqrtps/vdivps on the four lanes' 1/r^3 (DESIGN.md section
+# 5b). Inlined or reshaped, it drops to one scalar sqrt and divide per lane
+# with every test still green, so a scalar vsqrts[sd]/vdivs[sd] fails too.
 EVAL_ASM="$(objdump -d --no-show-raw-insn target/release/repro |
     awk '/<[^>]*eval_subgroup[^>]*>:$/,/^$/')"
 [ -n "$EVAL_ASM" ] || { echo "target/release/repro has no eval_subgroup symbol"; exit 1; }
-for op in sqrtpd divpd; do
-    grep -qE "$op +%ymm" <<<"$EVAL_ASM" || {
-        echo "eval_subgroup issues no packed ymm $op"; exit 1; }
+for op in sqrtps divps; do
+    grep -qE "v$op +%[xy]mm" <<<"$EVAL_ASM" || {
+        echo "eval_subgroup issues no packed f32 $op"; exit 1; }
 done
+if grep -qE "v(sqrt|div)s[sd] " <<<"$EVAL_ASM"; then
+    echo "eval_subgroup issues a scalar sqrt or divide:"
+    grep -E "v(sqrt|div)s[sd] " <<<"$EVAL_ASM"
+    exit 1
+fi
 
 echo "== full test suite =="
 cargo test --offline -q --workspace
@@ -88,15 +94,14 @@ echo "== repro smoke run (batched sweep over all six algorithms, --jobs 2) + emi
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 REPRO="$PWD/target/release/repro"
-# Every repro command below that runs UPDATE at P > 1 goes through sweep:
-# UPDATE's move_body can spin forever (ROADMAP item 1, seen in 1-3 of 30
-# matrix runs). Until that is fixed, `timeout` turns the livelock into a
-# failed gate instead of a wedged one; a clean matrix run takes ~5 s.
+# Every repro command below that runs UPDATE at P > 1 goes through sweep,
+# whose `timeout` turns a hang into a failed gate instead of a wedged one;
+# a clean matrix run takes ~5 s.
 sweep() {
     local rc=0
     (cd "$SMOKE_DIR" && timeout 120 "$REPRO" "$@" >/dev/null) || rc=$?
     if [ "$rc" -eq 124 ]; then
-        echo "repro $* still running after 120 s: the known UPDATE move_body livelock (ROADMAP item 1); rerun the gate"
+        echo "repro $* still running after 120 s"
     fi
     return "$rc"
 }
@@ -146,9 +151,9 @@ echo "== sweep determinism gate (--jobs 2 vs --jobs 1) =="
 # experiments, configurations and series.
 # The prewarm covers the render: after the tiny matrix's 92 jobs and the tiny
 # report's, drawing all thirteen tables and the report adds no entry to the
-# run memo. #[ignore]d in the suite
-# for the same livelock, and because it must have the process-wide memo to
-# itself; hence by name, alone, under the same bound (built outside it).
+# run memo. #[ignore]d in the suite because it runs the whole tiny matrix
+# and must have the process-wide memo to itself; hence by name, alone,
+# under the same bound (built outside it).
 cargo test --offline --release -q -p bh-experiments --lib --no-run
 timeout 120 cargo test --offline --release -q -p bh-experiments --lib -- \
     --ignored rendering_after_the_prewarm_computes_nothing

@@ -131,10 +131,12 @@ pub fn insert_locked<E: Env>(
         // Full: subdivide. The replacement cell is built privately (it is
         // not yet visible to any other processor) and then published with a
         // single child-slot store, all while holding the parent's lock.
-        // `body_leaf` forwarding pointers are deferred and flushed only
-        // after publication: flushing them mid-build would let the UPDATE
-        // move phase discover a half-built leaf through `body_leaf` +
-        // `leaf_parent` and read it under the (unheld) sub-cell lock.
+        // `body_leaf` forwarding pointers are flushed after the build (a
+        // mid-build flush would show UPDATE's move phase a half-built leaf)
+        // and before publication: once published, another processor can
+        // subdivide one of the new leaves under its own lock and forward a
+        // body further down, and a later flush would overwrite that pointer
+        // with this stale one, naming a retired leaf.
         env.compute(ctx, SUBDIVIDE_CYCLES);
         let sub_cube = cube.octant(oct);
         let sub = new_cell(env, ctx, tree, arena, owner, cell, oct, sub_cube);
@@ -167,9 +169,9 @@ pub fn insert_locked<E: Env>(
             depth + 1,
             &mut fwd,
         );
+        flush_forwards(env, ctx, world, &mut fwd);
         retire_leaf(env, ctx, tree, leaf);
         tree.set_child(env, ctx, cell, oct, sub);
-        flush_forwards(env, ctx, world, &mut fwd);
         env.unlock(ctx, cell.lock_id());
         return;
     }
@@ -182,9 +184,8 @@ pub fn insert_locked<E: Env>(
 ///
 /// `body_leaf` forwarding updates are NOT stored here: they are pushed onto
 /// `fwd` (last entry for a body wins) and must be flushed by the caller via
-/// [`flush_forwards`] once the subtree is reachable — storing them while
-/// the subtree is still being built would leak not-yet-consistent leaves to
-/// the UPDATE algorithm's concurrent move phase.
+/// [`flush_forwards`] once the subtree is complete and before it is
+/// published, for the reasons [`insert_locked`]'s subdivision gives.
 #[allow(clippy::too_many_arguments)]
 pub fn insert_private<E: Env>(
     env: &E,

@@ -306,7 +306,7 @@ mod tests {
     use crate::env::NativeEnv;
     use crate::model::Model;
     use crate::rng::SmallRng;
-    use crate::tree::validate::{validate_with, ValidateOpts};
+    use crate::tree::validate::{body_leaves, validate_with, ValidateOpts};
     use crate::tree::{SharedTree, TreeLayout};
     use crate::world::World;
 
@@ -344,6 +344,8 @@ mod tests {
             )
             .unwrap_or_else(|e| panic!("step {step}: invalid UPDATE tree: {e}"));
             assert_eq!(summary.bodies, n, "step {step}");
+            body_leaves(&tree, &world)
+                .unwrap_or_else(|e| panic!("step {step}: lost forwarding pointer: {e}"));
             // Perturb for the next step.
             if drift > 0.0 {
                 for i in 0..n {

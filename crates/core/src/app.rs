@@ -25,7 +25,7 @@ use crate::harness::WorkerPool;
 use crate::pipeline::{run_step, StageExtra, StageIo};
 use crate::tree::flat::FlatTree;
 use crate::tree::types::SharedTree;
-use crate::tree::validate::{validate_with, ValidateOpts};
+use crate::tree::validate::{body_leaves, validate_with, ValidateOpts};
 use crate::world::World;
 
 /// Full simulation configuration.
@@ -487,6 +487,11 @@ pub(crate) fn execute<E: Env>(
                     allow_empty_cells: builder.may_leave_husks(),
                 },
             )
+            .and_then(|_| match cfg.algorithm {
+                // UPDATE's next step starts from these pointers.
+                Algorithm::Update => body_leaves(tree, world),
+                _ => Ok(()),
+            })
             .err()
         }
     } else {

@@ -103,7 +103,7 @@ pub mod mutation {
 
     /// Re-introduce the UPDATE publication-order bug fixed in PR 1: store
     /// `body_leaf` forwarding pointers *while* a private subtree is still
-    /// being built, instead of deferring them until after publication.
+    /// being built, instead of deferring them until the build is complete.
     /// Process-global; only ever set by the mutation tests, which run in
     /// their own process.
     pub fn set_early_forward_flush(on: bool) {

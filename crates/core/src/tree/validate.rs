@@ -7,6 +7,7 @@ use crate::math::{Aabb, Cube, Vec3};
 use crate::tree::flat::FlatTree;
 use crate::tree::seq::SeqTree;
 use crate::tree::types::{NodeRef, SharedTree};
+use crate::world::World;
 
 /// Summary of a validated tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,6 +95,23 @@ pub fn validate_with(
     }
     summary.mass = mass;
     Ok(summary)
+}
+
+/// Check UPDATE's forwarding pointers: every body's `body_leaf` names an
+/// in-use leaf that lists it. A lost forwarding store, which the tree walk
+/// of [`validate_with`] cannot see, fails here.
+pub fn body_leaves(tree: &SharedTree, world: &World) -> Result<(), String> {
+    for b in 0..world.n {
+        let leaf = NodeRef(world.body_leaf.peek(b));
+        let l = leaf.is_leaf().then(|| tree.peek_leaf(leaf));
+        if !l.is_some_and(|l| l.in_use && l.body_slice().contains(&(b as u32))) {
+            let in_use = l.map(|l| l.in_use);
+            return Err(format!(
+                "body {b}: body_leaf names {leaf:?} (in use: {in_use:?}), which does not list it"
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -814,10 +814,9 @@ mod tests {
         }
     }
 
-    /// Runs the whole tiny matrix and the tiny report, so it can meet the
-    /// UPDATE `move_body` livelock (ROADMAP item 1; 1 of 40 runs here) and
-    /// must run alone in its process (the memo is process-wide): check.sh
-    /// runs it by name under `timeout`.
+    /// Runs the whole tiny matrix and the tiny report, and must run alone
+    /// in its process (the memo is process-wide): check.sh runs it by name
+    /// under `timeout`.
     #[test]
     #[ignore = "runs the tiny matrix; check.sh runs it alone under timeout"]
     fn rendering_after_the_prewarm_computes_nothing() {

@@ -8,15 +8,16 @@
 //! resolved per member with the exact criterion): every body's interaction
 //! *multiset* — hence the interaction total — equals the sequential
 //! walk's exactly, for every algorithm, group size and processor count.
-//! The summation order and which consecutive entries share a divide may
-//! differ (list grouping at `group_size > 1`, leaf body order of the
-//! lock-based builders at P > 1), so velocities agree to ≤1e-12 relative.
+//! The summation order may differ (list grouping at `group_size > 1`, leaf
+//! body order of the lock-based builders at P > 1), so velocities agree
+//! to ≤1e-12 relative.
 //! MORTON at `group_size = 1` on one processor replays the sequential
 //! walk's floating-point operation sequence and is the bitwise anchor; it
 //! is also bitwise independent of the processor count.
 
 use bh_repro::bh_core::algorithms::common::bounds_phase;
 use bh_repro::bh_core::algorithms::Builder;
+use bh_repro::bh_core::body::total_energy;
 use bh_repro::bh_core::force::{
     direct_accel, force_phase_grouped, group_window, seq_accel, zone_group_windows, ForceScratch,
     EVAL_LANES,
@@ -121,8 +122,8 @@ fn kernel_matches_sequential_reference_for_every_algorithm_group_size_and_procs(
 #[test]
 fn zero_softening_keeps_velocities_finite_at_every_group_size() {
     // At ε = 0 a member's own list entry has r² = 0. The evaluation floors
-    // r² high enough that r²·√r² and the shared divide stay finite, so that
-    // entry adds exactly zero; a floor at f64::MIN_POSITIVE underflowed and
+    // r² high enough that r²·√r² stays a normal number and 1/r³ finite, so
+    // that entry adds exactly zero; a floor whose r²·√r² underflowed once
     // turned every velocity into NaN at group sizes above 1.
     let bodies = Model::Plummer.generate(512, 42);
     let mut cfg = SimConfig::new(Algorithm::Orig);
@@ -249,53 +250,76 @@ fn error_quantiles(accels: impl Iterator<Item = Vec3>, exact: &[Vec3]) -> [f64; 
 
 #[test]
 fn force_error_against_direct_summation_does_not_depend_on_the_group_size() {
-    // ROADMAP item 5's accuracy axis at the default θ, ε and k: the group
-    // size decides which bodies share a walk and how each sum is grouped,
-    // never which interactions a body applies, so the error against the
-    // O(n²) sum is `seq_accel`'s at every group size. EXPERIMENTS.md
-    // records the table (`--nocapture` to see it).
+    // The accuracy axis at the default ε and k, for three opening
+    // angles: the group size decides which bodies share a walk and
+    // how each sum is grouped, never which interactions a body applies, so
+    // the error against the O(n²) sum is `seq_accel`'s at every group size.
+    // EXPERIMENTS.md records the table (`--nocapture` to see it).
     let n = 2048;
     let bodies = Model::Plummer.generate(n, 1998);
-    let cfg = SimConfig::new(Algorithm::Orig);
     let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
     let mass: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
-    let exact: Vec<Vec3> = (0..n as u32)
-        .map(|b| direct_accel(&pos, &mass, b, &cfg.force))
-        .collect();
-    let reference = error_quantiles(
-        seq_accels(&bodies, &cfg).into_iter().map(|(a, _)| a),
-        &exact,
-    );
-    println!(
-        "seq_accel: p50 {:.3e} p99 {:.3e} max {:.3e}",
-        reference[0], reference[1], reference[2]
-    );
-    let snap = Snapshot::build(&bodies, &cfg, 1);
-    for gs in [1, 16, 64] {
-        snap.force(&cfg.force, gs);
-        let got = error_quantiles((0..n).map(|b| snap.world.acc.peek(b)), &exact);
-        println!(
-            "group_size {gs}: p50 {:.3e} p99 {:.3e} max {:.3e}",
-            got[0], got[1], got[2]
+    let snap = Snapshot::build(&bodies, &SimConfig::new(Algorithm::Orig), 1);
+    // (θ, p50, p99, max) bounds, each pinned just above the value measured
+    // with the all-f64 kernel.
+    for (theta, bounds) in [
+        (0.5, [1.55e-3, 4.00e-3, 6.29e-3]),
+        (0.7, [4.35e-3, 1.67e-2, 6.79e-2]),
+        (1.0, [1.31e-2, 6.70e-2, 2.63e-1]),
+    ] {
+        let mut cfg = SimConfig::new(Algorithm::Orig);
+        cfg.force.theta = theta;
+        let exact: Vec<Vec3> = (0..n as u32)
+            .map(|b| direct_accel(&pos, &mass, b, &cfg.force))
+            .collect();
+        let reference = error_quantiles(
+            seq_accels(&bodies, &cfg).into_iter().map(|(a, _)| a),
+            &exact,
         );
-        for ((g, r), what) in got.iter().zip(&reference).zip(["p50", "p99", "max"]) {
+        println!(
+            "theta {theta} seq_accel: p50 {:.4e} p99 {:.4e} max {:.4e}",
+            reference[0], reference[1], reference[2]
+        );
+        for gs in [1, 16, 64] {
+            snap.force(&cfg.force, gs);
+            let got = error_quantiles((0..n).map(|b| snap.world.acc.peek(b)), &exact);
+            println!(
+                "theta {theta} group_size {gs}: p50 {:.4e} p99 {:.4e} max {:.4e}",
+                got[0], got[1], got[2]
+            );
+            for ((g, r), what) in got.iter().zip(&reference).zip(["p50", "p99", "max"]) {
+                assert!(
+                    (g - r).abs() <= 1e-9 * r,
+                    "theta {theta} group_size {gs}: {what} {g:e} differs from seq_accel's {r:e}"
+                );
+            }
+        }
+        for ((r, bound), what) in reference.iter().zip(bounds).zip(["p50", "p99", "max"]) {
             assert!(
-                (g - r).abs() <= 1e-9 * r,
-                "group_size {gs}: {what} {g:e} differs from seq_accel's {r:e}"
+                *r < bound,
+                "theta {theta}: {what} relative force error {r:e} over its pinned bound {bound:e}"
             );
         }
     }
-    // Pinned just above the measured 1.307e-2 / 6.692e-2 / 2.623e-1.
-    for ((r, bound), what) in reference
-        .iter()
-        .zip([1.31e-2, 6.70e-2, 2.63e-1])
-        .zip(["p50", "p99", "max"])
-    {
-        assert!(
-            *r < bound,
-            "{what} relative force error {r:e} over its pinned bound {bound:e}"
-        );
-    }
+}
+
+#[test]
+fn energy_drift_of_the_grouped_kernel_stays_within_its_pinned_bound() {
+    // The integrator's relative energy drift (`body::total_energy`) over a
+    // short run with the batched kernel at the default group size, pinned
+    // just above the value measured with the all-f64 kernel
+    // (`--nocapture` to see it).
+    let bodies = Model::Plummer.generate(512, 1998);
+    let cfg = SimConfig::new(Algorithm::Morton);
+    let energy = |b: &[Body]| total_energy(b, cfg.force.gravity, cfg.force.eps);
+    let (_, end) = run_grouped(Algorithm::Morton, 1, cfg.group_size, &bodies, 40);
+    let (e0, e1) = (energy(&bodies), energy(&end));
+    let drift = ((e1 - e0) / e0).abs();
+    println!("energy {e0:.6e} -> {e1:.6e}: relative drift {drift:.4e}");
+    assert!(
+        drift < 1.16e-4,
+        "relative energy drift {drift:e} over its pinned bound"
+    );
 }
 
 #[test]
