@@ -121,9 +121,15 @@ grep -q '^\[sweep: 14 job(s)' "$SMOKE_DIR/fig13.err" || {
 (cd "$SMOKE_DIR" && timeout 120 "$REPRO" fig11 --scale tiny --jobs 2 2>fig11.err >/dev/null)
 grep -q '^\[sweep: 12 job(s)' "$SMOKE_DIR/fig11.err" || {
     echo "fig11 --jobs 2 did not prewarm 12 jobs:"; cat "$SMOKE_DIR/fig11.err"; exit 1; }
-# One configuration through `repro run`: a simulated platform, which prints
-# its communication breakdown without being asked, and a trace the
-# validator accepts, then the host.
+# treebuild reads its six runs (Origin2000, one size and processor count,
+# six algorithms) from the memo like any figure, and no baseline: 6 jobs.
+(cd "$SMOKE_DIR" && timeout 120 "$REPRO" treebuild --scale tiny --jobs 2 2>treebuild.err >/dev/null)
+grep -q '^\[sweep: 6 job(s)' "$SMOKE_DIR/treebuild.err" || {
+    echo "treebuild --jobs 2 did not prewarm 6 jobs:"; cat "$SMOKE_DIR/treebuild.err"; exit 1; }
+# One configuration through `repro run`: a simulated platform, whose one
+# memo entry prints its lock histogram's cells and its communication
+# breakdown without being asked, and a phase-span trace the validator
+# accepts, then the host (a bare NativeEnv run).
 (cd "$SMOKE_DIR" && timeout 120 "$REPRO" run origin2000 morton 512 4 \
     --trace run.json >run.out)
 grep -q '^== Run communication: ' "$SMOKE_DIR/run.out" || {
@@ -149,9 +155,9 @@ echo "== sweep determinism gate (--jobs 2 vs --jobs 1) =="
 # timings carry inherent run-to-run jitter (real thread interleaving feeds
 # the contention model), so the full matrix is compared structurally — same
 # experiments, configurations and series.
-# The prewarm covers the render: after the tiny matrix's 92 jobs and the tiny
-# report's, drawing all thirteen tables and the report adds no entry to the
-# run memo. #[ignore]d in the suite because it runs the whole tiny matrix
+# The prewarm covers the render: after the tiny matrix's 92 jobs, treebuild's
+# and the tiny report's, drawing all thirteen tables, treebuild and the
+# report adds no entry to the run memo. #[ignore]d in the suite because it runs the whole tiny matrix
 # and must have the process-wide memo to itself; hence by name, alone,
 # under the same bound (built outside it).
 cargo test --offline --release -q -p bh-experiments --lib --no-run

@@ -75,7 +75,6 @@ pub mod prelude {
         explore, CounterExample, Exploration, ExplorePlan, Finding, MatrixSpec, SchedConfig,
         SchedEnv, SchedStrategy, VerifyEnv,
     };
-    pub use crate::trace::TraceEnv;
     pub use crate::tree::{SeqTree, SharedTree, TreeLayout};
     pub use crate::world::World;
 }

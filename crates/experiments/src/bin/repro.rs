@@ -20,34 +20,37 @@
 //! test. Results are printed as text tables; `--json` additionally writes a
 //! machine-readable record.
 //!
-//! `matrix` runs every *cached* experiment (everything except `treebuild`,
-//! which traces its own runs).
+//! `matrix` runs every table and figure of the paper (every experiment but
+//! `treebuild`, which writes BENCH records rather than a table of a grid).
 //!
-//! `--jobs N` prewarms the run memo (`runner::prewarm`): the deduplicated
-//! (platform, algorithm, n, procs) runs of the selected experiments' grids,
-//! or of the report's, are simulated across N threads, then the tables are
-//! generated serially from the memo. The prewarm changes wall-clock time only, never which
-//! configurations are computed. Single-processor experiments (`table1`) are
-//! bitwise deterministic, so their output is byte-identical across any
-//! `--jobs` setting; multi-processor simulated timings carry run-to-run
-//! jitter (real thread interleaving feeds the contention model), for which
-//! `check-same` verifies structural equality of two documents.
+//! Every simulated run, of any subcommand, is an entry of one process-wide
+//! memo (`runner`). `--jobs N` prewarms it (`runner::prewarm`): the
+//! deduplicated (platform, algorithm, n, procs, group size) runs of the
+//! selected experiments, or of the report's grid, are simulated across N
+//! threads, then the tables are generated serially from the memo. The
+//! prewarm changes wall-clock time only, never which configurations are
+//! computed. Single-processor experiments (`table1`) are bitwise
+//! deterministic, so their output is byte-identical across any `--jobs`
+//! setting; multi-processor simulated timings carry run-to-run jitter (real
+//! thread interleaving feeds the contention model), for which `check-same`
+//! verifies structural equality of two documents.
 //!
-//! The `treebuild` experiment (also part of `all`) instruments every
-//! algorithm with `TraceEnv` on a simulated Origin2000, emits
-//! `BENCH_<scale>.json` with per-algorithm simulated
-//! tree-build metrics (host time is `bhbench`'s job, see `bench/README.md`),
-//! and — with `--trace <path>` — writes a Chrome/Perfetto trace with one
-//! track per processor.
+//! The `treebuild` experiment (also part of `all`) reads every algorithm's
+//! run on a simulated Origin2000 from the memo, with its per-lock-id
+//! contention histogram, emits `BENCH_<scale>.json` with per-algorithm
+//! simulated tree-build metrics (host time is `bhbench`'s job, see
+//! `bench/README.md`), and — with `--trace <path>` — writes a
+//! Chrome/Perfetto trace with one track per processor.
 //!
-//! `run` runs one configuration under `TraceEnv` (`experiments::run`): on a
-//! simulated platform (times in cycles) or, with `native`, on the host
-//! (wall-clock nanoseconds). It prints the per-phase totals, the force-list
-//! counts and a row per processor, and on a simulated platform the
-//! communication breakdown by data structure. `--scale` shrinks `n` and
-//! `procs` as it shrinks the paper's configurations, so one can be pasted
-//! verbatim; `--trace` writes the run's Chrome/Perfetto trace and
-//! prints its summary and per-step percentiles.
+//! `run` runs one configuration (`experiments::run`): on a simulated
+//! platform (times in cycles; one memo entry) or, with `native`, on the
+//! host (wall-clock nanoseconds). It prints the per-phase totals, the
+//! force-list counts and a row per processor, and on a simulated platform
+//! the lock histogram's cells and the communication breakdown by data
+//! structure. `--scale` shrinks `n` and `procs` as it shrinks the paper's
+//! configurations, so one can be pasted verbatim; `--trace` writes the
+//! run's Chrome/Perfetto trace and prints its summary and per-step
+//! percentiles.
 //!
 //! `check-json` / `check-trace` validate previously emitted documents; the
 //! pre-merge gate uses them as schema sanity checks.
@@ -190,7 +193,7 @@ fn main() {
             )),
         },
     };
-    // Only `treebuild` (the entry without cached runs) traces, and only it
+    // Only `treebuild` (the entry without a table spec) traces, and only it
     // takes a group size.
     if selected.iter().all(|e| e.spec.is_some()) {
         if group_size.is_some() {
@@ -202,7 +205,7 @@ fn main() {
     }
 
     prewarm(
-        experiments::prewarm_jobs(selected.iter().copied(), scale),
+        experiments::prewarm_jobs(selected.iter().copied(), scale, group_size),
         jobs,
     );
 

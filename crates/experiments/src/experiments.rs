@@ -12,20 +12,24 @@
 use crate::records;
 use crate::report;
 use crate::runner::{
-    baseline, distinct, run_cached, seq_time_on_platform, ExperimentScale, PlatformRun, Run,
-    WORKLOAD_SEED,
+    baseline, distinct, run_cached, seq_time_on_platform, simulated, ExperimentScale, PlatformRun,
+    Run, WORKLOAD_SEED,
 };
 use crate::tables::{fmt_pct, fmt_speedup, Table};
+use bh_core::force::MAX_GROUP_SIZE;
 use bh_core::prelude::*;
-use ssmp::{platform, CostModel, Machine};
+use bh_core::trace::{self, LockStat};
+use ssmp::{platform, CostModel};
 
 pub struct Experiment {
     /// The name `repro` accepts.
     pub name: &'static str,
     /// The paper's label, e.g. "Figure 6".
     pub id: &'static str,
-    /// `None` for `treebuild`, which traces its own runs ([`treebuild`])
-    /// instead of reading cached ones, and so is not part of `repro matrix`.
+    /// `None` for `treebuild`, which reads its six runs without their
+    /// baselines and renders a per-phase breakdown, a trace and BENCH
+    /// records instead of a table of a grid, and so is not part of `repro
+    /// matrix`.
     pub spec: Option<fn(ExperimentScale) -> Spec>,
 }
 
@@ -62,23 +66,24 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
         .find(|e| e.name.eq_ignore_ascii_case(name))
 }
 
-/// What `repro matrix` runs: the experiments that read cached runs.
+/// What `repro matrix` runs: the paper's tables and figures, the
+/// experiments with a [`Spec`] (every one but `treebuild`).
 pub fn matrix() -> impl Iterator<Item = &'static Experiment> {
     EXPERIMENTS.iter().filter(|e| e.spec.is_some())
 }
 
 /// The runs that prewarm the memo for `experiments`: every run of every
-/// grid, deduplicated (figures share many configurations).
+/// grid, and `treebuild`'s at `group_size` (`None`: the default),
+/// deduplicated (figures share many configurations).
 pub fn prewarm_jobs<'a>(
     experiments: impl IntoIterator<Item = &'a Experiment>,
     scale: ExperimentScale,
+    group_size: Option<usize>,
 ) -> Vec<Run> {
-    distinct(
-        experiments
-            .into_iter()
-            .filter_map(|e| e.spec)
-            .flat_map(|spec| spec(scale).grid.runs()),
-    )
+    distinct(experiments.into_iter().flat_map(|e| match e.spec {
+        Some(spec) => spec(scale).grid.runs(),
+        None => treebuild_runs(scale, group_size),
+    }))
 }
 
 /// The simulated runs one experiment reads: every platform x size x
@@ -128,7 +133,8 @@ impl Grid {
             for &n in &self.sizes {
                 runs.push(baseline(cost, n));
                 for &p in &self.procs {
-                    runs.extend(self.algs.iter().map(|&alg| (cost.clone(), alg, n, p)));
+                    let run = |&alg| (cost.clone(), alg, n, p, MAX_GROUP_SIZE);
+                    runs.extend(self.algs.iter().map(run));
                 }
             }
         }
@@ -416,11 +422,11 @@ fn fig15(scale: ExperimentScale) -> Spec {
 }
 
 // --------------------------------------------------------------------------
-// Treebuild observability: traced per-phase breakdown, Chrome trace export,
+// Treebuild observability: per-phase breakdown, Chrome trace export,
 // lock-contention histogram, and machine-readable BENCH metrics
 // --------------------------------------------------------------------------
 
-/// Output of the traced `treebuild` experiment: a Table-2-style per-phase
+/// Output of the `treebuild` experiment: a Table-2-style per-phase
 /// breakdown, a Chrome/Perfetto trace document covering every run (one
 /// process track per algorithm, one thread track per simulated processor),
 /// and machine-readable per-algorithm metrics for the `BENCH_<scale>.json`
@@ -432,55 +438,6 @@ pub struct TreebuildReport {
     pub trace_json: String,
     /// Complete JSON array document of per-algorithm metric records.
     pub bench_json: String,
-}
-
-/// One traced run distilled for the tables: its statistics plus the lock
-/// histogram's summary.
-struct TracedRun {
-    stats: RunStats,
-    hist_locks: usize,
-    hist_total_acquires: u64,
-    hist_total_wait: u64,
-    /// Share of total lock wait (or acquires, if wait is zero) absorbed by
-    /// the single hottest lock id — the paper's "hot shared cells" signal.
-    hot_share: f64,
-}
-
-impl TracedRun {
-    /// Measured per-phase totals, indexed by [`Phase::index`].
-    fn phases(&self) -> [CtxStats; 4] {
-        self.stats.phases_over(self.stats.measured())
-    }
-}
-
-fn traced_run<E: Env>(
-    env: &TraceEnv<E>,
-    alg: Algorithm,
-    n: usize,
-    group_size: Option<usize>,
-) -> TracedRun {
-    let bodies = Model::Plummer.generate(n, WORKLOAD_SEED);
-    let mut cfg = SimConfig::new(alg);
-    if let Some(gs) = group_size {
-        cfg.group_size = gs;
-    }
-    let stats = run_simulation(env, &cfg, &bodies);
-    stats.assert_valid();
-    let hist = env.lock_histogram();
-    let total_acquires: u64 = hist.iter().map(|s| s.acquires).sum();
-    let total_wait: u64 = hist.iter().map(|s| s.wait_total).sum();
-    let hot_share = match hist.first() {
-        None => 0.0,
-        Some(top) if total_wait > 0 => top.wait_total as f64 / total_wait as f64,
-        Some(top) => top.acquires as f64 / total_acquires.max(1) as f64,
-    };
-    TracedRun {
-        stats,
-        hist_locks: hist.len(),
-        hist_total_acquires: total_acquires,
-        hist_total_wait: total_wait,
-        hot_share,
-    }
 }
 
 /// The per-phase table [`phase_row`] fills.
@@ -533,16 +490,42 @@ fn phase_row(table: &mut Table, label: [&str; 2], p: &[CtxStats; 4], hist: [Stri
     ]);
 }
 
-fn treebuild_row(table: &mut Table, platform: &str, alg: Algorithm, r: &TracedRun) {
-    let hist = [r.hist_locks.to_string(), fmt_pct(r.hot_share)];
-    phase_row(table, [platform, alg.name()], &r.phases(), hist);
+/// A lock histogram's two [`phase_table`] cells: how many lock ids the run
+/// took, and the share of the total lock wait (or of the acquires, if
+/// nothing waited) absorbed by the single hottest one — the paper's "hot
+/// shared cells" signal.
+fn hist_cells(locks: &[LockStat]) -> [String; 2] {
+    let total_acquires: u64 = locks.iter().map(|s| s.acquires).sum();
+    let total_wait: u64 = locks.iter().map(|s| s.wait_total).sum();
+    let hot_share = match locks.first() {
+        None => 0.0,
+        Some(top) if total_wait > 0 => top.wait_total as f64 / total_wait as f64,
+        Some(top) => top.acquires as f64 / total_acquires.max(1) as f64,
+    };
+    [locks.len().to_string(), fmt_pct(hot_share)]
 }
 
-/// Run the full application under [`bh_core::trace::TraceEnv`] for all six
-/// algorithms on a simulated Origin 2000, producing the per-phase breakdown,
-/// the combined Chrome trace and BENCH metrics, all in simulated cycles.
-/// `group_size` overrides the force-kernel group size (`repro treebuild
-/// --group-size <N>`); `None` keeps the config default.
+/// `treebuild`'s runs: all six algorithms on a simulated Origin 2000, `n`
+/// particles, `procs` processors, at `group_size` (`None`: the default).
+fn treebuild_grid(n: usize, procs: usize, group_size: Option<usize>) -> Vec<Run> {
+    let cost = platform::origin2000(procs);
+    let group_size = group_size.unwrap_or(MAX_GROUP_SIZE);
+    Algorithm::ALL
+        .map(|alg| (cost.clone(), alg, n, procs, group_size))
+        .to_vec()
+}
+
+/// The runs [`treebuild`] reads at `scale`: the `--jobs` prewarm's share
+/// of it. No baseline: the report shows no speedups.
+fn treebuild_runs(scale: ExperimentScale, group_size: Option<usize>) -> Vec<Run> {
+    treebuild_grid(scale.size(16384), scale.procs(16), group_size)
+}
+
+/// The per-phase breakdown, the combined Chrome trace and the BENCH
+/// metrics of all six algorithms on a simulated Origin 2000, all in
+/// simulated cycles, read from the run memo. `group_size` overrides the
+/// force-kernel group size (`repro treebuild --group-size <N>`); `None`
+/// keeps the config default.
 pub fn treebuild(scale: ExperimentScale, group_size: Option<usize>) -> TreebuildReport {
     treebuild_sized(scale, scale.size(16384), scale.procs(16), group_size)
 }
@@ -565,18 +548,17 @@ fn treebuild_sized(
     );
     let mut events: Vec<String> = Vec::new();
     let mut bench: Vec<String> = Vec::new();
-    for (pid, alg) in Algorithm::ALL.into_iter().enumerate() {
-        let sim = TraceEnv::new(Machine::new(cost.clone(), procs));
-        let org = traced_run(&sim, alg, n, group_size);
-        treebuild_row(&mut table, &cost.name, alg, &org);
-        events.extend(sim.chrome_trace_events(
-            &org.stats,
+    for (pid, run) in treebuild_grid(n, procs, group_size).iter().enumerate() {
+        let (alg, record) = (run.1, simulated(run));
+        let (s, locks) = (&record.stats, &record.locks);
+        let p = s.phases_over(s.measured());
+        phase_row(&mut table, [&cost.name, alg.name()], &p, hist_cells(locks));
+        events.extend(trace::chrome_trace_events(
+            s,
             pid as u32,
             &format!("{} {} ({procs}p, cycles)", cost.name, alg.name()),
             1.0,
         ));
-
-        let (s, p) = (&org.stats, org.phases());
         bench.push(records::emit(
             "treebuild",
             &[scale.name(), alg.name(), &cost.name],
@@ -590,9 +572,9 @@ fn treebuild_sized(
                 phase_sum(&p, |x| x.barrier_wait),
                 phase_sum(&p, |x| x.remote_misses),
                 phase_sum(&p, |x| x.page_faults),
-                org.hist_locks.to_string(),
-                org.hist_total_acquires.to_string(),
-                org.hist_total_wait.to_string(),
+                locks.len().to_string(),
+                locks.iter().map(|l| l.acquires).sum::<u64>().to_string(),
+                locks.iter().map(|l| l.wait_total).sum::<u64>().to_string(),
                 format!("{:.4}", s.tree_imbalance()),
                 s.flatten_cycles().to_string(),
                 s.sort_cycles().to_string(),
@@ -614,21 +596,21 @@ fn treebuild_sized(
 // --------------------------------------------------------------------------
 
 /// Output of `repro run`: one configuration's diagnostic tables, and its
-/// Chrome trace with the tracer's own text summaries.
+/// Chrome trace with its text summaries.
 pub struct RunReport {
     pub tables: Vec<Table>,
     /// Complete Chrome trace-event JSON document of the run.
     pub trace_json: String,
-    /// [`TraceEnv::summary`]: the per-phase rows and the per-step
-    /// percentiles, over all steps.
+    /// [`trace::summary`]: the per-phase rows, the lock totals and the
+    /// per-step percentiles, over all steps.
     pub trace_summary: String,
 }
 
-/// Run one configuration under [`TraceEnv`]: on the host when `target` is
-/// `"native"` (times in nanoseconds), else on the simulated platform
-/// [`platform::by_name`] knows it as (times in cycles, plus the per-region
-/// communication breakdown). An unknown platform is an `Err` naming it,
-/// returned before anything runs.
+/// Run one configuration: on the host when `target` is `"native"` (times
+/// in nanoseconds), else read the run memo's entry for the simulated
+/// platform [`platform::by_name`] knows it as (times in cycles, plus the
+/// lock histogram and the per-region communication breakdown). An unknown
+/// platform is an `Err` naming it, returned before anything runs.
 pub fn run(
     target: &str,
     alg: Algorithm,
@@ -636,11 +618,18 @@ pub fn run(
     procs: usize,
     group_size: Option<usize>,
 ) -> Result<RunReport, String> {
+    let group_size = group_size.unwrap_or(MAX_GROUP_SIZE);
     if target == "native" {
+        let cfg = SimConfig {
+            group_size,
+            ..SimConfig::new(alg)
+        };
+        let bodies = Model::Plummer.generate(n, WORKLOAD_SEED);
+        let stats = run_simulation(&NativeEnv::new(procs), &cfg, &bodies);
+        stats.assert_valid();
         // Native timestamps are nanoseconds; /1000 puts them on the trace
         // viewer's microsecond axis.
-        let env = TraceEnv::new(NativeEnv::new(procs));
-        return Ok(run_report(&env, target, alg, n, group_size, "ns", 1000.0));
+        return Ok(run_report(&stats, None, target, alg, n, "ns", 1000.0));
     }
     let cost = platform::by_name(target, procs).ok_or_else(|| {
         let names: Vec<String> = platform::all_platforms(1)
@@ -652,9 +641,10 @@ pub fn run(
             names.join(", ")
         )
     })?;
-    let env = TraceEnv::new(Machine::new(cost.clone(), procs));
+    let record = simulated(&(cost.clone(), alg, n, procs, group_size));
     // Simulated clocks tick in cycles; render one cycle per µs.
-    let mut report = run_report(&env, &cost.name, alg, n, group_size, "cycles", 1.0);
+    let locks = Some(&record.locks[..]);
+    let mut report = run_report(&record.stats, locks, &cost.name, alg, n, "cycles", 1.0);
     let mut table = report::comm_table(
         "Run communication",
         &format!(
@@ -663,28 +653,28 @@ pub fn run(
             cost.name
         ),
     );
-    let comm = env.inner().attribution().iter().sum();
-    report::comm_rows(&mut table, &cost.name, alg, &comm);
+    report::comm_rows(&mut table, &cost.name, alg, &record.comm);
     report.tables.push(table);
     Ok(report)
 }
 
-fn run_report<E: Env>(
-    env: &TraceEnv<E>,
+/// `repro run`'s tables, trace and summary of `s`, with `locks` its lock
+/// histogram (`None` on the host, which keeps none: its cells print `-`).
+fn run_report(
+    s: &RunStats,
+    locks: Option<&[LockStat]>,
     platform: &str,
     alg: Algorithm,
     n: usize,
-    group_size: Option<usize>,
     unit: &str,
     ts_div: f64,
 ) -> RunReport {
-    let r = traced_run(env, alg, n, group_size);
-    let s = &r.stats;
     let label = format!("{platform} {alg}");
     let title = |more: &str| {
         let procs = s.procs;
         format!("{label}, {n} particles, {procs} processors ({unit}; measured steps{more})")
     };
+    let none = || ["-".to_string(), "-".to_string()];
 
     // The run's row, then each processor's: its own phase times and counters.
     let mut phases = phase_table(
@@ -692,14 +682,20 @@ fn run_report<E: Env>(
         &title("; lock histogram over all steps; then per processor"),
         "",
     );
-    treebuild_row(&mut phases, platform, alg, &r);
+    let hist = locks.map_or_else(none, hist_cells);
+    phase_row(
+        &mut phases,
+        [platform, alg.name()],
+        &s.phases_over(s.measured()),
+        hist,
+    );
     for p in &s.procs_records {
         let proc = format!("P{}", p.proc);
         phase_row(
             &mut phases,
             [&proc, alg.name()],
             &p.phases(s.measured()),
-            ["-".into(), "-".into()],
+            none(),
         );
     }
 
@@ -729,8 +725,8 @@ fn run_report<E: Env>(
 
     RunReport {
         tables: vec![phases, totals],
-        trace_json: env.chrome_trace_json(s, &label, ts_div),
-        trace_summary: env.summary(s, unit),
+        trace_json: trace::chrome_trace_json(s, &label, ts_div),
+        trace_summary: trace::summary(s, locks.unwrap_or_default(), unit),
     }
 }
 
@@ -772,15 +768,15 @@ mod tests {
         ] {
             assert_eq!(matrix().count(), each.len());
             for (e, want) in matrix().zip(each) {
-                assert_eq!(prewarm_jobs([e], scale).len(), want, "{}", e.name);
+                assert_eq!(prewarm_jobs([e], scale, None).len(), want, "{}", e.name);
             }
-            assert_eq!(prewarm_jobs(matrix(), scale).len(), all);
+            assert_eq!(prewarm_jobs(matrix(), scale, None).len(), all);
         }
     }
 
     #[test]
     fn full_matrix_is_enumerated_and_shared_configs_collapse() {
-        let jobs = prewarm_jobs(matrix(), ExperimentScale::Tiny);
+        let jobs = prewarm_jobs(matrix(), ExperimentScale::Tiny, None);
         // Figures 8 and 9 (and 13/14) share all their runs; the dedup set
         // must therefore be much smaller than the naive enumeration.
         let naive = 24 + 2 * (25 + 15) + 2 * (30 + 15) + 15 + 25 + 10 + 2 * 20 + 5 + 10;
@@ -790,11 +786,27 @@ mod tests {
             jobs.len()
         );
         for e in matrix() {
-            let js = prewarm_jobs([e], ExperimentScale::Tiny);
+            let js = prewarm_jobs([e], ExperimentScale::Tiny, None);
             assert!(!js.is_empty(), "{} enumerated no jobs", e.name);
         }
+        // `treebuild` prewarms its six runs and no baseline, at the group
+        // size it is given.
         let treebuild = find("treebuild").expect("a known name");
-        assert!(prewarm_jobs([treebuild], ExperimentScale::Tiny).is_empty());
+        let (scale, origin) = (ExperimentScale::Small, platform::origin2000(16));
+        for (group_size, want) in [(None, MAX_GROUP_SIZE), (Some(16), 16)] {
+            let runs: Vec<Run> = Algorithm::ALL
+                .map(|alg| (origin.clone(), alg, 2048, 16, want))
+                .to_vec();
+            let keys = |runs: Vec<Run>| -> Vec<_> {
+                runs.into_iter()
+                    .map(|(c, alg, n, p, g)| (c.name, alg, n, p, g))
+                    .collect()
+            };
+            assert_eq!(
+                keys(prewarm_jobs([treebuild], scale, group_size)),
+                keys(runs)
+            );
+        }
     }
 
     #[test]
@@ -823,9 +835,10 @@ mod tests {
         let scale = ExperimentScale::Tiny;
         let report_grid = report::grid(scale);
         // The report shares its runs at the largest processor count with
-        // Figures 8 and 13, so the union is smaller than the sum.
+        // Figures 8 and 13, and `treebuild` all of its own with Figure 8,
+        // so the union is smaller than the sum.
         let runs = distinct(
-            prewarm_jobs(matrix(), scale)
+            prewarm_jobs(EXPERIMENTS, scale, None)
                 .into_iter()
                 .chain(report_grid.runs()),
         );
@@ -838,6 +851,7 @@ mod tests {
         }
         let report = report::scaling_report(scale, &report_grid);
         assert!(report.tables.iter().all(|t| !t.rows.is_empty()));
+        assert_eq!(treebuild(scale, None).table.rows.len(), 6);
         assert_eq!(crate::runner::memo_size(), count);
     }
 
@@ -896,5 +910,46 @@ mod tests {
         assert!(lock_ids("ORIG") > 0.0, "ORIG must take locks");
         assert_eq!(lock_ids("SPACE"), 0.0, "SPACE is lock-free");
         assert_eq!(lock_ids("MORTON"), 0.0, "MORTON is lock-free");
+    }
+
+    #[test]
+    fn treebuild_records_are_memo_entries() {
+        // Exact at two processors too: a record and the figures' lookup
+        // read the same entry.
+        let (n, procs) = (128, 2);
+        let report = treebuild_sized(ExperimentScale::Tiny, n, procs, None);
+        let bench = Json::parse(&report.bench_json).expect("bench is JSON");
+        let origin = platform::origin2000(procs);
+        for r in bench.as_array().expect("bench is an array") {
+            let name = r.get("algorithm").and_then(Json::as_str).unwrap();
+            let alg = Algorithm::parse(name).expect("a known algorithm");
+            let cached = run_cached(&origin, alg, n, procs);
+            let field = |key: &str| r.get(key).and_then(Json::as_f64).unwrap() as u64;
+            assert_eq!(field("tree_cycles"), cached.tree_cycles, "{name}");
+            assert_eq!(field("total_cycles"), cached.total_cycles, "{name}");
+            assert_eq!(field("lock_ids"), cached.locks.len() as u64, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_simulated_run_reads_its_memo_entry() {
+        // `repro run`'s tables and the figures' lookup read one entry; its
+        // group size is part of the key.
+        let (n, procs) = (160, 2);
+        let origin = platform::origin2000(procs);
+        let r = run("origin2000", Algorithm::Orig, n, procs, None).expect("run");
+        let cached = run_cached(&origin, Algorithm::Orig, n, procs);
+        let total = &r.tables[1].rows[0][0];
+        assert_eq!(*total, cached.total_cycles.to_string());
+        let row = &r.tables[0].rows[0];
+        assert_eq!(row[8], cached.locks.len().to_string(), "lock ids");
+        let other = run("origin2000", Algorithm::Orig, n, procs, Some(8)).expect("run");
+        let key = |g| (origin.clone(), Algorithm::Orig, n, procs, g);
+        assert!(!std::ptr::eq(
+            simulated(&key(8)),
+            simulated(&key(MAX_GROUP_SIZE))
+        ));
+        let groups = |r: &RunReport| r.tables[1].rows[0][2].clone();
+        assert_ne!(groups(&other), groups(&r), "group size 8 forms more groups");
     }
 }

@@ -273,9 +273,9 @@ pub fn check_same(a: &Json, b: &Json, names: [&str; 2]) -> Result<String, String
 }
 
 /// Validate a Chrome trace-event document: nonzero complete-event spans,
-/// every declared process has one thread track per processor (its
-/// `num_procs` metadata arg), and all four phases appear. On success, a
-/// one-line count of what was checked.
+/// each named after a phase, every declared process has one thread track
+/// per processor (its `num_procs` metadata arg), and all four phases
+/// appear. On success, a one-line count of what was checked.
 pub fn check_trace(doc: &Json) -> Result<String, String> {
     let events = doc.as_array().ok_or("top level is not an array")?;
     let int = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64).map(|v| v as i64);
@@ -297,10 +297,11 @@ pub fn check_trace(doc: &Json) -> Result<String, String> {
                 }
             }
             Some("X") => {
-                span_count += 1;
-                if !name.starts_with("lock ") {
-                    phases_seen.insert(name);
+                if !Phase::ALL.iter().any(|p| p.name() == name) {
+                    return Err(format!("span '{name}' is not a phase"));
                 }
+                span_count += 1;
+                phases_seen.insert(name);
             }
             _ => {}
         }
@@ -448,6 +449,15 @@ mod tests {
         assert!(
             err.contains("declares 3 processors but has 2 thread track(s)"),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn trace_validator_refuses_a_span_that_is_not_a_phase() {
+        let doc = trace(2, &["tree", "partition", "lock 70", "force", "update"]);
+        assert_eq!(
+            check_trace(&doc),
+            Err("span 'lock 70' is not a phase".to_string())
         );
     }
 }

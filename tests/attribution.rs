@@ -11,11 +11,15 @@
 //!    processors, and per job on a reused engine.
 //! 2. **Resolution.** Tagged regions absorb the traffic; the untagged
 //!    catch-all stays a sliver.
+//! 3. **Locks by id.** [`Machine::lock_histogram`] counts the same acquires
+//!    and wait by raw lock id: summed, it is the run's all-steps lock
+//!    totals, and a lock-free builder leaves it empty.
 //!
 //! Attribution never touches the virtual clock: `tests/sim_cycles_golden.rs`
 //! pins the P = 1 cycles of all five platforms and six algorithms.
 
 use bh_repro::bh_core::prelude::*;
+use bh_repro::bh_core::trace::LockStat;
 use bh_repro::ssmp::{platform, AttrTable, CostModel, Machine};
 
 const ALGS: [Algorithm; 6] = [
@@ -35,12 +39,25 @@ fn tiny_cfg(alg: Algorithm) -> SimConfig {
     cfg
 }
 
-fn run_attributed(cost: &CostModel, alg: Algorithm, procs: usize) -> (RunStats, AttrTable) {
-    let bodies = Model::Plummer.generate(192, 1998);
+/// A run of `n` bodies on a fresh machine: its statistics, its summed
+/// attribution table and its lock histogram.
+fn run_on(
+    cost: &CostModel,
+    alg: Algorithm,
+    n: usize,
+    procs: usize,
+) -> (RunStats, AttrTable, Vec<LockStat>) {
+    let bodies = Model::Plummer.generate(n, 1998);
     let machine = Machine::new(cost.clone(), procs);
     let stats = run_simulation(&machine, &tiny_cfg(alg), &bodies);
     stats.assert_valid();
-    (stats, machine.attribution().iter().sum())
+    let sum = machine.attribution().iter().sum();
+    (stats, sum, machine.lock_histogram())
+}
+
+fn run_attributed(cost: &CostModel, alg: Algorithm, procs: usize) -> (RunStats, AttrTable) {
+    let (stats, sum, _) = run_on(cost, alg, 192, procs);
+    (stats, sum)
 }
 
 /// Assert that `sum`'s totals are `stats`' aggregate counters.
@@ -119,8 +136,9 @@ fn attribution_resolves_regions() {
 }
 
 /// A parked engine starts each job on fresh contexts: after every job on
-/// one reused `SimEngine<Machine>`, the tables are that job's alone, not
-/// the accumulation of the jobs before it. The same-shape LOCAL job resets
+/// one reused `SimEngine<Machine>`, the tables and the lock histogram are
+/// that job's alone, not the accumulation of the jobs before it. The
+/// same-shape LOCAL job resets
 /// and reuses the allocations; the UPDATE job after it also tags its new
 /// builder's arrays mid-life. At one processor a job takes as many locks
 /// as it does on a fresh machine, whatever protocol state the engine's
@@ -139,13 +157,71 @@ fn a_reused_engine_attributes_each_job_on_its_own() {
             let sum: AttrTable = engine.env().attribution().iter().sum();
             let label = format!("{}/{}/job {job}", cost.name, alg.name());
             assert_tiles(&stats, &sum, &label);
-            let (_, fresh) = run_attributed(&cost, alg, 1);
+            let (_, fresh, fresh_locks) = run_on(&cost, alg, 192, 1);
             assert!(fresh.total().lock_acquires > 0, "{label}: no locks");
             assert_eq!(
                 sum.total().lock_acquires,
                 fresh.total().lock_acquires,
                 "{label}: locks of earlier jobs carried over"
             );
+            // The histogram is the job's own too: a fresh machine's ids
+            // and acquires, and the job's lock wait. The waits themselves
+            // match a fresh machine's only where a lock's wait does not
+            // read its previous holder's release clock: on a reused
+            // software-SVM machine that clock is an earlier job's.
+            let locks = engine.env().lock_histogram();
+            let wait: u64 = locks.iter().map(|l| l.wait_total).sum();
+            assert_eq!(wait, sum.total().lock_wait, "{label}: lock wait");
+            let by_id = |locks: &[LockStat]| {
+                let mut ids: Vec<_> = locks.iter().map(|l| (l.lock, l.acquires)).collect();
+                ids.sort_unstable();
+                ids
+            };
+            assert_eq!(
+                by_id(&locks),
+                by_id(&fresh_locks),
+                "{label}: lock ids differ from a fresh machine's"
+            );
+            if !cost.protocol.software_sync() {
+                assert_eq!(locks, fresh_locks, "{label}: lock histogram");
+            }
+        }
+    }
+}
+
+/// Locks by id: on both platform families, serial and parallel, the
+/// histogram's acquires and wait sum to the run's lock totals over all
+/// steps; the lock-free builders leave it empty.
+#[test]
+fn the_lock_histogram_sums_to_the_runs_lock_totals() {
+    for cost in [platform::origin2000(4), platform::typhoon0_hlrc(4)] {
+        for alg in ALGS {
+            for procs in [1, 4] {
+                let (stats, _, locks) = run_on(&cost, alg, 256, procs);
+                let label = format!("{}/{}/{procs}p", cost.name, alg.name());
+                if matches!(alg, Algorithm::Space | Algorithm::Morton) {
+                    assert!(locks.is_empty(), "{label}: {locks:?}");
+                    continue;
+                }
+                let all = stats.phases_over(0..stats.measured().end);
+                let acquires: u64 = all.iter().map(|p| p.lock_acquires).sum();
+                let wait: u64 = all.iter().map(|p| p.lock_wait).sum();
+                assert!(acquires > 0, "{label}: no locks");
+                assert_eq!(
+                    locks.iter().map(|l| l.acquires).sum::<u64>(),
+                    acquires,
+                    "{label} acquires"
+                );
+                assert_eq!(
+                    locks.iter().map(|l| l.wait_total).sum::<u64>(),
+                    wait,
+                    "{label} wait"
+                );
+                assert!(
+                    locks.windows(2).all(|w| w[0].wait_total >= w[1].wait_total),
+                    "{label}: not hottest first"
+                );
+            }
         }
     }
 }

@@ -10,6 +10,7 @@
 use bh_repro::bh_core::harness::spmd;
 use bh_repro::bh_core::prelude::*;
 use bh_repro::bh_core::shared::SharedVec;
+use bh_repro::bh_core::trace::{chrome_trace_json, summary};
 
 /// Run one full simulation under the detector and assert race-freedom.
 /// The default `SimConfig` routes every run through the flat-snapshot force
@@ -216,10 +217,12 @@ fn cache_line_mode_flags_false_sharing() {
 
 #[test]
 fn tracing_composes_with_detector() {
-    // TraceEnv and CheckedEnv stack: tracing must not perturb the
-    // happens-before certification, and the trace must still see all four
-    // phases plus ORIG's lock traffic through the detector layer.
-    let env = TraceEnv::new(CheckedEnv::new(NativeEnv::new(4)));
+    // The trace reads the run's RunStats and the simulator's per-lock-id
+    // record; neither perturbs the happens-before certification, and both
+    // still see all four phases and ORIG's lock traffic through the
+    // detector layer.
+    let cost = bh_repro::ssmp::platform::by_name("origin2000", 4).expect("platform");
+    let env = CheckedEnv::new(bh_repro::ssmp::Machine::new(cost, 4));
     let bodies = Model::Plummer.generate(96, 1998);
     let mut cfg = SimConfig::new(Algorithm::Orig);
     cfg.k = 4;
@@ -227,18 +230,20 @@ fn tracing_composes_with_detector() {
     cfg.measured_steps = 1;
     let stats = run_simulation(&env, &cfg, &bodies);
     stats.assert_valid();
-    env.inner().assert_race_free();
-    let trace = env.chrome_trace_json(&stats, "orig", 1000.0);
+    env.assert_race_free();
+    let trace = chrome_trace_json(&stats, "orig", 1.0);
     for phase in Phase::ALL {
         assert!(
             trace.contains(&format!("\"name\":\"{phase}\",\"cat\":\"phase\"")),
             "no {phase} span recorded through the detector"
         );
     }
+    let locks = env.inner().lock_histogram();
     assert!(
-        !env.lock_histogram().is_empty(),
+        !locks.is_empty(),
         "ORIG lock traffic must survive the CheckedEnv layer"
     );
+    assert!(summary(&stats, &locks, "cycles").contains("hottest: [id "));
 }
 
 #[test]
