@@ -66,22 +66,48 @@ echo "== build (release) =="
 cargo build --offline --release
 
 echo "== force evaluator vectorisation (packed f32 sqrt and divide in eval_subgroup) =="
-# The evaluation's speed rests on LLVM turning eval_subgroup's lane loop
-# into packed f32 vsqrtps/vdivps on the four lanes' 1/r^3 (DESIGN.md section
-# 5b). Inlined or reshaped, it drops to one scalar sqrt and divide per lane
-# with every test still green, so a scalar vsqrts[sd]/vdivs[sd] fails too.
-EVAL_ASM="$(objdump -d --no-show-raw-insn target/release/repro |
-    awk '/<[^>]*eval_subgroup[^>]*>:$/,/^$/')"
-[ -n "$EVAL_ASM" ] || { echo "target/release/repro has no eval_subgroup symbol"; exit 1; }
-for op in sqrtps divps; do
-    grep -qE "v$op +%[xy]mm" <<<"$EVAL_ASM" || {
-        echo "eval_subgroup issues no packed f32 $op"; exit 1; }
-done
-if grep -qE "v(sqrt|div)s[sd] " <<<"$EVAL_ASM"; then
-    echo "eval_subgroup issues a scalar sqrt or divide:"
-    grep -E "v(sqrt|div)s[sd] " <<<"$EVAL_ASM"
-    exit 1
+# The evaluation's speed rests on eval_subgroup issuing packed f32
+# vsqrtps/vdivps for its lanes' 1/r^3 (DESIGN.md section 5b). On a target
+# with AVX-512F that is force/avx512.rs: f64 offsets and sums on zmm, the
+# eight f32 lanes on one ymm. Elsewhere it is the portable loop, which LLVM
+# must vectorise; inlined or reshaped it drops to one scalar sqrt and divide
+# per lane with every test still green, so a scalar vsqrts[sd]/vdivs[sd]
+# fails either gate.
+# eval_gate BINARY SYMBOL PATTERN...: SYMBOL's listing in BINARY matches
+# every PATTERN and issues no scalar sqrt or divide.
+eval_gate() {
+    local bin="$1" sym="$2" asm pat
+    shift 2
+    asm="$(objdump -d --no-show-raw-insn "$bin" | awk "/<[^>]*$sym[^>]*>:\$/,/^\$/")"
+    [ -n "$asm" ] || { echo "$bin has no $sym symbol"; return 1; }
+    for pat in "$@"; do
+        grep -qE "$pat" <<<"$asm" || { echo "$sym issues no $pat"; return 1; }
+    done
+    if grep -qE "v(sqrt|div)s[sd] " <<<"$asm"; then
+        echo "$sym issues a scalar sqrt or divide:"
+        grep -E "v(sqrt|div)s[sd] " <<<"$asm"
+        return 1
+    fi
+}
+# The build's target features: RUSTFLAGS if set, else .cargo/config.toml's.
+BUILD_FLAGS="${RUSTFLAGS-$(sed -n 's/^rustflags = \[\(.*\)\]$/\1/p' .cargo/config.toml | tr -d '",')}"
+if rustc --print cfg $BUILD_FLAGS | grep -qx 'target_feature="avx512f"'; then
+    eval_gate target/release/repro 'avx512[^>]*eval_subgroup' \
+        'vsubpd +%zmm' 'vmulpd +%zmm' 'vaddpd +%zmm' 'vsqrtps +%ymm' 'vdivps +%ymm'
+else
+    eval_gate target/release/repro eval_subgroup 'vsqrtps +%[xy]mm' 'vdivps +%[xy]mm'
 fi
+
+echo "== portable force evaluator lane (x86-64-v3 build: the four-lane loop) =="
+# A target without AVX-512F evaluates with the portable four-lane loop, which
+# the native build above compiles only into its unit tests: build for
+# x86-64-v3 in a target directory of its own, run the kernel's unit tests and
+# flat_force there, and hold that build's eval_subgroup to the gate above.
+portable() { RUSTFLAGS="-C target-cpu=x86-64-v3" cargo "$@" --offline --release --target-dir target/portable; }
+portable test -q -p bh-core --lib force::
+portable test -q --test flat_force
+FLAT_BIN="$(portable test --test flat_force --no-run 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p')"
+eval_gate "$FLAT_BIN" eval_subgroup 'vsqrtps +%[xy]mm' 'vdivps +%[xy]mm'
 
 echo "== full test suite =="
 cargo test --offline -q --workspace

@@ -47,8 +47,9 @@ pub struct SimConfig {
     pub space_rebalance: f64,
     /// Bodies per interaction-list group in the force kernel, in
     /// `1..=MAX_GROUP_SIZE`, default `MAX_GROUP_SIZE`: the evaluation
-    /// issues the same vector lanes at every multiple of four, so the
-    /// widest group pays for the fewest walks. `1` builds per-body lists
+    /// issues the same vector lanes at every multiple of
+    /// [`EVAL_LANES`](crate::force::EVAL_LANES), so the widest group pays
+    /// for the fewest walks. `1` builds per-body lists
     /// (bitwise identical to the sequential reference walk over the same
     /// octree).
     pub group_size: usize,

@@ -81,7 +81,7 @@ fn inv_r3(r2: f64) -> f64 {
 
 /// Apply `entries` (source position, mass) in order to the body at `pos`,
 /// adding into `acc`: offsets and `r²` in `f64`, `1/r³` from [`inv_r3`],
-/// the sum in `f64`. This is the arithmetic of one [`eval_subgroup`] lane,
+/// the sum in `f64`. This is the arithmetic of one `eval_subgroup` lane,
 /// which is what makes a `group_size = 1` list replay [`seq_accel`]
 /// bitwise.
 fn apply_sequence(acc: &mut Vec3, pos: Vec3, entries: &[(Vec3, f64)], gravity: f64, eps2: f64) {
@@ -111,10 +111,28 @@ fn cell_accepted(side: f64, theta2: f64, d2: f64) -> bool {
 /// member exactly — the margin affects performance only, never results.
 const GROUP_MARGIN: f64 = 1e-9;
 
-/// Vector width of the batched evaluation, 4 = one AVX2 `f64` vector: the
-/// members of one sub-group, which [`eval_subgroup`] applies the list to
-/// together, one lane each.
-pub const EVAL_LANES: usize = 4;
+/// Vector width of the batched evaluation: the members of one sub-group,
+/// which the build's evaluator applies the list to together, one lane each.
+/// 8 = one `zmm` of `f64` where the target has AVX-512F (`avx512.rs`), else
+/// 4 = one `ymm`, the portable `eval_subgroup`. The lane count moves no
+/// result bit: every lane sums its own member's entries in emission order.
+pub const EVAL_LANES: usize = if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
+    8
+} else {
+    4
+};
+
+// Sub-groups tile every group: none runs past the member columns.
+const _: () = assert!(MAX_GROUP_SIZE.is_multiple_of(EVAL_LANES));
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod avx512;
+
+/// The build's evaluator of one sub-group; both compute the same bits.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+use avx512::evaluate;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+use eval_subgroup as evaluate;
 
 /// Aggregate statistics of one processor's batched force phase:
 /// `interactions / list_entries` is the list-reuse factor (approaches the
@@ -316,7 +334,7 @@ pub fn zone_group_windows(
 ///
 /// **Evaluation** runs once per *sub-group* — an aligned run of
 /// [`EVAL_LANES`] consecutive members, the vector lanes of
-/// [`eval_subgroup`]: the whole dense half, then the partial entries whose
+/// `eval_subgroup`: the whole dense half, then the partial entries whose
 /// mask names one of its members (Morton-adjacent members accept and open
 /// together, so most of a boundary-band entry's non-acceptors are never
 /// evaluated at all), each member summing its own entries in emission
@@ -517,7 +535,7 @@ pub fn force_phase_grouped<E: Env>(
                 .each_ref()
                 .map(|col| std::array::from_fn(|l| col[m0 + l]));
             let visits = subgroup_entries(pmasks, m0 as u32, &mut pidx);
-            let (ax, ay, az, pcnt) = eval_subgroup(
+            let (ax, ay, az, pcnt) = evaluate(
                 dense,
                 partial,
                 pmasks,
@@ -574,7 +592,7 @@ pub fn force_phase_grouped<E: Env>(
 
 /// The member mask with bits `0..k` set, `k` in `0..=MAX_GROUP_SIZE`.
 #[inline]
-fn low_bits(k: usize) -> u64 {
+const fn low_bits(k: usize) -> u64 {
     if k == MAX_GROUP_SIZE {
         !0
     } else {
@@ -621,8 +639,8 @@ fn mixed_accepts(mcols: &[[f64; MAX_GROUP_SIZE]; 3], com: Vec3, side: f64, theta
 /// Collect into `out[..returned]`, in emission order, the ranks of the
 /// partial entries whose mask names at least one member of the sub-group
 /// whose first member is bit `shift` — the entries that sub-group visits.
-/// The append is branch-free (store always, advance on a non-empty
-/// nibble): acceptance flips along the boundary band, so a branch here
+/// The append is branch-free (store always, advance when a sub-group bit
+/// is set): acceptance flips along the boundary band, so a branch here
 /// would mispredict. `out` only ever grows, to the longest list seen.
 fn subgroup_entries(masks: &[u64], shift: u32, out: &mut Vec<u32>) -> usize {
     if out.len() < masks.len() {
@@ -632,22 +650,37 @@ fn subgroup_entries(masks: &[u64], shift: u32, out: &mut Vec<u32>) -> usize {
     let mut len = 0;
     for (j, &mask) in masks.iter().enumerate() {
         out[len] = j as u32;
-        len += usize::from((mask >> shift) & NIBBLE != 0);
+        len += usize::from((mask >> shift) & SUBGROUP_BITS != 0);
     }
     len
 }
 
+/// The mask bits of one sub-group, shifted down to bit 0.
+const SUBGROUP_BITS: u64 = low_bits(EVAL_LANES);
+
+/// What one sub-group's evaluation returns: each lane's acceleration as
+/// `x`, `y`, `z` columns, and the number of partial entries that named it.
+type SubgroupSums = (
+    [f64; EVAL_LANES],
+    [f64; EVAL_LANES],
+    [f64; EVAL_LANES],
+    [u32; EVAL_LANES],
+);
+
 /// One list entry as the lanes see it: its position and a weight per lane
 /// (`G·m`, times the lane's mask bit in the partial half).
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx512f"))))]
 type LaneEntry = (Vec3, [f64; EVAL_LANES]);
 
 /// One sub-group's lanes: the members' positions, one column per axis,
 /// and one acceleration accumulator per member.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx512f"))))]
 struct Lanes {
     pos: [[f64; EVAL_LANES]; 3],
     acc: [[f64; EVAL_LANES]; 3],
 }
 
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx512f"))))]
 impl Lanes {
     /// Apply one entry to every lane — [`apply_sequence`]'s step, one
     /// member per lane.
@@ -675,7 +708,8 @@ impl Lanes {
 /// has one accumulator, summed in emission order, so a lane computes
 /// exactly what [`apply_sequence`] does over the dense half and then the
 /// visited entries. The loop is branch-free and every vector it issues
-/// holds at least one real interaction.
+/// holds at least one real interaction; at `group_size = 1` that is the one
+/// member, beside `EVAL_LANES − 1` padded lanes.
 ///
 /// `dense` and `partial` are the row's halves as `(x, y, z, mass)`
 /// columns. The partial half grows *down*: the entry of emission rank `j`
@@ -684,12 +718,15 @@ impl Lanes {
 /// body, if present, included; the caller adds the dense length and
 /// subtracts self appearances.
 ///
-/// `inline(never)`: compiled as its own function the SLP vectorizer
-/// reliably turns the lane loop into packed `f32` sqrt/divide on the four
-/// lanes (`vsqrtps`/`vdivps`) between packed `f64` arithmetic — inlined
-/// into the (large, `Env`-generic) walk it stays scalar, which costs
-/// ~2-4x on the kernel's throughput bound. `check.sh` disassembles it to
-/// hold this.
+/// This is the portable evaluator, the kernel's on every target without
+/// AVX-512F; on a target with it `avx512::eval_subgroup` computes the same
+/// bits, and the tests hold it to this loop. `inline(never)`: compiled as
+/// its own function the SLP vectorizer reliably turns the lane loop into
+/// packed `f32` sqrt/divide on the four lanes (`vsqrtps`/`vdivps`) between
+/// packed `f64` arithmetic — inlined into the (large, `Env`-generic) walk
+/// it stays scalar, which costs ~2-4x on the kernel's throughput bound.
+/// `check.sh` disassembles a portable build's copy to hold this.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx512f"))))]
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn eval_subgroup(
@@ -701,12 +738,7 @@ fn eval_subgroup(
     pos: [[f64; EVAL_LANES]; 3],
     gravity: f64,
     eps2: f64,
-) -> (
-    [f64; EVAL_LANES],
-    [f64; EVAL_LANES],
-    [f64; EVAL_LANES],
-    [u32; EVAL_LANES],
-) {
+) -> SubgroupSums {
     let mut lanes = Lanes {
         pos,
         acc: [[0.0; EVAL_LANES]; 3],
@@ -742,6 +774,7 @@ fn eval_subgroup(
 /// `f64`, exact for any list length).
 /// A function, not a closure, so that it is always inlined: a closure here
 /// was left out of line, a call per entry.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx512f"))))]
 #[inline(always)]
 fn partial_entry(
     [xs, ys, zs, ms]: [&[f64]; 4],
@@ -751,7 +784,7 @@ fn partial_entry(
     gravity: f64,
     count: &mut [f64; EVAL_LANES],
 ) -> LaneEntry {
-    let bit = NIBBLE_BITS[((masks[j as usize] >> shift) & NIBBLE) as usize];
+    let bit = LANE_FACTORS[((masks[j as usize] >> shift) & SUBGROUP_BITS) as usize];
     let k = masks.len() - 1 - j as usize;
     let w = gravity * ms[k];
     for (c, b) in count.iter_mut().zip(bit) {
@@ -760,13 +793,11 @@ fn partial_entry(
     (Vec3::new(xs[k], ys[k], zs[k]), bit.map(|b| b * w))
 }
 
-/// The mask bits of one sub-group, shifted down to bit 0.
-const NIBBLE: u64 = (1 << EVAL_LANES) - 1;
-
-/// `NIBBLE_BITS[b][l]` is bit `l` of `b` as 0.0 or 1.0: one load gives a
+/// `LANE_FACTORS[b][l]` is bit `l` of `b` as 0.0 or 1.0: one load gives a
 /// partial entry's lane factors (computed lane by lane, the bits vectorize
 /// to eight shift, permute and blend instructions per entry).
-const NIBBLE_BITS: [[f64; EVAL_LANES]; 1 << EVAL_LANES] = {
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx512f"))))]
+const LANE_FACTORS: [[f64; EVAL_LANES]; 1 << EVAL_LANES] = {
     let mut t = [[0.0; EVAL_LANES]; 1 << EVAL_LANES];
     let mut i = 0;
     while i < t.len() * EVAL_LANES {
@@ -1038,11 +1069,11 @@ mod tests {
     }
 
     /// The mask bits of one sub-group starting at bit `shift`.
-    fn nibble(mask: u64, shift: u32) -> u64 {
-        (mask >> shift) & ((1 << EVAL_LANES) - 1)
+    fn subgroup_bits(mask: u64, shift: u32) -> u64 {
+        (mask >> shift) & SUBGROUP_BITS
     }
 
-    /// [`eval_subgroup`] as the kernel drives it — index list from the
+    /// The build's evaluator as the kernel drives it — index list from the
     /// masks, columns laid out as the row holds them; per-lane
     /// `(acceleration, count)`.
     fn eval_lanes(
@@ -1053,10 +1084,35 @@ mod tests {
         lanes: &[Vec3; EVAL_LANES],
         eps2: f64,
     ) -> [(Vec3, u32); EVAL_LANES] {
+        eval_lanes_with(evaluate, dense, partial, masks, shift, lanes, eps2)
+    }
+
+    /// The signature every sub-group evaluator shares.
+    type Evaluator = fn(
+        [&[f64]; 4],
+        [&[f64]; 4],
+        &[u64],
+        &[u32],
+        u32,
+        [[f64; EVAL_LANES]; 3],
+        f64,
+        f64,
+    ) -> SubgroupSums;
+
+    /// [`eval_lanes`] through the evaluator `eval`.
+    fn eval_lanes_with(
+        eval: Evaluator,
+        dense: &[(Vec3, f64)],
+        partial: &[(Vec3, f64)],
+        masks: &[u64],
+        shift: u32,
+        lanes: &[Vec3; EVAL_LANES],
+        eps2: f64,
+    ) -> [(Vec3, u32); EVAL_LANES] {
         let (d, p) = (columns(dense, false), columns(partial, true));
         let mut idx = Vec::new();
         let visits = subgroup_entries(masks, shift, &mut idx);
-        let (ax, ay, az, cnt) = eval_subgroup(
+        let (ax, ay, az, cnt) = eval(
             d.each_ref().map(Vec::as_slice),
             p.each_ref().map(Vec::as_slice),
             masks,
@@ -1086,7 +1142,7 @@ mod tests {
         let visited: Vec<(Vec3, f64)> = partial
             .iter()
             .zip(masks)
-            .filter(|&(_, &mask)| nibble(mask, shift) != 0)
+            .filter(|&(_, &mask)| subgroup_bits(mask, shift) != 0)
             .map(|(&(src, m), &mask)| (src, ((mask >> (shift + l)) & 1) as f64 * m))
             .collect();
         apply_sequence(&mut acc, pos, &visited, G, eps2);
@@ -1105,7 +1161,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0x7061_6972);
         // Which (dense length, visited length) parities were covered.
         let mut parities = [[false; 2]; 2];
-        for shift in [0u32, 4, 28, 60] {
+        // The first two sub-groups, the one below the middle and the last.
+        let (l, half) = (EVAL_LANES as u32, MAX_GROUP_SIZE as u32 / 2);
+        for shift in [0, l, half - l, 2 * half - l] {
             for dn in [0usize, 1, 6, 7] {
                 for pn in [0usize, 1, 2, 7, 64, 301] {
                     let dense = random_entries(&mut rng, dn);
@@ -1115,7 +1173,7 @@ mod tests {
                     let mut idx = Vec::new();
                     let visits = subgroup_entries(&masks, shift, &mut idx);
                     let visited: Vec<u32> = (0..pn as u32)
-                        .filter(|&j| nibble(masks[j as usize], shift) != 0)
+                        .filter(|&j| subgroup_bits(masks[j as usize], shift) != 0)
                         .collect();
                     assert_eq!(idx[..visits], visited[..], "shift {shift} pn {pn}");
                     parities[dn % 2][visits % 2] = true;
@@ -1159,23 +1217,26 @@ mod tests {
 
     #[test]
     fn padded_lane_of_a_short_sub_group_is_exactly_zero() {
-        // A group tail of three members: no mask names bit 3 of the
-        // sub-group, and the kernel pads the lane with member 0's position.
+        // A group tail one member short of a sub-group: no mask names its
+        // last lane, and the kernel pads the lane with member 0's position.
         // It takes nothing from the partial half: exactly zero with no dense
         // half, exactly the dense half's sum with one.
         let mut rng = SmallRng::seed_from_u64(0x7061_6464);
+        let (last, shift) = (EVAL_LANES - 1, EVAL_LANES as u32);
         let partial = random_entries(&mut rng, 50);
-        let masks: Vec<u64> = (0..50).map(|_| rng.next_u64() & (0b0111 << 4)).collect();
+        let masks: Vec<u64> = (0..50)
+            .map(|_| rng.next_u64() & (low_bits(last) << shift))
+            .collect();
         let mut lanes = random_lanes(&mut rng);
-        lanes[3] = lanes[0];
+        lanes[last] = lanes[0];
         for dn in [0, 5] {
             let dense = random_entries(&mut rng, dn);
-            let got = eval_lanes(&dense, &partial, &masks, 4, &lanes, EPS2);
-            assert!(got[..3].iter().all(|&(_, cnt)| cnt > 0));
+            let got = eval_lanes(&dense, &partial, &masks, shift, &lanes, EPS2);
+            assert!(got[..last].iter().all(|&(_, cnt)| cnt > 0));
             let mut dense_only = Vec3::ZERO;
-            apply_sequence(&mut dense_only, lanes[3], &dense, G, EPS2);
-            assert_same_bits(&format!("padded lane, dense {dn}"), got[3].0, dense_only);
-            assert_eq!(got[3].1, 0);
+            apply_sequence(&mut dense_only, lanes[last], &dense, G, EPS2);
+            assert_same_bits(&format!("padded lane, dense {dn}"), got[last].0, dense_only);
+            assert_eq!(got[last].1, 0);
         }
     }
 
@@ -1185,7 +1246,8 @@ mod tests {
         // visited, so not even a row of NaNs can reach the accumulators.
         let lanes = random_lanes(&mut SmallRng::seed_from_u64(1));
         let nans = vec![(Vec3::new(f64::NAN, f64::NAN, f64::NAN), f64::NAN); 12];
-        for (acc, cnt) in eval_lanes(&[], &nans, &[0xF0; 12], 0, &lanes, EPS2) {
+        let next_subgroup = [low_bits(EVAL_LANES) << EVAL_LANES; 12];
+        for (acc, cnt) in eval_lanes(&[], &nans, &next_subgroup, 0, &lanes, EPS2) {
             assert_same_bits("unvisited", acc, Vec3::ZERO);
             assert_eq!(cnt, 0);
         }
@@ -1203,15 +1265,16 @@ mod tests {
         dense[2].0 = lanes[1];
         let mut partial = random_entries(&mut rng, 3);
         partial[0].0 = lanes[2];
-        let masks = [0b1111 << 8; 3];
-        let got = eval_lanes(&dense, &partial, &masks, 8, &lanes, 0.0);
+        let shift = 2 * EVAL_LANES as u32;
+        let masks = [SUBGROUP_BITS << shift; 3];
+        let got = eval_lanes(&dense, &partial, &masks, shift, &lanes, 0.0);
         let params = ForceParams {
             theta: 1.0,
             eps: 0.0,
             gravity: G,
         };
         for (l, &(acc, _)) in got.iter().enumerate() {
-            let (want, _) = scalar_lane(&dense, &partial, &masks, 8, l as u32, lanes[l], 0.0);
+            let (want, _) = scalar_lane(&dense, &partial, &masks, shift, l as u32, lanes[l], 0.0);
             assert_same_bits(&format!("lane {l}"), acc, want);
             let terms: Vec<Vec3> = dense
                 .iter()
@@ -1223,6 +1286,51 @@ mod tests {
             let bound = TERM_ROUNDOFF * terms.iter().map(|t| t.norm()).sum::<f64>();
             let err = (acc - direct).norm();
             assert!(err <= bound, "lane {l}: {acc:?} vs {direct:?}");
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    #[test]
+    fn avx512_evaluator_matches_the_portable_loop_bit_for_bit() {
+        // Every sub-group shift, odd and even lengths of both halves, dense
+        // and sparse masks, a member's own entry in each half at ε = 0 and
+        // ε > 0, and an entry far enough away that its `f32` r³ overflows.
+        let mut rng = SmallRng::seed_from_u64(0x7a6d_6d38);
+        for shift in (0..MAX_GROUP_SIZE).step_by(EVAL_LANES).map(|s| s as u32) {
+            for dn in [0usize, 1, 2, 7, 64] {
+                for pn in [0usize, 1, 2, 9, 130] {
+                    for eps2 in [EPS2, 0.0] {
+                        let lanes = random_lanes(&mut rng);
+                        let mut dense = random_entries(&mut rng, dn);
+                        let mut partial = random_entries(&mut rng, pn);
+                        let masks: Vec<u64> = (0..pn)
+                            .map(|j| match j % 2 {
+                                0 => rng.next_u64(),
+                                _ => rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                            })
+                            .collect();
+                        if let Some(e) = dense.first_mut() {
+                            e.0 = lanes[0];
+                        }
+                        if let Some(e) = dense.get_mut(1) {
+                            e.0 = Vec3::new(1e25, 0.0, 0.0);
+                        }
+                        if let Some(e) = partial.last_mut() {
+                            e.0 = lanes[EVAL_LANES - 1];
+                        }
+                        let run = |eval: Evaluator| {
+                            eval_lanes_with(eval, &dense, &partial, &masks, shift, &lanes, eps2)
+                        };
+                        let (want, got) = (run(eval_subgroup), run(avx512::evaluate));
+                        for (l, (g, w)) in got.iter().zip(&want).enumerate() {
+                            let label =
+                                format!("shift {shift} dense {dn} partial {pn} ε² {eps2} lane {l}");
+                            assert_same_bits(&label, g.0, w.0);
+                            assert_eq!(g.1, w.1, "{label}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -36,6 +36,10 @@ const WHITELIST: &[&str] = &[
     "crates/core/src/env.rs",
     "crates/core/src/harness.rs",
     "crates/ssmp/src/machine.rs",
+    // The one call into the AVX-512 force evaluator, a `#[target_feature]`
+    // function: calling it is `unsafe` even when the crate is built with
+    // the feature.
+    "crates/core/src/force/avx512.rs",
 ];
 
 /// Modules allowed to use `std::sync` / `std::thread` directly: the layer
