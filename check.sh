@@ -65,14 +65,16 @@ echo "== build (release) =="
 # target/release/repro and serve the lanes below run.
 cargo build --offline --release
 
-echo "== force evaluator vectorisation (packed f32 sqrt and divide in eval_subgroup) =="
+echo "== force evaluator vectorisation (packed fused f64, packed f32 sqrt and divide in eval_subgroup) =="
 # The evaluation's speed rests on eval_subgroup issuing packed f32
-# vsqrtps/vdivps for its lanes' 1/r^3 (DESIGN.md section 5b). On a target
-# with AVX-512F that is force/avx512.rs: f64 offsets and sums on zmm, the
-# eight f32 lanes on one ymm. Elsewhere it is the portable loop, which LLVM
-# must vectorise; inlined or reshaped it drops to one scalar sqrt and divide
-# per lane with every test still green, so a scalar vsqrts[sd]/vdivs[sd]
-# fails either gate.
+# vsqrtps/vdivps for its lanes' 1/r^3 and packed fused multiply-adds for
+# their r^2 and sums, the FP-port work that bounds it (DESIGN.md section 5b).
+# On a target with AVX-512F that is force/avx512.rs: f64 offsets, r^2 and
+# sums on zmm, the eight f32 lanes on one ymm, and its list builder packs
+# each sub-group's visited ranks with vpcompressd. Elsewhere it is the
+# portable loop, which LLVM must vectorise; inlined or reshaped it drops to
+# one scalar sqrt and divide per lane with every test still green, so a
+# scalar vsqrts[sd]/vdivs[sd] fails either gate.
 # eval_gate BINARY SYMBOL PATTERN...: SYMBOL's listing in BINARY matches
 # every PATTERN and issues no scalar sqrt or divide.
 eval_gate() {
@@ -93,7 +95,8 @@ eval_gate() {
 BUILD_FLAGS="${RUSTFLAGS-$(sed -n 's/^rustflags = \[\(.*\)\]$/\1/p' .cargo/config.toml | tr -d '",')}"
 if rustc --print cfg $BUILD_FLAGS | grep -qx 'target_feature="avx512f"'; then
     eval_gate target/release/repro 'avx512[^>]*eval_subgroup' \
-        'vsubpd +%zmm' 'vmulpd +%zmm' 'vaddpd +%zmm' 'vsqrtps +%ymm' 'vdivps +%ymm'
+        'vsubpd +%zmm' 'vmulpd +%zmm' 'vfmadd[0-9]+pd +%zmm' 'vsqrtps +%ymm' 'vdivps +%ymm'
+    eval_gate target/release/repro 'avx512[^>]*compress_entries' 'vpcompressd +%zmm'
 else
     eval_gate target/release/repro eval_subgroup 'vsqrtps +%[xy]mm' 'vdivps +%[xy]mm'
 fi
@@ -102,12 +105,13 @@ echo "== portable force evaluator lane (x86-64-v3 build: the four-lane loop) =="
 # A target without AVX-512F evaluates with the portable four-lane loop, which
 # the native build above compiles only into its unit tests: build for
 # x86-64-v3 in a target directory of its own, run the kernel's unit tests and
-# flat_force there, and hold that build's eval_subgroup to the gate above.
+# flat_force there, and hold that build's eval_subgroup to the gate above
+# (x86-64-v3 has FMA, so its lanes' r^2 and sums are packed vfmadd too).
 portable() { RUSTFLAGS="-C target-cpu=x86-64-v3" cargo "$@" --offline --release --target-dir target/portable; }
 portable test -q -p bh-core --lib force::
 portable test -q --test flat_force
 FLAT_BIN="$(portable test --test flat_force --no-run 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p')"
-eval_gate "$FLAT_BIN" eval_subgroup 'vsqrtps +%[xy]mm' 'vdivps +%[xy]mm'
+eval_gate "$FLAT_BIN" eval_subgroup 'vfmadd[0-9]+pd +%[xy]mm' 'vsqrtps +%[xy]mm' 'vdivps +%[xy]mm'
 
 echo "== full test suite =="
 cargo test --offline -q --workspace

@@ -79,15 +79,31 @@ fn inv_r3(r2: f64) -> f64 {
     f64::from(1.0 / (r2 * r2.sqrt()))
 }
 
+/// The softened `r² = dx² + dy² + dz² + ε²` of the offset `d`, as three
+/// fused multiply-adds from `ε²` up: `fma(dz, dz, fma(dy, dy, fma(dx, dx,
+/// ε²)))`. Every evaluator computes exactly this (`_mm512_fmadd_pd` on
+/// AVX-512), and `fma` is correctly rounded, so the bits do not depend on
+/// the CPU; a target without FMA hardware pays a libm `fma` call per
+/// operation for the same bits.
+#[inline(always)]
+fn soft_r2(dx: f64, dy: f64, dz: f64, eps2: f64) -> f64 {
+    dz.mul_add(dz, dy.mul_add(dy, dx.mul_add(dx, eps2)))
+}
+
 /// Apply `entries` (source position, mass) in order to the body at `pos`,
-/// adding into `acc`: offsets and `r²` in `f64`, `1/r³` from [`inv_r3`],
-/// the sum in `f64`. This is the arithmetic of one `eval_subgroup` lane,
-/// which is what makes a `group_size = 1` list replay [`seq_accel`]
-/// bitwise.
+/// adding into `acc`: offsets in `f64`, `r²` from [`soft_r2`], `1/r³` from
+/// [`inv_r3`], and each axis summed as `acc = fma(d, scale, acc)`. This is
+/// the arithmetic of one `eval_subgroup` lane, which is what makes a
+/// `group_size = 1` list replay [`seq_accel`] bitwise.
 fn apply_sequence(acc: &mut Vec3, pos: Vec3, entries: &[(Vec3, f64)], gravity: f64, eps2: f64) {
     for &(src, m) in entries {
         let d = src - pos;
-        *acc += d * (gravity * m * inv_r3(d.norm_sq() + eps2));
+        let scale = gravity * m * inv_r3(soft_r2(d.x, d.y, d.z, eps2));
+        *acc = Vec3::new(
+            d.x.mul_add(scale, acc.x),
+            d.y.mul_add(scale, acc.y),
+            d.z.mul_add(scale, acc.z),
+        );
     }
 }
 
@@ -128,11 +144,12 @@ const _: () = assert!(MAX_GROUP_SIZE.is_multiple_of(EVAL_LANES));
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 mod avx512;
 
-/// The build's evaluator of one sub-group; both compute the same bits.
+/// The build's evaluator of one sub-group and builder of its visit list;
+/// each computes what its portable counterpart does.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-use avx512::evaluate;
+use avx512::{evaluate, subgroup_entries as visit_list};
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-use eval_subgroup as evaluate;
+use {eval_subgroup as evaluate, subgroup_entries as visit_list};
 
 /// Aggregate statistics of one processor's batched force phase:
 /// `interactions / list_entries` is the list-reuse factor (approaches the
@@ -375,7 +392,7 @@ pub fn force_phase_grouped<E: Env>(
     // groups and never zeroed, yet no stale mask can be read: a group
     // writes ranks `0..plen` in order and evaluation only sees the slice
     // `pmask_buf[..plen]`. `pidx` is the one sub-group index list, rebuilt
-    // from the masks for each sub-group ([`subgroup_entries`]). Both grow
+    // from the masks for each sub-group (`visit_list`). Both grow
     // with the longest list seen instead of being sized by `cap`.
     let mut pmask_buf: Vec<u64> = Vec::new();
     let mut pidx: Vec<u32> = Vec::new();
@@ -534,7 +551,7 @@ pub fn force_phase_grouped<E: Env>(
             let lanes = mcols
                 .each_ref()
                 .map(|col| std::array::from_fn(|l| col[m0 + l]));
-            let visits = subgroup_entries(pmasks, m0 as u32, &mut pidx);
+            let visits = visit_list(pmasks, m0 as u32, &mut pidx);
             let (ax, ay, az, pcnt) = evaluate(
                 dense,
                 partial,
@@ -642,6 +659,11 @@ fn mixed_accepts(mcols: &[[f64; MAX_GROUP_SIZE]; 3], com: Vec3, side: f64, theta
 /// The append is branch-free (store always, advance when a sub-group bit
 /// is set): acceptance flips along the boundary band, so a branch here
 /// would mispredict. `out` only ever grows, to the longest list seen.
+///
+/// This is the list builder of every target without AVX-512F; on a target
+/// with it `avx512::subgroup_entries` returns the same list, eight masks
+/// per pass, and the tests hold it to this loop.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx512f"))))]
 fn subgroup_entries(masks: &[u64], shift: u32, out: &mut Vec<u32>) -> usize {
     if out.len() < masks.len() {
         out.resize(masks.len(), 0);
@@ -689,11 +711,11 @@ impl Lanes {
         let [px, py, pz] = &self.pos;
         let [ax, ay, az] = &mut self.acc;
         for l in 0..EVAL_LANES {
-            let d = Vec3::new(src.x - px[l], src.y - py[l], src.z - pz[l]);
-            let scale = w[l] * inv_r3(d.norm_sq() + eps2);
-            ax[l] += d.x * scale;
-            ay[l] += d.y * scale;
-            az[l] += d.z * scale;
+            let (dx, dy, dz) = (src.x - px[l], src.y - py[l], src.z - pz[l]);
+            let scale = w[l] * inv_r3(soft_r2(dx, dy, dz, eps2));
+            ax[l] = dx.mul_add(scale, ax[l]);
+            ay[l] = dy.mul_add(scale, ay[l]);
+            az[l] = dz.mul_add(scale, az[l]);
         }
     }
 }
@@ -981,9 +1003,12 @@ mod tests {
     /// `u = 2⁻²⁴` (`f32` unit roundoff), rounding `r²` to `f32` perturbs
     /// `r³ = (r²)^1.5` by at most `1.5u`, and the `sqrt`, the product and
     /// the divide are each correctly rounded, `u` apiece: `4.5u` to first
-    /// order. The differences, weights and sums are `f64` (`~1e-16`), so a
-    /// sum of terms `tᵢ` is within `4.5u · Σ|tᵢ|` of the all-`f64` oracle;
-    /// `5u` leaves room for the second-order terms.
+    /// order. The rest is `f64`: the differences and weights; the fused
+    /// `r²` ([`soft_r2`]), whose three `fma`s each round once and add only
+    /// non-negative terms, so it is within `3·2⁻⁵³` (`~3.3e-16`) relative
+    /// of the exact `|d|² + ε²`; and the fused sums. So a sum of terms
+    /// `tᵢ` is within `4.5u · Σ|tᵢ|` of the all-`f64` oracle; `5u` leaves
+    /// room for the second-order terms.
     const TERM_ROUNDOFF: f64 = 5.0 * (f32::EPSILON as f64 / 2.0);
 
     #[test]
@@ -1111,7 +1136,7 @@ mod tests {
     ) -> [(Vec3, u32); EVAL_LANES] {
         let (d, p) = (columns(dense, false), columns(partial, true));
         let mut idx = Vec::new();
-        let visits = subgroup_entries(masks, shift, &mut idx);
+        let visits = visit_list(masks, shift, &mut idx);
         let (ax, ay, az, cnt) = eval(
             d.each_ref().map(Vec::as_slice),
             p.each_ref().map(Vec::as_slice),
@@ -1171,7 +1196,7 @@ mod tests {
                     let masks: Vec<u64> = (0..pn).map(|_| rng.next_u64()).collect();
                     let lanes = random_lanes(&mut rng);
                     let mut idx = Vec::new();
-                    let visits = subgroup_entries(&masks, shift, &mut idx);
+                    let visits = visit_list(&masks, shift, &mut idx);
                     let visited: Vec<u32> = (0..pn as u32)
                         .filter(|&j| subgroup_bits(masks[j as usize], shift) != 0)
                         .collect();
@@ -1329,6 +1354,33 @@ mod tests {
                             assert_eq!(g.1, w.1, "{label}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    #[test]
+    fn avx512_list_builder_matches_the_portable_loop() {
+        // Every sub-group shift; every slice length through five eight-mask
+        // passes and each tail length; random, sparse, all-ones and
+        // all-zero masks. Only `out[..len]` is the list.
+        let mut rng = SmallRng::seed_from_u64(0x6c69_7374);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for shift in (0..MAX_GROUP_SIZE).step_by(EVAL_LANES).map(|s| s as u32) {
+            for n in 0..=40 {
+                let random: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+                let sparse = (0..n)
+                    .map(|_| rng.next_u64() & rng.next_u64() & rng.next_u64())
+                    .collect();
+                for masks in [random, sparse, vec![!0; n], vec![0; n]] {
+                    let len = subgroup_entries(&masks, shift, &mut want);
+                    assert_eq!(
+                        avx512::subgroup_entries(&masks, shift, &mut got),
+                        len,
+                        "shift {shift} masks {masks:x?}"
+                    );
+                    assert_eq!(got[..len], want[..len], "shift {shift} masks {masks:x?}");
                 }
             }
         }

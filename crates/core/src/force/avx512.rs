@@ -1,5 +1,6 @@
 //! The evaluator of builds whose target has AVX-512F: one sub-group of
-//! eight members per `zmm`, written with `core::arch` intrinsics.
+//! eight members per `zmm`, written with `core::arch` intrinsics, and the
+//! list of partial entries each sub-group visits, eight masks per pass.
 //!
 //! LLVM's tuning for AVX-512 server cores prefers 256-bit vectors, so the
 //! portable lane loop at eight lanes compiles to pairs of `ymm` and issues
@@ -7,13 +8,71 @@
 //! weights and sums are `f64` in `zmm`, and their eight `f32` `1/r³` share
 //! one `ymm` sqrt and one divide. Per lane, the operations and their order
 //! are exactly the portable `Lanes::apply`'s — `d = src − p`,
-//! `(dx² + dy²) + dz² + ε²`, one rounding to `f32`, the floor,
-//! `1/(r²·√r²)`, `w·inv`, `acc += d·s` — so every bit equals the portable
-//! evaluator's, which the tests in `force.rs` check.
+//! `fma(dz, dz, fma(dy, dy, fma(dx, dx, ε²)))`, one rounding to `f32`, the
+//! floor, `1/(r²·√r²)`, `w·inv`, `acc = fma(d, s, acc)` — so every bit
+//! equals the portable evaluator's, which the tests in `force.rs` check.
 
 use std::arch::x86_64::*;
 
 use super::{SubgroupSums, EVAL_LANES, R2_FLOOR, SUBGROUP_BITS};
+
+/// The kernel's sub-group list builder on this build; the contract is the
+/// portable `subgroup_entries`'s.
+#[inline]
+pub(super) fn subgroup_entries(masks: &[u64], shift: u32, out: &mut Vec<u32>) -> usize {
+    if out.len() < masks.len() {
+        out.resize(masks.len(), 0);
+    }
+    // SAFETY: `compress_entries` needs AVX-512F, and this module is
+    // compiled only when the crate is built for AVX-512F.
+    unsafe { compress_entries(masks, shift, &mut out[..masks.len()]) }
+}
+
+/// The portable `subgroup_entries`, eight masks per pass: one
+/// `vptestmq` of eight masks against the sub-group's bits gives the
+/// visited ranks as a mask byte, `vpcompressd` packs those ranks to the
+/// bottom of a register, and all eight lanes are stored at `out[len..]`
+/// while `len` advances by the byte's popcount — the scalar loop's
+/// store-always, advance-if-set, eight entries at a time. The last
+/// `masks.len() % 8` masks take the scalar loop. `out.len()` must equal
+/// `masks.len()`.
+///
+/// `inline(never)` keeps it one symbol, which `check.sh` disassembles.
+#[target_feature(enable = "avx512f")]
+#[inline(never)]
+fn compress_entries(masks: &[u64], shift: u32, out: &mut [u32]) -> usize {
+    assert_eq!(out.len(), masks.len());
+    let bits = _mm512_set1_epi64((SUBGROUP_BITS << shift) as i64);
+    let step = _mm512_set1_epi32(8);
+    let mut ranks = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 0, 0, 0, 0, 0, 0, 0, 0);
+    let mut len = 0;
+    let body = masks.chunks_exact(8);
+    let tail = body.remainder();
+    for chunk in body {
+        let m = |l: usize| chunk[l] as i64;
+        let v = _mm512_set_epi64(m(7), m(6), m(5), m(4), m(3), m(2), m(1), m(0));
+        let visited = _mm512_test_epi64_mask(v, bits);
+        let packed = _mm512_maskz_compress_epi32(__mmask16::from(visited), ranks);
+        // SAFETY: after `c` whole chunks at most `8c` ranks were kept, so
+        // `len ≤ 8c`; this chunk is whole too, so `8c + 8 ≤ masks.len()`,
+        // which the assert above makes `out.len()`: the eight `u32` at
+        // `out[len..len + 8]` are in bounds. `storeu` needs no alignment.
+        unsafe {
+            _mm256_storeu_si256(
+                out.as_mut_ptr().add(len).cast(),
+                _mm512_castsi512_si256(packed),
+            );
+        }
+        len += visited.count_ones() as usize;
+        ranks = _mm512_add_epi32(ranks, step);
+    }
+    let first = masks.len() - tail.len();
+    for (j, &mask) in (first..).zip(tail) {
+        out[len] = j as u32;
+        len += usize::from((mask >> shift) & SUBGROUP_BITS != 0);
+    }
+    len
+}
 
 /// The kernel's sub-group evaluator on this build; the contract is the
 /// portable `eval_subgroup`'s.
@@ -66,13 +125,15 @@ fn eval_subgroup(
             _mm512_sub_pd(_mm512_set1_pd(y), py),
             _mm512_sub_pd(_mm512_set1_pd(z), pz),
         ];
-        let [dx, dy, dz] = d.map(|c| _mm512_mul_pd(c, c));
-        let r2 = _mm512_add_pd(_mm512_add_pd(_mm512_add_pd(dx, dy), dz), eps2);
+        let [dx, dy, dz] = d;
+        let r2 = _mm512_fmadd_pd(dx, dx, eps2);
+        let r2 = _mm512_fmadd_pd(dy, dy, r2);
+        let r2 = _mm512_fmadd_pd(dz, dz, r2);
         let r2 = _mm256_max_ps(_mm512_cvtpd_ps(r2), floor);
         let inv = _mm256_div_ps(one, _mm256_mul_ps(r2, _mm256_sqrt_ps(r2)));
         let scale = _mm512_mul_pd(w, _mm512_cvtps_pd(inv));
         for (a, c) in acc.iter_mut().zip(d) {
-            *a = _mm512_add_pd(*a, _mm512_mul_pd(c, scale));
+            *a = _mm512_fmadd_pd(c, scale, *a);
         }
     };
 

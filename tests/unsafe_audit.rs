@@ -36,9 +36,10 @@ const WHITELIST: &[&str] = &[
     "crates/core/src/env.rs",
     "crates/core/src/harness.rs",
     "crates/ssmp/src/machine.rs",
-    // The one call into the AVX-512 force evaluator, a `#[target_feature]`
-    // function: calling it is `unsafe` even when the crate is built with
-    // the feature.
+    // The calls into the AVX-512 force evaluator and list builder,
+    // `#[target_feature]` functions (calling one is `unsafe` even when the
+    // crate is built with the feature), and the list builder's unaligned
+    // vector store.
     "crates/core/src/force/avx512.rs",
 ];
 
