@@ -42,10 +42,13 @@ cargo test --offline -q --test race_freedom
 
 echo "== schedule-exploration verify lane =="
 # Seeded + round-robin schedule matrix over all six algorithms (including
-# MORTON's bounded-exhaustive sort-and-emit kernel pass), plus the
-# publication-order mutation self-test (the explorer must find the
-# re-introduced bug). The full bounded-exhaustive pass is #[ignore]d here
-# and runs on the paper-scale line below.
+# MORTON's bounded-exhaustive sort-and-emit kernel pass), plus the two
+# publication-order kernels, each certified over its whole bounded schedule
+# space. The full bounded-exhaustive SPACE pass is #[ignore]d here and runs
+# on the paper-scale line below. The mutants that show these checkers catch
+# what they claim are scored by tests/mutants/run.sh, a lane of its own
+# (about 17 minutes on two cores): run it after touching a builder's
+# locking or publication order, or a checker.
 cargo test --offline -q --test schedule_matrix --test schedule_mutation
 
 echo "== force kernel lane (sequential-reference parity + group-size matrix cells) =="

@@ -223,15 +223,7 @@ pub fn insert_private<E: Env>(
             );
             tree.set_child(env, ctx, cell, oct, leaf);
             tree.pending_add(env, ctx, cell, 1);
-            if crate::sched::mutation::early_forward_flush() {
-                // Fault injection (see crate::sched::mutation): publish the
-                // forwarding pointer immediately, re-creating the
-                // publication-order bug this deferral exists to prevent.
-                crate::sched::mutation::note_injection();
-                world.body_leaf.store(env, ctx, body as usize, leaf.0);
-            } else {
-                fwd.push((body, leaf));
-            }
+            fwd.push((body, leaf));
             return;
         }
         if child.is_cell() {
@@ -247,12 +239,7 @@ pub fn insert_private<E: Env>(
                 l.bodies[l.n as usize] = body;
                 l.n += 1;
             });
-            if crate::sched::mutation::early_forward_flush() {
-                crate::sched::mutation::note_injection();
-                world.body_leaf.store(env, ctx, body as usize, leaf.0);
-            } else {
-                fwd.push((body, leaf));
-            }
+            fwd.push((body, leaf));
             return;
         }
         env.compute(ctx, SUBDIVIDE_CYCLES);

@@ -138,8 +138,9 @@ pub fn build<E: Env>(
     }
 }
 
-/// Check one body against its leaf; relocate it if it moved out.
-fn move_body<E: Env>(
+/// Check one body against its leaf; relocate it if it moved out. Public
+/// so a schedule-exploration kernel can drive it alone.
+pub fn move_body<E: Env>(
     env: &E,
     ctx: &mut E::Ctx,
     tree: &SharedTree,

@@ -55,13 +55,12 @@
 //!
 //! ## Granularity
 //!
-//! [`Granularity::Element`] tracks 4-byte words — every reported conflict
-//! is a true overlapping access pair. [`Granularity::CacheLine`] tracks
-//! whole lines; overlapping conflicts are races as before, while
-//! *byte-disjoint* write/write conflicts on one line from different
-//! processors are classified as [`ConflictClass::FalseSharing`] — the
-//! detector then doubles as the false-sharing audit the paper's ORIG
-//! analysis calls for.
+//! Shadow state is kept per 4-byte word (`GRAIN`). A conflict is
+//! reported only when the two accesses' byte ranges overlap, so every
+//! report is a true overlapping access pair; byte-disjoint accesses that
+//! share a word are not a race. False sharing is a cost, not a
+//! correctness defect, and is measured where the paper needs it: `ssmp`'s
+//! cache-line model and the run's attribution table.
 //!
 //! One parallel session (one `spmd` scope) at a time may use a
 //! `CheckedEnv`. Sessions that end with a barrier may be followed by
@@ -72,36 +71,9 @@ use crate::env::{Access, Env, EnvLayer, LayerCtx, VAddr};
 use crate::sync::Mutex;
 use std::collections::HashMap;
 
-/// Shadow-state granularity of the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Granularity {
-    /// One shadow word per 4 bytes: precise race detection.
-    Element,
-    /// One shadow word per cache line of the given size (e.g. 64 or 128):
-    /// additionally flags cross-processor false sharing.
-    CacheLine(u32),
-}
-
-impl Granularity {
-    #[inline]
-    fn bytes(self) -> u64 {
-        match self {
-            Granularity::Element => 4,
-            Granularity::CacheLine(sz) => sz.max(4) as u64,
-        }
-    }
-}
-
-/// Classification of a reported conflict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConflictClass {
-    /// Overlapping unsynchronized accesses, at least one a plain write —
-    /// a data race.
-    Race,
-    /// Byte-disjoint writes from different processors to one cache line
-    /// with no ordering between them (CacheLine granularity only).
-    FalseSharing,
-}
+/// Bytes of shadow state per word: every access in the code base is a
+/// 4-aligned multiple of 4 bytes.
+const GRAIN: u64 = 4;
 
 /// One side of a conflict.
 #[derive(Debug, Clone)]
@@ -124,7 +96,6 @@ pub struct RaceReport {
     pub addr: VAddr,
     /// Size of the shadow grain in bytes.
     pub bytes: u32,
-    pub class: ConflictClass,
     /// The earlier access (by detector observation order).
     pub first: AccessInfo,
     /// The later access.
@@ -135,8 +106,7 @@ impl std::fmt::Display for RaceReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{:?} on grain {:#x}+{}: P{} {:?} ep{} [{:#x}+{}] {:?} vs P{} {:?} ep{} [{:#x}+{}] {:?}",
-            self.class,
+            "Race on grain {:#x}+{}: P{} {:?} ep{} [{:#x}+{}] {:?} vs P{} {:?} ep{} [{:#x}+{}] {:?}",
             self.addr,
             self.bytes,
             self.first.proc,
@@ -165,6 +135,11 @@ fn join(into: &mut VClock, from: &VClock) {
     for (a, b) in into.iter_mut().zip(from) {
         *a = (*a).max(*b);
     }
+}
+
+/// The shadow words `[addr, addr + bytes)` touches.
+fn grains(addr: VAddr, bytes: u32) -> std::ops::RangeInclusive<u64> {
+    addr / GRAIN..=(addr + bytes.max(1) as u64 - 1) / GRAIN
 }
 
 /// Last recorded access of one processor to one grain.
@@ -223,24 +198,12 @@ impl Detector {
     }
 
     /// Record one access and report any conflicts with prior accesses.
-    #[allow(clippy::too_many_arguments)]
-    fn access(
-        &mut self,
-        proc: usize,
-        kind: Access,
-        addr: VAddr,
-        bytes: u32,
-        grain: u64,
-        episode: usize,
-    ) {
-        let lo = addr / grain.max(1);
-        let hi = (addr + bytes.max(1) as u64 - 1) / grain.max(1);
-        for g in lo..=hi {
-            self.access_grain(proc, kind, addr, bytes, g, grain, episode);
+    fn access(&mut self, proc: usize, kind: Access, addr: VAddr, bytes: u32, episode: usize) {
+        for g in grains(addr, bytes) {
+            self.access_grain(proc, kind, addr, bytes, g, episode);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn access_grain(
         &mut self,
         proc: usize,
@@ -248,7 +211,6 @@ impl Detector {
         addr: VAddr,
         bytes: u32,
         g: u64,
-        grain: u64,
         episode: usize,
     ) {
         let procs = self.procs;
@@ -269,19 +231,12 @@ impl Detector {
                 }
                 let overlap = addr < prev.addr + prev.bytes.max(1) as u64
                     && prev.addr < addr + bytes.max(1) as u64;
-                let class = if overlap {
-                    ConflictClass::Race
-                } else if prev.kind.is_write() && kind.is_write() {
-                    // Same grain, disjoint bytes: false sharing (only
-                    // observable at cache-line granularity).
-                    ConflictClass::FalseSharing
-                } else {
-                    return;
-                };
+                if !overlap {
+                    return; // same word, disjoint bytes: not a race
+                }
                 found.push(RaceReport {
-                    addr: g * grain,
-                    bytes: grain as u32,
-                    class,
+                    addr: g * GRAIN,
+                    bytes: GRAIN as u32,
                     first: AccessInfo {
                         proc: q,
                         kind: prev.kind,
@@ -340,7 +295,7 @@ impl Detector {
 
     /// Acquire side of an atomic access: join the address release clocks.
     fn atomic_acquire(&mut self, proc: usize, addr: VAddr, bytes: u32) {
-        for g in (addr / 4)..=((addr + bytes.max(1) as u64 - 1) / 4) {
+        for g in grains(addr, bytes) {
             if let Some(rel) = self.addr_release.get(&g) {
                 let rel = rel.clone();
                 join(&mut self.clocks[proc], &rel);
@@ -353,7 +308,7 @@ impl Detector {
     fn atomic_release(&mut self, proc: usize, addr: VAddr, bytes: u32) {
         let procs = self.procs;
         let clock = self.clocks[proc].clone();
-        for g in (addr / 4)..=((addr + bytes.max(1) as u64 - 1) / 4) {
+        for g in grains(addr, bytes) {
             let rel = self.addr_release.entry(g).or_insert_with(|| vec![0; procs]);
             join(rel, &clock);
         }
@@ -364,22 +319,15 @@ impl Detector {
 /// A race-detecting wrapper around any [`Env`]. See the module docs.
 pub struct CheckedEnv<E: Env> {
     inner: E,
-    granularity: Granularity,
     det: Mutex<Detector>,
 }
 
 impl<E: Env> CheckedEnv<E> {
-    /// Wrap `inner` with element (4-byte word) granularity.
+    /// Wrap `inner`.
     pub fn new(inner: E) -> CheckedEnv<E> {
-        CheckedEnv::with_granularity(inner, Granularity::Element)
-    }
-
-    /// Wrap `inner` with an explicit shadow granularity.
-    pub fn with_granularity(inner: E, granularity: Granularity) -> CheckedEnv<E> {
         let procs = inner.num_procs();
         CheckedEnv {
             inner,
-            granularity,
             det: Mutex::new(Detector::new(procs)),
         }
     }
@@ -389,25 +337,9 @@ impl<E: Env> CheckedEnv<E> {
         &self.inner
     }
 
-    /// All recorded conflict reports (capped at an internal maximum).
-    pub fn reports(&self) -> Vec<RaceReport> {
-        self.det.lock().reports.clone()
-    }
-
-    /// Recorded reports classified as true data races.
+    /// All recorded races (capped at an internal maximum).
     pub fn races(&self) -> Vec<RaceReport> {
-        self.reports()
-            .into_iter()
-            .filter(|r| r.class == ConflictClass::Race)
-            .collect()
-    }
-
-    /// Recorded reports classified as false sharing.
-    pub fn false_sharing(&self) -> Vec<RaceReport> {
-        self.reports()
-            .into_iter()
-            .filter(|r| r.class == ConflictClass::FalseSharing)
-            .collect()
+        self.det.lock().reports.clone()
     }
 
     /// Total conflicts observed, including those past the report cap.
@@ -416,7 +348,6 @@ impl<E: Env> CheckedEnv<E> {
     }
 
     /// Panic with a diagnostic listing if any data race was recorded.
-    /// False-sharing reports are informational and do not fail this check.
     pub fn assert_race_free(&self) {
         let races = self.races();
         if races.is_empty() {
@@ -457,14 +388,7 @@ impl<E: Env> EnvLayer for CheckedEnv<E> {
             // writer whose real store the load observed.
             det.atomic_acquire(ctx.proc, addr, bytes);
         }
-        det.access(
-            ctx.proc,
-            kind,
-            addr,
-            bytes,
-            self.granularity.bytes(),
-            ctx.local,
-        );
+        det.access(ctx.proc, kind, addr, bytes, ctx.local);
         if matches!(kind, Access::AtomicWrite | Access::Rmw) {
             // Release side only: this instrumentation call precedes the
             // *real* atomic operation, so the processor's clock is published
@@ -534,26 +458,25 @@ mod tests {
     use crate::harness::spmd;
     use crate::shared::{SharedAtomicVec, SharedVec};
 
-    fn two_proc_env(g: Granularity) -> CheckedEnv<NativeEnv> {
-        CheckedEnv::with_granularity(NativeEnv::new(2), g)
+    fn two_proc_env() -> CheckedEnv<NativeEnv> {
+        CheckedEnv::new(NativeEnv::new(2))
     }
 
     #[test]
     fn unlocked_concurrent_writes_are_reported() {
-        let env = two_proc_env(Granularity::Element);
+        let env = two_proc_env();
         let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
         spmd(&env, |proc, ctx| {
             v.store(&env, ctx, 0, proc as u64);
         });
         let races = env.races();
         assert!(!races.is_empty(), "deliberate race not detected");
-        assert_eq!(races[0].class, ConflictClass::Race);
         assert!(races[0].first.proc != races[0].second.proc);
     }
 
     #[test]
     fn lock_protected_writes_are_clean() {
-        let env = two_proc_env(Granularity::Element);
+        let env = two_proc_env();
         let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
         spmd(&env, |_proc, ctx| {
             for _ in 0..50 {
@@ -571,7 +494,7 @@ mod tests {
     fn lock_table_collision_is_not_an_ordering_edge() {
         // Two different lock ids that collide in the native 4096-entry table
         // exclude in real time, but the detector must still flag the race.
-        let env = two_proc_env(Granularity::Element);
+        let env = two_proc_env();
         let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
         spmd(&env, |proc, ctx| {
             let lock = 100 + proc * (crate::env::NATIVE_LOCK_TABLE - 64);
@@ -588,7 +511,7 @@ mod tests {
 
     #[test]
     fn barrier_separated_phases_are_clean() {
-        let env = two_proc_env(Granularity::Element);
+        let env = two_proc_env();
         let v: SharedVec<u64> = SharedVec::new(&env, 4, 0, Placement::Global);
         spmd(&env, |proc, ctx| {
             // Phase 1: each proc writes its own half.
@@ -608,7 +531,7 @@ mod tests {
 
     #[test]
     fn missing_barrier_is_reported() {
-        let env = two_proc_env(Granularity::Element);
+        let env = two_proc_env();
         let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
         spmd(&env, |proc, ctx| {
             if proc == 0 {
@@ -625,7 +548,7 @@ mod tests {
 
     #[test]
     fn atomic_counter_is_not_a_race() {
-        let env = two_proc_env(Granularity::Element);
+        let env = two_proc_env();
         let v = SharedAtomicVec::new(&env, 1, 0, Placement::Global);
         spmd(&env, |_proc, ctx| {
             for _ in 0..100 {
@@ -640,7 +563,7 @@ mod tests {
     fn release_acquire_chain_orders_plain_data() {
         // The pending-counter idiom: P0 writes data then RMWs a flag; P1
         // spins on the flag (acquire) and reads the data.
-        let env = two_proc_env(Granularity::Element);
+        let env = two_proc_env();
         let data: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
         let flag = SharedAtomicVec::new(&env, 1, 0, Placement::Global);
         spmd(&env, |proc, ctx| {
@@ -666,7 +589,7 @@ mod tests {
         // counter) and goes on to read data P1 wrote. With the two-phase
         // protocol, P0's post-operation commit joins P1's publication, so
         // the read is ordered and must not be reported.
-        let env = two_proc_env(Granularity::Element);
+        let env = two_proc_env();
         let data: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
         let flag = SharedAtomicVec::new(&env, 2, 0, Placement::Global);
         let mut c0 = env.make_ctx(0);
@@ -686,30 +609,23 @@ mod tests {
     }
 
     #[test]
-    fn false_sharing_flagged_at_line_granularity_only() {
-        // Two processors write adjacent 8-byte elements: disjoint bytes,
-        // same 64-byte line.
-        for (gran, expect_fs) in [
-            (Granularity::Element, false),
-            (Granularity::CacheLine(64), true),
-        ] {
-            let env = two_proc_env(gran);
-            let v: SharedVec<u64> = SharedVec::new(&env, 8, 0, Placement::Global);
-            spmd(&env, |proc, ctx| {
-                v.store(&env, ctx, proc, proc as u64);
-            });
-            assert!(env.races().is_empty(), "disjoint writes are not a race");
-            assert_eq!(
-                !env.false_sharing().is_empty(),
-                expect_fs,
-                "granularity {gran:?}: false-sharing detection mismatch"
-            );
-        }
+    fn byte_disjoint_writes_in_one_word_are_not_a_race() {
+        // Two processors write the two halves of one 4-byte word: same
+        // shadow grain, disjoint bytes.
+        let env = two_proc_env();
+        let v: SharedVec<u16> = SharedVec::new(&env, 4, 0, Placement::Global);
+        // The array is only 2-aligned: start at the first 4-aligned element.
+        let first = (v.addr(0) % GRAIN / 2) as usize;
+        assert_eq!(v.addr(first) / GRAIN, v.addr(first + 1) / GRAIN);
+        spmd(&env, |proc, ctx| {
+            v.store(&env, ctx, first + proc, proc as u16);
+        });
+        env.assert_race_free();
     }
 
     #[test]
     fn unordered_reads_are_exempt() {
-        let env = two_proc_env(Granularity::Element);
+        let env = two_proc_env();
         let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
         spmd(&env, |proc, ctx| {
             if proc == 0 {
@@ -723,7 +639,7 @@ mod tests {
 
     #[test]
     fn report_fields_are_populated() {
-        let env = two_proc_env(Granularity::Element);
+        let env = two_proc_env();
         let v: SharedVec<u32> = SharedVec::new(&env, 1, 0, Placement::Global);
         spmd(&env, |proc, ctx| {
             v.store(&env, ctx, 0, proc as u32);

@@ -62,7 +62,7 @@ pub mod prelude {
         SimConfig, StepPhaseRow,
     };
     pub use crate::body::Body;
-    pub use crate::check::{CheckedEnv, Granularity, RaceReport};
+    pub use crate::check::{CheckedEnv, RaceReport};
     pub use crate::engine::SimEngine;
     pub use crate::env::{CtxStats, Env, NativeEnv, Phase, Placement, Region};
     pub use crate::force::ForceParams;

@@ -92,42 +92,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Condvar;
 use std::sync::MutexGuard;
 
-/// Test-only fault injection, kept here (rather than next to the algorithm
-/// code it perturbs) because this module owns the only whitelisted home for
-/// scheduler-adjacent global state.
-pub mod mutation {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    static EARLY_FORWARD_FLUSH: AtomicBool = AtomicBool::new(false);
-    static INJECTIONS: AtomicU64 = AtomicU64::new(0);
-
-    /// Re-introduce the UPDATE publication-order bug fixed in PR 1: store
-    /// `body_leaf` forwarding pointers *while* a private subtree is still
-    /// being built, instead of deferring them until the build is complete.
-    /// Process-global; only ever set by the mutation tests, which run in
-    /// their own process.
-    pub fn set_early_forward_flush(on: bool) {
-        EARLY_FORWARD_FLUSH.store(on, Ordering::SeqCst);
-        INJECTIONS.store(0, Ordering::SeqCst);
-    }
-
-    /// Whether the publication-order mutation is active.
-    pub fn early_forward_flush() -> bool {
-        EARLY_FORWARD_FLUSH.load(Ordering::Relaxed)
-    }
-
-    /// Record one early forwarding store. Called by the injection site so
-    /// tests can assert the mutated path actually executed.
-    pub fn note_injection() {
-        INJECTIONS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Early forwarding stores performed since the flag was last set.
-    pub fn injections() -> u64 {
-        INJECTIONS.load(Ordering::Relaxed)
-    }
-}
-
 /// One announced synchronization operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncOp {
@@ -1398,134 +1362,6 @@ pub fn explore_algorithm(
         let stats = run_simulation(env, &cfg, &bodies);
         stats.validation_error.clone()
     })
-}
-
-/// Self-test of the verification stack against a known bug class.
-///
-/// [`publication_kernel`] is a deterministic two-processor workload driving
-/// the *real* `insert_locked` subdivision path against the UPDATE move
-/// phase's exact reader sequence. With the [`mutation`] flag off the kernel
-/// certifies clean under a *complete* bounded-exhaustive exploration; with
-/// the flag on (re-introducing the publication-order bug fixed early in the
-/// repo's history) the same exploration must report a data race. The
-/// mutation test (`tests/schedule_mutation.rs`) runs it: if it ever stops
-/// detecting the mutant, the schedule explorer — not the tree code — has
-/// regressed.
-pub mod selftest {
-    use super::*;
-    use crate::algorithms::common::{create_root, insert_locked};
-    use crate::body::Body;
-    use crate::harness::spmd;
-    use crate::math::{Cube, Vec3};
-    use crate::tree::types::NodeRef;
-    use crate::tree::{SharedTree, TreeLayout};
-    use crate::world::World;
-
-    /// Body index the cross-processor reader targets.
-    const B2: usize = 1;
-
-    /// Three-body kernel with the geometry that makes the publication-order
-    /// leak reachable (root cube `[0,8]^3`, `k = 2`):
-    ///
-    /// * `b1 = (1,1,1)` and `b2 = (1.2,1.2,1.2)` fill one leaf `L0`
-    ///   covering `[0,4]^3` under the root;
-    /// * `b2` is repositioned to `(9,3,3)` — outside `L0`, so the reader
-    ///   takes its locked slow path;
-    /// * inserting `x = (3,3,3)` overflows `L0` and subdivides: `b2`
-    ///   (clamped) and `x` route to the *same* octant of the new sub-cell,
-    ///   so the builder grows `b2`'s new leaf *after* the mutation's early
-    ///   `body_leaf[b2]` store. A reader that joins at that store and then
-    ///   loads the leaf record under the (free) sub-cell lock races with
-    ///   the grow. With deferred forwarding, both orders are clean.
-    pub fn publication_kernel(env: &VerifyEnv) -> Option<String> {
-        let bodies = [
-            Body::new(Vec3::new(1.0, 1.0, 1.0), Vec3::ZERO, 1.0),
-            Body::new(Vec3::new(1.2, 1.2, 1.2), Vec3::ZERO, 1.0),
-            Body::new(Vec3::new(3.0, 3.0, 3.0), Vec3::ZERO, 1.0),
-        ];
-        let world = World::new(env, &bodies);
-        let tree = SharedTree::new(env, bodies.len(), 2, TreeLayout::PerProcessor);
-        let root_cube = Cube::new(Vec3::new(4.0, 4.0, 4.0), 4.0);
-        spmd(env, |proc, ctx| {
-            // ---- Build: b1 and b2 fill one leaf under the root.
-            if proc == 0 {
-                let root = create_root(env, ctx, &tree, root_cube);
-                for b in [0u32, 1] {
-                    insert_locked(env, ctx, &tree, &world, 0, 0, b, root, root_cube);
-                }
-                // Move b2 outside its leaf for the next phase. Untimed: the
-                // repositioning itself is not part of the checked execution.
-                world.pos.poke(B2, Vec3::new(9.0, 3.0, 3.0));
-            }
-            env.barrier(ctx);
-
-            // ---- The racing phase.
-            if proc == 0 {
-                // Builder: inserting x overflows the leaf and subdivides —
-                // the production path the mutation perturbs.
-                let root = tree.root.load(env, ctx, 0);
-                insert_locked(env, ctx, &tree, &world, 0, 0, 2, root, root_cube);
-            } else {
-                // Reader: the move phase's access sequence for b2
-                // (update::move_body's fast path + locked re-validation).
-                let pos = world.pos.load(env, ctx, B2);
-                let leaf0 = NodeRef(world.body_leaf.load(env, ctx, B2));
-                let contained = if leaf0.is_leaf() {
-                    let cube = tree.leaf_bounds(env, ctx, leaf0);
-                    NodeRef(world.body_leaf.load(env, ctx, B2)) == leaf0 && cube.contains(pos)
-                } else {
-                    false
-                };
-                if !contained {
-                    loop {
-                        let leaf = NodeRef(world.body_leaf.load(env, ctx, B2));
-                        let parent = tree.leaf_parent(env, ctx, leaf);
-                        if parent.is_null() {
-                            // The leaf is being retired mid-subdivision. The
-                            // real mover spins until the builder republishes;
-                            // here that spin would livelock bounded-exhaustive
-                            // exploration (the explorer may never preempt a
-                            // spinning proc), so the kernel reader gives up —
-                            // the racy schedule this kernel exists for runs
-                            // the builder to completion first and never takes
-                            // this branch.
-                            break;
-                        }
-                        env.lock(ctx, parent.lock_id());
-                        if tree.leaf_parent(env, ctx, leaf) == parent
-                            && NodeRef(world.body_leaf.load(env, ctx, B2)) == leaf
-                        {
-                            // The racy read: the builder may still be growing
-                            // this leaf, and only the (deferred) forwarding
-                            // store orders its writes before us.
-                            let _l = tree.load_leaf(env, ctx, leaf);
-                            env.unlock(ctx, parent.lock_id());
-                            break;
-                        }
-                        env.unlock(ctx, parent.lock_id());
-                    }
-                }
-            }
-            env.barrier(ctx);
-        });
-        None
-    }
-
-    /// Bounded-exhaustive exploration of [`publication_kernel`] under the
-    /// current [`mutation`] flag setting. The space is small enough to
-    /// drain completely within the budget, so a clean result on the
-    /// unmutated kernel is a proof over the whole bounded schedule space.
-    pub fn explore_publication_kernel() -> Exploration {
-        explore(
-            2,
-            &ExplorePlan::Exhaustive {
-                preemption_bound: 1,
-                max_schedules: 300,
-            },
-            &SchedConfig::default(),
-            publication_kernel,
-        )
-    }
 }
 
 #[cfg(test)]

@@ -1,88 +1,261 @@
-//! Mutation test for the schedule explorer: re-introduce the publication-
-//! order bug fixed in PR 1 behind `sched::mutation` and assert the
-//! verification stack actually finds it.
+//! Bounded-exhaustive kernels for three ordering bugs the linked builders
+//! have had or rest on. Each kernel drives the *real* builder code
+//! (`insert_locked`, and `update::move_body` for the third) with a
+//! three-body geometry built so the bug is reachable, and certifies clean
+//! over its whole bounded schedule space (preemption bound 1, the DFS
+//! drained within 300 schedules). A clean result is therefore a proof over
+//! that space, not a sample.
 //!
-//! The bug: `insert_locked`'s subdivision path must defer `body_leaf`
-//! forwarding stores until `flush_forwards` runs after the replacement
-//! subtree is published under the parent lock. Storing them mid-build
-//! (the mutation) leaks pointers to leaves the builder is still writing:
-//! UPDATE's move phase follows `body_leaf` → `leaf_parent` and reads the
-//! leaf record under the *sub-cell's* lock — which the builder does not
-//! hold — so a later grow of that leaf races with the mover's read.
+//! * [`early_forwarding_kernel`]: subdivision must defer a private
+//!   subtree's `body_leaf` stores until the subtree is complete. Stored
+//!   mid-build, they leak pointers to leaves the builder is still writing:
+//!   UPDATE's move phase follows `body_leaf` → `leaf_parent` and reads the
+//!   leaf record under the *sub-cell's* lock, which the builder does not
+//!   hold, so a later grow of that leaf races with the mover's read. The
+//!   full simulation shows this bug too: in the mutation lane,
+//!   `race_freedom` on native timing fails 5 runs of 5 (UPDATE's
+//!   `body_leaf` post-condition), and so do the seeded and round-robin
+//!   matrices and plain `cross_algorithm` runs.
+//! * [`republication_kernel`]: the deferred stores must also land *before*
+//!   the subtree is published. Flushed after, another processor can
+//!   already subdivide one of the new leaves under its own lock and
+//!   forward a body further down; the late flush then overwrites that
+//!   pointer with one naming a retired leaf. The stores are atomic, so no
+//!   detector sees a race, and native timing hit the order in at most 1
+//!   run of 5: the kernel's post-condition, `tree::validate::body_leaves`,
+//!   is what fails, in every exploration.
+//! * [`leaf_free_kernel`]: UPDATE must hold a leaf's parent lock from
+//!   removing the leaf's last body through unlinking and freeing it.
+//!   Released early, another processor can insert into the still-linked
+//!   leaf just before it is freed.
 //!
-//! In the full simulation the triggering geometry (a cross-processor body
-//! inside a leaf that overflows while its owner is being moved) is rare —
-//! native-timing runs reproduce it in well under half their trials, and
-//! seeded serialized schedules essentially never order the builder far
-//! enough ahead of the reader. The kernel in [`bh_core::sched::selftest`]
-//! instead drives the *real* mutated production path (`insert_locked` →
-//! `insert_private`) with a three-body geometry built so the leak is
-//! reachable, and bounded-exhaustive exploration guarantees the detecting
-//! schedule (builder publishes, reader follows the leaked pointer) is
-//! covered deterministically — no seed luck involved — while the same plan
-//! certifies the unmutated kernel clean and complete.
-//!
-//! This lives in its own integration-test binary because the mutation flag
-//! is process-global: sharing a binary with other tests would let the
-//! harness's parallel test threads observe the flag mid-flip.
+//! The mutants that re-create these bugs are patch files under
+//! `tests/mutants/`; `tests/mutants/run.sh` applies each to a copy of the
+//! tree and requires the test it names here to fail.
 
-use bh_core::sched::{mutation, selftest};
+use bh_core::algorithms::common::{create_root, insert_locked};
+use bh_core::algorithms::update::{self, UpdateScratch};
+use bh_core::body::Body;
+use bh_core::env::Env;
+use bh_core::harness::spmd;
+use bh_core::math::{Cube, Vec3};
+use bh_core::sched::{explore, ExplorePlan, SchedConfig, VerifyEnv};
+use bh_core::tree::types::NodeRef;
+use bh_core::tree::validate::body_leaves;
+use bh_core::tree::{SharedTree, TreeLayout};
+use bh_core::world::World;
 
-/// One test covering both polarities so ordering is fixed: the clean
-/// baseline must certify, then the mutated kernel must be caught by the
-/// same bounded-exhaustive budget.
+/// Bounded-exhaustive exploration of `kernel` on two processors certifies
+/// it, and the DFS drained its whole bounded space.
+fn assert_certifies_completely(name: &str, kernel: fn(&VerifyEnv) -> Option<String>) {
+    let agg = explore(
+        2,
+        &ExplorePlan::Exhaustive {
+            preemption_bound: 1,
+            max_schedules: 300,
+        },
+        &SchedConfig::default(),
+        kernel,
+    );
+    let report: String = agg.counterexamples.iter().map(|c| c.to_string()).collect();
+    assert!(
+        agg.certified(),
+        "{name}: {} defective schedule(s) of {}\n{report}",
+        agg.defects,
+        agg.schedules
+    );
+    assert!(
+        agg.complete,
+        "{name}: the schedule space did not drain within budget ({} schedules)",
+        agg.schedules
+    );
+}
+
+/// Body index the cross-processor reader of [`early_forwarding_kernel`]
+/// targets.
+const B2: usize = 1;
+
+/// Three-body kernel with the geometry that makes the early-forwarding
+/// leak reachable (root cube `[0,8]^3`, `k = 2`):
+///
+/// * `b1 = (1,1,1)` and `b2 = (1.2,1.2,1.2)` fill one leaf `L0`
+///   covering `[0,4]^3` under the root;
+/// * `b2` is repositioned to `(9,3,3)` — outside `L0`, so the reader
+///   takes its locked slow path;
+/// * inserting `x = (3,3,3)` overflows `L0` and subdivides: `b2`
+///   (clamped) and `x` route to the *same* octant of the new sub-cell,
+///   so the builder grows `b2`'s new leaf *after* an early
+///   `body_leaf[b2]` store. A reader that joins at that store and then
+///   loads the leaf record under the (free) sub-cell lock races with
+///   the grow. With deferred forwarding, both orders are clean.
+fn early_forwarding_kernel(env: &VerifyEnv) -> Option<String> {
+    let bodies = [
+        Body::new(Vec3::new(1.0, 1.0, 1.0), Vec3::ZERO, 1.0),
+        Body::new(Vec3::new(1.2, 1.2, 1.2), Vec3::ZERO, 1.0),
+        Body::new(Vec3::new(3.0, 3.0, 3.0), Vec3::ZERO, 1.0),
+    ];
+    let world = World::new(env, &bodies);
+    let tree = SharedTree::new(env, bodies.len(), 2, TreeLayout::PerProcessor);
+    let root_cube = Cube::new(Vec3::new(4.0, 4.0, 4.0), 4.0);
+    spmd(env, |proc, ctx| {
+        // ---- Build: b1 and b2 fill one leaf under the root.
+        if proc == 0 {
+            let root = create_root(env, ctx, &tree, root_cube);
+            for b in [0u32, 1] {
+                insert_locked(env, ctx, &tree, &world, 0, 0, b, root, root_cube);
+            }
+            // Move b2 outside its leaf for the next phase. Untimed: the
+            // repositioning itself is not part of the checked execution.
+            world.pos.poke(B2, Vec3::new(9.0, 3.0, 3.0));
+        }
+        env.barrier(ctx);
+
+        // ---- The racing phase.
+        if proc == 0 {
+            // Builder: inserting x overflows the leaf and subdivides.
+            let root = tree.root.load(env, ctx, 0);
+            insert_locked(env, ctx, &tree, &world, 0, 0, 2, root, root_cube);
+        } else {
+            // Reader: the move phase's access sequence for b2
+            // (update::move_body's fast path + locked re-validation).
+            let pos = world.pos.load(env, ctx, B2);
+            let leaf0 = NodeRef(world.body_leaf.load(env, ctx, B2));
+            let contained = if leaf0.is_leaf() {
+                let cube = tree.leaf_bounds(env, ctx, leaf0);
+                NodeRef(world.body_leaf.load(env, ctx, B2)) == leaf0 && cube.contains(pos)
+            } else {
+                false
+            };
+            if !contained {
+                loop {
+                    let leaf = NodeRef(world.body_leaf.load(env, ctx, B2));
+                    let parent = tree.leaf_parent(env, ctx, leaf);
+                    if parent.is_null() {
+                        // The leaf is being retired mid-subdivision. The
+                        // real mover spins until the builder republishes;
+                        // here that spin would livelock bounded-exhaustive
+                        // exploration (the explorer may never preempt a
+                        // spinning proc), so the kernel reader gives up —
+                        // the racy schedule this kernel exists for runs
+                        // the builder to completion first and never takes
+                        // this branch.
+                        break;
+                    }
+                    env.lock(ctx, parent.lock_id());
+                    if tree.leaf_parent(env, ctx, leaf) == parent
+                        && NodeRef(world.body_leaf.load(env, ctx, B2)) == leaf
+                    {
+                        // The racy read: the builder may still be growing
+                        // this leaf, and only the (deferred) forwarding
+                        // store orders its writes before us.
+                        let _l = tree.load_leaf(env, ctx, leaf);
+                        env.unlock(ctx, parent.lock_id());
+                        break;
+                    }
+                    env.unlock(ctx, parent.lock_id());
+                }
+            }
+        }
+        env.barrier(ctx);
+    });
+    None
+}
+
+/// Three-body kernel for the flush-before-publish order (root cube
+/// `[0,8]^3`, `k = 1`), two nested subdivisions on two processors:
+///
+/// * `a = (0.5,0.5,0.5)` alone fills the leaf `L` covering `[0,4]^3`;
+/// * P0 inserts `x = (3,3,3)`: `L` overflows and P0, holding the root's
+///   lock, builds the sub-cell `S` over `[0,4]^3` with `a` and `x` in
+///   leaves of their own (`La`, `Lx`) and publishes it;
+/// * P1 inserts `y = (1.5,1.5,1.5)`, which shares `S`'s octant with `a`:
+///   it descends lock-free into a published `S`, overflows `La` under
+///   `S`'s lock and forwards `a` to a leaf one level further down.
+///
+/// Whichever order the two subdivisions take, every body's `body_leaf`
+/// must name the live leaf that lists it afterwards.
+fn republication_kernel(env: &VerifyEnv) -> Option<String> {
+    let bodies = [
+        Body::new(Vec3::new(0.5, 0.5, 0.5), Vec3::ZERO, 1.0),
+        Body::new(Vec3::new(3.0, 3.0, 3.0), Vec3::ZERO, 1.0),
+        Body::new(Vec3::new(1.5, 1.5, 1.5), Vec3::ZERO, 1.0),
+    ];
+    let world = World::new(env, &bodies);
+    let tree = SharedTree::new(env, bodies.len(), 1, TreeLayout::PerProcessor);
+    let root_cube = Cube::new(Vec3::new(4.0, 4.0, 4.0), 4.0);
+    spmd(env, |proc, ctx| {
+        if proc == 0 {
+            let root = create_root(env, ctx, &tree, root_cube);
+            insert_locked(env, ctx, &tree, &world, 0, 0, 0, root, root_cube);
+        }
+        env.barrier(ctx);
+        let root = tree.root.load(env, ctx, 0);
+        let body = [1u32, 2][proc];
+        let arena = tree.arena_of(proc);
+        insert_locked(env, ctx, &tree, &world, arena, proc, body, root, root_cube);
+        env.barrier(ctx);
+    });
+    body_leaves(&tree, &world).err()
+}
+
+/// Three-body kernel for UPDATE's leaf reclamation (root cube `[0,8]^3`,
+/// `k = 2`):
+///
+/// * `b = (1,1,1)` alone fills the leaf `L` over `[0,4]^3`, and
+///   `d = (7,7,7)` sits in another root octant;
+/// * P0 moves `b` to `(6,6,6)`: `update::move_body` removes it from `L`
+///   under the root's lock, finds `L` empty, unlinks and frees it, and
+///   reinserts `b` next to `d`;
+/// * P1 inserts `c = (2,2,2)`, which belongs in `L`'s octant, from the
+///   root with `insert_locked`.
+///
+/// The root's lock must cover the removal through the free: then P1 either
+/// joins `L` before `b` leaves it (and `L` stays) or finds the slot empty
+/// and gives `c` a leaf of its own. Every body's `body_leaf` must name the
+/// live leaf that lists it afterwards.
+fn leaf_free_kernel(env: &VerifyEnv) -> Option<String> {
+    let bodies = [
+        Body::new(Vec3::new(1.0, 1.0, 1.0), Vec3::ZERO, 1.0),
+        Body::new(Vec3::new(7.0, 7.0, 7.0), Vec3::ZERO, 1.0),
+        Body::new(Vec3::new(2.0, 2.0, 2.0), Vec3::ZERO, 1.0),
+    ];
+    let world = World::new(env, &bodies);
+    let tree = SharedTree::new(env, bodies.len(), 2, TreeLayout::PerProcessor);
+    let scratch = UpdateScratch::new(env, bodies.len());
+    let root_cube = Cube::new(Vec3::new(4.0, 4.0, 4.0), 4.0);
+    spmd(env, |proc, ctx| {
+        if proc == 0 {
+            let root = create_root(env, ctx, &tree, root_cube);
+            for b in [0u32, 1] {
+                insert_locked(env, ctx, &tree, &world, 0, 0, b, root, root_cube);
+            }
+            // Untimed, like the integration step that moves a body.
+            world.pos.poke(0, Vec3::new(6.0, 6.0, 6.0));
+        }
+        env.barrier(ctx);
+        if proc == 0 {
+            update::move_body(env, ctx, &tree, &world, &scratch, 0, 0);
+        } else {
+            let root = tree.root.load(env, ctx, 0);
+            let arena = tree.arena_of(1);
+            insert_locked(env, ctx, &tree, &world, arena, 1, 2, root, root_cube);
+        }
+        env.barrier(ctx);
+    });
+    body_leaves(&tree, &world).err()
+}
+
 #[test]
-fn explorer_finds_reintroduced_publication_order_bug() {
-    assert!(
-        !mutation::early_forward_flush(),
-        "mutation flag leaked in from another test"
-    );
+fn early_forwarding_kernel_certifies_over_its_whole_bounded_space() {
+    assert_certifies_completely("early-forwarding kernel", early_forwarding_kernel);
+}
 
-    // Baseline: deferred flushing, the whole bounded space certifies.
-    let clean = selftest::explore_publication_kernel();
-    assert!(
-        clean.certified(),
-        "baseline kernel must certify with the mutation off: {:?}",
-        clean.counterexamples.first().map(|c| c.detail.clone())
-    );
-    assert!(
-        clean.complete,
-        "kernel schedule space must drain within budget ({} schedules)",
-        clean.schedules
-    );
+#[test]
+fn republication_kernel_certifies_over_its_whole_bounded_space() {
+    assert_certifies_completely("republication kernel", republication_kernel);
+}
 
-    // Mutant: early forwarding stores, same exploration budget.
-    mutation::set_early_forward_flush(true);
-    let mutant = selftest::explore_publication_kernel();
-    let injections = mutation::injections(); // read before the reset below
-    mutation::set_early_forward_flush(false);
-
-    assert!(
-        injections > 0,
-        "mutated path never executed — the kernel no longer subdivides"
-    );
-    assert!(
-        mutant.defects > 0,
-        "publication-order mutation survived {} schedules undetected",
-        mutant.schedules
-    );
-    assert!(
-        mutant.counterexamples.iter().any(|c| c.kind == "data-race"),
-        "expected a data-race counterexample, got: {:?}",
-        mutant
-            .counterexamples
-            .iter()
-            .map(|c| c.kind.clone())
-            .collect::<Vec<_>>()
-    );
-    // The counterexample carries its schedule trace for reproduction.
-    let ce = mutant
-        .counterexamples
-        .iter()
-        .find(|c| c.kind == "data-race")
-        .unwrap();
-    assert!(
-        !ce.trace.is_empty() && !ce.detail.is_empty(),
-        "counterexample missing its report: {ce}"
-    );
+#[test]
+fn leaf_free_kernel_certifies_over_its_whole_bounded_space() {
+    assert_certifies_completely("leaf-free kernel", leaf_free_kernel);
 }

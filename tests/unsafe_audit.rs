@@ -25,6 +25,11 @@
 //!
 //! A third keeps every setting on the command line: nothing under `crates/`
 //! or `src/` reads an environment variable.
+//!
+//! A fourth keeps process-global state out of `bh-core`: no `static` item
+//! outside `thread_local!`. A global flag is a setting no command line
+//! shows, and a test that flips one changes the code every other test in
+//! its process runs.
 
 use std::path::{Path, PathBuf};
 
@@ -199,6 +204,37 @@ fn scan_env(src: &str) -> Vec<usize> {
         .collect()
 }
 
+/// Lines that declare a `static` item outside a `thread_local!` block.
+/// `'static` lifetimes and the word in comments or strings do not count.
+fn scan_static(src: &str) -> Vec<usize> {
+    let mut hits = Vec::new();
+    // Brace depth inside a `thread_local!` invocation, if in one.
+    let mut thread_local: Option<i32> = None;
+    for (i, raw) in src.lines().enumerate() {
+        let code = code_portion(raw);
+        if thread_local.is_none() && code.contains("thread_local!") {
+            thread_local = Some(0);
+        }
+        if let Some(depth) = thread_local.as_mut() {
+            *depth += code.matches('{').count() as i32 - code.matches('}').count() as i32;
+            if *depth <= 0 && code.contains('}') {
+                thread_local = None;
+            }
+            continue;
+        }
+        let item = code.trim_start();
+        let item = match item.strip_prefix("pub") {
+            Some(rest) if rest.starts_with(' ') => rest.trim_start(),
+            Some(rest) if rest.starts_with('(') => rest.split_once(')').map_or(rest, |r| r.1),
+            _ => item,
+        };
+        if item.trim_start().starts_with("static ") {
+            hits.push(i + 1);
+        }
+    }
+    hits
+}
+
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -327,6 +363,28 @@ fn production_code_reads_no_environment_variables() {
     );
 }
 
+/// No process-global state in `bh-core`: per-thread statics only.
+#[test]
+fn core_declares_no_global_static() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    collect_rs_files(&root.join("crates/core/src"), &mut files);
+    let mut failures = Vec::new();
+    for path in &files {
+        let rel = path.strip_prefix(&root).unwrap().to_string_lossy();
+        let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {rel}: {e}"));
+        for line in scan_static(&src) {
+            failures.push(format!("{rel}:{line}: `static` item outside thread_local!"));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "global-state audit failed:\n  {}\nPass the value as an argument, or keep it per \
+         thread inside thread_local!.",
+        failures.join("\n  ")
+    );
+}
+
 #[test]
 fn crate_roots_deny_unsafe_op_in_unsafe_fn() {
     let root = repo_root();
@@ -412,4 +470,17 @@ fn scanner_flags_unsafe_impls_and_fns() {
             Violation::MissingSafetyComment { line: 2 }
         ]
     );
+}
+
+#[test]
+fn static_scanner_flags_global_items_only() {
+    let src = "static A: u32 = 0;\npub static B: AtomicBool = AtomicBool::new(false);\n\
+               pub(crate) static mut C: u64 = 0;\n\
+               thread_local! {\n    static D: Cell<u64> = const { Cell::new(0) };\n}\n\
+               fn f(s: &'static str) {}\n\
+               // static in a comment is fine\n\
+               let s = \"static in a string\";\n\
+               thread_local! { static E: u8 = 0; }\n\
+               static F: u8 = 0;\n";
+    assert_eq!(scan_static(src), vec![1, 2, 3, 11]);
 }
