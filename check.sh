@@ -41,14 +41,13 @@ echo "== race-freedom matrix =="
 cargo test --offline -q --test race_freedom
 
 echo "== schedule-exploration verify lane =="
-# Seeded + round-robin schedule matrix over all six algorithms (including
-# MORTON's bounded-exhaustive sort-and-emit kernel pass), plus the two
-# publication-order kernels, each certified over its whole bounded schedule
-# space. The full bounded-exhaustive SPACE pass is #[ignore]d here and runs
-# on the paper-scale line below. The mutants that show these checkers catch
-# what they claim are scored by tests/mutants/run.sh, a lane of its own
-# (about 17 minutes on two cores): run it after touching a builder's
-# locking or publication order, or a checker.
+# Seeded + round-robin schedule matrix over all six algorithms, plus the
+# bounded-exhaustive passes: MORTON's sort-and-emit kernel, SPACE's whole
+# simulation at n = 8 (408 schedules) and the three ordering kernels, each
+# certified over its whole bounded schedule space. The mutants that show
+# these checkers catch what they claim are scored by tests/mutants/run.sh,
+# a lane of its own (about 11 minutes on two cores): run it after touching
+# a builder's locking or publication order, or a checker.
 cargo test --offline -q --test schedule_matrix --test schedule_mutation
 
 echo "== force kernel lane (sequential-reference parity + group-size matrix cells) =="
@@ -121,7 +120,6 @@ cargo test --offline -q --workspace
 
 echo "== paper-scale ignored suites =="
 cargo test --offline -q --test platform_behavior --test race_freedom -- --ignored
-cargo test --offline -q --test schedule_matrix -- --ignored
 
 echo "== repro smoke run (batched sweep over all six algorithms, --jobs 2) + emitted-JSON schema checks =="
 SMOKE_DIR="$(mktemp -d)"

@@ -387,9 +387,11 @@ pub trait Env: Sync {
     fn worker_begin(&self, _proc: usize) {}
 
     /// Scheduling hook: the worker thread for processor `proc` has finished
-    /// (or unwound from) its SPMD job. Always called, even when the job
-    /// panicked, so a controlled scheduler can hand control to the remaining
-    /// workers. Must pair with [`Env::worker_begin`].
+    /// (or is unwinding from) its SPMD job. Always called, even when the job
+    /// panicked — then during the unwind, which `std::thread::panicking()`
+    /// tells — so a controlled scheduler can hand control to the remaining
+    /// workers and a barrier can release its waiters. Must pair with
+    /// [`Env::worker_begin`].
     fn worker_end(&self, _proc: usize) {}
 
     /// Current time for this processor: wall nanoseconds (native) or
@@ -657,6 +659,10 @@ impl Env for NativeEnv {
             self.barrier.wait_past(open);
             ctx.barrier_wait_ns += t0.elapsed().as_nanos() as u64;
         }
+    }
+
+    fn worker_end(&self, _proc: usize) {
+        self.barrier.depart(std::thread::panicking());
     }
 
     fn now(&self, _ctx: &NativeCtx) -> u64 {

@@ -17,6 +17,7 @@
 //! job's (the engine's untimed `reset` writes included).
 
 use crate::env::{Env, Phase};
+use crate::sync::PartyLeft;
 use std::any::Any;
 use std::cell::Cell;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -35,24 +36,38 @@ pub fn set_worker_phase(phase: Option<(Phase, u32)>) {
     WORKER_PHASE.with(|c| c.set(phase));
 }
 
+/// The message of a panic payload, when it is a `&str` or a `String` (what
+/// `panic!` produces); each caller picks its own text for any other payload.
+/// Pass `&*payload`: a `&Box<dyn Any + Send>` would coerce the `Box` itself
+/// into the `dyn Any`, and neither downcast would hit.
+pub fn panic_text(payload: &(dyn Any + Send)) -> Option<&str> {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => Some(s),
+        None => payload.downcast_ref::<String>().map(String::as_str),
+    }
+}
+
 /// Rewrap a string-ish worker panic payload as
 /// `"worker <proc> [in <phase> phase of step <n>]: <original message>"`.
 /// Non-string payloads pass through untouched (never lose a typed payload).
 fn enrich_panic(proc: usize, payload: Box<dyn Any + Send>) -> Box<dyn Any + Send> {
-    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-        Some((*s).to_string())
-    } else {
-        payload.downcast_ref::<String>().cloned()
+    let Some(m) = panic_text(&*payload) else {
+        return payload;
     };
-    match msg {
-        Some(m) => {
-            let at = match WORKER_PHASE.with(|c| c.get()) {
-                Some((phase, step)) => format!(" in {phase} phase of step {step}"),
-                None => String::new(),
-            };
-            Box::new(format!("worker {proc}{at}: {m}"))
-        }
-        None => payload,
+    let at = match WORKER_PHASE.with(|c| c.get()) {
+        Some((phase, step)) => format!(" in {phase} phase of step {step}"),
+        None => String::new(),
+    };
+    Box::new(format!("worker {proc}{at}: {m}"))
+}
+
+/// Calls [`Env::worker_end`] when dropped, so that it runs however the job
+/// leaves the worker, unwinding included.
+struct WorkerEnd<'a, E: Env>(&'a E, usize);
+
+impl<E: Env> Drop for WorkerEnd<'_, E> {
+    fn drop(&mut self) {
+        self.0.worker_end(self.1);
     }
 }
 
@@ -152,7 +167,10 @@ impl WorkerPool {
     /// Run `f(proc, ctx)` once per processor of `env` on the pool's workers,
     /// returning the per-processor results in processor order. Blocks until
     /// every worker finished; panics in any worker propagate (with the
-    /// original payload) after all workers completed the job.
+    /// original payload) after all workers completed the job. A worker that
+    /// panics abandons the environment's barrier, so its peers unwind from
+    /// it instead of waiting for the worker forever (a peer waiting on a
+    /// lock the worker held still does).
     pub fn run<E, R, F>(&self, env: &E, f: F) -> Vec<R>
     where
         E: Env,
@@ -172,19 +190,13 @@ impl WorkerPool {
         let call = |proc: usize| {
             // Bracket the job with the Env scheduling hooks. `worker_end`
             // must run even when the job unwinds — a controlled scheduler
-            // ([`crate::sched::SchedEnv`]) otherwise waits forever for the
-            // departed worker — so the body is wrapped in its own
-            // catch/resume.
+            // ([`crate::sched::SchedEnv`]) or a barrier's waiters otherwise
+            // wait forever for the departed worker — so a guard calls it.
+            let _end = WorkerEnd(env, proc);
             env.worker_begin(proc);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut ctx = env.make_ctx(proc);
-                let r = f(proc, &mut ctx);
-                *results[proc].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-            }));
-            env.worker_end(proc);
-            if let Err(payload) = outcome {
-                std::panic::resume_unwind(payload);
-            }
+            let mut ctx = env.make_ctx(proc);
+            let r = f(proc, &mut ctx);
+            *results[proc].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
         };
         let wide: &(dyn Fn(usize) + Sync) = &call;
         // SAFETY: `run` does not return until `remaining == 0`, i.e. until
@@ -268,7 +280,9 @@ fn worker_loop(proc: usize, shared: &PoolShared) {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe { (*job.0)(proc) }));
         let mut g = shared.lock();
         if let Err(payload) = outcome {
-            if g.panic.is_none() {
+            // A peer unwound from an abandoned barrier only because another
+            // worker left: that worker's own payload is the one to report.
+            if g.panic.as_ref().is_none_or(|p| p.is::<PartyLeft>()) {
                 g.panic = Some(enrich_panic(proc, payload));
             }
         }

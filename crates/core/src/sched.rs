@@ -50,26 +50,18 @@
 //! * **Barrier generations** ([`SchedEnv::barrier_generations`]): per-proc
 //!   episode counts; divergence shows up as unequal final generations.
 //!
-//! ## DPOR-lite: preemption bound + sleep sets
+//! ## Bounded-exhaustive exploration
 //!
-//! The bounded-exhaustive plan is a replay-based DFS over the recorded
-//! decision log: each branch replays a choice prefix deterministically and
-//! explores one alternative. Two prunings keep it tractable: alternatives
-//! costing more than a **preemption bound** (CHESS-style — switching away
-//! from a still-runnable processor costs one preemption) are skipped, and
-//! **sleep sets** (Godefroid) skip alternatives whose subtree was already
-//! covered from the same state, waking a slept processor only when a
-//! dependent operation executes. Dependence is approximated conservatively
-//! from announced sync ops: a granted transition runs from one announce to
-//! the next, and because release-side atomics yield *before* their real
-//! operation while acquire-side instrumentation runs *after* it (the
-//! [`crate::check`] protocol), a transition's trailing segment can read
-//! atomics but never write them. Only RMW (whose segment is exactly the
-//! real operation) and barrier arrival are closed; any atomic-writing
-//! transition is therefore dependent with every open transition. This keeps
-//! the pruning sound for programs that are data-race-free over their plain
-//! accesses — which is exactly what composing with `CheckedEnv` certifies
-//! on every explored schedule.
+//! The bounded-exhaustive plan is a replay DFS over the recorded decision
+//! log: each branch replays a choice prefix deterministically, runs on past
+//! it preferring the last-run processor, and pushes one branch per
+//! alternative at every decision point the run added. Its one cut is a
+//! CHESS-style **preemption bound**: switching away from a processor that
+//! could still run costs one preemption, and an alternative that would
+//! exceed the bound is not pushed. Nothing else is cut, so a DFS that
+//! drains within its budget (`complete`) has run every schedule with at
+//! most that many preemptions, whatever the program does between its sync
+//! points.
 //!
 //! ## Composition
 //!
@@ -85,6 +77,7 @@ use crate::algorithms::Algorithm;
 use crate::app::{run_simulation, SimConfig};
 use crate::check::{CheckedEnv, RaceReport};
 use crate::env::{Access, CtxStats, Env, EnvLayer, LayerCtx, NativeEnv, VAddr};
+use crate::harness::panic_text;
 use crate::model::Model;
 use crate::rng::SmallRng;
 use crate::sync::Mutex;
@@ -131,29 +124,6 @@ impl std::fmt::Display for SyncOp {
     }
 }
 
-/// Conservative dependence between a granted transition and a parked
-/// processor's pending transition. See the module docs for the model: a
-/// transition is closed (no trailing arbitrary segment) only for RMW and
-/// barrier arrival; trailing segments may read atomics but never write
-/// them, so an atomic-writing transition conflicts with every open one.
-fn dependent(a: SyncOp, b: SyncOp) -> bool {
-    use SyncOp::*;
-    let writes_atomics = |o: SyncOp| matches!(o, Rmw(_) | AtomicWrite(_));
-    let closed = |o: SyncOp| matches!(o, Rmw(_) | Barrier);
-    if writes_atomics(a) && !closed(b) {
-        return true;
-    }
-    if writes_atomics(b) && !closed(a) {
-        return true;
-    }
-    match (a, b) {
-        (Rmw(x), Rmw(y)) => x == y,
-        (Lock(x) | Unlock(x), Lock(y) | Unlock(y)) => x == y,
-        (Barrier, Barrier) => true,
-        _ => false,
-    }
-}
-
 /// Where a worker is in the scheduling state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
@@ -176,26 +146,17 @@ pub enum SchedStrategy {
     RoundRobin,
     /// Uniform-random choice under a fixed seed.
     Seeded(u64),
-    /// Deterministic replay of a recorded choice prefix (the exhaustive
-    /// explorer's branch descriptor); past the prefix, prefer continuing
-    /// the last-run processor (zero added preemptions).
-    Replay(ReplayScript),
-}
-
-/// A branch descriptor for [`SchedStrategy::Replay`].
-#[derive(Debug, Clone, Default)]
-pub struct ReplayScript {
-    /// Decision choices to replay, in order.
-    pub choices: Vec<usize>,
-    /// Processors to add to the sleep set just before decision `i` —
-    /// the alternatives already explored from that state.
-    pub sleep: HashMap<usize, Vec<usize>>,
+    /// Deterministic replay of a recorded choice prefix, the processor
+    /// granted at each decision in order (the exhaustive explorer's branch
+    /// descriptor); past the prefix, prefer continuing the last-run
+    /// processor (zero added preemptions).
+    Replay(Vec<usize>),
 }
 
 enum StrategyState {
     RoundRobin,
     Seeded(SmallRng),
-    Replay { script: ReplayScript, pos: usize },
+    Replay { choices: Vec<usize>, pos: usize },
 }
 
 /// Tuning knobs for one scheduled run.
@@ -225,8 +186,6 @@ pub struct Decision {
     pub enabled: Vec<usize>,
     /// The processor granted.
     pub chosen: usize,
-    /// Sleep set at the decision (after replay injection), ascending.
-    pub sleep: Vec<usize>,
     /// The most recently running processor, if any.
     pub prev: Option<usize>,
     /// Preemptions accumulated before this decision.
@@ -337,8 +296,6 @@ struct SchedState {
     generation: u64,
     proc_gen: Vec<u64>,
     strategy: StrategyState,
-    sleep: HashSet<usize>,
-    sleep_sets: bool,
     decisions: Vec<Decision>,
     preemptions: u32,
     replay_diverged: bool,
@@ -348,7 +305,6 @@ struct SchedState {
     /// (held, acquired) -> grant count.
     lock_edges: HashMap<(usize, usize), u64>,
     finding: Option<Finding>,
-    redundant: bool,
     aborted: bool,
 }
 
@@ -435,13 +391,10 @@ impl<E: Env> SchedEnv<E> {
     /// Wrap `inner` with explicit tuning knobs.
     pub fn with_config(inner: E, strategy: SchedStrategy, cfg: &SchedConfig) -> SchedEnv<E> {
         let procs = inner.num_procs();
-        // Sleep sets prune the exhaustive explorer's replayed branches, the
-        // only schedules a `Replay` script drives.
-        let sleep_sets = matches!(strategy, SchedStrategy::Replay(_));
         let strategy = match strategy {
             SchedStrategy::RoundRobin => StrategyState::RoundRobin,
             SchedStrategy::Seeded(seed) => StrategyState::Seeded(SmallRng::seed_from_u64(seed)),
-            SchedStrategy::Replay(script) => StrategyState::Replay { script, pos: 0 },
+            SchedStrategy::Replay(choices) => StrategyState::Replay { choices, pos: 0 },
         };
         SchedEnv {
             inner,
@@ -458,8 +411,6 @@ impl<E: Env> SchedEnv<E> {
                 generation: 0,
                 proc_gen: vec![0; procs],
                 strategy,
-                sleep: HashSet::new(),
-                sleep_sets,
                 decisions: Vec::new(),
                 preemptions: 0,
                 replay_diverged: false,
@@ -468,7 +419,6 @@ impl<E: Env> SchedEnv<E> {
                 op_budget: cfg.op_budget,
                 lock_edges: HashMap::new(),
                 finding: None,
-                redundant: false,
                 aborted: false,
             }),
             cv: Condvar::new(),
@@ -485,11 +435,6 @@ impl<E: Env> SchedEnv<E> {
         self.state.lock().finding.clone()
     }
 
-    /// Whether this branch was pruned as sleep-set-redundant.
-    pub fn redundant(&self) -> bool {
-        self.state.lock().redundant
-    }
-
     /// Whether the replay script diverged from the program (a determinism
     /// bug in the program under test).
     pub fn replay_diverged(&self) -> bool {
@@ -499,16 +444,6 @@ impl<E: Env> SchedEnv<E> {
     /// The recorded decision log.
     pub fn decisions(&self) -> Vec<Decision> {
         self.state.lock().decisions.clone()
-    }
-
-    /// Preemptions taken by this schedule.
-    pub fn preemptions(&self) -> u32 {
-        self.state.lock().preemptions
-    }
-
-    /// Granted sync operations so far.
-    pub fn total_ops(&self) -> u64 {
-        self.state.lock().ops
     }
 
     /// Barrier generations passed, per processor.
@@ -549,10 +484,9 @@ impl<E: Env> SchedEnv<E> {
                 return;
             }
             if g.aborted {
-                let why = match (&g.finding, g.redundant) {
-                    (Some(f), _) => format!("schedule aborted ({})", f.kind()),
-                    (None, true) => "schedule aborted (redundant branch)".to_string(),
-                    (None, false) => "schedule aborted".to_string(),
+                let why = match &g.finding {
+                    Some(f) => format!("schedule aborted ({})", f.kind()),
+                    None => "schedule aborted".to_string(),
                 };
                 drop(g);
                 panic!("{why}");
@@ -581,8 +515,7 @@ impl<E: Env> SchedEnv<E> {
         self.park(g, proc);
     }
 
-    /// Grant `p`'s pending operation: record it, update sleep sets, apply
-    /// its effect. Sets `current` when the operation lets `p` keep running.
+    /// Grant `p`'s pending operation: record it and apply its effect. Sets `current` when the operation lets `p` keep running.
     fn grant(&self, g: &mut SchedState, p: usize) {
         let Status::Pending(op) = g.status[p] else {
             unreachable!("grant of a non-pending processor");
@@ -592,21 +525,6 @@ impl<E: Env> SchedEnv<E> {
             let f = Finding::OpBudgetExhausted { ops: g.ops };
             g.abort(Some(f));
             return;
-        }
-        g.sleep.remove(&p);
-        if g.sleep_sets && !g.sleep.is_empty() {
-            let mut keep = HashSet::new();
-            for &r in g.sleep.iter() {
-                let stays = match g.status[r] {
-                    Status::Pending(o) => !dependent(op, o),
-                    Status::BarrierBlocked => !dependent(op, SyncOp::Barrier),
-                    _ => false,
-                };
-                if stays {
-                    keep.insert(r);
-                }
-            }
-            g.sleep = keep;
         }
         match op {
             SyncOp::Lock(l) => {
@@ -677,51 +595,32 @@ impl<E: Env> SchedEnv<E> {
         }
     }
 
-    /// Pick one grantable processor per the strategy. Returns `None` when
-    /// every candidate is asleep (the branch is redundant).
-    fn decide(&self, g: &mut SchedState, enabled: &[usize]) -> Option<usize> {
-        let idx = g.decisions.len();
-        if let StrategyState::Replay { script, .. } = &g.strategy {
-            if let Some(extra) = script.sleep.get(&idx) {
-                let extra = extra.clone();
-                g.sleep.extend(extra);
-            }
-        }
-        let candidates: Vec<usize> = if g.sleep_sets {
-            enabled
-                .iter()
-                .copied()
-                .filter(|p| !g.sleep.contains(p))
-                .collect()
-        } else {
-            enabled.to_vec()
-        };
-        if candidates.is_empty() {
-            return None;
-        }
+    /// Pick one of the (at least two) grantable processors per the
+    /// strategy, and record the decision.
+    fn decide(&self, g: &mut SchedState, enabled: &[usize]) -> usize {
         let chosen = match &mut g.strategy {
             StrategyState::RoundRobin => {
                 let from = g.last_run.map(|l| l + 1).unwrap_or(0);
                 (0..g.procs)
                     .map(|i| (from + i) % g.procs)
-                    .find(|p| candidates.contains(p))
-                    .expect("candidates nonempty")
+                    .find(|p| enabled.contains(p))
+                    .expect("enabled nonempty")
             }
-            StrategyState::Seeded(rng) => candidates[rng.gen_range_usize(0, candidates.len())],
-            StrategyState::Replay { script, pos } => {
-                if *pos < script.choices.len() {
-                    let c = script.choices[*pos];
+            StrategyState::Seeded(rng) => enabled[rng.gen_range_usize(0, enabled.len())],
+            StrategyState::Replay { choices, pos } => {
+                if *pos < choices.len() {
+                    let c = choices[*pos];
                     *pos += 1;
-                    if candidates.contains(&c) {
+                    if enabled.contains(&c) {
                         c
                     } else {
                         g.replay_diverged = true;
-                        candidates[0]
+                        enabled[0]
                     }
                 } else {
                     match g.last_run {
-                        Some(l) if candidates.contains(&l) => l,
-                        _ => candidates[0],
+                        Some(l) if enabled.contains(&l) => l,
+                        _ => enabled[0],
                     }
                 }
             }
@@ -730,19 +629,16 @@ impl<E: Env> SchedEnv<E> {
             Some(l) => l != chosen && enabled.contains(&l),
             None => false,
         };
-        let mut sleep: Vec<usize> = g.sleep.iter().copied().collect();
-        sleep.sort_unstable();
         g.decisions.push(Decision {
             enabled: enabled.to_vec(),
             chosen,
-            sleep,
             prev: g.last_run,
             preemptions: g.preemptions,
         });
         if preempt {
             g.preemptions += 1;
         }
-        Some(chosen)
+        chosen
     }
 
     /// Grant operations until one processor holds the token (or the session
@@ -802,15 +698,7 @@ impl<E: Env> SchedEnv<E> {
             let chosen = if enabled.len() == 1 {
                 enabled[0]
             } else {
-                match self.decide(g, &enabled) {
-                    Some(c) => c,
-                    None => {
-                        g.redundant = true;
-                        g.abort(None);
-                        self.cv.notify_all();
-                        return;
-                    }
-                }
+                self.decide(g, &enabled)
             };
             self.grant(g, chosen);
             if g.current.is_some() {
@@ -993,11 +881,8 @@ pub struct ScheduleOutcome {
     pub panic: Option<String>,
     /// A validation error the program reported.
     pub error: Option<String>,
-    pub redundant: bool,
     pub replay_diverged: bool,
     pub decisions: Vec<Decision>,
-    pub preemptions: u32,
-    pub ops: u64,
     pub lock_edges: HashMap<(usize, usize), u64>,
     pub trace_tail: Vec<String>,
 }
@@ -1009,16 +894,6 @@ impl ScheduleOutcome {
             && self.races.is_empty()
             && self.panic.is_none()
             && self.error.is_none()
-    }
-}
-
-fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic>".to_string()
     }
 }
 
@@ -1039,17 +914,16 @@ where
     let races = env.races();
     let sched = env.inner();
     let finding = sched.finding();
-    let redundant = sched.redundant();
     let (panic, error) = match result {
         Ok(e) => (None, e),
         Err(payload) => {
-            let msg = payload_to_string(payload);
+            let msg = panic_text(&*payload).unwrap_or("<non-string panic>");
             // Scheduler aborts panic by design; they are reported via the
             // finding, not as a program failure.
-            if finding.is_some() || redundant || msg.contains("schedule aborted") {
+            if finding.is_some() || msg.contains("schedule aborted") {
                 (None, None)
             } else {
-                (Some(msg), None)
+                (Some(msg.to_string()), None)
             }
         }
     };
@@ -1059,11 +933,8 @@ where
         races,
         panic,
         error,
-        redundant,
         replay_diverged: sched.replay_diverged(),
         decisions: sched.decisions(),
-        preemptions: sched.preemptions(),
-        ops: sched.total_ops(),
         lock_edges: sched.lock_edges(),
         trace_tail: sched.trace_tail(),
     }
@@ -1139,7 +1010,7 @@ pub enum ExplorePlan {
     RoundRobin,
     /// `count` seeded-random schedules starting at seed `base`.
     Seeded { base: u64, count: usize },
-    /// Replay-based DFS with a preemption bound and sleep sets, capped at
+    /// Replay-based DFS under a preemption bound, capped at
     /// `max_schedules` runs.
     Exhaustive {
         preemption_bound: u32,
@@ -1162,10 +1033,8 @@ impl ExplorePlan {
 
 /// Aggregated result of exploring one program under one plan.
 pub struct Exploration {
-    /// Schedules executed (including pruned ones).
+    /// Schedules executed.
     pub schedules: usize,
-    /// Branches cut short as sleep-set-redundant.
-    pub pruned: usize,
     /// Exhaustive only: the DFS drained within budget (the certification is
     /// over the whole bounded space, not a sample).
     pub complete: bool,
@@ -1190,9 +1059,6 @@ const MAX_STORED_COUNTEREXAMPLES: usize = 16;
 
 fn aggregate(agg: &mut Exploration, o: &ScheduleOutcome) {
     agg.schedules += 1;
-    if o.redundant {
-        agg.pruned += 1;
-    }
     for (k, v) in &o.lock_edges {
         *agg.lock_edges.entry(*k).or_insert(0) += v;
     }
@@ -1213,7 +1079,6 @@ where
 {
     let mut agg = Exploration {
         schedules: 0,
-        pruned: 0,
         complete: false,
         counterexamples: Vec::new(),
         defects: 0,
@@ -1249,21 +1114,15 @@ where
             max_schedules,
         } => {
             agg.complete = true;
-            let mut stack: Vec<ReplayScript> = vec![ReplayScript::default()];
-            while let Some(script) = stack.pop() {
+            let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
+            while let Some(prefix) = stack.pop() {
                 if agg.schedules >= *max_schedules {
                     agg.complete = false;
                     break;
                 }
-                let base_len = script.choices.len();
+                let base_len = prefix.len();
                 let id = format!("exhaustive #{}", agg.schedules);
-                let o = run_schedule(
-                    procs,
-                    SchedStrategy::Replay(script.clone()),
-                    cfg,
-                    &id,
-                    &program,
-                );
+                let o = run_schedule(procs, SchedStrategy::Replay(prefix), cfg, &id, &program);
                 if o.replay_diverged {
                     // The program is not schedule-deterministic: the DFS
                     // bookkeeping is meaningless past this point.
@@ -1276,13 +1135,7 @@ where
                 // Branch on every new decision point of this run.
                 for i in base_len..o.decisions.len() {
                     let d = &o.decisions[i];
-                    let mut slept: Vec<usize> = d.sleep.clone();
-                    slept.push(d.chosen);
-                    for &alt in d
-                        .enabled
-                        .iter()
-                        .filter(|&&a| a != d.chosen && !d.sleep.contains(&a))
-                    {
+                    for &alt in d.enabled.iter().filter(|&&a| a != d.chosen) {
                         let extra = match d.prev {
                             Some(l) if l != alt && d.enabled.contains(&l) => 1,
                             _ => 0,
@@ -1293,10 +1146,7 @@ where
                         let mut choices: Vec<usize> =
                             o.decisions[..i].iter().map(|d| d.chosen).collect();
                         choices.push(alt);
-                        let mut sleep = script.sleep.clone();
-                        sleep.insert(i, slept.clone());
-                        stack.push(ReplayScript { choices, sleep });
-                        slept.push(alt);
+                        stack.push(choices);
                     }
                 }
             }
@@ -1380,7 +1230,7 @@ mod tests {
         for strategy in [
             SchedStrategy::RoundRobin,
             SchedStrategy::Seeded(7),
-            SchedStrategy::Replay(ReplayScript::default()),
+            SchedStrategy::Replay(Vec::new()),
         ] {
             let env = verify_env(3, strategy);
             let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
@@ -1658,7 +1508,7 @@ mod tests {
 
     #[test]
     fn exhaustive_covers_small_spaces_completely() {
-        // Two procs, two independent lock pairs: a tiny space the DFS must
+        // Two procs, two disjoint lock pairs: a tiny space the DFS must
         // drain (complete = true) without findings.
         let program = |env: &VerifyEnv| {
             spmd(env, |proc, ctx| {
@@ -1683,10 +1533,10 @@ mod tests {
     }
 
     #[test]
-    fn sleep_sets_prune_without_losing_the_deadlock() {
-        // The AB-BA program under the exhaustive explorer, which always
-        // prunes with sleep sets: pruning must not lose the deadlock, and
-        // the preemption bound must keep the space small.
+    fn preemption_bound_keeps_the_ab_ba_space_small() {
+        // The AB-BA program under the exhaustive explorer: within
+        // preemption bound 1 the DFS drains a small space, and one of its
+        // schedules is the deadlock.
         let program = |env: &VerifyEnv| {
             spmd(env, |proc, ctx| {
                 let (first, second) = if proc == 0 { (60, 61) } else { (61, 60) };
@@ -1697,24 +1547,18 @@ mod tests {
             });
             None
         };
-        let bounded = |max: usize| {
-            explore(
-                2,
-                &ExplorePlan::Exhaustive {
-                    preemption_bound: 1,
-                    max_schedules: max,
-                },
-                &SchedConfig::default(),
-                program,
-            )
-        };
-        let agg = bounded(300);
-        assert!(agg.counterexamples.iter().any(|c| c.kind == "deadlock"));
-        assert!(
-            agg.schedules < 300,
-            "preemption bound 1 must keep the space small, got {}",
-            agg.schedules
+        let agg = explore(
+            2,
+            &ExplorePlan::Exhaustive {
+                preemption_bound: 1,
+                max_schedules: 300,
+            },
+            &SchedConfig::default(),
+            program,
         );
+        assert!(agg.counterexamples.iter().any(|c| c.kind == "deadlock"));
+        assert!(agg.complete, "the bounded space must drain");
+        assert_eq!(agg.schedules, 10, "schedules within preemption bound 1");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! no data of their own beyond that protocol and the sleeping is all
 //! `std`'s, which is why this needs no `unsafe`.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Condvar;
 use std::sync::Mutex as StdMutex;
 use std::sync::MutexGuard;
@@ -181,15 +181,31 @@ impl Default for RawLock {
 /// divergence analyses in [`crate::sched`] rely on, and [`SenseBarrier::reset`]
 /// reconfigures the party count between sessions without losing the
 /// generation history.
+///
+/// A party whose job unwinds never arrives again, so its peers would wait
+/// for it forever; [`SenseBarrier::depart`] tells the barrier, and a peer
+/// that finds the barrier abandoned unwinds with [`PartyLeft`] instead of
+/// sleeping.
 pub struct SenseBarrier {
     parties: AtomicUsize,
     arrived: AtomicUsize,
     generation: AtomicU64,
     /// Waiters asleep (or about to be) on the gate.
     sleepers: AtomicUsize,
+    /// A party left the current job mid-way: no episode completes again
+    /// before every party has departed.
+    abandoned: AtomicBool,
+    /// Parties that have departed the current job.
+    departed: AtomicUsize,
     gate: Mutex<()>,
     cv: Condvar,
 }
+
+/// The panic payload of a barrier waiter whose episode can never complete
+/// because another party left the job: the failure is that party's, whose
+/// own payload [`crate::harness::WorkerPool`] propagates in its place.
+#[derive(Debug)]
+pub struct PartyLeft;
 
 impl SenseBarrier {
     pub fn new(parties: usize) -> SenseBarrier {
@@ -199,6 +215,8 @@ impl SenseBarrier {
             arrived: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
+            abandoned: AtomicBool::new(false),
+            departed: AtomicUsize::new(0),
             gate: Mutex::new(()),
             cv: Condvar::new(),
         }
@@ -263,7 +281,8 @@ impl SenseBarrier {
     }
 
     /// Wait for the episode [`SenseBarrier::arrive`] reported as `open` to
-    /// be released; returns the generation it completed.
+    /// be released; returns the generation it completed. Unwinds with
+    /// [`PartyLeft`] if the barrier is abandoned before that.
     pub(crate) fn wait_past(&self, open: u64) -> u64 {
         for _ in 0..SPIN_LIMIT {
             if self.generation.load(Ordering::SeqCst) != open {
@@ -275,10 +294,38 @@ impl SenseBarrier {
         let mut gate = self.gate.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         while self.generation.load(Ordering::SeqCst) == open {
+            // Read under the gate, which `depart` passes through after
+            // setting it: either this read sees it or the wake reaches us.
+            if self.abandoned.load(Ordering::SeqCst) {
+                self.sleepers.fetch_sub(1, Ordering::SeqCst);
+                drop(gate);
+                std::panic::resume_unwind(Box::new(PartyLeft));
+            }
             gate = sleep_on(&self.cv, gate);
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
         open + 1
+    }
+
+    /// One party's job is over; `unwinding` says it left mid-job. Then the
+    /// episode its peers wait in, or will arrive at, can never complete:
+    /// the barrier is abandoned and its waiters unwind instead of sleeping.
+    /// The last party of the job to depart rearms an abandoned barrier for
+    /// the next job.
+    pub fn depart(&self, unwinding: bool) {
+        if unwinding {
+            self.abandoned.store(true, Ordering::SeqCst);
+            self.wake_all();
+        }
+        // Every party has left the job after this one, so none is inside
+        // the barrier: the arrivals its unwound peers made can be undone.
+        if self.departed.fetch_add(1, Ordering::AcqRel) + 1 == self.parties() {
+            self.departed.store(0, Ordering::Relaxed);
+            if self.abandoned.load(Ordering::SeqCst) {
+                self.arrived.store(0, Ordering::Relaxed);
+                self.abandoned.store(false, Ordering::SeqCst);
+            }
+        }
     }
 
     /// Reconfigure the barrier for a different party count. The generation
@@ -609,6 +656,48 @@ mod tests {
                 assert_eq!(barrier.parties(), 2);
                 assert_eq!(barrier.wait(), 1);
             });
+        });
+    }
+
+    #[test]
+    fn abandoned_barrier_unwinds_its_waiters_and_rearms() {
+        within(Duration::from_secs(60), || {
+            let barrier = SenseBarrier::new(2);
+            // The waiter's outcome: `Err(true)` if it unwound with
+            // `PartyLeft`. It departs as the pool's guard would.
+            let wait_then_depart = || {
+                let waited = std::panic::catch_unwind(|| barrier.wait());
+                barrier.depart(waited.is_err());
+                waited.map_err(|p| p.is::<PartyLeft>())
+            };
+            // A waiter already asleep when its peer leaves, then one that
+            // arrives after it left; each job ends with both parties gone.
+            for asleep_first in [true, false] {
+                std::thread::scope(|s| {
+                    if asleep_first {
+                        let waiter = s.spawn(wait_then_depart);
+                        until(|| barrier.sleepers.load(Ordering::SeqCst) == 1);
+                        barrier.depart(true);
+                        assert_eq!(waiter.join().unwrap(), Err(true));
+                    } else {
+                        barrier.depart(true);
+                        assert_eq!(wait_then_depart(), Err(true));
+                    }
+                });
+                // Rearmed: the next job's parties rendezvous as usual.
+                assert!(!barrier.abandoned.load(Ordering::SeqCst));
+                assert_eq!(barrier.arrived.load(Ordering::SeqCst), 0);
+                let before = barrier.generation();
+                std::thread::scope(|s| {
+                    for _ in 0..2 {
+                        s.spawn(|| {
+                            barrier.wait();
+                            barrier.depart(false);
+                        });
+                    }
+                });
+                assert_eq!(barrier.generation(), before + 1);
+            }
         });
     }
 

@@ -28,6 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use bh_core::harness::panic_text;
+
 use crate::cache::{AnyEngine, CacheCounters, EngineCache};
 use crate::exec::{run_job, JobOutcome};
 use crate::job::JobSpec;
@@ -335,7 +337,7 @@ fn worker_loop(shared: &Shared) {
             }
             Err(panic) => {
                 drop(engine); // poisoned pool: discard, never park
-                JobResult::Failed(panic_message(panic))
+                JobResult::Failed(panic_text(&*panic).unwrap_or("job panicked").to_string())
             }
         };
         // The callback is client code; its panics must not kill the
@@ -346,19 +348,6 @@ fn worker_loop(shared: &Shared) {
         if inner.in_flight == 0 {
             shared.idle.notify_all();
         }
-    }
-}
-
-/// The message of a caught panic. Takes the payload by value: a `&Box<..>`
-/// argument would coerce the `Box` itself into the `dyn Any`, and no
-/// downcast below would hit.
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job panicked".to_string()
     }
 }
 

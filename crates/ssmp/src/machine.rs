@@ -715,6 +715,10 @@ impl Env for Machine {
         }
     }
 
+    fn worker_end(&self, _proc: usize) {
+        self.rendezvous.depart(std::thread::panicking());
+    }
+
     fn phase_begin(&self, ctx: &mut SimCtx, phase: Phase, _step: u32) {
         // Phase boundaries are free in every cost model: the real protocol
         // work (invalidation drains, epoch opens) rides on the barriers the

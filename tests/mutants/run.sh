@@ -13,8 +13,9 @@
 #        native      race_freedom: CheckedEnv on native timing, 5 runs
 #        rr          schedule_matrix's round-robin SchedEnv cell
 #        seeded      schedule_matrix's seeded SchedEnv cells
-#        exhaustive  the bounded-exhaustive kernels: schedule_mutation and
-#                    schedule_matrix's MORTON sort-and-emit kernel
+#        exhaustive  the bounded-exhaustive passes: schedule_mutation's
+#                    kernels, and schedule_matrix's MORTON sort-and-emit
+#                    kernel and SPACE simulation
 #        validation  cross_algorithm: plain runs, validated, no checker
 # and prints the caught/total score and the checker-by-mutant matrix. A
 # column catches a mutant when any of its tests fails (a run that hangs
@@ -24,7 +25,7 @@
 # mutated tree does not compile (a compile error is not a catch), or when a
 # patch's named test passes.
 #
-# Usage: tests/mutants/run.sh   (from anywhere; offline; about 17 minutes on two cores)
+# Usage: tests/mutants/run.sh   (from anywhere; offline; about 11 minutes on two cores)
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 ROOT="$PWD"
@@ -88,7 +89,7 @@ for patch in "${PATCHES[@]}"; do
     for _ in $(seq "$NATIVE_RUNS"); do
         run race_freedom || native=$((native + 1))
     done
-    row="$(printf '%-26s %3s/%s' "$name" "$native" "$NATIVE_RUNS")"
+    row="$(printf '%-28s %3s/%s' "$name" "$native" "$NATIVE_RUNS")"
     hit=$((native > 0))
     for column in rr seeded exhaustive validation; do
         if caught "$column"; then
@@ -124,7 +125,7 @@ done
 
 echo
 echo "score: $score/${#PATCHES[@]} mutants caught by at least one checker"
-printf '%-26s %5s %11s %11s %11s %11s  %s\n' mutant native rr seeded exhaustive \
+printf '%-28s %5s %11s %11s %11s %11s  %s\n' mutant native rr seeded exhaustive \
     validation "named test"
 for row in "${rows[@]}"; do
     echo "$row"
