@@ -54,13 +54,12 @@ echo "== force kernel lane (sequential-reference parity + group-size matrix cell
 # The kernel against seq_accel/seq_run (exact interaction totals, ≤1e-12
 # velocities, MORTON bitwise), the group-window property test, and the
 # group-size race/schedule cells (the matrices above cover the default
-# group_size = 64; the cells add 16, the old default, and the edges).
+# group_size = 64; the cells add 16, the old default, and the edges; both
+# lanes above already ran them, as grouped_force_kernel_*).
 # flat_force runs twice: the debug build keeps the kernel's count-tiling
 # assertion, the release build is the auto-vectorised shape that ships.
 cargo test --offline -q --test flat_force
 cargo test --offline --release -q --test flat_force
-cargo test --offline -q --test race_freedom grouped_force_kernel
-cargo test --offline -q --test schedule_matrix grouped_force_kernel
 
 echo "== build (release) =="
 # default-members covers the workspace, so this also produces the
@@ -115,8 +114,20 @@ portable test -q --test flat_force
 FLAT_BIN="$(portable test --test flat_force --no-run 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p')"
 eval_gate "$FLAT_BIN" eval_subgroup 'vfmadd[0-9]+pd +%[xy]mm' 'vsqrtps +%[xy]mm' 'vdivps +%[xy]mm'
 
-echo "== full test suite =="
-cargo test --offline -q --workspace
+echo "== full test suite (every test target the lanes above did not run) =="
+# The lanes above ran these root test targets in the debug build; each of
+# them runs once, so the suite takes every other target of the workspace:
+# the member crates whole, and the root package's library, examples,
+# doc tests and remaining tests/*.rs.
+LANE_TESTS=" unsafe_audit race_freedom schedule_matrix schedule_mutation flat_force "
+REST_TESTS=()
+for t in tests/*.rs; do
+    t="$(basename "$t" .rs)"
+    [[ "$LANE_TESTS" == *" $t "* ]] || REST_TESTS+=(--test "$t")
+done
+cargo test --offline -q --workspace --exclude bh-repro
+cargo test --offline -q -p bh-repro --lib --examples "${REST_TESTS[@]}"
+cargo test --offline -q -p bh-repro --doc
 
 echo "== paper-scale ignored suites =="
 cargo test --offline -q --test platform_behavior --test race_freedom -- --ignored

@@ -125,12 +125,6 @@ impl Builder {
         self.morton_scratch.as_ref().expect("MORTON scratch")
     }
 
-    /// Override the SPACE subdivision threshold.
-    pub fn with_space_threshold(mut self, threshold: usize) -> Builder {
-        self.space_threshold = threshold.max(1);
-        self
-    }
-
     /// Override the SPACE cost-rebalance factor (`0.0` disables the extra
     /// refinement round for costly subspaces).
     pub fn with_space_rebalance(mut self, rebalance: f64) -> Builder {

@@ -152,34 +152,25 @@ impl MortonScratch {
     pub fn new<E: Env>(env: &E, n: usize) -> MortonScratch {
         let p = env.num_procs();
         let n = n.max(1);
-        let g = Placement::Global;
-        let s = MortonScratch {
-            keys: [SharedVec::new(env, n, 0, g), SharedVec::new(env, n, 0, g)],
-            ids: [SharedVec::new(env, n, 0, g), SharedVec::new(env, n, 0, g)],
+        let (g, r) = (Placement::Global, Region::SortScratch);
+        MortonScratch {
+            keys: [
+                SharedVec::new(env, n, 0, g, r),
+                SharedVec::new(env, n, 0, g, r),
+            ],
+            ids: [
+                SharedVec::new(env, n, 0, g, r),
+                SharedVec::new(env, n, 0, g, r),
+            ],
             hist: (0..p)
-                .map(|q| SharedVec::new(env, RADIX, 0, Placement::Local(q)))
+                .map(|q| SharedVec::new(env, RADIX, 0, Placement::Local(q), r))
                 .collect(),
-            rank: SharedVec::new(env, p * RADIX, 0, g),
-            totals: SharedVec::new(env, RADIX, 0, g),
-            ent_counts: SharedVec::new(env, 2 * PLAN_CAP, 0, g),
-            ent_mass: SharedVec::new(env, 4 * PLAN_CAP, 0.0, g),
-            chunk_cost: SharedVec::new(env, p, 0, g),
-        };
-        for v in &s.keys {
-            v.tag(env, Region::SortScratch);
+            rank: SharedVec::new(env, p * RADIX, 0, g, r),
+            totals: SharedVec::new(env, RADIX, 0, g, r),
+            ent_counts: SharedVec::new(env, 2 * PLAN_CAP, 0, g, r),
+            ent_mass: SharedVec::new(env, 4 * PLAN_CAP, 0.0, g, r),
+            chunk_cost: SharedVec::new(env, p, 0, g, r),
         }
-        for v in &s.ids {
-            v.tag(env, Region::SortScratch);
-        }
-        for v in &s.hist {
-            v.tag(env, Region::SortScratch);
-        }
-        s.rank.tag(env, Region::SortScratch);
-        s.totals.tag(env, Region::SortScratch);
-        s.ent_counts.tag(env, Region::SortScratch);
-        s.ent_mass.tag(env, Region::SortScratch);
-        s.chunk_cost.tag(env, Region::SortScratch);
-        s
     }
 
     /// The (keys, ids) buffers holding the sorted pairs after

@@ -17,7 +17,7 @@
 
 use crate::algorithms::common::{com_pass, insert_locked, propagate_com};
 use crate::algorithms::direct;
-use crate::env::{Env, Placement};
+use crate::env::{Env, Placement, Region};
 use crate::math::{Cube, Vec3};
 use crate::shared::{SharedAtomicVec, SharedVec};
 use crate::tree::types::{NodeRef, SharedTree};
@@ -25,8 +25,9 @@ use crate::world::World;
 
 /// Per-run scratch state of the UPDATE algorithm.
 pub struct UpdateScratch {
-    /// Per-processor lists of husk cells (encoded refs). Entries persist —
-    /// a husk that regains children is simply skipped.
+    /// Per-processor lists of husk cells (encoded refs), tree allocator
+    /// state like the leaf lists. Entries persist — a husk that regains
+    /// children is simply skipped.
     pub husk_list: Vec<SharedVec<u32>>,
     pub husk_len: Vec<SharedAtomicVec>,
 }
@@ -37,10 +38,10 @@ impl UpdateScratch {
         let cap = (n.max(64) * 2 / p.max(1) + 1024).min(1 << 24);
         UpdateScratch {
             husk_list: (0..p)
-                .map(|q| SharedVec::new(env, cap, 0u32, Placement::Local(q)))
+                .map(|q| SharedVec::new(env, cap, 0u32, Placement::Local(q), Region::TreeAlloc))
                 .collect(),
             husk_len: (0..p)
-                .map(|q| SharedAtomicVec::new(env, 1, 0, Placement::Local(q)))
+                .map(|q| SharedAtomicVec::new(env, 1, 0, Placement::Local(q), Region::TreeAlloc))
                 .collect(),
         }
     }

@@ -222,11 +222,6 @@ impl RunStats {
         }
     }
 
-    /// Measured force-phase time (max over processors).
-    pub fn force_time(&self) -> u64 {
-        self.phase_stats(Phase::Force).time
-    }
-
     /// Lock acquisitions in the measured tree-build phases, per processor.
     pub fn tree_locks_per_proc(&self) -> Vec<u64> {
         self.procs_records

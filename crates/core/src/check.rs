@@ -454,7 +454,7 @@ impl<E: Env> EnvLayer for CheckedEnv<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{NativeEnv, Placement};
+    use crate::env::{NativeEnv, Placement, Region};
     use crate::harness::spmd;
     use crate::shared::{SharedAtomicVec, SharedVec};
 
@@ -465,7 +465,7 @@ mod tests {
     #[test]
     fn unlocked_concurrent_writes_are_reported() {
         let env = two_proc_env();
-        let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
         spmd(&env, |proc, ctx| {
             v.store(&env, ctx, 0, proc as u64);
         });
@@ -477,7 +477,7 @@ mod tests {
     #[test]
     fn lock_protected_writes_are_clean() {
         let env = two_proc_env();
-        let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
         spmd(&env, |_proc, ctx| {
             for _ in 0..50 {
                 env.lock(ctx, 7);
@@ -495,7 +495,7 @@ mod tests {
         // Two different lock ids that collide in the native 4096-entry table
         // exclude in real time, but the detector must still flag the race.
         let env = two_proc_env();
-        let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
         spmd(&env, |proc, ctx| {
             let lock = 100 + proc * (crate::env::NATIVE_LOCK_TABLE - 64);
             env.lock(ctx, lock);
@@ -512,7 +512,7 @@ mod tests {
     #[test]
     fn barrier_separated_phases_are_clean() {
         let env = two_proc_env();
-        let v: SharedVec<u64> = SharedVec::new(&env, 4, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&env, 4, 0, Placement::Global, Region::Other);
         spmd(&env, |proc, ctx| {
             // Phase 1: each proc writes its own half.
             v.store(&env, ctx, proc * 2, 1);
@@ -532,7 +532,7 @@ mod tests {
     #[test]
     fn missing_barrier_is_reported() {
         let env = two_proc_env();
-        let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
         spmd(&env, |proc, ctx| {
             if proc == 0 {
                 v.store(&env, ctx, 0, 42);
@@ -549,7 +549,7 @@ mod tests {
     #[test]
     fn atomic_counter_is_not_a_race() {
         let env = two_proc_env();
-        let v = SharedAtomicVec::new(&env, 1, 0, Placement::Global);
+        let v: SharedAtomicVec = SharedAtomicVec::new(&env, 1, 0, Placement::Global, Region::Other);
         spmd(&env, |_proc, ctx| {
             for _ in 0..100 {
                 v.fetch_add(&env, ctx, 0, 1);
@@ -564,8 +564,9 @@ mod tests {
         // The pending-counter idiom: P0 writes data then RMWs a flag; P1
         // spins on the flag (acquire) and reads the data.
         let env = two_proc_env();
-        let data: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
-        let flag = SharedAtomicVec::new(&env, 1, 0, Placement::Global);
+        let data: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
+        let flag: SharedAtomicVec =
+            SharedAtomicVec::new(&env, 1, 0, Placement::Global, Region::Other);
         spmd(&env, |proc, ctx| {
             if proc == 0 {
                 data.store(&env, ctx, 0, 99);
@@ -590,8 +591,9 @@ mod tests {
         // protocol, P0's post-operation commit joins P1's publication, so
         // the read is ordered and must not be reported.
         let env = two_proc_env();
-        let data: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
-        let flag = SharedAtomicVec::new(&env, 2, 0, Placement::Global);
+        let data: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
+        let flag: SharedAtomicVec =
+            SharedAtomicVec::new(&env, 2, 0, Placement::Global, Region::Other);
         let mut c0 = env.make_ctx(0);
         let mut c1 = env.make_ctx(1);
         // P0: instrumented half of its RMW, then preempted before the
@@ -613,7 +615,7 @@ mod tests {
         // Two processors write the two halves of one 4-byte word: same
         // shadow grain, disjoint bytes.
         let env = two_proc_env();
-        let v: SharedVec<u16> = SharedVec::new(&env, 4, 0, Placement::Global);
+        let v: SharedVec<u16> = SharedVec::new(&env, 4, 0, Placement::Global, Region::Other);
         // The array is only 2-aligned: start at the first 4-aligned element.
         let first = (v.addr(0) % GRAIN / 2) as usize;
         assert_eq!(v.addr(first) / GRAIN, v.addr(first + 1) / GRAIN);
@@ -626,7 +628,7 @@ mod tests {
     #[test]
     fn unordered_reads_are_exempt() {
         let env = two_proc_env();
-        let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
         spmd(&env, |proc, ctx| {
             if proc == 0 {
                 v.store(&env, ctx, 0, 1);
@@ -640,7 +642,7 @@ mod tests {
     #[test]
     fn report_fields_are_populated() {
         let env = two_proc_env();
-        let v: SharedVec<u32> = SharedVec::new(&env, 1, 0, Placement::Global);
+        let v: SharedVec<u32> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
         spmd(&env, |proc, ctx| {
             v.store(&env, ctx, 0, proc as u32);
         });

@@ -135,16 +135,15 @@ impl std::fmt::Display for Phase {
 
 /// Named shared-data regions for attributed telemetry.
 ///
-/// Every shared allocation the application makes belongs to one of these
-/// regions; allocators report the mapping through [`Env::tag_region`] and
-/// attribution-capable environments (the `ssmp` machine) then account each
+/// Every shared allocation names one of these regions ([`Env::alloc`]),
+/// and attribution-capable environments (the `ssmp` machine) account each
 /// simulated miss, fault and lock wait to the region it hit. The variants
 /// mirror the data structures the paper's communication analysis talks
 /// about: tree cells, tree leaves, the tree allocator state, body SoA
 /// fields, the flat force-walk snapshot, and the partitioner's arrays.
 ///
-/// Unregistered addresses fall into [`Region::Other`], so per-region
-/// counters always tile the aggregate counters exactly, whatever is tagged.
+/// Addresses outside every allocation fall into [`Region::Other`], so
+/// per-region counters always tile the aggregate counters exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Body SoA state: positions, velocities, accelerations, masses.
@@ -173,9 +172,9 @@ pub enum Region {
     /// the SoA (position, mass, id) entries each group traversal emits and
     /// the evaluation loop consumes.
     ForceList,
-    /// Anything not (yet) tagged: harness scratch, ad-hoc test
-    /// allocations. Keeping a catch-all row makes the per-region tiling
-    /// property unconditional.
+    /// Anything that is not application data: harness scratch, ad-hoc
+    /// test allocations. Keeping a catch-all row makes the per-region
+    /// tiling property unconditional.
     Other,
 }
 
@@ -321,8 +320,12 @@ pub trait Env: Sync {
     /// Create the context for processor `proc` (`0..num_procs`).
     fn make_ctx(&self, proc: usize) -> Self::Ctx;
 
-    /// Allocate `bytes` of shared address space.
-    fn alloc(&self, bytes: u64, align: u64, place: Placement) -> VAddr;
+    /// Allocate `bytes` of shared address space, aligned to `align`,
+    /// placed by `place`, holding the data structure `region` names.
+    /// Called from the set-up thread before workers start. Execution
+    /// environments ignore `region`; attribution-capable environments
+    /// charge every later miss, fault and lock wait on the range to it.
+    fn alloc(&self, bytes: u64, align: u64, place: Placement, region: Region) -> VAddr;
 
     /// Account for one shared-memory access of `bytes` at `addr`; `kind`
     /// says which (see [`Access`]). A real *releasing* atomic is accounted
@@ -355,27 +358,16 @@ pub trait Env: Sync {
     /// Global barrier across all processors.
     fn barrier(&self, ctx: &mut Self::Ctx);
 
-    /// Observability hook: the address range `[base, base + bytes)` holds
-    /// the shared data structure named by `region`. Called by allocating
-    /// containers ([`crate::world::World`], [`crate::tree::SharedTree`],
-    /// [`crate::tree::FlatTree`]) right after [`Env::alloc`], from the
-    /// set-up thread before workers start. Execution environments ignore it
-    /// (the default is a no-op and charges nothing); attribution-capable
-    /// environments record the mapping so per-region communication counters
-    /// can be reported.
-    fn tag_region(&self, _base: VAddr, _bytes: u64, _region: Region) {}
-
-    /// Observability hook: processor `ctx` is entering `phase` of step
-    /// `step` (warm-up steps included). Emitted by [`crate::pipeline`] at
+    /// Observability hook: processor `ctx` is entering `phase` (of every
+    /// step, warm-up steps included). Emitted by [`crate::pipeline`] at
     /// every phase boundary; execution environments and cost models ignore
     /// it (the default is a no-op and charges nothing), while the `ssmp`
     /// simulator's attribution charges what follows to `phase`.
-    fn phase_begin(&self, _ctx: &mut Self::Ctx, _phase: Phase, _step: u32) {}
+    fn phase_begin(&self, _ctx: &mut Self::Ctx, _phase: Phase) {}
 
-    /// Observability hook: processor `ctx` is leaving `phase` of step
-    /// `step`. Must pair with a previous [`Env::phase_begin`]. See
-    /// [`Env::phase_begin`].
-    fn phase_end(&self, _ctx: &mut Self::Ctx, _phase: Phase, _step: u32) {}
+    /// Observability hook: processor `ctx` is leaving `phase`. Must pair
+    /// with a previous [`Env::phase_begin`]. See [`Env::phase_begin`].
+    fn phase_end(&self, _ctx: &mut Self::Ctx, _phase: Phase) {}
 
     /// Scheduling hook: the worker thread for processor `proc` is about to
     /// start executing a submitted SPMD job. Called by
@@ -408,8 +400,8 @@ pub trait Env: Sync {
 /// after and defaults to handing the call to [`EnvLayer::inner`] unchanged;
 /// a layer overrides the ones it inspects, and an override that does not call
 /// the inner environment *replaces* the operation (the controlled scheduler's
-/// locks and barriers). `num_procs`, `alloc`, `tag_region`, `compute`,
-/// `phase_begin`, `phase_end` and `now` are not hooks: no layer inspects
+/// locks and barriers). `num_procs`, `alloc`, `compute`, `phase_begin`,
+/// `phase_end` and `now` are not hooks: no layer inspects
 /// them, so the blanket `impl Env` below forwards them itself.
 pub trait EnvLayer: Sync + Sized {
     /// The wrapped environment.
@@ -481,8 +473,8 @@ impl<L: EnvLayer> Env for L {
         }
     }
 
-    fn alloc(&self, bytes: u64, align: u64, place: Placement) -> VAddr {
-        self.inner().alloc(bytes, align, place)
+    fn alloc(&self, bytes: u64, align: u64, place: Placement, region: Region) -> VAddr {
+        self.inner().alloc(bytes, align, place, region)
     }
 
     #[inline(always)]
@@ -512,16 +504,12 @@ impl<L: EnvLayer> Env for L {
         self.on_barrier(ctx)
     }
 
-    fn tag_region(&self, base: VAddr, bytes: u64, region: Region) {
-        self.inner().tag_region(base, bytes, region)
+    fn phase_begin(&self, ctx: &mut LayerCtx<L>, phase: Phase) {
+        self.inner().phase_begin(&mut ctx.inner, phase)
     }
 
-    fn phase_begin(&self, ctx: &mut LayerCtx<L>, phase: Phase, step: u32) {
-        self.inner().phase_begin(&mut ctx.inner, phase, step)
-    }
-
-    fn phase_end(&self, ctx: &mut LayerCtx<L>, phase: Phase, step: u32) {
-        self.inner().phase_end(&mut ctx.inner, phase, step)
+    fn phase_end(&self, ctx: &mut LayerCtx<L>, phase: Phase) {
+        self.inner().phase_end(&mut ctx.inner, phase)
     }
 
     fn worker_begin(&self, proc: usize) {
@@ -615,7 +603,7 @@ impl Env for NativeEnv {
         }
     }
 
-    fn alloc(&self, bytes: u64, align: u64, _place: Placement) -> VAddr {
+    fn alloc(&self, bytes: u64, align: u64, _place: Placement, _region: Region) -> VAddr {
         let align = align.max(1);
         let mut cur = self.next_addr.load(Ordering::Relaxed);
         loop {
@@ -687,8 +675,8 @@ mod tests {
     #[test]
     fn alloc_is_aligned_and_disjoint() {
         let env = NativeEnv::new(1);
-        let a = env.alloc(100, 64, Placement::Global);
-        let b = env.alloc(10, 64, Placement::Global);
+        let a = env.alloc(100, 64, Placement::Global, Region::Other);
+        let b = env.alloc(10, 64, Placement::Global, Region::Other);
         assert_eq!(a % 64, 0);
         assert_eq!(b % 64, 0);
         assert!(b >= a + 100);
@@ -889,8 +877,8 @@ mod tests {
         let env = NativeEnv::new(1);
         let mut ctx = env.make_ctx(0);
         let before = env.stats(&ctx);
-        env.phase_begin(&mut ctx, Phase::Tree, 0);
-        env.phase_end(&mut ctx, Phase::Tree, 0);
+        env.phase_begin(&mut ctx, Phase::Tree);
+        env.phase_end(&mut ctx, Phase::Tree);
         let after = env.stats(&ctx);
         assert_eq!(before.lock_acquires, after.lock_acquires);
         assert_eq!(before.barrier_wait, after.barrier_wait);
@@ -929,7 +917,8 @@ mod tests {
             1
         }
         fn make_ctx(&self, _proc: usize) {}
-        fn alloc(&self, _bytes: u64, _align: u64, _place: Placement) -> VAddr {
+        fn alloc(&self, bytes: u64, align: u64, place: Placement, region: Region) -> VAddr {
+            self.log(format!("alloc {bytes} {align} {place:?} {region}"));
             REC_ADDR
         }
         fn access(&self, _ctx: &mut (), addr: VAddr, bytes: u32, kind: Access) {
@@ -950,14 +939,11 @@ mod tests {
         fn barrier(&self, _ctx: &mut ()) {
             self.log("barrier".to_string());
         }
-        fn tag_region(&self, base: VAddr, bytes: u64, region: Region) {
-            self.log(format!("tag_region {base:#x} {bytes} {region}"));
+        fn phase_begin(&self, _ctx: &mut (), phase: Phase) {
+            self.log(format!("phase_begin {phase}"));
         }
-        fn phase_begin(&self, _ctx: &mut (), phase: Phase, step: u32) {
-            self.log(format!("phase_begin {phase} {step}"));
-        }
-        fn phase_end(&self, _ctx: &mut (), phase: Phase, step: u32) {
-            self.log(format!("phase_end {phase} {step}"));
+        fn phase_end(&self, _ctx: &mut (), phase: Phase) {
+            self.log(format!("phase_end {phase}"));
         }
         fn worker_begin(&self, proc: usize) {
             self.log(format!("worker_begin {proc}"));
@@ -975,9 +961,9 @@ mod tests {
 
     /// What [`drive_every_hook`] makes a bottom environment log.
     const EVERY_HOOK: [&str; 16] = [
-        "tag_region 0x400 96 tree-cells",
+        "alloc 96 8 Local(0) tree-cells",
         "worker_begin 0",
-        "phase_begin force 3",
+        "phase_begin force",
         "access 0x400 4 Read",
         "access 0x408 5 Write",
         "access 0x410 6 AtomicRead",
@@ -989,7 +975,7 @@ mod tests {
         "lock 70",
         "unlock 70",
         "barrier",
-        "phase_end force 3",
+        "phase_end force",
         "worker_end 0",
     ];
 
@@ -997,11 +983,11 @@ mod tests {
     /// arguments of its own, and return the statistics `env` reports.
     fn drive_every_hook<E: Env>(env: &E) -> CtxStats {
         assert_eq!(env.num_procs(), 1);
-        assert_eq!(env.alloc(96, 8, Placement::Global), REC_ADDR);
-        env.tag_region(0x400, 96, Region::TreeCells);
+        let addr = env.alloc(96, 8, Placement::Local(0), Region::TreeCells);
+        assert_eq!(addr, REC_ADDR);
         env.worker_begin(0);
         let mut ctx = env.make_ctx(0);
-        env.phase_begin(&mut ctx, Phase::Force, 3);
+        env.phase_begin(&mut ctx, Phase::Force);
         env.access(&mut ctx, 0x400, 4, Access::Read);
         env.access(&mut ctx, 0x408, 5, Access::Write);
         env.access(&mut ctx, 0x410, 6, Access::AtomicRead);
@@ -1013,7 +999,7 @@ mod tests {
         env.lock(&mut ctx, 70);
         env.unlock(&mut ctx, 70);
         env.barrier(&mut ctx);
-        env.phase_end(&mut ctx, Phase::Force, 3);
+        env.phase_end(&mut ctx, Phase::Force);
         assert_eq!(env.now(&ctx), REC_NOW);
         let stats = env.stats(&ctx);
         env.worker_end(0);

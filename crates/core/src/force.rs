@@ -175,9 +175,9 @@ impl ForceListStats {
 }
 
 /// Reusable per-processor SoA scratch for the batched force kernel's
-/// interaction lists, tagged [`Region::ForceList`] so attribution charges
-/// list traffic to its own region. Capacity is `node_capacity + n`: a
-/// traversal emits at most one entry per tree node (accepted cells) plus
+/// interaction lists, allocated as [`Region::ForceList`] so attribution
+/// charges list traffic to its own region. Capacity is `node_capacity + n`:
+/// a traversal emits at most one entry per tree node (accepted cells) plus
 /// one per body (leaf members), so a list can never overflow.
 pub struct ForceScratch {
     rows: Vec<ForceRow>,
@@ -206,19 +206,13 @@ impl ForceScratch {
     /// Allocate one list row per processor, placed processor-local.
     pub fn new<E: Env>(env: &E, flat: &FlatTree, n: usize, procs: usize) -> Self {
         let cap = flat.node_capacity() + n;
-        let rows: Vec<ForceRow> = (0..procs)
-            .map(|q| {
-                let row = ForceRow {
-                    xs: SharedVec::new(env, cap, 0.0, Placement::Local(q)),
-                    ys: SharedVec::new(env, cap, 0.0, Placement::Local(q)),
-                    zs: SharedVec::new(env, cap, 0.0, Placement::Local(q)),
-                    ms: SharedVec::new(env, cap, 0.0, Placement::Local(q)),
-                };
-                row.xs.tag(env, Region::ForceList);
-                row.ys.tag(env, Region::ForceList);
-                row.zs.tag(env, Region::ForceList);
-                row.ms.tag(env, Region::ForceList);
-                row
+        let list = |q| SharedVec::new(env, cap, 0.0, Placement::Local(q), Region::ForceList);
+        let rows = (0..procs)
+            .map(|q| ForceRow {
+                xs: list(q),
+                ys: list(q),
+                zs: list(q),
+                ms: list(q),
             })
             .collect();
         ForceScratch { rows, cap }
@@ -1463,7 +1457,7 @@ mod tests {
         fn make_ctx(&self, _proc: usize) -> Vec<u64> {
             Vec::new()
         }
-        fn alloc(&self, _bytes: u64, _align: u64, _place: Placement) -> crate::env::VAddr {
+        fn alloc(&self, _: u64, _: u64, _: Placement, _: Region) -> crate::env::VAddr {
             unreachable!("allocate with NativeEnv")
         }
         fn access(&self, _: &mut Vec<u64>, _: crate::env::VAddr, _: u32, _: crate::env::Access) {}

@@ -164,11 +164,6 @@ impl Aabb {
     }
 
     #[inline]
-    pub fn extent(&self) -> Vec3 {
-        self.max - self.min
-    }
-
-    #[inline]
     pub fn center(&self) -> Vec3 {
         (self.min + self.max) * 0.5
     }

@@ -99,12 +99,6 @@ impl Vec3 {
         self.x.max(self.y).max(self.z)
     }
 
-    /// The smallest of the three components.
-    #[inline]
-    pub fn min_component(self) -> f64 {
-        self.x.min(self.y).min(self.z)
-    }
-
     /// `true` when every component is finite (no NaN / infinity).
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -272,7 +266,6 @@ mod tests {
         assert_eq!(a.min(b), Vec3::new(1.0, 4.0, 3.0));
         assert_eq!(a.max(b), Vec3::new(2.0, 5.0, 6.0));
         assert_eq!(a.max_component(), 5.0);
-        assert_eq!(a.min_component(), 1.0);
     }
 
     #[test]

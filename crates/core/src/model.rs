@@ -187,7 +187,7 @@ mod tests {
         let bodies = Model::Plummer.generate(5000, 1);
         let bb = bounding_box(&bodies);
         // Rejection keeps r < 9 (virial units ~ r*rsc < 9*0.59 ≈ 5.3).
-        assert!(bb.extent().max_component() < 12.0);
+        assert!((bb.max - bb.min).max_component() < 12.0);
         for b in &bodies {
             assert!(b.pos.is_finite() && b.vel.is_finite());
             assert!(b.mass > 0.0);

@@ -85,7 +85,7 @@ pub fn run_step<E: Env>(
         // stage is attributed to (proc, phase, step) when propagated out
         // of the pool (see crate::harness::set_worker_phase).
         crate::harness::set_worker_phase(Some((phase, step)));
-        env.phase_begin(ctx, phase, step);
+        env.phase_begin(ctx, phase);
         let extra = &mut rec.extra;
         match (phase, flat_directly) {
             (Phase::Tree, false) => extra.flatten = tree_stage(env, ctx, io, proc, step),
@@ -95,7 +95,7 @@ pub fn run_step<E: Env>(
             (Phase::Force, _) => extra.force = force_stage(env, ctx, io, proc),
             (Phase::Update, _) => update_stage(env, ctx, io, proc),
         }
-        env.phase_end(ctx, phase, step);
+        env.phase_end(ctx, phase);
         let t = env.now(ctx);
         let stats = env.stats(ctx);
         rec.phases[phase.index()] = CtxStats {

@@ -69,16 +69,13 @@
 //! `CheckedEnv<SchedEnv<NativeEnv>>`: the detector outermost (so its own
 //! mutex is invisible to the scheduler), the scheduler in the middle, the
 //! native environment as the terminal allocator/clock. [`explore`] runs one
-//! program under an [`ExplorePlan`]; [`explore_algorithm`] runs one tree
-//! algorithm's whole simulation that way, the cell `tests/schedule_matrix.rs`
-//! certifies per (algorithm × procs × strategy).
+//! program under an [`ExplorePlan`]; `tests/schedule_matrix.rs` runs each
+//! tree algorithm's whole simulation that way, one cell per (algorithm ×
+//! procs × strategy).
 
-use crate::algorithms::Algorithm;
-use crate::app::{run_simulation, SimConfig};
 use crate::check::{CheckedEnv, RaceReport};
 use crate::env::{Access, CtxStats, Env, EnvLayer, LayerCtx, NativeEnv, VAddr};
 use crate::harness::panic_text;
-use crate::model::Model;
 use crate::rng::SmallRng;
 use crate::sync::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -1156,68 +1153,10 @@ where
     agg
 }
 
-// ---------------------------------------------------------------------------
-// One tree algorithm under the explorer
-// ---------------------------------------------------------------------------
-
-/// The workload [`explore_algorithm`] runs.
-#[derive(Debug, Clone)]
-pub struct MatrixSpec {
-    pub model: Model,
-    pub n: usize,
-    pub k: usize,
-    pub warmup_steps: usize,
-    pub measured_steps: usize,
-    /// Body-model seed.
-    pub body_seed: u64,
-    pub op_budget: u64,
-    /// Force-kernel group size (`SimConfig::group_size`).
-    pub group_size: usize,
-}
-
-impl MatrixSpec {
-    /// The pre-merge workload: tiny, one warm-up and one measured step.
-    pub fn fast() -> MatrixSpec {
-        MatrixSpec {
-            model: Model::Plummer,
-            n: 24,
-            k: 2,
-            warmup_steps: 1,
-            measured_steps: 1,
-            body_seed: 1998,
-            op_budget: 2_000_000,
-            group_size: SimConfig::new(Algorithm::Orig).group_size,
-        }
-    }
-}
-
-/// Build the `SimConfig` + program closure for one algorithm on `spec`'s
-/// workload and explore it under `plan`.
-pub fn explore_algorithm(
-    alg: Algorithm,
-    procs: usize,
-    plan: &ExplorePlan,
-    spec: &MatrixSpec,
-) -> Exploration {
-    let bodies = spec.model.generate(spec.n, spec.body_seed);
-    let mut cfg = SimConfig::new(alg);
-    cfg.k = spec.k;
-    cfg.warmup_steps = spec.warmup_steps;
-    cfg.measured_steps = spec.measured_steps;
-    cfg.group_size = spec.group_size;
-    let sched_cfg = SchedConfig {
-        op_budget: spec.op_budget,
-    };
-    explore(procs, plan, &sched_cfg, move |env: &VerifyEnv| {
-        let stats = run_simulation(env, &cfg, &bodies);
-        stats.validation_error.clone()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::Placement;
+    use crate::env::{Placement, Region};
     use crate::harness::spmd;
     use crate::shared::{SharedAtomicVec, SharedVec};
 
@@ -1233,7 +1172,7 @@ mod tests {
             SchedStrategy::Replay(Vec::new()),
         ] {
             let env = verify_env(3, strategy);
-            let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
+            let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
             spmd(&env, |_proc, ctx| {
                 for _ in 0..10 {
                     env.lock(ctx, 7);
@@ -1251,7 +1190,7 @@ mod tests {
     #[test]
     fn barriers_release_all_procs() {
         let env = verify_env(4, SchedStrategy::Seeded(3));
-        let v: SharedVec<u64> = SharedVec::new(&env, 4, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&env, 4, 0, Placement::Global, Region::Other);
         spmd(&env, |proc, ctx| {
             v.store(&env, ctx, proc, 1);
             env.barrier(ctx);
@@ -1270,7 +1209,8 @@ mod tests {
     fn seeded_schedules_differ_and_replay_is_deterministic() {
         let run = |strategy: SchedStrategy| {
             let env = verify_env(2, strategy);
-            let v = SharedAtomicVec::new(&env, 1, 0, Placement::Global);
+            let v: SharedAtomicVec =
+                SharedAtomicVec::new(&env, 1, 0, Placement::Global, Region::Other);
             spmd(&env, |_proc, ctx| {
                 for _ in 0..8 {
                     v.fetch_add(&env, ctx, 0, 1);
@@ -1299,7 +1239,7 @@ mod tests {
         let mut hit = 0;
         for seed in 0..8 {
             let env = verify_env(2, SchedStrategy::Seeded(seed));
-            let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
+            let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
             spmd(&env, |_proc, ctx| {
                 for _ in 0..4 {
                     let x = v.load(&env, ctx, 0);
@@ -1489,7 +1429,8 @@ mod tests {
             &SchedConfig { op_budget: 500 },
             "rr",
             &|env: &VerifyEnv| {
-                let flag = SharedAtomicVec::new(env, 1, 0, Placement::Global);
+                let flag: SharedAtomicVec =
+                    SharedAtomicVec::new(env, 1, 0, Placement::Global, Region::Other);
                 spmd(env, |proc, ctx| {
                     if proc == 1 {
                         // Spin on a flag nobody ever sets.
@@ -1579,7 +1520,7 @@ mod tests {
     #[test]
     fn sched_env_composes_with_one_proc() {
         let env = verify_env(1, SchedStrategy::RoundRobin);
-        let v = SharedAtomicVec::new(&env, 1, 0, Placement::Global);
+        let v: SharedAtomicVec = SharedAtomicVec::new(&env, 1, 0, Placement::Global, Region::Other);
         spmd(&env, |_proc, ctx| {
             v.fetch_add(&env, ctx, 0, 5);
             env.barrier(ctx);
@@ -1594,7 +1535,7 @@ mod tests {
         // One element per round: the detector has no happens-before edge
         // across pool.run sessions (worker hooks don't touch vector
         // clocks), so cross-session reuse of one cell would be reported.
-        let v: SharedVec<u64> = SharedVec::new(&*env, 3, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&*env, 3, 0, Placement::Global, Region::Other);
         let pool = crate::harness::WorkerPool::new(2);
         for round in 1..=3u64 {
             let idx = round as usize - 1;

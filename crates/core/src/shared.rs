@@ -29,8 +29,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// The region registry: an index from virtual address ranges to the
 /// [`Region`] that owns them.
 ///
-/// Allocating containers report their ranges through [`Env::tag_region`];
-/// attribution-capable environments collect the mappings in a `RegionMap`
+/// Every shared allocation names its region ([`Env::alloc`]);
+/// attribution-capable environments collect the ranges in a `RegionMap`
 /// and consult it on every simulated miss or fault. The map is built
 /// single-threaded during world/tree setup and then only read, so lookups
 /// are a lock-free binary search over sorted disjoint ranges.
@@ -47,30 +47,25 @@ impl RegionMap {
 
     /// Register `[base, base + bytes)` as belonging to `region`.
     ///
-    /// Ranges must not overlap existing entries (allocators hand out
-    /// disjoint ranges, so an overlap is a tagging bug); re-tagging an
-    /// identical range with the same region is idempotent.
+    /// Ranges must not overlap existing entries: allocators hand out
+    /// disjoint ranges, so an overlap is an allocator bug.
     pub fn insert(&mut self, base: VAddr, bytes: u64, region: Region) {
         if bytes == 0 {
             return;
         }
         let end = base + bytes;
         let i = self.ranges.partition_point(|&(b, _, _)| b < base);
-        if let Some(&(b, e, r)) = self.ranges.get(i) {
-            if b == base && e == end && r == region {
-                return;
-            }
-        }
         let clear_left = i == 0 || self.ranges[i - 1].1 <= base;
         let clear_right = i == self.ranges.len() || end <= self.ranges[i].0;
         assert!(
             clear_left && clear_right,
-            "region tag [{base:#x}, {end:#x}) = {region} overlaps an existing range"
+            "region [{base:#x}, {end:#x}) = {region} overlaps an existing range"
         );
         self.ranges.insert(i, (base, end, region));
     }
 
-    /// The region owning `addr`; [`Region::Other`] for untagged addresses.
+    /// The region owning `addr`; [`Region::Other`] for addresses no range
+    /// covers.
     #[inline]
     pub fn lookup(&self, addr: VAddr) -> Region {
         let i = self.ranges.partition_point(|&(b, _, _)| b <= addr);
@@ -109,14 +104,12 @@ unsafe impl<T: Send> Sync for SharedVec<T> {}
 unsafe impl<T: Send> Send for SharedVec<T> {}
 
 impl<T: Copy> SharedVec<T> {
-    /// Allocate a shared array of `len` copies of `init`.
-    pub fn new<E: Env>(env: &E, len: usize, init: T, place: Placement) -> Self {
+    /// Allocate a shared array of `len` copies of `init`, placed by
+    /// `place`, holding the data structure `region` names.
+    pub fn new<E: Env>(env: &E, len: usize, init: T, place: Placement, region: Region) -> Self {
         let stride = std::mem::size_of::<T>().max(1) as u64;
-        let base = env.alloc(
-            stride * len as u64,
-            stride.next_power_of_two().min(64),
-            place,
-        );
+        let align = stride.next_power_of_two().min(64);
+        let base = env.alloc(stride * len as u64, align, place, region);
         let slots = (0..len).map(|_| UnsafeCell::new(init)).collect();
         SharedVec {
             slots,
@@ -146,12 +139,6 @@ impl<T: Copy> SharedVec<T> {
     #[inline]
     pub fn stride(&self) -> u32 {
         self.stride as u32
-    }
-
-    /// Report this array's address range to the environment as `region`
-    /// (see [`Env::tag_region`]). Called once from setup code.
-    pub fn tag<E: Env>(&self, env: &E, region: Region) {
-        env.tag_region(self.base, self.stride * self.slots.len() as u64, region);
     }
 
     /// Timed read of element `i`.
@@ -239,20 +226,68 @@ impl<T: Copy> SharedVec<T> {
     }
 }
 
-/// A shared array of atomic 32-bit counters, used for dynamic index
-/// allocation (the SPLASH "obtain the next index in the array dynamically"),
-/// child-completion counts in the parallel center-of-mass pass, and the
-/// frequently-accessed shared counters whose false sharing the paper calls
-/// out in the ORIG algorithm.
-pub struct SharedAtomicVec {
-    slots: Box<[AtomicU32]>,
+/// The word a [`SharedAtomicVec`] holds: `u32` or `u64`, each element
+/// its own size and alignment in the simulated address space.
+pub trait AtomicWord: Copy + Send {
+    /// The host atomic holding one element.
+    type Atomic: Send + Sync;
+    fn atomic(v: Self) -> Self::Atomic;
+    fn load(a: &Self::Atomic) -> Self;
+    fn store(a: &Self::Atomic, v: Self);
+    fn fetch_add(a: &Self::Atomic, v: Self) -> Self;
+    fn fetch_sub(a: &Self::Atomic, v: Self) -> Self;
+}
+
+macro_rules! atomic_word {
+    ($word:ty, $atomic:ty) => {
+        impl AtomicWord for $word {
+            type Atomic = $atomic;
+            fn atomic(v: $word) -> $atomic {
+                <$atomic>::new(v)
+            }
+            #[inline]
+            fn load(a: &$atomic) -> $word {
+                a.load(Ordering::Acquire)
+            }
+            #[inline]
+            fn store(a: &$atomic, v: $word) {
+                a.store(v, Ordering::Release)
+            }
+            #[inline]
+            fn fetch_add(a: &$atomic, v: $word) -> $word {
+                a.fetch_add(v, Ordering::AcqRel)
+            }
+            #[inline]
+            fn fetch_sub(a: &$atomic, v: $word) -> $word {
+                a.fetch_sub(v, Ordering::AcqRel)
+            }
+        }
+    };
+}
+
+atomic_word!(u32, AtomicU32);
+atomic_word!(u64, AtomicU64);
+
+/// A shared array of atomic counters: 32-bit by default, used for dynamic
+/// index allocation (the SPLASH "obtain the next index in the array
+/// dynamically"), child-completion counts in the parallel center-of-mass
+/// pass, and the frequently-accessed shared counters whose false sharing
+/// the paper calls out in the ORIG algorithm; 64-bit for work totals and
+/// cost sums.
+pub struct SharedAtomicVec<W: AtomicWord = u32> {
+    slots: Box<[W::Atomic]>,
     base: VAddr,
 }
 
-impl SharedAtomicVec {
-    pub fn new<E: Env>(env: &E, len: usize, init: u32, place: Placement) -> Self {
-        let base = env.alloc(4 * len as u64, 4, place);
-        let slots = (0..len).map(|_| AtomicU32::new(init)).collect();
+impl<W: AtomicWord> SharedAtomicVec<W> {
+    /// Bytes (and alignment) of one element in the simulated address space.
+    const BYTES: u32 = std::mem::size_of::<W>() as u32;
+
+    /// Allocate `len` counters set to `init`; see [`SharedVec::new`].
+    pub fn new<E: Env>(env: &E, len: usize, init: W, place: Placement, region: Region) -> Self {
+        let bytes = Self::BYTES as u64;
+        let base = env.alloc(bytes * len as u64, bytes, place, region);
+        let slots = (0..len).map(|_| W::atomic(init)).collect();
         SharedAtomicVec { slots, base }
     }
 
@@ -268,29 +303,24 @@ impl SharedAtomicVec {
 
     #[inline]
     pub fn addr(&self, i: usize) -> VAddr {
-        self.base + 4 * i as u64
-    }
-
-    /// Report this array's address range as `region`; see [`SharedVec::tag`].
-    pub fn tag<E: Env>(&self, env: &E, region: Region) {
-        env.tag_region(self.base, 4 * self.slots.len() as u64, region);
+        self.base + Self::BYTES as u64 * i as u64
     }
 
     /// Timed atomic fetch-add.
     #[inline]
-    pub fn fetch_add<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: u32) -> u32 {
-        env.access(ctx, self.addr(i), 4, Access::Rmw);
-        let r = self.slots[i].fetch_add(v, Ordering::AcqRel);
-        env.atomic_commit(ctx, self.addr(i), 4);
+    pub fn fetch_add<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: W) -> W {
+        env.access(ctx, self.addr(i), Self::BYTES, Access::Rmw);
+        let r = W::fetch_add(&self.slots[i], v);
+        env.atomic_commit(ctx, self.addr(i), Self::BYTES);
         r
     }
 
     /// Timed atomic fetch-sub.
     #[inline]
-    pub fn fetch_sub<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: u32) -> u32 {
-        env.access(ctx, self.addr(i), 4, Access::Rmw);
-        let r = self.slots[i].fetch_sub(v, Ordering::AcqRel);
-        env.atomic_commit(ctx, self.addr(i), 4);
+    pub fn fetch_sub<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: W) -> W {
+        env.access(ctx, self.addr(i), Self::BYTES, Access::Rmw);
+        let r = W::fetch_sub(&self.slots[i], v);
+        env.atomic_commit(ctx, self.addr(i), Self::BYTES);
         r
     }
 
@@ -298,103 +328,33 @@ impl SharedAtomicVec {
     /// load: acquires are instrumented after the operation they describe
     /// (see [`Env::atomic_commit`]).
     #[inline]
-    pub fn load<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize) -> u32 {
-        let r = self.slots[i].load(Ordering::Acquire);
-        env.access(ctx, self.addr(i), 4, Access::AtomicRead);
+    pub fn load<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize) -> W {
+        let r = W::load(&self.slots[i]);
+        env.access(ctx, self.addr(i), Self::BYTES, Access::AtomicRead);
         r
     }
 
     /// Timed atomic store (release).
     #[inline]
-    pub fn store<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: u32) {
-        env.access(ctx, self.addr(i), 4, Access::AtomicWrite);
-        self.slots[i].store(v, Ordering::Release)
+    pub fn store<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: W) {
+        env.access(ctx, self.addr(i), Self::BYTES, Access::AtomicWrite);
+        W::store(&self.slots[i], v)
     }
 
     /// Untimed load for setup/verification.
     #[inline]
-    pub fn peek(&self, i: usize) -> u32 {
-        self.slots[i].load(Ordering::Acquire)
+    pub fn peek(&self, i: usize) -> W {
+        W::load(&self.slots[i])
     }
 
     /// Untimed store for setup/verification.
     #[inline]
-    pub fn poke(&self, i: usize, v: u32) {
-        self.slots[i].store(v, Ordering::Release)
+    pub fn poke(&self, i: usize, v: W) {
+        W::store(&self.slots[i], v)
     }
 
     /// Untimed store of `v` to every slot; see [`SharedVec::fill`].
-    pub fn fill(&self, v: u32) {
-        (0..self.len()).for_each(|i| self.poke(i, v));
-    }
-}
-
-/// A shared array of atomic 64-bit counters (work totals, cost sums).
-pub struct SharedAtomicVec64 {
-    slots: Box<[AtomicU64]>,
-    base: VAddr,
-}
-
-impl SharedAtomicVec64 {
-    pub fn new<E: Env>(env: &E, len: usize, init: u64, place: Placement) -> Self {
-        let base = env.alloc(8 * len as u64, 8, place);
-        let slots = (0..len).map(|_| AtomicU64::new(init)).collect();
-        SharedAtomicVec64 { slots, base }
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    #[inline]
-    pub fn addr(&self, i: usize) -> VAddr {
-        self.base + 8 * i as u64
-    }
-
-    /// Report this array's address range as `region`; see [`SharedVec::tag`].
-    pub fn tag<E: Env>(&self, env: &E, region: Region) {
-        env.tag_region(self.base, 8 * self.slots.len() as u64, region);
-    }
-
-    #[inline]
-    pub fn fetch_add<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: u64) -> u64 {
-        env.access(ctx, self.addr(i), 8, Access::Rmw);
-        let r = self.slots[i].fetch_add(v, Ordering::AcqRel);
-        env.atomic_commit(ctx, self.addr(i), 8);
-        r
-    }
-
-    #[inline]
-    pub fn load<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize) -> u64 {
-        let r = self.slots[i].load(Ordering::Acquire);
-        env.access(ctx, self.addr(i), 8, Access::AtomicRead);
-        r
-    }
-
-    #[inline]
-    pub fn store<E: Env>(&self, env: &E, ctx: &mut E::Ctx, i: usize, v: u64) {
-        env.access(ctx, self.addr(i), 8, Access::AtomicWrite);
-        self.slots[i].store(v, Ordering::Release)
-    }
-
-    #[inline]
-    pub fn peek(&self, i: usize) -> u64 {
-        self.slots[i].load(Ordering::Acquire)
-    }
-
-    #[inline]
-    pub fn poke(&self, i: usize, v: u64) {
-        self.slots[i].store(v, Ordering::Release)
-    }
-
-    /// Untimed store of `v` to every slot; see [`SharedVec::fill`].
-    pub fn fill(&self, v: u64) {
+    pub fn fill(&self, v: W) {
         (0..self.len()).for_each(|i| self.poke(i, v));
     }
 }
@@ -408,7 +368,7 @@ mod tests {
     fn shared_vec_basics() {
         let env = NativeEnv::new(1);
         let mut ctx = env.make_ctx(0);
-        let v: SharedVec<u64> = SharedVec::new(&env, 16, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&env, 16, 0, Placement::Global, Region::Other);
         assert_eq!(v.len(), 16);
         v.store(&env, &mut ctx, 3, 99);
         assert_eq!(v.load(&env, &mut ctx, 3), 99);
@@ -420,7 +380,8 @@ mod tests {
     #[test]
     fn addresses_are_strided() {
         let env = NativeEnv::new(1);
-        let v: SharedVec<[u8; 24]> = SharedVec::new(&env, 8, [0; 24], Placement::Global);
+        let v: SharedVec<[u8; 24]> =
+            SharedVec::new(&env, 8, [0; 24], Placement::Global, Region::Other);
         assert_eq!(v.addr(1) - v.addr(0), 24);
         assert_eq!(v.stride(), 24);
     }
@@ -428,8 +389,8 @@ mod tests {
     #[test]
     fn distinct_vecs_do_not_overlap() {
         let env = NativeEnv::new(1);
-        let a: SharedVec<u64> = SharedVec::new(&env, 100, 0, Placement::Global);
-        let b: SharedVec<u64> = SharedVec::new(&env, 100, 0, Placement::Local(0));
+        let a: SharedVec<u64> = SharedVec::new(&env, 100, 0, Placement::Global, Region::Other);
+        let b: SharedVec<u64> = SharedVec::new(&env, 100, 0, Placement::Local(0), Region::Other);
         let a_end = a.addr(99) + 8;
         assert!(b.addr(0) >= a_end || b.addr(99) + 8 <= a.addr(0));
     }
@@ -437,7 +398,7 @@ mod tests {
     #[test]
     fn atomic_vec_concurrent_fetch_add() {
         let env = NativeEnv::new(4);
-        let v = SharedAtomicVec::new(&env, 2, 0, Placement::Global);
+        let v: SharedAtomicVec = SharedAtomicVec::new(&env, 2, 0, Placement::Global, Region::Other);
         std::thread::scope(|s| {
             for p in 0..4 {
                 let env = &env;
@@ -458,7 +419,8 @@ mod tests {
     fn atomic64_roundtrip() {
         let env = NativeEnv::new(1);
         let mut ctx = env.make_ctx(0);
-        let v = SharedAtomicVec64::new(&env, 4, 7, Placement::Global);
+        let v: SharedAtomicVec<u64> =
+            SharedAtomicVec::new(&env, 4, 7, Placement::Global, Region::Other);
         assert_eq!(v.load(&env, &mut ctx, 2), 7);
         v.store(&env, &mut ctx, 2, 1 << 40);
         assert_eq!(v.fetch_add(&env, &mut ctx, 2, 5), 1 << 40);
@@ -470,7 +432,7 @@ mod tests {
     fn load_out_of_bounds_panics() {
         let env = NativeEnv::new(1);
         let mut ctx = env.make_ctx(0);
-        let v: SharedVec<u64> = SharedVec::new(&env, 4, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&env, 4, 0, Placement::Global, Region::Other);
         let _ = v.load(&env, &mut ctx, 4);
     }
 
@@ -479,7 +441,7 @@ mod tests {
     fn store_out_of_bounds_panics() {
         let env = NativeEnv::new(1);
         let mut ctx = env.make_ctx(0);
-        let v: SharedVec<u64> = SharedVec::new(&env, 4, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&env, 4, 0, Placement::Global, Region::Other);
         v.store(&env, &mut ctx, 100, 1);
     }
 
@@ -487,7 +449,7 @@ mod tests {
     #[should_panic]
     fn poke_out_of_bounds_panics() {
         let env = NativeEnv::new(1);
-        let v: SharedVec<u32> = SharedVec::new(&env, 1, 0, Placement::Global);
+        let v: SharedVec<u32> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
         v.poke(1, 9);
     }
 
@@ -496,7 +458,7 @@ mod tests {
     fn atomic_out_of_bounds_panics() {
         let env = NativeEnv::new(1);
         let mut ctx = env.make_ctx(0);
-        let v = SharedAtomicVec::new(&env, 2, 0, Placement::Global);
+        let v: SharedAtomicVec = SharedAtomicVec::new(&env, 2, 0, Placement::Global, Region::Other);
         v.fetch_add(&env, &mut ctx, 2, 1);
     }
 
@@ -506,13 +468,14 @@ mod tests {
         // The simulated base address is aligned to the element size rounded
         // up to a power of two (capped at a cache line), so no element
         // straddles an alignment boundary smaller than itself.
-        let a: SharedVec<u32> = SharedVec::new(&env, 5, 0, Placement::Global);
+        let a: SharedVec<u32> = SharedVec::new(&env, 5, 0, Placement::Global, Region::Other);
         assert_eq!(a.stride(), 4);
         assert_eq!(a.addr(0) % 4, 0);
-        let b: SharedVec<f64> = SharedVec::new(&env, 5, 0.0, Placement::Global);
+        let b: SharedVec<f64> = SharedVec::new(&env, 5, 0.0, Placement::Global, Region::Other);
         assert_eq!(b.stride(), 8);
         assert_eq!(b.addr(0) % 8, 0);
-        let c: SharedVec<[u8; 24]> = SharedVec::new(&env, 5, [0; 24], Placement::Global);
+        let c: SharedVec<[u8; 24]> =
+            SharedVec::new(&env, 5, [0; 24], Placement::Global, Region::Other);
         assert_eq!(c.stride(), 24);
         assert_eq!(c.addr(0) % 32, 0); // 24 rounds up to 32
         for v in [&a.addr(0), &b.addr(0)] {
@@ -524,9 +487,10 @@ mod tests {
             assert_eq!(c.addr(i + 1) - c.addr(i), 24);
         }
         // Atomic vectors are word/double-word aligned.
-        let d = SharedAtomicVec::new(&env, 3, 0, Placement::Global);
+        let d: SharedAtomicVec = SharedAtomicVec::new(&env, 3, 0, Placement::Global, Region::Other);
         assert_eq!(d.addr(0) % 4, 0);
-        let e = SharedAtomicVec64::new(&env, 3, 0, Placement::Global);
+        let e: SharedAtomicVec<u64> =
+            SharedAtomicVec::new(&env, 3, 0, Placement::Global, Region::Other);
         assert_eq!(e.addr(0) % 8, 0);
     }
 
@@ -547,8 +511,7 @@ mod tests {
         // Ranges come back sorted regardless of insertion order.
         let bases: Vec<u64> = m.iter().map(|(b, _, _)| b).collect();
         assert_eq!(bases, vec![0x1000, 0x2000, 0x3000]);
-        // Identical re-tag is idempotent; zero-length tags are dropped.
-        m.insert(0x1000, 0x100, Region::Bodies);
+        // Zero-length ranges are dropped.
         m.insert(0x9000, 0, Region::Partition);
         assert_eq!(m.len(), 3);
     }
@@ -569,7 +532,7 @@ mod tests {
         // exactly the other thread's writes (the race detector certifies
         // the ordering; this smoke test certifies the data).
         let env = NativeEnv::new(2);
-        let v: SharedVec<u64> = SharedVec::new(&env, 8, 0, Placement::Global);
+        let v: SharedVec<u64> = SharedVec::new(&env, 8, 0, Placement::Global, Region::Other);
         crate::harness::spmd(&env, |proc, ctx| {
             for round in 0u64..4 {
                 let writer = (round as usize) % 2;

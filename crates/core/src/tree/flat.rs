@@ -41,7 +41,7 @@
 //! floating-point operations in the same order and produces bitwise
 //! identical accelerations (enforced by `tests/flat_force.rs`).
 
-use crate::env::{Env, Placement};
+use crate::env::{Env, Placement, Region};
 use crate::math::Vec3;
 use crate::shared::SharedVec;
 use crate::tree::plan::{Cursors, Plan, PlanSource, PLAN_CAP};
@@ -150,18 +150,13 @@ impl FlatTree {
         // Every live node appears once; every node except the root is a
         // child slot exactly once; every body lives in exactly one leaf.
         let nodes_cap = (cap.cells_per_arena + cap.leaves_per_arena) * arenas;
-        let g = Placement::Global;
-        let flat = FlatTree {
-            nodes: SharedVec::new(env, nodes_cap, FlatNode::zero(), g),
-            kids: SharedVec::new(env, nodes_cap, 0, g),
-            bodies: SharedVec::new(env, n.max(1), 0, g),
-            sub_counts: SharedVec::new(env, 3 * PLAN_CAP, 0, g),
-        };
-        for v in [&flat.kids, &flat.bodies, &flat.sub_counts] {
-            v.tag(env, crate::env::Region::FlatTree);
+        let (g, r) = (Placement::Global, Region::FlatTree);
+        FlatTree {
+            nodes: SharedVec::new(env, nodes_cap, FlatNode::zero(), g, r),
+            kids: SharedVec::new(env, nodes_cap, 0, g, r),
+            bodies: SharedVec::new(env, n.max(1), 0, g, r),
+            sub_counts: SharedVec::new(env, 3 * PLAN_CAP, 0, g, r),
         }
-        flat.nodes.tag(env, crate::env::Region::FlatTree);
-        flat
     }
 
     /// Reset the snapshot storage to its freshly-allocated bytes (untimed).

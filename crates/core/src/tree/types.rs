@@ -8,9 +8,9 @@
 //! into 32 bits, exactly the role the cell-pointer arrays play in the
 //! original C codes.
 
-use crate::env::{Access, Env, Placement};
+use crate::env::{Access, Env, Placement, Region};
 use crate::math::{Cube, Vec3};
-use crate::shared::{SharedAtomicVec, SharedAtomicVec64, SharedVec};
+use crate::shared::{SharedAtomicVec, SharedVec};
 
 /// Compile-time maximum bodies per leaf. The runtime threshold `k` may be
 /// anything in `1..=MAX_LEAF_BODIES`; the paper notes that allowing several
@@ -213,7 +213,7 @@ pub struct Arena {
     /// Atomic leaf bounds (f64 bit patterns: center x/y/z, half — 4 words
     /// per leaf, mirrors the leaf's cube): lets the UPDATE algorithm run its
     /// did-the-body-cross-its-boundary check without taking any lock.
-    pub leaf_bounds: SharedAtomicVec64,
+    pub leaf_bounds: SharedAtomicVec<u64>,
     /// Child-completion counters for the parallel CoM pass, parallel to
     /// `cells`.
     pub cell_pending: SharedAtomicVec,
@@ -320,88 +320,45 @@ impl SharedTree {
             TreeLayout::GlobalArena => Placement::Global,
             TreeLayout::PerProcessor => Placement::Local(a),
         };
+        let (cells, leaves, alloc) = (Region::TreeCells, Region::TreeLeaves, Region::TreeAlloc);
+        let (ncells, nleaves) = (cap.cells_per_arena, cap.leaves_per_arena);
         let arenas = (0..n_arenas)
             .map(|a| Arena {
                 id: a,
-                cells: SharedVec::new(env, cap.cells_per_arena, Cell::empty(), place(a)),
-                leaves: SharedVec::new(env, cap.leaves_per_arena, Leaf::empty(), place(a)),
-                children: SharedAtomicVec::new(env, cap.cells_per_arena * 8, 0, place(a)),
-                leaf_parent: SharedAtomicVec::new(env, cap.leaves_per_arena, 0, place(a)),
-                leaf_bounds: SharedAtomicVec64::new(env, cap.leaves_per_arena * 4, 0, place(a)),
-                cell_pending: SharedAtomicVec::new(env, cap.cells_per_arena, 0, place(a)),
-                next_cell: SharedAtomicVec::new(env, 1, 0, place(a)),
-                next_leaf: SharedAtomicVec::new(env, 1, 0, place(a)),
-                free_cells: SharedVec::new(env, cap.cells_per_arena, 0, place(a)),
-                free_leaves: SharedVec::new(env, cap.leaves_per_arena, 0, place(a)),
-                free_tops: SharedAtomicVec::new(env, 2, 0, place(a)),
+                cells: SharedVec::new(env, ncells, Cell::empty(), place(a), cells),
+                leaves: SharedVec::new(env, nleaves, Leaf::empty(), place(a), leaves),
+                children: SharedAtomicVec::new(env, ncells * 8, 0, place(a), cells),
+                leaf_parent: SharedAtomicVec::new(env, nleaves, 0, place(a), leaves),
+                leaf_bounds: SharedAtomicVec::new(env, nleaves * 4, 0, place(a), leaves),
+                cell_pending: SharedAtomicVec::new(env, ncells, 0, place(a), cells),
+                next_cell: SharedAtomicVec::new(env, 1, 0, place(a), alloc),
+                next_leaf: SharedAtomicVec::new(env, 1, 0, place(a), alloc),
+                free_cells: SharedVec::new(env, ncells, 0, place(a), alloc),
+                free_leaves: SharedVec::new(env, nleaves, 0, place(a), alloc),
+                free_tops: SharedAtomicVec::new(env, 2, 0, place(a), alloc),
             })
             .collect();
-        // In the GlobalArena (ORIG) layout the per-processor list-length
-        // counters are deliberately allocated back to back in one global
-        // region — they share cache lines and pages, reproducing the false
-        // sharing of ORIG's shared bookkeeping arrays. The PerProcessor
-        // layout gives each processor a private, locally homed counter.
-        let (leaf_lists, leaf_list_len) = match layout {
-            TreeLayout::GlobalArena => {
-                let lists = (0..p)
-                    .map(|_| SharedVec::new(env, cap.leaf_list_per_proc, 0u32, Placement::Global))
-                    .collect();
-                let lens = (0..p)
-                    .map(|_| SharedAtomicVec::new(env, 1, 0, Placement::Global))
-                    .collect();
-                (lists, lens)
-            }
-            TreeLayout::PerProcessor => {
-                let lists = (0..p)
-                    .map(|q| SharedVec::new(env, cap.leaf_list_per_proc, 0u32, Placement::Local(q)))
-                    .collect();
-                let lens = (0..p)
-                    .map(|q| SharedAtomicVec::new(env, 1, 0, Placement::Local(q)))
-                    .collect();
-                (lists, lens)
-            }
-        };
-        let tree = SharedTree {
+        // In the GlobalArena (ORIG) layout the per-processor lists and
+        // list-length counters are deliberately allocated back to back in
+        // one global region — the counters share cache lines and pages,
+        // reproducing the false sharing of ORIG's shared bookkeeping
+        // arrays. The PerProcessor layout gives each processor a private,
+        // locally homed list and counter.
+        let leaf_lists = (0..p)
+            .map(|q| SharedVec::new(env, cap.leaf_list_per_proc, 0u32, place(q), alloc))
+            .collect();
+        let leaf_list_len = (0..p)
+            .map(|q| SharedAtomicVec::new(env, 1, 0, place(q), alloc))
+            .collect();
+        SharedTree {
             arenas,
-            root: SharedVec::new(env, 1, NodeRef::NULL, Placement::Global),
-            root_cube: SharedVec::new(env, 1, Cube::new(Vec3::ZERO, 1.0), Placement::Global),
+            root: SharedVec::new(env, 1, NodeRef::NULL, Placement::Global, alloc),
+            root_cube: SharedVec::new(env, 1, Cube::new(Vec3::ZERO, 1.0), Placement::Global, alloc),
             k,
             layout,
             leaf_lists,
             leaf_list_len,
-        };
-        tree.tag_regions(env);
-        tree
-    }
-
-    /// Register tree storage with the environment's region registry (see
-    /// [`Env::tag_region`]): cells/children/pending counters as
-    /// [`Region::TreeCells`], leaf storage as [`Region::TreeLeaves`], and
-    /// all allocation state (bump cursors, free lists, leaf lists, root)
-    /// as [`Region::TreeAlloc`].
-    fn tag_regions<E: Env>(&self, env: &E) {
-        use crate::env::Region;
-        for a in &self.arenas {
-            a.cells.tag(env, Region::TreeCells);
-            a.children.tag(env, Region::TreeCells);
-            a.cell_pending.tag(env, Region::TreeCells);
-            a.leaves.tag(env, Region::TreeLeaves);
-            a.leaf_parent.tag(env, Region::TreeLeaves);
-            a.leaf_bounds.tag(env, Region::TreeLeaves);
-            a.next_cell.tag(env, Region::TreeAlloc);
-            a.next_leaf.tag(env, Region::TreeAlloc);
-            a.free_cells.tag(env, Region::TreeAlloc);
-            a.free_leaves.tag(env, Region::TreeAlloc);
-            a.free_tops.tag(env, Region::TreeAlloc);
         }
-        for list in &self.leaf_lists {
-            list.tag(env, Region::TreeAlloc);
-        }
-        for len in &self.leaf_list_len {
-            len.tag(env, Region::TreeAlloc);
-        }
-        self.root.tag(env, Region::TreeAlloc);
-        self.root_cube.tag(env, Region::TreeAlloc);
     }
 
     /// The arena a given processor allocates from.

@@ -2,9 +2,9 @@
 //! arrays used by the costzones and SPACE partitioners.
 
 use crate::body::Body;
-use crate::env::{Env, Placement};
+use crate::env::{Env, Placement, Region};
 use crate::math::{Aabb, Cube, Vec3};
-use crate::shared::{SharedAtomicVec, SharedAtomicVec64, SharedVec};
+use crate::shared::{SharedAtomicVec, SharedVec};
 use crate::tree::NodeRef;
 
 /// Maximum number of final subspaces the SPACE partitioner may produce.
@@ -87,7 +87,7 @@ pub struct World {
     pub sp_counts: Vec<SharedAtomicVec>,
     /// Per-processor cost rows, parallel to `sp_counts`: the summed
     /// last-step interaction cost of this processor's bodies per octant.
-    pub sp_costs: Vec<SharedAtomicVec64>,
+    pub sp_costs: Vec<SharedAtomicVec<u64>>,
     /// Reduced per-octant body counts (all processors' rows summed). Each
     /// processor reduces a contiguous chunk of the key space every round,
     /// so processor 0's routing pass reads `flen*8` totals instead of
@@ -122,78 +122,46 @@ impl World {
         let n = bodies.len();
         let p = env.num_procs();
         let g = Placement::Global;
+        let local = Placement::Local;
+        let (body, meta, part) = (Region::Bodies, Region::BodyMeta, Region::Partition);
+        let scratch = Region::PartitionScratch;
         let w = World {
             n,
-            pos: SharedVec::new(env, n, Vec3::ZERO, g),
-            vel: SharedVec::new(env, n, Vec3::ZERO, g),
-            acc: SharedVec::new(env, n, Vec3::ZERO, g),
-            mass: SharedVec::new(env, n, 0.0, g),
-            cost: SharedVec::new(env, n, 1, g),
-            body_leaf: SharedAtomicVec::new(env, n, 0, g),
-            order: SharedVec::new(env, n, 0, g),
-            zone_start: SharedVec::new(env, p + 1, 0, g),
-            proc_bbox: SharedVec::new(env, p, Aabb::EMPTY, g),
+            pos: SharedVec::new(env, n, Vec3::ZERO, g, body),
+            vel: SharedVec::new(env, n, Vec3::ZERO, g, body),
+            acc: SharedVec::new(env, n, Vec3::ZERO, g, body),
+            mass: SharedVec::new(env, n, 0.0, g, body),
+            cost: SharedVec::new(env, n, 1, g, meta),
+            body_leaf: SharedAtomicVec::new(env, n, 0, g, meta),
+            order: SharedVec::new(env, n, 0, g, part),
+            zone_start: SharedVec::new(env, p + 1, 0, g, part),
+            proc_bbox: SharedVec::new(env, p, Aabb::EMPTY, g, part),
             sp_frontier: [
-                SharedVec::new(env, FRONTIER_CAP, 0, g),
-                SharedVec::new(env, FRONTIER_CAP, 0, g),
+                SharedVec::new(env, FRONTIER_CAP, 0, g, scratch),
+                SharedVec::new(env, FRONTIER_CAP, 0, g, scratch),
             ],
             sp_counts: (0..p)
-                .map(|q| SharedAtomicVec::new(env, FRONTIER_CAP * 8, 0, Placement::Local(q)))
+                .map(|q| SharedAtomicVec::new(env, FRONTIER_CAP * 8, 0, local(q), scratch))
                 .collect(),
             sp_costs: (0..p)
-                .map(|q| SharedAtomicVec64::new(env, FRONTIER_CAP * 8, 0, Placement::Local(q)))
+                .map(|q| SharedAtomicVec::new(env, FRONTIER_CAP * 8, 0, local(q), scratch))
                 .collect(),
-            sp_total_counts: SharedVec::new(env, FRONTIER_CAP * 8, 0, g),
-            sp_total_costs: SharedVec::new(env, FRONTIER_CAP * 8, 0, g),
-            sp_subspaces: SharedVec::new(env, SUBSPACE_CAP, Subspace::zero(), g),
-            sp_nsub: SharedAtomicVec::new(env, 1, 0, g),
+            sp_total_counts: SharedVec::new(env, FRONTIER_CAP * 8, 0, g, scratch),
+            sp_total_costs: SharedVec::new(env, FRONTIER_CAP * 8, 0, g, scratch),
+            sp_subspaces: SharedVec::new(env, SUBSPACE_CAP, Subspace::zero(), g, scratch),
+            sp_nsub: SharedAtomicVec::new(env, 1, 0, g, scratch),
             sp_body_slot: (0..p)
-                .map(|q| SharedVec::new(env, n, 0, Placement::Local(q)))
+                .map(|q| SharedVec::new(env, n, 0, local(q), scratch))
                 .collect(),
             sp_bucket: (0..p)
-                .map(|q| SharedVec::new(env, n, 0u32, Placement::Local(q)))
+                .map(|q| SharedVec::new(env, n, 0u32, local(q), scratch))
                 .collect(),
             sp_bucket_off: (0..p)
-                .map(|q| SharedVec::new(env, SUBSPACE_CAP + 1, 0u32, Placement::Local(q)))
+                .map(|q| SharedVec::new(env, SUBSPACE_CAP + 1, 0u32, local(q), scratch))
                 .collect(),
         };
-        w.tag_regions(env);
         w.reset(bodies);
         w
-    }
-
-    /// Register every world array with the environment's region registry
-    /// (see [`Env::tag_region`]). Untimed setup; harmless no-op on
-    /// environments without attribution.
-    fn tag_regions<E: Env>(&self, env: &E) {
-        use crate::env::Region;
-        for v in [&self.pos, &self.vel, &self.acc] {
-            v.tag(env, Region::Bodies);
-        }
-        self.mass.tag(env, Region::Bodies);
-        self.cost.tag(env, Region::BodyMeta);
-        self.body_leaf.tag(env, Region::BodyMeta);
-        self.order.tag(env, Region::Partition);
-        self.zone_start.tag(env, Region::Partition);
-        self.proc_bbox.tag(env, Region::Partition);
-        for f in &self.sp_frontier {
-            f.tag(env, Region::PartitionScratch);
-        }
-        for row in &self.sp_counts {
-            row.tag(env, Region::PartitionScratch);
-        }
-        for row in &self.sp_costs {
-            row.tag(env, Region::PartitionScratch);
-        }
-        self.sp_total_counts.tag(env, Region::PartitionScratch);
-        self.sp_total_costs.tag(env, Region::PartitionScratch);
-        self.sp_subspaces.tag(env, Region::PartitionScratch);
-        self.sp_nsub.tag(env, Region::PartitionScratch);
-        for rows in [&self.sp_body_slot, &self.sp_bucket, &self.sp_bucket_off] {
-            for row in rows.iter() {
-                row.tag(env, Region::PartitionScratch);
-            }
-        }
     }
 
     /// Reinitialize already-allocated world state for a new run over
@@ -356,9 +324,9 @@ mod tests {
         // valid tree over it.
         assert_eq!(w.sp_total_counts.peek(17), u32::MAX);
         let tree = SharedTree::new(&env, 64, 4, TreeLayout::PerProcessor);
-        Builder::new(&env, Algorithm::Space, 64, 4)
-            .with_space_threshold(4)
-            .build_once(&env, &tree, &w);
+        let mut builder = Builder::new(&env, Algorithm::Space, 64, 4);
+        builder.space_threshold = 4;
+        builder.build_once(&env, &tree, &w);
         validate(&tree, &w.positions(), &w.masses(), true).unwrap();
         assert!(w.sp_nsub.peek(0) > 8, "SPACE refined only its root");
     }

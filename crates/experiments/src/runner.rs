@@ -217,7 +217,7 @@ pub fn prewarm(runs: impl IntoIterator<Item = Run>, jobs: usize) -> usize {
         return 0;
     }
     let env = NativeEnv::new(jobs.min(runs.len()));
-    let next = SharedAtomicVec::new(&env, 1, 0, Placement::Global);
+    let next: SharedAtomicVec = SharedAtomicVec::new(&env, 1, 0, Placement::Global, Region::Other);
     spmd(&env, |_, ctx| {
         while let Some(run) = runs.get(next.fetch_add(&env, ctx, 0, 1) as usize) {
             simulated(run);

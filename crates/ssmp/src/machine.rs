@@ -118,8 +118,8 @@ pub struct Machine {
     next_local: Box<[AtomicU64]>,
     /// HLRC: total write notices (dirty-page flushes) issued system-wide.
     notices: AtomicU64,
-    /// Region registry. Tagging happens single-threaded during world/tree
-    /// setup; each context snapshots the `Arc` at [`Env::make_ctx`], so the
+    /// Region registry, one range per allocation. Allocation happens
+    /// single-threaded during world/tree setup; each context snapshots the `Arc` at [`Env::make_ctx`], so the
     /// hot path reads the map without taking this mutex (copy-on-write).
     regions: Mutex<Arc<RegionMap>>,
     /// Per-processor mirrors of each context's attribution table and lock
@@ -565,14 +565,14 @@ impl Env for Machine {
         }
     }
 
-    fn alloc(&self, bytes: u64, align: u64, place: Placement) -> VAddr {
+    fn alloc(&self, bytes: u64, align: u64, place: Placement, region: Region) -> VAddr {
         let align = align.max(1).next_power_of_two();
         let counter = match place {
             Placement::Global => &self.next_global,
             Placement::Local(p) => &self.next_local[p.min(self.procs - 1)],
         };
         let mut cur = counter.load(Ordering::Relaxed);
-        loop {
+        let base = loop {
             let base = (cur + align - 1) & !(align - 1);
             match counter.compare_exchange_weak(
                 cur,
@@ -580,10 +580,15 @@ impl Env for Machine {
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return base,
+                Ok(_) => break base,
                 Err(actual) => cur = actual,
             }
-        }
+        };
+        // Copy-on-write: contexts snapshot the Arc at creation, so the
+        // (setup-time, single-threaded) allocation path pays for any copy
+        // and the per-access lookup path stays lock-free.
+        Arc::make_mut(&mut self.regions.lock()).insert(base, bytes, region);
+        base
     }
 
     /// The common case is decided here, inlined into the caller (where
@@ -719,7 +724,7 @@ impl Env for Machine {
         self.rendezvous.depart(std::thread::panicking());
     }
 
-    fn phase_begin(&self, ctx: &mut SimCtx, phase: Phase, _step: u32) {
+    fn phase_begin(&self, ctx: &mut SimCtx, phase: Phase) {
         // Phase boundaries are free in every cost model: the real protocol
         // work (invalidation drains, epoch opens) rides on the barriers the
         // application already executes at those boundaries. Attribution
@@ -727,18 +732,8 @@ impl Env for Machine {
         ctx.slot = phase.index();
     }
 
-    fn phase_end(&self, ctx: &mut SimCtx, _phase: Phase, _step: u32) {
+    fn phase_end(&self, ctx: &mut SimCtx, _phase: Phase) {
         ctx.slot = SETUP_SLOT;
-    }
-
-    fn tag_region(&self, base: VAddr, bytes: u64, region: Region) {
-        // Copy-on-write: contexts snapshot the Arc at creation, so the
-        // (setup-time, single-threaded) tagging path pays for the copy and
-        // the per-access lookup path stays lock-free.
-        let mut guard = self.regions.lock();
-        let mut map = (**guard).clone();
-        map.insert(base, bytes, region);
-        *guard = Arc::new(map);
     }
 
     fn now(&self, ctx: &SimCtx) -> u64 {
@@ -791,7 +786,7 @@ mod tests {
     fn repeated_reads_hit_after_first_miss() {
         let m = origin(2);
         let mut ctx = m.make_ctx(0);
-        let a = m.alloc(64, 64, Placement::Local(0));
+        let a = m.alloc(64, 64, Placement::Local(0), Region::Other);
         m.access(&mut ctx, a, 8, Access::Read);
         let after_miss = ctx.clock;
         assert!(after_miss >= m.cost_model().t_local_miss);
@@ -802,8 +797,8 @@ mod tests {
     #[test]
     fn remote_miss_costs_more_than_local() {
         let m = origin(2);
-        let local = m.alloc(128, 128, Placement::Local(0));
-        let remote = m.alloc(128, 128, Placement::Local(1));
+        let local = m.alloc(128, 128, Placement::Local(0), Region::Other);
+        let remote = m.alloc(128, 128, Placement::Local(1), Region::Other);
         let mut ctx = m.make_ctx(0);
         let c0 = ctx.clock;
         m.access(&mut ctx, local, 8, Access::Read);
@@ -825,7 +820,7 @@ mod tests {
         // Classic ping-pong: P0 reads a line, P1 writes it, P0's next read
         // must miss again.
         let m = origin(2);
-        let a = m.alloc(128, 128, Placement::Global);
+        let a = m.alloc(128, 128, Placement::Global, Region::Other);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         m.access(&mut c0, a, 8, Access::Read);
@@ -844,7 +839,7 @@ mod tests {
         // Two processors writing different words of the same line keep
         // invalidating each other; writing different lines do not.
         let m = origin(2);
-        let same_line = m.alloc(128, 128, Placement::Global);
+        let same_line = m.alloc(128, 128, Placement::Global, Region::Other);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         for _ in 0..50 {
@@ -854,8 +849,8 @@ mod tests {
         let pingpong = c0.clock + c1.clock;
 
         let m2 = origin(2);
-        let a0 = m2.alloc(128, 128, Placement::Global);
-        let a1 = m2.alloc(128, 128, Placement::Global);
+        let a0 = m2.alloc(128, 128, Placement::Global, Region::Other);
+        let a1 = m2.alloc(128, 128, Placement::Global, Region::Other);
         let mut d0 = m2.make_ctx(0);
         let mut d1 = m2.make_ctx(1);
         for _ in 0..50 {
@@ -874,7 +869,7 @@ mod tests {
         // Lazy release consistency: a write by P1 is invisible (and costs
         // P0 nothing) until P0 passes an acquire point.
         let m = hlrc(2);
-        let a = m.alloc(4096, 4096, Placement::Global);
+        let a = m.alloc(4096, 4096, Placement::Global, Region::Other);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         m.access(&mut c0, a, 8, Access::Read); // map the page
@@ -911,7 +906,7 @@ mod tests {
         // The virtual release time of the previous holder gates the next
         // acquire: page faults inside the critical section dilate it.
         let m = hlrc(2);
-        let a = m.alloc(4096, 4096, Placement::Global);
+        let a = m.alloc(4096, 4096, Placement::Global, Region::Other);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         // P1 writes the page under lock 3 (creating versions to fault on).
@@ -966,8 +961,8 @@ mod tests {
     #[test]
     fn alloc_regions_are_disjoint_and_homed() {
         let m = origin(4);
-        let g = m.alloc(100, 64, Placement::Global);
-        let l2 = m.alloc(100, 64, Placement::Local(2));
+        let g = m.alloc(100, 64, Placement::Global, Region::Other);
+        let l2 = m.alloc(100, 64, Placement::Local(2), Region::Other);
         assert!(g < 1 << LOCAL_SHIFT);
         assert_eq!(l2 >> LOCAL_SHIFT, 3);
         assert_eq!(m.home_of(l2), 2);
@@ -979,7 +974,7 @@ mod tests {
         // at this processor's next acquire, proportionally to how many
         // intervals were flushed.
         let m = hlrc(2);
-        let a = m.alloc(3 * 4096, 4096, Placement::Global);
+        let a = m.alloc(3 * 4096, 4096, Placement::Global, Region::Other);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         // P1 dirties 3 pages in one interval.
@@ -1006,7 +1001,7 @@ mod tests {
         // same virtual time: both pay the full software fault, and the
         // second also queues behind the home's handler occupancy.
         let m = hlrc(3);
-        let a = m.alloc(4096, 4096, Placement::Global);
+        let a = m.alloc(4096, 4096, Placement::Global, Region::Other);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         let mut c2 = m.make_ctx(2);
@@ -1046,7 +1041,7 @@ mod tests {
         let m = origin(4);
         let occ = m.cost_model().t_rmw_occupancy;
         assert!(occ > 0);
-        let a = m.alloc(8, 8, Placement::Global);
+        let a = m.alloc(8, 8, Placement::Global, Region::Other);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         // Both at vt 0: each RMW pays at least occ; the second also queues.
@@ -1067,7 +1062,7 @@ mod tests {
         // P0's next *read* still hits (downgrade, not invalidation) while a
         // next write re-misses (upgrade).
         let m = origin(2);
-        let a = m.alloc(128, 128, Placement::Global);
+        let a = m.alloc(128, 128, Placement::Global, Region::Other);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         m.access(&mut c0, a, 8, Access::Write);
@@ -1090,7 +1085,7 @@ mod tests {
     #[test]
     fn hlrc_write_creates_twin_once_per_interval() {
         let m = hlrc(1);
-        let a = m.alloc(4096, 4096, Placement::Local(0));
+        let a = m.alloc(4096, 4096, Placement::Local(0), Region::Other);
         let mut ctx = m.make_ctx(0);
         m.access(&mut ctx, a, 8, Access::Read); // map in
         let before = ctx.clock;
@@ -1177,22 +1172,23 @@ mod tests {
         // clocks and aggregate stats must be bitwise identical; the tagged
         // one localizes every event, and its table's totals are its stats.
         let ops = |m: &Machine, tag: bool| {
-            let a = m.alloc(256, 64, Placement::Global);
-            let b = m.alloc(256, 64, Placement::Local(1));
-            if tag {
-                m.tag_region(a, 256, Region::Bodies);
-                m.tag_region(b, 256, Region::TreeCells);
-            }
+            let (ra, rb) = if tag {
+                (Region::Bodies, Region::TreeCells)
+            } else {
+                (Region::Other, Region::Other)
+            };
+            let a = m.alloc(256, 64, Placement::Global, ra);
+            let b = m.alloc(256, 64, Placement::Local(1), rb);
             let mut ctx = m.make_ctx(0);
-            m.phase_begin(&mut ctx, Phase::Tree, 0);
+            m.phase_begin(&mut ctx, Phase::Tree);
             m.access(&mut ctx, a, 8, Access::Read);
             m.access(&mut ctx, b, 8, Access::Write);
             m.lock(&mut ctx, 70); // node lock -> tree-cells
             m.unlock(&mut ctx, 70);
-            m.phase_end(&mut ctx, Phase::Tree, 0);
+            m.phase_end(&mut ctx, Phase::Tree);
             m.lock(&mut ctx, 3); // free-list lock -> tree-alloc
             m.unlock(&mut ctx, 3);
-            let untagged = m.alloc(64, 64, Placement::Local(1));
+            let untagged = m.alloc(64, 64, Placement::Local(1), Region::Other);
             m.access(&mut ctx, untagged, 8, Access::Read);
             (ctx.clock, m.stats(&ctx))
         };
@@ -1233,17 +1229,16 @@ mod tests {
     #[test]
     fn attribution_localizes_hlrc_faults() {
         let m = hlrc(2);
-        let a = m.alloc(4096, 4096, Placement::Global);
-        m.tag_region(a, 4096, Region::FlatTree);
+        let a = m.alloc(4096, 4096, Placement::Global, Region::FlatTree);
         let mut c0 = m.make_ctx(0);
         let mut c1 = m.make_ctx(1);
         m.lock(&mut c1, 9);
         m.access(&mut c1, a, 8, Access::Write);
         m.unlock(&mut c1, 9);
         m.lock(&mut c0, 9);
-        m.phase_begin(&mut c0, Phase::Force, 0);
+        m.phase_begin(&mut c0, Phase::Force);
         m.access(&mut c0, a, 8, Access::Read); // faults on the modified page
-        m.phase_end(&mut c0, Phase::Force, 0);
+        m.phase_end(&mut c0, Phase::Force);
         m.unlock(&mut c0, 9);
         let s0 = m.stats(&c0);
         let s1 = m.stats(&c1);

@@ -9,8 +9,8 @@
 //!    run's final [`CtxStats`] *exactly* — for every algorithm, on both a
 //!    hardware-coherent and a software-SVM platform, at one and several
 //!    processors, and per job on a reused engine.
-//! 2. **Resolution.** Tagged regions absorb the traffic; the untagged
-//!    catch-all stays a sliver.
+//! 2. **Resolution.** Named regions absorb the traffic; the catch-all
+//!    `other` row stays empty for every algorithm.
 //! 3. **Locks by id.** [`Machine::lock_histogram`] counts the same acquires
 //!    and wait by raw lock id: summed, it is the run's all-steps lock
 //!    totals, and a lock-free builder leaves it empty.
@@ -132,6 +132,23 @@ fn attribution_resolves_regions() {
             fl.local_misses + fl.remote_misses > 0,
             "{name}: force-list emission traffic must land in its own region"
         );
+    }
+}
+
+/// Every shared allocation names its region, so on both platform
+/// families, serial and parallel, no miss, fault, invalidation or lock of
+/// any algorithm lands in the catch-all `other` row.
+#[test]
+fn every_algorithm_leaves_the_other_row_empty() {
+    for cost in [platform::origin2000(4), platform::typhoon0_hlrc(4)] {
+        for alg in ALGS {
+            for procs in [1, 4] {
+                let (_, sum) = run_attributed(&cost, alg, procs);
+                let other = sum.region_total(Region::Other);
+                let label = format!("{}/{}/{procs}p", cost.name, alg.name());
+                assert!(other.is_zero(), "{label}: {other:?}");
+            }
+        }
     }
 }
 

@@ -159,7 +159,7 @@ fn seeded_race_is_caught() {
     // Unsynchronized read-modify-write on a plain shared word: the classic
     // lost-update race. The detector must report it.
     let env = CheckedEnv::new(NativeEnv::new(4));
-    let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global);
+    let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
     spmd(&env, |_proc, ctx| {
         for _ in 0..16 {
             let x = v.load(&env, ctx, 0);
@@ -176,7 +176,7 @@ fn seeded_racy_tree_phase_is_caught() {
     // A broken "parallel" loop over one shared accumulator, barrier-free:
     // models the kind of bug the ORIG algorithm's per-cell locks prevent.
     let env = CheckedEnv::new(NativeEnv::new(2));
-    let acc: SharedVec<f64> = SharedVec::new(&env, 4, 0.0, Placement::Global);
+    let acc: SharedVec<f64> = SharedVec::new(&env, 4, 0.0, Placement::Global, Region::Other);
     spmd(&env, |proc, ctx| {
         if proc == 0 {
             for i in 0..4 {

@@ -15,16 +15,38 @@
 //! what these tests cover.
 
 use bh_core::prelude::*;
-use bh_core::sched::explore_algorithm;
 
 /// 25 seeded schedules per (algorithm, procs) cell; with six algorithms
 /// at 2 and 3 processors this certifies 6 × 2 × 25 = 300 seeded schedules,
 /// clearing the 200-schedule floor with the round-robin runs on top.
 const SEEDS_PER_CELL: usize = 25;
 
+/// The pre-merge workload's configuration: k = 2, one warm-up and one
+/// measured step, the default group size.
+fn fast_cfg(alg: Algorithm) -> SimConfig {
+    let mut cfg = SimConfig::new(alg);
+    cfg.k = 2;
+    cfg.warmup_steps = 1;
+    cfg.measured_steps = 1;
+    cfg
+}
+
+/// Explore the whole simulation `cfg` describes, over `n` Plummer bodies
+/// (seed 1998) on `procs` processors, under `plan` with a budget of
+/// 2,000,000 sync operations per schedule; a schedule fails on the run's
+/// validation error.
+fn explore_sim(cfg: SimConfig, n: usize, procs: usize, plan: &ExplorePlan) -> Exploration {
+    let bodies = Model::Plummer.generate(n, 1998);
+    let budget = SchedConfig {
+        op_budget: 2_000_000,
+    };
+    explore(procs, plan, &budget, move |env: &VerifyEnv| {
+        run_simulation(env, &cfg, &bodies).validation_error.clone()
+    })
+}
+
 fn certify(alg: Algorithm, procs: usize, plan: &ExplorePlan) {
-    let spec = MatrixSpec::fast();
-    let agg = explore_algorithm(alg, procs, plan, &spec);
+    let agg = explore_sim(fast_cfg(alg), 24, procs, plan);
     let mut report = String::new();
     for ce in &agg.counterexamples {
         report.push_str(&format!("{ce}"));
@@ -95,7 +117,6 @@ fn morton_sort_and_emit_kernel_bounded_exhaustive() {
     use bh_core::algorithms::morton;
     use bh_core::harness::spmd;
     use bh_core::math::{Aabb, Cube};
-    use bh_core::sched::{explore, SchedConfig};
     use bh_core::tree::flat::FlatTree;
     use bh_core::tree::validate::validate_flat_morton;
     use bh_core::world::World;
@@ -153,17 +174,17 @@ fn morton_sort_and_emit_kernel_bounded_exhaustive() {
 #[test]
 fn grouped_force_kernel_certifies_across_group_sizes() {
     for gs in [1usize, 3, 16] {
-        let mut spec = MatrixSpec::fast();
-        spec.group_size = gs;
         for alg in [Algorithm::Orig, Algorithm::Morton] {
-            let agg = explore_algorithm(
-                alg,
+            let mut cfg = fast_cfg(alg);
+            cfg.group_size = gs;
+            let agg = explore_sim(
+                cfg,
+                24,
                 2,
                 &ExplorePlan::Seeded {
                     base: 500,
                     count: 8,
                 },
-                &spec,
             );
             assert!(
                 agg.certified(),
@@ -196,14 +217,9 @@ fn round_robin_matrix_is_clean() {
 /// nesting was actually observed and that the union graph is acyclic.
 #[test]
 fn update_freelist_nesting_stays_acyclic() {
-    let mut spec = MatrixSpec::fast();
-    spec.measured_steps = 2;
-    let agg = explore_algorithm(
-        Algorithm::Update,
-        2,
-        &ExplorePlan::Seeded { base: 77, count: 8 },
-        &spec,
-    );
+    let mut cfg = fast_cfg(Algorithm::Update);
+    cfg.measured_steps = 2;
+    let agg = explore_sim(cfg, 24, 2, &ExplorePlan::Seeded { base: 77, count: 8 });
     assert!(
         agg.lock_cycles.is_empty(),
         "UPDATE lock-order cycles: {:?}",
@@ -221,19 +237,17 @@ fn update_freelist_nesting_stays_acyclic() {
 /// whole bounded space. About 13 s in a debug build, 3 s in release.
 #[test]
 fn space_bounded_exhaustive_at_two_procs() {
-    let mut spec = MatrixSpec::fast();
-    spec.n = 8;
-    spec.k = 1;
-    spec.warmup_steps = 0;
-    spec.measured_steps = 1;
-    let agg = explore_algorithm(
-        Algorithm::Space,
+    let mut cfg = fast_cfg(Algorithm::Space);
+    cfg.k = 1;
+    cfg.warmup_steps = 0;
+    let agg = explore_sim(
+        cfg,
+        8,
         2,
         &ExplorePlan::Exhaustive {
             preemption_bound: 1,
             max_schedules: 500,
         },
-        &spec,
     );
     let mut report = String::new();
     for ce in &agg.counterexamples {
