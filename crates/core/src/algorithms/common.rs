@@ -42,7 +42,7 @@ pub fn bounds_phase<E: Env>(env: &E, ctx: &mut E::Ctx, world: &World, proc: usiz
 /// a barrier before other processors start inserting.
 pub fn create_root<E: Env>(env: &E, ctx: &mut E::Ctx, tree: &SharedTree, cube: Cube) -> NodeRef {
     let arena = tree.arena_of(0);
-    let root = tree.alloc_cell(env, ctx, arena, 0);
+    let root = tree.alloc_cell(env, ctx, arena);
     tree.update_cell(env, ctx, root, |c| {
         c.center = cube.center;
         c.half = cube.half;
@@ -139,7 +139,7 @@ pub fn insert_locked<E: Env>(
         // with this stale one, naming a retired leaf.
         env.compute(ctx, SUBDIVIDE_CYCLES);
         let sub_cube = cube.octant(oct);
-        let sub = new_cell(env, ctx, tree, arena, owner, cell, oct, sub_cube);
+        let sub = new_cell(env, ctx, tree, arena, cell, oct, sub_cube);
         let mut fwd = Vec::with_capacity(l.n as usize + 1);
         for &b in l.body_slice() {
             insert_private(
@@ -244,7 +244,7 @@ pub fn insert_private<E: Env>(
         }
         env.compute(ctx, SUBDIVIDE_CYCLES);
         let sub_cube = cube.octant(oct);
-        let sub = new_cell(env, ctx, tree, arena, owner, cell, oct, sub_cube);
+        let sub = new_cell(env, ctx, tree, arena, cell, oct, sub_cube);
         for &b in l.body_slice() {
             insert_private(
                 env,
@@ -270,18 +270,16 @@ pub fn insert_private<E: Env>(
 }
 
 /// Allocate and initialize a new cell under `parent`.
-#[allow(clippy::too_many_arguments)]
 pub fn new_cell<E: Env>(
     env: &E,
     ctx: &mut E::Ctx,
     tree: &SharedTree,
     arena: usize,
-    owner: usize,
     parent: NodeRef,
     oct: usize,
     cube: Cube,
 ) -> NodeRef {
-    let cell = tree.alloc_cell(env, ctx, arena, owner);
+    let cell = tree.alloc_cell(env, ctx, arena);
     tree.update_cell(env, ctx, cell, |c| {
         c.parent = parent;
         c.octant_in_parent = oct as u8;

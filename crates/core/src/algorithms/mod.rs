@@ -91,44 +91,58 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Per-run state of the selected algorithm (scratch arrays and parameters).
+/// Per-run state of the selected algorithm: exactly the scratch arrays and
+/// parameters that algorithm reads, allocated (untimed) when it is created.
 pub struct Builder {
-    pub alg: Algorithm,
-    pub space_threshold: usize,
-    pub space_rebalance: f64,
-    update_scratch: Option<update::UpdateScratch>,
-    morton_scratch: Option<morton::MortonScratch>,
+    variant: Variant,
+}
+
+enum Variant {
+    /// ORIG and LOCAL insert into the tree directly; the tree layout tells
+    /// them apart.
+    Direct,
+    Partree,
+    Update(update::UpdateScratch),
+    Space {
+        scratch: space::SpaceScratch,
+        threshold: usize,
+        rebalance: f64,
+    },
+    Morton(morton::MortonScratch),
 }
 
 impl Builder {
     /// Create the builder for `alg` over `n` bodies; allocates any scratch
     /// the algorithm needs from `env`.
     pub fn new<E: Env>(env: &E, alg: Algorithm, n: usize, k: usize) -> Builder {
-        let p = env.num_procs();
-        Builder {
-            alg,
-            space_threshold: space::default_threshold(n, p, k),
-            space_rebalance: space::DEFAULT_REBALANCE,
-            update_scratch: match alg {
-                Algorithm::Update => Some(update::UpdateScratch::new(env, n)),
-                _ => None,
+        let variant = match alg {
+            Algorithm::Orig | Algorithm::Local => Variant::Direct,
+            Algorithm::Partree => Variant::Partree,
+            Algorithm::Update => Variant::Update(update::UpdateScratch::new(env, n)),
+            Algorithm::Space => Variant::Space {
+                scratch: space::SpaceScratch::new(env, n),
+                threshold: space::default_threshold(n, env.num_procs(), k),
+                rebalance: space::DEFAULT_REBALANCE,
             },
-            morton_scratch: match alg {
-                Algorithm::Morton => Some(morton::MortonScratch::new(env, n)),
-                _ => None,
-            },
-        }
+            Algorithm::Morton => Variant::Morton(morton::MortonScratch::new(env, n)),
+        };
+        Builder { variant }
     }
 
     /// The MORTON sort workspace; panics for other algorithms.
     pub fn morton_scratch(&self) -> &morton::MortonScratch {
-        self.morton_scratch.as_ref().expect("MORTON scratch")
+        match &self.variant {
+            Variant::Morton(scratch) => scratch,
+            _ => panic!("only the MORTON builder has a sort workspace"),
+        }
     }
 
     /// Override the SPACE cost-rebalance factor (`0.0` disables the extra
-    /// refinement round for costly subspaces).
-    pub fn with_space_rebalance(mut self, rebalance: f64) -> Builder {
-        self.space_rebalance = rebalance.max(0.0);
+    /// refinement round for costly subspaces); other builders ignore it.
+    pub fn with_space_rebalance(mut self, factor: f64) -> Builder {
+        if let Variant::Space { rebalance, .. } = &mut self.variant {
+            *rebalance = factor.max(0.0);
+        }
         self
     }
 
@@ -145,24 +159,20 @@ impl Builder {
         step: u32,
         cube: Cube,
     ) {
-        match self.alg {
-            Algorithm::Orig | Algorithm::Local => direct::build(env, ctx, tree, world, proc, cube),
-            Algorithm::Partree => partree::build(env, ctx, tree, world, proc, cube),
-            Algorithm::Space => space::build(
-                env,
-                ctx,
-                tree,
-                world,
-                proc,
-                cube,
-                self.space_threshold,
-                self.space_rebalance,
+        match &self.variant {
+            Variant::Direct => direct::build(env, ctx, tree, world, proc, cube),
+            Variant::Partree => partree::build(env, ctx, tree, world, proc, cube),
+            Variant::Space {
+                scratch,
+                threshold,
+                rebalance,
+            } => space::build(
+                env, ctx, tree, world, scratch, proc, cube, *threshold, *rebalance,
             ),
-            Algorithm::Update => {
-                let scratch = self.update_scratch.as_ref().expect("UPDATE scratch");
+            Variant::Update(scratch) => {
                 update::build(env, ctx, tree, world, scratch, proc, step, cube)
             }
-            Algorithm::Morton => {
+            Variant::Morton(_) => {
                 unreachable!("MORTON builds the flat tree directly (see MortonTreeStage)")
             }
         }
@@ -179,12 +189,11 @@ impl Builder {
         proc: usize,
         step: u32,
     ) {
-        match self.alg {
-            Algorithm::Update => {
-                let scratch = self.update_scratch.as_ref().expect("UPDATE scratch");
+        match &self.variant {
+            Variant::Update(scratch) => {
                 update::com_phase(env, ctx, tree, world, scratch, proc, step)
             }
-            Algorithm::Morton => {
+            Variant::Morton(_) => {
                 unreachable!("MORTON computes centers of mass during emission")
             }
             _ => common::com_pass(env, ctx, tree, world, proc, step),
@@ -193,7 +202,7 @@ impl Builder {
 
     /// Whether validation should tolerate empty husk cells.
     pub fn may_leave_husks(&self) -> bool {
-        self.alg == Algorithm::Update
+        matches!(self.variant, Variant::Update(_))
     }
 
     /// Test support: a step-0 bounds, build and centre-of-mass pass on
@@ -206,6 +215,18 @@ impl Builder {
             env.barrier(ctx);
             self.com(env, ctx, tree, world, proc, 0);
         });
+    }
+
+    /// Overwrite the builder's scratch with garbage, so a test can show a
+    /// run reads nothing there it did not write.
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        match &self.variant {
+            Variant::Update(scratch) => scratch.poison(),
+            Variant::Space { scratch, .. } => scratch.poison(),
+            Variant::Morton(scratch) => scratch.poison(),
+            Variant::Direct | Variant::Partree => {}
+        }
     }
 }
 

@@ -35,7 +35,7 @@ pub fn build<E: Env>(
 
     // Phase 1: build the local tree (InsertParticlesInTree) — lock-free.
     let arena = tree.arena_of(proc);
-    let local_root = new_cell(env, ctx, tree, arena, proc, NodeRef::NULL, 0, cube);
+    let local_root = new_cell(env, ctx, tree, arena, NodeRef::NULL, 0, cube);
     let (s, e) = world.zone(proc);
     let mut fwd = Vec::new();
     for i in s..e {
@@ -167,7 +167,7 @@ fn attach<E: Env>(
                 // pointers are flushed only after publication (still under
                 // the global cell's lock) so the private subtree never
                 // leaks through `body_leaf`.
-                let sub = new_cell(env, ctx, tree, arena, proc, gcell, oct, sub_cube);
+                let sub = new_cell(env, ctx, tree, arena, gcell, oct, sub_cube);
                 let mut fwd = Vec::with_capacity((gl.n + ll.n) as usize);
                 for &b in gl.body_slice() {
                     insert_private(

@@ -14,10 +14,11 @@
 //! A reset restores what a run reads before writing it, not the fresh
 //! bytes: [`World::reset`] rewrites the body arrays and the initial
 //! assignment, [`SharedTree::reset`] empties the tree's allocation state,
-//! and the flat snapshot, the force lists and MORTON's sort workspace are
-//! not touched at all, because every step overwrites each slot of them it
-//! reads. Scratch keeps the last job's bytes, whose values no run uses. So a
-//! reused engine produces **bitwise-identical physics** to a fresh
+//! and the flat snapshot, the force lists and the builders' scratch
+//! (UPDATE's husk lists, SPACE's partitioner arrays, MORTON's sort
+//! workspace) are not touched at all, because every step overwrites each
+//! slot of them it reads. Scratch keeps the last job's bytes, whose values
+//! no run uses. So a reused engine produces **bitwise-identical physics** to a fresh
 //! [`crate::app::run_simulation`] call for the same config and bodies
 //! (`tests/engine_reuse.rs` certifies this, and this module's poison test
 //! runs every algorithm on state filled with garbage). Timing-derived
@@ -46,8 +47,8 @@ pub(crate) struct EngineState {
     /// Interaction-list scratch for the batched force kernel; shaped like
     /// the flat snapshot.
     force_scratch: ForceScratch,
-    /// One builder per algorithm, kept because some algorithms (Update)
-    /// own per-processor scratch arrays sized to `n`.
+    /// One builder per algorithm, kept because UPDATE, SPACE and MORTON
+    /// own scratch arrays sized to `n`.
     builders: HashMap<Algorithm, Builder>,
 }
 
@@ -273,9 +274,7 @@ mod tests {
                 st.tree.poison();
                 st.flat.poison();
                 st.force_scratch.poison();
-                if alg.builds_flat_directly() {
-                    st.builders[&alg].morton_scratch().poison();
-                }
+                st.builders[&alg].poison();
                 let reused = job(&mut parked, &cfg, &bodies);
                 if procs == 1 {
                     assert!(reused.bits == fresh.bits, "{alg}: final bodies differ");

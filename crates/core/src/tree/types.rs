@@ -23,12 +23,9 @@ pub const MAX_LEAF_BODIES: usize = 16;
 /// the input contains more than `k` coincident bodies.
 pub const MAX_DEPTH: usize = 64;
 
-/// Marker stored in `owner` fields of freed nodes.
-pub const OWNER_FREE: u8 = u8::MAX;
-
 /// A packed reference to a tree node: 2 bits kind, 6 bits arena, 24 bits
-/// index. The all-zero value is NULL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// index. The all-zero value (the default) is NULL.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 #[repr(transparent)]
 pub struct NodeRef(pub u32);
 
@@ -108,8 +105,6 @@ pub struct Cell {
     pub cost: u64,
     /// Number of bodies in the rooted subtree (valid after the CoM phase).
     pub count: u32,
-    /// Processor that created (or currently owns) this cell.
-    pub owner: u8,
     pub octant_in_parent: u8,
     pub in_use: bool,
     /// Set when the UPDATE algorithm has recorded this cell in a husk list
@@ -130,7 +125,6 @@ impl Cell {
             mass: 0.0,
             cost: 0,
             count: 0,
-            owner: 0,
             octant_in_parent: 0,
             in_use: false,
             husk_listed: false,
@@ -154,7 +148,6 @@ pub struct Leaf {
     pub com: Vec3,
     pub mass: f64,
     pub cost: u64,
-    pub owner: u8,
     /// Processor whose created-leaf list this leaf is recorded in.
     pub listed_by: u8,
     pub octant_in_parent: u8,
@@ -176,7 +169,6 @@ impl Leaf {
             com: Vec3::ZERO,
             mass: 0.0,
             cost: 0,
-            owner: 0,
             listed_by: u8::MAX,
             octant_in_parent: 0,
             in_use: false,
@@ -221,12 +213,12 @@ pub struct Arena {
     pub next_cell: SharedAtomicVec,
     /// `[0]` = next free leaf index (bump).
     pub next_leaf: SharedAtomicVec,
-    /// Free-list stacks used by the UPDATE algorithm's reclamation.
-    pub free_cells: SharedVec<u32>,
+    /// Free-leaf stack of the UPDATE algorithm's reclamation (UPDATE frees
+    /// leaves only; a cell emptied of children stays as a husk).
     pub free_leaves: SharedVec<u32>,
-    /// `[0]` = depth of `free_cells`; `[1]` = depth of `free_leaves`. Guarded
-    /// by the arena's free-list lock.
-    pub free_tops: SharedAtomicVec,
+    /// `[0]` = depth of `free_leaves`. Guarded by the arena's free-list
+    /// lock.
+    pub free_top: SharedAtomicVec,
 }
 
 impl Arena {
@@ -333,9 +325,8 @@ impl SharedTree {
                 cell_pending: SharedAtomicVec::new(env, ncells, 0, place(a), cells),
                 next_cell: SharedAtomicVec::new(env, 1, 0, place(a), alloc),
                 next_leaf: SharedAtomicVec::new(env, 1, 0, place(a), alloc),
-                free_cells: SharedVec::new(env, ncells, 0, place(a), alloc),
                 free_leaves: SharedVec::new(env, nleaves, 0, place(a), alloc),
-                free_tops: SharedAtomicVec::new(env, 2, 0, place(a), alloc),
+                free_top: SharedAtomicVec::new(env, 1, 0, place(a), alloc),
             })
             .collect();
         // In the GlobalArena (ORIG) layout the per-processor lists and
@@ -603,14 +594,8 @@ impl SharedTree {
 
     // ----- allocation -------------------------------------------------------
 
-    /// Allocate a fresh cell from `arena`, owned by `owner`.
-    pub fn alloc_cell<E: Env>(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        arena: usize,
-        owner: usize,
-    ) -> NodeRef {
+    /// Allocate a fresh cell from `arena`.
+    pub fn alloc_cell<E: Env>(&self, env: &E, ctx: &mut E::Ctx, arena: usize) -> NodeRef {
         let a = &self.arenas[arena];
         let idx = a.next_cell.fetch_add(env, ctx, 0, 1) as usize;
         assert!(
@@ -620,7 +605,6 @@ impl SharedTree {
         );
         let r = NodeRef::cell(arena, idx);
         let mut c = Cell::empty();
-        c.owner = owner as u8;
         c.in_use = true;
         a.cells.store(env, ctx, idx, c);
         a.cell_pending.store(env, ctx, idx, 0);
@@ -631,24 +615,24 @@ impl SharedTree {
         r
     }
 
-    /// Allocate a fresh leaf from `arena`, owned by `owner`, recording it in
-    /// `owner`'s created-leaf list (unless it is already listed there from a
+    /// Allocate a fresh leaf from `arena` for processor `proc`, recording it
+    /// in `proc`'s created-leaf list (unless it is already listed there from a
     /// previous step — UPDATE reuse).
     pub fn alloc_leaf<E: Env>(
         &self,
         env: &E,
         ctx: &mut E::Ctx,
         arena: usize,
-        owner: usize,
+        proc: usize,
     ) -> NodeRef {
         let a = &self.arenas[arena];
         // Try the free list first (only ever populated by UPDATE).
-        let reused = if a.free_tops.peek(1) > 0 {
+        let reused = if a.free_top.peek(0) > 0 {
             env.lock(ctx, a.freelist_lock());
-            let top = a.free_tops.load(env, ctx, 1);
+            let top = a.free_top.load(env, ctx, 0);
             let got = if top > 0 {
                 let idx = a.free_leaves.load(env, ctx, top as usize - 1);
-                a.free_tops.store(env, ctx, 1, top - 1);
+                a.free_top.store(env, ctx, 0, top - 1);
                 Some(idx as usize)
             } else {
                 None
@@ -672,15 +656,14 @@ impl SharedTree {
         };
         let r = NodeRef::leaf(arena, idx);
         let mut l = Leaf::empty();
-        l.owner = owner as u8;
         l.in_use = true;
-        l.listed_by = owner as u8;
+        l.listed_by = proc as u8;
         a.leaves.store(env, ctx, idx, l);
         // Always record: duplicate list entries are deduplicated by the CoM
         // pass's `com_stamp` (same processor scans its list sequentially),
         // and entries whose leaf was re-listed by another processor are
         // skipped via `listed_by`.
-        self.record_leaf(env, ctx, owner, r);
+        self.record_leaf(env, ctx, proc, r);
         r
     }
 
@@ -703,7 +686,6 @@ impl SharedTree {
         debug_assert!(r.is_leaf());
         self.update_leaf(env, ctx, r, |l| {
             l.in_use = false;
-            l.owner = OWNER_FREE;
             l.n = 0;
         });
         self.set_leaf_parent(env, ctx, r, NodeRef::NULL);
@@ -717,15 +699,14 @@ impl SharedTree {
         let a = &self.arenas[r.arena()];
         self.update_leaf(env, ctx, r, |l| {
             l.in_use = false;
-            l.owner = OWNER_FREE;
             l.n = 0;
         });
         self.set_leaf_parent(env, ctx, r, NodeRef::NULL);
         env.lock(ctx, a.freelist_lock());
-        let top = a.free_tops.load(env, ctx, 1);
+        let top = a.free_top.load(env, ctx, 0);
         a.free_leaves
             .store(env, ctx, top as usize, r.index() as u32);
-        a.free_tops.store(env, ctx, 1, top + 1);
+        a.free_top.store(env, ctx, 0, top + 1);
         env.unlock(ctx, a.freelist_lock());
     }
 
@@ -737,8 +718,7 @@ impl SharedTree {
             let a = &self.arenas[proc];
             a.next_cell.store(env, ctx, 0, 0);
             a.next_leaf.store(env, ctx, 0, 0);
-            a.free_tops.store(env, ctx, 0, 0);
-            a.free_tops.store(env, ctx, 1, 0);
+            a.free_top.store(env, ctx, 0, 0);
         }
         self.leaf_list_len[proc].store(env, ctx, 0, 0);
         // Rebuilding from scratch invalidates any listed_by memory: entries
@@ -750,11 +730,11 @@ impl SharedTree {
 
     /// Return already-allocated tree storage to an empty tree (untimed,
     /// single-threaded engine setup between jobs): allocation cursors,
-    /// free-stack depths and leaf-list lengths at zero, `root` NULL and
+    /// free-stack depth and leaf-list lengths at zero, `root` NULL and
     /// `root_cube` as [`SharedTree::new`] leaves it.
     ///
-    /// Records, child slots, the leaf mirrors, pending counters, free
-    /// stacks and leaf lists keep the last run's bytes. A run never reads
+    /// Records, child slots, the leaf mirrors, pending counters, the free
+    /// stack and leaf lists keep the last run's bytes. A run never reads
     /// them before writing them: [`SharedTree::alloc_cell`] and
     /// [`SharedTree::alloc_leaf`] store a whole record (and a cell's pending
     /// counter and child slots) before anything loads it, and every other
@@ -767,7 +747,7 @@ impl SharedTree {
         for a in &self.arenas {
             a.next_cell.poke(0, 0);
             a.next_leaf.poke(0, 0);
-            a.free_tops.fill(0);
+            a.free_top.poke(0, 0);
         }
         for len in &self.leaf_list_len {
             len.poke(0, 0);
@@ -788,7 +768,6 @@ impl SharedTree {
                 mass: f64::NAN,
                 cost: u64::MAX,
                 count: u32::MAX,
-                owner: 0,
                 octant_in_parent: u8::MAX,
                 in_use: true,
                 husk_listed: true,
@@ -802,7 +781,6 @@ impl SharedTree {
                 com: nan,
                 mass: f64::NAN,
                 cost: u64::MAX,
-                owner: 0,
                 listed_by: 0,
                 octant_in_parent: u8::MAX,
                 in_use: true,
@@ -814,12 +792,11 @@ impl SharedTree {
             let words = [&a.children, &a.leaf_parent, &a.cell_pending];
             for v in words
                 .into_iter()
-                .chain([&a.next_cell, &a.next_leaf, &a.free_tops])
+                .chain([&a.next_cell, &a.next_leaf, &a.free_top])
             {
                 v.fill(u32::MAX);
             }
             a.leaf_bounds.fill(f64::NAN.to_bits());
-            a.free_cells.fill(u32::MAX);
             a.free_leaves.fill(u32::MAX);
         }
         self.leaf_lists.iter().for_each(|v| v.fill(u32::MAX));
@@ -892,10 +869,9 @@ mod tests {
         let env = NativeEnv::new(2);
         let tree = SharedTree::new(&env, 1000, 8, TreeLayout::PerProcessor);
         let mut ctx = env.make_ctx(0);
-        let c = tree.alloc_cell(&env, &mut ctx, 0, 0);
+        let c = tree.alloc_cell(&env, &mut ctx, 0);
         assert!(c.is_cell());
         assert!(tree.peek_cell(c).in_use);
-        assert_eq!(tree.peek_cell(c).owner, 0);
         let l = tree.alloc_leaf(&env, &mut ctx, 0, 0);
         assert!(l.is_leaf());
         assert_eq!(tree.leaf_list_len[0].peek(0), 1);
@@ -937,7 +913,7 @@ mod tests {
         let env = NativeEnv::new(1);
         let tree = SharedTree::new(&env, 100, 4, TreeLayout::PerProcessor);
         let mut ctx = env.make_ctx(0);
-        tree.alloc_cell(&env, &mut ctx, 0, 0);
+        tree.alloc_cell(&env, &mut ctx, 0);
         tree.alloc_leaf(&env, &mut ctx, 0, 0);
         tree.reset_for_rebuild(&env, &mut ctx, 0);
         assert_eq!(tree.cells_allocated(), 0);
@@ -958,7 +934,7 @@ mod tests {
         let cube = tree.root_cube.peek(0);
         assert_eq!((cube.center, cube.half), (Vec3::ZERO, 1.0));
         for a in &tree.arenas {
-            assert_eq!((a.free_tops.peek(0), a.free_tops.peek(1)), (0, 0));
+            assert_eq!(a.free_top.peek(0), 0);
             // Records keep their garbage: nothing reaches them until an
             // allocation rewrites them.
             assert!(a.cells.peek(0).in_use && a.leaves.peek(0).in_use);
@@ -991,7 +967,7 @@ mod tests {
                     s.spawn(move || {
                         let mut ctx = env.make_ctx(p);
                         (0..200)
-                            .map(|_| tree.alloc_cell(env, &mut ctx, 0, p))
+                            .map(|_| tree.alloc_cell(env, &mut ctx, 0))
                             .collect::<Vec<_>>()
                     })
                 })

@@ -14,10 +14,15 @@
 //! 3. **Locks by id.** [`Machine::lock_histogram`] counts the same acquires
 //!    and wait by raw lock id: summed, it is the run's all-steps lock
 //!    totals, and a lock-free builder leaves it empty.
+//! 4. **Ownership.** A builder's scratch is allocated by that builder
+//!    alone: no other algorithm's run holds SPACE's partitioner arrays.
 //!
 //! Attribution never touches the virtual clock: `tests/sim_cycles_golden.rs`
 //! pins the P = 1 cycles of all five platforms and six algorithms.
 
+use std::sync::Mutex;
+
+use bh_repro::bh_core::env::{Access, NativeCtx, VAddr};
 use bh_repro::bh_core::prelude::*;
 use bh_repro::bh_core::trace::LockStat;
 use bh_repro::ssmp::{platform, AttrTable, CostModel, Machine};
@@ -239,6 +244,83 @@ fn the_lock_histogram_sums_to_the_runs_lock_totals() {
                     "{label}: not hottest first"
                 );
             }
+        }
+    }
+}
+
+/// `NativeEnv` that remembers the region of every allocation.
+struct AllocLog {
+    inner: NativeEnv,
+    regions: Mutex<Vec<Region>>,
+}
+
+impl Env for AllocLog {
+    type Ctx = NativeCtx;
+
+    fn num_procs(&self) -> usize {
+        self.inner.num_procs()
+    }
+
+    fn make_ctx(&self, proc: usize) -> NativeCtx {
+        self.inner.make_ctx(proc)
+    }
+
+    fn alloc(&self, bytes: u64, align: u64, place: Placement, region: Region) -> VAddr {
+        self.regions.lock().unwrap().push(region);
+        self.inner.alloc(bytes, align, place, region)
+    }
+
+    fn access(&self, ctx: &mut NativeCtx, addr: VAddr, bytes: u32, kind: Access) {
+        self.inner.access(ctx, addr, bytes, kind)
+    }
+
+    fn compute(&self, ctx: &mut NativeCtx, cycles: u64) {
+        self.inner.compute(ctx, cycles)
+    }
+
+    fn lock(&self, ctx: &mut NativeCtx, lock: usize) {
+        self.inner.lock(ctx, lock)
+    }
+
+    fn unlock(&self, ctx: &mut NativeCtx, lock: usize) {
+        self.inner.unlock(ctx, lock)
+    }
+
+    fn barrier(&self, ctx: &mut NativeCtx) {
+        self.inner.barrier(ctx)
+    }
+
+    fn worker_end(&self, proc: usize) {
+        self.inner.worker_end(proc)
+    }
+
+    fn now(&self, ctx: &NativeCtx) -> u64 {
+        self.inner.now(ctx)
+    }
+
+    fn stats(&self, ctx: &NativeCtx) -> CtxStats {
+        self.inner.stats(ctx)
+    }
+}
+
+/// Ownership: SPACE's partitioner scratch is SPACE's. A run of any other
+/// builder, serial or parallel, allocates nothing in that region.
+#[test]
+fn only_space_allocates_partition_scratch() {
+    let bodies = Model::Plummer.generate(64, 1998);
+    for alg in ALGS {
+        for procs in [1, 2] {
+            let env = AllocLog {
+                inner: NativeEnv::new(procs),
+                regions: Mutex::new(Vec::new()),
+            };
+            run_simulation(&env, &tiny_cfg(alg), &bodies).assert_valid();
+            let regions = env.regions.into_inner().unwrap();
+            assert_eq!(
+                regions.contains(&Region::PartitionScratch),
+                alg == Algorithm::Space,
+                "{alg} at P = {procs} allocated {regions:?}"
+            );
         }
     }
 }
