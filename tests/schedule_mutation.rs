@@ -1,10 +1,10 @@
-//! Bounded-exhaustive kernels for three ordering bugs the linked builders
+//! Bounded-exhaustive kernels for four ordering bugs the linked builders
 //! have had or rest on. Each kernel drives the *real* builder code
-//! (`insert_locked`, and `update::move_body` for the third) with a
-//! three-body geometry built so the bug is reachable, and certifies clean
-//! over its whole bounded schedule space (preemption bound 1, the DFS
-//! drained within 300 schedules). A clean result is therefore a proof over
-//! that space, not a sample.
+//! (`insert_locked`, `update::move_body` for the third, `partree::build`
+//! for the fourth) with a two- or three-body geometry built so the bug is
+//! reachable, and certifies clean over its whole bounded schedule space
+//! (preemption bound 1, the DFS drained within 300 schedules). A clean
+//! result is therefore a proof over that space, not a sample.
 //!
 //! * [`early_forwarding_kernel`]: subdivision must defer a private
 //!   subtree's `body_leaf` stores until the subtree is complete. Stored
@@ -28,12 +28,19 @@
 //!   removing the leaf's last body through unlinking and freeing it.
 //!   Released early, another processor can insert into the still-linked
 //!   leaf just before it is freed.
+//! * [`partree_attach_kernel`]: PARTREE's merge must hold a global cell's
+//!   lock from finding a child slot empty through linking a local subtree
+//!   there. Without it, two processors that both find the slot empty both
+//!   link, and the first one's subtree is lost. The seeded schedules of
+//!   the full simulation hit that window in about 2 % of seeds, so this
+//!   kernel is what catches the bug deterministically.
 //!
 //! The mutants that re-create these bugs are patch files under
 //! `tests/mutants/`; `tests/mutants/run.sh` applies each to a copy of the
 //! tree and requires the test it names here to fail.
 
 use bh_core::algorithms::common::{create_root, insert_locked};
+use bh_core::algorithms::partree;
 use bh_core::algorithms::update::{self, UpdateScratch};
 use bh_core::body::Body;
 use bh_core::env::Env;
@@ -41,7 +48,7 @@ use bh_core::harness::spmd;
 use bh_core::math::{Cube, Vec3};
 use bh_core::sched::{explore, ExplorePlan, SchedConfig, VerifyEnv};
 use bh_core::tree::types::NodeRef;
-use bh_core::tree::validate::body_leaves;
+use bh_core::tree::validate::{body_leaves, validate};
 use bh_core::tree::{SharedTree, TreeLayout};
 use bh_core::world::World;
 
@@ -245,6 +252,31 @@ fn leaf_free_kernel(env: &VerifyEnv) -> Option<String> {
     body_leaves(&tree, &world).err()
 }
 
+/// Two-body kernel for PARTREE's merge (root cube `[0,8]^3`, `k = 2`):
+/// `a = (1,1,1)` and `b = (3,3,3)`, one per processor, share the root's
+/// octant 0, so each processor's local tree holds one leaf there and both
+/// merges attach into the same empty global slot. `partree::build` runs
+/// unchanged on both processors.
+///
+/// The root's lock must cover the emptiness check through the link: then
+/// the second merge finds the first one's leaf and combines with it.
+/// Whichever order the merges take, the global tree must validate with
+/// both bodies in it.
+fn partree_attach_kernel(env: &VerifyEnv) -> Option<String> {
+    let bodies = [
+        Body::new(Vec3::new(1.0, 1.0, 1.0), Vec3::ZERO, 1.0),
+        Body::new(Vec3::new(3.0, 3.0, 3.0), Vec3::ZERO, 1.0),
+    ];
+    let world = World::new(env, &bodies);
+    let tree = SharedTree::new(env, bodies.len(), 2, TreeLayout::PerProcessor);
+    let root_cube = Cube::new(Vec3::new(4.0, 4.0, 4.0), 4.0);
+    spmd(env, |proc, ctx| {
+        partree::build(env, ctx, &tree, &world, proc, root_cube);
+        env.barrier(ctx);
+    });
+    validate(&tree, &world.positions(), &world.masses(), false).err()
+}
+
 #[test]
 fn early_forwarding_kernel_certifies_over_its_whole_bounded_space() {
     assert_certifies_completely("early-forwarding kernel", early_forwarding_kernel);
@@ -258,4 +290,9 @@ fn republication_kernel_certifies_over_its_whole_bounded_space() {
 #[test]
 fn leaf_free_kernel_certifies_over_its_whole_bounded_space() {
     assert_certifies_completely("leaf-free kernel", leaf_free_kernel);
+}
+
+#[test]
+fn partree_attach_kernel_certifies_over_its_whole_bounded_space() {
+    assert_certifies_completely("PARTREE attach kernel", partree_attach_kernel);
 }

@@ -20,7 +20,7 @@
 //! memory must flow through the [`Env`] trait, or `SchedEnv`'s schedule
 //! exploration and `CheckedEnv`'s race detection silently lose sight of it.
 //! Only the modules that *implement* that layer (and the serve layer's
-//! thread-owning edges) are whitelisted; `#[cfg(test)]` modules are exempt because
+//! thread-owning edges) are whitelisted; `#[cfg(test)]` items are exempt because
 //! unit tests drive the layer from outside it.
 //!
 //! A third keeps every setting on the command line: nothing under `crates/`
@@ -30,6 +30,9 @@
 //! outside `thread_local!`. A global flag is a setting no command line
 //! shows, and a test that flips one changes the code every other test in
 //! its process runs.
+//!
+//! A fifth keeps the builders' shared accesses charged: the measured code
+//! in `crates/core/src/algorithms/` uses no untimed accessor.
 
 use std::path::{Path, PathBuf};
 
@@ -175,23 +178,69 @@ fn is_whitelisted(rel: &str) -> bool {
     })
 }
 
-/// Scan one file for direct `std::sync` / `std::thread` references in
-/// production code. Scanning stops at the first `#[cfg(test)]` attribute:
-/// by repo convention the unit-test module is the last item in a file, and
-/// test code legitimately uses host threads to exercise the `Env` layer
-/// from outside.
-fn scan_sync(src: &str) -> Vec<usize> {
-    let mut hits = Vec::new();
+/// The production lines of a file, as `(line number, code portion)`:
+/// every line outside `#[cfg(test)]` items. An item ends where its braces
+/// close, or at its `;` if it opens none. A `#[cfg(test)] mod` ends the
+/// file: by repo convention the unit-test module is the last item, and its
+/// code is not brace-counted.
+fn production_lines(src: &str) -> Vec<(usize, String)> {
+    let mut lines = Vec::new();
+    // Inside a `#[cfg(test)]` item: its brace depth, and whether it opened one.
+    let mut test_item: Option<(i32, bool)> = None;
     for (i, raw) in src.lines().enumerate() {
-        let code = code_portion(raw);
-        if code.contains("#[cfg(test)]") {
+        let mut code = code_portion(raw);
+        if test_item.is_none() {
+            let Some(at) = code.find("#[cfg(test)]") else {
+                lines.push((i + 1, code));
+                continue;
+            };
+            code.drain(..at + "#[cfg(test)]".len());
+            test_item = Some((0, false));
+        }
+        let item = code.trim_start();
+        if item.starts_with("mod ") || item.starts_with("pub mod ") {
             break;
         }
-        if code.contains("std::sync") || code.contains("std::thread") {
-            hits.push(i + 1);
+        let (depth, opened) = test_item.as_mut().unwrap();
+        let opens = code.matches('{').count() as i32;
+        *depth += opens - code.matches('}').count() as i32;
+        *opened |= opens > 0;
+        let ended = if *opened {
+            *depth <= 0
+        } else {
+            code.trim_end().ends_with(';')
+        };
+        if ended {
+            test_item = None;
         }
     }
-    hits
+    lines
+}
+
+/// Scan one file for direct `std::sync` / `std::thread` references in
+/// production code. Test code is exempt: it legitimately uses host threads
+/// to exercise the `Env` layer from outside.
+fn scan_sync(src: &str) -> Vec<usize> {
+    production_lines(src)
+        .into_iter()
+        .filter(|(_, code)| code.contains("std::sync") || code.contains("std::thread"))
+        .map(|(line, _)| line)
+        .collect()
+}
+
+/// Untimed accessors of the shared containers and the tree.
+const UNTIMED: &[&str] = &[".peek(", ".poke(", "peek_cell", "peek_leaf", "peek_child"];
+
+/// Lines of production code that use an untimed accessor, outside
+/// `debug_assert` lines: checks that only debug builds make must not charge
+/// cycles that release builds do not.
+fn scan_untimed(src: &str) -> Vec<usize> {
+    production_lines(src)
+        .into_iter()
+        .filter(|(_, code)| !code.contains("debug_assert"))
+        .filter(|(_, code)| UNTIMED.iter().any(|pat| code.contains(pat)))
+        .map(|(line, _)| line)
+        .collect()
 }
 
 /// Lines that read an environment variable (`env::var`, `var_os`, `vars`).
@@ -385,6 +434,34 @@ fn core_declares_no_global_static() {
     );
 }
 
+/// `SharedVec::peek`/`poke` and the tree's `peek_cell`, `peek_leaf` and
+/// `peek_child` read or write shared memory without telling the `Env`: no
+/// simulated cycles, no miss, no race-detector event. They are for untimed
+/// setup, validation and tests. A builder that uses one in its measured
+/// code gets that access for free on every simulated platform, and the
+/// schedule explorer and race checker never see it.
+#[test]
+fn builders_use_no_untimed_accessor_in_measured_code() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    collect_rs_files(&root.join("crates/core/src/algorithms"), &mut files);
+    assert!(files.len() >= 6, "audit walked too few files: {files:?}");
+    let mut failures = Vec::new();
+    for path in &files {
+        let rel = path.strip_prefix(&root).unwrap().to_string_lossy();
+        let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {rel}: {e}"));
+        for line in scan_untimed(&src) {
+            failures.push(format!("{rel}:{line}: untimed shared access"));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "untimed-access audit failed:\n  {}\nUse the timed accessor (`load`, `store`, \
+         `load_cell`, `child`, ...) so the access is charged and checked.",
+        failures.join("\n  ")
+    );
+}
+
 #[test]
 fn crate_roots_deny_unsafe_op_in_unsafe_fn() {
     let root = repo_root();
@@ -448,6 +525,35 @@ fn sync_scanner_flags_production_uses_only() {
                let s = \"std::thread in a string\";\n\
                #[cfg(test)]\nmod tests {\n    use std::sync::Arc; // exempt\n}\n";
     assert_eq!(scan_sync(src), vec![1, 2]);
+}
+
+#[test]
+fn sync_scanner_reads_past_test_items_in_mid_file() {
+    let src = "#[cfg(test)]\nfn helper() {\n    std::thread::yield_now();\n}\n\
+               #[cfg(test)]\nuse std::sync::Arc;\n\
+               fn f() { let m = std::sync::Mutex::new(0); }\n\
+               #[cfg(test)] fn g() { std::thread::yield_now(); }\n\
+               use std::sync::Once;\n\
+               #[cfg(test)]\nmod tests {\n    use std::sync::Arc;\n}\n";
+    assert_eq!(scan_sync(src), vec![7, 9]);
+}
+
+#[test]
+fn untimed_scanner_skips_comments_debug_asserts_and_tests() {
+    let src = "let a = v.peek(0);\n\
+               // v.poke(0, 1);\n\
+               debug_assert_eq!(tree.peek_child(c, 0), l);\n\
+               let s = \"peek_cell\";\n\
+               let p = tree.peek_cell(c).parent;\n\
+               #[cfg(test)]\n\
+               fn poison(&self) {\n\
+               self.v.poke(0, 1);\n\
+               }\n\
+               fn load(&self) -> u32 { self.v.peek(0) }\n\
+               #[cfg(test)]\n\
+               mod tests {\n\
+               let b = v.peek(1);\n";
+    assert_eq!(scan_untimed(src), [1, 5, 10]);
 }
 
 #[test]
