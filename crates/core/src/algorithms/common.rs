@@ -2,6 +2,7 @@
 //! reduction, root creation, locked and private (lock-free) body insertion,
 //! and the parallel center-of-mass pass.
 
+use crate::algorithms::update::UpdateScratch;
 use crate::env::Env;
 use crate::math::{Aabb, Cube, Vec3};
 use crate::tree::types::{Leaf, NodeRef, SharedTree, MAX_DEPTH};
@@ -18,7 +19,7 @@ pub const SUBDIVIDE_CYCLES: u64 = 60;
 /// it, rendezvous, and return the global root cube (identical on every
 /// processor). One barrier.
 pub fn bounds_phase<E: Env>(env: &E, ctx: &mut E::Ctx, world: &World, proc: usize) -> Cube {
-    let (s, e) = world.zone(proc);
+    let (s, e) = world.zone(env, ctx, proc);
     let mut bbox = Aabb::EMPTY;
     for i in s..e {
         let b = world.order.load(env, ctx, i) as usize;
@@ -49,7 +50,6 @@ pub fn create_root<E: Env>(env: &E, ctx: &mut E::Ctx, tree: &SharedTree, cube: C
         c.parent = NodeRef::NULL;
     });
     tree.root.store(env, ctx, 0, root);
-    tree.root_cube.store(env, ctx, 0, cube);
     root
 }
 
@@ -57,13 +57,16 @@ pub fn create_root<E: Env>(env: &E, ctx: &mut E::Ctx, tree: &SharedTree, cube: C
 /// allocating from `arena` on behalf of processor `owner`. Cells are locked
 /// only when actually modified, exactly as in the SPLASH codes: descent
 /// through internal cells is lock-free, and a cell is locked to install a
-/// leaf, grow a leaf, or subdivide it.
+/// leaf, grow a leaf, or subdivide it. `upd` is UPDATE's state, which
+/// records where each body went; the builders that rebuild every step pass
+/// `None` and record nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn insert_locked<E: Env>(
     env: &E,
     ctx: &mut E::Ctx,
     tree: &SharedTree,
     world: &World,
+    upd: Option<&UpdateScratch>,
     arena: usize,
     owner: usize,
     body: u32,
@@ -91,20 +94,13 @@ pub fn insert_locked<E: Env>(
         env.lock(ctx, cell.lock_id());
         let child = tree.child(env, ctx, cell, oct);
         if child.is_null() {
-            let leaf = new_leaf(
-                env,
-                ctx,
-                tree,
-                arena,
-                owner,
-                cell,
-                oct,
-                cube.octant(oct),
-                body,
-            );
+            let sub_cube = cube.octant(oct);
+            let leaf = new_leaf(env, ctx, tree, upd, arena, owner, cell, oct, sub_cube, body);
             tree.set_child(env, ctx, cell, oct, leaf);
             tree.pending_add(env, ctx, cell, 1);
-            world.body_leaf.store(env, ctx, body as usize, leaf.0);
+            if let Some(upd) = upd {
+                upd.forward(env, ctx, body, leaf);
+            }
             env.unlock(ctx, cell.lock_id());
             return;
         }
@@ -124,56 +120,73 @@ pub fn insert_locked<E: Env>(
                 l.bodies[l.n as usize] = body;
                 l.n += 1;
             });
-            world.body_leaf.store(env, ctx, body as usize, leaf.0);
+            if let Some(upd) = upd {
+                upd.forward(env, ctx, body, leaf);
+            }
             env.unlock(ctx, cell.lock_id());
             return;
         }
         // Full: subdivide. The replacement cell is built privately (it is
         // not yet visible to any other processor) and then published with a
         // single child-slot store, all while holding the parent's lock.
-        // `body_leaf` forwarding pointers are flushed after the build (a
-        // mid-build flush would show UPDATE's move phase a half-built leaf)
-        // and before publication: once published, another processor can
-        // subdivide one of the new leaves under its own lock and forward a
-        // body further down, and a later flush would overwrite that pointer
-        // with this stale one, naming a retired leaf.
+        // UPDATE's `body_leaf` forwarding pointers are flushed after the
+        // build (a mid-build flush would show UPDATE's move phase a
+        // half-built leaf) and before publication: once published, another
+        // processor can subdivide one of the new leaves under its own lock
+        // and forward a body further down, and a later flush would
+        // overwrite that pointer with this stale one, naming a retired leaf.
         env.compute(ctx, SUBDIVIDE_CYCLES);
         let sub_cube = cube.octant(oct);
         let sub = new_cell(env, ctx, tree, arena, cell, oct, sub_cube);
-        let mut fwd = Vec::with_capacity(l.n as usize + 1);
-        for &b in l.body_slice() {
+        let mut fwd = upd.map(Forwards::new);
+        for &b in l.body_slice().iter().chain([&body]) {
+            let depth = depth + 1;
             insert_private(
                 env,
                 ctx,
                 tree,
                 world,
+                fwd.as_mut(),
                 arena,
                 owner,
                 b,
                 sub,
                 sub_cube,
-                depth + 1,
-                &mut fwd,
+                depth,
             );
         }
-        insert_private(
-            env,
-            ctx,
-            tree,
-            world,
-            arena,
-            owner,
-            body,
-            sub,
-            sub_cube,
-            depth + 1,
-            &mut fwd,
-        );
-        flush_forwards(env, ctx, world, &mut fwd);
-        retire_leaf(env, ctx, tree, leaf);
+        if let Some(fwd) = fwd {
+            fwd.flush(env, ctx);
+        }
+        tree.retire_leaf(env, ctx, leaf);
         tree.set_child(env, ctx, cell, oct, sub);
         env.unlock(ctx, cell.lock_id());
         return;
+    }
+}
+
+/// UPDATE's state for an insertion into an unpublished subtree, with the
+/// `body_leaf` stores held back until the subtree is complete.
+pub struct Forwards<'a> {
+    upd: &'a UpdateScratch,
+    pending: Vec<(u32, NodeRef)>,
+}
+
+impl<'a> Forwards<'a> {
+    fn new(upd: &'a UpdateScratch) -> Forwards<'a> {
+        Forwards {
+            upd,
+            pending: Vec::new(),
+        }
+    }
+
+    /// Store the held-back `body_leaf` updates in push order, so the last
+    /// placement of a body (after any intermediate private subdivisions)
+    /// wins.
+    fn flush<E: Env>(self, env: &E, ctx: &mut E::Ctx) {
+        for (body, leaf) in self.pending {
+            self.upd.forward(env, ctx, body, leaf);
+        }
     }
 }
 
@@ -182,23 +195,24 @@ pub fn insert_locked<E: Env>(
 /// subdivision path above, by PARTREE's local-tree construction, and by
 /// SPACE's subspace subtrees.
 ///
-/// `body_leaf` forwarding updates are NOT stored here: they are pushed onto
-/// `fwd` (last entry for a body wins) and must be flushed by the caller via
-/// [`flush_forwards`] once the subtree is complete and before it is
-/// published, for the reasons [`insert_locked`]'s subdivision gives.
+/// With UPDATE's state in `fwd`, the body's new leaf is not stored in
+/// `body_leaf` here but held in `fwd` until the caller flushes it, once the
+/// subtree is complete and before it is published, for the reasons
+/// [`insert_locked`]'s subdivision gives. The builders that rebuild every
+/// step pass `None`.
 #[allow(clippy::too_many_arguments)]
 pub fn insert_private<E: Env>(
     env: &E,
     ctx: &mut E::Ctx,
     tree: &SharedTree,
     world: &World,
+    mut fwd: Option<&mut Forwards>,
     arena: usize,
     owner: usize,
     body: u32,
     mut cell: NodeRef,
     mut cube: Cube,
     mut depth: usize,
-    fwd: &mut Vec<(u32, NodeRef)>,
 ) {
     let pos = world.pos.load(env, ctx, body as usize);
     loop {
@@ -210,20 +224,14 @@ pub fn insert_private<E: Env>(
         let oct = cube.octant_of(pos);
         let child = tree.child(env, ctx, cell, oct);
         if child.is_null() {
-            let leaf = new_leaf(
-                env,
-                ctx,
-                tree,
-                arena,
-                owner,
-                cell,
-                oct,
-                cube.octant(oct),
-                body,
-            );
+            let sub_cube = cube.octant(oct);
+            let upd = fwd.as_ref().map(|f| f.upd);
+            let leaf = new_leaf(env, ctx, tree, upd, arena, owner, cell, oct, sub_cube, body);
             tree.set_child(env, ctx, cell, oct, leaf);
             tree.pending_add(env, ctx, cell, 1);
-            fwd.push((body, leaf));
+            if let Some(fwd) = &mut fwd {
+                fwd.pending.push((body, leaf));
+            }
             return;
         }
         if child.is_cell() {
@@ -239,28 +247,22 @@ pub fn insert_private<E: Env>(
                 l.bodies[l.n as usize] = body;
                 l.n += 1;
             });
-            fwd.push((body, leaf));
+            if let Some(fwd) = &mut fwd {
+                fwd.pending.push((body, leaf));
+            }
             return;
         }
         env.compute(ctx, SUBDIVIDE_CYCLES);
         let sub_cube = cube.octant(oct);
         let sub = new_cell(env, ctx, tree, arena, cell, oct, sub_cube);
         for &b in l.body_slice() {
+            let depth = depth + 1;
+            let fwd = fwd.as_deref_mut();
             insert_private(
-                env,
-                ctx,
-                tree,
-                world,
-                arena,
-                owner,
-                b,
-                sub,
-                sub_cube,
-                depth + 1,
-                fwd,
+                env, ctx, tree, world, fwd, arena, owner, b, sub, sub_cube, depth,
             );
         }
-        retire_leaf(env, ctx, tree, leaf);
+        tree.retire_leaf(env, ctx, leaf);
         tree.set_child(env, ctx, cell, oct, sub);
         // Continue inserting the triggering body below the new cell.
         cell = sub;
@@ -295,6 +297,7 @@ fn new_leaf<E: Env>(
     env: &E,
     ctx: &mut E::Ctx,
     tree: &SharedTree,
+    upd: Option<&UpdateScratch>,
     arena: usize,
     owner: usize,
     parent: NodeRef,
@@ -302,7 +305,7 @@ fn new_leaf<E: Env>(
     cube: Cube,
     body: u32,
 ) -> NodeRef {
-    let leaf = tree.alloc_leaf(env, ctx, arena, owner);
+    let leaf = tree.alloc_leaf(env, ctx, arena, owner, upd);
     tree.update_leaf(env, ctx, leaf, |l| {
         l.parent = parent;
         l.octant_in_parent = oct as u8;
@@ -311,28 +314,7 @@ fn new_leaf<E: Env>(
         l.bodies[0] = body;
         l.n = 1;
     });
-    tree.set_leaf_parent(env, ctx, leaf, parent);
-    tree.set_leaf_bounds(env, ctx, leaf, cube);
     leaf
-}
-
-/// Flush deferred `body_leaf` forwarding updates collected by
-/// [`insert_private`], in push order (so the last placement of a body —
-/// after any intermediate private subdivisions — wins).
-pub fn flush_forwards<E: Env>(
-    env: &E,
-    ctx: &mut E::Ctx,
-    world: &World,
-    fwd: &mut Vec<(u32, NodeRef)>,
-) {
-    for (body, leaf) in fwd.drain(..) {
-        world.body_leaf.store(env, ctx, body as usize, leaf.0);
-    }
-}
-
-/// Mark a subdivided-away leaf dead (no recycling, no lock).
-fn retire_leaf<E: Env>(env: &E, ctx: &mut E::Ctx, tree: &SharedTree, leaf: NodeRef) {
-    tree.retire_leaf(env, ctx, leaf);
 }
 
 /// The parallel center-of-mass pass ("hackcofm"): each processor summarizes

@@ -17,6 +17,7 @@
 //! of lock frequency.
 
 use crate::algorithms::common::{create_root, insert_locked};
+use crate::algorithms::update::UpdateScratch;
 use crate::env::Env;
 use crate::math::Cube;
 use crate::tree::types::SharedTree;
@@ -24,12 +25,15 @@ use crate::world::World;
 
 /// Tree-build phase of ORIG/LOCAL for one processor. The caller has already
 /// run the bounds phase; `cube` is the global root cube. Ends un-barriered:
-/// the application driver barriers after every build phase.
+/// the application driver barriers after every build phase. `upd` is
+/// UPDATE's state when its step 0 runs this build, which then records each
+/// body's leaf there; ORIG and LOCAL pass `None`.
 pub fn build<E: Env>(
     env: &E,
     ctx: &mut E::Ctx,
     tree: &SharedTree,
     world: &World,
+    upd: Option<&UpdateScratch>,
     proc: usize,
     cube: Cube,
 ) {
@@ -43,10 +47,10 @@ pub fn build<E: Env>(
 
     let root = tree.root.load(env, ctx, 0);
     let arena = tree.arena_of(proc);
-    let (s, e) = world.zone(proc);
+    let (s, e) = world.zone(env, ctx, proc);
     for i in s..e {
         let b = world.order.load(env, ctx, i);
-        insert_locked(env, ctx, tree, world, arena, proc, b, root, cube);
+        insert_locked(env, ctx, tree, world, upd, arena, proc, b, root, cube);
     }
 }
 
@@ -76,7 +80,7 @@ mod tests {
                 s.spawn(move || {
                     let mut ctx = env.make_ctx(proc);
                     let cube = bounds_phase(env, &mut ctx, world, proc);
-                    build(env, &mut ctx, tree, world, proc, cube);
+                    build(env, &mut ctx, tree, world, None, proc, cube);
                     env.barrier(&mut ctx);
                     com_pass(env, &mut ctx, tree, world, proc, 0);
                     env.barrier(&mut ctx);
@@ -144,7 +148,7 @@ mod tests {
                     s.spawn(move || {
                         let mut ctx = env.make_ctx(proc);
                         let cube = bounds_phase(env, &mut ctx, world, proc);
-                        build(env, &mut ctx, tree, world, proc, cube);
+                        build(env, &mut ctx, tree, world, None, proc, cube);
                         env.barrier(&mut ctx);
                         com_pass(env, &mut ctx, tree, world, proc, step);
                         env.barrier(&mut ctx);

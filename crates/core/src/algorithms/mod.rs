@@ -118,7 +118,7 @@ impl Builder {
         let variant = match alg {
             Algorithm::Orig | Algorithm::Local => Variant::Direct,
             Algorithm::Partree => Variant::Partree,
-            Algorithm::Update => Variant::Update(update::UpdateScratch::new(env, n)),
+            Algorithm::Update => Variant::Update(update::UpdateScratch::new(env, n, k)),
             Algorithm::Space => Variant::Space {
                 scratch: space::SpaceScratch::new(env, n),
                 threshold: space::default_threshold(n, env.num_procs(), k),
@@ -160,7 +160,7 @@ impl Builder {
         cube: Cube,
     ) {
         match &self.variant {
-            Variant::Direct => direct::build(env, ctx, tree, world, proc, cube),
+            Variant::Direct => direct::build(env, ctx, tree, world, None, proc, cube),
             Variant::Partree => partree::build(env, ctx, tree, world, proc, cube),
             Variant::Space {
                 scratch,
@@ -203,6 +203,17 @@ impl Builder {
     /// Whether validation should tolerate empty husk cells.
     pub fn may_leave_husks(&self) -> bool {
         matches!(self.variant, Variant::Update(_))
+    }
+
+    /// Check the state the builder carries into its next step against the
+    /// tree it built (untimed): UPDATE's body-to-leaf links and free
+    /// stacks ([`crate::tree::validate::body_leaves`]). The builders that
+    /// rebuild every step carry nothing.
+    pub fn check_carried_state(&self, tree: &SharedTree) -> Result<(), String> {
+        match &self.variant {
+            Variant::Update(scratch) => crate::tree::validate::body_leaves(tree, scratch),
+            _ => Ok(()),
+        }
     }
 
     /// Test support: a step-0 bounds, build and centre-of-mass pass on

@@ -9,9 +9,7 @@
 //! a cell in one tree represents exactly the same subspace as the
 //! corresponding cell in any other.
 
-use crate::algorithms::common::{
-    create_root, flush_forwards, insert_locked, insert_private, new_cell,
-};
+use crate::algorithms::common::{create_root, insert_locked, insert_private, new_cell};
 use crate::env::Env;
 use crate::math::Cube;
 use crate::tree::types::{NodeRef, SharedTree};
@@ -36,15 +34,13 @@ pub fn build<E: Env>(
     // Phase 1: build the local tree (InsertParticlesInTree) — lock-free.
     let arena = tree.arena_of(proc);
     let local_root = new_cell(env, ctx, tree, arena, NodeRef::NULL, 0, cube);
-    let (s, e) = world.zone(proc);
-    let mut fwd = Vec::new();
+    let (s, e) = world.zone(env, ctx, proc);
     for i in s..e {
         let b = world.order.load(env, ctx, i);
         insert_private(
-            env, ctx, tree, world, arena, proc, b, local_root, cube, 0, &mut fwd,
+            env, ctx, tree, world, None, arena, proc, b, local_root, cube, 0,
         );
     }
-    flush_forwards(env, ctx, world, &mut fwd);
 
     // Phase 2: MergeLocalTrees — attach whole subtrees into the global tree.
     let global_root = tree.root.load(env, ctx, 0);
@@ -140,7 +136,9 @@ fn attach<E: Env>(
                 // locked inserts below the global cell.
                 let l = tree.load_leaf(env, ctx, lnode);
                 for &b in l.body_slice() {
-                    insert_locked(env, ctx, tree, world, arena, proc, b, gchild, sub_cube);
+                    insert_locked(
+                        env, ctx, tree, world, None, arena, proc, b, gchild, sub_cube,
+                    );
                 }
                 tree.retire_leaf(env, ctx, lnode);
             }
@@ -158,31 +156,18 @@ fn attach<E: Env>(
                     }
                     g.n += ll.n;
                 });
-                for &b in ll.body_slice() {
-                    world.body_leaf.store(env, ctx, b as usize, gleaf.0);
-                }
                 tree.retire_leaf(env, ctx, lnode);
             } else {
-                // Overflow: subdivide privately, then publish. Forwarding
-                // pointers are flushed only after publication (still under
-                // the global cell's lock) so the private subtree never
-                // leaks through `body_leaf`.
+                // Overflow: subdivide privately, then publish.
                 let sub = new_cell(env, ctx, tree, arena, gcell, oct, sub_cube);
-                let mut fwd = Vec::with_capacity((gl.n + ll.n) as usize);
-                for &b in gl.body_slice() {
+                for &b in gl.body_slice().iter().chain(ll.body_slice()) {
                     insert_private(
-                        env, ctx, tree, world, arena, proc, b, sub, sub_cube, 0, &mut fwd,
-                    );
-                }
-                for &b in ll.body_slice() {
-                    insert_private(
-                        env, ctx, tree, world, arena, proc, b, sub, sub_cube, 0, &mut fwd,
+                        env, ctx, tree, world, None, arena, proc, b, sub, sub_cube, 0,
                     );
                 }
                 tree.retire_leaf(env, ctx, gleaf);
                 tree.retire_leaf(env, ctx, lnode);
                 tree.set_child(env, ctx, gcell, oct, sub);
-                flush_forwards(env, ctx, world, &mut fwd);
             }
             env.unlock(ctx, gcell.lock_id());
             return;
@@ -191,16 +176,14 @@ fn attach<E: Env>(
         // bodies down into the (still private) local subtree, then swap the
         // subtree into place.
         let gl = tree.load_leaf(env, ctx, gleaf);
-        let mut fwd = Vec::with_capacity(gl.n as usize);
         for &b in gl.body_slice() {
             insert_private(
-                env, ctx, tree, world, arena, proc, b, lnode, sub_cube, 0, &mut fwd,
+                env, ctx, tree, world, None, arena, proc, b, lnode, sub_cube, 0,
             );
         }
         tree.retire_leaf(env, ctx, gleaf);
         reparent(env, ctx, tree, lnode, gcell, oct);
         tree.set_child(env, ctx, gcell, oct, lnode);
-        flush_forwards(env, ctx, world, &mut fwd);
         env.unlock(ctx, gcell.lock_id());
     }
 }
@@ -224,7 +207,6 @@ fn reparent<E: Env>(
             l.parent = parent;
             l.octant_in_parent = oct as u8;
         });
-        tree.set_leaf_parent(env, ctx, node, parent);
     }
 }
 

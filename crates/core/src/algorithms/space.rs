@@ -12,7 +12,7 @@
 //! force-calculation bodies), which the paper shows is a spectacular bargain
 //! on SVM platforms.
 
-use crate::algorithms::common::{self, create_root, insert_private, new_cell};
+use crate::algorithms::common::{create_root, insert_private, new_cell};
 use crate::env::{Env, Placement, Region};
 use crate::math::{Cube, Vec3};
 use crate::shared::{SharedAtomicVec, SharedVec};
@@ -171,7 +171,7 @@ pub fn build<E: Env>(
     env.barrier(ctx);
 
     // ---- Phase 1: iterative spatial refinement ("the partitioning tree").
-    let (s, e) = world.zone(proc);
+    let (s, e) = world.zone(env, ctx, proc);
     // Body costs are per-step constants; read each once (round 0) and keep
     // them in processor-private scratch for the later rounds.
     let mut zone_cost: Vec<u32> = vec![0; e - s];
@@ -342,7 +342,7 @@ pub fn build<E: Env>(
         }
         let node = if members.len() <= tree.k {
             // Small subspace: a single leaf.
-            let leaf = tree.alloc_leaf(env, ctx, arena, proc);
+            let leaf = tree.alloc_leaf(env, ctx, arena, proc, None);
             tree.update_leaf(env, ctx, leaf, |l| {
                 l.parent = sub.parent;
                 l.octant_in_parent = sub.oct;
@@ -353,22 +353,15 @@ pub fn build<E: Env>(
                     l.bodies[i] = b;
                 }
             });
-            tree.set_leaf_parent(env, ctx, leaf, sub.parent);
-            tree.set_leaf_bounds(env, ctx, leaf, sub_cube);
-            for &b in &members {
-                world.body_leaf.store(env, ctx, b as usize, leaf.0);
-            }
             leaf
         } else {
             let oct = sub.oct as usize;
             let cell = new_cell(env, ctx, tree, arena, sub.parent, oct, sub_cube);
-            let mut fwd = Vec::with_capacity(members.len());
             for &b in &members {
                 insert_private(
-                    env, ctx, tree, world, arena, proc, b, cell, sub_cube, 0, &mut fwd,
+                    env, ctx, tree, world, None, arena, proc, b, cell, sub_cube, 0,
                 );
             }
-            common::flush_forwards(env, ctx, world, &mut fwd);
             cell
         };
         // Attach: no lock needed — exactly one processor writes this slot.

@@ -15,9 +15,10 @@
 //! bytes: [`World::reset`] rewrites the body arrays and the initial
 //! assignment, [`SharedTree::reset`] empties the tree's allocation state,
 //! and the flat snapshot, the force lists and the builders' scratch
-//! (UPDATE's husk lists, SPACE's partitioner arrays, MORTON's sort
-//! workspace) are not touched at all, because every step overwrites each
-//! slot of them it reads. Scratch keeps the last job's bytes, whose values
+//! (UPDATE's body-to-leaf links, free stacks, root cube and husk lists,
+//! SPACE's partitioner arrays, MORTON's sort workspace) are not touched at
+//! all, because every step overwrites each slot of them it reads (UPDATE's
+//! at its step 0). Scratch keeps the last job's bytes, whose values
 //! no run uses. So a reused engine produces **bitwise-identical physics** to a fresh
 //! [`crate::app::run_simulation`] call for the same config and bodies
 //! (`tests/engine_reuse.rs` certifies this, and this module's poison test

@@ -233,7 +233,7 @@ impl Region {
     }
 
     /// The region whose data a lock id protects: ids below
-    /// [`crate::tree::types::RESERVED_LOCKS`] are the tree allocator's
+    /// [`crate::tree::types::RESERVED_LOCKS`] are UPDATE's per-arena
     /// free-list locks, everything above is a per-cell/leaf node lock
     /// (see `NodeRef::lock_id`). Lock acquisitions and waits are
     /// attributed to the protected structure, which is exactly the

@@ -369,7 +369,7 @@ pub fn force_phase_grouped<E: Env>(
 ) -> ForceListStats {
     let theta2 = params.theta * params.theta;
     let eps2 = params.eps * params.eps;
-    let (s, e) = world.zone(proc);
+    let (s, e) = world.zone(env, ctx, proc);
     let n = world.n;
     let row = &scratch.rows[proc];
     let cap = scratch.cap;

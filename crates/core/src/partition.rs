@@ -26,7 +26,7 @@ use crate::world::World;
 /// barriers order the writes). Ties break on body id, so the pass is fully
 /// deterministic.
 pub fn morton_reorder<E: Env>(env: &E, ctx: &mut E::Ctx, world: &World, proc: usize) {
-    let (s, e) = world.zone(proc);
+    let (s, e) = world.zone(env, ctx, proc);
     if e - s < 2 {
         return;
     }
@@ -174,7 +174,7 @@ mod tests {
                 s.spawn(move || {
                     let mut ctx = env.make_ctx(proc);
                     let cube = bounds_phase(env, &mut ctx, world, proc);
-                    direct::build(env, &mut ctx, tree, world, proc, cube);
+                    direct::build(env, &mut ctx, tree, world, None, proc, cube);
                     env.barrier(&mut ctx);
                     com_pass(env, &mut ctx, tree, world, proc, 0);
                     env.barrier(&mut ctx);
@@ -212,7 +212,8 @@ mod tests {
         let (_env, world) = build_and_zone(n, p, None);
         assert_partition_valid(&world, n, p);
         for q in 0..p {
-            let (s, e) = world.zone(q);
+            let (s, e) = (world.zone_start.peek(q), world.zone_start.peek(q + 1));
+            let (s, e) = (s as usize, e as usize);
             let share = e - s;
             assert!(
                 (share as i64 - (n / p) as i64).unsigned_abs() <= 16,
@@ -231,7 +232,8 @@ mod tests {
         // Cost-balance: each zone's total cost within 25% of half.
         let total: u64 = (0..n).map(|i| world.cost.peek(i) as u64).sum();
         for q in 0..p {
-            let (s, e) = world.zone(q);
+            let (s, e) = (world.zone_start.peek(q), world.zone_start.peek(q + 1));
+            let (s, e) = (s as usize, e as usize);
             let zc: u64 = (s..e)
                 .map(|i| world.cost.peek(world.order.peek(i) as usize) as u64)
                 .sum();
@@ -248,7 +250,7 @@ mod tests {
         let n = 300;
         let (_env, world) = build_and_zone(n, 1, None);
         assert_partition_valid(&world, n, 1);
-        assert_eq!(world.zone(0), (0, n));
+        assert_eq!(world.zone_start.peek(1), n as u32);
     }
 
     #[test]

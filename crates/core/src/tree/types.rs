@@ -8,6 +8,7 @@
 //! into 32 bits, exactly the role the cell-pointer arrays play in the
 //! original C codes.
 
+use crate::algorithms::update::UpdateScratch;
 use crate::env::{Access, Env, Placement, Region};
 use crate::math::{Cube, Vec3};
 use crate::shared::{SharedAtomicVec, SharedVec};
@@ -75,17 +76,19 @@ impl NodeRef {
     /// The lock id guarding this node in the environment's lock table.
     ///
     /// Node locks live in the id range `[RESERVED_LOCKS, ..)`: the low ids
-    /// are reserved for arena free-list locks, which are acquired *while
-    /// holding* a node lock — they must never hash to the same table entry
-    /// or a subdividing processor deadlocks against itself.
+    /// are reserved for UPDATE's per-arena free-list locks, which are
+    /// acquired *while holding* a node lock — they must never hash to the
+    /// same table entry or a subdividing processor deadlocks against
+    /// itself.
     #[inline]
     pub fn lock_id(self) -> usize {
         RESERVED_LOCKS + self.0 as usize
     }
 }
 
-/// Lock ids below this are reserved for arena free-list locks; environments
-/// must never alias ids `0..RESERVED_LOCKS` with any id `>= RESERVED_LOCKS`.
+/// Lock ids below this are reserved for UPDATE's per-arena free-list locks
+/// ([`UpdateScratch`]); environments must never alias ids
+/// `0..RESERVED_LOCKS` with any id `>= RESERVED_LOCKS`.
 pub const RESERVED_LOCKS: usize = 64;
 
 /// An internal tree cell: summary quantities and the cube of space it
@@ -192,20 +195,11 @@ impl Leaf {
 
 /// One node arena: storage for cells and leaves plus allocation state.
 pub struct Arena {
-    pub id: usize,
     pub cells: SharedVec<Cell>,
     pub leaves: SharedVec<Leaf>,
     /// Atomic child slots: entry `8*i + oct` is the [`NodeRef`] encoding of
     /// cell `i`'s child in octant `oct` (0 = NULL).
     pub children: SharedAtomicVec,
-    /// Atomic parent refs for leaves (mirrors `Leaf::parent`): lets the
-    /// UPDATE algorithm locate the lock guarding a leaf without reading the
-    /// (lock-protected) leaf record first.
-    pub leaf_parent: SharedAtomicVec,
-    /// Atomic leaf bounds (f64 bit patterns: center x/y/z, half — 4 words
-    /// per leaf, mirrors the leaf's cube): lets the UPDATE algorithm run its
-    /// did-the-body-cross-its-boundary check without taking any lock.
-    pub leaf_bounds: SharedAtomicVec<u64>,
     /// Child-completion counters for the parallel CoM pass, parallel to
     /// `cells`.
     pub cell_pending: SharedAtomicVec,
@@ -213,23 +207,6 @@ pub struct Arena {
     pub next_cell: SharedAtomicVec,
     /// `[0]` = next free leaf index (bump).
     pub next_leaf: SharedAtomicVec,
-    /// Free-leaf stack of the UPDATE algorithm's reclamation (UPDATE frees
-    /// leaves only; a cell emptied of children stays as a husk).
-    pub free_leaves: SharedVec<u32>,
-    /// `[0]` = depth of `free_leaves`. Guarded by the arena's free-list
-    /// lock.
-    pub free_top: SharedAtomicVec,
-}
-
-impl Arena {
-    /// Lock id guarding this arena's free lists: drawn from the reserved
-    /// low range so it can never alias a node lock (see
-    /// [`NodeRef::lock_id`]).
-    #[inline]
-    pub fn freelist_lock(&self) -> usize {
-        debug_assert!(self.id < RESERVED_LOCKS);
-        self.id
-    }
 }
 
 /// How the tree's storage is laid out, reflecting the data-structure
@@ -284,8 +261,6 @@ pub struct SharedTree {
     pub arenas: Vec<Arena>,
     /// `[0]` = the root cell reference.
     pub root: SharedVec<NodeRef>,
-    /// `[0]` = the root cube for the current step.
-    pub root_cube: SharedVec<Cube>,
     /// Leaf threshold: a leaf holding `k` bodies splits on the next insert.
     pub k: usize,
     pub layout: TreeLayout,
@@ -316,17 +291,12 @@ impl SharedTree {
         let (ncells, nleaves) = (cap.cells_per_arena, cap.leaves_per_arena);
         let arenas = (0..n_arenas)
             .map(|a| Arena {
-                id: a,
                 cells: SharedVec::new(env, ncells, Cell::empty(), place(a), cells),
                 leaves: SharedVec::new(env, nleaves, Leaf::empty(), place(a), leaves),
                 children: SharedAtomicVec::new(env, ncells * 8, 0, place(a), cells),
-                leaf_parent: SharedAtomicVec::new(env, nleaves, 0, place(a), leaves),
-                leaf_bounds: SharedAtomicVec::new(env, nleaves * 4, 0, place(a), leaves),
                 cell_pending: SharedAtomicVec::new(env, ncells, 0, place(a), cells),
                 next_cell: SharedAtomicVec::new(env, 1, 0, place(a), alloc),
                 next_leaf: SharedAtomicVec::new(env, 1, 0, place(a), alloc),
-                free_leaves: SharedVec::new(env, nleaves, 0, place(a), alloc),
-                free_top: SharedAtomicVec::new(env, 1, 0, place(a), alloc),
             })
             .collect();
         // In the GlobalArena (ORIG) layout the per-processor lists and
@@ -344,7 +314,6 @@ impl SharedTree {
         SharedTree {
             arenas,
             root: SharedVec::new(env, 1, NodeRef::NULL, Placement::Global, alloc),
-            root_cube: SharedVec::new(env, 1, Cube::new(Vec3::ZERO, 1.0), Placement::Global, alloc),
             k,
             layout,
             leaf_lists,
@@ -496,71 +465,6 @@ impl SharedTree {
         kids
     }
 
-    /// Timed atomic read of a leaf's parent ref (mirror of `Leaf::parent`).
-    #[inline]
-    pub fn leaf_parent<E: Env>(&self, env: &E, ctx: &mut E::Ctx, leaf: NodeRef) -> NodeRef {
-        debug_assert!(leaf.is_leaf());
-        NodeRef(
-            self.arenas[leaf.arena()]
-                .leaf_parent
-                .load(env, ctx, leaf.index()),
-        )
-    }
-
-    /// Timed atomic write of a leaf's parent ref. Callers must keep
-    /// `Leaf::parent` in sync (both are written by `new_leaf`/reparenting).
-    #[inline]
-    pub fn set_leaf_parent<E: Env>(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        leaf: NodeRef,
-        parent: NodeRef,
-    ) {
-        debug_assert!(leaf.is_leaf());
-        self.arenas[leaf.arena()]
-            .leaf_parent
-            .store(env, ctx, leaf.index(), parent.0)
-    }
-
-    /// Timed atomic write of a leaf's bounds mirror (center, half). Callers
-    /// must keep `Leaf::{center, half}` in sync.
-    pub fn set_leaf_bounds<E: Env>(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        leaf: NodeRef,
-        cube: crate::math::Cube,
-    ) {
-        debug_assert!(leaf.is_leaf());
-        let b = &self.arenas[leaf.arena()].leaf_bounds;
-        let i = leaf.index() * 4;
-        b.store(env, ctx, i, cube.center.x.to_bits());
-        b.store(env, ctx, i + 1, cube.center.y.to_bits());
-        b.store(env, ctx, i + 2, cube.center.z.to_bits());
-        b.store(env, ctx, i + 3, cube.half.to_bits());
-    }
-
-    /// Timed atomic read of a leaf's bounds mirror.
-    pub fn leaf_bounds<E: Env>(
-        &self,
-        env: &E,
-        ctx: &mut E::Ctx,
-        leaf: NodeRef,
-    ) -> crate::math::Cube {
-        debug_assert!(leaf.is_leaf());
-        let b = &self.arenas[leaf.arena()].leaf_bounds;
-        let i = leaf.index() * 4;
-        crate::math::Cube::new(
-            Vec3::new(
-                f64::from_bits(b.load(env, ctx, i)),
-                f64::from_bits(b.load(env, ctx, i + 1)),
-                f64::from_bits(b.load(env, ctx, i + 2)),
-            ),
-            f64::from_bits(b.load(env, ctx, i + 3)),
-        )
-    }
-
     // ----- pending counters ------------------------------------------------
 
     #[inline]
@@ -617,32 +521,19 @@ impl SharedTree {
 
     /// Allocate a fresh leaf from `arena` for processor `proc`, recording it
     /// in `proc`'s created-leaf list (unless it is already listed there from a
-    /// previous step — UPDATE reuse).
+    /// previous step — UPDATE reuse). UPDATE passes its scratch, whose free
+    /// stack is tried first; the builders that rebuild every step pass
+    /// `None` and only bump.
     pub fn alloc_leaf<E: Env>(
         &self,
         env: &E,
         ctx: &mut E::Ctx,
         arena: usize,
         proc: usize,
+        upd: Option<&UpdateScratch>,
     ) -> NodeRef {
         let a = &self.arenas[arena];
-        // Try the free list first (only ever populated by UPDATE).
-        let reused = if a.free_top.peek(0) > 0 {
-            env.lock(ctx, a.freelist_lock());
-            let top = a.free_top.load(env, ctx, 0);
-            let got = if top > 0 {
-                let idx = a.free_leaves.load(env, ctx, top as usize - 1);
-                a.free_top.store(env, ctx, 0, top - 1);
-                Some(idx as usize)
-            } else {
-                None
-            };
-            env.unlock(ctx, a.freelist_lock());
-            got
-        } else {
-            None
-        };
-        let idx = match reused {
+        let idx = match upd.and_then(|u| u.pop_free(env, ctx, arena)) {
             Some(idx) => idx,
             None => {
                 let idx = a.next_leaf.fetch_add(env, ctx, 0, 1) as usize;
@@ -688,26 +579,6 @@ impl SharedTree {
             l.in_use = false;
             l.n = 0;
         });
-        self.set_leaf_parent(env, ctx, r, NodeRef::NULL);
-    }
-
-    /// Return a leaf to its arena's free list (UPDATE reclamation). The leaf
-    /// stays recorded in whatever list listed it; `in_use=false` makes stale
-    /// entries skippable.
-    pub fn free_leaf<E: Env>(&self, env: &E, ctx: &mut E::Ctx, r: NodeRef) {
-        debug_assert!(r.is_leaf());
-        let a = &self.arenas[r.arena()];
-        self.update_leaf(env, ctx, r, |l| {
-            l.in_use = false;
-            l.n = 0;
-        });
-        self.set_leaf_parent(env, ctx, r, NodeRef::NULL);
-        env.lock(ctx, a.freelist_lock());
-        let top = a.free_top.load(env, ctx, 0);
-        a.free_leaves
-            .store(env, ctx, top as usize, r.index() as u32);
-        a.free_top.store(env, ctx, 0, top + 1);
-        env.unlock(ctx, a.freelist_lock());
     }
 
     /// Reset allocation state for a fresh rebuild. Called by each processor
@@ -718,7 +589,6 @@ impl SharedTree {
             let a = &self.arenas[proc];
             a.next_cell.store(env, ctx, 0, 0);
             a.next_leaf.store(env, ctx, 0, 0);
-            a.free_top.store(env, ctx, 0, 0);
         }
         self.leaf_list_len[proc].store(env, ctx, 0, 0);
         // Rebuilding from scratch invalidates any listed_by memory: entries
@@ -729,31 +599,27 @@ impl SharedTree {
     }
 
     /// Return already-allocated tree storage to an empty tree (untimed,
-    /// single-threaded engine setup between jobs): allocation cursors,
-    /// free-stack depth and leaf-list lengths at zero, `root` NULL and
-    /// `root_cube` as [`SharedTree::new`] leaves it.
+    /// single-threaded engine setup between jobs): allocation cursors and
+    /// leaf-list lengths at zero and `root` NULL.
     ///
-    /// Records, child slots, the leaf mirrors, pending counters, the free
-    /// stack and leaf lists keep the last run's bytes. A run never reads
-    /// them before writing them: [`SharedTree::alloc_cell`] and
-    /// [`SharedTree::alloc_leaf`] store a whole record (and a cell's pending
-    /// counter and child slots) before anything loads it, and every other
-    /// read reaches the tree through `root`, a prefix of a leaf list,
-    /// `World::body_leaf`, a free stack below its depth, or UPDATE's
-    /// rescale of `[0, next_*)` — all reset here or written in the same
-    /// run. So a run on a reused engine loads the same values as a run on
-    /// a fresh allocation.
+    /// Records, child slots, pending counters and leaf lists keep the last
+    /// run's bytes. A run never reads them before writing them:
+    /// [`SharedTree::alloc_cell`] and [`SharedTree::alloc_leaf`] store a
+    /// whole record (and a cell's pending counter and child slots) before
+    /// anything loads it, and every other read reaches the tree through
+    /// `root`, a prefix of a leaf list, or UPDATE's own state (its
+    /// body-to-leaf links, free stacks and the rescale of `[0, next_*)`),
+    /// which its step 0 rewrites. So a run on a reused engine loads the
+    /// same values as a run on a fresh allocation.
     pub fn reset(&self) {
         for a in &self.arenas {
             a.next_cell.poke(0, 0);
             a.next_leaf.poke(0, 0);
-            a.free_top.poke(0, 0);
         }
         for len in &self.leaf_list_len {
             len.poke(0, 0);
         }
         self.root.poke(0, NodeRef::NULL);
-        self.root_cube.poke(0, Cube::new(Vec3::ZERO, 1.0));
     }
 
     /// Overwrite every slot with garbage (NaN geometry, `u32::MAX` refs and
@@ -789,20 +655,12 @@ impl SharedTree {
                 center: nan,
                 half: f64::NAN,
             });
-            let words = [&a.children, &a.leaf_parent, &a.cell_pending];
-            for v in words
-                .into_iter()
-                .chain([&a.next_cell, &a.next_leaf, &a.free_top])
-            {
-                v.fill(u32::MAX);
-            }
-            a.leaf_bounds.fill(f64::NAN.to_bits());
-            a.free_leaves.fill(u32::MAX);
+            let words = [&a.children, &a.cell_pending, &a.next_cell, &a.next_leaf];
+            words.into_iter().for_each(|v| v.fill(u32::MAX));
         }
         self.leaf_lists.iter().for_each(|v| v.fill(u32::MAX));
         self.leaf_list_len.iter().for_each(|v| v.fill(u32::MAX));
         self.root.fill(bad);
-        self.root_cube.fill(Cube::new(nan, f64::NAN));
     }
 
     /// Number of live cells allocated across all arenas (untimed).
@@ -872,27 +730,12 @@ mod tests {
         let c = tree.alloc_cell(&env, &mut ctx, 0);
         assert!(c.is_cell());
         assert!(tree.peek_cell(c).in_use);
-        let l = tree.alloc_leaf(&env, &mut ctx, 0, 0);
+        let l = tree.alloc_leaf(&env, &mut ctx, 0, 0, None);
         assert!(l.is_leaf());
         assert_eq!(tree.leaf_list_len[0].peek(0), 1);
         assert_eq!(tree.leaf_lists[0].peek(0), l.0);
         assert_eq!(tree.cells_allocated(), 1);
         assert_eq!(tree.leaves_allocated(), 1);
-    }
-
-    #[test]
-    fn leaf_free_and_reuse() {
-        let env = NativeEnv::new(1);
-        let tree = SharedTree::new(&env, 100, 4, TreeLayout::PerProcessor);
-        let mut ctx = env.make_ctx(0);
-        let l1 = tree.alloc_leaf(&env, &mut ctx, 0, 0);
-        tree.free_leaf(&env, &mut ctx, l1);
-        assert!(!tree.peek_leaf(l1).in_use);
-        let l2 = tree.alloc_leaf(&env, &mut ctx, 0, 0);
-        // Free-list reuse must return the same slot. The duplicate list
-        // entry is expected; the CoM pass deduplicates by stamp.
-        assert_eq!(l1, l2);
-        assert_eq!(tree.leaf_list_len[0].peek(0), 2);
     }
 
     #[test]
@@ -914,7 +757,7 @@ mod tests {
         let tree = SharedTree::new(&env, 100, 4, TreeLayout::PerProcessor);
         let mut ctx = env.make_ctx(0);
         tree.alloc_cell(&env, &mut ctx, 0);
-        tree.alloc_leaf(&env, &mut ctx, 0, 0);
+        tree.alloc_leaf(&env, &mut ctx, 0, 0, None);
         tree.reset_for_rebuild(&env, &mut ctx, 0);
         assert_eq!(tree.cells_allocated(), 0);
         assert_eq!(tree.leaves_allocated(), 0);
@@ -931,10 +774,7 @@ mod tests {
         assert_eq!(tree.cells_allocated(), 0);
         assert_eq!(tree.leaves_allocated(), 0);
         assert!(tree.root.peek(0).is_null());
-        let cube = tree.root_cube.peek(0);
-        assert_eq!((cube.center, cube.half), (Vec3::ZERO, 1.0));
         for a in &tree.arenas {
-            assert_eq!(a.free_top.peek(0), 0);
             // Records keep their garbage: nothing reaches them until an
             // allocation rewrites them.
             assert!(a.cells.peek(0).in_use && a.leaves.peek(0).in_use);

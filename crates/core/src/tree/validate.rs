@@ -2,12 +2,12 @@
 //! with the sequential reference tree. Used by tests and by the experiment
 //! harness's self-checks (every platform run validates the tree it built).
 
+use crate::algorithms::update::UpdateScratch;
 use crate::math::morton::{key_in_cube, MORTON_BITS};
 use crate::math::{Aabb, Cube, Vec3};
 use crate::tree::flat::FlatTree;
 use crate::tree::seq::SeqTree;
 use crate::tree::types::{NodeRef, SharedTree};
-use crate::world::World;
 
 /// Summary of a validated tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,18 +97,34 @@ pub fn validate_with(
     Ok(summary)
 }
 
-/// Check UPDATE's forwarding pointers: every body's `body_leaf` names an
-/// in-use leaf that lists it. A lost forwarding store, which the tree walk
-/// of [`validate_with`] cannot see, fails here.
-pub fn body_leaves(tree: &SharedTree, world: &World) -> Result<(), String> {
-    for b in 0..world.n {
-        let leaf = NodeRef(world.body_leaf.peek(b));
+/// Check the state UPDATE carries into its next step. Every body's
+/// `body_leaf` names an in-use leaf that lists it: a lost forwarding store,
+/// which the tree walk of [`validate_with`] cannot see, fails here. And
+/// every free-stack entry below its depth is a distinct leaf that is not
+/// in use, so no later allocation hands out a live leaf.
+pub fn body_leaves(tree: &SharedTree, upd: &UpdateScratch) -> Result<(), String> {
+    for b in 0..upd.body_leaf.len() {
+        let leaf = NodeRef(upd.body_leaf.peek(b));
         let l = leaf.is_leaf().then(|| tree.peek_leaf(leaf));
         if !l.is_some_and(|l| l.in_use && l.body_slice().contains(&(b as u32))) {
             let in_use = l.map(|l| l.in_use);
             return Err(format!(
                 "body {b}: body_leaf names {leaf:?} (in use: {in_use:?}), which does not list it"
             ));
+        }
+    }
+    for (a, (stack, top)) in upd.free_leaves.iter().zip(&upd.free_top).enumerate() {
+        let mut seen = std::collections::HashSet::new();
+        for i in 0..top.peek(0) as usize {
+            let leaf = NodeRef::leaf(a, stack.peek(i) as usize);
+            if !seen.insert(leaf) {
+                return Err(format!("arena {a}: free stack holds {leaf:?} twice"));
+            }
+            if leaf.index() >= tree.arenas[a].leaves.len() || tree.peek_leaf(leaf).in_use {
+                return Err(format!(
+                    "arena {a}: free stack entry {i} is {leaf:?}, not a free leaf"
+                ));
+            }
         }
     }
     Ok(())

@@ -13,7 +13,7 @@ const UPDATE_CYCLES: u64 = 20;
 /// Advance this processor's bodies by `dt` and publish its bounding box.
 /// Caller barriers afterwards.
 pub fn update_phase<E: Env>(env: &E, ctx: &mut E::Ctx, world: &World, proc: usize, dt: f64) {
-    let (s, e) = world.zone(proc);
+    let (s, e) = world.zone(env, ctx, proc);
     let mut bbox = Aabb::EMPTY;
     for i in s..e {
         let b = world.order.load(env, ctx, i) as usize;

@@ -5,7 +5,7 @@
 use crate::body::Body;
 use crate::env::{Env, Placement, Region};
 use crate::math::{Aabb, Vec3};
-use crate::shared::{SharedAtomicVec, SharedVec};
+use crate::shared::SharedVec;
 
 /// All shared state of the running simulation apart from the tree itself.
 pub struct World {
@@ -18,11 +18,6 @@ pub struct World {
     /// Per-body force-computation work from the previous step (interaction
     /// count). Drives costzones partitioning.
     pub cost: SharedVec<u32>,
-    /// The leaf currently holding each body (encoded
-    /// [`crate::tree::NodeRef`] bits, atomic: it is read lock-free by the
-    /// UPDATE algorithm's containment check while subdividers forward it).
-    /// Maintained by all builders.
-    pub body_leaf: SharedAtomicVec,
     // ----- costzones assignment --------------------------------------------
     /// Bodies in costzones (tree traversal) order.
     pub order: SharedVec<u32>,
@@ -48,7 +43,6 @@ impl World {
             acc: SharedVec::new(env, n, Vec3::ZERO, g, body),
             mass: SharedVec::new(env, n, 0.0, g, body),
             cost: SharedVec::new(env, n, 1, g, meta),
-            body_leaf: SharedAtomicVec::new(env, n, 0, g, meta),
             order: SharedVec::new(env, n, 0, g, part),
             zone_start: SharedVec::new(env, p + 1, 0, g, part),
             proc_bbox: SharedVec::new(env, p, Aabb::EMPTY, g, part),
@@ -78,7 +72,6 @@ impl World {
             self.acc.poke(i, Vec3::ZERO);
             self.mass.poke(i, b.mass);
             self.cost.poke(i, 1);
-            self.body_leaf.poke(i, 0);
             self.order.poke(i, i as u32);
         }
         // Initial even assignment in index order (the paper: "for the first
@@ -105,17 +98,16 @@ impl World {
         for v in [&self.order, &self.zone_start] {
             v.fill(u32::MAX);
         }
-        self.body_leaf.fill(u32::MAX);
         (0..self.n).for_each(|i| self.cost.poke(i, u32::MAX >> (i % 32)));
     }
 
-    /// Bodies assigned to `proc` (zone bounds, untimed read; the zone
-    /// contents are read with timed loads by the algorithms).
+    /// Bodies assigned to `proc`: the bounds of its zone of `order`, two
+    /// timed loads.
     #[inline]
-    pub fn zone(&self, proc: usize) -> (usize, usize) {
+    pub fn zone<E: Env>(&self, env: &E, ctx: &mut E::Ctx, proc: usize) -> (usize, usize) {
         (
-            self.zone_start.peek(proc) as usize,
-            self.zone_start.peek(proc + 1) as usize,
+            self.zone_start.load(env, ctx, proc) as usize,
+            self.zone_start.load(env, ctx, proc + 1) as usize,
         )
     }
 
@@ -158,15 +150,9 @@ mod tests {
         let env = NativeEnv::new(4);
         let bodies = Model::UniformSphere.generate(103, 3);
         let w = World::new(&env, &bodies);
-        let mut covered = 0;
-        for p in 0..4 {
-            let (s, e) = w.zone(p);
-            assert!(s <= e);
-            covered += e - s;
-        }
-        assert_eq!(covered, 103);
-        assert_eq!(w.zone(0).0, 0);
-        assert_eq!(w.zone(3).1, 103);
+        let starts: Vec<_> = (0..=4).map(|q| w.zone_start.peek(q)).collect();
+        assert!(starts.windows(2).all(|z| z[0] <= z[1]));
+        assert_eq!((starts[0], starts[4]), (0, 103));
     }
 
     #[test]
@@ -180,11 +166,10 @@ mod tests {
         assert_eq!(w.snapshot(), second);
         for i in 0..64 {
             assert_eq!(w.acc.peek(i), Vec3::ZERO);
-            let meta = (w.cost.peek(i), w.body_leaf.peek(i), w.order.peek(i));
-            assert_eq!(meta, (1, 0, i as u32));
+            assert_eq!((w.cost.peek(i), w.order.peek(i)), (1, i as u32));
         }
-        let zones: Vec<_> = (0..4).map(|q| w.zone(q)).collect();
-        assert_eq!(zones, [(0, 16), (16, 32), (32, 48), (48, 64)]);
+        let starts: Vec<_> = (0..=4).map(|q| w.zone_start.peek(q)).collect();
+        assert_eq!(starts, [0, 16, 32, 48, 64]);
         assert!((0..4).all(|q| w.proc_bbox.peek(q) == Aabb::EMPTY));
     }
 

@@ -31,17 +31,17 @@ fn p1_run_output_matches_the_pinned_digests() {
         (
             Algorithm::Orig,
             [
-                (2165, 12881224998873720235),
-                (3550, 4591664738261835899),
-                (1187, 4861851434111845540),
+                (2165, 6989936014084918650),
+                (3550, 4974674514056861713),
+                (1187, 16318157776401019660),
             ],
         ),
         (
             Algorithm::Morton,
             [
-                (2009, 9341878331929638629),
-                (3526, 15119497037576285413),
-                (1028, 2496215276960113461),
+                (2009, 4091538025075937786),
+                (3526, 9807597611074856074),
+                (1028, 1161427522199320047),
             ],
         ),
     ] {

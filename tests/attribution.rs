@@ -16,6 +16,9 @@
 //!    totals, and a lock-free builder leaves it empty.
 //! 4. **Ownership.** A builder's scratch is allocated by that builder
 //!    alone: no other algorithm's run holds SPACE's partitioner arrays.
+//! 5. **No write-only state.** Every allocation a run writes with timed
+//!    stores it also reads with timed loads, so no builder pays for
+//!    traffic that no reader needs.
 //!
 //! Attribution never touches the virtual clock: `tests/sim_cycles_golden.rs`
 //! pins the P = 1 cycles of all five platforms and six algorithms.
@@ -248,13 +251,40 @@ fn the_lock_histogram_sums_to_the_runs_lock_totals() {
     }
 }
 
-/// `NativeEnv` that remembers the region of every allocation.
-struct AllocLog {
-    inner: NativeEnv,
-    regions: Mutex<Vec<Region>>,
+/// One allocation as a [`Recorder`] saw it.
+#[derive(Debug, Clone, Copy)]
+struct Alloc {
+    base: VAddr,
+    bytes: u64,
+    region: Region,
+    /// Timed accesses that read it (loads, unordered loads, atomic reads
+    /// and read-modify-writes).
+    reads: u64,
+    /// Timed accesses that write it (stores and read-modify-writes).
+    writes: u64,
 }
 
-impl Env for AllocLog {
+/// `NativeEnv` that maps every timed access to the allocation it hits.
+struct Recorder {
+    inner: NativeEnv,
+    /// In allocation order, which is address order.
+    allocs: Mutex<Vec<Alloc>>,
+}
+
+impl Recorder {
+    fn new(procs: usize) -> Recorder {
+        Recorder {
+            inner: NativeEnv::new(procs),
+            allocs: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn allocs(self) -> Vec<Alloc> {
+        self.allocs.into_inner().unwrap()
+    }
+}
+
+impl Env for Recorder {
     type Ctx = NativeCtx;
 
     fn num_procs(&self) -> usize {
@@ -266,11 +296,30 @@ impl Env for AllocLog {
     }
 
     fn alloc(&self, bytes: u64, align: u64, place: Placement, region: Region) -> VAddr {
-        self.regions.lock().unwrap().push(region);
-        self.inner.alloc(bytes, align, place, region)
+        let base = self.inner.alloc(bytes, align, place, region);
+        let mut allocs = self.allocs.lock().unwrap();
+        assert!(allocs.last().is_none_or(|a| a.base + a.bytes <= base));
+        allocs.push(Alloc {
+            base,
+            bytes,
+            region,
+            reads: 0,
+            writes: 0,
+        });
+        base
     }
 
     fn access(&self, ctx: &mut NativeCtx, addr: VAddr, bytes: u32, kind: Access) {
+        let mut allocs = self.allocs.lock().unwrap();
+        let i = allocs.partition_point(|a| a.base <= addr);
+        let a = i
+            .checked_sub(1)
+            .map(|i| &mut allocs[i])
+            .filter(|a| addr < a.base + a.bytes)
+            .unwrap_or_else(|| panic!("access at {addr:#x} hits no allocation"));
+        a.reads += u64::from(!matches!(kind, Access::Write | Access::AtomicWrite));
+        a.writes += u64::from(kind.is_write());
+        drop(allocs);
         self.inner.access(ctx, addr, bytes, kind)
     }
 
@@ -310,12 +359,9 @@ fn only_space_allocates_partition_scratch() {
     let bodies = Model::Plummer.generate(64, 1998);
     for alg in ALGS {
         for procs in [1, 2] {
-            let env = AllocLog {
-                inner: NativeEnv::new(procs),
-                regions: Mutex::new(Vec::new()),
-            };
+            let env = Recorder::new(procs);
             run_simulation(&env, &tiny_cfg(alg), &bodies).assert_valid();
-            let regions = env.regions.into_inner().unwrap();
+            let regions: Vec<Region> = env.allocs().iter().map(|a| a.region).collect();
             assert_eq!(
                 regions.contains(&Region::PartitionScratch),
                 alg == Algorithm::Space,
@@ -323,4 +369,40 @@ fn only_space_allocates_partition_scratch() {
             );
         }
     }
+}
+
+/// No write-only state: for every builder, serial and parallel, each
+/// allocation that the run's timed stores write is also read by its timed
+/// loads. An array that only UPDATE reads, written by every builder's
+/// insertions, fails here naming the builder and the allocation.
+///
+/// `force-list` is exempt: the batched kernel reads its interaction lists
+/// back through `peek_slice` (the native fast path) and charges each
+/// entry as an interaction (`force.rs` `emit_entry`), not as a load.
+#[test]
+fn no_allocation_is_written_and_never_read() {
+    let bodies = Model::Plummer.generate(1024, 1998);
+    let mut failures = Vec::new();
+    for alg in ALGS {
+        for procs in [1, 2] {
+            let env = Recorder::new(procs);
+            let cfg = SimConfig {
+                k: 8,
+                warmup_steps: 1,
+                measured_steps: 3,
+                ..SimConfig::new(alg)
+            };
+            run_simulation(&env, &cfg, &bodies).assert_valid();
+            for (i, a) in env.allocs().iter().enumerate() {
+                if a.writes > 0 && a.reads == 0 && a.region != Region::ForceList {
+                    failures.push(format!(
+                        "{alg} at P = {procs}: allocation {i} ({}, {} B) written {} times, \
+                         never read",
+                        a.region, a.bytes, a.writes
+                    ));
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

@@ -221,7 +221,8 @@ fn zone_cut_inside_a_sub_group_is_evaluated_by_both_owners() {
     let world = &snap.world;
     for gs in [5, 16, 64] {
         assert!(
-            (1..procs).any(|q| !(world.zone(q).0 % gs).is_multiple_of(EVAL_LANES)),
+            (1..procs)
+                .any(|q| !(world.zone_start.peek(q) as usize % gs).is_multiple_of(EVAL_LANES)),
             "gs={gs}: no zone cut falls inside a sub-group; pick another shape"
         );
         snap.force(&cfg.force, gs);

@@ -9,8 +9,8 @@
 //! * [`early_forwarding_kernel`]: subdivision must defer a private
 //!   subtree's `body_leaf` stores until the subtree is complete. Stored
 //!   mid-build, they leak pointers to leaves the builder is still writing:
-//!   UPDATE's move phase follows `body_leaf` → `leaf_parent` and reads the
-//!   leaf record under the *sub-cell's* lock, which the builder does not
+//!   UPDATE's move phase follows `body_leaf` to the leaf's parent and reads
+//!   the leaf record under the *sub-cell's* lock, which the builder does not
 //!   hold, so a later grow of that leaf races with the mover's read. The
 //!   full simulation shows this bug too: in the mutation lane,
 //!   `race_freedom` on native timing fails 5 runs of 5 (UPDATE's
@@ -47,7 +47,6 @@ use bh_core::env::Env;
 use bh_core::harness::spmd;
 use bh_core::math::{Cube, Vec3};
 use bh_core::sched::{explore, ExplorePlan, SchedConfig, VerifyEnv};
-use bh_core::tree::types::NodeRef;
 use bh_core::tree::validate::{body_leaves, validate};
 use bh_core::tree::{SharedTree, TreeLayout};
 use bh_core::world::World;
@@ -80,7 +79,7 @@ fn assert_certifies_completely(name: &str, kernel: fn(&VerifyEnv) -> Option<Stri
 
 /// Body index the cross-processor reader of [`early_forwarding_kernel`]
 /// targets.
-const B2: usize = 1;
+const B2: u32 = 1;
 
 /// Three-body kernel with the geometry that makes the early-forwarding
 /// leak reachable (root cube `[0,8]^3`, `k = 2`):
@@ -103,17 +102,19 @@ fn early_forwarding_kernel(env: &VerifyEnv) -> Option<String> {
     ];
     let world = World::new(env, &bodies);
     let tree = SharedTree::new(env, bodies.len(), 2, TreeLayout::PerProcessor);
+    let scratch = UpdateScratch::new(env, bodies.len(), 2);
+    let upd = Some(&scratch);
     let root_cube = Cube::new(Vec3::new(4.0, 4.0, 4.0), 4.0);
     spmd(env, |proc, ctx| {
         // ---- Build: b1 and b2 fill one leaf under the root.
         if proc == 0 {
             let root = create_root(env, ctx, &tree, root_cube);
             for b in [0u32, 1] {
-                insert_locked(env, ctx, &tree, &world, 0, 0, b, root, root_cube);
+                insert_locked(env, ctx, &tree, &world, upd, 0, 0, b, root, root_cube);
             }
             // Move b2 outside its leaf for the next phase. Untimed: the
             // repositioning itself is not part of the checked execution.
-            world.pos.poke(B2, Vec3::new(9.0, 3.0, 3.0));
+            world.pos.poke(B2 as usize, Vec3::new(9.0, 3.0, 3.0));
         }
         env.barrier(ctx);
 
@@ -121,23 +122,21 @@ fn early_forwarding_kernel(env: &VerifyEnv) -> Option<String> {
         if proc == 0 {
             // Builder: inserting x overflows the leaf and subdivides.
             let root = tree.root.load(env, ctx, 0);
-            insert_locked(env, ctx, &tree, &world, 0, 0, 2, root, root_cube);
+            insert_locked(env, ctx, &tree, &world, upd, 0, 0, 2, root, root_cube);
         } else {
             // Reader: the move phase's access sequence for b2
             // (update::move_body's fast path + locked re-validation).
-            let pos = world.pos.load(env, ctx, B2);
-            let leaf0 = NodeRef(world.body_leaf.load(env, ctx, B2));
-            let contained = if leaf0.is_leaf() {
-                let cube = tree.leaf_bounds(env, ctx, leaf0);
-                NodeRef(world.body_leaf.load(env, ctx, B2)) == leaf0 && cube.contains(pos)
-            } else {
-                false
+            let pos = world.pos.load(env, ctx, B2 as usize);
+            let leaf0 = scratch.leaf_of(env, ctx, B2);
+            let contained = leaf0.is_leaf() && {
+                let cube = tree.load_leaf_relaxed(env, ctx, leaf0).cube();
+                scratch.leaf_of(env, ctx, B2) == leaf0 && cube.contains(pos)
             };
             if !contained {
                 loop {
-                    let leaf = NodeRef(world.body_leaf.load(env, ctx, B2));
-                    let parent = tree.leaf_parent(env, ctx, leaf);
-                    if parent.is_null() {
+                    let leaf = scratch.leaf_of(env, ctx, B2);
+                    let seen = tree.load_leaf_relaxed(env, ctx, leaf);
+                    if !seen.in_use || seen.parent.is_null() {
                         // The leaf is being retired mid-subdivision. The
                         // real mover spins until the builder republishes;
                         // here that spin would livelock bounded-exhaustive
@@ -148,9 +147,10 @@ fn early_forwarding_kernel(env: &VerifyEnv) -> Option<String> {
                         // this branch.
                         break;
                     }
+                    let parent = seen.parent;
                     env.lock(ctx, parent.lock_id());
-                    if tree.leaf_parent(env, ctx, leaf) == parent
-                        && NodeRef(world.body_leaf.load(env, ctx, B2)) == leaf
+                    let seen = tree.load_leaf_relaxed(env, ctx, leaf);
+                    if seen.in_use && seen.parent == parent && scratch.leaf_of(env, ctx, B2) == leaf
                     {
                         // The racy read: the builder may still be growing
                         // this leaf, and only the (deferred) forwarding
@@ -189,20 +189,24 @@ fn republication_kernel(env: &VerifyEnv) -> Option<String> {
     ];
     let world = World::new(env, &bodies);
     let tree = SharedTree::new(env, bodies.len(), 1, TreeLayout::PerProcessor);
+    let scratch = UpdateScratch::new(env, bodies.len(), 1);
+    let upd = Some(&scratch);
     let root_cube = Cube::new(Vec3::new(4.0, 4.0, 4.0), 4.0);
     spmd(env, |proc, ctx| {
         if proc == 0 {
             let root = create_root(env, ctx, &tree, root_cube);
-            insert_locked(env, ctx, &tree, &world, 0, 0, 0, root, root_cube);
+            insert_locked(env, ctx, &tree, &world, upd, 0, 0, 0, root, root_cube);
         }
         env.barrier(ctx);
         let root = tree.root.load(env, ctx, 0);
         let body = [1u32, 2][proc];
         let arena = tree.arena_of(proc);
-        insert_locked(env, ctx, &tree, &world, arena, proc, body, root, root_cube);
+        insert_locked(
+            env, ctx, &tree, &world, upd, arena, proc, body, root, root_cube,
+        );
         env.barrier(ctx);
     });
-    body_leaves(&tree, &world).err()
+    body_leaves(&tree, &scratch).err()
 }
 
 /// Three-body kernel for UPDATE's leaf reclamation (root cube `[0,8]^3`,
@@ -228,13 +232,14 @@ fn leaf_free_kernel(env: &VerifyEnv) -> Option<String> {
     ];
     let world = World::new(env, &bodies);
     let tree = SharedTree::new(env, bodies.len(), 2, TreeLayout::PerProcessor);
-    let scratch = UpdateScratch::new(env, bodies.len());
+    let scratch = UpdateScratch::new(env, bodies.len(), 2);
+    let upd = Some(&scratch);
     let root_cube = Cube::new(Vec3::new(4.0, 4.0, 4.0), 4.0);
     spmd(env, |proc, ctx| {
         if proc == 0 {
             let root = create_root(env, ctx, &tree, root_cube);
             for b in [0u32, 1] {
-                insert_locked(env, ctx, &tree, &world, 0, 0, b, root, root_cube);
+                insert_locked(env, ctx, &tree, &world, upd, 0, 0, b, root, root_cube);
             }
             // Untimed, like the integration step that moves a body.
             world.pos.poke(0, Vec3::new(6.0, 6.0, 6.0));
@@ -245,11 +250,11 @@ fn leaf_free_kernel(env: &VerifyEnv) -> Option<String> {
         } else {
             let root = tree.root.load(env, ctx, 0);
             let arena = tree.arena_of(1);
-            insert_locked(env, ctx, &tree, &world, arena, 1, 2, root, root_cube);
+            insert_locked(env, ctx, &tree, &world, upd, arena, 1, 2, root, root_cube);
         }
         env.barrier(ctx);
     });
-    body_leaves(&tree, &world).err()
+    body_leaves(&tree, &scratch).err()
 }
 
 /// Two-body kernel for PARTREE's merge (root cube `[0,8]^3`, `k = 2`):

@@ -31,8 +31,10 @@
 //! shows, and a test that flips one changes the code every other test in
 //! its process runs.
 //!
-//! A fifth keeps the builders' shared accesses charged: the measured code
-//! in `crates/core/src/algorithms/` uses no untimed accessor.
+//! A fifth keeps the measured code's shared accesses charged: what a
+//! step's timed phases run (the builders, the tree, the world, the force,
+//! partition and update phases and the pipeline) uses no untimed accessor
+//! outside a short list of functions that run outside the steps.
 
 use std::path::{Path, PathBuf};
 
@@ -231,15 +233,105 @@ fn scan_sync(src: &str) -> Vec<usize> {
 /// Untimed accessors of the shared containers and the tree.
 const UNTIMED: &[&str] = &[".peek(", ".poke(", "peek_cell", "peek_leaf", "peek_child"];
 
+/// The measured code, relative to `crates/core/src` (a trailing `/` is a
+/// directory): every file a step's timed phases run.
+const MEASURED: &[&str] = &[
+    "algorithms/",
+    "tree/",
+    "world.rs",
+    "force.rs",
+    "partition.rs",
+    "update_phase.rs",
+    "pipeline.rs",
+];
+
+/// Files under [`MEASURED`] that no step runs.
+const UNMEASURED: &[&str] = &[
+    // Untimed structural checks of a finished run.
+    "tree/validate.rs",
+];
+
+/// Functions of the measured files that may use an untimed accessor, each
+/// with the reason. A trailing `*` matches a name prefix.
+const UNTIMED_FNS: &[(&str, &str)] = &[
+    (
+        "reset",
+        "single-threaded engine setup between jobs, before any step",
+    ),
+    ("snapshot", "copies the final bodies out after a run"),
+    (
+        "positions",
+        "copies positions out for validation after a run",
+    ),
+    ("masses", "copies masses out for validation after a run"),
+    (
+        "peek_*",
+        "the untimed accessors themselves, for setup and validation",
+    ),
+    (
+        "pending_peek",
+        "the untimed pending-counter read, for validation",
+    ),
+    (
+        "cells_allocated",
+        "counts the cells a finished build allocated",
+    ),
+    (
+        "leaves_allocated",
+        "counts the leaves a finished build allocated",
+    ),
+    (
+        "children",
+        "loads the eight slots, then charges them as one 32-byte access",
+    ),
+];
+
+/// The name of the function a production line sits in: the last `fn`
+/// declared at or above it.
+fn enclosing_fns(lines: &[(usize, String)]) -> Vec<Option<String>> {
+    let mut current = None;
+    lines
+        .iter()
+        .map(|(_, code)| {
+            let decl = code
+                .split_once("fn ")
+                .filter(|(before, _)| before.is_empty() || before.ends_with([' ', '(']));
+            if let Some((_, rest)) = decl {
+                let name: String = rest
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_')
+                    .collect();
+                if !name.is_empty() {
+                    current = Some(name);
+                }
+            }
+            current.clone()
+        })
+        .collect()
+}
+
+fn untimed_fn_allowed(name: &str) -> bool {
+    UNTIMED_FNS
+        .iter()
+        .any(|(pat, _)| match pat.strip_suffix('*') {
+            Some(prefix) => name.starts_with(prefix),
+            None => name == *pat,
+        })
+}
+
 /// Lines of production code that use an untimed accessor, outside
-/// `debug_assert` lines: checks that only debug builds make must not charge
-/// cycles that release builds do not.
+/// `debug_assert` lines (checks that only debug builds make must not charge
+/// cycles that release builds do not) and outside [`UNTIMED_FNS`].
 fn scan_untimed(src: &str) -> Vec<usize> {
-    production_lines(src)
+    let lines = production_lines(src);
+    let fns = enclosing_fns(&lines);
+    lines
         .into_iter()
-        .filter(|(_, code)| !code.contains("debug_assert"))
-        .filter(|(_, code)| UNTIMED.iter().any(|pat| code.contains(pat)))
-        .map(|(line, _)| line)
+        .zip(fns)
+        .filter(|((_, code), _)| !code.contains("debug_assert"))
+        .filter(|((_, code), _)| UNTIMED.iter().any(|pat| code.contains(pat)))
+        .filter(|(_, name)| !name.as_deref().is_some_and(untimed_fn_allowed))
+        .map(|((line, _), _)| line)
         .collect()
 }
 
@@ -437,18 +529,24 @@ fn core_declares_no_global_static() {
 /// `SharedVec::peek`/`poke` and the tree's `peek_cell`, `peek_leaf` and
 /// `peek_child` read or write shared memory without telling the `Env`: no
 /// simulated cycles, no miss, no race-detector event. They are for untimed
-/// setup, validation and tests. A builder that uses one in its measured
-/// code gets that access for free on every simulated platform, and the
-/// schedule explorer and race checker never see it.
+/// setup, validation and tests. Measured code that uses one gets that
+/// access for free on every simulated platform, and the schedule explorer
+/// and race checker never see it.
 #[test]
 fn builders_use_no_untimed_accessor_in_measured_code() {
-    let root = repo_root();
+    let src_dir = repo_root().join("crates/core/src");
     let mut files = Vec::new();
-    collect_rs_files(&root.join("crates/core/src/algorithms"), &mut files);
-    assert!(files.len() >= 6, "audit walked too few files: {files:?}");
+    for rel in MEASURED {
+        match rel.strip_suffix('/') {
+            Some(dir) => collect_rs_files(&src_dir.join(dir), &mut files),
+            None => files.push(src_dir.join(rel)),
+        }
+    }
+    files.retain(|path| !UNMEASURED.iter().any(|rel| path.ends_with(rel)));
+    assert!(files.len() >= 15, "audit walked too few files: {files:?}");
     let mut failures = Vec::new();
     for path in &files {
-        let rel = path.strip_prefix(&root).unwrap().to_string_lossy();
+        let rel = path.strip_prefix(&src_dir).unwrap().to_string_lossy();
         let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {rel}: {e}"));
         for line in scan_untimed(&src) {
             failures.push(format!("{rel}:{line}: untimed shared access"));
@@ -554,6 +652,15 @@ fn untimed_scanner_skips_comments_debug_asserts_and_tests() {
                mod tests {\n\
                let b = v.peek(1);\n";
     assert_eq!(scan_untimed(src), [1, 5, 10]);
+}
+
+#[test]
+fn untimed_scanner_exempts_the_named_functions_only() {
+    let src = "pub fn reset(&self) {\n    self.n.poke(0, 0);\n}\n\
+               pub fn peek_leaf(&self, r: NodeRef) -> Leaf {\n    self.leaves.peek(r.0)\n}\n\
+               fn zone(&self) -> u32 {\n    self.z.peek(0)\n}\n\
+               fn reset_for_rebuild(&self) {\n    self.n.poke(0, 0);\n}\n";
+    assert_eq!(scan_untimed(src), [8, 11]);
 }
 
 #[test]
