@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge gate: formatting, lints, the unsafe audit and the race-freedom
-# matrix, then the full test suite. Everything runs offline.
+# matrix, then the full test suite, and last the mutation lane. Everything
+# runs offline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -41,13 +42,12 @@ echo "== race-freedom matrix =="
 cargo test --offline -q --test race_freedom
 
 echo "== schedule-exploration verify lane =="
-# Seeded + round-robin schedule matrix over all six algorithms, plus the
+# Round-robin schedule matrix over all six algorithms, plus the
 # bounded-exhaustive passes: MORTON's sort-and-emit kernel, SPACE's whole
-# simulation at n = 8 (408 schedules) and the three ordering kernels, each
+# simulation at n = 8 (408 schedules) and the five ordering kernels, each
 # certified over its whole bounded schedule space. The mutants that show
-# these checkers catch what they claim are scored by tests/mutants/run.sh,
-# a lane of its own (about 11 minutes on two cores): run it after touching
-# a builder's locking or publication order, or a checker.
+# these checkers catch what they claim are scored by the mutation lane,
+# the last lane below.
 cargo test --offline -q --test schedule_matrix --test schedule_mutation
 
 echo "== force kernel lane (sequential-reference parity + group-size matrix cells) =="
@@ -261,5 +261,13 @@ EOF
 wait "$SERVE_PID"
 grep -q '"served_total":4' "$SERVE_DIR/serve_stats.json" || {
     echo "serve final stats wrong:"; cat "$SERVE_DIR/serve_stats.json"; exit 1; }
+
+echo "== mutation lane (each tests/mutants/*.patch against every checker column) =="
+# Applies each mutant to a throwaway copy of the tracked tree, builds the
+# checker test binaries and prints the score and the checker-by-mutant
+# matrix (DESIGN.md section 4b); it fails when a patch no longer applies, a
+# mutated tree does not compile, or a patch's named test passes. 177 s
+# on two cores.
+tests/mutants/run.sh
 
 echo "All checks passed."

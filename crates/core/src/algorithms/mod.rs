@@ -55,8 +55,9 @@ impl Algorithm {
     }
 
     /// The storage layout each algorithm historically uses. MORTON never
-    /// builds the linked tree at all; its (unused) `SharedTree` is sized
-    /// per-processor like the other scalable algorithms.
+    /// builds the linked tree, so no `SharedTree` is allocated for it; its
+    /// layout sizes the flat snapshot per-processor like the other scalable
+    /// algorithms.
     pub fn layout(self) -> TreeLayout {
         match self {
             Algorithm::Orig => TreeLayout::GlobalArena,

@@ -426,7 +426,7 @@ pub(crate) fn execute<E: Env>(
     pool: &WorkerPool,
     cfg: &SimConfig,
     world: &World,
-    tree: &SharedTree,
+    tree: Option<&SharedTree>,
     flat: &FlatTree,
     force_scratch: &ForceScratch,
     builder: &Builder,
@@ -474,6 +474,7 @@ pub(crate) fn execute<E: Env>(
             crate::tree::validate::validate_flat_morton(flat, &positions, &world.masses(), cfg.k)
                 .err()
         } else {
+            let tree = io.linked_tree();
             validate_with(
                 tree,
                 &positions,

@@ -9,7 +9,11 @@
 //! - the [`WorkerPool`] is created once and parks between jobs;
 //! - the shared state is `reset()` (not reallocated) whenever the next
 //!   job's shape — body count, leaf threshold, tree layout — matches the
-//!   previous one; an incompatible job simply reallocates.
+//!   previous one; an incompatible job simply reallocates. MORTON never
+//!   links a tree, so a state allocated for it has no [`SharedTree`]: it
+//!   serves MORTON jobs of its shape, and the first job of a linked
+//!   builder reallocates it once, with the tree. A state with a tree
+//!   serves every builder.
 //!
 //! A reset restores what a run reads before writing it, not the fresh
 //! bytes: [`World::reset`] rewrites the body arrays and the initial
@@ -43,7 +47,8 @@ pub(crate) struct EngineState {
     k: usize,
     layout: TreeLayout,
     world: World,
-    tree: SharedTree,
+    /// The linked tree; `None` for a state allocated for MORTON.
+    tree: Option<SharedTree>,
     flat: FlatTree,
     /// Interaction-list scratch for the batched force kernel; shaped like
     /// the flat snapshot.
@@ -61,7 +66,8 @@ impl EngineState {
     pub(crate) fn new<E: Env>(env: &E, cfg: &SimConfig, bodies: &[Body]) -> EngineState {
         let (n, k, layout) = (bodies.len(), cfg.k, cfg.algorithm.layout());
         let world = World::new(env, bodies);
-        let tree = SharedTree::new(env, n, k, layout);
+        let tree =
+            (!cfg.algorithm.builds_flat_directly()).then(|| SharedTree::new(env, n, k, layout));
         let builder = Builder::new(env, cfg.algorithm, n, k);
         let flat = FlatTree::new(env, n, k, layout);
         let force_scratch = ForceScratch::new(env, &flat, n, env.num_procs());
@@ -98,7 +104,7 @@ impl EngineState {
             pool,
             cfg,
             &self.world,
-            &self.tree,
+            self.tree.as_ref(),
             &self.flat,
             &self.force_scratch,
             self.builders.entry(alg).or_insert(builder),
@@ -141,10 +147,18 @@ impl<E: Env> SimEngine<E> {
     /// [`crate::app::run_simulation_with_state`].
     pub fn run_with_state(&mut self, cfg: &SimConfig, bodies: &[Body]) -> (RunStats, Vec<Body>) {
         let (n, layout) = (bodies.len(), cfg.algorithm.layout());
+        let linked = !cfg.algorithm.builds_flat_directly();
         let state = match self.state.take() {
-            Some(st) if st.n == n && st.k == cfg.k && st.layout == layout => {
+            Some(st)
+                if st.n == n
+                    && st.k == cfg.k
+                    && st.layout == layout
+                    && (st.tree.is_some() || !linked) =>
+            {
                 st.world.reset(bodies);
-                st.tree.reset();
+                if let Some(tree) = &st.tree {
+                    tree.reset();
+                }
                 st
             }
             _ => EngineState::new(&self.env, cfg, bodies),
@@ -194,6 +208,27 @@ mod tests {
         // Local/Update/Space share the per-processor layout: one allocation,
         // three cached builders.
         assert_eq!(engine.state.as_ref().unwrap().builders.len(), 3);
+    }
+
+    #[test]
+    fn a_morton_state_gains_its_tree_once() {
+        let mut engine = SimEngine::new(NativeEnv::new(2));
+        let bodies = Model::Plummer.generate(64, 11);
+        let mut run = |alg| {
+            let mut cfg = SimConfig::new(alg);
+            cfg.warmup_steps = 1;
+            cfg.measured_steps = 1;
+            engine.run(&cfg, &bodies).assert_valid();
+            let st = engine.state.as_ref().unwrap();
+            (st.tree.is_some(), st.builders.len())
+        };
+        // MORTON alone allocates no tree; the first linked job reallocates
+        // (dropping the cached MORTON builder) and from then on one state
+        // serves both, whatever the order.
+        assert_eq!(run(Algorithm::Morton), (false, 1));
+        assert_eq!(run(Algorithm::Space), (true, 1));
+        assert_eq!(run(Algorithm::Morton), (true, 2));
+        assert_eq!(run(Algorithm::Space), (true, 2));
     }
 
     /// `NativeEnv` plus an order-sensitive digest of every access (address,
@@ -272,7 +307,9 @@ mod tests {
                 job(&mut parked, &cfg, &bodies);
                 let st = parked.state.as_ref().unwrap();
                 st.world.poison();
-                st.tree.poison();
+                if let Some(tree) = &st.tree {
+                    tree.poison();
+                }
                 st.flat.poison();
                 st.force_scratch.poison();
                 st.builders[&alg].poison();

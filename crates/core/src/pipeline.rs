@@ -33,7 +33,9 @@ use crate::world::World;
 pub struct StageIo<'a> {
     pub cfg: &'a SimConfig,
     pub world: &'a World,
-    pub tree: &'a SharedTree,
+    /// The linked tree, absent from a state allocated for MORTON, which
+    /// never links one.
+    pub tree: Option<&'a SharedTree>,
     pub flat: &'a FlatTree,
     /// Per-processor interaction-list scratch for the batched force kernel.
     pub force_scratch: &'a ForceScratch,
@@ -42,6 +44,15 @@ pub struct StageIo<'a> {
     /// Positions as of the last tree build, captured for validation (the
     /// final update stage moves bodies after the tree was summarized).
     pub tree_snapshot: &'a Mutex<Option<Vec<Vec3>>>,
+}
+
+impl StageIo<'_> {
+    /// The linked tree a linked builder's stages build, partition and
+    /// validate.
+    pub fn linked_tree(&self) -> &SharedTree {
+        self.tree
+            .expect("a linked builder runs on a state allocated with its tree")
+    }
 }
 
 /// What the stages measure besides the phase deltas. The tree stages
@@ -118,19 +129,19 @@ fn tree_stage<E: Env>(env: &E, ctx: &mut E::Ctx, io: &StageIo<'_>, proc: usize, 
         morton_reorder(env, ctx, io.world, proc);
     }
     let cube = crate::algorithms::common::bounds_phase(env, ctx, io.world, proc);
-    io.builder
-        .build(env, ctx, io.tree, io.world, proc, step, cube);
+    let tree = io.linked_tree();
+    io.builder.build(env, ctx, tree, io.world, proc, step, cube);
     env.barrier(ctx);
-    io.builder.com(env, ctx, io.tree, io.world, proc, step);
+    io.builder.com(env, ctx, tree, io.world, proc, step);
     env.barrier(ctx);
     // Snapshot the summarized tree. The fill's writes are separated
     // from the force phase's reads by the partition stage's closing
     // barrier.
     let f0 = env.now(ctx);
-    let plan = io.flat.plan(env, ctx, io.tree);
-    io.flat.publish_counts(env, ctx, io.tree, &plan, proc);
+    let plan = io.flat.plan(env, ctx, tree);
+    io.flat.publish_counts(env, ctx, tree, &plan, proc);
     env.barrier(ctx);
-    io.flat.fill(env, ctx, io.tree, &plan, proc);
+    io.flat.fill(env, ctx, tree, &plan, proc);
     let flatten_t = env.now(ctx) - f0;
     if cfg.validate && proc == 0 && step as usize + 1 == io.total_steps {
         *io.tree_snapshot.lock() = Some(io.world.positions());
@@ -187,7 +198,7 @@ fn morton_partition_stage<E: Env>(env: &E, ctx: &mut E::Ctx, io: &StageIo<'_>, p
 
 /// Costzones partitioning.
 fn partition_stage<E: Env>(env: &E, ctx: &mut E::Ctx, io: &StageIo<'_>, proc: usize) {
-    costzones(env, ctx, io.tree, io.world, proc);
+    costzones(env, ctx, io.linked_tree(), io.world, proc);
     env.barrier(ctx);
 }
 

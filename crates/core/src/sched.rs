@@ -5,10 +5,10 @@
 //! SPMD workers at every synchronization point — `lock`, `unlock`,
 //! `barrier`, the atomic kinds of `access` and `atomic_commit` — and
 //! hands control to exactly one runnable processor at a time under a
-//! pluggable [`SchedStrategy`]. Replaying a program under many strategies
-//! (seeded-random sampling, the deterministic round-robin schedule, or the
-//! bounded-exhaustive explorer) turns "no race observed" into "no race, no
-//! deadlock and no divergence in N explored schedules".
+//! [`SchedStrategy`]: the deterministic round-robin schedule, or a replayed
+//! choice script, which is what the bounded-exhaustive explorer drives.
+//! Exploring a program that way turns "no race observed" into "no race, no
+//! deadlock and no divergence in any schedule within the bound".
 //!
 //! ## Scheduling model
 //!
@@ -71,12 +71,12 @@
 //! native environment as the terminal allocator/clock. [`explore`] runs one
 //! program under an [`ExplorePlan`]; `tests/schedule_matrix.rs` runs each
 //! tree algorithm's whole simulation that way, one cell per (algorithm ×
-//! procs × strategy).
+//! procs), and `tests/schedule_mutation.rs` runs small kernels of the real
+//! builder code over their whole bounded schedule space.
 
 use crate::check::{CheckedEnv, RaceReport};
 use crate::env::{Access, CtxStats, Env, EnvLayer, LayerCtx, NativeEnv, VAddr};
 use crate::harness::panic_text;
-use crate::rng::SmallRng;
 use crate::sync::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Condvar;
@@ -141,19 +141,11 @@ enum Status {
 pub enum SchedStrategy {
     /// Rotate to the next runnable processor at every decision point.
     RoundRobin,
-    /// Uniform-random choice under a fixed seed.
-    Seeded(u64),
     /// Deterministic replay of a recorded choice prefix, the processor
     /// granted at each decision in order (the exhaustive explorer's branch
     /// descriptor); past the prefix, prefer continuing the last-run
     /// processor (zero added preemptions).
     Replay(Vec<usize>),
-}
-
-enum StrategyState {
-    RoundRobin,
-    Seeded(SmallRng),
-    Replay { choices: Vec<usize>, pos: usize },
 }
 
 /// Tuning knobs for one scheduled run.
@@ -292,7 +284,9 @@ struct SchedState {
     arrived: usize,
     generation: u64,
     proc_gen: Vec<u64>,
-    strategy: StrategyState,
+    strategy: SchedStrategy,
+    /// The next entry of a [`SchedStrategy::Replay`] script.
+    cursor: usize,
     decisions: Vec<Decision>,
     preemptions: u32,
     replay_diverged: bool,
@@ -388,11 +382,6 @@ impl<E: Env> SchedEnv<E> {
     /// Wrap `inner` with explicit tuning knobs.
     pub fn with_config(inner: E, strategy: SchedStrategy, cfg: &SchedConfig) -> SchedEnv<E> {
         let procs = inner.num_procs();
-        let strategy = match strategy {
-            SchedStrategy::RoundRobin => StrategyState::RoundRobin,
-            SchedStrategy::Seeded(seed) => StrategyState::Seeded(SmallRng::seed_from_u64(seed)),
-            SchedStrategy::Replay(choices) => StrategyState::Replay { choices, pos: 0 },
-        };
         SchedEnv {
             inner,
             state: Mutex::new(SchedState {
@@ -408,6 +397,7 @@ impl<E: Env> SchedEnv<E> {
                 generation: 0,
                 proc_gen: vec![0; procs],
                 strategy,
+                cursor: 0,
                 decisions: Vec::new(),
                 preemptions: 0,
                 replay_diverged: false,
@@ -595,32 +585,29 @@ impl<E: Env> SchedEnv<E> {
     /// Pick one of the (at least two) grantable processors per the
     /// strategy, and record the decision.
     fn decide(&self, g: &mut SchedState, enabled: &[usize]) -> usize {
-        let chosen = match &mut g.strategy {
-            StrategyState::RoundRobin => {
+        let chosen = match &g.strategy {
+            SchedStrategy::RoundRobin => {
                 let from = g.last_run.map(|l| l + 1).unwrap_or(0);
                 (0..g.procs)
                     .map(|i| (from + i) % g.procs)
                     .find(|p| enabled.contains(p))
                     .expect("enabled nonempty")
             }
-            StrategyState::Seeded(rng) => enabled[rng.gen_range_usize(0, enabled.len())],
-            StrategyState::Replay { choices, pos } => {
-                if *pos < choices.len() {
-                    let c = choices[*pos];
-                    *pos += 1;
+            SchedStrategy::Replay(choices) => match choices.get(g.cursor) {
+                Some(&c) => {
+                    g.cursor += 1;
                     if enabled.contains(&c) {
                         c
                     } else {
                         g.replay_diverged = true;
                         enabled[0]
                     }
-                } else {
-                    match g.last_run {
-                        Some(l) if enabled.contains(&l) => l,
-                        _ => enabled[0],
-                    }
                 }
-            }
+                None => match g.last_run {
+                    Some(l) if enabled.contains(&l) => l,
+                    _ => enabled[0],
+                },
+            },
         };
         let preempt = match g.last_run {
             Some(l) => l != chosen && enabled.contains(&l),
@@ -870,7 +857,7 @@ pub type VerifyEnv = CheckedEnv<SchedEnv<NativeEnv>>;
 
 /// The outcome of one scheduled run.
 pub struct ScheduleOutcome {
-    /// Human-readable schedule id ("seed 17", "round-robin", ...).
+    /// Human-readable schedule id ("round-robin", "exhaustive #17", ...).
     pub id: String,
     pub finding: Option<Finding>,
     pub races: Vec<RaceReport>,
@@ -1005,8 +992,6 @@ fn counterexamples_of(o: &ScheduleOutcome) -> Vec<CounterExample> {
 pub enum ExplorePlan {
     /// The single deterministic round-robin schedule.
     RoundRobin,
-    /// `count` seeded-random schedules starting at seed `base`.
-    Seeded { base: u64, count: usize },
     /// Replay-based DFS under a preemption bound, capped at
     /// `max_schedules` runs.
     Exhaustive {
@@ -1020,7 +1005,6 @@ impl ExplorePlan {
     pub fn name(&self) -> String {
         match self {
             ExplorePlan::RoundRobin => "round-robin".to_string(),
-            ExplorePlan::Seeded { count, .. } => format!("seeded x{count}"),
             ExplorePlan::Exhaustive {
                 preemption_bound, ..
             } => format!("exhaustive pb={preemption_bound}"),
@@ -1093,19 +1077,6 @@ where
             );
             aggregate(&mut agg, &o);
         }
-        ExplorePlan::Seeded { base, count } => {
-            for i in 0..*count {
-                let seed = base + i as u64;
-                let o = run_schedule(
-                    procs,
-                    SchedStrategy::Seeded(seed),
-                    cfg,
-                    &format!("seed {seed}"),
-                    &program,
-                );
-                aggregate(&mut agg, &o);
-            }
-        }
         ExplorePlan::Exhaustive {
             preemption_bound,
             max_schedules,
@@ -1168,8 +1139,8 @@ mod tests {
     fn serialized_counter_survives_every_strategy() {
         for strategy in [
             SchedStrategy::RoundRobin,
-            SchedStrategy::Seeded(7),
             SchedStrategy::Replay(Vec::new()),
+            SchedStrategy::Replay(vec![2, 1, 0, 2]),
         ] {
             let env = verify_env(3, strategy);
             let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
@@ -1189,7 +1160,7 @@ mod tests {
 
     #[test]
     fn barriers_release_all_procs() {
-        let env = verify_env(4, SchedStrategy::Seeded(3));
+        let env = verify_env(4, SchedStrategy::RoundRobin);
         let v: SharedVec<u64> = SharedVec::new(&env, 4, 0, Placement::Global, Region::Other);
         spmd(&env, |proc, ctx| {
             v.store(&env, ctx, proc, 1);
@@ -1206,9 +1177,9 @@ mod tests {
     }
 
     #[test]
-    fn seeded_schedules_differ_and_replay_is_deterministic() {
-        let run = |strategy: SchedStrategy| {
-            let env = verify_env(2, strategy);
+    fn replay_is_deterministic_and_distinct_scripts_give_distinct_schedules() {
+        let run = |script: &[usize]| {
+            let env = verify_env(2, SchedStrategy::Replay(script.to_vec()));
             let v: SharedAtomicVec =
                 SharedAtomicVec::new(&env, 1, 0, Placement::Global, Region::Other);
             spmd(&env, |_proc, ctx| {
@@ -1216,41 +1187,58 @@ mod tests {
                     v.fetch_add(&env, ctx, 0, 1);
                 }
             });
-            (env.inner().trace_tail(), env.inner().decisions().len())
+            let sched = env.inner();
+            assert!(!sched.replay_diverged(), "script {script:?} diverged");
+            let chosen: Vec<usize> = sched.decisions().iter().map(|d| d.chosen).collect();
+            assert!(chosen.starts_with(script), "{chosen:?} ignores {script:?}");
+            sched.trace_tail()
         };
-        let (t1, d1) = run(SchedStrategy::Seeded(1));
-        let (t1b, _) = run(SchedStrategy::Seeded(1));
-        assert_eq!(t1, t1b, "same seed must reproduce the same schedule");
-        assert!(d1 > 0, "atomic contention must produce decision points");
-        let mut saw_difference = false;
-        for seed in 2..12 {
-            if run(SchedStrategy::Seeded(seed)).0 != t1 {
-                saw_difference = true;
-                break;
+        let scripts: [&[usize]; 4] = [&[0], &[1], &[0, 1], &[1, 0]];
+        let traces: Vec<Vec<String>> = scripts.iter().map(|s| run(s)).collect();
+        for (script, trace) in scripts.iter().zip(&traces) {
+            assert_eq!(&run(script), trace, "script {script:?} did not replay");
+        }
+        for i in 0..traces.len() {
+            for j in i + 1..traces.len() {
+                assert_ne!(
+                    traces[i], traces[j],
+                    "scripts {:?} and {:?} ran one schedule",
+                    scripts[i], scripts[j]
+                );
             }
         }
-        assert!(saw_difference, "ten seeds produced identical schedules");
     }
 
     #[test]
     fn races_are_detected_under_the_scheduler() {
         // The classic lost-update race must survive composition: CheckedEnv
-        // over SchedEnv still reports it on a serialized schedule.
-        let mut hit = 0;
-        for seed in 0..8 {
-            let env = verify_env(2, SchedStrategy::Seeded(seed));
-            let v: SharedVec<u64> = SharedVec::new(&env, 1, 0, Placement::Global, Region::Other);
-            spmd(&env, |_proc, ctx| {
+        // over SchedEnv still reports it on a serialized schedule, and the
+        // bounded-exhaustive plan finds it on every run.
+        let program = |env: &VerifyEnv| {
+            let v: SharedVec<u64> = SharedVec::new(env, 1, 0, Placement::Global, Region::Other);
+            spmd(env, |_proc, ctx| {
                 for _ in 0..4 {
-                    let x = v.load(&env, ctx, 0);
-                    v.store(&env, ctx, 0, x + 1);
+                    let x = v.load(env, ctx, 0);
+                    v.store(env, ctx, 0, x + 1);
                 }
             });
-            if !env.races().is_empty() {
-                hit += 1;
-            }
-        }
-        assert!(hit > 0, "seeded race never detected under the scheduler");
+            None
+        };
+        let agg = explore(
+            2,
+            &ExplorePlan::Exhaustive {
+                preemption_bound: 2,
+                max_schedules: 100,
+            },
+            &SchedConfig::default(),
+            program,
+        );
+        assert!(agg.complete, "the bounded space must drain");
+        assert!(
+            agg.counterexamples.iter().any(|c| c.kind == "data-race"),
+            "lost update never detected in {} schedules",
+            agg.schedules
+        );
     }
 
     #[test]
@@ -1298,9 +1286,9 @@ mod tests {
 
     #[test]
     fn lock_order_cycle_reported_even_without_a_deadlock() {
-        // Round-robin runs P0's two nested acquisitions to completion
-        // before P1's reversed pair: no schedule deadlocks, but the union
-        // graph has the cycle — the Eraser-style potential-deadlock report.
+        // The barrier runs P0's two nested acquisitions to completion before
+        // P1's reversed pair: no schedule deadlocks, but the union graph has
+        // the cycle — the Eraser-style potential-deadlock report.
         let program = |env: &VerifyEnv| {
             spmd(env, |proc, ctx| {
                 // The barrier separates the two processors' critical
@@ -1324,10 +1312,14 @@ mod tests {
         };
         let agg = explore(
             2,
-            &ExplorePlan::Seeded { base: 1, count: 4 },
+            &ExplorePlan::Exhaustive {
+                preemption_bound: 2,
+                max_schedules: 200,
+            },
             &SchedConfig::default(),
             program,
         );
+        assert!(agg.complete, "the bounded space must drain");
         assert_eq!(
             agg.defects,
             0,
@@ -1376,9 +1368,9 @@ mod tests {
     fn deadlock_names_waiters_and_holders() {
         let o = run_schedule(
             2,
-            SchedStrategy::Seeded(5),
+            SchedStrategy::RoundRobin,
             &SchedConfig::default(),
-            "seed 5",
+            "rr",
             &|env: &VerifyEnv| {
                 spmd(env, |proc, ctx| {
                     // Both procs grab each other's lock and then exit
@@ -1531,7 +1523,7 @@ mod tests {
 
     #[test]
     fn back_to_back_sessions_reuse_the_scheduler() {
-        let env = std::sync::Arc::new(verify_env(2, SchedStrategy::Seeded(9)));
+        let env = std::sync::Arc::new(verify_env(2, SchedStrategy::Replay(vec![1, 0, 1])));
         // One element per round: the detector has no happens-before edge
         // across pool.run sessions (worker hooks don't touch vector
         // clocks), so cross-session reuse of one cell would be reported.

@@ -14,8 +14,9 @@
 //! 3. **Locks by id.** [`Machine::lock_histogram`] counts the same acquires
 //!    and wait by raw lock id: summed, it is the run's all-steps lock
 //!    totals, and a lock-free builder leaves it empty.
-//! 4. **Ownership.** A builder's scratch is allocated by that builder
-//!    alone: no other algorithm's run holds SPACE's partitioner arrays.
+//! 4. **Ownership.** A builder's state is allocated by that builder
+//!    alone: no other algorithm's run holds SPACE's partitioner arrays or
+//!    MORTON's sort workspace, and MORTON holds no linked tree.
 //! 5. **No write-only state.** Every allocation a run writes with timed
 //!    stores it also reads with timed loads, so no builder pays for
 //!    traffic that no reader needs.
@@ -352,21 +353,40 @@ impl Env for Recorder {
     }
 }
 
-/// Ownership: SPACE's partitioner scratch is SPACE's. A run of any other
-/// builder, serial or parallel, allocates nothing in that region.
+/// Ownership: each builder allocates exactly the regions it reads. SPACE
+/// alone holds the partitioner scratch and MORTON alone the sort
+/// workspace; MORTON, which never links a tree, allocates no tree cells,
+/// leaves or allocator state. The table holds serial and parallel runs.
 #[test]
-fn only_space_allocates_partition_scratch() {
+fn each_builder_allocates_exactly_its_regions() {
+    use Region::*;
+    // What every run allocates, then each builder's own regions.
+    let common = [Bodies, BodyMeta, Partition, FlatTree, ForceList];
+    let linked: &[Region] = &[TreeCells, TreeLeaves, TreeAlloc];
+    let table: [(Algorithm, &[Region]); 6] = [
+        (Algorithm::Orig, linked),
+        (Algorithm::Local, linked),
+        (Algorithm::Update, linked),
+        (Algorithm::Partree, linked),
+        (
+            Algorithm::Space,
+            &[TreeCells, TreeLeaves, TreeAlloc, PartitionScratch],
+        ),
+        (Algorithm::Morton, &[SortScratch]),
+    ];
     let bodies = Model::Plummer.generate(64, 1998);
-    for alg in ALGS {
+    for (alg, own) in table {
+        let mut want: Vec<Region> = common.iter().chain(own).copied().collect();
+        want.sort_by_key(|r| r.index());
         for procs in [1, 2] {
             let env = Recorder::new(procs);
             run_simulation(&env, &tiny_cfg(alg), &bodies).assert_valid();
-            let regions: Vec<Region> = env.allocs().iter().map(|a| a.region).collect();
-            assert_eq!(
-                regions.contains(&Region::PartitionScratch),
-                alg == Algorithm::Space,
-                "{alg} at P = {procs} allocated {regions:?}"
-            );
+            let allocs = env.allocs();
+            let got: Vec<Region> = Region::ALL
+                .into_iter()
+                .filter(|r| allocs.iter().any(|a| a.region == *r))
+                .collect();
+            assert_eq!(got, want, "{alg} at P = {procs}");
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Bounded-exhaustive kernels for four ordering bugs the linked builders
+//! Bounded-exhaustive kernels for five ordering bugs the linked builders
 //! have had or rest on. Each kernel drives the *real* builder code
-//! (`insert_locked`, `update::move_body` for the third, `partree::build`
-//! for the fourth) with a two- or three-body geometry built so the bug is
-//! reachable, and certifies clean over its whole bounded schedule space
+//! (`insert_locked`, `update::move_body` for the third and the fifth,
+//! `partree::build` for the fourth) with a two- or three-body geometry
+//! built so the bug is reachable, and certifies clean over its whole bounded schedule space
 //! (preemption bound 1, the DFS drained within 300 schedules). A clean
 //! result is therefore a proof over that space, not a sample.
 //!
@@ -14,8 +14,8 @@
 //!   hold, so a later grow of that leaf races with the mover's read. The
 //!   full simulation shows this bug too: in the mutation lane,
 //!   `race_freedom` on native timing fails 5 runs of 5 (UPDATE's
-//!   `body_leaf` post-condition), and so do the seeded and round-robin
-//!   matrices and plain `cross_algorithm` runs.
+//!   `body_leaf` post-condition), and so do the round-robin matrix and
+//!   plain `cross_algorithm` runs.
 //! * [`republication_kernel`]: the deferred stores must also land *before*
 //!   the subtree is published. Flushed after, another processor can
 //!   already subdivide one of the new leaves under its own lock and
@@ -31,9 +31,16 @@
 //! * [`partree_attach_kernel`]: PARTREE's merge must hold a global cell's
 //!   lock from finding a child slot empty through linking a local subtree
 //!   there. Without it, two processors that both find the slot empty both
-//!   link, and the first one's subtree is lost. The seeded schedules of
-//!   the full simulation hit that window in about 2 % of seeds, so this
-//!   kernel is what catches the bug deterministically.
+//!   link, and the first one's subtree is lost. Round-robin never opens
+//!   that window, and sampled schedules of the full simulation open it in
+//!   at most 7 % of seeds (DESIGN.md section 4b), so this kernel is what
+//!   catches the bug.
+//! * [`leaf_reuse_kernel`]: a cell lock is always taken before a free-list
+//!   lock. Two movers free each other's arenas' leaves and reuse them
+//!   under a shared parent; a mover that takes its free-list lock first
+//!   deadlocks against the other, which holds the parent while it frees a
+//!   leaf to that same stack. The kernel also makes a free and reuse of a
+//!   mover's emptied leaf reachable while that mover still runs.
 //!
 //! The mutants that re-create these bugs are patch files under
 //! `tests/mutants/`; `tests/mutants/run.sh` applies each to a copy of the
@@ -257,6 +264,58 @@ fn leaf_free_kernel(env: &VerifyEnv) -> Option<String> {
     body_leaves(&tree, &scratch).err()
 }
 
+/// Two-body kernel for UPDATE's leaf reuse (root cube `[0,8]^3`, `k = 2`),
+/// two movers that swap octants under the root:
+///
+/// * `a = (1,1,1)` sits alone in the leaf `La` over `[0,4]^3`, which P1
+///   created in its own arena; `b = (7,7,7)` sits alone in `Lb` over
+///   `[4,8]^3`, which P0 created in its;
+/// * P0 moves `a` to `(7,7,7)` and P1 moves `b` to `(1,1,1)`, both with
+///   `update::move_body`, each under the root's lock.
+///
+/// Whichever mover empties its leaf first frees it to the other's arena,
+/// and the other mover's reinsertion into that octant, holding the root's
+/// lock, pops that leaf from the arena's now non-empty free stack: a free
+/// and reuse of a mover's leaf while the mover is still running. The root's
+/// lock is always taken before a free-list lock (P1 frees `Lb` to P0's
+/// stack holding it), so no schedule can deadlock. Every body's
+/// `body_leaf` must name the live leaf that lists it afterwards, and every
+/// free-stack entry must be a distinct free leaf.
+fn leaf_reuse_kernel(env: &VerifyEnv) -> Option<String> {
+    let bodies = [
+        Body::new(Vec3::new(1.0, 1.0, 1.0), Vec3::ZERO, 1.0),
+        Body::new(Vec3::new(7.0, 7.0, 7.0), Vec3::ZERO, 1.0),
+    ];
+    let world = World::new(env, &bodies);
+    let tree = SharedTree::new(env, bodies.len(), 2, TreeLayout::PerProcessor);
+    let scratch = UpdateScratch::new(env, bodies.len(), 2);
+    let upd = Some(&scratch);
+    let root_cube = Cube::new(Vec3::new(4.0, 4.0, 4.0), 4.0);
+    spmd(env, |proc, ctx| {
+        // Each processor gives the other's body a leaf in its own arena.
+        if proc == 0 {
+            create_root(env, ctx, &tree, root_cube);
+        }
+        env.barrier(ctx);
+        let root = tree.root.load(env, ctx, 0);
+        let arena = tree.arena_of(proc);
+        let body = [1u32, 0][proc];
+        insert_locked(
+            env, ctx, &tree, &world, upd, arena, proc, body, root, root_cube,
+        );
+        env.barrier(ctx);
+        if proc == 0 {
+            // Untimed, like the integration step that moves a body.
+            world.pos.poke(0, Vec3::new(7.0, 7.0, 7.0));
+            world.pos.poke(1, Vec3::new(1.0, 1.0, 1.0));
+        }
+        env.barrier(ctx);
+        update::move_body(env, ctx, &tree, &world, &scratch, proc, proc as u32);
+        env.barrier(ctx);
+    });
+    body_leaves(&tree, &scratch).err()
+}
+
 /// Two-body kernel for PARTREE's merge (root cube `[0,8]^3`, `k = 2`):
 /// `a = (1,1,1)` and `b = (3,3,3)`, one per processor, share the root's
 /// octant 0, so each processor's local tree holds one leaf there and both
@@ -300,4 +359,9 @@ fn leaf_free_kernel_certifies_over_its_whole_bounded_space() {
 #[test]
 fn partree_attach_kernel_certifies_over_its_whole_bounded_space() {
     assert_certifies_completely("PARTREE attach kernel", partree_attach_kernel);
+}
+
+#[test]
+fn leaf_reuse_kernel_certifies_over_its_whole_bounded_space() {
+    assert_certifies_completely("leaf-reuse kernel", leaf_reuse_kernel);
 }
