@@ -72,8 +72,8 @@ pub mod prelude {
     pub use crate::shared::RegionMap;
 
     pub use crate::sched::{
-        explore, CounterExample, Exploration, ExplorePlan, Finding, SchedConfig, SchedEnv,
-        SchedStrategy, VerifyEnv,
+        explore, CounterExample, Exploration, ExplorePlan, Finding, SchedEnv, SchedStrategy,
+        VerifyEnv,
     };
     pub use crate::tree::{SeqTree, SharedTree, TreeLayout};
     pub use crate::world::World;

@@ -148,25 +148,16 @@ pub enum SchedStrategy {
     Replay(Vec<usize>),
 }
 
-/// Tuning knobs for one scheduled run.
-#[derive(Debug, Clone)]
-pub struct SchedConfig {
-    /// Abort the schedule after this many granted sync operations: the
-    /// livelock net (a plain-read spin never yields, but every atomic-load
-    /// spin does, and so does every productive loop).
-    pub op_budget: u64,
-}
-
 /// How many trailing trace events a run keeps for counterexample reports.
 const TRACE_CAP: usize = 96;
 
-impl Default for SchedConfig {
-    fn default() -> SchedConfig {
-        SchedConfig {
-            op_budget: 5_000_000,
-        }
-    }
-}
+/// A schedule is aborted after this many granted sync operations: the
+/// livelock net (a plain-read spin never yields, but every atomic-load spin
+/// does, and so does every productive loop). Measured over every schedule
+/// the test suite runs (the `sched` unit tests, `schedule_matrix`,
+/// `schedule_mutation`): no passing one needs more than 1,777, SPACE's
+/// round-robin cell at P = 3, so a livelock costs about ten times that.
+const OP_BUDGET: u64 = 20_000;
 
 /// One recorded decision point (≥ 2 grantable processors).
 #[derive(Debug, Clone)]
@@ -292,7 +283,6 @@ struct SchedState {
     replay_diverged: bool,
     trace: VecDeque<TraceEvent>,
     ops: u64,
-    op_budget: u64,
     /// (held, acquired) -> grant count.
     lock_edges: HashMap<(usize, usize), u64>,
     finding: Option<Finding>,
@@ -374,13 +364,9 @@ pub struct SchedEnv<E: Env> {
 }
 
 impl<E: Env> SchedEnv<E> {
-    /// Wrap `inner` with the default [`SchedConfig`].
+    /// Wrap `inner`; a schedule that grants more than `OP_BUDGET` sync
+    /// operations ends in a livelock finding.
     pub fn new(inner: E, strategy: SchedStrategy) -> SchedEnv<E> {
-        SchedEnv::with_config(inner, strategy, &SchedConfig::default())
-    }
-
-    /// Wrap `inner` with explicit tuning knobs.
-    pub fn with_config(inner: E, strategy: SchedStrategy, cfg: &SchedConfig) -> SchedEnv<E> {
         let procs = inner.num_procs();
         SchedEnv {
             inner,
@@ -403,7 +389,6 @@ impl<E: Env> SchedEnv<E> {
                 replay_diverged: false,
                 trace: VecDeque::new(),
                 ops: 0,
-                op_budget: cfg.op_budget,
                 lock_edges: HashMap::new(),
                 finding: None,
                 aborted: false,
@@ -508,7 +493,7 @@ impl<E: Env> SchedEnv<E> {
             unreachable!("grant of a non-pending processor");
         };
         g.push_trace(p, op);
-        if g.ops > g.op_budget {
+        if g.ops > OP_BUDGET {
             let f = Finding::OpBudgetExhausted { ops: g.ops };
             g.abort(Some(f));
             return;
@@ -886,14 +871,13 @@ impl ScheduleOutcome {
 pub fn run_schedule<F>(
     procs: usize,
     strategy: SchedStrategy,
-    cfg: &SchedConfig,
     id: &str,
     program: &F,
 ) -> ScheduleOutcome
 where
     F: Fn(&VerifyEnv) -> Option<String>,
 {
-    let env = CheckedEnv::new(SchedEnv::with_config(NativeEnv::new(procs), strategy, cfg));
+    let env = CheckedEnv::new(SchedEnv::new(NativeEnv::new(procs), strategy));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| program(&env)));
     let races = env.races();
     let sched = env.inner();
@@ -1054,7 +1038,7 @@ fn aggregate(agg: &mut Exploration, o: &ScheduleOutcome) {
 }
 
 /// Explore `program` on `procs` processors under `plan`.
-pub fn explore<F>(procs: usize, plan: &ExplorePlan, cfg: &SchedConfig, program: F) -> Exploration
+pub fn explore<F>(procs: usize, plan: &ExplorePlan, program: F) -> Exploration
 where
     F: Fn(&VerifyEnv) -> Option<String>,
 {
@@ -1068,13 +1052,7 @@ where
     };
     match plan {
         ExplorePlan::RoundRobin => {
-            let o = run_schedule(
-                procs,
-                SchedStrategy::RoundRobin,
-                cfg,
-                "round-robin",
-                &program,
-            );
+            let o = run_schedule(procs, SchedStrategy::RoundRobin, "round-robin", &program);
             aggregate(&mut agg, &o);
         }
         ExplorePlan::Exhaustive {
@@ -1090,7 +1068,7 @@ where
                 }
                 let base_len = prefix.len();
                 let id = format!("exhaustive #{}", agg.schedules);
-                let o = run_schedule(procs, SchedStrategy::Replay(prefix), cfg, &id, &program);
+                let o = run_schedule(procs, SchedStrategy::Replay(prefix), &id, &program);
                 if o.replay_diverged {
                     // The program is not schedule-deterministic: the DFS
                     // bookkeeping is meaningless past this point.
@@ -1230,7 +1208,6 @@ mod tests {
                 preemption_bound: 2,
                 max_schedules: 100,
             },
-            &SchedConfig::default(),
             program,
         );
         assert!(agg.complete, "the bounded space must drain");
@@ -1259,7 +1236,6 @@ mod tests {
                 preemption_bound: 2,
                 max_schedules: 200,
             },
-            &SchedConfig::default(),
             program,
         );
         assert!(
@@ -1316,7 +1292,6 @@ mod tests {
                 preemption_bound: 2,
                 max_schedules: 200,
             },
-            &SchedConfig::default(),
             program,
         );
         assert!(agg.complete, "the bounded space must drain");
@@ -1344,12 +1319,7 @@ mod tests {
             });
             None
         };
-        let agg = explore(
-            2,
-            &ExplorePlan::RoundRobin,
-            &SchedConfig::default(),
-            program,
-        );
+        let agg = explore(2, &ExplorePlan::RoundRobin, program);
         let ce = agg
             .counterexamples
             .iter()
@@ -1366,25 +1336,19 @@ mod tests {
 
     #[test]
     fn deadlock_names_waiters_and_holders() {
-        let o = run_schedule(
-            2,
-            SchedStrategy::RoundRobin,
-            &SchedConfig::default(),
-            "rr",
-            &|env: &VerifyEnv| {
-                spmd(env, |proc, ctx| {
-                    // Both procs grab each other's lock and then exit
-                    // without releasing on proc 1: proc 0 waits forever.
-                    if proc == 1 {
-                        env.lock(ctx, 30);
-                    } else {
-                        env.barrier(ctx); // never released: divergence OR
-                                          // deadlock depending on order
-                    }
-                });
-                None
-            },
-        );
+        let o = run_schedule(2, SchedStrategy::RoundRobin, "rr", &|env: &VerifyEnv| {
+            spmd(env, |proc, ctx| {
+                // Both procs grab each other's lock and then exit
+                // without releasing on proc 1: proc 0 waits forever.
+                if proc == 1 {
+                    env.lock(ctx, 30);
+                } else {
+                    env.barrier(ctx); // never released: divergence OR
+                                      // deadlock depending on order
+                }
+            });
+            None
+        });
         // Whatever the classification, the schedule must abort with a
         // finding rather than hang.
         assert!(o.finding.is_some(), "stuck schedule must produce a finding");
@@ -1392,20 +1356,14 @@ mod tests {
 
     #[test]
     fn unpaired_unlock_is_a_lock_protocol_finding() {
-        let o = run_schedule(
-            2,
-            SchedStrategy::RoundRobin,
-            &SchedConfig::default(),
-            "rr",
-            &|env: &VerifyEnv| {
-                spmd(env, |proc, ctx| {
-                    if proc == 0 {
-                        env.unlock(ctx, 40);
-                    }
-                });
-                None
-            },
-        );
+        let o = run_schedule(2, SchedStrategy::RoundRobin, "rr", &|env: &VerifyEnv| {
+            spmd(env, |proc, ctx| {
+                if proc == 0 {
+                    env.unlock(ctx, 40);
+                }
+            });
+            None
+        });
         assert!(
             matches!(o.finding, Some(Finding::LockProtocol { .. })),
             "got {:?}",
@@ -1415,23 +1373,17 @@ mod tests {
 
     #[test]
     fn op_budget_catches_atomic_spin_livelock() {
-        let o = run_schedule(
-            2,
-            SchedStrategy::RoundRobin,
-            &SchedConfig { op_budget: 500 },
-            "rr",
-            &|env: &VerifyEnv| {
-                let flag: SharedAtomicVec =
-                    SharedAtomicVec::new(env, 1, 0, Placement::Global, Region::Other);
-                spmd(env, |proc, ctx| {
-                    if proc == 1 {
-                        // Spin on a flag nobody ever sets.
-                        while flag.load(env, ctx, 0) == 0 {}
-                    }
-                });
-                None
-            },
-        );
+        let o = run_schedule(2, SchedStrategy::RoundRobin, "rr", &|env: &VerifyEnv| {
+            let flag: SharedAtomicVec =
+                SharedAtomicVec::new(env, 1, 0, Placement::Global, Region::Other);
+            spmd(env, |proc, ctx| {
+                if proc == 1 {
+                    // Spin on a flag nobody ever sets.
+                    while flag.load(env, ctx, 0) == 0 {}
+                }
+            });
+            None
+        });
         assert!(
             matches!(o.finding, Some(Finding::OpBudgetExhausted { .. })),
             "got {:?}",
@@ -1457,7 +1409,6 @@ mod tests {
                 preemption_bound: 2,
                 max_schedules: 500,
             },
-            &SchedConfig::default(),
             program,
         );
         assert!(agg.complete, "tiny space must drain within 500 schedules");
@@ -1486,7 +1437,6 @@ mod tests {
                 preemption_bound: 1,
                 max_schedules: 300,
             },
-            &SchedConfig::default(),
             program,
         );
         assert!(agg.counterexamples.iter().any(|c| c.kind == "deadlock"));

@@ -36,6 +36,7 @@ use std::sync::MutexGuard;
 /// Poison-ignoring mutex. A panic while holding the lock aborts the
 /// experiment anyway (worker panics propagate through `spmd`), so poisoning
 /// adds nothing here.
+#[derive(Default)]
 pub struct Mutex<T>(StdMutex<T>);
 
 impl<T> Mutex<T> {

@@ -7,10 +7,10 @@
 //! grains a processor touches are dense within each region and a lookup is
 //! two indexed loads. A table grows when a grain is first stored.
 //!
-//! Only [`PrivateCache`] is bounded, by `CostModel::cache_grains`, with FIFO
-//! eviction — crude but cheap, and eviction behaviour only needs to be
+//! Only [`PrivateCache`] is bounded, by `EagerCosts::cache_grains`, with
+//! FIFO eviction — crude but cheap, and eviction behaviour only needs to be
 //! plausible, not exact. [`PageTable`] is unbounded: a mapped page stays
-//! mapped, and `cache_grains` is not consulted for HLRC.
+//! mapped.
 
 use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -4,83 +4,32 @@
 //! are derived from the platform descriptions in §3 of the paper (and the
 //! machines' published specifications); absolute values are approximate by
 //! design — the simulator reproduces the *shape* of the paper's results, not
-//! absolute seconds.
+//! absolute seconds. Each protocol carries the costs only it reads, so a
+//! preset sets no value its protocol ignores.
 
-/// Consistency/coherence protocol family.
+/// Costs every eager (write-invalidate, line-grained) protocol reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// Eager write-invalidate at cache-line granularity over a shared bus:
-    /// every miss costs the same (centralized memory). SGI Challenge.
-    BusMesi,
-    /// Eager write-invalidate, directory-based CC-NUMA: local and remote
-    /// misses differ. SGI Origin 2000.
-    Directory,
-    /// Home-based lazy release consistency at page granularity in software:
-    /// protocol activity happens at synchronization; multiple writers with
-    /// twins/diffs; acquirers invalidate written pages lazily.
-    /// Intel Paragon SVM, Typhoon-zero HLRC.
-    Hlrc,
-    /// Sequentially consistent software protocol at fine (cache-line)
-    /// granularity with hardware access control: protocol activity at each
-    /// memory operation, cheap synchronization. Typhoon-zero SC.
-    FineGrainSc,
-}
-
-impl Protocol {
-    /// Lazy protocols defer coherence to synchronization points.
-    pub fn is_lazy(self) -> bool {
-        matches!(self, Protocol::Hlrc)
-    }
-
-    /// Protocols whose synchronization is mediated by software handlers
-    /// (lock hand-offs serialize through a protocol processor), as opposed
-    /// to hardware cache-coherent lock primitives.
-    pub fn software_sync(self) -> bool {
-        matches!(self, Protocol::Hlrc | Protocol::FineGrainSc)
-    }
-}
-
-/// Full platform cost model.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    pub name: String,
-    pub protocol: Protocol,
-    /// Coherence granularity in bytes (cache line for eager protocols, page
-    /// for HLRC). A power of two.
-    pub grain: u32,
-    /// Processor clock in MHz (to report seconds).
-    pub cpu_mhz: u64,
-    /// Private cache capacity in lines, for the eager protocols. HLRC does
-    /// not consult it: its page table is unbounded, and the value the HLRC
-    /// presets carry only records the resident set of the modeled machine.
+pub struct EagerCosts {
+    /// Private cache capacity in lines (FIFO eviction).
     pub cache_grains: usize,
-
-    // --- per-access costs ---
-    /// Cache/page-table hit.
-    pub t_hit: u64,
-    /// Miss served from local memory (or the bus, for BusMesi).
-    pub t_local_miss: u64,
-    /// Miss served remotely (ignored by BusMesi).
-    pub t_remote_miss: u64,
-    /// Extra cost at the writer per remote sharer invalidated (eager).
+    /// Extra cost at the writer per remote sharer invalidated.
     pub t_invalidate: u64,
+    /// Directory/memory occupancy per atomic read-modify-write on a line:
+    /// RMW storms on one hot line (e.g. a shared allocation counter)
+    /// serialize at its home.
+    pub t_rmw_occupancy: u64,
+}
 
-    // --- synchronization ---
-    /// Base cost of acquiring an uncontended lock.
-    pub t_lock: u64,
-    /// Extra cost when a lock is transferred between processors.
-    pub t_lock_transfer: u64,
-    /// Base cost of a barrier episode.
-    pub t_barrier: u64,
-
-    // --- software/SVM costs ---
-    /// Full page-fault service (fault + request + transfer + map), HLRC.
+/// Costs of home-based lazy release consistency (HLRC).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HlrcCosts {
+    /// Full page-fault service (fault + request + transfer + map).
     pub t_page_fault: u64,
-    /// Twin creation on first write to a page in an interval, HLRC.
+    /// Twin creation on first write to a page in an interval.
     pub t_twin: u64,
-    /// Diff creation/flush per dirty page at release, HLRC.
+    /// Diff creation/flush per dirty page at release.
     pub t_diff: u64,
-    /// Per-page write-notice / revalidation check after an acquire, HLRC.
+    /// Per-page write-notice / revalidation check after an acquire.
     pub t_check: u64,
     /// Per write-notice processing cost at an acquire: every page interval
     /// flushed anywhere in the system since this processor's last acquire
@@ -92,10 +41,73 @@ pub struct CostModel {
     /// same page serialize at its home (protocol handler occupancy), so a
     /// hot page becomes a global serial bottleneck.
     pub t_fault_occupancy: u64,
-    /// Directory/memory occupancy per atomic read-modify-write on a line:
-    /// RMW storms on one hot line (e.g. a shared allocation counter)
-    /// serialize at its home. Eager protocols only.
-    pub t_rmw_occupancy: u64,
+}
+
+/// Consistency/coherence protocol family, with the costs only it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Protocol {
+    /// Eager write-invalidate at cache-line granularity over a shared bus:
+    /// memory is centralized, so every miss costs `t_local_miss` and none is
+    /// remote. SGI Challenge.
+    BusMesi(EagerCosts),
+    /// Eager write-invalidate, directory-based CC-NUMA: a miss served by a
+    /// remote home or a remote dirty cache costs `t_remote_miss`. SGI Origin
+    /// 2000.
+    Directory {
+        eager: EagerCosts,
+        t_remote_miss: u64,
+    },
+    /// Home-based lazy release consistency at page granularity in software:
+    /// protocol activity happens at synchronization; multiple writers with
+    /// twins/diffs; acquirers invalidate written pages lazily.
+    /// Intel Paragon SVM, Typhoon-zero HLRC.
+    Hlrc(HlrcCosts),
+    /// Sequentially consistent software protocol at fine (cache-line)
+    /// granularity with hardware access control: protocol activity at each
+    /// memory operation, cheap synchronization; memory has homes as under
+    /// `Directory`. Typhoon-zero SC.
+    FineGrainSc {
+        eager: EagerCosts,
+        t_remote_miss: u64,
+    },
+}
+
+impl Protocol {
+    /// Protocols whose synchronization is mediated by software handlers
+    /// (lock hand-offs serialize through a protocol processor), as opposed
+    /// to hardware cache-coherent lock primitives.
+    pub fn software_sync(self) -> bool {
+        matches!(self, Protocol::Hlrc(_) | Protocol::FineGrainSc { .. })
+    }
+}
+
+/// Full platform cost model: the costs every protocol reads, and the
+/// protocol with its own.
+#[derive(Debug, Clone)]
+pub struct CostModel {
+    pub name: String,
+    pub protocol: Protocol,
+    /// Coherence granularity in bytes (cache line for eager protocols, page
+    /// for HLRC). A power of two.
+    pub grain: u32,
+    /// Processor clock in MHz (to report seconds).
+    pub cpu_mhz: u64,
+
+    // --- per-access costs ---
+    /// Cache/page-table hit.
+    pub t_hit: u64,
+    /// Miss served from local memory: the bus on BusMesi, the local home
+    /// on the other eager protocols, a cold map-in of a locally homed page
+    /// under HLRC.
+    pub t_local_miss: u64,
+
+    // --- synchronization ---
+    /// Base cost of acquiring an uncontended lock.
+    pub t_lock: u64,
+    /// Extra cost when a lock is transferred between processors.
+    pub t_lock_transfer: u64,
+    /// Base cost of a barrier episode.
+    pub t_barrier: u64,
 }
 
 impl CostModel {
@@ -118,7 +130,6 @@ impl CostModel {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::platform;
 
     #[test]
@@ -144,10 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn lazy_flag() {
-        assert!(Protocol::Hlrc.is_lazy());
-        assert!(!Protocol::Directory.is_lazy());
-        assert!(!Protocol::BusMesi.is_lazy());
-        assert!(!Protocol::FineGrainSc.is_lazy());
+    fn software_sync_is_hlrc_and_fine_grain_sc() {
+        let sw: Vec<bool> = platform::all_platforms(4)
+            .iter()
+            .map(|m| m.protocol.software_sync())
+            .collect();
+        assert_eq!(sw, [false, false, true, true, true]);
     }
 }

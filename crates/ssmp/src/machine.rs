@@ -17,24 +17,25 @@
 //!   it suffered inside the critical section — this models the critical-
 //!   section dilation and serialization that the paper identifies as the
 //!   SVM killer.
-//! * **Eager protocols** (bus MESI, directory, fine-grain SC) keep per-line
-//!   sharer sets and deliver invalidations/downgrades to private caches via
-//!   per-processor queues drained on each access.
-//! * **HLRC** keeps per-page version counters; a release bumps the versions
-//!   of pages the releaser dirtied (twin/diff costs); an acquire opens a new
-//!   epoch, forcing lazy revalidation of every cached page on first use —
-//!   pages that actually changed pay a full software page fault.
+//! * **Protocols.** The machine holds only its protocol's shared state
+//!   (`Coherence`) and each context only its protocol's local state
+//!   (`Local`); every entry point below dispatches on the protocol once, to
+//!   `eager` (bus MESI, directory, fine-grain SC) or `hlrc`.
+
+mod eager;
+mod hlrc;
 
 use crate::attr::{AttrCell, AttrTable, SETUP_SLOT};
 use crate::cache::GrainMap;
-use crate::cache::{Held, PageEntry, PageTable, PrivateCache};
-use crate::config::CostModel;
+use crate::config::{CostModel, Protocol};
 use bh_core::env::{Access, CtxStats, Env, Phase, Placement, Region, VAddr};
 use bh_core::shared::RegionMap;
 use bh_core::sync::{Mutex, RawLock, SenseBarrier};
 use bh_core::trace::LockStat;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use eager::{Eager, EagerCtx};
+use hlrc::{Hlrc, HlrcCtx};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, MutexGuard};
 
 const SHARDS: usize = 256;
 const LOCK_TABLE: usize = 4096;
@@ -43,38 +44,19 @@ const GLOBAL_BASE: u64 = 0x1_0000;
 /// Each processor's local region starts at `(p+1) << LOCAL_SHIFT`.
 const LOCAL_SHIFT: u32 = 40;
 
-struct LineState {
-    sharers: u64,
-    exclusive: i16, // -1 = none
-    /// Virtual time at which the line's home finishes servicing the most
-    /// recent atomic operation (RMW occupancy).
-    service_end: u64,
-}
+/// A protocol's global per-grain metadata, hashed and sharded: only misses
+/// reach it.
+struct Sharded<T>(Box<[Mutex<GrainMap<T>>]>);
 
-impl Default for LineState {
-    fn default() -> Self {
-        LineState {
-            sharers: 0,
-            exclusive: -1,
-            service_end: 0,
-        }
+impl<T> Sharded<T> {
+    fn new() -> Self {
+        Sharded((0..SHARDS).map(|_| Mutex::default()).collect())
     }
-}
 
-#[derive(Default)]
-struct Shard {
-    lines: GrainMap<LineState>,
-    /// HLRC: per-page protocol metadata.
-    pages: GrainMap<PageMeta>,
-}
-
-/// HLRC per-page global state: the contents version (bumped at each release
-/// that dirtied the page) and the virtual time at which the page's home
-/// finishes servicing the most recent fault (fault-service occupancy).
-#[derive(Default, Clone, Copy)]
-struct PageMeta {
-    version: u64,
-    service_end: u64,
+    #[inline]
+    fn lock(&self, grain: u64) -> MutexGuard<'_, GrainMap<T>> {
+        self.0[(grain as usize) & (SHARDS - 1)].lock()
+    }
 }
 
 struct LockVt {
@@ -91,14 +73,32 @@ struct LockSlot {
     vt: Mutex<LockVt>,
 }
 
-enum QMsg {
-    Invalidate(u64),
-    Downgrade(u64),
+/// The machine's half of the protocol state, shared by every processor.
+enum Coherence {
+    Eager(Eager),
+    Lazy(Hlrc),
 }
 
-struct InvalQueue {
-    flag: AtomicBool,
-    msgs: Mutex<Vec<QMsg>>,
+/// A context's half: its own processor's protocol state.
+enum Local {
+    Eager(EagerCtx),
+    Lazy(HlrcCtx),
+}
+
+impl Local {
+    fn eager(&mut self) -> &mut EagerCtx {
+        match self {
+            Local::Eager(c) => c,
+            Local::Lazy(_) => unreachable!("an HLRC context on an eager machine"),
+        }
+    }
+
+    fn lazy(&mut self) -> &mut HlrcCtx {
+        match self {
+            Local::Lazy(c) => c,
+            Local::Eager(_) => unreachable!("an eager context on an HLRC machine"),
+        }
+    }
 }
 
 /// The simulated machine. Implements [`bh_core::env::Env`].
@@ -106,18 +106,13 @@ pub struct Machine {
     cost: CostModel,
     /// `log2(cost.grain)`: an address's grain number is `addr >> grain_shift`.
     grain_shift: u32,
-    /// `cost.protocol.is_lazy()`, decided once for the per-access fork.
-    lazy: bool,
     procs: usize,
-    shards: Box<[Mutex<Shard>]>,
+    coherence: Coherence,
     locks: Box<[LockSlot]>,
     rendezvous: SenseBarrier,
     barrier_clocks: Box<[AtomicU64]>,
-    queues: Box<[InvalQueue]>,
     next_global: AtomicU64,
     next_local: Box<[AtomicU64]>,
-    /// HLRC: total write notices (dirty-page flushes) issued system-wide.
-    notices: AtomicU64,
     /// Region registry, one range per allocation. Allocation happens
     /// single-threaded during world/tree setup; each context snapshots the `Arc` at [`Env::make_ctx`], so the
     /// hot path reads the map without taking this mutex (copy-on-write).
@@ -137,16 +132,20 @@ struct Mirror {
     locks: GrainMap<LockStat>,
 }
 
-/// Per-processor context (cache/page table, clock, statistics).
+/// Per-processor context (clock, statistics, the protocol's local state).
 pub struct SimCtx {
     proc: usize,
     clock: u64,
-    epoch: u64,
-    /// Global notice count at this processor's last acquire.
-    notices_seen: u64,
-    cache: PrivateCache,
-    pages: PageTable,
     barrier_wait: u64,
+    ledger: Ledger,
+    /// Acquires and wait by raw lock id: the same waits as the ledger's
+    /// lock cells, keyed by the lock instead of the region it guards.
+    locks: GrainMap<LockStat>,
+    local: Local,
+}
+
+/// Where a context charges its events.
+struct Ledger {
     /// Snapshot of the machine's region registry at context creation.
     regions: Arc<RegionMap>,
     /// Current pipeline-stage slot ([`SETUP_SLOT`] outside any phase).
@@ -154,12 +153,9 @@ pub struct SimCtx {
     /// Every miss, fault, invalidation and lock wait, by (region, stage);
     /// [`Env::stats`] reports its totals.
     table: AttrTable,
-    /// Acquires and wait by raw lock id: the same waits as `table`'s lock
-    /// cells, keyed by the lock instead of the region it guards.
-    locks: GrainMap<LockStat>,
 }
 
-impl SimCtx {
+impl Ledger {
     /// The cell an event at `addr` is charged to. Never touches the clock:
     /// attribution cannot change simulated timings.
     #[inline]
@@ -177,12 +173,23 @@ impl Machine {
             (1..=MAX_PROCS).contains(&procs),
             "1..={MAX_PROCS} simulated processors supported"
         );
+        let coherence = match cost.protocol {
+            Protocol::BusMesi(eager) => Coherence::Eager(Eager::new(eager, None, procs)),
+            Protocol::Directory {
+                eager,
+                t_remote_miss,
+            }
+            | Protocol::FineGrainSc {
+                eager,
+                t_remote_miss,
+            } => Coherence::Eager(Eager::new(eager, Some(t_remote_miss), procs)),
+            Protocol::Hlrc(costs) => Coherence::Lazy(Hlrc::new(costs)),
+        };
         Machine {
             grain_shift: cost.grain_shift(),
-            lazy: cost.protocol.is_lazy(),
             cost,
             procs,
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            coherence,
             locks: (0..LOCK_TABLE)
                 .map(|_| LockSlot {
                     real: RawLock::new(),
@@ -196,17 +203,10 @@ impl Machine {
                 .collect(),
             rendezvous: SenseBarrier::new(procs),
             barrier_clocks: (0..procs).map(|_| AtomicU64::new(0)).collect(),
-            queues: (0..procs)
-                .map(|_| InvalQueue {
-                    flag: AtomicBool::new(false),
-                    msgs: Mutex::new(Vec::new()),
-                })
-                .collect(),
             next_global: AtomicU64::new(GLOBAL_BASE),
             next_local: (0..procs)
                 .map(|p| AtomicU64::new((p as u64 + 1) << LOCAL_SHIFT))
                 .collect(),
-            notices: AtomicU64::new(0),
             regions: Mutex::new(Arc::new(RegionMap::new())),
             attr_mirror: (0..procs).map(|_| Mutex::new(Mirror::default())).collect(),
         }
@@ -261,229 +261,10 @@ impl Machine {
         }
     }
 
-    #[inline]
-    fn shard_of(&self, grain: u64) -> &Mutex<Shard> {
-        &self.shards[(grain as usize) & (SHARDS - 1)]
-    }
-
-    /// Deliver an invalidation/downgrade to `target`'s queue.
-    fn post(&self, target: usize, msg: QMsg) {
-        let q = &self.queues[target];
-        q.msgs.lock().push(msg);
-        q.flag.store(true, Ordering::Release);
-    }
-
     /// Grain numbers an access `[addr, addr + bytes)` touches, first to last.
     #[inline]
     fn grains(&self, addr: VAddr, bytes: u32) -> std::ops::RangeInclusive<u64> {
         (addr >> self.grain_shift)..=((addr + bytes.max(1) as u64 - 1) >> self.grain_shift)
-    }
-
-    /// Drain this processor's invalidation queue into its private cache.
-    #[inline]
-    fn drain(&self, ctx: &mut SimCtx) {
-        let queue = &self.queues[ctx.proc];
-        // Load before swapping: the flag is almost always clear, and a plain
-        // load does not take the cache line exclusive the way a swap does.
-        if queue.flag.load(Ordering::Acquire) && queue.flag.swap(false, Ordering::AcqRel) {
-            let msgs = std::mem::take(&mut *queue.msgs.lock());
-            for m in msgs {
-                match m {
-                    QMsg::Invalidate(g) => {
-                        if ctx.cache.invalidate(g) {
-                            ctx.charge(g << self.grain_shift).invalidations += 1;
-                        }
-                    }
-                    QMsg::Downgrade(g) => ctx.cache.downgrade(g),
-                }
-            }
-        }
-    }
-
-    // ---------------- eager protocols (bus / directory / fine-grain SC) ----
-
-    #[inline(never)]
-    fn eager_access(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32, write: bool) {
-        self.drain(ctx);
-        for grain in self.grains(addr, bytes) {
-            let held = ctx.cache.get(grain);
-            match (held, write) {
-                (Some(_), false) | (Some(Held::Exclusive), true) => {
-                    ctx.clock += self.cost.t_hit;
-                    continue;
-                }
-                _ => {}
-            }
-            // Slow path.
-            let me = ctx.proc;
-            let my_bit = 1u64 << me;
-            let grain_base = grain << self.grain_shift;
-            let home_local = self.home_of(grain_base) == me;
-            let mut shard = self.shard_of(grain).lock();
-            let line = shard.lines.entry(grain).or_default();
-            let mut cost;
-            if write {
-                // Fetch/upgrade + invalidate other copies.
-                let had_shared = held == Some(Held::Shared);
-                cost = if had_shared {
-                    self.cost.t_local_miss / 2 // upgrade, no data transfer
-                } else if line.exclusive >= 0 && line.exclusive as usize != me {
-                    self.cost.t_remote_miss
-                } else if home_local {
-                    self.cost.t_local_miss
-                } else {
-                    self.cost.t_remote_miss
-                };
-                if line.exclusive >= 0 && line.exclusive as usize != me {
-                    self.post(line.exclusive as usize, QMsg::Invalidate(grain));
-                    cost += self.cost.t_invalidate;
-                }
-                let excl_mask = if line.exclusive >= 0 {
-                    1u64 << line.exclusive as u64
-                } else {
-                    0
-                };
-                let others = line.sharers & !my_bit & !excl_mask;
-                let n_others = others.count_ones() as u64;
-                cost += self.cost.t_invalidate * n_others;
-                let mut o = others;
-                while o != 0 {
-                    let q = o.trailing_zeros() as usize;
-                    self.post(q, QMsg::Invalidate(grain));
-                    o &= o - 1;
-                }
-                line.exclusive = me as i16;
-                line.sharers = my_bit;
-                drop(shard);
-                ctx.cache.put(grain, Held::Exclusive);
-            } else {
-                if line.exclusive >= 0 && line.exclusive as usize != me {
-                    // Dirty in another cache: remote intervention.
-                    cost = self.cost.t_remote_miss;
-                    self.post(line.exclusive as usize, QMsg::Downgrade(grain));
-                    line.exclusive = -1;
-                } else {
-                    cost = if home_local {
-                        self.cost.t_local_miss
-                    } else {
-                        self.cost.t_remote_miss
-                    };
-                }
-                line.sharers |= my_bit;
-                drop(shard);
-                ctx.cache.put(grain, Held::Shared);
-            }
-            // Attribution uses the first accessed byte within the grain —
-            // an access targets one element, which lives in one region.
-            let cell = ctx.charge(addr.max(grain_base));
-            if cost >= self.cost.t_remote_miss && !home_local {
-                cell.remote_misses += 1;
-            } else {
-                cell.local_misses += 1;
-            }
-            ctx.clock += cost;
-        }
-    }
-
-    // ---------------- HLRC (lazy, page-grained) ----------------------------
-
-    #[inline(never)]
-    fn lazy_access(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32, write: bool) {
-        for page in self.grains(addr, bytes) {
-            let page_base = page << self.grain_shift;
-            let entry = ctx.pages.get(page);
-            let valid = matches!(entry, Some(e) if e.checked_epoch == ctx.epoch);
-            if !valid {
-                // Revalidate against the home's version (lazy invalidation).
-                let gv = {
-                    let shard = self.shard_of(page).lock();
-                    shard.pages.get(&page).map(|m| m.version).unwrap_or(0)
-                };
-                // Events are charged at the first accessed byte in the page.
-                let rep = addr.max(page_base);
-                let writing = match entry {
-                    Some(e) if e.version == gv => {
-                        // Unchanged since we fetched it: cheap check.
-                        ctx.clock += self.cost.t_check;
-                        e.writing
-                    }
-                    Some(e) => {
-                        // Page was modified by someone else: software fault,
-                        // serialized at the page's home (handler occupancy).
-                        self.fault(ctx, page, rep);
-                        e.writing
-                    }
-                    None => {
-                        // Cold map-in. Locally homed fresh pages are cheap;
-                        // anything else is a fault.
-                        if gv == 0 && self.home_of(page_base) == ctx.proc {
-                            ctx.clock += self.cost.t_local_miss;
-                            ctx.charge(rep).local_misses += 1;
-                        } else {
-                            self.fault(ctx, page, rep);
-                        }
-                        false
-                    }
-                };
-                ctx.pages.set(
-                    page,
-                    PageEntry {
-                        version: gv,
-                        checked_epoch: ctx.epoch,
-                        writing,
-                    },
-                );
-            } else {
-                ctx.clock += self.cost.t_hit;
-            }
-            if write {
-                let e = ctx.pages.entry_mut(page).expect("page just validated");
-                if !e.writing {
-                    e.writing = true;
-                    ctx.pages.dirty.push(page);
-                    ctx.clock += self.cost.t_twin;
-                }
-            }
-        }
-    }
-
-    /// HLRC release: flush diffs of dirty pages to their homes and bump the
-    /// global page versions. The cost lands on the releaser *before* the
-    /// lock's virtual release time is recorded — critical-section dilation.
-    fn lazy_release(&self, ctx: &mut SimCtx) {
-        let dirty = std::mem::take(&mut ctx.pages.dirty);
-        let flushed = dirty.len() as u64;
-        for page in dirty {
-            ctx.clock += self.cost.t_diff;
-            {
-                let mut shard = self.shard_of(page).lock();
-                shard.pages.entry(page).or_default().version += 1;
-            }
-            if let Some(e) = ctx.pages.entry_mut(page) {
-                e.writing = false;
-                // Our own flush defines the new version; account for it so we
-                // do not fault on our own write.
-                e.version += 1;
-            }
-        }
-        if flushed > 0 {
-            self.notices.fetch_add(flushed, Ordering::AcqRel);
-        }
-    }
-
-    /// Protocol action at an acquire: open a new epoch (forces lazy
-    /// revalidation of every cached page) and process the write notices of
-    /// every interval flushed system-wide since this processor's last
-    /// acquire.
-    #[inline]
-    fn acquire_epoch(&self, ctx: &mut SimCtx) {
-        if self.lazy {
-            ctx.epoch += 1;
-            let now = self.notices.load(Ordering::Acquire);
-            let delta = now - ctx.notices_seen;
-            ctx.notices_seen = now;
-            ctx.clock += delta * self.cost.t_notice;
-        }
     }
 
     /// Serialize a request at `clock` at a home that is busy until
@@ -500,44 +281,42 @@ impl Machine {
         backlog
     }
 
-    /// Charge a full HLRC page fault at `addr`, serializing concurrent
-    /// faults on the same page at its home (handler occupancy).
-    fn fault(&self, ctx: &mut SimCtx, page: u64, addr: VAddr) {
-        let backlog = {
-            let mut shard = self.shard_of(page).lock();
-            let meta = shard.pages.entry(page).or_default();
-            self.occupy(
-                &mut meta.service_end,
-                ctx.clock,
-                self.cost.t_fault_occupancy,
-            )
-        };
-        ctx.clock += backlog + self.cost.t_page_fault;
-        ctx.charge(addr).page_faults += 1;
+    /// Everything the inlined hit path of [`Env::access`] does not decide:
+    /// a miss, an upgrade, a revalidation, a pending drain or an access
+    /// across grains, handed whole to the protocol's body.
+    #[inline(never)]
+    fn miss(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32, write: bool) {
+        match &self.coherence {
+            Coherence::Eager(e) => e.access(self, ctx, addr, bytes, write),
+            Coherence::Lazy(h) => h.access(self, ctx, addr, bytes, write),
+        }
     }
 
-    /// [`Access::Rmw`]: a read and a write, serialized at the line's home.
+    /// [`Access::Rmw`]: a read and a write, serialized at the line's home
+    /// under the eager protocols.
     fn rmw_access(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32) {
-        if self.lazy {
-            self.lazy_access(ctx, addr, bytes, false);
-            self.lazy_access(ctx, addr, bytes, true);
-            return;
+        match &self.coherence {
+            Coherence::Eager(e) => e.rmw(self, ctx, addr, bytes),
+            Coherence::Lazy(h) => {
+                h.access(self, ctx, addr, bytes, false);
+                h.access(self, ctx, addr, bytes, true);
+            }
         }
-        // Gain exclusive ownership, then serialize at the line's home:
-        // concurrent atomics on one hot line (a shared allocation counter, a
-        // line of adjacent per-processor counters) queue up in the
-        // directory/memory controller.
-        self.eager_access(ctx, addr, bytes, true);
-        let occ = self.cost.t_rmw_occupancy;
-        if occ > 0 {
-            let grain = addr >> self.grain_shift;
-            let backlog = {
-                let mut shard = self.shard_of(grain).lock();
-                let line = shard.lines.entry(grain).or_default();
-                self.occupy(&mut line.service_end, ctx.clock, occ)
-            };
-            ctx.clock += backlog + occ;
-        }
+    }
+
+    /// A barrier in virtual time: every clock moves to the latest arrival's,
+    /// plus the barrier's cost.
+    fn align_clocks(&self, ctx: &mut SimCtx) {
+        self.barrier_clocks[ctx.proc].store(ctx.clock, Ordering::Release);
+        self.rendezvous.wait();
+        let max = (0..self.procs)
+            .map(|p| self.barrier_clocks[p].load(Ordering::Acquire))
+            .max()
+            .unwrap_or(ctx.clock);
+        // Second rendezvous so nobody races ahead and overwrites the clocks.
+        self.rendezvous.wait();
+        ctx.barrier_wait += max - ctx.clock;
+        ctx.clock = max + self.cost.t_barrier;
     }
 }
 
@@ -550,18 +329,21 @@ impl Env for Machine {
 
     fn make_ctx(&self, proc: usize) -> SimCtx {
         assert!(proc < self.procs);
+        let region_bits = LOCAL_SHIFT - self.grain_shift;
         SimCtx {
             proc,
             clock: 0,
-            epoch: 1,
-            notices_seen: 0,
-            cache: PrivateCache::new(self.cost.cache_grains, LOCAL_SHIFT - self.grain_shift),
-            pages: PageTable::new(LOCAL_SHIFT - self.grain_shift),
             barrier_wait: 0,
-            regions: self.regions.lock().clone(),
-            slot: SETUP_SLOT,
-            table: AttrTable::new(),
+            ledger: Ledger {
+                regions: self.regions.lock().clone(),
+                slot: SETUP_SLOT,
+                table: AttrTable::new(),
+            },
             locks: GrainMap::default(),
+            local: match &self.coherence {
+                Coherence::Eager(e) => Local::Eager(e.ctx(proc, region_bits)),
+                Coherence::Lazy(_) => Local::Lazy(HlrcCtx::new(region_bits)),
+            },
         }
     }
 
@@ -592,9 +374,10 @@ impl Env for Machine {
     }
 
     /// The common case is decided here, inlined into the caller (where
-    /// `kind` is a constant): the access lies in one grain, no invalidation
-    /// is pending and this processor's table says hit. Everything else goes
-    /// to the protocol's out-of-line body, which starts over from the top.
+    /// `kind` is a constant): the access lies in one grain and the
+    /// context's own protocol state says hit, the one branch on the
+    /// protocol. Everything else goes to the out-of-line `Machine::miss`,
+    /// which starts over from the top.
     #[inline(always)]
     fn access(&self, ctx: &mut SimCtx, addr: VAddr, bytes: u32, kind: Access) {
         if kind == Access::Rmw {
@@ -603,30 +386,15 @@ impl Env for Machine {
         let write = kind.is_write();
         let grains = self.grains(addr, bytes);
         let (grain, one_grain) = (*grains.start(), grains.start() == grains.end());
-        if self.lazy {
-            let hit = one_grain
-                && matches!(ctx.pages.get(grain),
-                    Some(e) if e.checked_epoch == ctx.epoch && (e.writing || !write));
-            if hit {
-                ctx.clock += self.cost.t_hit;
-            } else {
-                self.lazy_access(ctx, addr, bytes, write);
-            }
+        let hit = one_grain
+            && match &ctx.local {
+                Local::Eager(c) => c.hits(grain, write),
+                Local::Lazy(c) => c.hits(grain, write),
+            };
+        if hit {
+            ctx.clock += self.cost.t_hit;
         } else {
-            // `Acquire` pairs with the `Release` store in `post`. A clear
-            // flag is what the swap in `drain` would see as well: a message
-            // takes effect at the first access that observes its flag.
-            let hit = one_grain
-                && !self.queues[ctx.proc].flag.load(Ordering::Acquire)
-                && matches!(
-                    (ctx.cache.get(grain), write),
-                    (Some(_), false) | (Some(Held::Exclusive), true)
-                );
-            if hit {
-                ctx.clock += self.cost.t_hit;
-            } else {
-                self.eager_access(ctx, addr, bytes, write);
-            }
+            self.miss(ctx, addr, bytes, write);
         }
     }
 
@@ -668,7 +436,10 @@ impl Env for Machine {
         // Lock activity is attributed to the region the lock protects
         // (free-list locks → allocator, node locks → cells), not to an
         // address: lock slots live outside the simulated address space.
-        let c = ctx.table.cell_mut(Region::of_lock(lock), ctx.slot);
+        let c = ctx
+            .ledger
+            .table
+            .cell_mut(Region::of_lock(lock), ctx.ledger.slot);
         c.lock_acquires += 1;
         c.lock_wait += wait;
         ctx.locks
@@ -682,12 +453,14 @@ impl Env for Machine {
             });
         vt.acquire_clock = ctx.clock;
         drop(vt);
-        self.acquire_epoch(ctx);
+        if let Coherence::Lazy(h) = &self.coherence {
+            h.acquire(ctx);
+        }
     }
 
     fn unlock(&self, ctx: &mut SimCtx, lock: usize) {
-        if self.lazy {
-            self.lazy_release(ctx);
+        if let Coherence::Lazy(h) = &self.coherence {
+            h.release(ctx);
         }
         let slot = &self.locks[bh_core::env::lock_slot(lock, LOCK_TABLE)];
         {
@@ -700,23 +473,19 @@ impl Env for Machine {
         slot.real.unlock();
     }
 
+    /// Eager: pending invalidations take effect after the barrier. HLRC: a
+    /// release before it and an acquire after it.
     fn barrier(&self, ctx: &mut SimCtx) {
-        if self.lazy {
-            self.lazy_release(ctx);
-        }
-        self.barrier_clocks[ctx.proc].store(ctx.clock, Ordering::Release);
-        self.rendezvous.wait();
-        let max = (0..self.procs)
-            .map(|p| self.barrier_clocks[p].load(Ordering::Acquire))
-            .max()
-            .unwrap_or(ctx.clock);
-        // Second rendezvous so nobody races ahead and overwrites the clocks.
-        self.rendezvous.wait();
-        ctx.barrier_wait += max - ctx.clock;
-        ctx.clock = max + self.cost.t_barrier;
-        self.acquire_epoch(ctx);
-        if !self.lazy {
-            self.drain(ctx);
+        match &self.coherence {
+            Coherence::Eager(_) => {
+                self.align_clocks(ctx);
+                eager::drain(ctx, self.grain_shift);
+            }
+            Coherence::Lazy(h) => {
+                h.release(ctx);
+                self.align_clocks(ctx);
+                h.acquire(ctx);
+            }
         }
     }
 
@@ -729,11 +498,11 @@ impl Env for Machine {
         // work (invalidation drains, epoch opens) rides on the barriers the
         // application already executes at those boundaries. Attribution
         // only moves its stage pointer (charging nothing).
-        ctx.slot = phase.index();
+        ctx.ledger.slot = phase.index();
     }
 
     fn phase_end(&self, ctx: &mut SimCtx, _phase: Phase) {
-        ctx.slot = SETUP_SLOT;
+        ctx.ledger.slot = SETUP_SLOT;
     }
 
     fn now(&self, ctx: &SimCtx) -> u64 {
@@ -742,10 +511,10 @@ impl Env for Machine {
 
     fn stats(&self, ctx: &SimCtx) -> CtxStats {
         let mut mirror = self.attr_mirror[ctx.proc].lock();
-        mirror.table.clone_from(&ctx.table);
+        mirror.table.clone_from(&ctx.ledger.table);
         mirror.locks.clone_from(&ctx.locks);
         drop(mirror);
-        let total = ctx.table.total();
+        let total = ctx.ledger.table.total();
         CtxStats {
             time: ctx.clock,
             lock_acquires: total.lock_acquires,
@@ -769,6 +538,13 @@ mod tests {
 
     fn hlrc(procs: usize) -> Machine {
         Machine::new(platform::typhoon0_hlrc(procs), procs)
+    }
+
+    fn hlrc_costs(m: &Machine) -> crate::config::HlrcCosts {
+        match m.cost_model().protocol {
+            Protocol::Hlrc(costs) => costs,
+            _ => panic!("{} is not HLRC", m.cost_model().name),
+        }
     }
 
     #[test]
@@ -813,6 +589,22 @@ mod tests {
         let s = m.stats(&ctx);
         assert_eq!(s.local_misses, 1);
         assert_eq!(s.remote_misses, 1);
+    }
+
+    #[test]
+    fn bus_misses_are_all_local() {
+        // Centralized memory: a miss on a line placed at another processor,
+        // or dirty in its cache, costs what every bus miss costs and is local.
+        let m = Machine::new(platform::challenge(2), 2);
+        let a = m.alloc(128, 128, Placement::Local(1), Region::Other);
+        let b = m.alloc(128, 128, Placement::Local(1), Region::Other);
+        let (mut c0, mut c1) = (m.make_ctx(0), m.make_ctx(1));
+        m.access(&mut c1, a, 8, Access::Write);
+        m.access(&mut c0, a, 8, Access::Read);
+        m.access(&mut c0, b, 8, Access::Read);
+        assert_eq!(c0.clock, 2 * m.cost_model().t_local_miss);
+        let s = m.stats(&c0);
+        assert_eq!((s.local_misses, s.remote_misses), (2, 0));
     }
 
     #[test]
@@ -893,7 +685,7 @@ mod tests {
         let cost = c0.clock - before;
         m.unlock(&mut c0, 9);
         assert!(
-            cost >= m.cost_model().t_page_fault,
+            cost >= hlrc_costs(&m).t_page_fault,
             "expected page fault after acquire, got {cost}"
         );
         // The cold map-in of the locally-homed page was cheap; only the
@@ -989,9 +781,9 @@ mod tests {
         m.unlock(&mut c0, 6);
         let cost = c0.clock - before;
         assert!(
-            cost >= 3 * m.cost_model().t_notice,
+            cost >= 3 * hlrc_costs(&m).t_notice,
             "acquire cost {cost} lacks notice processing (expected >= {})",
-            3 * m.cost_model().t_notice
+            3 * hlrc_costs(&m).t_notice
         );
     }
 
@@ -1025,9 +817,9 @@ mod tests {
         let b2 = c2.clock;
         m.access(&mut c2, a, 8, Access::Read);
         let second = c2.clock - b2;
-        assert!(first >= m.cost_model().t_page_fault, "first fault {first}");
+        assert!(first >= hlrc_costs(&m).t_page_fault, "first fault {first}");
         assert!(
-            second >= m.cost_model().t_page_fault + m.cost_model().t_fault_occupancy.min(1),
+            second >= hlrc_costs(&m).t_page_fault + hlrc_costs(&m).t_fault_occupancy.min(1),
             "second fault ({second}) should pay fault + queueing"
         );
         assert_eq!(m.stats(&c1).page_faults, 1);
@@ -1039,7 +831,10 @@ mod tests {
         // Atomic storms on one line serialize at its home on eager
         // platforms with t_rmw_occupancy > 0.
         let m = origin(4);
-        let occ = m.cost_model().t_rmw_occupancy;
+        let Protocol::Directory { eager, .. } = m.cost_model().protocol else {
+            panic!("origin2000 is a directory")
+        };
+        let occ = eager.t_rmw_occupancy;
         assert!(occ > 0);
         let a = m.alloc(8, 8, Placement::Global, Region::Other);
         let mut c0 = m.make_ctx(0);
@@ -1092,14 +887,14 @@ mod tests {
         m.access(&mut ctx, a, 8, Access::Write);
         let first_write = ctx.clock - before;
         assert!(
-            first_write >= m.cost_model().t_twin,
+            first_write >= hlrc_costs(&m).t_twin,
             "first write must pay twin creation"
         );
         let before = ctx.clock;
         m.access(&mut ctx, a + 64, 8, Access::Write);
         let second_write = ctx.clock - before;
         assert!(
-            second_write < m.cost_model().t_twin,
+            second_write < hlrc_costs(&m).t_twin,
             "second write must not re-twin"
         );
     }

@@ -6,7 +6,7 @@
 //! costs for HLRC-style SVM systems. The `procs` argument only names the
 //! configuration; the machine size is fixed when a `Machine` is built.
 
-use crate::config::{CostModel, Protocol};
+use crate::config::{CostModel, EagerCosts, HlrcCosts, Protocol};
 
 /// SGI Challenge: 150 MHz R4400, POWERpath-2 bus, centralized memory,
 /// 4-state write-invalidate snooping. Secondary cache miss ≈ 1100 ns ≈ 165
@@ -15,24 +15,18 @@ use crate::config::{CostModel, Protocol};
 pub fn challenge(_procs: usize) -> CostModel {
     CostModel {
         name: "SGI-Challenge".into(),
-        protocol: Protocol::BusMesi,
+        protocol: Protocol::BusMesi(EagerCosts {
+            cache_grains: 4 * 1024 * 1024 / 128, // 4 MB L2
+            t_invalidate: 20,
+            t_rmw_occupancy: 150,
+        }),
         grain: 128,
         cpu_mhz: 150,
-        cache_grains: 4 * 1024 * 1024 / 128, // 4 MB L2
         t_hit: 1,
         t_local_miss: 165,
-        t_remote_miss: 165, // bus: uniform
-        t_invalidate: 20,
         t_lock: 30,
         t_lock_transfer: 60,
         t_barrier: 400,
-        t_page_fault: 0,
-        t_twin: 0,
-        t_diff: 0,
-        t_check: 0,
-        t_notice: 0,
-        t_fault_occupancy: 0,
-        t_rmw_occupancy: 150,
     }
 }
 
@@ -42,24 +36,21 @@ pub fn challenge(_procs: usize) -> CostModel {
 pub fn origin2000(_procs: usize) -> CostModel {
     CostModel {
         name: "SGI-Origin2000".into(),
-        protocol: Protocol::Directory,
+        protocol: Protocol::Directory {
+            eager: EagerCosts {
+                cache_grains: 4 * 1024 * 1024 / 128, // 4 MB L2 per processor
+                t_invalidate: 40,
+                t_rmw_occupancy: 400,
+            },
+            t_remote_miss: 146,
+        },
         grain: 128,
         cpu_mhz: 200,
-        cache_grains: 4 * 1024 * 1024 / 128, // 4 MB L2 per processor
         t_hit: 1,
         t_local_miss: 62,
-        t_remote_miss: 146,
-        t_invalidate: 40,
         t_lock: 40,
         t_lock_transfer: 150,
         t_barrier: 1_000,
-        t_page_fault: 0,
-        t_twin: 0,
-        t_diff: 0,
-        t_check: 0,
-        t_notice: 0,
-        t_fault_occupancy: 0,
-        t_rmw_occupancy: 400,
     }
 }
 
@@ -73,24 +64,21 @@ pub fn origin2000(_procs: usize) -> CostModel {
 pub fn paragon_hlrc(_procs: usize) -> CostModel {
     CostModel {
         name: "Paragon-HLRC".into(),
-        protocol: Protocol::Hlrc,
+        protocol: Protocol::Hlrc(HlrcCosts {
+            t_page_fault: 7_500,
+            t_twin: 900,              // copy 4 KB locally
+            t_diff: 1_800,            // make + send diff
+            t_check: 35,              // per-page revalidation at first touch after acquire
+            t_notice: 1_200,          // per write-notice processed at an acquire (software)
+            t_fault_occupancy: 4_000, // handler occupancy at the page's home
+        }),
         grain: 4096,
         cpu_mhz: 50,
-        cache_grains: 16 * 1024, // resident page table (64 MB / 4 KB)
         t_hit: 1,
         t_local_miss: 40,
-        t_remote_miss: 40, // non-fault misses: ordinary cache service
-        t_invalidate: 0,
         t_lock: 10_000, // ≈ 200 µs software lock path (request + interrupt + grant)
         t_lock_transfer: 18_000, // lock acquisition rides on the page protocol: ~3 messages + lock-page operations
         t_barrier: 10_000,
-        t_page_fault: 7_500,
-        t_twin: 900,              // copy 4 KB locally
-        t_diff: 1_800,            // make + send diff
-        t_check: 35,              // per-page revalidation at first touch after acquire
-        t_notice: 1_200,          // per write-notice processed at an acquire (software)
-        t_fault_occupancy: 4_000, // handler occupancy at the page's home
-        t_rmw_occupancy: 0,       // RMW rides on the page protocol
     }
 }
 
@@ -102,24 +90,21 @@ pub fn paragon_hlrc(_procs: usize) -> CostModel {
 pub fn typhoon0_hlrc(_procs: usize) -> CostModel {
     CostModel {
         name: "Typhoon0-HLRC".into(),
-        protocol: Protocol::Hlrc,
+        protocol: Protocol::Hlrc(HlrcCosts {
+            t_page_fault: 4_600, // ≈ 70 µs page fault service
+            t_twin: 1_000,
+            t_diff: 1_600,
+            t_check: 30,
+            t_notice: 600,
+            t_fault_occupancy: 2_600,
+        }),
         grain: 4096,
         cpu_mhz: 66,
-        cache_grains: 16 * 1024,
         t_hit: 1,
         t_local_miss: 35,
-        t_remote_miss: 35,
-        t_invalidate: 0,
         t_lock: 5_000,          // ≈ 75 µs software lock path
         t_lock_transfer: 9_000, // ≈ 135 µs: 3-hop transfer + lock-page operations
         t_barrier: 6_000,
-        t_page_fault: 4_600, // ≈ 70 µs page fault service
-        t_twin: 1_000,
-        t_diff: 1_600,
-        t_check: 30,
-        t_notice: 600,
-        t_fault_occupancy: 2_600,
-        t_rmw_occupancy: 0, // RMW rides on the page protocol
     }
 }
 
@@ -131,24 +116,21 @@ pub fn typhoon0_hlrc(_procs: usize) -> CostModel {
 pub fn typhoon0_sc(_procs: usize) -> CostModel {
     CostModel {
         name: "Typhoon0-SC".into(),
-        protocol: Protocol::FineGrainSc,
+        protocol: Protocol::FineGrainSc {
+            eager: EagerCosts {
+                cache_grains: 1024 * 1024 / 64, // 1 MB
+                t_invalidate: 250,
+                t_rmw_occupancy: 700, // software handler per remote atomic
+            },
+            t_remote_miss: 700, // ≈ 10 µs software-mediated remote miss
+        },
         grain: 64,
         cpu_mhz: 66,
-        cache_grains: 1024 * 1024 / 64, // 1 MB
         t_hit: 1,
         t_local_miss: 30,
-        t_remote_miss: 700, // ≈ 10 µs software-mediated remote miss
-        t_invalidate: 250,
         t_lock: 60,
         t_lock_transfer: 700,
         t_barrier: 3_000,
-        t_page_fault: 0,
-        t_twin: 0,
-        t_diff: 0,
-        t_check: 0,
-        t_notice: 0,
-        t_fault_occupancy: 0,
-        t_rmw_occupancy: 700, // software handler per remote atomic
     }
 }
 
@@ -181,11 +163,17 @@ mod tests {
 
     #[test]
     fn presets_have_expected_protocols() {
-        assert_eq!(challenge(16).protocol, Protocol::BusMesi);
-        assert_eq!(origin2000(30).protocol, Protocol::Directory);
-        assert_eq!(paragon_hlrc(16).protocol, Protocol::Hlrc);
-        assert_eq!(typhoon0_hlrc(16).protocol, Protocol::Hlrc);
-        assert_eq!(typhoon0_sc(16).protocol, Protocol::FineGrainSc);
+        assert!(matches!(challenge(16).protocol, Protocol::BusMesi(_)));
+        assert!(matches!(
+            origin2000(30).protocol,
+            Protocol::Directory { .. }
+        ));
+        assert!(matches!(paragon_hlrc(16).protocol, Protocol::Hlrc(_)));
+        assert!(matches!(typhoon0_hlrc(16).protocol, Protocol::Hlrc(_)));
+        assert!(matches!(
+            typhoon0_sc(16).protocol,
+            Protocol::FineGrainSc { .. }
+        ));
     }
 
     #[test]
@@ -198,9 +186,10 @@ mod tests {
     #[test]
     fn remote_misses_cost_more_on_numa() {
         let o = origin2000(16);
-        assert!(o.t_remote_miss > o.t_local_miss);
-        let c = challenge(16);
-        assert_eq!(c.t_remote_miss, c.t_local_miss);
+        let Protocol::Directory { t_remote_miss, .. } = o.protocol else {
+            panic!("{}: not a directory", o.name)
+        };
+        assert!(t_remote_miss > o.t_local_miss);
     }
 
     #[test]

@@ -216,13 +216,27 @@ fn page_faults_only_on_svm_platforms() {
 
 #[test]
 fn remote_misses_only_on_distributed_eager_platforms() {
-    let stats = run(&platform::origin2000(4), Algorithm::Local, 2048, 4);
-    let remote: u64 = stats
-        .procs_records
-        .iter()
-        .map(|r| r.final_stats.remote_misses)
-        .sum();
-    assert!(remote > 0, "no remote misses on the Origin");
+    let remote = |cost: &bh_repro::ssmp::CostModel| -> u64 {
+        let stats = run(cost, Algorithm::Local, 2048, 4);
+        stats
+            .procs_records
+            .iter()
+            .map(|r| r.final_stats.remote_misses)
+            .sum()
+    };
+    assert!(
+        remote(&platform::origin2000(4)) > 0,
+        "no remote misses on the Origin"
+    );
+    // The bus's memory is centralized, and HLRC charges what is not a hit
+    // as a local map-in or a page fault.
+    for cost in [
+        platform::challenge(4),
+        platform::paragon_hlrc(4),
+        platform::typhoon0_hlrc(4),
+    ] {
+        assert_eq!(remote(&cost), 0, "remote misses on {}", cost.name);
+    }
 }
 
 fn simulated_seconds_plausible(n1: usize, n2: usize) {

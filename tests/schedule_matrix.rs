@@ -29,15 +29,11 @@ fn fast_cfg(alg: Algorithm) -> SimConfig {
 }
 
 /// Explore the whole simulation `cfg` describes, over `n` Plummer bodies
-/// (seed 1998) on `procs` processors, under `plan` with a budget of
-/// 2,000,000 sync operations per schedule; a schedule fails on the run's
-/// validation error.
+/// (seed 1998) on `procs` processors, under `plan`; a schedule fails on the
+/// run's validation error.
 fn explore_sim(cfg: SimConfig, n: usize, procs: usize, plan: &ExplorePlan) -> Exploration {
     let bodies = Model::Plummer.generate(n, 1998);
-    let budget = SchedConfig {
-        op_budget: 2_000_000,
-    };
-    explore(procs, plan, &budget, move |env: &VerifyEnv| {
+    explore(procs, plan, move |env: &VerifyEnv| {
         run_simulation(env, &cfg, &bodies).validation_error.clone()
     })
 }
@@ -81,7 +77,6 @@ fn morton_sort_and_emit_kernel_bounded_exhaustive() {
             preemption_bound: 1,
             max_schedules: 300,
         },
-        &SchedConfig::default(),
         |env| {
             let bodies = Model::Plummer.generate(6, 5);
             let world = World::new(env, &bodies);

@@ -53,7 +53,7 @@ use bh_core::body::Body;
 use bh_core::env::Env;
 use bh_core::harness::spmd;
 use bh_core::math::{Cube, Vec3};
-use bh_core::sched::{explore, ExplorePlan, SchedConfig, VerifyEnv};
+use bh_core::sched::{explore, ExplorePlan, VerifyEnv};
 use bh_core::tree::validate::{body_leaves, validate};
 use bh_core::tree::{SharedTree, TreeLayout};
 use bh_core::world::World;
@@ -67,7 +67,6 @@ fn assert_certifies_completely(name: &str, kernel: fn(&VerifyEnv) -> Option<Stri
             preemption_bound: 1,
             max_schedules: 300,
         },
-        &SchedConfig::default(),
         kernel,
     );
     let report: String = agg.counterexamples.iter().map(|c| c.to_string()).collect();

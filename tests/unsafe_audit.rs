@@ -65,6 +65,9 @@ const SYNC_WHITELIST: &[&str] = &[
     "crates/core/src/shared.rs",
     "crates/core/src/sched.rs",
     "crates/ssmp/src/machine.rs",
+    // The simulator's two protocols, part of its `Env` implementation.
+    "crates/ssmp/src/machine/eager.rs",
+    "crates/ssmp/src/machine/hlrc.rs",
     // The serve layer's thread-owning edges: executor workers + condvars
     // (server.rs), per-connection socket reader threads (transport.rs),
     // and the client's sleep between connect retries (client.rs).
