@@ -192,10 +192,15 @@ full_suite_lane() {
 }
 lane "full test suite (every test target the lanes above did not run)" full_suite_lane
 
-ignored_suites_lane() {
-    cargo test --offline -q --no-fail-fast --test platform_behavior --test race_freedom -- --ignored
+paper_scale_lane() {
+    cargo test --offline -q --no-fail-fast --test race_freedom -- --ignored
+    # The paper's claims at small scale: every table and figure, each claim
+    # line beside its small recording; repro exits 1 naming any claim whose
+    # outcome differs from it in either direction. About 50 s on two cores.
+    (cd "$SMOKE_DIR" && timeout 300 "$REPRO" matrix --scale small --jobs 2 >matrix_small.out) || {
+        grep 'DIFFERS' "$SMOKE_DIR/matrix_small.out"; exit 1; }
 }
-lane "paper-scale ignored suites" ignored_suites_lane
+lane "paper-scale lane (full race matrices, claims at small scale)" paper_scale_lane
 
 repro_smoke_lane() {
     sweep all --scale tiny --jobs 2 --json results.json --trace trace.json
@@ -251,7 +256,8 @@ determinism_lane() {
     # byte-identical JSON whatever the prewarm width. Multi-processor simulated
     # timings carry inherent run-to-run jitter (real thread interleaving feeds
     # the contention model), so the full matrix is compared structurally — same
-    # experiments, configurations and series.
+    # experiments, configurations and series — and each of the two tiny matrix
+    # runs gates every claim against its tiny recording through its exit code.
     # The prewarm covers the render: after the tiny matrix's 92 jobs, treebuild's
     # and the tiny report's, drawing all thirteen tables, treebuild and the
     # report adds no entry to the run memo. #[ignore]d in the suite because it runs the whole tiny matrix

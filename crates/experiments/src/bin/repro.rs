@@ -20,6 +20,13 @@
 //! test. Results are printed as text tables; `--json` additionally writes a
 //! machine-readable record.
 //!
+//! Under each table of the paper, one line per claim of the figure
+//! (`claims`): its outcome over the table's runs, the reading behind it and
+//! the verdict recorded at that scale. After printing, `repro` exits 1,
+//! naming the claims, when an outcome at `tiny` or `small` differs from its
+//! recording in either direction (a claim recorded `varies` is not gated);
+//! `full` has no recording and only prints.
+//!
 //! `matrix` runs every table and figure of the paper (every experiment but
 //! `treebuild`, which writes BENCH records rather than a table of a grid).
 //!
@@ -73,7 +80,8 @@ fn usage_text() -> String {
          \x20      repro check-json <path>\n\
          \x20      repro check-trace <path>\n\
          \x20      repro check-same <a> <b>\n\
-         experiments: {}",
+         experiments: {}\n\
+         exit 1: a claim's outcome at tiny or small differs from its recording",
         ExperimentScale::NAMES.join("|"),
         experiment_names(" ")
     )
@@ -212,18 +220,29 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut tables = Vec::new();
     let mut traced = None;
+    let mut differing = Vec::new();
     for e in &selected {
         match e.spec {
-            Some(spec) => tables.push(spec(scale).table(e.id)),
+            Some(spec) => {
+                let spec = spec(scale);
+                let table = spec.table(e.id);
+                print!("{table}");
+                for (claim, (line, differs)) in spec.claims.iter().zip(spec.check(scale)) {
+                    println!("{line}");
+                    if differs {
+                        differing.push(format!("{}: {}", e.id, claim.text));
+                    }
+                }
+                println!();
+                tables.push(table);
+            }
             None => {
                 let r = experiments::treebuild(scale, group_size);
+                println!("{}", r.table);
                 tables.push(r.table.clone());
                 traced = Some(r);
             }
         }
-    }
-    for t in &tables {
-        println!("{t}");
     }
     eprintln!(
         "[{} experiment(s) in {:.1}s]",
@@ -240,6 +259,17 @@ fn main() {
         }
     }
     write_tables_json(json_path, &tables);
+    if !differing.is_empty() {
+        eprintln!(
+            "repro: {} claim(s) differ from their recording at {}:",
+            differing.len(),
+            scale.name()
+        );
+        for claim in &differing {
+            eprintln!("  {claim}");
+        }
+        std::process::exit(1);
+    }
 }
 
 /// `--jobs N` (N > 1): fill the run memo with `runs` across N threads, so

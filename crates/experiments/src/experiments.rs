@@ -2,13 +2,21 @@
 //!
 //! [`EXPERIMENTS`] lists every table and figure `repro` regenerates: its CLI
 //! name, the paper's label, and a function of the scale returning a [`Spec`]
-//! — the [`Grid`] of simulated runs it reads, its title, what the paper
-//! reports, and which renderer walks the grid. The renderer
-//! ([`Spec::table`]) and the `--jobs` prewarm ([`prewarm_jobs`]) iterate the
+//! — the [`Grid`] of simulated runs it reads, its title, the paper's claims
+//! over those runs with their recorded verdicts ([`crate::claims`]), and
+//! which renderer walks the grid. The renderer ([`Spec::table`]), the claims
+//! ([`Spec::check`]) and the `--jobs` prewarm ([`prewarm_jobs`]) read the
 //! same `Grid`, so which runs a figure needs is written down once. Runs are
 //! memoized within a process ([`crate::runner`]); figures sharing
 //! configurations (e.g. Figures 8 and 9) reuse them.
 
+use crate::claims::At::{Every, Largest};
+use crate::claims::Axis::{Procs, Sizes};
+use crate::claims::Form::{Ratio, Trend, Value};
+use crate::claims::Metric::*;
+use crate::claims::Verdict::{Fails, Holds, Na, Varies};
+use crate::claims::Who::{Algs, Seq};
+use crate::claims::{claim, Claim, ANY};
 use crate::records;
 use crate::report;
 use crate::runner::{
@@ -20,6 +28,7 @@ use bh_core::force::MAX_GROUP_SIZE;
 use bh_core::prelude::*;
 use bh_core::trace::{self, LockStat};
 use ssmp::{platform, CostModel};
+use Algorithm::{Local, Morton, Orig, Partree, Space, Update};
 
 pub struct Experiment {
     /// The name `repro` accepts.
@@ -148,8 +157,8 @@ pub struct Spec {
     /// `{platform}`, `{n}` and `{p}` stand for the grid's first platform,
     /// size and processor count.
     pub title: &'static str,
-    /// What the paper reports, for eyeball comparison.
-    pub expectation: &'static str,
+    /// The paper's claims over the grid's runs.
+    pub claims: Vec<Claim>,
     pub render: Render,
 }
 
@@ -187,10 +196,10 @@ fn tree_pct(_: &CostModel, run: &PlatformRun) -> String {
     fmt_pct(run.stats.tree_fraction())
 }
 
-/// Average barrier wait per processor, in seconds.
-fn barrier_seconds(cost: &CostModel, run: &PlatformRun) -> String {
+/// Average barrier wait per processor, in milliseconds.
+fn barrier_ms(cost: &CostModel, run: &PlatformRun) -> String {
     let avg = run.stats.barrier_wait_total() / run.procs as u64;
-    format!("{:.3}", cost.cycles_to_seconds(avg))
+    format!("{:.2}", 1e3 * cost.cycles_to_seconds(avg))
 }
 
 /// A header or body row: `label`, then `cells`.
@@ -269,11 +278,31 @@ impl Spec {
         Table {
             headers,
             rows,
-            ..Table::new(id, &title, &[], self.expectation)
+            ..Table::new(id, &title, &[])
         }
+    }
+
+    /// Each claim's line at `scale`, and whether it differs from its
+    /// recording there ([`Claim::check`]).
+    pub fn check(&self, scale: ExperimentScale) -> Vec<(String, bool)> {
+        let check = |c: &Claim| c.check(&self.grid, scale);
+        self.claims.iter().map(check).collect()
     }
 }
 
+// The algorithm groups the claims below name.
+/// The paper's five builders.
+const FIVE: &[Algorithm] = &[Orig, Local, Update, Partree, Space];
+/// The paper's five but ORIG: the good algorithms on hardware coherence.
+const GOOD: &[Algorithm] = &[Local, Update, Partree, Space];
+/// Figure 8's leading group.
+const LEADERS: &[Algorithm] = &[Local, Update, Partree];
+/// The lock-per-body builders.
+const HEAVY: &[Algorithm] = &[Orig, Local, Update];
+/// The paper's five but SPACE.
+const NOT_SPACE: &[Algorithm] = &[Orig, Local, Update, Partree];
+
+#[rustfmt::skip]
 fn table1(scale: ExperimentScale) -> Spec {
     let platforms: [fn(usize) -> CostModel; 4] = [
         platform::origin2000,
@@ -281,118 +310,191 @@ fn table1(scale: ExperimentScale) -> Spec {
         platform::typhoon0_hlrc,
         platform::paragon_hlrc,
     ];
+    let origin = Seq(&["SGI-Origin2000"]);
     Spec {
         grid: Grid {
             algs: &[],
             ..Grid::new(scale, &platforms, &SIZES, &[1])
         },
         title: "Best sequential time (seconds, 2 steps) per platform",
-        expectation: "Origin fastest, Challenge ~2.5x slower, Typhoon-0 and Paragon much slower; time grows ~NlogN",
+        claims: vec![
+            claim("Origin fastest", SecondsPerBody,
+                  Ratio(Seq(&["SGI-Challenge", "Typhoon0-HLRC", "Paragon-HLRC"]), origin, Every), (1.0, ANY), [Holds, Holds]),
+            claim("Challenge ~2.5x slower [than the Origin]", SecondsPerBody,
+                  Ratio(Seq(&["SGI-Challenge"]), origin, Every), (2.0, 3.0), [Fails, Fails]),
+            claim("Typhoon-0 much slower [than the Origin]", SecondsPerBody,
+                  Ratio(Seq(&["Typhoon0-HLRC"]), origin, Every), (3.0, ANY), [Fails, Fails]),
+            claim("Paragon much slower [than the Origin]", SecondsPerBody, Ratio(Seq(&["Paragon-HLRC"]), origin, Every), (3.0, ANY), [Holds, Holds]),
+            // Per body: quadrupling n more than triples the time.
+            claim("time grows ~NlogN", SecondsPerBody, Trend(Algs(&[Partree]), Sizes), (0.75, ANY), [Holds, Holds]),
+            claim("tree building is a few percent of a sequential step", TreeShare, Value(Algs(&[Partree]), Every), (0.0, 0.08), [Fails, Holds]),
+        ],
         render: Render::SeqSeconds,
     }
 }
 
 // Figures 6-7: SGI Challenge.
 
+#[rustfmt::skip]
 fn fig6(scale: ExperimentScale) -> Spec {
     Spec {
         grid: Grid::new(scale, &[platform::challenge], &SIZES[..5], &[16]),
         title: "Speedups on SGI Challenge, {p} processors",
-        expectation: "all five algorithms between ~12 and ~15 on 16 procs; LOCAL best, ORIG worst by a little",
+        claims: vec![
+            claim("all five algorithms between ~12 and ~15 on 16 procs", Efficiency,
+                  Value(Algs(FIVE), Every), (11.0 / 16.0, 1.0), [Varies(0.68, 1.02), Fails]),
+            // Speedup ratios are inverse total-time ratios.
+            claim("on hardware coherence every algorithm's time is within 1.3x of the others'", Speedup,
+                  Ratio(Algs(&Algorithm::ALL), Algs(&Algorithm::ALL), Every), (0.0, 1.3), [Holds, Holds]),
+            claim("LOCAL best", Speedup, Ratio(Algs(&[Local]), Algs(&[Orig, Update, Partree, Space]), Every), (1.0, ANY), [Fails, Fails]),
+            claim("ORIG worst by a little", Speedup, Ratio(Algs(GOOD), Algs(&[Orig]), Every), (1.0, ANY), [Fails, Fails]),
+        ],
         render: Render::BySize(speedup),
     }
 }
 
+#[rustfmt::skip]
 fn fig7(scale: ExperimentScale) -> Spec {
     Spec {
         grid: Grid::new(scale, &[platform::challenge], &[131072], &[4, 8, 16]),
         title: "Tree-building cost on SGI Challenge, {n} particles (% of total time)",
-        expectation: "small for the good algorithms (LOCAL/UPDATE/PARTREE/SPACE), larger for ORIG, growing with processors",
+        claims: vec![
+            claim("small for the good algorithms (LOCAL/UPDATE/PARTREE/SPACE)", TreeShare, Value(Algs(GOOD), Every), (0.0, 0.1), [Holds, Holds]),
+            claim("larger for ORIG", TreeShare, Ratio(Algs(&[Orig]), Algs(GOOD), Largest), (1.0, ANY), [Varies(0.71, 1.64), Varies(0.58, 2.03)]),
+            claim("growing with processors", TreeShare, Trend(Algs(FIVE), Procs), (1.0, ANY), [Holds, Holds]),
+        ],
         render: Render::ByProcs(tree_pct),
     }
 }
 
 // Figures 8-11, Table 2: SGI Origin 2000.
 
+#[rustfmt::skip]
 fn fig8(scale: ExperimentScale) -> Spec {
     Spec {
         grid: Grid::new(scale, &[platform::origin2000], &SIZES, &[30]),
         title: "Speedups on SGI Origin 2000, {p} processors",
-        expectation: "LOCAL/UPDATE/PARTREE close together and best, scaling with data size; SPACE slightly behind; big gap to ORIG",
+        claims: vec![
+            claim("LOCAL/UPDATE/PARTREE best; SPACE slightly behind", Speedup,
+                  Ratio(Algs(LEADERS), Algs(&[Space]), Every), (1.0, ANY), [Holds, Varies(0.99, 1.33)]),
+            claim("LOCAL/UPDATE/PARTREE scaling with data size", Speedup, Trend(Algs(LEADERS), Sizes), (1.0, ANY), [Holds, Holds]),
+            claim("big gap to ORIG", Speedup, Ratio(Algs(LEADERS), Algs(&[Orig]), Largest), (1.5, ANY), [Fails, Fails]),
+        ],
         render: Render::BySize(speedup),
     }
 }
 
+#[rustfmt::skip]
 fn fig9(scale: ExperimentScale) -> Spec {
     Spec {
         title: "Tree-building phase speedups on Origin 2000, {p} processors",
-        expectation: "same relative ordering as Figure 8 but much lower absolute speedups",
+        claims: vec![
+            claim("much lower absolute speedups [than Figure 8]", TreeOverApp, Value(Algs(FIVE), Every), (0.0, 0.5), [Fails, Fails]),
+            claim("same relative ordering as Figure 8 [SPACE behind LOCAL/UPDATE/PARTREE]", TreeSpeedup,
+                  Ratio(Algs(LEADERS), Algs(&[Space]), Every), (1.0, ANY), [Holds, Fails]),
+            // This repository's sixth builder, not the paper's.
+            claim("MORTON's sort-based build beats LOCAL's tree phase", TreeSpeedup,
+                  Ratio(Algs(&[Morton]), Algs(&[Local]), Every), (1.0, ANY), [Holds, Varies(0.99, 1.54)]),
+        ],
         render: Render::BySize(tree_speedup),
         ..fig8(scale)
     }
 }
 
+#[rustfmt::skip]
 fn fig10(scale: ExperimentScale) -> Spec {
     Spec {
         grid: Grid::new(scale, &[platform::origin2000], &[524288], &[16, 24, 30]),
         title: "Speedups on Origin 2000 vs processor count, {n} particles",
-        expectation: "LOCAL/UPDATE/PARTREE scale well with processors (LOCAL best), SPACE a little worse, ORIG far behind",
+        claims: vec![
+            // Three quarters of the ideal 30/16.
+            claim("LOCAL/UPDATE/PARTREE scale well with processors", Speedup, Trend(Algs(LEADERS), Procs), (1.4, ANY), [Na, Holds]),
+            claim("LOCAL best [at every processor count]", Speedup,
+                  Ratio(Algs(&[Local]), Algs(&[Orig, Update, Partree, Space]), Every), (1.0, ANY), [Fails, Fails]),
+            claim("SPACE a little worse", Speedup, Ratio(Algs(LEADERS), Algs(&[Space]), Every), (1.0, ANY), [Holds, Varies(0.99, 1.04)]),
+            claim("ORIG far behind", Speedup, Ratio(Algs(LEADERS), Algs(&[Orig]), Largest), (1.5, ANY), [Fails, Fails]),
+        ],
         render: Render::ByProcs(speedup),
     }
 }
 
+#[rustfmt::skip]
 fn fig11(scale: ExperimentScale) -> Spec {
     Spec {
-        grid: Grid::new(
-            scale,
-            &[platform::origin2000],
-            &[524288],
-            &[1, 8, 16, 24, 30],
-        ),
+        grid: Grid::new(scale, &[platform::origin2000], &[524288], &[1, 8, 16, 24, 30]),
         title: "Tree-building cost on Origin 2000, {n} particles (% of total time)",
-        expectation: "ORIG's tree-build share grows toward ~60% at 30 procs; the others stay small",
+        claims: vec![
+            claim("ORIG's tree-build share grows toward ~60% at 30 procs", TreeShare, Value(Algs(&[Orig]), Largest), (0.3, ANY), [Fails, Fails]),
+            claim("the others stay small", TreeShare, Value(Algs(GOOD), Every), (0.0, 0.1), [Holds, Fails]),
+            claim("tree-build shares grow with processors", TreeShare, Trend(Algs(FIVE), Procs), (1.0, ANY), [Holds, Holds]),
+        ],
         render: Render::ByProcs(tree_pct),
     }
 }
 
+#[rustfmt::skip]
 fn table2(scale: ExperimentScale) -> Spec {
     Spec {
         grid: Grid::new(scale, &[platform::origin2000], &[65536, 524288], &[16]),
-        title: "Time (seconds) spent in BARRIER operations on Origin 2000, {p} processors",
-        expectation: "ORIG's barrier time ~15x LOCAL's; UPDATE distant second; others small",
-        render: Render::BySize(barrier_seconds),
+        title: "Time (ms) spent in BARRIER operations on Origin 2000, {p} processors",
+        claims: vec![
+            claim("ORIG's barrier time ~15x LOCAL's", Barrier, Ratio(Algs(&[Orig]), Algs(&[Local]), Every), (5.0, ANY), [Fails, Fails]),
+            claim("UPDATE [a] distant second", Barrier,
+                  Ratio(Algs(&[Update]), Algs(&[Local, Partree, Space]), Every), (1.0, ANY), [Varies(0.63, 1.57), Varies(0.73, 2.05)]),
+        ],
+        render: Render::BySize(barrier_ms),
     }
 }
 
 // Figure 12: Intel Paragon (HLRC SVM).
 
+#[rustfmt::skip]
 fn fig12(scale: ExperimentScale) -> Spec {
     Spec {
         grid: Grid {
-            algs: &[Algorithm::Partree, Algorithm::Space],
+            algs: &[Partree, Space],
             ..Grid::new(scale, &[platform::paragon_hlrc], &SIZES[..4], &[16])
         },
         title: "Paragon (HLRC SVM), {p} processors: speedup and tree-build share",
-        expectation: "SPACE much better than PARTREE (only those two are runnable; the lock-heavy algorithms slow down); PARTREE's tree share ~50%, SPACE's <20%",
+        claims: vec![
+            claim("SPACE much better than PARTREE", Speedup, Ratio(Algs(&[Space]), Algs(&[Partree]), Every), (1.0, ANY), [Fails, Fails]),
+            claim("PARTREE's tree share ~50%", TreeShare, Value(Algs(&[Partree]), Every), (0.25, 0.75), [Holds, Holds]),
+            claim("SPACE's [tree share] <20%", TreeShare, Value(Algs(&[Space]), Every), (0.0, 0.2), [Fails, Fails]),
+        ],
         render: Render::SpeedupAndTreePct,
     }
 }
 
 // Figures 13-14: Typhoon-zero under HLRC.
 
+#[rustfmt::skip]
 fn fig13(scale: ExperimentScale) -> Spec {
     Spec {
         grid: Grid::new(scale, &[platform::typhoon0_hlrc], &SIZES[..4], &[16]),
         title: "Speedups on Typhoon-zero (HLRC SVM), {p} processors",
-        expectation: "SPACE vastly outperforms everything; PARTREE second; ORIG/LOCAL/UPDATE deliver slowdowns (<1)",
+        claims: vec![
+            claim("SPACE vastly outperforms everything", Speedup, Ratio(Algs(&[Space]), Algs(NOT_SPACE), Largest), (1.0, ANY), [Fails, Fails]),
+            claim("PARTREE second", Speedup, Ratio(Algs(&[Partree]), Algs(HEAVY), Largest), (1.0, ANY), [Holds, Holds]),
+            claim("ORIG/LOCAL/UPDATE deliver slowdowns (<1)", Speedup, Value(Algs(HEAVY), Every), (0.0, 1.0), [Fails, Fails]),
+            // The paper's central result: on page-based SVM the tree build
+            // devours the lock-per-body builders' step, while SPACE keeps it
+            // small and runs well ahead.
+            claim("the tree build devours LOCAL's step", TreeShare, Value(Algs(&[Local]), Largest), (0.5, ANY), [Holds, Holds]),
+            claim("SPACE keeps its tree build small", TreeShare, Value(Algs(&[Space]), Largest), (0.0, 0.4), [Fails, Holds]),
+            claim("SPACE at least twice as fast as LOCAL", Speedup, Ratio(Algs(&[Space]), Algs(&[Local]), Largest), (2.0, ANY), [Fails, Varies(1.54, 2.43)]),
+        ],
         render: Render::SpeedupThenTreePct,
     }
 }
 
+#[rustfmt::skip]
 fn fig14(scale: ExperimentScale) -> Spec {
     Spec {
         title: "Tree-building phase speedups on Typhoon-zero HLRC, {p} processors",
-        expectation: "poor: SPACE reaches ~1.5, every other algorithm is a slowdown (<1)",
+        claims: vec![
+            claim("every other algorithm is a slowdown (<1)", TreeSpeedup, Value(Algs(NOT_SPACE), Every), (0.0, 1.0), [Holds, Holds]),
+            claim("SPACE reaches ~1.5", TreeSpeedup, Value(Algs(&[Space]), Largest), (1.0, ANY), [Fails, Fails]),
+        ],
         render: Render::BySize(tree_speedup),
         ..fig13(scale)
     }
@@ -400,23 +502,39 @@ fn fig14(scale: ExperimentScale) -> Spec {
 
 // §4.4.2: Typhoon-zero under fine-grained sequential consistency.
 
+#[rustfmt::skip]
 fn sc442(scale: ExperimentScale) -> Spec {
     Spec {
         grid: Grid::new(scale, &[platform::typhoon0_sc], &[16384], &[16]),
         title: "Speedups on Typhoon-zero (fine-grain SC), {n} particles, {p} processors",
-        expectation: "differences shrink: SPACE best (~7 of 16), LOCAL/UPDATE/PARTREE ~4, ORIG a little worse",
+        claims: vec![
+            // SPACE ~7 of 16 against ORIG a little below 4.
+            claim("differences shrink", Speedup, Ratio(Algs(FIVE), Algs(FIVE), Every), (0.0, 2.0), [Holds, Holds]),
+            claim("SPACE best (~7 of 16)", Speedup, Ratio(Algs(&[Space]), Algs(NOT_SPACE), Every), (1.0, ANY), [Fails, Fails]),
+            claim("ORIG a little worse", Speedup, Ratio(Algs(LEADERS), Algs(&[Orig]), Every), (1.0, ANY), [Varies(0.96, 1.21), Varies(0.95, 1.15)]),
+            // Table 1's claim, on the one platform Table 1 lacks.
+            claim("tree building is a few percent of a sequential step on fine-grain SC too", TreeShare,
+                  Value(Seq(&["Typhoon0-SC"]), Every), (0.0, 0.08), [Fails, Holds]),
+        ],
         render: Render::BySize(speedup),
     }
 }
 
 // Figure 15: dynamic lock counts per processor.
 
+#[rustfmt::skip]
 fn fig15(scale: ExperimentScale) -> Spec {
     let platforms: [fn(usize) -> CostModel; 2] = [platform::typhoon0_hlrc, platform::origin2000];
     Spec {
         grid: Grid::new(scale, &platforms, &[65536], &[16]),
         title: "Locks executed per processor in the tree-building phase (2 steps, {n} particles, {p} processors)",
-        expectation: "lock counts fall ORIG ≈ LOCAL ≈ UPDATE (≈1 per body) >> PARTREE >> SPACE (=0)",
+        claims: vec![
+            claim("ORIG ≈ LOCAL (≈1 per body)", LocksPerBody, Value(Algs(&[Orig, Local]), Every), (1.0, ANY), [Holds, Holds]),
+            claim("UPDATE ≈ ORIG ≈ LOCAL", LocksPerBody, Ratio(Algs(&[Update]), Algs(&[Orig, Local]), Every), (0.5, 2.0), [Fails, Fails]),
+            // "Falls off quickly": at least 3x.
+            claim("LOCAL >> PARTREE", LocksPerBody, Ratio(Algs(&[Local]), Algs(&[Partree]), Every), (3.0, ANY), [Holds, Holds]),
+            claim("SPACE (=0)", LocksPerBody, Value(Algs(&[Space]), Every), (0.0, 0.0), [Holds, Holds]),
+        ],
         render: Render::LocksPerProc,
     }
 }
@@ -441,7 +559,7 @@ pub struct TreebuildReport {
 }
 
 /// The per-phase table [`phase_row`] fills.
-fn phase_table(id: &str, title: &str, expectation: &str) -> Table {
+fn phase_table(id: &str, title: &str) -> Table {
     Table::new(
         id,
         title,
@@ -460,7 +578,6 @@ fn phase_table(id: &str, title: &str, expectation: &str) -> Table {
             "remote",
             "faults",
         ],
-        expectation,
     )
 }
 
@@ -544,7 +661,6 @@ fn treebuild_sized(
              ({} cycles; measured steps only, lock histogram over all steps)",
             cost.name
         ),
-        "lock-based algorithms spend tree time in locks (ORIG concentrated on few hot cells); SPACE takes none",
     );
     let mut events: Vec<String> = Vec::new();
     let mut bench: Vec<String> = Vec::new();
@@ -680,7 +796,6 @@ fn run_report(
     let mut phases = phase_table(
         "Run phases",
         &title("; lock histogram over all steps; then per processor"),
-        "",
     );
     let hist = locks.map_or_else(none, hist_cells);
     phase_row(
@@ -711,7 +826,6 @@ fn run_report(
             "list len",
             "reuse",
         ],
-        "",
     );
     totals.row(vec![
         s.total_time().to_string(),
@@ -810,6 +924,29 @@ mod tests {
     }
 
     #[test]
+    fn every_figure_declares_distinct_claims_recorded_at_tiny_and_small() {
+        let mut texts = std::collections::HashSet::new();
+        for e in matrix() {
+            let spec = e.spec.unwrap();
+            assert!(!spec(ExperimentScale::Tiny).claims.is_empty(), "{}", e.name);
+            for c in spec(ExperimentScale::Tiny).claims {
+                assert!(texts.insert(c.text), "{}: \"{}\" twice", e.name, c.text);
+            }
+            // n/a exactly where the grid cannot evaluate the claim.
+            for (i, scale) in [ExperimentScale::Tiny, ExperimentScale::Small]
+                .into_iter()
+                .enumerate()
+            {
+                let spec = spec(scale);
+                for c in &spec.claims {
+                    let na = c.recorded[i] == Na;
+                    assert_eq!(na, !c.applies(&spec.grid), "{}: {}", scale.name(), c.text);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn grid_sizes_and_processor_counts_are_distinct() {
         for scale in [ExperimentScale::Tiny, ExperimentScale::Small] {
             for e in matrix() {
@@ -846,8 +983,13 @@ mod tests {
         assert_eq!(prewarm(runs, 2), count);
         assert_eq!(crate::runner::memo_size(), count);
         for e in matrix() {
-            let table = e.spec.unwrap()(scale).table(e.id);
-            assert!(!table.rows.is_empty(), "{} rendered no rows", e.name);
+            let spec = e.spec.unwrap()(scale);
+            assert!(
+                !spec.table(e.id).rows.is_empty(),
+                "{} rendered no rows",
+                e.name
+            );
+            spec.check(scale);
         }
         let report = report::scaling_report(scale, &report_grid);
         assert!(report.tables.iter().all(|t| !t.rows.is_empty()));

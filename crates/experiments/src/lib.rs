@@ -5,6 +5,7 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod claims;
 pub mod cliargs;
 pub mod experiments;
 pub mod records;

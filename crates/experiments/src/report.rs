@@ -90,8 +90,6 @@ pub(crate) fn comm_table(id: &str, title: &str) -> Table {
             "locks",
             "lock_wait",
         ],
-        "tree cells dominate communication for the lock-based algorithms; \
-         SPACE shifts traffic to bodies and the flat tree",
     )
 }
 
@@ -203,8 +201,7 @@ fn curve(grid: &Grid, cost: &CostModel) -> Table {
             ..grid.clone()
         },
         title: "Speedup (and efficiency) vs processor count on {platform}, {n} particles",
-        expectation: "speedups grow with processors but efficiency falls; \
-                      lock-heavy algorithms fall off first",
+        claims: Vec::new(),
         render: Render::ByProcs(speedup_efficiency),
     }
     .table(&format!("Report: scaling on {}", cost.name))
@@ -222,8 +219,6 @@ fn crossover(scale: ExperimentScale, grid: &Grid, n: usize, records: &mut Vec<St
         "Report: crossover",
         &format!("Best algorithm per processor count, {n} particles"),
         &["platform", "procs", "winner", "speedup", "margin", "note"],
-        "the winner at 1 processor (least overhead) is overtaken by the \
-         contention-robust algorithms as processors grow",
     );
     for cost in &grid.platforms {
         let mut prev_winner: Option<Algorithm> = None;
@@ -307,8 +302,6 @@ fn step_percentiles(
             "imbal_p50",
             "imbal_p99",
         ],
-        "lock-based algorithms show wider tree-time tails (p99 >> p50) \
-         under contention; SPACE stays tight",
     );
     for cost in &grid.platforms {
         for &alg in grid.algs {

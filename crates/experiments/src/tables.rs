@@ -11,9 +11,6 @@ pub struct Table {
     pub title: String,
     pub headers: Vec<String>,
     pub rows: Vec<Vec<String>>,
-    /// What the paper reports for this experiment, for eyeball comparison;
-    /// empty for diagnostics the paper has no figure for.
-    pub paper_expectation: String,
 }
 
 fn json_string_array(items: &[String]) -> String {
@@ -22,13 +19,12 @@ fn json_string_array(items: &[String]) -> String {
 }
 
 impl Table {
-    pub fn new(id: &str, title: &str, headers: &[&str], paper_expectation: &str) -> Table {
+    pub fn new(id: &str, title: &str, headers: &[&str]) -> Table {
         Table {
             id: id.to_string(),
             title: title.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            paper_expectation: paper_expectation.to_string(),
         }
     }
 
@@ -42,12 +38,11 @@ impl Table {
     pub fn to_json(&self) -> String {
         let rows: Vec<String> = self.rows.iter().map(|r| json_string_array(r)).collect();
         format!(
-            "{{\"id\": {}, \"title\": {}, \"headers\": {}, \"rows\": [{}], \"paper_expectation\": {}}}",
+            "{{\"id\": {}, \"title\": {}, \"headers\": {}, \"rows\": [{}]}}",
             escape(&self.id),
             escape(&self.title),
             json_string_array(&self.headers),
             rows.join(", "),
-            escape(&self.paper_expectation),
         )
     }
 }
@@ -82,10 +77,7 @@ impl std::fmt::Display for Table {
         for row in &self.rows {
             writeln!(f, "{}", fmt_row(row))?;
         }
-        if self.paper_expectation.is_empty() {
-            return Ok(());
-        }
-        writeln!(f, "paper: {}", self.paper_expectation)
+        Ok(())
     }
 }
 
@@ -105,7 +97,7 @@ mod tests {
 
     #[test]
     fn render_contains_rows_and_headers() {
-        let mut t = Table::new("Figure 0", "demo", &["n", "speedup"], "n/a");
+        let mut t = Table::new("Figure 0", "demo", &["n", "speedup"]);
         t.row(vec!["8192".to_string(), "12.5".to_string()]);
         let s = t.to_string();
         assert!(s.contains("Figure 0"));
@@ -116,7 +108,7 @@ mod tests {
 
     #[test]
     fn json_has_fields_and_rows() {
-        let mut t = Table::new("Table 1", "seq", &["a"], "x");
+        let mut t = Table::new("Table 1", "seq", &["a"]);
         t.row(vec![1.5f64]);
         let j = t.to_json();
         assert!(j.contains("\"id\": \"Table 1\""));
@@ -126,7 +118,7 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        let t = Table::new("T", "quote \" and newline\n", &[], "");
+        let t = Table::new("T", "quote \" and newline\n", &[]);
         assert!(t.to_json().contains("quote \\\" and newline\\n"));
     }
 
@@ -139,7 +131,7 @@ mod tests {
     #[test]
     fn roundtrips_table_output() {
         use crate::json::Json;
-        let mut t = Table::new("Table 9", "tricky \"title\"", &["col\na", "b"], "exp");
+        let mut t = Table::new("Table 9", "tricky \"title\"", &["col\na", "b"]);
         t.row(vec!["1".to_string(), "häßlich \\ value".to_string()]);
         let doc = Json::parse(&t.to_json()).expect("table JSON parses");
         assert_eq!(doc.get("id").unwrap().as_str(), Some("Table 9"));

@@ -43,7 +43,8 @@ fn all_algorithms_produce_identical_trajectories() {
 #[test]
 fn rebuild_algorithms_match_reference_structure_on_simulated_platforms() {
     // The same algorithm code runs on a simulated machine and must produce
-    // the same valid tree; validation runs inside run_simulation.
+    // the same valid tree; validation runs inside run_simulation. SPACE and
+    // MORTON take no tree lock on any platform.
     let bodies = Model::TwoClusterCollision.generate(1200, 5);
     for cost in platform::all_platforms(4) {
         for alg in Algorithm::ALL {
@@ -59,6 +60,10 @@ fn rebuild_algorithms_match_reference_structure_on_simulated_platforms() {
                 cost.name,
                 stats.validation_error
             );
+            if matches!(alg, Algorithm::Space | Algorithm::Morton) {
+                let locks: u64 = stats.tree_locks_per_proc().iter().sum();
+                assert_eq!(locks, 0, "{alg} locked on {}", cost.name);
+            }
         }
     }
 }

@@ -122,6 +122,17 @@ fn warmup_steps_are_excluded_from_measured_totals() {
 }
 
 #[test]
+fn morton_takes_no_locks_and_no_flatten_but_sorts() {
+    // MORTON emits the flat tree from the sorted keys: no insertion locks
+    // and no separate flatten pass.
+    let stats = run(Algorithm::Morton, 0, 2);
+    let locks: u64 = stats.tree_locks_per_proc().iter().sum();
+    assert_eq!(locks, 0, "MORTON took tree locks");
+    assert_eq!(stats.flatten_cycles(), 0, "MORTON charged a flatten pass");
+    assert!(stats.sort_cycles() > 0, "MORTON charged no sort time");
+}
+
+#[test]
 fn step_rows_decompose_the_phase_aggregates() {
     let stats = run(Algorithm::Orig, 1, 3);
     let rows = stats.step_rows(0..4);
